@@ -10,17 +10,23 @@
 #   ./ci.sh golden        # golden campaign report drift check
 #   ./ci.sh explore       # coverage-guided explore smoke (small budget)
 #   ./ci.sh corpus        # corpus synthesis/inference tests + corpus-seeded explore smoke, run twice
-#   ./ci.sh bench-smoke   # columnar serde + cluster-scale substrate smokes
-#   ./ci.sh serve         # csi-serve daemon tests + multi-tenant load smoke
+#   ./ci.sh bench-smoke   # cluster-scale substrate smoke + the benchmark's own smoke (all four workloads)
+#   ./ci.sh serve         # csi-serve daemon tests
 #   ./ci.sh all           # everything above, in order (the default)
 #
 # The usage string, `all`, and the dispatch below are all derived from the
 # single STAGES list, so a new stage cannot be invocable yet silently
 # missing from `all` (the drift `bench-smoke` once had).
 #
-# Everything runs offline against the vendored dependency stubs.
+# Everything runs offline against the vendored dependency stubs, and every
+# stage runs under `timeout`, so a hung test fails its stage in minutes
+# instead of stalling the job.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# Wall-clock cap per stage, in seconds. The slowest stage (`test`, cold)
+# takes a few minutes; a deadlock takes forever.
+STAGE_TIMEOUT=900
 
 # The one stage list. A stage named `foo-bar` is implemented by a
 # function `stage_foo_bar`.
@@ -50,6 +56,8 @@ stage_determinism() {
   cargo test -q -p csi-test --test fault_matrix
   echo "==> boundary traces (side-effect-free, serial == sharded)"
   cargo test -q -p csi-test --test trace
+  echo "==> shared-deployment lock order (200x stress loop under a 30 s watchdog)"
+  cargo test -q -p csi-test --test concurrent_metastore
 }
 
 stage_reports() {
@@ -89,23 +97,34 @@ stage_corpus() {
 }
 
 stage_bench_smoke() {
-  echo "==> columnar serde smoke (byte-identity + committed speedup floors at 256 rows)"
-  cargo run -q --release -p csi-bench --bin serde_batch -- --smoke
   echo "==> cluster-scale substrate smoke (interning/vacuum/slab invariants + sim event-rate floor)"
   cargo run -q --release -p csi-bench --bin cluster_scale -- --smoke
+  echo "==> benchmark smoke (grid, bulk, explore, serve: every output check on, ~2 s each)"
+  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 }
 
 stage_serve() {
   echo "==> csi-serve daemon (protocol, scheduler, tenant, end-to-end determinism)"
   cargo test -q -p csi-serve
-  echo "==> multi-tenant load smoke (daemon on an ephemeral port, concurrent tenants, byte-identity)"
-  cargo run -q --release -p csi-bench --bin load_serve -- --smoke
+}
+
+# Stages are shell functions and `timeout` needs a process: run the
+# function in a child bash. `timeout` signals the child's whole process
+# group, so a wedged cargo or test binary dies with it.
+run_stage() {
+  local fn="stage_${1//-/_}"
+  export -f "$fn"
+  timeout "$STAGE_TIMEOUT" bash -euo pipefail -c "$fn" || {
+    local rc=$?
+    [ "$rc" = 124 ] && echo "stage $1 timed out after ${STAGE_TIMEOUT}s" >&2
+    exit "$rc"
+  }
 }
 
 stage_all() {
   local s
   for s in "${STAGES[@]}"; do
-    "stage_${s//-/_}"
+    run_stage "$s"
   done
 }
 
@@ -123,7 +142,7 @@ else
     [ "$stage" = "$s" ] && known=1
   done
   if [ "$known" = 1 ]; then
-    "stage_${stage//-/_}"
+    run_stage "$stage"
   else
     usage
     exit 2

@@ -184,7 +184,7 @@ fn bench_full_campaign(c: &mut Criterion) {
     group.bench_function("full_campaign_parallel", |b| {
         b.iter(|| {
             // Campaign mode: worker pool plus drop-after-observe
-            // recycling, the configuration the `campaign` binary reports.
+            // recycling, the benchmark's `shard.obs_per_s_w2` rung.
             std::hint::black_box(
                 Campaign::new(&inputs)
                     .recycle_tables(true)

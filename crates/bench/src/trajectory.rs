@@ -4,13 +4,11 @@
 //! trajectory file it owns, so measured performance accumulates in-repo
 //! alongside the code that produced it:
 //!
-//! - `BENCH_campaign.json` — the `campaign` and `fault_matrix` binaries;
+//! - `BENCH_campaign.json` — the `fault_matrix` binary (and, historically,
+//!   the `campaign` binary that `benchmark/`'s `grid` workload replaced);
 //! - `BENCH_explore.json` — the `explore` and `kfault_explore` binaries;
-//! - `BENCH_serde.json` — the `serde_batch` binary (columnar vs row serde);
 //! - `BENCH_scale.json` — the `cluster_scale` binary (interned/sharded
 //!   substrates at production shape);
-//! - `BENCH_serve.json` — the `load_serve` binary (the `csi-serve`
-//!   daemon under 1k+ concurrent tenants);
 //! - `BENCH_corpus.json` — the `corpus_explore` binary (corpus-seeded vs
 //!   catalogue-only exploration coverage).
 //!
@@ -40,16 +38,6 @@ pub const SCHEMAS: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        "BENCH_serde.json",
-        &[
-            "bin",
-            "rows",
-            "write_speedup_x",
-            "read_speedup_x",
-            "oracle_speedup_x",
-        ],
-    ),
-    (
         "BENCH_scale.json",
         &[
             "bin",
@@ -59,20 +47,6 @@ pub const SCHEMAS: &[(&str, &[&str])] = &[
             "sim_events_per_sec",
             "vacuum_identical",
             "slab_recycled",
-        ],
-    ),
-    (
-        "BENCH_serve.json",
-        &[
-            "bin",
-            "tenants",
-            "connections",
-            "workers",
-            "campaigns_per_sec",
-            "detections_per_sec",
-            "p99_ms",
-            "byte_identical",
-            "rejected",
         ],
     ),
     (
@@ -191,8 +165,8 @@ mod tests {
         )
         .expect("valid line");
         validate_line(
-            "BENCH_serde.json",
-            r#"{"bin":"serde_batch","rows":256,"write_speedup_x":11.0,"read_speedup_x":4.0,"oracle_speedup_x":20.0}"#,
+            "BENCH_explore.json",
+            r#"{"bin":"explore","seed":42,"budget":400,"executed":400,"signatures":36,"reports_identical":true}"#,
         )
         .expect("valid line");
     }

@@ -25,6 +25,7 @@ use crate::fault::{
     Channel, FaultKind, FaultPlan, FaultPoint, FaultSpec, InjectedFault, InjectionRegistry,
     Interception,
 };
+use crate::hash::Fnv1a;
 use crate::plane::{InteractionKind, Plane, SystemId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -112,23 +113,20 @@ impl BoundaryCall {
 /// generated names (`part-00017.csv`) never make two equivalent payloads
 /// digest differently across deployment pooling or recycling.
 fn digest_payload(payload: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::new();
     let mut in_digits = false;
     for byte in payload.bytes() {
-        let masked = if byte.is_ascii_digit() {
-            if in_digits {
-                continue;
+        if byte.is_ascii_digit() {
+            if !in_digits {
+                hash.byte(b'#');
             }
             in_digits = true;
-            b'#'
         } else {
             in_digits = false;
-            byte
-        };
-        hash ^= u64::from(masked);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
+            hash.byte(byte);
+        }
     }
-    hash
+    hash.finish()
 }
 
 /// What happened at one crossing.

@@ -20,6 +20,7 @@
 //! only flat columns — everything the bulk generator emits — get the fast
 //! paths.
 
+use crate::hash::WordFnv;
 use crate::value::{canon_f32, canon_f64, DataType, Decimal, Value};
 use serde::{Deserialize, Serialize};
 
@@ -504,7 +505,7 @@ impl ValueColumn {
     /// Equal columns (under [`ValueColumn::canonical_eq`]) fingerprint
     /// equally; hashing runs over canonical lanes, not signature strings.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = WordFnv::new();
         h.word(self.len() as u64);
         for w in self.validity.words() {
             h.word(*w);
@@ -594,7 +595,7 @@ impl ValueColumn {
     }
 }
 
-fn hash_ints<T, F: Fn(&T) -> i64>(h: &mut Fnv, tag: &[u8], v: &[T], validity: &Validity, f: F) {
+fn hash_ints<T, F: Fn(&T) -> i64>(h: &mut WordFnv, tag: &[u8], v: &[T], validity: &Validity, f: F) {
     h.write(tag);
     for (i, x) in v.iter().enumerate() {
         let n = if validity.get(i) { f(x) } else { 0 };
@@ -602,47 +603,12 @@ fn hash_ints<T, F: Fn(&T) -> i64>(h: &mut Fnv, tag: &[u8], v: &[T], validity: &V
     }
 }
 
-fn hash_var(h: &mut Fnv, tag: &[u8], offsets: &[usize], bytes: &[u8]) {
+fn hash_var(h: &mut WordFnv, tag: &[u8], offsets: &[usize], bytes: &[u8]) {
     h.write(tag);
     for w in offsets {
         h.word(*w as u64);
     }
     h.write(bytes);
-}
-
-/// FNV-1a style folding hasher for column fingerprints, consuming input
-/// eight bytes per multiply so digesting a million-row lane costs one
-/// round per word, not one per byte. Stability matters only within a
-/// report: canonically equal columns make identical call sequences here,
-/// so they digest equally.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            self.word(u64::from_le_bytes(tail));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

@@ -44,6 +44,7 @@ pub mod detect;
 pub mod diag;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod intern;
 pub mod oracle;
 pub mod plane;

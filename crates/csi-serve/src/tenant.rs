@@ -25,14 +25,7 @@ use minihive::metastore::Metastore;
 use parking_lot::Mutex;
 
 /// FNV-1a 64-bit, the digest used for report fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use csi_core::hash::fnv1a;
 
 /// The shared control-plane substrate, partitioned per tenant.
 pub struct TenantRegistry {
@@ -159,8 +152,10 @@ impl TenantRegistry {
     /// dropped, its subtree deleted recursively, freed blocks vacuumed.
     pub fn evict(&self, tenant: &str) -> Result<(), String> {
         let db = TenantRegistry::database(tenant);
-        let mut metastore = self.metastore.lock();
+        // Filesystem before metastore, as everywhere a deployment's two
+        // locks nest.
         let mut fs = self.fs.lock();
+        let mut metastore = self.metastore.lock();
         let tables: Vec<String> = metastore
             .list_tables(&db)
             .map(|names| names.into_iter().map(str::to_string).collect())

@@ -1,10 +1,6 @@
-//! The unified campaign API: one builder in front of the serial executor,
-//! the sharded executor, and the fault matrix.
-//!
-//! Historically each campaign style had its own entrypoint
-//! (`run_cross_test`, `run_cross_test_parallel`, `run_fault_matrix`,
-//! `run_fault_matrix_sharded`) and callers wired tracing, fault plans, and
-//! worker pools by hand. [`Campaign`] folds all of that into one builder:
+//! The unified campaign API: one builder in front of the cross-test grid,
+//! the fault matrix, explore mode and the compound pass, all of which run
+//! on [`crate::shard`]'s one ordered worker pool:
 //!
 //! ```
 //! use csi_test::generator::generate_inputs;
@@ -40,14 +36,14 @@
 
 use crate::classify;
 use crate::corpus::CorpusShape;
-use crate::exec::{self, CrossTestConfig, CrossTestOutcome};
+use crate::exec::{self, CrossTestConfig};
 use crate::explore;
 use crate::generator::TestInput;
 use crate::inject::{self, FaultMatrixConfig, FaultMatrixReport};
 use crate::multi::{self, CompoundConfig};
 use crate::plan::Experiment;
 use crate::pool::DeploymentPool;
-use crate::shard::{self, CampaignMetrics, ParallelConfig};
+use crate::shard::{self, CampaignMetrics};
 use crate::shrink::ShrunkReproducer;
 use crate::spec::{CampaignSpec, InputSelection, SpecError};
 use csi_core::detect::{DetectionTap, DetectorConfig, DetectorSpec};
@@ -76,7 +72,8 @@ pub struct CampaignOutcome {
     /// Every observation, tagged with its experiment (empty in
     /// fault-matrix mode; the cells live in `matrix`).
     pub observations: Vec<(Experiment, Observation)>,
-    /// Throughput metrics, when the campaign ran sharded.
+    /// Throughput metrics of the cross-test grid (absent in matrix and
+    /// explore mode).
     pub metrics: Option<CampaignMetrics>,
     /// The fault-matrix report, when the campaign ran in matrix mode.
     pub matrix: Option<FaultMatrixReport>,
@@ -169,8 +166,8 @@ impl Campaign {
         self
     }
 
-    /// Runs the campaign on `n` workers; `0` or `1` runs serially
-    /// (`0` in matrix mode still means serial). Clamped to
+    /// Runs the campaign on `n` workers; `0` and `1` both run it on the
+    /// calling thread. Clamped to
     /// [`MAX_SHARDS`](crate::spec::MAX_SHARDS) — only specs revived from
     /// the wire can carry an out-of-range value.
     pub fn shards(mut self, n: usize) -> Campaign {
@@ -178,7 +175,7 @@ impl Campaign {
         self
     }
 
-    /// Maximum inputs per shard (sharded cross-test campaigns only).
+    /// Maximum inputs per shard (cross-test campaigns only).
     pub fn chunk_size(mut self, chunk_size: usize) -> Campaign {
         self.spec.chunk_size = chunk_size.max(1);
         self
@@ -392,11 +389,7 @@ impl Campaign {
             detect: self.spec.detect.then_some(self.spec.detector_config),
             tap: self.tap,
         };
-        let matrix = if self.spec.shards > 1 {
-            inject::run_fault_matrix_sharded_impl(&config, self.spec.shards)
-        } else {
-            inject::run_fault_matrix_impl(&config)
-        };
+        let matrix = inject::run_fault_matrix(&config, self.spec.shards);
         // The campaign-level report carries the matrix's detection
         // aggregates so the unified Render path shows them alongside the
         // fault cells.
@@ -433,8 +426,7 @@ impl Campaign {
         if self.spec.detect {
             // Fault-free calibration replay over the identical scenario
             // space: learn what "normal" looks like per scenario, then
-            // freeze. Runs in the same mode (serial/sharded) as the real
-            // campaign; learning is keyed, so worker interleaving cannot
+            // freeze. Learning is keyed, so worker interleaving cannot
             // change the result.
             let calibration_config = CrossTestConfig {
                 fault_plan: None,
@@ -442,7 +434,7 @@ impl Campaign {
                 detector: None,
                 ..config.clone()
             };
-            let (calibration, _) = run_mode(
+            let calibration = shard::run_cross_test(
                 &inputs,
                 &calibration_config,
                 self.spec.shards,
@@ -455,38 +447,17 @@ impl Campaign {
                 tap: self.tap,
             });
         }
-        let (outcome, metrics) = run_mode(&inputs, &config, self.spec.shards, self.spec.chunk_size);
+        let run = shard::run_cross_test(&inputs, &config, self.spec.shards, self.spec.chunk_size);
         CampaignOutcome {
-            report: outcome.report,
-            observations: outcome.observations,
-            metrics,
+            report: run.report,
+            observations: run.observations,
+            metrics: Some(run.metrics),
             matrix: None,
             exploration: None,
             reproducers: Vec::new(),
             compound: None,
             clusters: Vec::new(),
         }
-    }
-}
-
-fn run_mode(
-    inputs: &[TestInput],
-    config: &CrossTestConfig,
-    shards: usize,
-    chunk_size: usize,
-) -> (CrossTestOutcome, Option<CampaignMetrics>) {
-    if shards > 1 {
-        let out = shard::run_cross_test_parallel_impl(
-            inputs,
-            config,
-            &ParallelConfig {
-                workers: shards,
-                chunk_size,
-            },
-        );
-        (out.outcome, Some(out.metrics))
-    } else {
-        (exec::run_cross_test_impl(inputs, config), None)
     }
 }
 
@@ -509,15 +480,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_the_legacy_serial_entrypoint() {
+    fn builder_runs_the_grid_executor_unchanged() {
         let inputs = byte_input();
         let campaign = Campaign::new(&inputs).run();
-        let legacy = exec::run_cross_test_impl(&inputs, &CrossTestConfig::default());
+        let direct = shard::run_cross_test(&inputs, &CrossTestConfig::default(), 1, 64);
         assert_eq!(
             serde_json::to_string(&campaign.report).unwrap(),
-            serde_json::to_string(&legacy.report).unwrap()
+            serde_json::to_string(&direct.report).unwrap()
         );
-        assert!(campaign.metrics.is_none());
+        assert_eq!(campaign.observations, direct.observations);
+        let metrics = campaign
+            .metrics
+            .expect("cross-test campaigns carry metrics");
+        assert_eq!(metrics.workers, 1);
         assert!(campaign.matrix.is_none());
     }
 
@@ -606,8 +581,10 @@ mod tests {
             serde_json::to_string(&serial.report).unwrap(),
             serde_json::to_string(&sharded.report).unwrap()
         );
-        let metrics = sharded.metrics.expect("sharded campaigns carry metrics");
-        assert_eq!(metrics.observations, sharded.observations.len());
+        for outcome in [&serial, &sharded] {
+            let metrics = outcome.metrics.as_ref().expect("grid metrics");
+            assert_eq!(metrics.observations, outcome.observations.len());
+        }
     }
 
     #[test]
@@ -622,7 +599,11 @@ mod tests {
                 serde_json::to_string(&fresh.report).unwrap()
             );
         }
-        assert!(pool.stats().reused > 0, "second run never hit the shelves");
+        // Calibration then detection, three experiments each, one worker:
+        // every deployment goes back before the next is taken, so one build
+        // serves all twelve acquires.
+        let stats = pool.stats();
+        assert_eq!((stats.created, stats.reused), (1, 11));
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! The cross-testing executor: Figure 6's deployment and run loop.
+//! One cross-testing cell: Figure 6's deployment and the write/read step.
 //!
-//! For every (experiment, plan, format, input) combination the executor
+//! For an (experiment, plan, format, input) combination [`run_one`]
 //! creates a one-column table through the *write* interface, inserts the
 //! input, reads it back through the *read* interface, and records an
-//! [`Observation`]. The write–read and error-handling oracles run per
-//! observation; the differential oracle runs per experiment across all of
-//! its plans *and* formats, matching the artifact's `ss/sh/hs_difft`
-//! structure.
+//! [`Observation`]. [`crate::shard`] walks the whole space with it and
+//! runs the oracles at the merge: write–read and error-handling per
+//! observation, differential per experiment across all of its plans *and*
+//! formats, matching the artifact's `ss/sh/hs_difft` structure.
 
-use crate::classify;
 use crate::generator::{TestInput, Validity};
 use crate::plan::{Experiment, Interface, TestPlan};
 use crate::pool::DeploymentPool;
@@ -17,10 +16,8 @@ use csi_core::detect::{BaselineSet, DetectorSpec, OnlineDetector};
 use csi_core::diag::DiagSink;
 use csi_core::fault::FaultPlan;
 use csi_core::oracle::{
-    check_differential, check_error_handling, check_write_read, Observation, OracleFailure,
-    ReadOutcome, WriteOutcome,
+    check_error_handling, check_write_read, Observation, OracleFailure, ReadOutcome, WriteOutcome,
 };
-use csi_core::report::DiscrepancyReport;
 use csi_core::sql::quote_string;
 use csi_core::value::{format_date, format_timestamp, Value};
 use csi_core::InteractionError;
@@ -101,20 +98,15 @@ impl CrossTestConfig {
     }
 }
 
-/// The full result of a run: the deduplicated report plus every raw
-/// observation (kept for the classifier and for ablation benches).
-#[derive(Debug, Clone)]
-pub struct CrossTestOutcome {
-    /// The discrepancy report.
-    pub report: DiscrepancyReport,
-    /// Every observation, tagged with its experiment.
-    pub observations: Vec<(Experiment, Observation)>,
-}
-
 /// One full Metastore/MiniHdfs/SparkSession/HiveQl stack plus its
-/// diagnostics sink. The serial executor creates one per experiment; the
-/// parallel executor in [`crate::shard`] gives each worker its own pool of
-/// these so workers never contend on engine state.
+/// diagnostics sink. Each grid worker in [`crate::shard`] holds its own,
+/// one experiment at a time, so workers never contend on engine state.
+///
+/// Lock order: `fs` before `metastore`, everywhere — both engines'
+/// statement paths, [`crate::pool`], and `csi-serve`'s tenant registry
+/// take the filesystem guard first (or hold only one of the two at a
+/// time), so no two threads sharing a deployment can each hold the lock
+/// the other wants.
 pub(crate) struct Deployment {
     pub(crate) sink: DiagSink,
     pub(crate) spark: SparkSession,
@@ -284,7 +276,7 @@ pub fn render_literal(value: &Value) -> String {
 
 /// The table-creation half of a write. Split from [`insert_via`] so the
 /// multi-job interleaver ([`crate::multi`]) can schedule the two halves as
-/// separate turns; `write_via` composes them back for the serial path.
+/// separate turns; `write_via` composes them back for [`run_one`].
 pub(crate) fn create_via(
     d: &Deployment,
     interface: Interface,
@@ -524,8 +516,8 @@ pub(crate) fn surfaced_error(obs: &Observation) -> Option<InteractionError> {
 }
 
 /// Runs the per-observation oracle for `input`: write–read for valid
-/// inputs, error-handling for invalid ones. Shared between the serial
-/// executor and the parallel merger so both evaluate observations
+/// inputs, error-handling for invalid ones. Shared between the grid
+/// merger and explore's absorption so both evaluate observations
 /// identically.
 pub(crate) fn check_observation(input: &TestInput, obs: &Observation) -> Option<OracleFailure> {
     match input.validity {
@@ -535,9 +527,8 @@ pub(crate) fn check_observation(input: &TestInput, obs: &Observation) -> Option<
 }
 
 /// Obtains a deployment for `config`: from its warm pool when one is
-/// attached, built fresh otherwise. Every deployment the executors use
-/// goes through here so pooled and unpooled campaigns share one code
-/// path.
+/// attached, built fresh otherwise. Every deployment the grid uses goes
+/// through here so pooled and unpooled campaigns share one code path.
 pub(crate) fn acquire_deployment(config: &CrossTestConfig) -> Deployment {
     match &config.pool {
         Some(pool) => pool.acquire(config),
@@ -550,46 +541,6 @@ pub(crate) fn acquire_deployment(config: &CrossTestConfig) -> Deployment {
 pub(crate) fn release_deployment(config: &CrossTestConfig, deployment: Deployment) {
     if let Some(pool) = &config.pool {
         pool.release(config, deployment);
-    }
-}
-
-/// The serial executor behind the [`crate::Campaign`] builder — the
-/// builder is the only public entry point.
-pub(crate) fn run_cross_test_impl(
-    inputs: &[TestInput],
-    config: &CrossTestConfig,
-) -> CrossTestOutcome {
-    let mut observations: Vec<(Experiment, Observation)> = Vec::new();
-    let mut failures: Vec<OracleFailure> = Vec::new();
-    for &experiment in &config.experiments {
-        let deployment = acquire_deployment(config);
-        let mut exp_observations: Vec<Observation> = Vec::new();
-        for plan in experiment.plans() {
-            for &format in &config.formats {
-                for input in inputs {
-                    let obs = run_one(
-                        &deployment,
-                        experiment,
-                        plan,
-                        format,
-                        input,
-                        config.recycle_tables,
-                    );
-                    if let Some(f) = check_observation(input, &obs) {
-                        failures.push(f);
-                    }
-                    exp_observations.push(obs);
-                }
-            }
-        }
-        failures.extend(check_differential(&exp_observations));
-        observations.extend(exp_observations.into_iter().map(|o| (experiment, o)));
-        release_deployment(config, deployment);
-    }
-    let report = classify::classify(inputs, &observations, failures, config.detector.is_some());
-    CrossTestOutcome {
-        report,
-        observations,
     }
 }
 
@@ -702,8 +653,9 @@ mod tests {
 
     #[test]
     fn pooled_run_is_byte_identical_to_fresh() {
+        use crate::shard::run_cross_test;
         let inputs = one_input(DataType::Byte, Value::Byte(5), Validity::Valid);
-        let fresh = run_cross_test_impl(&inputs, &CrossTestConfig::default());
+        let fresh = run_cross_test(&inputs, &CrossTestConfig::default(), 1, 64);
         let pool = Arc::new(DeploymentPool::new());
         let pooled_config = CrossTestConfig {
             pool: Some(pool.clone()),
@@ -712,14 +664,14 @@ mod tests {
         // Two back-to-back runs: the second consumes deployments the first
         // released, so reuse (not just construction) is what's pinned.
         for round in 0..2 {
-            let pooled = run_cross_test_impl(&inputs, &pooled_config);
+            let pooled = run_cross_test(&inputs, &pooled_config, 1, 64);
             assert_eq!(
                 serde_json::to_string(&pooled.report).unwrap(),
                 serde_json::to_string(&fresh.report).unwrap(),
                 "pooled round {round} diverged from the fresh run"
             );
         }
-        // The serial loop releases each experiment's deployment before
+        // One worker releases each experiment's deployment before
         // acquiring the next, so one build serves all six acquires.
         let stats = pool.stats();
         assert_eq!(stats.created, 1);

@@ -14,13 +14,13 @@
 //! swallowed, mistranslated, propagated-with-context, or crash.
 //!
 //! Cells are hermetic (each builds its own deployment, broker, or RM and
-//! its own injection registry), so the sharded runner behind
-//! [`crate::Campaign::shards`] trivially reproduces the serial report
-//! byte-for-byte at any worker count.
+//! its own injection registry), so [`crate::Campaign::shards`] reproduces
+//! the one-worker report byte-for-byte at any worker count.
 
 use crate::exec::{self, run_one, CrossTestConfig, Deployment};
 use crate::generator::{TestInput, Validity};
 use crate::plan::{Experiment, TestPlan};
+use crate::shard::run_ordered;
 use csi_core::boundary::{CrossingContext, InteractionTrace};
 use csi_core::detect::{
     flags_error_handling, BaselineSet, Detection, DetectionTap, DetectorAgreement, DetectorConfig,
@@ -39,11 +39,9 @@ use minihive::metastore::StorageFormat;
 use minikafka::{KafkaError, MiniKafka, PartitionId};
 use minispark::connectors::kafka::{consume_range, plan_range, OffsetModel};
 use miniyarn::{Resource, ResourceManager};
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const KAFKA_TOPIC: &str = "t";
@@ -400,8 +398,8 @@ impl FaultMatrixReport {
 }
 
 /// A unit of fault-matrix work. Cells are hermetic: running one never
-/// observes state from another, which is what makes the sharded runner's
-/// merge-by-index byte-identical to serial execution.
+/// observes state from another, which is what makes the merge-by-index
+/// byte-identical at any worker count.
 #[derive(Debug, Clone)]
 enum Cell {
     /// One (experiment, plan, format) probe observation under a single
@@ -793,50 +791,18 @@ fn build_report(config: &FaultMatrixConfig, cases: Vec<FaultCase>) -> FaultMatri
     }
 }
 
-/// The serial matrix runner behind [`crate::Campaign::fault_matrix`] —
-/// cells run in canonical order.
-pub(crate) fn run_fault_matrix_impl(config: &FaultMatrixConfig) -> FaultMatrixReport {
+/// The matrix runner behind [`crate::Campaign::fault_matrix`]: every cell
+/// through [`run_ordered`] on `workers` workers (`0` and `1` both mean the
+/// calling thread), cases in canonical cell order. Because every cell is
+/// hermetic, the report is byte-identical at any worker count.
+pub(crate) fn run_fault_matrix(config: &FaultMatrixConfig, workers: usize) -> FaultMatrixReport {
     let cells = enumerate_cells(config);
-    let cases = cells.iter().map(|c| run_cell(config, c)).collect();
-    build_report(config, cases)
-}
-
-/// The sharded matrix runner behind [`crate::Campaign::fault_matrix`]
-/// with [`crate::Campaign::shards`]: the matrix on `workers` threads.
-///
-/// Cells are claimed from a bump counter and their results stored by cell
-/// index, then merged in canonical order — the same slot scheme as the
-/// sharded cross-test executor. Because every cell is hermetic, the
-/// report is byte-identical to [`run_fault_matrix_impl`] at any worker
-/// count.
-pub(crate) fn run_fault_matrix_sharded_impl(
-    config: &FaultMatrixConfig,
-    workers: usize,
-) -> FaultMatrixReport {
-    let workers = workers.max(1);
-    let cells = enumerate_cells(config);
-    let slots: Vec<Mutex<Option<FaultCase>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    {
-        let cells = &cells;
-        let slots = &slots;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    *slots[i].lock() = Some(run_cell(config, &cells[i]));
-                });
-            }
-        });
-    }
-    let cases = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every cell was executed"))
-        .collect();
+    let cases = run_ordered(
+        workers,
+        cells.len(),
+        || (),
+        |(), i| run_cell(config, &cells[i]),
+    );
     build_report(config, cases)
 }
 
@@ -971,9 +937,9 @@ mod tests {
     fn sharded_matrix_is_byte_identical_to_serial() {
         let config = FaultMatrixConfig::smoke(11);
         let json = |r: &FaultMatrixReport| serde_json::to_string(r).unwrap();
-        let serial = json(&run_fault_matrix_impl(&config));
-        let sharded = json(&run_fault_matrix_sharded_impl(&config, 3));
-        assert_eq!(serial, sharded);
+        let serial = json(&run_fault_matrix(&config, 1));
+        assert_eq!(serial, json(&run_fault_matrix(&config, 0)));
+        assert_eq!(serial, json(&run_fault_matrix(&config, 3)));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use bulk::{run_bulk, BulkConfig, BulkReport};
 pub use campaign::{Campaign, CampaignOutcome};
 pub use classify::active_ids;
 pub use corpus::{infer, synthesize, synthesize_inputs, CorpusShape, CorpusTable, InferredTable};
-pub use exec::{CrossTestConfig, CrossTestOutcome};
+pub use exec::CrossTestConfig;
 pub use generator::{generate_inputs, mutate_input, TestInput, Validity};
 pub use inject::{
     fault_catalogue, small_fault_catalogue, FaultCase, FaultMatrixConfig, FaultMatrixReport,
@@ -40,7 +40,7 @@ pub use inject::{
 pub use multi::{CompoundConfig, CompoundResult, InterleaveSchedule};
 pub use plan::{Experiment, Interface, TestPlan};
 pub use pool::{DeploymentPool, PoolStats};
-pub use shard::{CampaignMetrics, ParallelConfig, ParallelOutcome, WorkerStats};
+pub use shard::{CampaignMetrics, WorkerStats};
 pub use shrink::{reproducer_triggers, Reproducer, ShrunkReproducer};
 pub use spec::{CampaignSpec, InputSelection, SpecError, MAX_KFAULTS, MAX_SHARDS};
 pub use tolerate::{redundant_read, redundant_read_traced, ReadPath, RedundantRead};

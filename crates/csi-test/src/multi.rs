@@ -25,14 +25,15 @@
 //! [`prefix_fingerprint`]), and ddmin-shrinks each cluster to a minimal
 //! fault-set + interleaving reproducer. Determinism is load-bearing, as
 //! everywhere else in the harness: trials are hermetic (fresh deployment
-//! per trial), workers claim trials off a bump counter into pre-sized
-//! slots, and absorption happens in trial order — a sharded compound pass
-//! is byte-identical to a serial one, pinned by `tests/kfault.rs`.
+//! per trial), each round goes through [`run_ordered`], and absorption
+//! happens in trial order — a sharded compound pass is byte-identical to
+//! a one-worker one, pinned by `tests/kfault.rs`.
 
 use crate::exec::{self, CrossTestConfig, Deployment};
 use crate::generator::TestInput;
 use crate::inject;
 use crate::plan::{Experiment, TestPlan};
+use crate::shard::run_ordered;
 use csi_core::boundary::{CrossingContext, CrossingOutcome, InteractionTrace};
 use csi_core::coverage::{prefix_fingerprint, CoverageMap, CoverageSignature};
 use csi_core::fault::{
@@ -43,10 +44,8 @@ use csi_core::sim::{Millis, Sim};
 use csi_core::value::Value;
 use csi_core::InteractionError;
 use minihive::metastore::StorageFormat;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Turns per job: `create`, `insert`, `read`.
 pub const TURNS_PER_JOB: usize = 3;
@@ -408,42 +407,6 @@ pub struct CompoundResult {
     pub discrepancies: Vec<CompoundDiscrepancy>,
 }
 
-fn execute_batch(
-    jobs: &[JobSpec],
-    sets: &[FaultSet],
-    schedules: &[InterleaveSchedule],
-    batch: &[(usize, usize)],
-    shards: usize,
-) -> Vec<CompoundTrialReport> {
-    let workers = shards.clamp(1, batch.len().max(1));
-    if workers <= 1 {
-        return batch
-            .iter()
-            .map(|&(si, hi)| run_compound_trial(jobs, &sets[si], &schedules[hi]))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CompoundTrialReport>>> =
-        (0..batch.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= batch.len() {
-                    break;
-                }
-                let (si, hi) = batch[i];
-                let report = run_compound_trial(jobs, &sets[si], &schedules[hi]);
-                *slots[i].lock() = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every slot claimed and filled"))
-        .collect()
-}
-
 /// Sub-sets of `set` at the given arity, in member order — the ddmin
 /// candidate order of the cluster shrinker.
 fn subsets_of(set: &FaultSet, size: usize) -> Vec<FaultSet> {
@@ -526,7 +489,15 @@ pub fn run_compound(config: &CompoundConfig) -> CompoundResult {
         if batch.is_empty() {
             break;
         }
-        let reports = execute_batch(&jobs, &sets, &schedules, &batch, config.shards);
+        let reports = run_ordered(
+            config.shards,
+            batch.len(),
+            || (),
+            |(), i| {
+                let (si, hi) = batch[i];
+                run_compound_trial(&jobs, &sets[si], &schedules[hi])
+            },
+        );
         for (&(si, _hi), report) in batch.iter().zip(reports) {
             executed += 1;
             let mut sig = CoverageSignature::from_trace(&report.trace);

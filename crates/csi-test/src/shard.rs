@@ -1,65 +1,95 @@
-//! Parallel sharded campaign executor.
+//! The one executor: an ordered worker pool, and the cross-test grid on it.
 //!
-//! The serial executor in [`crate::exec`] walks the (experiment, plan,
-//! format, input) space one observation at a time; a full-catalogue
-//! campaign is embarrassingly parallel but single-threaded. This module
-//! shards that space into (experiment, plan, format, input-chunk) work
-//! units and drains them with a worker pool:
+//! [`run_ordered`] is the only place the harness spawns threads. Every
+//! [`crate::Campaign`] mode hands it `n` independent jobs — grid shards
+//! here, fault-matrix cells in [`crate::inject`], explore rounds in
+//! [`crate::explore`], compound trials in [`crate::multi`] — and gets the
+//! results back in index order, whatever worker ran them. Serial is
+//! `workers = 1`: the same closure, inline on the calling thread.
 //!
-//! - **Deployment pooling** — each worker owns its *own*
-//!   Metastore/MiniHdfs/SparkSession/HiveQl stack (one per experiment,
-//!   created lazily, mirroring the serial executor's
-//!   fresh-deployment-per-experiment discipline), so workers never contend
-//!   on engine locks.
-//! - **Deterministic merge** — workers only *record* observations, tagged
-//!   with their shard index. The merger restores canonical (experiment,
-//!   plan, format, input-id) order and only then runs the write–read,
-//!   error-handling, and differential oracles, so failures are produced in
-//!   exactly the serial order and the resulting [`DiscrepancyReport`] is
-//!   byte-identical to the serial executor's.
+//! The cross-test grid ([`run_cross_test`]) shards the (experiment, plan,
+//! format, input) space into (experiment, plan, format, input-chunk) work
+//! units:
+//!
+//! - **One deployment per worker at a time** — a worker holds a
+//!   Metastore/MiniHdfs/SparkSession/HiveQl stack that only ever served
+//!   one experiment. Shard indices are claimed in increasing order and
+//!   shards are experiment-major, so when a worker first claims a shard
+//!   of the next experiment it is done with the previous one and hands
+//!   its stack back (to the warm pool, when one is attached) before
+//!   acquiring the next.
+//! - **Deterministic merge** — workers only *record* observations. The
+//!   merger walks the shards in canonical (experiment, plan, format,
+//!   input-id) order and only then runs the write–read, error-handling,
+//!   and differential oracles, so failures are produced in the same order
+//!   and the [`DiscrepancyReport`] is byte-identical at any worker count.
 //! - **Campaign metrics** — observations/sec, per-phase wall time, and
-//!   per-worker utilization are surfaced in [`CampaignMetrics`] for the
-//!   `campaign` bench binary.
+//!   per-worker utilization are surfaced in [`CampaignMetrics`].
 //!
 //! [`DiscrepancyReport`]: csi_core::report::DiscrepancyReport
 
 use crate::classify;
 use crate::exec::{
-    acquire_deployment, check_observation, release_deployment, run_one, CrossTestConfig,
-    CrossTestOutcome, Deployment,
+    acquire_deployment, check_observation, release_deployment, run_one, CrossTestConfig, Deployment,
 };
 use crate::generator::TestInput;
 use crate::plan::{Experiment, TestPlan};
 use csi_core::oracle::{check_differential, Observation, OracleFailure};
+use csi_core::report::DiscrepancyReport;
 use minihive::metastore::StorageFormat;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Configuration of the parallel campaign executor.
-#[derive(Debug, Clone)]
-pub struct ParallelConfig {
-    /// Worker-pool size; `0` uses [`std::thread::available_parallelism`].
-    pub workers: usize,
-    /// Maximum number of inputs per shard. Smaller chunks balance better
-    /// across workers; larger chunks amortize queue traffic.
-    pub chunk_size: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> ParallelConfig {
-        ParallelConfig {
-            workers: 0,
-            chunk_size: 64,
-        }
+/// Runs `job(state, i)` for every `i` in `0..n` on up to `workers`
+/// threads and returns the results in index order.
+///
+/// Workers claim indices off a bump counter, so the indices any one
+/// worker sees are strictly increasing; each result lands in its own
+/// slot, so no worker waits on another to store one. Every worker builds
+/// its private `state` with `init_worker_state` (called at most `workers`
+/// times) and drops it when the indices run out. `workers` is clamped to
+/// `1..=n`; one worker runs the closures inline on the calling thread,
+/// with no spawn. A panicking job panics the caller either way.
+pub(crate) fn run_ordered<S, T: Send>(
+    workers: usize,
+    n: usize,
+    init_worker_state: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = workers.clamp(1, n.max(1));
+    if workers == 1 {
+        let mut state = init_worker_state();
+        return (0..n).map(|i| job(&mut state, i)).collect();
     }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let mut state = init_worker_state();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = job(&mut state, i);
+                    *slots[i].lock() = Some(result);
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index was claimed"))
+        .collect()
 }
 
 /// Execution statistics for one worker of the pool.
 #[derive(Debug, Clone, Serialize)]
 pub struct WorkerStats {
-    /// Worker index within the pool.
+    /// Worker index within the pool, in the order workers finished.
     pub worker: usize,
     /// Shards this worker executed.
     pub shards: usize,
@@ -71,7 +101,7 @@ pub struct WorkerStats {
     pub utilization: f64,
 }
 
-/// Wall-time and throughput metrics for one parallel campaign.
+/// Wall-time and throughput metrics for one cross-test campaign.
 #[derive(Debug, Clone, Serialize)]
 pub struct CampaignMetrics {
     /// Workers in the pool.
@@ -80,7 +110,7 @@ pub struct CampaignMetrics {
     pub shards: usize,
     /// Total observations recorded.
     pub observations: usize,
-    /// Wall time of the parallel execute phase, in microseconds.
+    /// Wall time of the execute phase, in microseconds.
     pub execute_micros: u64,
     /// Wall time of the merge phase (oracles + classification) — the
     /// campaign's oracle overhead, in microseconds.
@@ -93,12 +123,12 @@ pub struct CampaignMetrics {
     pub per_worker: Vec<WorkerStats>,
 }
 
-/// The result of a sharded campaign: the same outcome the serial
-/// executor produces, plus campaign metrics.
-#[derive(Debug, Clone)]
-pub struct ParallelOutcome {
-    /// Report and observations, identical to the serial run's.
-    pub outcome: CrossTestOutcome,
+/// The result of [`run_cross_test`].
+pub(crate) struct CrossTestRun {
+    /// The deduplicated discrepancy report.
+    pub report: DiscrepancyReport,
+    /// Every observation, tagged with its experiment, in canonical order.
+    pub observations: Vec<(Experiment, Observation)>,
     /// Throughput and utilization metrics.
     pub metrics: CampaignMetrics,
 }
@@ -115,8 +145,8 @@ struct Shard {
     hi: usize,
 }
 
-/// Enumerates shards in the serial executor's canonical nesting order:
-/// experiment, then plan, then format, then input chunks.
+/// Enumerates shards in the canonical nesting order: experiment, then
+/// plan, then format, then input chunks.
 fn build_shards(inputs_len: usize, config: &CrossTestConfig, chunk_size: usize) -> Vec<Shard> {
     let mut shards = Vec::new();
     for (experiment_idx, &experiment) in config.experiments.iter().enumerate() {
@@ -141,115 +171,114 @@ fn build_shards(inputs_len: usize, config: &CrossTestConfig, chunk_size: usize) 
     shards
 }
 
-/// Runs the full cross-test on a worker pool and merges the shard results
-/// back into canonical order — the sharded executor behind
-/// [`crate::Campaign::shards`].
-///
-/// The returned [`CrossTestOutcome`] — observations, failure ordering, and
-/// the classified [`DiscrepancyReport`] — is identical to what
-/// [`crate::exec::run_cross_test_impl`] produces for the same `inputs` and
-/// `config`; only the wall time differs. See the module docs for how the
-/// merge guarantees this.
-///
-/// [`DiscrepancyReport`]: csi_core::report::DiscrepancyReport
-pub(crate) fn run_cross_test_parallel_impl(
-    inputs: &[TestInput],
-    config: &CrossTestConfig,
-    parallel: &ParallelConfig,
-) -> ParallelOutcome {
-    let campaign_started = Instant::now();
-    let chunk_size = parallel.chunk_size.max(1);
-    let shards = build_shards(inputs.len(), config, chunk_size);
-    let workers = if parallel.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        parallel.workers
+/// One worker's private state on the grid: the deployment it currently
+/// holds and its share of the campaign metrics. Dropping it hands the
+/// deployment back and files the worker's [`WorkerStats`].
+struct GridWorker<'a> {
+    config: &'a CrossTestConfig,
+    stats: &'a Mutex<Vec<WorkerStats>>,
+    started: Instant,
+    /// The held deployment and the index of the experiment it serves.
+    deployment: Option<(usize, Deployment)>,
+    shards: usize,
+    observations: usize,
+    busy_micros: u64,
+}
+
+impl GridWorker<'_> {
+    /// The deployment for `experiment_idx`, first releasing the one held
+    /// for an earlier experiment: claimed shard indices only grow, so this
+    /// worker will not see that experiment again.
+    fn deployment_for(&mut self, experiment_idx: usize) -> &Deployment {
+        if !matches!(self.deployment, Some((held, _)) if held == experiment_idx) {
+            self.release();
+            self.deployment = Some((experiment_idx, acquire_deployment(self.config)));
+        }
+        &self.deployment.as_ref().expect("just acquired").1
     }
-    .clamp(1, shards.len().max(1));
 
-    // Shared work queue (a bump counter over the shard list) and one result
-    // slot per shard, so workers never serialize on a single collection
-    // lock while another worker is storing a large batch.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Vec<Observation>>>> =
-        shards.iter().map(|_| Mutex::new(None)).collect();
-    let stats: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::with_capacity(workers));
+    fn release(&mut self) {
+        if let Some((_, deployment)) = self.deployment.take() {
+            release_deployment(self.config, deployment);
+        }
+    }
+}
 
-    {
-        let shards = &shards;
-        let slots = &slots;
-        let next = &next;
-        let stats = &stats;
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    let worker_started = Instant::now();
-                    let mut busy_micros = 0u64;
-                    let mut my_shards = 0usize;
-                    let mut my_observations = 0usize;
-                    // Deployment set: one lazily-acquired stack per
-                    // experiment, so observations come from a deployment
-                    // that only ever served that experiment (as in the
-                    // serial executor). With a warm pool on `config`,
-                    // acquisition hits the pool's shelves instead of
-                    // building; every stack goes back on release below.
-                    let mut deployments: Vec<Option<Deployment>> =
-                        config.experiments.iter().map(|_| None).collect();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= shards.len() {
-                            break;
-                        }
-                        let shard = &shards[i];
-                        let shard_started = Instant::now();
-                        let deployment = deployments[shard.experiment_idx]
-                            .get_or_insert_with(|| acquire_deployment(config));
-                        let mut batch = Vec::with_capacity(shard.hi - shard.lo);
-                        for input in &inputs[shard.lo..shard.hi] {
-                            batch.push(run_one(
-                                deployment,
-                                shard.experiment,
-                                shard.plan,
-                                shard.format,
-                                input,
-                                config.recycle_tables,
-                            ));
-                        }
-                        my_shards += 1;
-                        my_observations += batch.len();
-                        *slots[i].lock() = Some(batch);
-                        busy_micros += shard_started.elapsed().as_micros() as u64;
-                    }
-                    // Hand every acquired stack back to the warm pool (a
-                    // no-op without one).
-                    for deployment in deployments.into_iter().flatten() {
-                        release_deployment(config, deployment);
-                    }
-                    let lifetime_micros = worker_started.elapsed().as_micros().max(1) as u64;
-                    stats.lock().push(WorkerStats {
-                        worker,
-                        shards: my_shards,
-                        observations: my_observations,
-                        busy_micros,
-                        utilization: busy_micros as f64 / lifetime_micros as f64,
-                    });
-                });
-            }
+impl Drop for GridWorker<'_> {
+    fn drop(&mut self) {
+        self.release();
+        let lifetime_micros = self.started.elapsed().as_micros().max(1) as u64;
+        let mut stats = self.stats.lock();
+        let worker = stats.len();
+        stats.push(WorkerStats {
+            worker,
+            shards: self.shards,
+            observations: self.observations,
+            busy_micros: self.busy_micros,
+            utilization: self.busy_micros as f64 / lifetime_micros as f64,
         });
     }
+}
+
+/// Runs the full cross-test on `workers` workers (`0` and `1` both mean
+/// one: the calling thread) with at most `chunk_size` inputs per shard,
+/// and merges the shard results in canonical order — the executor behind
+/// every cross-test [`crate::Campaign`]. Observations, failure ordering,
+/// and the classified report are the same at any worker count and chunk
+/// size; see the module docs for how the merge guarantees this.
+pub(crate) fn run_cross_test(
+    inputs: &[TestInput],
+    config: &CrossTestConfig,
+    workers: usize,
+    chunk_size: usize,
+) -> CrossTestRun {
+    let campaign_started = Instant::now();
+    let shards = build_shards(inputs.len(), config, chunk_size.max(1));
+    let workers = workers.clamp(1, shards.len().max(1));
+    let stats: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::with_capacity(workers));
+
+    let mut batches: Vec<Vec<Observation>> = run_ordered(
+        workers,
+        shards.len(),
+        || GridWorker {
+            config,
+            stats: &stats,
+            started: Instant::now(),
+            deployment: None,
+            shards: 0,
+            observations: 0,
+            busy_micros: 0,
+        },
+        |worker, i| {
+            let shard = &shards[i];
+            let shard_started = Instant::now();
+            let deployment = worker.deployment_for(shard.experiment_idx);
+            let batch: Vec<Observation> = inputs[shard.lo..shard.hi]
+                .iter()
+                .map(|input| {
+                    run_one(
+                        deployment,
+                        shard.experiment,
+                        shard.plan,
+                        shard.format,
+                        input,
+                        config.recycle_tables,
+                    )
+                })
+                .collect();
+            worker.shards += 1;
+            worker.observations += batch.len();
+            worker.busy_micros += shard_started.elapsed().as_micros() as u64;
+            batch
+        },
+    );
 
     let execute_micros = campaign_started.elapsed().as_micros() as u64;
     let merge_started = Instant::now();
 
-    // Deterministic merge: slot order is canonical shard order, so walking
-    // the slots replays the serial executor's observation sequence; the
-    // oracles then fire in exactly the serial order.
-    let mut batches: Vec<Vec<Observation>> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every shard was executed"))
-        .collect();
+    // Deterministic merge: batch order is canonical shard order, so walking
+    // the batches replays the grid's observation sequence and the oracles
+    // fire in the same order at any worker count.
     let mut observations: Vec<(Experiment, Observation)> = Vec::new();
     let mut failures: Vec<OracleFailure> = Vec::new();
     let mut cursor = 0;
@@ -273,8 +302,6 @@ pub(crate) fn run_cross_test_parallel_impl(
 
     let oracle_micros = merge_started.elapsed().as_micros() as u64;
     let total_micros = campaign_started.elapsed().as_micros() as u64;
-    let mut per_worker = stats.into_inner();
-    per_worker.sort_by_key(|w| w.worker);
     let metrics = CampaignMetrics {
         workers,
         shards: shards.len(),
@@ -284,13 +311,11 @@ pub(crate) fn run_cross_test_parallel_impl(
         total_micros,
         observations_per_sec: observations.len() as f64
             / (execute_micros.max(1) as f64 / 1_000_000.0),
-        per_worker,
+        per_worker: stats.into_inner(),
     };
-    ParallelOutcome {
-        outcome: CrossTestOutcome {
-            report,
-            observations,
-        },
+    CrossTestRun {
+        report,
+        observations,
         metrics,
     }
 }
@@ -298,9 +323,9 @@ pub(crate) fn run_cross_test_parallel_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_cross_test_impl;
     use crate::generator::Validity;
     use csi_core::value::{DataType, Value};
+    use proptest::prelude::*;
 
     fn small_inputs() -> Vec<TestInput> {
         [
@@ -322,6 +347,62 @@ mod tests {
         .collect()
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any worker count gives the plain serial `map`, and no more
+        /// worker states are built than workers asked for.
+        #[test]
+        fn run_ordered_equals_the_serial_map(n in 0usize..200, workers in 1usize..8) {
+            let inits = AtomicUsize::new(0);
+            let out = run_ordered(
+                workers,
+                n,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |claimed, i| {
+                    // Private state persists across one worker's jobs.
+                    *claimed += 1;
+                    assert!(*claimed <= n);
+                    i * i + 1
+                },
+            );
+            prop_assert_eq!(out, (0..n).map(|i| i * i + 1).collect::<Vec<_>>());
+            let inits = inits.into_inner();
+            prop_assert!((1..=workers).contains(&inits), "{} inits", inits);
+        }
+    }
+
+    #[test]
+    fn run_ordered_with_one_worker_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = run_ordered(1, 5, || (), |(), _| std::thread::current().id());
+        assert!(ids.iter().all(|id| *id == caller));
+        // More workers than jobs clamps: one job is one inline worker.
+        let ids = run_ordered(8, 1, || (), |(), _| std::thread::current().id());
+        assert_eq!(ids, vec![caller]);
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller_inline_and_threaded() {
+        for workers in [1, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                run_ordered(
+                    workers,
+                    10,
+                    || (),
+                    |(), i| {
+                        assert!(i != 6, "job 6 fails");
+                        i
+                    },
+                )
+            });
+            assert!(caught.is_err(), "workers = {workers} swallowed the panic");
+        }
+    }
+
     #[test]
     fn shards_cover_the_space_in_canonical_order() {
         let config = CrossTestConfig::default();
@@ -340,21 +421,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_on_small_catalogue() {
+    fn worker_count_and_chunk_size_do_not_change_the_outcome() {
         let inputs = small_inputs();
         let config = CrossTestConfig::default();
-        let serial = run_cross_test_impl(&inputs, &config);
-        for workers in [1, 3] {
-            let out = run_cross_test_parallel_impl(
-                &inputs,
-                &config,
-                &ParallelConfig {
-                    workers,
-                    chunk_size: 2,
-                },
-            );
-            assert_eq!(out.outcome.observations, serial.observations);
-            assert_eq!(out.outcome.report, serial.report);
+        let serial = run_cross_test(&inputs, &config, 1, 64);
+        assert_eq!(serial.metrics.workers, 1);
+        assert_eq!(serial.metrics.per_worker.len(), 1);
+        for (workers, chunk_size) in [(1, 2), (3, 2), (2, 1)] {
+            let out = run_cross_test(&inputs, &config, workers, chunk_size);
+            assert_eq!(out.observations, serial.observations);
+            assert_eq!(out.report, serial.report);
             assert_eq!(out.metrics.workers, workers);
             assert_eq!(out.metrics.observations, serial.observations.len());
             let by_worker: usize = out.metrics.per_worker.iter().map(|w| w.observations).sum();
@@ -365,33 +441,22 @@ mod tests {
     #[test]
     fn recycling_does_not_change_the_report() {
         let inputs = small_inputs();
-        let plain = run_cross_test_impl(&inputs, &CrossTestConfig::default());
-        let recycled = run_cross_test_parallel_impl(
-            &inputs,
-            &CrossTestConfig {
-                recycle_tables: true,
-                ..CrossTestConfig::default()
-            },
-            &ParallelConfig {
-                workers: 2,
-                chunk_size: 1,
-            },
-        );
-        assert_eq!(recycled.outcome.report, plain.report);
-        assert_eq!(recycled.outcome.observations, plain.observations);
+        let plain = run_cross_test(&inputs, &CrossTestConfig::default(), 1, 64);
+        let recycling = CrossTestConfig {
+            recycle_tables: true,
+            ..CrossTestConfig::default()
+        };
+        for workers in [1, 2] {
+            let recycled = run_cross_test(&inputs, &recycling, workers, 1);
+            assert_eq!(recycled.report, plain.report);
+            assert_eq!(recycled.observations, plain.observations);
+        }
     }
 
     #[test]
     fn metrics_are_serializable_to_json() {
         let inputs = small_inputs();
-        let out = run_cross_test_parallel_impl(
-            &inputs,
-            &CrossTestConfig::default(),
-            &ParallelConfig {
-                workers: 2,
-                chunk_size: 2,
-            },
-        );
+        let out = run_cross_test(&inputs, &CrossTestConfig::default(), 2, 2);
         let json = serde_json::to_string(&out.metrics).expect("metrics serialize");
         assert!(json.contains("\"observations_per_sec\""));
         assert!(json.contains("\"per_worker\""));

@@ -175,7 +175,7 @@ pub struct CampaignSpec {
     pub recycle_tables: bool,
     /// Worker count; `0` or `1` runs serially.
     pub shards: usize,
-    /// Maximum inputs per shard (sharded cross-test campaigns only).
+    /// Maximum inputs per shard (cross-test campaigns only).
     pub chunk_size: usize,
     /// Fault plan to arm (cross-test mode) or cell catalogue (matrix
     /// mode).

@@ -9,12 +9,46 @@ use minihive::hiveql::HiveQl;
 use minihive::metastore::Metastore;
 use minispark::SparkSession;
 use parking_lot::Mutex;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 const ROUNDS: usize = 40;
 
+/// A lock-order inversion between a writer and a reader shows up as an
+/// intermittent deadlock, so one pass proves little: repeat the stress.
+const REPEATS: usize = 200;
+
+/// Runs `body` on its own thread and panics if it has not finished within
+/// `limit` — a deadlock fails the test instead of hanging the suite.
+fn with_watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(limit) {
+        Ok(()) => worker.join().expect("body finished"),
+        // The sender dropped without sending: the body panicked.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("body panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("still running after {limit:?}: deadlocked on the shared metastore/filesystem")
+        }
+    }
+}
+
 #[test]
 fn two_deployments_share_a_metastore_without_losing_tables() {
+    with_watchdog(Duration::from_secs(30), || {
+        for _ in 0..REPEATS {
+            stress_a_shared_deployment_once();
+        }
+    });
+}
+
+fn stress_a_shared_deployment_once() {
     let metastore = Arc::new(Mutex::new(Metastore::new()));
     let fs = Arc::new(Mutex::new(MiniHdfs::with_datanodes(3)));
 

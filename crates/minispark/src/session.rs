@@ -131,7 +131,9 @@ impl SparkSession {
                 ),
             );
         }
-        {
+        // The metastore guard ends with this block: the lock order is
+        // filesystem before metastore, so it must be gone before `mkdirs`.
+        let def = {
             let mut ms = self.metastore.lock();
             let def = ms
                 .create_table("default", name, hive_columns, format, if_not_exists)?
@@ -144,15 +146,15 @@ impl SparkSession {
                     &schema_to_property(&stored_schema),
                 )?;
             }
-            self.fs
-                .lock()
-                .mkdirs(&def.location)
-                .map_err(|e| SparkError::Connector {
-                    code: "HDFS",
-                    message: e.to_string(),
-                })?;
-        }
-        Ok(())
+            def
+        };
+        self.fs
+            .lock()
+            .mkdirs(&def.location)
+            .map_err(|e| SparkError::Connector {
+                code: "HDFS",
+                message: e.to_string(),
+            })
     }
 
     /// How a Spark type appears in (hive-DDL type, spark-stored type) form.
