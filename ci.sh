@@ -3,7 +3,7 @@
 # attribute to a stage instead of one monolithic log:
 #
 #   ./ci.sh lint          # cargo fmt --check + clippy -D warnings
-#   ./ci.sh build         # release build of the whole workspace
+#   ./ci.sh build         # release build of the whole workspace + `cargo check` of benchmark/
 #   ./ci.sh test          # full test suite
 #   ./ci.sh determinism   # serial-vs-sharded byte-identity suites
 #   ./ci.sh reports       # report bins + BENCH_*.json trajectory schema check
@@ -42,6 +42,8 @@ stage_lint() {
 stage_build() {
   echo "==> release build"
   cargo build --release --workspace
+  echo "==> benchmark/ still compiles against the crates (it is outside the workspace)"
+  cargo check --release --offline --manifest-path benchmark/Cargo.toml
 }
 
 stage_test() {

@@ -49,19 +49,13 @@ fn bench_serializers(c: &mut Criterion) {
         .collect();
     // The columnar plane works from prebuilt typed buffers — the shape the
     // engines' bulk APIs and the campaign actually use.
-    let mut cols: Vec<csi_core::column::ValueColumn> = schema
-        .iter()
-        .map(|f| csi_core::column::ValueColumn::for_type(&f.data_type))
-        .collect();
-    for row in &rows {
-        for (col, v) in cols.iter_mut().zip(row) {
-            col.push(v);
-        }
-    }
+    let cols = csi_core::column::columns_from_rows(schema.iter().map(|f| &f.data_type), &rows)
+        .expect("three cells per row");
     let config = minispark::SparkConfig::new();
     let mut group = c.benchmark_group("serde");
     for format in StorageFormat::ALL {
-        // The columnar hot path (what `write_file` now routes through).
+        // The production writer: every statement edge transposes once and
+        // lands here.
         group.bench_function(format!("spark_write_256rows/{}", format.name()), |b| {
             b.iter(|| {
                 std::hint::black_box(

@@ -23,6 +23,7 @@
 use crate::hash::WordFnv;
 use crate::value::{canon_f32, canon_f64, DataType, Decimal, Value};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// A validity bitmap (bit set ⇒ slot holds a value).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -430,22 +431,6 @@ impl ValueColumn {
         self.validity.push(true);
     }
 
-    /// Appends a cell only if it fits the typed buffer; `Err` returns the
-    /// offending value's index without demoting.
-    pub fn push_strict(&mut self, value: &Value) -> Result<(), usize> {
-        if value.is_null() {
-            self.validity.push(false);
-            self.values.push_null();
-            return Ok(());
-        }
-        if self.values.push_typed(value) {
-            self.validity.push(true);
-            Ok(())
-        } else {
-            Err(self.len())
-        }
-    }
-
     /// Materializes slot `i`.
     pub fn get(&self, i: usize) -> Value {
         if !self.validity.get(i) {
@@ -595,6 +580,65 @@ impl ValueColumn {
     }
 }
 
+/// A row whose cell count differs from the column count it is transposed
+/// against. Both engines map it into their own `Arity` error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArityMismatch {
+    /// Number of columns.
+    pub expected: usize,
+    /// Number of cells in the first offending row.
+    pub got: usize,
+}
+
+/// Rows → columns: the one place row-major values become [`ValueColumn`]s.
+/// Statement and API edges call it once; everything below them is
+/// columnar. Column `i` is typed by the `i`-th of `types`; a cell that does
+/// not inhabit it demotes that column to [`ColumnValues::Mixed`], so this
+/// only fails on a ragged row.
+pub fn columns_from_rows<T: Borrow<DataType>>(
+    types: impl IntoIterator<Item = T>,
+    rows: &[Vec<Value>],
+) -> Result<Vec<ValueColumn>, ArityMismatch> {
+    let mut cols: Vec<ValueColumn> = types
+        .into_iter()
+        .map(|ty| ValueColumn::with_capacity(ty.borrow(), rows.len()))
+        .collect();
+    for row in rows {
+        if row.len() != cols.len() {
+            return Err(ArityMismatch {
+                expected: cols.len(),
+                got: row.len(),
+            });
+        }
+        for (col, v) in cols.iter_mut().zip(row) {
+            col.push(v);
+        }
+    }
+    Ok(cols)
+}
+
+/// Columns → rows: the inverse of [`columns_from_rows`], for the edges
+/// that hand rows back. All columns have the first one's length.
+pub fn rows_from_columns(cols: &[ValueColumn]) -> Vec<Vec<Value>> {
+    let all: Vec<usize> = (0..cols.len()).collect();
+    project_rows(cols, &all, |_| true)
+}
+
+/// The `SELECT`-shaped form of [`rows_from_columns`]: only the rows `keep`
+/// accepts (by index) are built, and of each only the cells of the
+/// `projection` columns, in that order — repeats allowed.
+pub fn project_rows(
+    cols: &[ValueColumn],
+    projection: &[usize],
+    mut keep: impl FnMut(usize) -> bool,
+) -> Vec<Vec<Value>> {
+    let nrows = cols.first().map_or(0, ValueColumn::len);
+    (0..nrows)
+        .filter(|row| keep(*row))
+        .map(|row| projection.iter().map(|c| cols[*c].get(row)).collect())
+        .collect()
+}
+
 fn hash_ints<T, F: Fn(&T) -> i64>(h: &mut WordFnv, tag: &[u8], v: &[T], validity: &Validity, f: F) {
     h.write(tag);
     for (i, x) in v.iter().enumerate() {
@@ -614,6 +658,7 @@ fn hash_var(h: &mut WordFnv, tag: &[u8], offsets: &[usize], bytes: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, Strategy};
 
     fn int_col(vals: &[Option<i32>]) -> ValueColumn {
         let cells: Vec<Value> = vals
@@ -749,11 +794,50 @@ mod tests {
     }
 
     #[test]
-    fn push_strict_rejects_mismatches_without_demoting() {
-        let mut col = ValueColumn::for_type(&DataType::Int);
-        col.push_strict(&Value::Int(7)).unwrap();
-        assert_eq!(col.push_strict(&Value::Str("x".into())), Err(1));
-        assert!(matches!(col.values(), ColumnValues::Int(_)));
-        assert_eq!(col.len(), 1);
+    fn project_rows_filters_reorders_and_repeats() {
+        let cols = [
+            int_col(&[Some(1), None, Some(3)]),
+            int_col(&[Some(10), Some(20), Some(30)]),
+        ];
+        assert_eq!(
+            project_rows(&cols, &[1, 0, 1], |row| row != 1),
+            [[10, 1, 10], [30, 3, 30]].map(|r| r.map(Value::Int).to_vec())
+        );
+    }
+
+    proptest::proptest! {
+        /// Columns are LONG, STRING and ARRAY<LONG> in turn and cells are
+        /// drawn blind to them: NULLs, typed and nested cells, and the
+        /// type-skewed ones that demote their column to `Mixed`. Fewer
+        /// cells than columns is the zero-row table; a leftover partial
+        /// row is the ragged one.
+        #[test]
+        fn rows_to_columns_and_back_is_the_identity(
+            ncols in 1usize..5,
+            cells in proptest::collection::vec(
+                proptest::prop_oneof![
+                    any::<bool>().prop_map(|_| Value::Null),
+                    any::<i64>().prop_map(Value::Long),
+                    "[a-z]{0,6}".prop_map(Value::Str),
+                    any::<i64>().prop_map(|n| Value::Array(vec![Value::Long(n), Value::Null])),
+                ],
+                0..48,
+            ),
+        ) {
+            let palette = [
+                DataType::Long,
+                DataType::String,
+                DataType::Array(Box::new(DataType::Long)),
+            ];
+            let types: Vec<DataType> = (0..ncols).map(|c| palette[c % 3].clone()).collect();
+            let mut rows: Vec<Vec<Value>> = cells.chunks(ncols).map(<[Value]>::to_vec).collect();
+            if let Some(got) = rows.last().map(Vec::len).filter(|len| *len < ncols) {
+                let expected = ncols;
+                assert_eq!(columns_from_rows(&types, &rows), Err(ArityMismatch { expected, got }));
+                rows.pop();
+            }
+            let cols = columns_from_rows(&types, &rows).unwrap();
+            assert_eq!(rows_from_columns(&cols), rows);
+        }
     }
 }

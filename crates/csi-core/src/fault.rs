@@ -19,6 +19,7 @@
 //! byte-identically across runs and worker counts.
 
 use crate::error::{ErrorKind, InteractionError};
+use crate::rng::splitmix64;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -196,15 +197,6 @@ impl FaultSet {
     }
 }
 
-/// Splitmix-style step used to derive combination choices from a seed.
-fn mix(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic, seeded enumeration of k-fault combinations (k ≤ 3).
 ///
 /// Every singleton is always present (the k=1 slice — the existing fault
@@ -238,7 +230,7 @@ pub fn fault_combinations(specs: &[FaultSpec], k: usize, seed: u64, per_k: usize
             }
             let mut idx: Vec<usize> = Vec::with_capacity(arity);
             while idx.len() < arity {
-                let i = (mix(&mut state) % specs.len() as u64) as usize;
+                let i = (splitmix64(&mut state) % specs.len() as u64) as usize;
                 if !idx.contains(&i) {
                     idx.push(i);
                 }

@@ -49,6 +49,7 @@ pub mod intern;
 pub mod oracle;
 pub mod plane;
 pub mod report;
+pub mod rng;
 pub mod sim;
 pub mod spec;
 pub mod sql;

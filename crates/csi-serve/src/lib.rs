@@ -24,7 +24,9 @@ pub mod server;
 pub mod tenant;
 
 pub use client::{run_specs, ServeClient, TenantOutcome};
-pub use protocol::{valid_tenant_name, CampaignRequest, Frame, RejectReason, MAX_TENANT_LEN};
+pub use protocol::{
+    valid_tenant_name, CampaignRequest, Frame, RejectReason, MAX_REQUEST_BYTES, MAX_TENANT_LEN,
+};
 pub use sched::{Admission, FairScheduler};
 pub use server::{CsiServer, ServeConfig};
 pub use tenant::{fnv1a, TenantRegistry};

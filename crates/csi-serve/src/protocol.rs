@@ -37,6 +37,12 @@ pub struct CampaignRequest {
     pub spec: CampaignSpec,
 }
 
+/// Upper bound on one request line, newline excluded. A full inline
+/// 422-input catalogue spec is well under 1 MiB; a longer line is answered
+/// with [`RejectReason::Malformed`] and the connection is closed, so a
+/// client that never sends a newline cannot grow the reader's buffer.
+pub const MAX_REQUEST_BYTES: usize = 4 << 20;
+
 /// Upper bound on tenant-name length, keeping names usable as metastore
 /// database names and HDFS path components.
 pub const MAX_TENANT_LEN: usize = 64;

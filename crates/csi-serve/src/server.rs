@@ -23,14 +23,14 @@
 //! changes wall time only, taps only observe, and per-campaign state
 //! lives in the campaign's own deployment, not in the daemon.
 
-use crate::protocol::{valid_tenant_name, CampaignRequest, Frame, RejectReason};
+use crate::protocol::{valid_tenant_name, CampaignRequest, Frame, RejectReason, MAX_REQUEST_BYTES};
 use crate::sched::{Admission, FairScheduler};
 use crate::tenant::TenantRegistry;
 use csi_core::detect::DetectionTap;
 use csi_test::exec::CrossTestConfig;
 use csi_test::{Campaign, CampaignSpec, DeploymentPool, PoolStats};
 use parking_lot::Mutex;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -205,21 +205,43 @@ fn serve_connection(stream: TcpStream, scheduler: &FairScheduler<Job>, registry:
         return;
     };
     let writer = Arc::new(Mutex::new(write_half));
-    for line in BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let malformed = |message: String| Frame::Rejected {
+        tenant: String::new(),
+        reason: RejectReason::Malformed(message),
+    };
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells an oversized line from one that
+        // fits exactly; nothing a client sends can grow `line` further.
+        let mut bounded = (&mut reader).take(MAX_REQUEST_BYTES as u64 + 1);
+        if !matches!(bounded.read_until(b'\n', &mut line), Ok(n) if n > 0) {
+            break;
+        }
+        if line.len() > MAX_REQUEST_BYTES && !line.ends_with(b"\n") {
+            // The rest of the line is unread and unbounded: answer and
+            // hang up rather than scan for a newline that may never come.
+            send(
+                &writer,
+                &malformed(format!("request exceeds {MAX_REQUEST_BYTES} bytes")),
+            );
+            break;
+        }
+        let text = match std::str::from_utf8(&line) {
+            Ok(text) => text.trim(),
+            Err(e) => {
+                send(&writer, &malformed(e.to_string()));
+                continue;
+            }
+        };
+        if text.is_empty() {
             continue;
         }
-        let request: CampaignRequest = match serde_json::from_str(&line) {
+        let request: CampaignRequest = match serde_json::from_str(text) {
             Ok(request) => request,
             Err(e) => {
-                send(
-                    &writer,
-                    &Frame::Rejected {
-                        tenant: String::new(),
-                        reason: RejectReason::Malformed(e.to_string()),
-                    },
-                );
+                send(&writer, &malformed(e.to_string()));
                 continue;
             }
         };

@@ -236,6 +236,58 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
     server.shutdown();
 }
 
+/// A client that never sends a newline cannot grow the reader's buffer
+/// past `MAX_REQUEST_BYTES`: it is answered and hung up on, a non-UTF-8
+/// line gets the same typed reject, and neither disturbs anyone else.
+#[test]
+fn oversized_and_non_utf8_lines_are_rejected_without_stalling_other_connections() {
+    use std::io::{BufReader, Read as _, Write as _};
+    fn read_malformed(reader: &mut impl std::io::BufRead) -> String {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        match serde_json::from_str(&line).expect("frame parses") {
+            Frame::Rejected {
+                tenant,
+                reason: RejectReason::Malformed(message),
+            } if tenant.is_empty() => message,
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+    let mut server = CsiServer::start(&ServeConfig::default()).expect("server starts");
+
+    // 5 MiB, no newline, ever. The first MiB leaves the server's reader
+    // parked mid-line while a well-behaved connection gets its report.
+    let mut hostile = std::net::TcpStream::connect(server.addr()).expect("connect");
+    hostile.write_all(&vec![b'x'; 1 << 20]).expect("write");
+    let spec = tenant_spec(0);
+    let outcomes = run_specs(server.addr(), &[("bystander".to_string(), spec.clone())])
+        .expect("bystander is served");
+    assert_eq!(
+        outcomes[0].report_json.as_deref(),
+        Some(batch_report_json(&spec).as_str())
+    );
+    // The server hangs up once past the cap, so the tail of this write
+    // may fail with a reset connection.
+    let _ = hostile.write_all(&vec![b'x'; 4 << 20]);
+    let mut hostile = BufReader::new(hostile);
+    assert_eq!(
+        read_malformed(&mut hostile),
+        format!("request exceeds {} bytes", csi_serve::MAX_REQUEST_BYTES)
+    );
+    // ... and the connection is closed: nothing more arrives.
+    let mut rest = Vec::new();
+    let _ = hostile.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "{} stray bytes", rest.len());
+
+    // Invalid UTF-8 is answered in kind, and the connection lives on.
+    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+    raw.write_all(b"\xff\xfe\nnot json\n").expect("write");
+    let mut raw = BufReader::new(raw);
+    assert!(read_malformed(&mut raw).contains("utf-8"));
+    read_malformed(&mut raw);
+    server.shutdown();
+}
+
 #[test]
 fn backlogged_tenants_hit_admission_control() {
     // One worker, tiny per-tenant slice: occupy the worker with a slow

@@ -27,6 +27,7 @@
 //! engine works realistic inputs from round one.
 
 use crate::generator::{TestInput, Validity};
+use csi_core::rng::xorshift64;
 use csi_core::value::{
     format_date, format_timestamp, parse_date, parse_timestamp, DataType, Decimal, StructField,
     Value,
@@ -140,18 +141,9 @@ pub struct CorpusTable {
 }
 
 // --------------------------------------------------------------------------
-// Deterministic randomness: the same xorshift the bulk generator uses, with
+// Deterministic randomness: `csi_core::rng::xorshift64`, with
 // per-column streams derived from the column index so column order is
 // stable under shape edits that leave earlier columns alone.
-
-fn rng(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
 
 fn column_seed(seed: u64, col: usize) -> u64 {
     let mut s = seed ^ 0x9e37_79b9_7f4a_7c15;
@@ -170,7 +162,7 @@ fn column_seed(seed: u64, col: usize) -> u64 {
 fn approx_normal(state: &mut u64) -> f64 {
     let mut sum = 0.0;
     for _ in 0..4 {
-        sum += (rng(state) >> 11) as f64 / (1u64 << 53) as f64;
+        sum += (xorshift64(state) >> 11) as f64 / (1u64 << 53) as f64;
     }
     // Sum of 4 U(0,1): mean 2, variance 1/3. Normalize to mean 0, sd 1.
     (sum - 2.0) / (1.0f64 / 3.0).sqrt()
@@ -214,13 +206,13 @@ fn column_type(shape: &CorpusShape, col: usize, state: &mut u64) -> DataType {
         }
         2 => DataType::String,
         3 => DataType::Long,
-        4 => DataType::Varchar([9, 17, 33, 63][(rng(state) % 4) as usize]),
+        4 => DataType::Varchar([9, 17, 33, 63][(xorshift64(state) % 4) as usize]),
         5 => DataType::Date,
         6 => {
             let (p, s) = decimals[(col / 10 + 1) % decimals.len()];
             DataType::Decimal(p, s)
         }
-        7 => DataType::Char([2, 5, 7][(rng(state) % 3) as usize]),
+        7 => DataType::Char([2, 5, 7][(xorshift64(state) % 3) as usize]),
         8 => DataType::Timestamp,
         _ => DataType::Boolean,
     }
@@ -295,7 +287,7 @@ pub fn synthesize(shape: &CorpusShape, seed: u64) -> CorpusTable {
             format!("c{col}")
         };
         let card = lognormal_cardinality(shape, &mut state);
-        let base = rng(&mut state);
+        let base = xorshift64(&mut state);
         let partitioned = col == 0 && shape.partition_keys > 0;
         let dict: Vec<Value> = if partitioned {
             (0..shape.partition_keys)
@@ -313,7 +305,7 @@ pub fn synthesize(shape: &CorpusShape, seed: u64) -> CorpusTable {
         };
         let mut column = Vec::with_capacity(shape.rows);
         for _ in 0..shape.rows {
-            let r = rng(&mut state);
+            let r = xorshift64(&mut state);
             if (r % 100) < shape.null_rate_pct as u64 {
                 column.push(Value::Null);
                 continue;

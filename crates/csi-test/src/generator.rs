@@ -11,6 +11,7 @@
 //! malformed inputs. A unit test pins the totals to the paper's numbers.
 
 use csi_core::column::ValueColumn;
+use csi_core::rng::xorshift64;
 use csi_core::value::{parse_date, parse_timestamp, DataType, Decimal, StructField, Value};
 use serde::{Deserialize, Serialize};
 
@@ -1104,15 +1105,6 @@ pub fn bulk_schema() -> Vec<StructField> {
     ]
 }
 
-fn bulk_rng(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 /// Deterministic bulk column data for [`bulk_schema`] column `ty`:
 /// `rows` cells seeded by `seed`, with a NULL roughly every 16th slot.
 ///
@@ -1129,7 +1121,7 @@ pub fn generate_bulk_column(ty: &DataType, rows: usize, seed: u64) -> ValueColum
     }
     let mut col = ValueColumn::with_capacity(ty, rows);
     for i in 0..rows {
-        let r = bulk_rng(&mut s);
+        let r = xorshift64(&mut s);
         if r.is_multiple_of(16) {
             col.push(&Value::Null);
             continue;

@@ -31,6 +31,7 @@ use csi_core::fault::{
     Trigger,
 };
 use csi_core::report::FaultCellRow;
+use csi_core::rng::xorshift64;
 use csi_core::value::{DataType, Value};
 use csi_core::InteractionError;
 use miniflink::yarn_driver::{run_driver_traced, DriverMode, DriverRun};
@@ -47,15 +48,6 @@ use std::sync::Arc;
 const KAFKA_TOPIC: &str = "t";
 const P0: PartitionId = PartitionId(0);
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 fn spec(id: &str, channel: Channel, op: &str, kind: FaultKind, trigger: Trigger) -> FaultSpec {
     FaultSpec {
         id: id.to_string(),
@@ -71,12 +63,12 @@ fn spec(id: &str, channel: Channel, op: &str, kind: FaultKind, trigger: Trigger)
 /// deterministically from `seed`.
 pub fn fault_catalogue(seed: u64) -> FaultPlan {
     let mut s = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let ms_timeout = 10_000 + xorshift(&mut s) % 20_000;
-    let hdfs_timeout = 5_000 + xorshift(&mut s) % 10_000;
-    let kafka_timeout = 30_000 + xorshift(&mut s) % 30_000;
+    let ms_timeout = 10_000 + xorshift64(&mut s) % 20_000;
+    let hdfs_timeout = 5_000 + xorshift64(&mut s) % 10_000;
+    let kafka_timeout = 30_000 + xorshift64(&mut s) % 30_000;
     // FLINK-12342 regime: injected allocation latency must exceed the
     // driver's 500 ms heartbeat interval.
-    let yarn_latency = 600 + xorshift(&mut s) % 400;
+    let yarn_latency = 600 + xorshift64(&mut s) % 400;
     FaultPlan {
         seed,
         faults: vec![

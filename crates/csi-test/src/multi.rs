@@ -40,6 +40,7 @@ use csi_core::fault::{
     classify_fault_outcome, fault_combinations, Channel, FaultOutcome, FaultSet, InjectedFault,
 };
 use csi_core::report::{ClusterRow, CompoundStats};
+use csi_core::rng::splitmix64;
 use csi_core::sim::{Millis, Sim};
 use csi_core::value::Value;
 use csi_core::InteractionError;
@@ -92,14 +93,6 @@ pub struct InterleaveSchedule {
     pub turns: Vec<(usize, usize)>,
 }
 
-fn splitmix(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl InterleaveSchedule {
     /// The identity schedule: jobs run back-to-back, in job order — the
     /// single-job serial semantics of the rest of the harness.
@@ -124,7 +117,7 @@ impl InterleaveSchedule {
             let alive: Vec<usize> = (0..jobs)
                 .filter(|&j| next_turn[j] < turns_per_job)
                 .collect();
-            let pick = alive[(splitmix(&mut state) % alive.len() as u64) as usize];
+            let pick = alive[(splitmix64(&mut state) % alive.len() as u64) as usize];
             turns.push((pick, next_turn[pick]));
             next_turn[pick] += 1;
         }

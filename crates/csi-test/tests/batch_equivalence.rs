@@ -1,18 +1,20 @@
 //! Row-path vs columnar-path equivalence.
 //!
-//! The columnar data plane replaced the row-at-a-time serializers behind
-//! the engines' `write_file`/`read_file` adapters. These tests pin the
-//! contract that made that swap safe:
+//! The columnar data plane replaced the row-at-a-time serializers; rows
+//! now stop at the statement edge, where `csi_core::column` transposes
+//! them once. These tests pin the contract that made that swap safe:
 //!
 //! - written **bytes** are identical between the retained row serializers
-//!   (`write_file_rows`) and the columnar adapters (`write_file`), for
-//!   every catalogue input, both engines, all three formats;
-//! - **reads** decode to the same rows (or the same error) either way;
+//!   (`write_file_rows`) and the production path (`write_columns` after
+//!   `columns_from_rows`), for every catalogue input, both engines, all
+//!   three formats;
+//! - **reads** decode to the same rows (or the same error) either way
+//!   (`read_file_rows` vs `rows_from_columns` after `read_columns`);
 //! - [`ValueColumn`] round-trips every `Value` shape losslessly, so the
-//!   row adapters and the differential oracle's fingerprints never see a
-//!   transposition artifact.
+//!   statement edges and the differential oracle's fingerprints never see
+//!   a transposition artifact.
 
-use csi_core::column::ValueColumn;
+use csi_core::column::{columns_from_rows, rows_from_columns, ValueColumn};
 use csi_core::diag::DiagSink;
 use csi_core::value::{DataType, Decimal, Value};
 use csi_test::generator::{bulk_schema, generate_bulk_columns, generate_inputs};
@@ -25,7 +27,7 @@ fn formats() -> [StorageFormat; 3] {
     StorageFormat::ALL
 }
 
-/// Spark: for every catalogue input and format, the columnar adapter and
+/// Spark: for every catalogue input and format, the columnar path and
 /// the retained row serializer must emit identical bytes (or identical
 /// errors), and the two read paths must agree on the decoded rows.
 #[test]
@@ -40,7 +42,9 @@ fn spark_serde_rows_and_columns_agree_on_catalogue() {
         for format in formats() {
             let fname = format.name();
             let via_rows = minispark::serde_layer::write_file_rows(format, &schema, &rows, &config);
-            let via_cols = minispark::serde_layer::write_file(format, &schema, &rows, &config);
+            let cols = columns_from_rows(std::slice::from_ref(&input.column_type), &rows)
+                .expect("one cell per row");
+            let via_cols = minispark::serde_layer::write_columns(format, &schema, &cols, &config);
             match (&via_rows, &via_cols) {
                 (Ok(a), Ok(b)) => assert_eq!(
                     a, b,
@@ -61,7 +65,9 @@ fn spark_serde_rows_and_columns_agree_on_catalogue() {
             if let Ok(bytes) = via_cols {
                 let read_rows =
                     minispark::serde_layer::read_file_rows(format, &schema, &bytes, &config);
-                let read_cols = minispark::serde_layer::read_file(format, &schema, &bytes, &config);
+                let read_cols =
+                    minispark::serde_layer::read_columns(format, &schema, &bytes, &config)
+                        .map(|cols| rows_from_columns(&cols));
                 match (read_rows, read_cols) {
                     (Ok(a), Ok(b)) => assert_eq!(
                         format!("{a:?}"),
@@ -106,7 +112,9 @@ fn hive_serde_rows_and_columns_agree_on_catalogue() {
             sink.drain();
             let via_rows = minihive::serde_layer::write_file_rows(format, &columns, &rows, &diag);
             let row_diags = sink.drain();
-            let via_cols = minihive::serde_layer::write_file(format, &columns, &rows, &diag);
+            let cols = columns_from_rows(&[columns[0].hive_type.to_data_type()], &rows)
+                .expect("one cell per row");
+            let via_cols = minihive::serde_layer::write_columns(format, &columns, &cols, &diag);
             let col_diags = sink.drain();
             assert_eq!(
                 format!("{row_diags:?}"),
@@ -131,7 +139,9 @@ fn hive_serde_rows_and_columns_agree_on_catalogue() {
                 let read_rows =
                     minihive::serde_layer::read_file_rows(format, &columns, &bytes, &diag);
                 sink.drain();
-                let read_cols = minihive::serde_layer::read_file(format, &columns, &bytes, &diag);
+                let read_cols =
+                    minihive::serde_layer::read_columns(format, &columns, &bytes, &diag)
+                        .map(|cols| rows_from_columns(&cols));
                 sink.drain();
                 match (read_rows, read_cols) {
                     (Ok(a), Ok(b)) => assert_eq!(

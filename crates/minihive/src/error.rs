@@ -127,6 +127,15 @@ impl HiveError {
     }
 }
 
+impl From<csi_core::column::ArityMismatch> for HiveError {
+    fn from(e: csi_core::column::ArityMismatch) -> HiveError {
+        HiveError::Arity {
+            expected: e.expected,
+            got: e.got,
+        }
+    }
+}
+
 impl From<HiveError> for InteractionError {
     fn from(e: HiveError) -> InteractionError {
         let kind = match &e {

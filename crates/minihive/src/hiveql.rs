@@ -11,10 +11,11 @@ use crate::metastore::{Metastore, SharedFs, StorageFormat, TableDef};
 use crate::serde_layer;
 use crate::types::HiveType;
 use crate::value::{coerce, render, MAX_DATE_DAYS, MIN_DATE_DAYS};
-use csi_core::column::{ColumnValues, ValueColumn};
+use csi_core::column::{columns_from_rows, project_rows, ColumnValues, ValueColumn};
 use csi_core::diag::DiagHandle;
 use csi_core::sql::{self, eval_interval_parts, Expr, NumSuffix, SelectCols, Statement};
 use csi_core::value::{parse_date, parse_timestamp, Decimal, Value};
+use minihdfs::HdfsPath;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -127,6 +128,23 @@ impl HiveQl {
         Ok(QueryResult::default())
     }
 
+    /// The tail of every insert: serialize coerced columns, create the part.
+    fn write_part(
+        &self,
+        def: &TableDef,
+        part: &HdfsPath,
+        coerced: &[ValueColumn],
+    ) -> Result<(), HiveError> {
+        let bytes = serde_layer::write_columns(def.format, &def.columns, coerced, &self.diag)?;
+        self.fs
+            .lock()
+            .create(part, &bytes)
+            .map_err(|e| HiveError::Storage(e.to_string()))
+    }
+
+    /// Literals are evaluated and coerced one by one in statement
+    /// (row-major) order, so the first error and the warnings follow the
+    /// text; the coerced rows turn into columns once, at this edge.
     fn insert(&self, table: &str, rows: Vec<Vec<Expr>>) -> Result<QueryResult, HiveError> {
         let (def, part) = {
             let mut ms = self.metastore.lock();
@@ -149,11 +167,9 @@ impl HiveQl {
             }
             coerced_rows.push(out);
         }
-        let bytes = serde_layer::write_file(def.format, &def.columns, &coerced_rows, &self.diag)?;
-        self.fs
-            .lock()
-            .create(&part, &bytes)
-            .map_err(|e| HiveError::Storage(e.to_string()))?;
+        let types = def.columns.iter().map(|c| c.hive_type.to_data_type());
+        let coerced = columns_from_rows(types, &coerced_rows)?;
+        self.write_part(&def, &part, &coerced)?;
         Ok(QueryResult::default())
     }
 
@@ -188,19 +204,19 @@ impl HiveQl {
             }
             coerced.push(out);
         }
-        let bytes = serde_layer::write_columns(def.format, &def.columns, &coerced, &self.diag)?;
-        self.fs
-            .lock()
-            .create(&part, &bytes)
-            .map_err(|e| HiveError::Storage(e.to_string()))
+        self.write_part(&def, &part, &coerced)
     }
 
-    /// Bulk `SELECT *` over column buffers — the columnar counterpart of
-    /// [`HiveQl::read_all`] behind the SELECT path.
+    /// Bulk `SELECT *` over column buffers: every data file of the table,
+    /// concatenated column-wise in path order.
     pub fn read_table_columns(&self, table: &str) -> Result<Vec<ValueColumn>, HiveError> {
         let def = self.metastore.lock().get_table("default", table)?.clone();
+        self.read_columns(&def)
+    }
+
+    fn read_columns(&self, def: &TableDef) -> Result<Vec<ValueColumn>, HiveError> {
         let fs = self.fs.lock();
-        let files = self.metastore.lock().table_data_files(&def, &fs)?;
+        let files = self.metastore.lock().table_data_files(def, &fs)?;
         let mut acc: Option<Vec<ValueColumn>> = None;
         for path in files {
             let bytes = fs
@@ -231,89 +247,43 @@ impl HiveQl {
         predicate: &[csi_core::sql::Comparison],
     ) -> Result<QueryResult, HiveError> {
         let def = self.metastore.lock().get_table("default", table)?.clone();
-        let mut rows = self.read_all(&def)?;
-        if !predicate.is_empty() {
-            // Hive evaluates each comparison after leniently coercing the
-            // literal to the column's type; unknown comparisons drop rows.
-            let mut compiled = Vec::with_capacity(predicate.len());
-            for cmp in predicate {
-                let idx =
-                    def.column_index(&cmp.column)
-                        .ok_or_else(|| HiveError::UnknownColumn {
-                            table: def.name.clone(),
-                            column: cmp.column.clone(),
-                        })?;
-                let raw = self.eval(&cmp.literal)?;
-                let coerced = coerce(&raw, &def.columns[idx].hive_type, &self.diag)?;
-                compiled.push((idx, cmp.op, coerced));
-            }
-            rows.retain(|row| {
-                compiled.iter().all(|(idx, op, lit)| {
-                    op.matches(csi_core::value::compare_values(&row[*idx], lit))
+        let cols = self.read_columns(&def)?;
+        let column_index = |name: &str| {
+            def.column_index(name)
+                .ok_or_else(|| HiveError::UnknownColumn {
+                    table: def.name.clone(),
+                    column: name.to_string(),
                 })
-            });
+        };
+        // Hive evaluates each comparison after leniently coercing the
+        // literal to the column's type; unknown comparisons drop rows.
+        let mut compiled = Vec::with_capacity(predicate.len());
+        for cmp in predicate {
+            let idx = column_index(&cmp.column)?;
+            let raw = self.eval(&cmp.literal)?;
+            let coerced = coerce(&raw, &def.columns[idx].hive_type, &self.diag)?;
+            compiled.push((idx, cmp.op, coerced));
         }
-        match columns {
-            SelectCols::Star => Ok(QueryResult {
-                columns: def.columns.iter().map(|c| c.name.clone()).collect(),
-                rows,
-            }),
-            SelectCols::Columns(names) => {
-                let mut idx = Vec::with_capacity(names.len());
-                for n in &names {
-                    idx.push(
-                        def.column_index(n)
-                            .ok_or_else(|| HiveError::UnknownColumn {
-                                table: def.name.clone(),
-                                column: n.clone(),
-                            })?,
-                    );
-                }
-                // Distinct indices let each projected cell be *moved* out of
-                // its row instead of deep-cloned — the hot path for wide
-                // string columns. Duplicate projections ("SELECT a, a")
-                // fall back to cloning.
-                let distinct = idx
-                    .iter()
-                    .all(|i| idx.iter().filter(|j| *j == i).count() == 1);
-                let projected = rows
-                    .into_iter()
-                    .map(|mut r| {
-                        idx.iter()
-                            .map(|i| {
-                                if distinct {
-                                    std::mem::replace(&mut r[*i], Value::Null)
-                                } else {
-                                    r[*i].clone()
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                Ok(QueryResult {
-                    columns: idx.iter().map(|i| def.columns[*i].name.clone()).collect(),
-                    rows: projected,
-                })
-            }
-        }
-    }
-
-    fn read_all(&self, def: &TableDef) -> Result<Vec<Vec<Value>>, HiveError> {
-        let fs = self.fs.lock();
-        let files = self.metastore.lock().table_data_files(def, &fs)?;
-        let mut rows = Vec::new();
-        for path in files {
-            let bytes = fs
-                .read(&path)
-                .map_err(|e| HiveError::Storage(e.to_string()))?;
-            rows.extend(serde_layer::read_file(
-                def.format,
-                &def.columns,
-                &bytes,
-                &self.diag,
-            )?);
-        }
-        Ok(rows)
+        let projection: Vec<usize> = match columns {
+            SelectCols::Star => (0..def.columns.len()).collect(),
+            SelectCols::Columns(names) => names
+                .iter()
+                .map(|n| column_index(n))
+                .collect::<Result<_, _>>()?,
+        };
+        // Rows exist only from here up: the survivors, already projected.
+        let rows = project_rows(&cols, &projection, |row| {
+            compiled.iter().all(|(idx, op, lit)| {
+                op.matches(csi_core::value::compare_values(&cols[*idx].get(row), lit))
+            })
+        });
+        Ok(QueryResult {
+            columns: projection
+                .iter()
+                .map(|i| def.columns[*i].name.clone())
+                .collect(),
+            rows,
+        })
     }
 
     /// Evaluates a literal expression under Hive's typing rules.

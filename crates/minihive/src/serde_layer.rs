@@ -102,40 +102,11 @@ fn serde_err(format: StorageFormat, e: FormatError) -> HiveError {
     }
 }
 
-/// Serializes coerced rows into a table data file.
-///
-/// Thin row-API adapter over [`write_columns`]: rows are transposed into
-/// typed column buffers and serialized columnar. Output bytes are
-/// identical to [`write_file_rows`]; on files with multiple columns and
-/// multiple invalid cells the reported error (and diagnostic order) is
-/// column-major rather than row-major.
-pub fn write_file(
-    format: StorageFormat,
-    columns: &[ColumnDef],
-    rows: &[Vec<Value>],
-    diag: &DiagHandle,
-) -> Result<Vec<u8>, HiveError> {
-    let mut cols: Vec<ValueColumn> = columns
-        .iter()
-        .map(|c| ValueColumn::with_capacity(&c.hive_type.to_data_type(), rows.len()))
-        .collect();
-    for row in rows {
-        if row.len() != columns.len() {
-            return Err(HiveError::Arity {
-                expected: columns.len(),
-                got: row.len(),
-            });
-        }
-        for (col, v) in cols.iter_mut().zip(row) {
-            col.push(v);
-        }
-    }
-    write_columns(format, columns, &cols, diag)
-}
-
-/// Serializes typed column buffers directly — the bulk hot path. Flat
-/// columns move buffer-to-buffer; nested or type-skewed columns replay
-/// the per-cell converter with identical errors and diagnostics.
+/// Serializes typed column buffers (already coerced) into a table data
+/// file — the one production writer. Flat columns move buffer-to-buffer;
+/// nested or type-skewed columns replay the per-cell converter with the
+/// errors and diagnostics of [`write_file_rows`] (column-major rather than
+/// row-major when several columns hold invalid cells).
 pub fn write_columns(
     format: StorageFormat,
     columns: &[ColumnDef],
@@ -451,28 +422,11 @@ fn to_physical(
     })
 }
 
-/// Deserializes a table data file against the declared schema.
-///
-/// Thin row-API adapter over [`read_columns`]. Values and errors match
+/// Deserializes a table data file against the declared schema into typed
+/// column buffers — the one production reader. Values and errors match
 /// [`read_file_rows`]; the one intended diagnostic difference is that a
 /// missing column warns **once per file** instead of once per row (the
 /// row baseline re-warned for every row of a million-row file).
-pub fn read_file(
-    format: StorageFormat,
-    columns: &[ColumnDef],
-    bytes: &[u8],
-    diag: &DiagHandle,
-) -> Result<Vec<Vec<Value>>, HiveError> {
-    let cols = read_columns(format, columns, bytes, diag)?;
-    let nrows = cols.first().map_or(0, ValueColumn::len);
-    let mut out = Vec::with_capacity(nrows);
-    for i in 0..nrows {
-        out.push(cols.iter().map(|c| c.get(i)).collect());
-    }
-    Ok(out)
-}
-
-/// Deserializes typed column buffers directly — the bulk read hot path.
 pub fn read_columns(
     format: StorageFormat,
     columns: &[ColumnDef],
@@ -838,6 +792,7 @@ fn from_physical(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csi_core::column::{columns_from_rows, rows_from_columns};
     use csi_core::diag::DiagSink;
     use csi_core::value::parse_timestamp;
 
@@ -850,6 +805,11 @@ mod tests {
             .collect()
     }
 
+    /// Rows enter the serde the way the statement edges hand them over.
+    fn transposed(columns: &[ColumnDef], rows: &[Vec<Value>]) -> Vec<ValueColumn> {
+        columns_from_rows(columns.iter().map(|c| c.hive_type.to_data_type()), rows).unwrap()
+    }
+
     fn roundtrip(
         format: StorageFormat,
         columns: &[ColumnDef],
@@ -857,8 +817,8 @@ mod tests {
     ) -> Vec<Vec<Value>> {
         let sink = DiagSink::new();
         let h = sink.handle("minihive");
-        let bytes = write_file(format, columns, &rows, &h).unwrap();
-        read_file(format, columns, &bytes, &h).unwrap()
+        let bytes = write_columns(format, columns, &transposed(columns, &rows), &h).unwrap();
+        rows_from_columns(&read_columns(format, columns, &bytes, &h).unwrap())
     }
 
     #[test]
@@ -897,7 +857,8 @@ mod tests {
         // The file really does store an int32.
         let sink = DiagSink::new();
         let h = sink.handle("minihive");
-        let bytes = write_file(StorageFormat::Avro, &columns, &rows, &h).unwrap();
+        let cols = transposed(&columns, &rows);
+        let bytes = write_columns(StorageFormat::Avro, &columns, &cols, &h).unwrap();
         let (schema, raw) = miniformats::avro::decode(&bytes).unwrap();
         assert_eq!(schema.columns[0].ty, PhysicalType::Int32);
         assert_eq!(schema.columns[0].logical.as_deref(), Some("tinyint"));
@@ -920,7 +881,8 @@ mod tests {
         }]];
         let bytes = miniformats::orc::encode(&schema, &raw).unwrap();
         let sink = DiagSink::new();
-        let err = read_file(StorageFormat::Orc, &columns, &bytes, &sink.handle("h")).unwrap_err();
+        let err =
+            read_columns(StorageFormat::Orc, &columns, &bytes, &sink.handle("h")).unwrap_err();
         assert!(err.to_string().contains("scale"), "{err}");
     }
 
@@ -931,9 +893,10 @@ mod tests {
         let rows = vec![vec![Value::Timestamp(old)]];
         let sink = DiagSink::new();
         let h = sink.handle("minihive");
-        let bytes = write_file(StorageFormat::Orc, &columns, &rows, &h).unwrap();
-        let back = read_file(StorageFormat::Orc, &columns, &bytes, &h).unwrap();
-        assert_eq!(back[0][0], Value::Null);
+        let cols = transposed(&columns, &rows);
+        let bytes = write_columns(StorageFormat::Orc, &columns, &cols, &h).unwrap();
+        let back = read_columns(StorageFormat::Orc, &columns, &bytes, &h).unwrap();
+        assert_eq!(back[0].get(0), Value::Null);
         assert!(sink
             .drain()
             .iter()
@@ -957,7 +920,8 @@ mod tests {
         // But the physical file stores the shifted (Julian) value.
         let sink = DiagSink::new();
         let h = sink.handle("minihive");
-        let bytes = write_file(StorageFormat::Parquet, &columns, &rows, &h).unwrap();
+        let cols = transposed(&columns, &rows);
+        let bytes = write_columns(StorageFormat::Parquet, &columns, &cols, &h).unwrap();
         let (_, raw) = miniformats::parquet::decode(&bytes).unwrap();
         assert_eq!(
             raw[0][0],
@@ -971,10 +935,10 @@ mod tests {
         let read_cols = cols(&[("a", HiveType::Int), ("b", HiveType::Str)]);
         let sink = DiagSink::new();
         let h = sink.handle("minihive");
-        let bytes =
-            write_file(StorageFormat::Orc, &write_cols, &[vec![Value::Int(1)]], &h).unwrap();
-        let back = read_file(StorageFormat::Orc, &read_cols, &bytes, &h).unwrap();
-        assert_eq!(back[0], vec![Value::Int(1), Value::Null]);
+        let one = transposed(&write_cols, &[vec![Value::Int(1)]]);
+        let bytes = write_columns(StorageFormat::Orc, &write_cols, &one, &h).unwrap();
+        let back = read_columns(StorageFormat::Orc, &read_cols, &bytes, &h).unwrap();
+        assert_eq!(rows_from_columns(&back), [[Value::Int(1), Value::Null]]);
         assert!(sink.drain().iter().any(|d| d.code == "HIVE_MISSING_COLUMN"));
     }
 
@@ -990,8 +954,8 @@ mod tests {
         let bytes = miniformats::orc::encode(&schema, &[vec![PhysicalValue::Int32(9)]]).unwrap();
         let read_cols = cols(&[("camelcol", HiveType::Int)]);
         let sink = DiagSink::new();
-        let back = read_file(StorageFormat::Orc, &read_cols, &bytes, &sink.handle("h")).unwrap();
-        assert_eq!(back[0][0], Value::Int(9));
+        let back = read_columns(StorageFormat::Orc, &read_cols, &bytes, &sink.handle("h")).unwrap();
+        assert_eq!(back[0].get(0), Value::Int(9));
     }
 
     #[test]
@@ -1009,7 +973,9 @@ mod tests {
         }
         // Avro rejects the non-string map key at write time (HIVE-26531).
         let sink = DiagSink::new();
-        let err = write_file(StorageFormat::Avro, &columns, &rows, &sink.handle("h")).unwrap_err();
+        let cols = transposed(&columns, &rows);
+        let err =
+            write_columns(StorageFormat::Avro, &columns, &cols, &sink.handle("h")).unwrap_err();
         assert!(err.to_string().contains("map keys"), "{err}");
     }
 
@@ -1029,10 +995,10 @@ mod tests {
         let bytes = miniformats::orc::encode(&schema, &raw).unwrap();
         let read_cols = cols(&[("s", HiveType::Struct(vec![("inner".into(), HiveType::Int)]))]);
         let sink = DiagSink::new();
-        let back = read_file(StorageFormat::Orc, &read_cols, &bytes, &sink.handle("h")).unwrap();
+        let back = read_columns(StorageFormat::Orc, &read_cols, &bytes, &sink.handle("h")).unwrap();
         // Hive reports its own lowercase field name (D14's downstream half).
         assert_eq!(
-            back[0][0],
+            back[0].get(0),
             Value::Struct(vec![("inner".into(), Value::Int(3))])
         );
     }
@@ -1041,10 +1007,13 @@ mod tests {
     fn arity_mismatch_is_rejected() {
         let columns = cols(&[("a", HiveType::Int), ("b", HiveType::Int)]);
         let sink = DiagSink::new();
-        let err = write_file(
+        let err = write_columns(
             StorageFormat::Orc,
             &columns,
-            &[vec![Value::Int(1)]],
+            &[ValueColumn::from_values(
+                &csi_core::DataType::Int,
+                &[Value::Int(1)],
+            )],
             &sink.handle("h"),
         )
         .unwrap_err();

@@ -12,9 +12,9 @@ use crate::config::StoreAssignmentPolicy;
 use crate::error::SparkError;
 use crate::session::{DdlPath, SparkSession};
 use crate::types::{store_assign, CastOptions};
-use csi_core::column::{ColumnValues, ValueColumn};
+use csi_core::column::{columns_from_rows, rows_from_columns, ColumnValues, ValueColumn};
 use csi_core::value::{DataType, StructField, Value};
-use minihive::metastore::StorageFormat;
+use minihive::metastore::{StorageFormat, TableDef};
 
 /// The DataFrame writer/reader over a session.
 pub struct DataFrameApi<'a> {
@@ -46,45 +46,33 @@ impl<'a> DataFrameApi<'a> {
             .create_hive_table(name, schema, format, DdlPath::DataFrame, false)
     }
 
-    /// `df.write.insertInto(name)` — appends rows.
+    /// `df.write.insertInto(name)` — appends rows. The values are already
+    /// typed, so they turn into columns here, at the API edge: a ragged row
+    /// is refused before any cast, and offending cells in several columns
+    /// raise and warn in column-major order.
     pub fn insert_into(&self, name: &str, rows: &[Vec<Value>]) -> Result<(), SparkError> {
         let def = self.session.table_def(name)?;
         let schema = self.session.resolve_schema(&def);
-        let opts = self.cast_options();
-        let mut cast_rows = Vec::with_capacity(rows.len());
-        for row in rows {
-            if row.len() != schema.len() {
-                return Err(SparkError::Arity {
-                    expected: schema.len(),
-                    got: row.len(),
-                });
-            }
-            let mut out = Vec::with_capacity(row.len());
-            for (v, field) in row.iter().zip(&schema) {
-                if opts.date_range_check && crate::types::has_out_of_range_datetime(v) {
-                    self.session.diag().warn(
-                        "DATE_RANGE_COERCED",
-                        format!(
-                            "value for column {} is outside 0001-01-01..9999-12-31, writing NULL",
-                            field.name
-                        ),
-                    );
-                }
-                out.push(store_assign(v, &field.data_type, opts)?);
-            }
-            cast_rows.push(out);
-        }
-        self.session.write_rows(&def, &schema, &cast_rows)
+        let cols = columns_from_rows(schema.iter().map(|f| &f.data_type), rows)?;
+        self.insert_resolved(&def, &schema, &cols)
     }
 
-    /// `df.write.insertInto(name)` over column buffers — the bulk
-    /// counterpart of [`DataFrameApi::insert_into`]. Columns whose buffer
+    /// `df.write.insertInto(name)` over column buffers. Columns whose buffer
     /// already inhabits the target type skip the per-cell cast entirely;
     /// anything else (decimals, CHAR/VARCHAR, type-skewed or out-of-range
-    /// buffers) replays the row path's `store_assign` per cell.
+    /// buffers) replays `store_assign` per cell.
     pub fn insert_columns(&self, name: &str, cols: &[ValueColumn]) -> Result<(), SparkError> {
         let def = self.session.table_def(name)?;
         let schema = self.session.resolve_schema(&def);
+        self.insert_resolved(&def, &schema, cols)
+    }
+
+    fn insert_resolved(
+        &self,
+        def: &TableDef,
+        schema: &[StructField],
+        cols: &[ValueColumn],
+    ) -> Result<(), SparkError> {
         if cols.len() != schema.len() {
             return Err(SparkError::Arity {
                 expected: schema.len(),
@@ -114,11 +102,10 @@ impl<'a> DataFrameApi<'a> {
             }
             cast_cols.push(out);
         }
-        self.session.write_columns(&def, &schema, &cast_cols)
+        self.session.write_columns(def, schema, &cast_cols)
     }
 
-    /// `spark.table(name).collect()` over column buffers — the bulk
-    /// counterpart of [`DataFrameApi::read_table`].
+    /// `spark.table(name).collect()` over column buffers.
     pub fn read_table_columns(
         &self,
         name: &str,
@@ -140,18 +127,8 @@ impl<'a> DataFrameApi<'a> {
         &self,
         name: &str,
     ) -> Result<(Vec<StructField>, Vec<Vec<Value>>), SparkError> {
-        let def = self.session.table_def(name)?;
-        let schema = self.session.resolve_schema(&def);
-        let mut rows = self.session.read_rows(&def, &schema)?;
-        if !self.session.config.char_varchar_as_string() {
-            // The DataFrame reader trims CHAR padding (D13's upstream half).
-            for row in &mut rows {
-                for (field, v) in schema.iter().zip(row.iter_mut()) {
-                    trim_char(&field.data_type, v);
-                }
-            }
-        }
-        Ok((schema, rows))
+        let (schema, cols) = self.read_table_columns(name)?;
+        Ok((schema, rows_from_columns(&cols)))
     }
 }
 

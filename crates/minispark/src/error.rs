@@ -141,6 +141,15 @@ impl From<SparkError> for InteractionError {
     }
 }
 
+impl From<csi_core::column::ArityMismatch> for SparkError {
+    fn from(e: csi_core::column::ArityMismatch) -> SparkError {
+        SparkError::Arity {
+            expected: e.expected,
+            got: e.got,
+        }
+    }
+}
+
 impl From<minihive::HiveError> for SparkError {
     fn from(e: minihive::HiveError) -> SparkError {
         SparkError::Analysis {

@@ -75,40 +75,6 @@ fn format_err(e: FormatError) -> SparkError {
     }
 }
 
-/// Serializes rows (already store-assigned) into a data file.
-///
-/// `schema` carries Spark's case-preserved field names.
-///
-/// This is the thin row-API adapter over [`write_columns`]: rows are
-/// transposed into typed column buffers (one byte-copy per cell, no
-/// intermediate [`PhysicalValue`] allocation) and serialized columnar.
-/// Output bytes are identical to [`write_file_rows`]; with multiple
-/// columns *and* multiple invalid cells the reported error can be a
-/// different (column-major-first) one.
-pub fn write_file(
-    format: StorageFormat,
-    schema: &[StructField],
-    rows: &[Vec<Value>],
-    config: &SparkConfig,
-) -> Result<Vec<u8>, SparkError> {
-    let mut cols: Vec<ValueColumn> = schema
-        .iter()
-        .map(|f| ValueColumn::with_capacity(&f.data_type, rows.len()))
-        .collect();
-    for row in rows {
-        if row.len() != schema.len() {
-            return Err(SparkError::Arity {
-                expected: schema.len(),
-                got: row.len(),
-            });
-        }
-        for (col, v) in cols.iter_mut().zip(row) {
-            col.push(v);
-        }
-    }
-    write_columns(format, schema, &cols, config)
-}
-
 /// The retained row-at-a-time serializer: the pre-columnar baseline, kept
 /// for differential testing and as the benchmark reference point.
 pub fn write_file_rows(
@@ -155,10 +121,12 @@ pub fn write_file_rows(
     .map_err(format_err)
 }
 
-/// Serializes typed column buffers directly into a data file — the bulk
-/// hot path. Flat columns move buffer-to-buffer with no per-cell enum
-/// traffic; nested or type-skewed columns fall back to the per-cell
-/// converter and report the same errors as the row path.
+/// Serializes typed column buffers (already store-assigned) into a data
+/// file — the one production writer. `schema` carries Spark's
+/// case-preserved field names. Flat columns move buffer-to-buffer with no
+/// per-cell enum traffic; nested or type-skewed columns fall back to the
+/// per-cell converter and report the same errors as [`write_file_rows`]
+/// (column-major-first when several columns hold invalid cells).
 pub fn write_columns(
     format: StorageFormat,
     schema: &[StructField],
@@ -355,28 +323,10 @@ fn to_physical(
     })
 }
 
-/// Deserializes a data file against Spark's expected schema.
-///
-/// Thin row-API adapter over [`read_columns`]: the file is decoded into
-/// typed column buffers, transformed per column, and transposed back to
-/// rows. Values and errors match [`read_file_rows`] (column-major error
-/// order on multi-column multi-error files).
-pub fn read_file(
-    format: StorageFormat,
-    schema: &[StructField],
-    bytes: &[u8],
-    config: &SparkConfig,
-) -> Result<Vec<Vec<Value>>, SparkError> {
-    let cols = read_columns(format, schema, bytes, config)?;
-    let nrows = cols.first().map_or(0, ValueColumn::len);
-    let mut out = Vec::with_capacity(nrows);
-    for i in 0..nrows {
-        out.push(cols.iter().map(|c| c.get(i)).collect());
-    }
-    Ok(out)
-}
-
-/// Deserializes typed column buffers directly — the bulk read hot path.
+/// Deserializes a data file against Spark's expected schema into typed
+/// column buffers — the one production reader. Values and errors match
+/// [`read_file_rows`] (column-major error order on multi-column
+/// multi-error files).
 pub fn read_columns(
     format: StorageFormat,
     schema: &[StructField],
@@ -711,9 +661,41 @@ fn from_physical(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csi_core::column::{columns_from_rows, rows_from_columns};
 
     fn field(name: &str, dt: DataType) -> StructField {
         StructField::new(name, dt)
+    }
+
+    // Row-shaped views of the production pair, through the one transpose.
+    fn write_cols(
+        format: StorageFormat,
+        schema: &[StructField],
+        rows: &[Vec<Value>],
+        config: &SparkConfig,
+    ) -> Result<Vec<u8>, SparkError> {
+        let cols = columns_from_rows(schema.iter().map(|f| &f.data_type), rows)?;
+        write_columns(format, schema, &cols, config)
+    }
+
+    fn read_cols(
+        format: StorageFormat,
+        schema: &[StructField],
+        bytes: &[u8],
+        config: &SparkConfig,
+    ) -> Result<Vec<Vec<Value>>, SparkError> {
+        read_columns(format, schema, bytes, config).map(|cols| rows_from_columns(&cols))
+    }
+
+    fn hive_write_cols(
+        format: StorageFormat,
+        columns: &[minihive::metastore::ColumnDef],
+        rows: &[Vec<Value>],
+    ) -> Vec<u8> {
+        let types = columns.iter().map(|c| c.hive_type.to_data_type());
+        let cols = columns_from_rows(types, rows).unwrap();
+        let sink = csi_core::diag::DiagSink::new();
+        minihive::serde_layer::write_columns(format, columns, &cols, &sink.handle("hive")).unwrap()
     }
 
     fn roundtrip(
@@ -722,8 +704,8 @@ mod tests {
         rows: Vec<Vec<Value>>,
     ) -> Result<Vec<Vec<Value>>, SparkError> {
         let config = SparkConfig::new();
-        let bytes = write_file(format, schema, &rows, &config)?;
-        read_file(format, schema, &bytes, &config)
+        let bytes = write_cols(format, schema, &rows, &config)?;
+        read_cols(format, schema, &bytes, &config)
     }
 
     #[test]
@@ -763,16 +745,9 @@ mod tests {
             name: "b".into(),
             hive_type: minihive::HiveType::TinyInt,
         }];
-        let sink = csi_core::diag::DiagSink::new();
-        let bytes = minihive::serde_layer::write_file(
-            StorageFormat::Avro,
-            &columns,
-            &[vec![Value::Byte(7)]],
-            &sink.handle("hive"),
-        )
-        .unwrap();
+        let bytes = hive_write_cols(StorageFormat::Avro, &columns, &[vec![Value::Byte(7)]]);
         let schema = vec![field("b", DataType::Byte)];
-        let rows = read_file(StorageFormat::Avro, &schema, &bytes, &SparkConfig::new()).unwrap();
+        let rows = read_cols(StorageFormat::Avro, &schema, &bytes, &SparkConfig::new()).unwrap();
         assert_eq!(rows[0][0], Value::Byte(7));
     }
 
@@ -782,7 +757,7 @@ mod tests {
         let schema = vec![field("d", DataType::Decimal(10, 2))];
         let runtime = Value::Decimal(Decimal::parse("1.5").unwrap()); // scale 1
         let config = SparkConfig::new();
-        let bytes = write_file(
+        let bytes = write_cols(
             StorageFormat::Orc,
             &schema,
             &[vec![runtime.clone()]],
@@ -790,7 +765,7 @@ mod tests {
         )
         .unwrap();
         // Spark reads its own file fine.
-        let back = read_file(StorageFormat::Orc, &schema, &bytes, &config).unwrap();
+        let back = read_cols(StorageFormat::Orc, &schema, &bytes, &config).unwrap();
         assert!(back[0][0].canonical_eq(&runtime));
         // Hive's reader validates the declared scale and rejects.
         let columns = vec![minihive::metastore::ColumnDef {
@@ -798,7 +773,7 @@ mod tests {
             hive_type: minihive::HiveType::Decimal(10, 2),
         }];
         let sink = csi_core::diag::DiagSink::new();
-        let err = minihive::serde_layer::read_file(
+        let err = minihive::serde_layer::read_columns(
             StorageFormat::Orc,
             &columns,
             &bytes,
@@ -829,18 +804,15 @@ mod tests {
             hive_type: minihive::HiveType::Timestamp,
         }];
         let ancient = csi_core::value::parse_timestamp("1500-01-01 00:00:00").unwrap();
-        let sink = csi_core::diag::DiagSink::new();
-        let bytes = minihive::serde_layer::write_file(
+        let bytes = hive_write_cols(
             StorageFormat::Parquet,
             &columns,
             &[vec![Value::Timestamp(ancient)]],
-            &sink.handle("hive"),
-        )
-        .unwrap();
+        );
         let schema = vec![field("ts", DataType::Timestamp)];
         // Default (CORRECTED): 10 days off — D07.
         let config = SparkConfig::new();
-        let rows = read_file(StorageFormat::Parquet, &schema, &bytes, &config).unwrap();
+        let rows = read_cols(StorageFormat::Parquet, &schema, &bytes, &config).unwrap();
         assert_eq!(
             rows[0][0],
             Value::Timestamp(ancient - minihive::serde_layer::JULIAN_SHIFT_MICROS)
@@ -848,7 +820,7 @@ mod tests {
         // LEGACY rebase mode honors the marker.
         let mut legacy = SparkConfig::new();
         legacy.set(crate::config::PARQUET_REBASE_MODE, "LEGACY");
-        let rows = read_file(StorageFormat::Parquet, &schema, &bytes, &legacy).unwrap();
+        let rows = read_cols(StorageFormat::Parquet, &schema, &bytes, &legacy).unwrap();
         assert_eq!(rows[0][0], Value::Timestamp(ancient));
     }
 
@@ -859,19 +831,16 @@ mod tests {
             name: "s".into(),
             hive_type: minihive::HiveType::Struct(vec![("inner".into(), minihive::HiveType::Int)]),
         }];
-        let sink = csi_core::diag::DiagSink::new();
-        let bytes = minihive::serde_layer::write_file(
+        let bytes = hive_write_cols(
             StorageFormat::Orc,
             &columns,
             &[vec![Value::Struct(vec![("inner".into(), Value::Int(9))])]],
-            &sink.handle("hive"),
-        )
-        .unwrap();
+        );
         let schema = vec![field(
             "s",
             DataType::Struct(vec![StructField::new("Inner", DataType::Int)]),
         )];
-        let rows = read_file(StorageFormat::Orc, &schema, &bytes, &SparkConfig::new()).unwrap();
+        let rows = read_cols(StorageFormat::Orc, &schema, &bytes, &SparkConfig::new()).unwrap();
         // The case-sensitive lookup misses and reads NULL (D14).
         assert_eq!(
             rows[0][0],
@@ -882,7 +851,7 @@ mod tests {
     #[test]
     fn interval_has_no_physical_representation() {
         let schema = vec![field("i", DataType::Interval)];
-        let err = write_file(
+        let err = write_cols(
             StorageFormat::Orc,
             &schema,
             &[vec![Value::Interval {

@@ -15,7 +15,7 @@ use crate::serde_layer;
 use crate::types::{schema_from_property, schema_to_property};
 use csi_core::column::ValueColumn;
 use csi_core::diag::DiagHandle;
-use csi_core::value::{DataType, StructField, Value};
+use csi_core::value::{DataType, StructField};
 use minihive::hiveql::SharedMetastore;
 use minihive::metastore::{SharedFs, StorageFormat, TableDef};
 use minihive::HiveType;
@@ -205,27 +205,8 @@ impl SparkSession {
             .collect()
     }
 
-    /// Appends already-cast rows to a table through Spark's serializers.
-    pub fn write_rows(
-        &self,
-        def: &TableDef,
-        schema: &[StructField],
-        rows: &[Vec<Value>],
-    ) -> Result<(), SparkError> {
-        let bytes = serde_layer::write_file(def.format, schema, rows, &self.config)?;
-        let part = self.metastore.lock().next_part_path(def);
-        self.fs
-            .lock()
-            .create(&part, &bytes)
-            .map_err(|e| SparkError::Connector {
-                code: "HDFS",
-                message: e.to_string(),
-            })
-    }
-
     /// Appends already-cast column buffers to a table through Spark's
-    /// serializers — the bulk counterpart of [`SparkSession::write_rows`],
-    /// with no per-cell enum traffic on flat columns.
+    /// serializers, as one new data file.
     pub fn write_columns(
         &self,
         def: &TableDef,
@@ -243,9 +224,9 @@ impl SparkSession {
             })
     }
 
-    /// Reads all rows of a table as column buffers — the bulk counterpart
-    /// of [`SparkSession::read_rows`]. Multiple data files concatenate
-    /// column-wise in path order.
+    /// Reads all rows of a table as column buffers through Spark's
+    /// deserializers. Multiple data files concatenate column-wise in path
+    /// order.
     pub fn read_columns(
         &self,
         def: &TableDef,
@@ -281,34 +262,6 @@ impl SparkSession {
         }))
     }
 
-    /// Reads all rows of a table through Spark's deserializers.
-    pub fn read_rows(
-        &self,
-        def: &TableDef,
-        schema: &[StructField],
-    ) -> Result<Vec<Vec<Value>>, SparkError> {
-        let fs = self.fs.lock();
-        let files = self
-            .metastore
-            .lock()
-            .table_data_files(def, &fs)
-            .map_err(SparkError::from)?;
-        let mut rows = Vec::new();
-        for path in files {
-            let bytes = fs.read(&path).map_err(|e| SparkError::Connector {
-                code: "HDFS",
-                message: e.to_string(),
-            })?;
-            rows.extend(serde_layer::read_file(
-                def.format,
-                schema,
-                &bytes,
-                &self.config,
-            )?);
-        }
-        Ok(rows)
-    }
-
     /// Drops a table.
     pub fn drop_table(&self, name: &str, if_exists: bool) -> Result<(), SparkError> {
         let mut fs = self.fs.lock();
@@ -337,6 +290,7 @@ fn has_mixed_case_struct(field: &StructField) -> bool {
 mod tests {
     use super::*;
     use csi_core::diag::DiagSink;
+    use csi_core::value::Value;
     use minihdfs::MiniHdfs;
     use minihive::metastore::Metastore;
     use parking_lot::Mutex;
@@ -417,10 +371,10 @@ mod tests {
             .unwrap();
         let def = s.table_def("t").unwrap();
         let resolved = s.resolve_schema(&def);
-        s.write_rows(&def, &resolved, &[vec![Value::Int(1)], vec![Value::Int(2)]])
+        let col = ValueColumn::from_values(&DataType::Int, &[Value::Int(1), Value::Int(2)]);
+        s.write_columns(&def, &resolved, std::slice::from_ref(&col))
             .unwrap();
-        let rows = s.read_rows(&def, &resolved).unwrap();
-        assert_eq!(rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+        assert_eq!(s.read_columns(&def, &resolved).unwrap(), vec![col]);
         s.drop_table("t", false).unwrap();
         assert!(s.table_def("t").is_err());
     }

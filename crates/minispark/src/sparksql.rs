@@ -10,6 +10,7 @@ use crate::config::StoreAssignmentPolicy;
 use crate::error::SparkError;
 use crate::session::{DdlPath, SparkSession};
 use crate::types::{render, store_assign, CastOptions};
+use csi_core::column::{columns_from_rows, project_rows};
 use csi_core::sql::{self, eval_interval_parts, Expr, NumSuffix, SelectCols, Statement};
 use csi_core::value::{parse_date, parse_timestamp, Decimal, StructField, Value};
 
@@ -102,7 +103,11 @@ impl<'a> SparkSql<'a> {
                     }
                     cast_rows.push(out);
                 }
-                self.session.write_rows(&def, &schema, &cast_rows)?;
+                // The statement is cast literal by literal, in text order,
+                // so its first error and its warnings follow the text; the
+                // cast rows turn into columns once, here at the edge.
+                let cols = columns_from_rows(schema.iter().map(|f| &f.data_type), &cast_rows)?;
+                self.session.write_columns(&def, &schema, &cols)?;
                 Ok(SqlResult::default())
             }
             Statement::Select {
@@ -112,83 +117,47 @@ impl<'a> SparkSql<'a> {
             } => {
                 let def = self.session.table_def(&table)?;
                 let schema = self.session.resolve_schema(&def);
-                let mut rows = self.session.read_rows(&def, &schema)?;
-                if !predicate.is_empty() {
-                    // Spark casts the literal to the column type under the
-                    // active store-assignment policy (ANSI raises on bad
-                    // literals where Hive would coerce).
-                    let opts = self.cast_options();
-                    let mut compiled = Vec::with_capacity(predicate.len());
-                    for cmp in &predicate {
-                        let idx = schema
-                            .iter()
-                            .position(|f| f.name.eq_ignore_ascii_case(&cmp.column))
-                            .ok_or_else(|| {
-                                SparkError::analysis(
-                                    "UNRESOLVED_COLUMN",
-                                    format!("cannot resolve column {:?}", cmp.column),
-                                )
-                            })?;
-                        let raw = self.eval(&cmp.literal)?;
-                        let lit = store_assign(&raw, &schema[idx].data_type, opts)?;
-                        compiled.push((idx, cmp.op, lit));
-                    }
-                    rows.retain(|row| {
-                        compiled.iter().all(|(idx, op, lit)| {
-                            op.matches(csi_core::value::compare_values(&row[*idx], lit))
+                let cols = self.session.read_columns(&def, &schema)?;
+                // Spark's analyzer is case-insensitive by default but
+                // reports the schema's own name.
+                let resolve = |name: &str| {
+                    schema
+                        .iter()
+                        .position(|f| f.name.eq_ignore_ascii_case(name))
+                        .ok_or_else(|| {
+                            SparkError::analysis(
+                                "UNRESOLVED_COLUMN",
+                                format!("cannot resolve column {name:?}"),
+                            )
                         })
-                    });
+                };
+                // Spark casts the literal to the column type under the
+                // active store-assignment policy (ANSI raises on bad
+                // literals where Hive would coerce).
+                let opts = self.cast_options();
+                let mut compiled = Vec::with_capacity(predicate.len());
+                for cmp in &predicate {
+                    let idx = resolve(&cmp.column)?;
+                    let raw = self.eval(&cmp.literal)?;
+                    let lit = store_assign(&raw, &schema[idx].data_type, opts)?;
+                    compiled.push((idx, cmp.op, lit));
                 }
-                let (names, idx): (Vec<String>, Vec<usize>) = match columns {
-                    SelectCols::Star => (
-                        schema.iter().map(|f| f.name.clone()).collect(),
-                        (0..schema.len()).collect(),
-                    ),
-                    SelectCols::Columns(cols) => {
-                        let mut names = Vec::new();
-                        let mut idx = Vec::new();
-                        for c in cols {
-                            // Spark's analyzer is case-insensitive by
-                            // default but reports the schema's own name.
-                            let i = schema
-                                .iter()
-                                .position(|f| f.name.eq_ignore_ascii_case(&c))
-                                .ok_or_else(|| {
-                                    SparkError::analysis(
-                                        "UNRESOLVED_COLUMN",
-                                        format!("cannot resolve column {c:?}"),
-                                    )
-                                })?;
-                            names.push(schema[i].name.clone());
-                            idx.push(i);
-                        }
-                        (names, idx)
+                let projection: Vec<usize> = match columns {
+                    SelectCols::Star => (0..schema.len()).collect(),
+                    SelectCols::Columns(names) => {
+                        names.iter().map(|c| resolve(c)).collect::<Result<_, _>>()?
                     }
                 };
-                // Distinct indices let each projected cell be *moved* out of
-                // its row instead of deep-cloned — the hot path for wide
-                // string columns. Duplicate projections ("SELECT a, a")
-                // fall back to cloning.
-                let distinct = idx
-                    .iter()
-                    .all(|i| idx.iter().filter(|j| *j == i).count() == 1);
-                let projected = rows
-                    .into_iter()
-                    .map(|mut r| {
-                        idx.iter()
-                            .map(|i| {
-                                if distinct {
-                                    std::mem::replace(&mut r[*i], Value::Null)
-                                } else {
-                                    r[*i].clone()
-                                }
-                            })
-                            .collect()
+                // Rows exist only from here up: the survivors, already
+                // projected.
+                let rows = project_rows(&cols, &projection, |row| {
+                    compiled.iter().all(|(idx, op, lit)| {
+                        op.matches(csi_core::value::compare_values(&cols[*idx].get(row), lit))
                     })
-                    .collect();
+                });
                 Ok(SqlResult {
-                    columns: names,
-                    rows: projected,
+                    columns: projection.iter().map(|i| schema[*i].name.clone()).collect(),
+                    rows,
                 })
             }
         }

@@ -2,6 +2,7 @@
 //! substrate stacks (Figure 2/4 and the serde-level discrepancies).
 
 use csi::core::boundary::CrossingContext;
+use csi::core::column::{columns_from_rows, rows_from_columns};
 use csi::core::diag::DiagSink;
 use csi::core::value::{parse_timestamp, DataType, Decimal, StructField, Value};
 use csi::hdfs::{HdfsPath, MiniHdfs};
@@ -248,4 +249,100 @@ fn safe_mode_blocks_both_engines_writes_but_not_reads() {
     fs.lock().set_safe_mode(false);
     spark.sql("INSERT INTO t VALUES (2)").unwrap();
     assert_eq!(hive.execute("SELECT * FROM t").unwrap().rows.len(), 2);
+}
+
+#[test]
+fn sql_inserts_speak_in_statement_order() {
+    // The edge contract: a 2x2 INSERT whose offending literals sit at
+    // (row 0, col 1) and (row 1, col 0) is cast row-major in both dialects,
+    // so row 0 speaks first — column-major would put row 1's cell first.
+    let (spark, hive, sink, _) = deployment();
+    spark.sql("CREATE TABLE s (a INT, b INT)").unwrap();
+    let err = spark
+        .sql("INSERT INTO s VALUES (1, 99999999999), ('junk', 2)")
+        .unwrap_err();
+    assert_eq!(err.code(), "CAST_OVERFLOW"); // Not row 1's CAST_INVALID_INPUT.
+    assert!(spark.sql("SELECT * FROM s").unwrap().rows.is_empty());
+
+    hive.execute("CREATE TABLE h (a TINYINT, b TINYINT)")
+        .unwrap();
+    sink.drain();
+    hive.execute("INSERT INTO h VALUES (1, 300), (400, 2)")
+        .unwrap();
+    let warned: Vec<String> = sink.drain().into_iter().map(|d| d.message).collect();
+    assert_eq!(warned.len(), 2, "{warned:?}");
+    assert!(warned[0].contains("300") && warned[1].contains("400"));
+    let err = hive
+        .execute("INSERT INTO h VALUES (1, -'first'), (-'second', 2)")
+        .unwrap_err();
+    assert!(err.to_string().contains("first"), "{err}");
+    assert_eq!(hive.execute("SELECT * FROM h").unwrap().rows.len(), 2);
+}
+
+#[test]
+fn dataframe_row_insert_is_the_column_insert_of_its_transpose() {
+    // Same 2x2 shape through the DataFrame API: `insert_into(rows)` equals
+    // `insert_columns` on the transposed input in stored values, in error,
+    // and in drained diagnostics (column-major: d1's warning before d2's).
+    let (mut spark, _, sink, _) = deployment();
+    spark
+        .config
+        .set(csi::spark::config::DATAFRAME_DATE_RANGE_CHECK, "true");
+    let df = spark.dataframe();
+    let far = Value::Date(csi::spark::types::MAX_DATE_DAYS + 100);
+    let old = Value::Timestamp(parse_timestamp("1899-01-01 00:00:00").unwrap());
+    let cases = [
+        (
+            DataType::Date,
+            vec![
+                vec![Value::Date(1), far.clone()],
+                vec![far.clone(), Value::Date(2)],
+            ],
+        ),
+        // Two cells Spark's ORC writer refuses: the insert fails.
+        (
+            DataType::Timestamp,
+            vec![
+                vec![Value::Timestamp(0), old.clone()],
+                vec![old, Value::Timestamp(0)],
+            ],
+        ),
+    ];
+    for (i, (ty, rows)) in cases.iter().enumerate() {
+        let schema = [
+            StructField::new("d1", ty.clone()),
+            StructField::new("d2", ty.clone()),
+        ];
+        let cols = columns_from_rows(&[ty.clone(), ty.clone()], rows).unwrap();
+        let (by_rows, by_cols) = (format!("rows{i}"), format!("cols{i}"));
+        for table in [&by_rows, &by_cols] {
+            df.create_table(table, &schema, StorageFormat::Orc).unwrap();
+        }
+        sink.drain();
+        let row_result = df.insert_into(&by_rows, rows).map_err(|e| e.to_string());
+        let row_diags: Vec<String> = sink.drain().into_iter().map(|d| d.message).collect();
+        let col_result = df
+            .insert_columns(&by_cols, &cols)
+            .map_err(|e| e.to_string());
+        let col_diags: Vec<String> = sink.drain().into_iter().map(|d| d.message).collect();
+        assert_eq!(row_result, col_result);
+        assert_eq!(row_diags, col_diags);
+        assert_eq!(
+            df.read_table(&by_rows).unwrap().1,
+            rows_from_columns(&df.read_table_columns(&by_cols).unwrap().1)
+        );
+        if i == 0 {
+            assert!(row_diags[0].contains("d1") && row_diags[1].contains("d2"));
+            let stored = df.read_table(&by_rows).unwrap().1;
+            assert_eq!(stored[0], [Value::Date(1), Value::Null]);
+        } else {
+            assert!(row_result.unwrap_err().contains("ORC_TIMESTAMP_RANGE"));
+        }
+    }
+    // A ragged row is refused before anything is cast or warned about.
+    let err = df
+        .insert_into("rows0", &[vec![far.clone(), far.clone()], vec![far]])
+        .unwrap_err();
+    assert_eq!(err.code(), "ARITY_MISMATCH");
+    assert!(sink.drain().iter().all(|d| d.code != "DATE_RANGE_COERCED"));
 }

@@ -1,6 +1,7 @@
 //! Property-based tests over the core data structures and the
 //! cross-system invariants.
 
+use csi::core::column::{columns_from_rows, rows_from_columns};
 use csi::core::config::{ConfigMap, MergePolicy};
 use csi::core::sim::Sim;
 use csi::core::value::{
@@ -136,13 +137,13 @@ proptest! {
             .enumerate()
             .map(|(i, (ty, _))| StructField::new(format!("c{i}"), ty.clone()))
             .collect();
-        let row: Vec<Value> = items.into_iter().map(|(_, v)| v).collect();
+        let (types, row): (Vec<DataType>, Vec<Value>) = items.into_iter().unzip();
         let config = csi::spark::SparkConfig::new();
-        let bytes =
-            csi::spark::serde_layer::write_file(format, &schema, std::slice::from_ref(&row), &config)
-                .unwrap();
-        let back =
-            csi::spark::serde_layer::read_file(format, &schema, &bytes, &config).unwrap();
+        let cols = columns_from_rows(&types, std::slice::from_ref(&row)).unwrap();
+        let bytes = csi::spark::serde_layer::write_columns(format, &schema, &cols, &config).unwrap();
+        let back = rows_from_columns(
+            &csi::spark::serde_layer::read_columns(format, &schema, &bytes, &config).unwrap(),
+        );
         prop_assert_eq!(back.len(), 1);
         for (a, b) in back[0].iter().zip(&row) {
             prop_assert!(a.canonical_eq(b), "{:?} != {:?}", a, b);
@@ -163,13 +164,15 @@ proptest! {
                 hive_type: minihive::HiveType::from_data_type(ty).unwrap(),
             })
             .collect();
-        let row: Vec<Value> = items.into_iter().map(|(_, v)| v).collect();
+        let (types, row): (Vec<DataType>, Vec<Value>) = items.into_iter().unzip();
         let sink = csi::core::diag::DiagSink::new();
         let h = sink.handle("minihive");
-        let bytes =
-            minihive::serde_layer::write_file(format, &columns, std::slice::from_ref(&row), &h)
-                .unwrap();
-        let back = minihive::serde_layer::read_file(format, &columns, &bytes, &h).unwrap();
+        let cols = columns_from_rows(&types, std::slice::from_ref(&row)).unwrap();
+        let bytes = minihive::serde_layer::write_columns(format, &columns, &cols, &h).unwrap();
+        let back = rows_from_columns(
+            &minihive::serde_layer::read_columns(format, &columns, &bytes, &h).unwrap(),
+        );
+        prop_assert_eq!(back.len(), 1);
         for (a, b) in back[0].iter().zip(&row) {
             prop_assert!(a.canonical_eq(b), "{:?} != {:?}", a, b);
         }
