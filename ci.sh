@@ -3,16 +3,16 @@
 # attribute to a stage instead of one monolithic log:
 #
 #   ./ci.sh lint          # cargo fmt --check + clippy -D warnings
-#   ./ci.sh build         # release build of the whole workspace + `cargo check` of benchmark/
+#   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite
 #   ./ci.sh determinism   # serial-vs-sharded byte-identity suites
-#   ./ci.sh reports       # report bins + BENCH_*.json trajectory schema check
+#   ./ci.sh reports       # report bins (boundary trace summary, online detector vs offline oracle)
 #   ./ci.sh golden        # golden campaign report drift check
 #   ./ci.sh explore       # coverage-guided explore smoke (small budget)
 #   ./ci.sh corpus        # corpus synthesis/inference tests + corpus-seeded explore smoke, run twice
 #   ./ci.sh bench-smoke   # cluster-scale substrate smoke + the benchmark's own smoke (all four workloads)
 #   ./ci.sh serve         # csi-serve daemon tests
-#   ./ci.sh all           # everything above, in order (the default)
+#   ./ci.sh all           # everything above, in order (the default), then checks the work tree is as it was found
 #
 # The usage string, `all`, and the dispatch below are all derived from the
 # single STAGES list, so a new stage cannot be invocable yet silently
@@ -42,8 +42,11 @@ stage_lint() {
 stage_build() {
   echo "==> release build"
   cargo build --release --workspace
-  echo "==> benchmark/ still compiles against the crates (it is outside the workspace)"
-  cargo check --release --offline --manifest-path benchmark/Cargo.toml
+  # --locked: benchmark/Cargo.lock is off limits to a PR, so one that
+  # changes the dependency list of a crate benchmark/ links must fail
+  # here instead of having cargo rewrite the lock.
+  echo "==> benchmark/ still compiles against the crates, lock file untouched (it is outside the workspace)"
+  cargo check --release --locked --offline --manifest-path benchmark/Cargo.toml
 }
 
 stage_test() {
@@ -67,8 +70,6 @@ stage_reports() {
   cargo run -q --release -p csi-bench --bin trace_summary
   echo "==> online detector vs offline oracle (recall 1.0, serial == sharded)"
   cargo run -q --release -p csi-bench --bin detector_report
-  echo "==> perf-trajectory schema check (BENCH_*.json)"
-  cargo run -q --release -p csi-bench --bin trajectory_check
 }
 
 stage_golden() {
@@ -123,11 +124,21 @@ run_stage() {
   }
 }
 
+# No stage may write to a tracked file or leave an unignored one behind:
+# the same checkout must give the same verdict and the same tree twice.
+# (Outside a git checkout both snapshots are empty and the check is void.)
 stage_all() {
-  local s
+  local s before after
+  before="$(git status --porcelain 2>/dev/null || true)"
   for s in "${STAGES[@]}"; do
     run_stage "$s"
   done
+  after="$(git status --porcelain 2>/dev/null || true)"
+  if [ "$before" != "$after" ]; then
+    echo "ci.sh changed the work tree:" >&2
+    diff <(printf '%s\n' "$before") <(printf '%s\n' "$after") >&2 || true
+    exit 1
+  fi
 }
 
 usage() {

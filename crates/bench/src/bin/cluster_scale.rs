@@ -2,9 +2,8 @@
 //! storage layers at cluster scale — 1M HDFS files, 100k Kafka
 //! partitions, 10k YARN applications through the discrete-event
 //! simulator — checks the structural invariants the refactor introduced
-//! (interning ratios, vacuum idempotence, slab slot recycling), prints a
-//! JSON summary, and appends it to the `BENCH_scale.json` trajectory at
-//! the repo root.
+//! (interning ratios, vacuum idempotence, slab slot recycling), and prints
+//! a JSON summary.
 //!
 //! The shape exists because the seed's substrates could not survive it:
 //! `BTreeMap<Vec<String>, INode>` namespaces cloned every path component
@@ -16,7 +15,6 @@
 //! Usage: `cluster_scale`, or `cluster_scale --smoke` for the CI gate
 //! (reduced shape, asserts the committed event-rate floor).
 
-use csi_bench::trajectory;
 use csi_core::sim::{Ops, Sim};
 use minihdfs::{HdfsPath, MiniHdfs};
 use minikafka::{MiniKafka, PartitionId};
@@ -75,7 +73,7 @@ const SMOKE: Shape = Shape {
     sim_events: 1_000_000,
 };
 
-/// The JSON document this binary prints and appends to `BENCH_scale.json`.
+/// The JSON document this binary prints.
 #[derive(Serialize)]
 struct Summary {
     /// Files created in the namenode.
@@ -328,7 +326,6 @@ fn main() {
         "BENCH_scale {}",
         serde_json::to_string(&summary).expect("serializable")
     );
-    trajectory::append("BENCH_scale.json", "cluster_scale", &summary).expect("trajectory append");
 
     assert!(summary.vacuum_identical, "vacuum changed the namespace");
     assert!(

@@ -13,7 +13,6 @@
 //! Usage: `corpus_explore [seed] [budget] [workers]` — seed defaults to
 //! 42, budget to 400, workers to the machine's available parallelism.
 
-use csi_bench::trajectory;
 use csi_test::{generate_inputs, Campaign, CorpusShape, InputSelection};
 use serde::Serialize;
 
@@ -107,7 +106,6 @@ fn main() {
         "BENCH_corpus {}",
         serde_json::to_string(&summary).expect("serializable")
     );
-    trajectory::append("BENCH_corpus.json", "corpus_explore", &summary).expect("trajectory append");
     assert!(identical, "sharded corpus explore run diverged from serial");
     assert!(
         summary.corpus_only_signatures >= 1,

@@ -9,7 +9,6 @@
 //! Usage: `explore [seed] [budget] [workers]` — seed defaults to 42,
 //! budget to 1500, workers to the machine's available parallelism.
 
-use csi_bench::trajectory;
 use csi_test::{generate_inputs, Campaign};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -84,7 +83,6 @@ fn main() {
         "BENCH_explore {}",
         serde_json::to_string(&summary).expect("serializable")
     );
-    trajectory::append("BENCH_explore.json", "explore", &summary).expect("trajectory append");
     assert!(identical, "sharded explore run diverged from serial");
     assert!(
         summary.novel_from_mutation >= 1,

@@ -7,7 +7,6 @@
 //! Usage: `fault_matrix [seed] [workers]` — seed defaults to 42, workers
 //! to the machine's available parallelism.
 
-use csi_bench::trajectory;
 use csi_test::{fault_catalogue, Campaign};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -86,7 +85,6 @@ fn main() {
         "BENCH_fault_matrix {}",
         serde_json::to_string(&summary).expect("serializable")
     );
-    trajectory::append("BENCH_campaign.json", "fault_matrix", &summary).expect("trajectory append");
     assert!(
         identical,
         "sharded fault-matrix report diverged from serial"

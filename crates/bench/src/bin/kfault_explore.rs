@@ -10,7 +10,6 @@
 //! Usage: `kfault_explore [seed] [budget] [workers]` — seed defaults to
 //! 42, budget to 96, workers to the machine's available parallelism.
 
-use csi_bench::trajectory;
 use csi_test::Campaign;
 use serde::Serialize;
 
@@ -95,8 +94,6 @@ fn main() {
         "BENCH_kfault_explore {}",
         serde_json::to_string(&summary).expect("serializable")
     );
-    trajectory::append("BENCH_explore.json", "kfault_explore", &summary)
-        .expect("trajectory append");
     assert!(identical, "sharded compound run diverged from serial");
     assert!(
         summary.executed <= summary.budget,

@@ -1,13 +1,15 @@
 //! Regenerates the paper's artefacts, one per subcommand: `paper table1` …
-//! `paper table9`, `paper figure1` … `paper figure3`, and the artifact's
+//! `paper table9`, `paper figure1` … `paper figure3`, the artifact's
 //! three experiment scripts (`paper spark_e2e`, `paper spark_hive_oneway`,
-//! `paper hive_spark_oneway`). Each prints the artefact beside
+//! `paper hive_spark_oneway`), and `paper findings`, `paper incidents`,
+//! `paper dataset`, `paper section8`. Each prints the artefact beside
 //! "paper vs measured" lines; see DESIGN.md's per-experiment index.
 
 use csi_bench::tables::{compare, header, run_artifact_experiment};
 use csi_core::boundary::CrossingContext;
+use csi_study::incidents::{load_incidents, median_csi_duration};
 use csi_study::{analyze, render, Dataset};
-use csi_test::Experiment;
+use csi_test::{active_ids, generate_inputs, Campaign, CrossTestConfig, Experiment};
 use miniflink::yarn_driver::{
     capacity_scheduler, check_allocation_consistency, fair_scheduler, flink_predicted_allocation,
     run_driver, DriverMode, DriverRun,
@@ -18,7 +20,8 @@ use miniyarn::config::default_yarn_config;
 use miniyarn::Resource;
 
 const USAGE: &str = "usage: paper <table1..table9 | figure1..figure3 | \
-                     spark_e2e | spark_hive_oneway | hive_spark_oneway>";
+                     spark_e2e | spark_hive_oneway | hive_spark_oneway | \
+                     findings | incidents | dataset | section8>";
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_default();
@@ -38,6 +41,10 @@ fn main() {
         "spark_e2e" => run_artifact_experiment(Experiment::SparkToSpark),
         "spark_hive_oneway" => run_artifact_experiment(Experiment::SparkToHive),
         "hive_spark_oneway" => run_artifact_experiment(Experiment::HiveToSpark),
+        "findings" => findings(&Dataset::load()),
+        "incidents" => incidents(),
+        "dataset" => dataset(&Dataset::load()),
+        "section8" => section8(),
         _ => {
             eprintln!("{USAGE}");
             std::process::exit(2);
@@ -278,5 +285,111 @@ fn figure3() {
         "fair deployment reproduces 'Could not allocate the required resource'",
         "true",
         matches!(&fair, Err(e) if e.to_string().contains("Could not allocate")),
+    );
+}
+
+/// Findings 1–13 and the CBS comparison, recomputed.
+fn findings(ds: &Dataset) {
+    for f in csi_study::findings::all_findings(ds) {
+        let verdict = if f.holds { "HOLDS" } else { "FAILS" };
+        println!("Finding {:>2} [{verdict}] {}", f.number, f.statement);
+        println!("            measured: {}", f.evidence);
+    }
+    println!("\n{}", csi_study::findings::cbs_comparison());
+    println!(
+        "Section 5.3: {}% of Spark's integration tests cross-test dependent systems",
+        csi_study::cbs::sampling::SPARK_CROSS_TEST_PERCENT
+    );
+}
+
+/// Section 3: the cloud-incident statistics.
+fn incidents() {
+    let incidents = load_incidents();
+    let csi: Vec<_> = incidents.iter().filter(|i| i.is_csi).collect();
+    for i in &csi {
+        println!(
+            "{:<12} {:?}  {:>5} min  cascading={:<5}  {}",
+            i.id,
+            i.provider,
+            i.duration_minutes.unwrap_or(0),
+            i.impaired_external,
+            &i.summary[..i.summary.len().min(80)]
+        );
+    }
+    compare("incidents studied", 55, incidents.len());
+    compare("CSI-failure-induced incidents", 11, csi.len());
+    compare(
+        "median CSI incident duration (min)",
+        106,
+        median_csi_duration(&incidents),
+    );
+    compare(
+        "CSI incidents impairing external services",
+        8,
+        csi.iter().filter(|i| i.impaired_external).count(),
+    );
+    compare(
+        "reports mentioning interaction code fixes",
+        4,
+        csi.iter().filter(|i| i.mentions_interaction_fix).count(),
+    );
+}
+
+/// The reconstructed 120-case dataset as JSON (artifact parity with the
+/// paper's CSV/notebook data release).
+fn dataset(ds: &Dataset) {
+    println!(
+        "{}",
+        serde_json::to_string_pretty(ds).expect("dataset serializes")
+    );
+}
+
+/// Section 8: the Spark–Hive cross-testing case study — the 422-input
+/// catalogue, the 15 discrepancies, their category totals, and the
+/// custom-configuration resolution.
+fn section8() {
+    let inputs = generate_inputs();
+    let valid = inputs
+        .iter()
+        .filter(|i| i.validity == csi_test::Validity::Valid)
+        .count();
+    header("Section 8.1: test inputs");
+    compare("generated inputs", 422, inputs.len());
+    compare("valid inputs", 210, valid);
+    compare("invalid inputs", 212, inputs.len() - valid);
+
+    header("Section 8.2: cross-testing under the default configuration");
+    let outcome = Campaign::new(&inputs).run();
+    print!("{}", outcome.report.render());
+    compare("distinct discrepancies", 15, outcome.report.distinct());
+    let paper_counts = [2usize, 2, 5, 7, 8];
+    for ((category, measured), paper) in outcome
+        .report
+        .category_counts()
+        .into_iter()
+        .zip(paper_counts)
+    {
+        compare(&category.to_string(), paper, measured);
+    }
+    compare(
+        "unattributed oracle failures",
+        0,
+        outcome.report.unattributed.len(),
+    );
+
+    header("Section 8.2: custom (non-default) configuration resolves 8 discrepancies");
+    let custom = Campaign::new(&inputs)
+        .spark_overrides(CrossTestConfig::custom_resolving_overrides())
+        .run();
+    let before = active_ids(&outcome.report);
+    let after = active_ids(&custom.report);
+    let resolved: Vec<&String> = before.iter().filter(|d| !after.contains(d)).collect();
+    println!("  active before: {before:?}");
+    println!("  active after:  {after:?}");
+    println!("  resolved:      {resolved:?}");
+    compare(
+        "discrepancies resolved by custom configuration",
+        8,
+        resolved.len(),
     );
 }

@@ -311,9 +311,9 @@ impl Default for CrossingContext {
 }
 
 impl CrossingContext {
-    fn with_enabled(registry: InjectionRegistry, enabled: bool) -> CrossingContext {
+    fn with_enabled(enabled: bool) -> CrossingContext {
         CrossingContext {
-            registry,
+            registry: InjectionRegistry::new(),
             state: Arc::new(Mutex::new(ContextState {
                 enabled,
                 clock_ms: 0,
@@ -326,19 +326,13 @@ impl CrossingContext {
 
     /// A tracing context with a fresh, empty registry.
     pub fn new() -> CrossingContext {
-        CrossingContext::with_enabled(InjectionRegistry::new(), true)
+        CrossingContext::with_enabled(true)
     }
 
     /// A context that drives its registry identically but records no
     /// trace — for pinning that tracing is side-effect-free.
     pub fn disabled() -> CrossingContext {
-        CrossingContext::with_enabled(InjectionRegistry::new(), false)
-    }
-
-    /// A tracing context around an existing registry (the bridge the
-    /// `set_injection` compatibility shims use).
-    pub fn with_registry(registry: InjectionRegistry) -> CrossingContext {
-        CrossingContext::with_enabled(registry, true)
+        CrossingContext::with_enabled(false)
     }
 
     /// Whether this context records crossings.

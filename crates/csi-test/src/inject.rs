@@ -215,8 +215,7 @@ pub fn small_fault_catalogue(seed: u64) -> FaultPlan {
 /// Configuration of a fault-matrix campaign.
 #[derive(Debug, Clone)]
 pub struct FaultMatrixConfig {
-    /// Seed recorded in the report (and used to derive the catalogue when
-    /// built through [`FaultMatrixConfig::standard`]).
+    /// Seed recorded in the report.
     pub seed: u64,
     /// Experiments whose (plan × format) cross probes metastore and HDFS
     /// faults.
@@ -237,40 +236,6 @@ pub struct FaultMatrixConfig {
     /// observe, so a tapped matrix stays byte-identical to an untapped
     /// one. Ignored unless `detect` is set.
     pub tap: Option<DetectionTap>,
-}
-
-impl FaultMatrixConfig {
-    /// The standard campaign: the full catalogue against the full
-    /// experiment × format cross.
-    pub fn standard(seed: u64) -> FaultMatrixConfig {
-        FaultMatrixConfig {
-            seed,
-            experiments: Experiment::ALL.to_vec(),
-            formats: StorageFormat::ALL.to_vec(),
-            faults: fault_catalogue(seed),
-            detect: None,
-            tap: None,
-        }
-    }
-
-    /// The smoke campaign: the small catalogue against one experiment and
-    /// one format, cheap enough for CI and property tests.
-    pub fn smoke(seed: u64) -> FaultMatrixConfig {
-        FaultMatrixConfig {
-            seed,
-            experiments: vec![Experiment::ALL[0]],
-            formats: vec![StorageFormat::Orc],
-            faults: small_fault_catalogue(seed),
-            detect: None,
-            tap: None,
-        }
-    }
-
-    /// Enables online detection with default thresholds.
-    pub fn with_detection(mut self) -> FaultMatrixConfig {
-        self.detect = Some(DetectorConfig::default());
-        self
-    }
 }
 
 /// One cell of the fault matrix: a fault crossed with a scenario.
@@ -927,7 +892,15 @@ mod tests {
 
     #[test]
     fn sharded_matrix_is_byte_identical_to_serial() {
-        let config = FaultMatrixConfig::smoke(11);
+        // The small catalogue against one experiment and one format.
+        let config = FaultMatrixConfig {
+            seed: 11,
+            experiments: vec![Experiment::ALL[0]],
+            formats: vec![StorageFormat::Orc],
+            faults: small_fault_catalogue(11),
+            detect: None,
+            tap: None,
+        };
         let json = |r: &FaultMatrixReport| serde_json::to_string(r).unwrap();
         let serial = json(&run_fault_matrix(&config, 1));
         assert_eq!(serial, json(&run_fault_matrix(&config, 0)));

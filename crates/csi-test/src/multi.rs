@@ -54,6 +54,12 @@ pub const TURNS_PER_JOB: usize = 3;
 /// Trials scheduled (and absorbed) per coverage round.
 const ROUND: usize = 8;
 
+/// Seeded interleavings drawn per campaign, beyond identity.
+const SCHEDULES: usize = 3;
+
+/// Seeded fault combinations drawn per arity (k = 2, 3).
+const SETS_PER_K: usize = 6;
+
 /// One job of a compound trial: a cross-test cell that will be decomposed
 /// into create/insert/read turns on the shared deployment.
 #[derive(Debug, Clone)]
@@ -366,15 +372,10 @@ pub struct CompoundConfig {
     /// Worker threads; `0` or `1` runs serially. Byte-identical results at
     /// any worker count.
     pub shards: usize,
-    /// Seeded interleavings drawn per campaign, beyond identity.
-    pub schedules: usize,
-    /// Seeded fault combinations drawn per arity (k = 2, 3).
-    pub sets_per_k: usize,
 }
 
 impl CompoundConfig {
-    /// The standard compound campaign: two jobs, three seeded
-    /// interleavings, six seeded sets per arity, a 96-trial budget.
+    /// The standard compound campaign: two jobs, a 96-trial budget.
     pub fn new(seed: u64, kfaults: usize) -> CompoundConfig {
         CompoundConfig {
             seed,
@@ -382,8 +383,6 @@ impl CompoundConfig {
             jobs: 2,
             budget: 96,
             shards: 1,
-            schedules: 3,
-            sets_per_k: 6,
         }
     }
 }
@@ -436,9 +435,9 @@ pub fn run_compound(config: &CompoundConfig) -> CompoundResult {
         .into_iter()
         .filter(|f| matches!(f.channel, Channel::Metastore | Channel::Hdfs))
         .collect();
-    let sets = fault_combinations(&catalogue, kfaults, config.seed, config.sets_per_k);
+    let sets = fault_combinations(&catalogue, kfaults, config.seed, SETS_PER_K);
     let mut schedules = vec![InterleaveSchedule::identity(jobs.len(), TURNS_PER_JOB)];
-    for i in 0..config.schedules {
+    for i in 0..SCHEDULES {
         schedules.push(InterleaveSchedule::seeded(
             jobs.len(),
             TURNS_PER_JOB,

@@ -11,7 +11,6 @@
 
 use csi_core::boundary::CrossingContext;
 use csi_core::config::ConfigMap;
-use csi_core::fault::InjectionRegistry;
 use csi_core::sim::{Millis, Ops, Sim};
 use miniyarn::config as yarn_config;
 use miniyarn::scheduler::{CapacityScheduler, FairScheduler, Scheduler};
@@ -208,20 +207,15 @@ impl Default for DriverRun {
 /// assert_eq!(stats.total_requested, 200);
 /// ```
 pub fn run_driver(params: DriverRun) -> DriverStats {
-    run_driver_with(params, None)
-}
-
-/// Like [`run_driver`], with an optional fault-injection registry armed
-/// into the ResourceManager — injected allocation latency reproduces the
-/// FLINK-12342 regime without touching the driver's own parameters, and
-/// injected RM failures exercise the driver's error path.
-pub fn run_driver_with(params: DriverRun, injection: Option<InjectionRegistry>) -> DriverStats {
-    run_driver_traced(params, injection.map(CrossingContext::with_registry))
+    run_driver_traced(params, None)
 }
 
 /// Like [`run_driver`], with the deployment's crossing context wired into
 /// the ResourceManager, so every AM–RM heartbeat of the simulated driver
-/// is recorded (and injectable) as a YARN boundary crossing.
+/// is recorded (and injectable) as a YARN boundary crossing — injected
+/// allocation latency reproduces the FLINK-12342 regime without touching
+/// the driver's own parameters, and injected RM failures exercise the
+/// driver's error path.
 pub fn run_driver_traced(params: DriverRun, crossing: Option<CrossingContext>) -> DriverStats {
     let mut rm = ResourceManager::with_nodes(64, Resource::new(1 << 22, 1 << 12));
     rm.set_alloc_service_ms(params.alloc_service_ms);
@@ -383,21 +377,21 @@ mod tests {
         // Regression: the heartbeat used to `expect()` the allocate call;
         // under an injected RM outage that was a panic, not an error.
         use csi_core::fault::{Channel, FaultKind, FaultSpec, Trigger};
-        let reg = InjectionRegistry::new();
-        reg.arm(FaultSpec {
+        let ctx = CrossingContext::new();
+        ctx.arm(FaultSpec {
             id: "rm-down".into(),
             channel: Channel::Yarn,
             op: "allocate".into(),
             kind: FaultKind::Unavailable,
             trigger: Trigger::Always,
         });
-        let stats = run_driver_with(
+        let stats = run_driver_traced(
             DriverRun {
                 target: 10,
                 deadline_ms: 5_000,
                 ..DriverRun::default()
             },
-            Some(reg),
+            Some(ctx),
         );
         assert_eq!(stats.error, Some(YarnError::RmUnavailable));
         assert_eq!(stats.started, 0);
@@ -410,8 +404,8 @@ mod tests {
         // the no-storm regime (tiny job, fast allocation), but injected
         // per-ask latency pushes allocation past the heartbeat interval.
         use csi_core::fault::{Channel, FaultKind, FaultSpec, Trigger};
-        let reg = InjectionRegistry::new();
-        reg.arm(FaultSpec {
+        let ctx = CrossingContext::new();
+        ctx.arm(FaultSpec {
             id: "rm-slow".into(),
             channel: Channel::Yarn,
             op: "allocate".into(),
@@ -426,7 +420,7 @@ mod tests {
         };
         let clean = run_driver(params);
         assert_eq!(clean.total_requested, 20, "control run must not storm");
-        let slow = run_driver_with(params, Some(reg));
+        let slow = run_driver_traced(params, Some(ctx));
         assert!(slow.error.is_none(), "latency is not an error");
         assert!(
             slow.total_requested > 20 * 3,

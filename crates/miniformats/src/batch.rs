@@ -2,8 +2,7 @@
 //!
 //! A [`RecordBatch`] holds one contiguous typed buffer per column — plain
 //! `Vec`s for fixed-width types, offset/byte buffers for strings and
-//! binaries, an optional dictionary encoding for repetitive strings, and a
-//! validity [`Bitmap`] per column — instead of the row-major
+//! binaries, and a validity [`Bitmap`] per column — instead of the row-major
 //! `Vec<Vec<PhysicalValue>>` representation. Appending and scanning a
 //! primitive column touches no per-cell heap allocation and no
 //! `PhysicalValue` enum construction, which is where the row-oriented data
@@ -25,7 +24,6 @@
 use crate::physical::{value_matches, FileSchema, PhysicalType, PhysicalValue};
 use crate::wire::{self, FormatRules, Writer};
 use crate::FormatError;
-use std::collections::HashMap;
 
 /// A validity bitmap: bit set ⇒ the slot holds a value, clear ⇒ NULL.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -196,56 +194,6 @@ impl VarBuffer {
     }
 }
 
-/// Dictionary-encoded strings: one `u32` code per cell indexing into a
-/// deduplicated [`VarBuffer`] of distinct values. Worth it when the same
-/// strings repeat across millions of rows (generated bulk tables).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StringDictionary {
-    codes: Vec<u32>,
-    values: VarBuffer,
-    index: HashMap<String, u32>,
-}
-
-impl StringDictionary {
-    /// An empty dictionary column.
-    pub fn new() -> StringDictionary {
-        StringDictionary::default()
-    }
-
-    /// Appends one cell, interning its value.
-    pub fn push(&mut self, s: &str) {
-        if let Some(code) = self.index.get(s) {
-            self.codes.push(*code);
-            return;
-        }
-        let code = u32::try_from(self.values.len()).expect("dictionary under 2^32 entries");
-        self.values.push(s.as_bytes());
-        self.index.insert(s.to_string(), code);
-        self.codes.push(code);
-    }
-
-    /// The string of cell `i`.
-    pub fn get(&self, i: usize) -> &str {
-        let b = self.values.get(self.codes[i] as usize);
-        std::str::from_utf8(b).expect("interned from &str")
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Whether the column has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// Number of distinct values.
-    pub fn distinct(&self) -> usize {
-        self.values.len()
-    }
-}
-
 /// The typed buffer of one column. NULL slots hold an arbitrary placeholder
 /// in the buffer; the validity bitmap is authoritative.
 #[derive(Debug, Clone, PartialEq)]
@@ -274,8 +222,6 @@ pub enum ColumnData {
     },
     /// UTF-8 strings.
     Utf8(VarBuffer),
-    /// Dictionary-encoded UTF-8 strings.
-    DictUtf8(StringDictionary),
     /// Raw byte arrays.
     Bytes(VarBuffer),
     /// Nested (list/map/struct) cells, row-wise. Also the lenient fallback
@@ -329,15 +275,6 @@ impl Column {
         }
     }
 
-    /// An empty dictionary-encoded string column.
-    pub fn dictionary(cap: usize) -> Column {
-        let _ = cap;
-        Column {
-            validity: Bitmap::new(),
-            data: ColumnData::DictUtf8(StringDictionary::new()),
-        }
-    }
-
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.validity.len()
@@ -364,7 +301,6 @@ impl Column {
                 scale.push(0);
             }
             ColumnData::Utf8(b) => b.push(b""),
-            ColumnData::DictUtf8(d) => d.push(""),
             ColumnData::Bytes(b) => b.push(b""),
             ColumnData::Nested(v) => v.push(PhysicalValue::Null),
         }
@@ -396,7 +332,6 @@ impl Column {
                 scale.push(*s);
             }
             (ColumnData::Utf8(buf), PhysicalValue::Utf8(s)) => buf.push(s.as_bytes()),
-            (ColumnData::DictUtf8(d), PhysicalValue::Utf8(s)) => d.push(s),
             (ColumnData::Bytes(buf), PhysicalValue::Bytes(b)) => buf.push(b),
             (ColumnData::Nested(buf), v) => buf.push(v.clone()),
             _ => return false,
@@ -427,7 +362,6 @@ impl Column {
                     .expect("validated on push")
                     .to_string(),
             ),
-            ColumnData::DictUtf8(d) => PhysicalValue::Utf8(d.get(i).to_string()),
             ColumnData::Bytes(b) => PhysicalValue::Bytes(b.get(i).to_vec()),
             ColumnData::Nested(v) => v[i].clone(),
         }
@@ -491,7 +425,6 @@ impl Column {
                 w.u8(scale[i]);
             }
             ColumnData::Utf8(b) => write_var_cell(w, 9, b, i),
-            ColumnData::DictUtf8(d) => write_var_cell(w, 9, &d.values, d.codes[i] as usize),
             ColumnData::Bytes(b) => write_var_cell(w, 10, b, i),
             ColumnData::Nested(v) => wire::write_value(w, &v[i]),
         }
@@ -642,7 +575,7 @@ pub fn encode(rules: &FormatRules, batch: &RecordBatch) -> Result<Vec<u8>, Forma
             ColumnData::Decimal { .. } => n * 12,
             ColumnData::Utf8(b) => n * 4 + b.byte_len(),
             ColumnData::Bytes(b) => n * 4 + b.byte_len(),
-            ColumnData::DictUtf8(_) | ColumnData::Nested(_) => n * 16,
+            ColumnData::Nested(_) => n * 16,
         };
     }
     let mut w = Writer {
@@ -699,7 +632,7 @@ fn expected_tag(data: &ColumnData) -> Option<u8> {
         ColumnData::Float32(_) => 6,
         ColumnData::Float64(_) => 7,
         ColumnData::Decimal { .. } => 8,
-        ColumnData::Utf8(_) | ColumnData::DictUtf8(_) => 9,
+        ColumnData::Utf8(_) => 9,
         ColumnData::Bytes(_) => 10,
         ColumnData::Nested(_) => return None,
     })
@@ -885,32 +818,6 @@ mod tests {
         assert_eq!(batch.schema, row_schema);
         // NaN breaks PartialEq on rows; compare via debug strings.
         assert_eq!(format!("{:?}", batch.to_rows()), format!("{row_rows:?}"));
-    }
-
-    #[test]
-    fn dictionary_column_encodes_like_plain_strings() {
-        let schema = FileSchema::of(vec![("s", PhysicalType::Utf8)]);
-        let words = ["alpha", "beta", "alpha", "alpha", "gamma", "beta"];
-        let rows: Vec<Vec<PhysicalValue>> = words
-            .iter()
-            .map(|w| vec![PhysicalValue::Utf8((*w).to_string())])
-            .collect();
-        let mut dict = Column::dictionary(words.len());
-        for w in words {
-            assert!(dict.push_checked(&PhysicalValue::Utf8(w.to_string())));
-        }
-        match &dict.data {
-            ColumnData::DictUtf8(d) => assert_eq!(d.distinct(), 3),
-            other => panic!("{other:?}"),
-        }
-        let batch = RecordBatch {
-            schema: schema.clone(),
-            columns: vec![dict],
-        };
-        assert_eq!(
-            encode(&RULES, &batch).unwrap(),
-            wire::encode(&RULES, &schema, &rows).unwrap()
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod parquet;
 pub mod physical;
 pub mod wire;
 
-pub use batch::{Bitmap, Column, ColumnData, RecordBatch, StringDictionary, VarBuffer};
+pub use batch::{Bitmap, Column, ColumnData, RecordBatch, VarBuffer};
 pub use physical::{FileMeta, FileSchema, PhysicalColumn, PhysicalType, PhysicalValue};
 
 use std::fmt;

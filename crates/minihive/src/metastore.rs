@@ -9,7 +9,7 @@
 use crate::error::HiveError;
 use crate::types::HiveType;
 use csi_core::boundary::{BoundaryCall, CrossingContext};
-use csi_core::fault::{Channel, InjectionRegistry};
+use csi_core::fault::Channel;
 use minihdfs::{HdfsPath, MiniHdfs};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -132,13 +132,6 @@ impl Metastore {
             next_part: 0,
             crossing: None,
         }
-    }
-
-    /// Attaches a fault-injection registry by wrapping it in a tracing
-    /// [`CrossingContext`]; every metastore RPC entry point routes through
-    /// it.
-    pub fn set_injection(&mut self, registry: InjectionRegistry) {
-        self.set_crossing(CrossingContext::with_registry(registry));
     }
 
     /// Attaches the deployment's crossing context; every metastore RPC

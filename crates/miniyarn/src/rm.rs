@@ -16,7 +16,7 @@ use crate::resource::Resource;
 use crate::scheduler::{scheduler_from_config, Scheduler, SchedulerKind};
 use csi_core::boundary::{BoundaryCall, CrossingContext};
 use csi_core::config::ConfigMap;
-use csi_core::fault::{Channel, InjectionRegistry};
+use csi_core::fault::Channel;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Identifier of a registered application (application master).
@@ -321,15 +321,9 @@ impl ResourceManager {
         }
     }
 
-    /// Attaches a fault-injection registry by wrapping it in a tracing
-    /// [`CrossingContext`]; RM request entry points route through it, and
-    /// injected latency slows the allocation pipeline.
-    pub fn set_injection(&mut self, registry: InjectionRegistry) {
-        self.set_crossing(CrossingContext::with_registry(registry));
-    }
-
     /// Attaches the deployment's crossing context; every RM request entry
-    /// point crosses the [`Channel::Yarn`] boundary through it.
+    /// point crosses the [`Channel::Yarn`] boundary through it, and
+    /// injected latency slows the allocation pipeline.
     pub fn set_crossing(&mut self, crossing: CrossingContext) {
         self.crossing = Some(crossing);
     }

@@ -11,7 +11,7 @@ use csi::cross_test::{
 
 fn main() {
     // Hand-pick three revealing inputs (the full catalogue has 422; see
-    // `cargo run -p csi-bench --bin section8`).
+    // `cargo run -p csi-bench --bin paper -- section8`).
     let inputs = vec![
         TestInput {
             id: 0,
