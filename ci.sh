@@ -113,26 +113,30 @@ stage_serve() {
 
 # Stages are shell functions and `timeout` needs a process: run the
 # function in a child bash. `timeout` signals the child's whole process
-# group, so a wedged cargo or test binary dies with it.
+# group, so a wedged cargo or test binary dies with it. Each stage's wall
+# time is printed when it ends — the cost of the suite is a number a
+# reader of the log sees, and nothing is written to the tree.
 run_stage() {
-  local fn="stage_${1//-/_}"
+  local fn="stage_${1//-/_}" started=$SECONDS
   export -f "$fn"
   timeout "$STAGE_TIMEOUT" bash -euo pipefail -c "$fn" || {
     local rc=$?
     [ "$rc" = 124 ] && echo "stage $1 timed out after ${STAGE_TIMEOUT}s" >&2
     exit "$rc"
   }
+  echo "==> stage $1 took $((SECONDS - started))s"
 }
 
 # No stage may write to a tracked file or leave an unignored one behind:
 # the same checkout must give the same verdict and the same tree twice.
 # (Outside a git checkout both snapshots are empty and the check is void.)
 stage_all() {
-  local s before after
+  local s before after started=$SECONDS
   before="$(git status --porcelain 2>/dev/null || true)"
   for s in "${STAGES[@]}"; do
     run_stage "$s"
   done
+  echo "==> all stages took $((SECONDS - started))s"
   after="$(git status --porcelain 2>/dev/null || true)"
   if [ "$before" != "$after" ]; then
     echo "ci.sh changed the work tree:" >&2

@@ -4,17 +4,25 @@
 //! entering another system through a Table 1 channel. This module gives
 //! that crossing a single choke point. A [`BoundaryCall`] describes the
 //! crossing (channel, endpoints, plane, operation, payload digest); a
-//! [`CrossingContext`] owns the [`InjectionRegistry`] hook, a virtual
-//! latency clock, and an append-only [`InteractionTrace`] sink. Connector
-//! layers call [`CrossingContext::cross`] at the entry of every
-//! interaction-facing operation instead of hand-rolling the
+//! [`CrossingContext`] is the one object behind it: the armed faults with
+//! their per-observation call counters and fired log, a virtual latency
+//! clock, and an append-only [`InteractionTrace`], all under a single
+//! lock. Connector layers call [`CrossingContext::cross`] at the entry of
+//! every interaction-facing operation instead of hand-rolling the
 //! interpose-then-materialize pattern, so fault injection and tracing
 //! happen in exactly one place — and wiring a new channel is one
-//! [`FaultPoint`] impl plus `cross(...)` calls.
+//! [`FaultPoint`] impl plus `cross(...)` calls. The code that counts a
+//! call and picks the fault that fires is private to this module: no
+//! connector can interpose any other way.
 //!
-//! Tracing is side-effect-free: a disabled context drives the registry
+//! Everything is deterministic: triggers count calls per `(channel, op)`
+//! pair, counters are reset per observation by the executor, and no wall
+//! clock or OS randomness is involved, so fault campaigns replay
+//! byte-identically across runs and worker counts.
+//!
+//! Tracing is side-effect-free: a disabled context counts and fires
 //! identically (same counters, same fired faults, same virtual delay) and
-//! merely skips the sink, so trace-disabled campaigns reproduce traced
+//! merely skips the trace, so trace-disabled campaigns reproduce traced
 //! campaigns byte-for-byte modulo the trace fields. Payload digests mask
 //! runs of ASCII digits before hashing, so generated artifact names
 //! (`part-00017.csv`) digest identically regardless of how deployments
@@ -22,8 +30,7 @@
 //! between serial and sharded runs.
 
 use crate::fault::{
-    Channel, FaultKind, FaultPlan, FaultPoint, FaultSpec, InjectedFault, InjectionRegistry,
-    Interception,
+    Channel, FaultKind, FaultPlan, FaultPoint, FaultSet, FaultSpec, InjectedFault, Trigger,
 };
 use crate::hash::Fnv1a;
 use crate::plane::{InteractionKind, Plane, SystemId};
@@ -271,8 +278,13 @@ pub trait CrossingSink: Send {
     fn on_crossing(&mut self, crossing: &Crossing);
 }
 
+#[derive(Default)]
 struct ContextState {
     enabled: bool,
+    armed: Vec<FaultSpec>,
+    calls: BTreeMap<(Channel, String), u64>,
+    fired: Vec<InjectedFault>,
+    delay_ms: u64,
     clock_ms: u64,
     next_seq: u64,
     trace: InteractionTrace,
@@ -283,6 +295,10 @@ impl fmt::Debug for ContextState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ContextState")
             .field("enabled", &self.enabled)
+            .field("armed", &self.armed)
+            .field("calls", &self.calls)
+            .field("fired", &self.fired)
+            .field("delay_ms", &self.delay_ms)
             .field("clock_ms", &self.clock_ms)
             .field("next_seq", &self.next_seq)
             .field("trace", &self.trace)
@@ -291,16 +307,52 @@ impl fmt::Debug for ContextState {
     }
 }
 
+impl ContextState {
+    /// Counts one call on `(channel, op)` against the armed faults and
+    /// returns the fault that fires on it, if any: the first armed match
+    /// wins. The fault is logged as fired, and a latency fault raises the
+    /// virtual delay. With nothing armed the call is not even counted.
+    fn fire(&mut self, channel: Channel, op: &str) -> Option<InjectedFault> {
+        if self.armed.is_empty() {
+            return None;
+        }
+        let counter = self.calls.entry((channel, op.to_string())).or_insert(0);
+        let call = *counter;
+        *counter += 1;
+        let spec = self.armed.iter().find(|s| {
+            s.channel == channel
+                && s.op == op
+                && match s.trigger {
+                    Trigger::Always => true,
+                    Trigger::OnCall(n) => n == call,
+                }
+        })?;
+        let fault = InjectedFault {
+            spec_id: spec.id.clone(),
+            channel,
+            op: op.to_string(),
+            kind: spec.kind,
+            call,
+        };
+        self.fired.push(fault.clone());
+        if let FaultKind::Latency { ms } = fault.kind {
+            self.delay_ms = self.delay_ms.max(ms);
+        }
+        Some(fault)
+    }
+}
+
 /// The per-deployment crossing context: the single choke point every
 /// connector-layer operation routes through.
 ///
-/// Owns the [`InjectionRegistry`] (fault hook), a virtual latency clock,
-/// and the [`InteractionTrace`] sink. Cloned into every mini-system a
-/// deployment wires together, so all crossings of one observation land in
-/// one causally ordered trace.
+/// One state behind one lock: the armed faults, their per-observation
+/// call counters, fired log and accumulated delay, the virtual latency
+/// clock, and the [`InteractionTrace`]. Cloned into every mini-system a
+/// deployment wires together — clones share that state — so all connector
+/// layers of one deployment observe the same call counters and all
+/// crossings of one observation land in one causally ordered trace.
 #[derive(Debug, Clone)]
 pub struct CrossingContext {
-    registry: InjectionRegistry,
     state: Arc<Mutex<ContextState>>,
 }
 
@@ -313,73 +365,74 @@ impl Default for CrossingContext {
 impl CrossingContext {
     fn with_enabled(enabled: bool) -> CrossingContext {
         CrossingContext {
-            registry: InjectionRegistry::new(),
             state: Arc::new(Mutex::new(ContextState {
                 enabled,
-                clock_ms: 0,
-                next_seq: 0,
-                trace: InteractionTrace::default(),
-                sink: None,
+                ..ContextState::default()
             })),
         }
     }
 
-    /// A tracing context with a fresh, empty registry.
+    /// A tracing context with nothing armed.
     pub fn new() -> CrossingContext {
         CrossingContext::with_enabled(true)
     }
 
-    /// A context that drives its registry identically but records no
-    /// trace — for pinning that tracing is side-effect-free.
+    /// A context that counts and fires identically but records no trace —
+    /// for pinning that tracing is side-effect-free.
     pub fn disabled() -> CrossingContext {
         CrossingContext::with_enabled(false)
     }
 
-    /// Whether this context records crossings.
-    pub fn is_enabled(&self) -> bool {
-        self.state.lock().enabled
-    }
-
-    /// Arms one fault in the underlying registry.
+    /// Arms one fault.
     pub fn arm(&self, spec: FaultSpec) {
-        self.registry.arm(spec);
+        self.state.lock().armed.push(spec);
     }
 
     /// Arms every fault of a plan.
     pub fn arm_plan(&self, plan: &FaultPlan) {
-        self.registry.arm_plan(plan);
+        self.state.lock().armed.extend(plan.faults.iter().cloned());
     }
 
-    /// Arms every member of a k-fault combination.
-    pub fn arm_set(&self, set: &crate::fault::FaultSet) {
-        self.registry.arm_set(set);
+    /// Arms every member of a k-fault combination simultaneously. Members
+    /// on distinct `(channel, op)` pairs all fire independently; on a
+    /// shared pair the first armed match wins, same as
+    /// [`arm_plan`](CrossingContext::arm_plan).
+    pub fn arm_set(&self, set: &FaultSet) {
+        self.state.lock().armed.extend(set.faults.iter().cloned());
     }
 
-    /// Removes every armed fault from the underlying registry (counters
-    /// and the fired log are cleared separately by
-    /// [`reset`](CrossingContext::reset)). Deployment pools call this
-    /// when a deployment is returned, so a recycled stack can never
-    /// replay the previous campaign's fault plan.
+    /// Removes every armed fault (counters and the fired log are cleared
+    /// separately by [`reset`](CrossingContext::reset)). Deployment pools
+    /// call this when a deployment is returned, so a recycled stack can
+    /// never replay the previous campaign's fault plan.
     pub fn disarm_all(&self) {
-        self.registry.disarm_all();
+        self.state.lock().armed.clear();
     }
 
     /// The faults that fired since the last [`reset`](CrossingContext::reset).
     pub fn fired(&self) -> Vec<InjectedFault> {
-        self.registry.fired()
+        self.state.lock().fired.clone()
     }
 
-    /// The current injected service latency, in virtual milliseconds.
+    /// The current injected service latency, in virtual milliseconds — the
+    /// largest [`FaultKind::Latency`] that fired since the last
+    /// [`reset`](CrossingContext::reset).
     pub fn virtual_delay_ms(&self) -> u64 {
-        self.registry.virtual_delay_ms()
+        self.state.lock().delay_ms
     }
 
-    /// Resets per-observation state: registry call counters and fired log,
-    /// the virtual clock, and the trace sink. The campaign executor calls
-    /// this at the start of every observation.
+    /// Resets per-observation state: call counters, the fired log and the
+    /// accumulated delay, the virtual clock, and the trace. Armed faults
+    /// and an attached sink stay. The campaign executor calls this at the
+    /// start of every observation so `OnCall` triggers are scoped to one
+    /// observation — the property that makes fault campaigns
+    /// byte-identical across worker counts (workers reuse deployments
+    /// differently, but every observation starts from counter zero).
     pub fn reset(&self) {
-        self.registry.reset_counters();
         let mut state = self.state.lock();
+        state.calls.clear();
+        state.fired.clear();
+        state.delay_ms = 0;
         state.clock_ms = 0;
         state.next_seq = 0;
         state.trace.crossings.clear();
@@ -404,8 +457,31 @@ impl CrossingContext {
         self.state.lock().sink = None;
     }
 
-    fn push(&self, call: BoundaryCall, outcome: CrossingOutcome, cost_ms: u64) {
+    /// The one path a crossing takes, under the single lock: counts the
+    /// call and picks the fault (unless the caller has `given` the
+    /// outcome — records and notes have no fault point), charges the
+    /// virtual clock, notifies the sink, appends to the trace. Returns
+    /// the fault the caller must act on; a latency fault is traced and
+    /// charged but not returned, because the call proceeds, only slower —
+    /// exactly how timing faults like FLINK-12342 manifest.
+    fn push(&self, call: BoundaryCall, given: Option<CrossingOutcome>) -> Option<InjectedFault> {
         let mut state = self.state.lock();
+        let fired = match given {
+            Some(_) => None,
+            None => state.fire(call.channel, &call.op),
+        };
+        let (cost_ms, acted_on) = match &fired {
+            None => (0, None),
+            Some(fault) => match fault.kind {
+                FaultKind::Latency { ms } => (ms, None),
+                FaultKind::Timeout { ms } => (ms, Some(fault.clone())),
+                FaultKind::Unavailable | FaultKind::CorruptPayload => (0, Some(fault.clone())),
+            },
+        };
+        let outcome = match fired {
+            Some(fault) => CrossingOutcome::Faulted { fault },
+            None => given.unwrap_or(CrossingOutcome::Clean),
+        };
         let at_ms = state.clock_ms;
         state.clock_ms += 1 + cost_ms;
         let seq = state.next_seq;
@@ -422,6 +498,7 @@ impl CrossingContext {
         if state.enabled {
             state.trace.crossings.push(crossing);
         }
+        acted_on
     }
 
     /// Routes one crossing: counts the call against armed faults, records
@@ -431,22 +508,9 @@ impl CrossingContext {
     /// This is the one-liner every connector layer calls at the entry of
     /// an interaction-facing operation.
     pub fn cross<E: FaultPoint>(&self, call: BoundaryCall) -> Result<(), E> {
-        match self.registry.intercept_full(call.channel, &call.op) {
-            Interception::Clean => {
-                self.push(call, CrossingOutcome::Clean, 0);
-                Ok(())
-            }
-            Interception::Latency(fault) => {
-                let cost = fault_cost_ms(&fault);
-                self.push(call, CrossingOutcome::Faulted { fault }, cost);
-                Ok(())
-            }
-            Interception::Fault(fault) => {
-                let error = E::materialize(&fault);
-                let cost = fault_cost_ms(&fault);
-                self.push(call, CrossingOutcome::Faulted { fault }, cost);
-                Err(error)
-            }
+        match self.push(call, None) {
+            Some(fault) => Err(E::materialize(&fault)),
+            None => Ok(()),
         }
     }
 
@@ -455,35 +519,14 @@ impl CrossingContext {
     /// whose fault response is not an error (deterministically garbled
     /// bytes, a poisoned location) rather than a native error.
     pub fn intercept(&self, call: BoundaryCall) -> Option<InjectedFault> {
-        match self.registry.intercept_full(call.channel, &call.op) {
-            Interception::Clean => {
-                self.push(call, CrossingOutcome::Clean, 0);
-                None
-            }
-            Interception::Latency(fault) => {
-                let cost = fault_cost_ms(&fault);
-                self.push(call, CrossingOutcome::Faulted { fault }, cost);
-                None
-            }
-            Interception::Fault(fault) => {
-                let cost = fault_cost_ms(&fault);
-                self.push(
-                    call,
-                    CrossingOutcome::Faulted {
-                        fault: fault.clone(),
-                    },
-                    cost,
-                );
-                Some(fault)
-            }
-        }
+        self.push(call, None)
     }
 
     /// Records a crossing that has no fault point (pure connector logic,
-    /// e.g. Spark-side configuration forwarding): trace only, the
-    /// registry is not consulted.
+    /// e.g. Spark-side configuration forwarding): trace only, armed
+    /// faults are not consulted.
     pub fn record(&self, call: BoundaryCall) {
-        self.push(call, CrossingOutcome::Clean, 0);
+        self.push(call, Some(CrossingOutcome::Clean));
     }
 
     /// Records an annotated decision at a crossing (e.g. which replica a
@@ -491,18 +534,10 @@ impl CrossingContext {
     pub fn note(&self, call: BoundaryCall, info: &str) {
         self.push(
             call,
-            CrossingOutcome::Noted {
+            Some(CrossingOutcome::Noted {
                 info: info.to_string(),
-            },
-            0,
+            }),
         );
-    }
-}
-
-fn fault_cost_ms(fault: &InjectedFault) -> u64 {
-    match fault.kind {
-        FaultKind::Timeout { ms } | FaultKind::Latency { ms } => ms,
-        FaultKind::Unavailable | FaultKind::CorruptPayload => 0,
     }
 }
 
@@ -510,7 +545,6 @@ fn fault_cost_ms(fault: &InjectedFault) -> u64 {
 mod tests {
     use super::*;
     use crate::error::{ErrorKind, InteractionError};
-    use crate::fault::Trigger;
 
     impl FaultPoint for InteractionError {
         const CHANNEL: Channel = Channel::Metastore;
@@ -526,6 +560,126 @@ mod tests {
 
     fn call(op: &str) -> BoundaryCall {
         BoundaryCall::new(Channel::Metastore, op)
+    }
+
+    fn spec(id: &str, op: &str, kind: FaultKind, trigger: Trigger) -> FaultSpec {
+        FaultSpec {
+            id: id.into(),
+            channel: Channel::Metastore,
+            op: op.into(),
+            kind,
+            trigger,
+        }
+    }
+
+    fn hit(ctx: &CrossingContext, channel: Channel, op: &str) -> Option<InjectedFault> {
+        ctx.intercept(BoundaryCall::new(channel, op))
+    }
+
+    #[test]
+    fn always_trigger_fires_on_every_matching_call() {
+        let ctx = CrossingContext::new();
+        ctx.arm(spec(
+            "a",
+            "get_table",
+            FaultKind::Unavailable,
+            Trigger::Always,
+        ));
+        assert!(hit(&ctx, Channel::Metastore, "get_table").is_some());
+        assert!(hit(&ctx, Channel::Metastore, "get_table").is_some());
+        // Other ops and channels are untouched.
+        assert!(hit(&ctx, Channel::Metastore, "create_table").is_none());
+        assert!(hit(&ctx, Channel::Hdfs, "get_table").is_none());
+        assert_eq!(ctx.fired().len(), 2);
+    }
+
+    #[test]
+    fn on_call_trigger_fires_exactly_once_per_reset() {
+        let ctx = CrossingContext::new();
+        ctx.arm(spec(
+            "a",
+            "read",
+            FaultKind::Unavailable,
+            Trigger::OnCall(1),
+        ));
+        assert!(hit(&ctx, Channel::Metastore, "read").is_none()); // call 0
+        let f = hit(&ctx, Channel::Metastore, "read").unwrap(); // call 1
+        assert_eq!(f.call, 1);
+        assert!(hit(&ctx, Channel::Metastore, "read").is_none()); // call 2
+        ctx.reset();
+        assert!(ctx.fired().is_empty());
+        assert!(hit(&ctx, Channel::Metastore, "read").is_none()); // call 0 again
+        assert!(hit(&ctx, Channel::Metastore, "read").is_some()); // call 1 again
+    }
+
+    #[test]
+    fn latency_faults_record_delay_but_do_not_error() {
+        let ctx = CrossingContext::new();
+        ctx.arm(FaultSpec {
+            id: "slow".into(),
+            channel: Channel::Yarn,
+            op: "allocate".into(),
+            kind: FaultKind::Latency { ms: 700 },
+            trigger: Trigger::Always,
+        });
+        assert!(hit(&ctx, Channel::Yarn, "allocate").is_none());
+        assert_eq!(ctx.virtual_delay_ms(), 700);
+        assert_eq!(ctx.fired().len(), 1);
+        ctx.reset();
+        assert_eq!(ctx.virtual_delay_ms(), 0);
+    }
+
+    #[test]
+    fn empty_plan_is_inert() {
+        let ctx = CrossingContext::new();
+        ctx.arm_plan(&FaultPlan::empty(42));
+        assert!(hit(&ctx, Channel::Metastore, "get_table").is_none());
+        // With nothing armed, a crossing does not even count calls.
+        assert!(ctx.fired().is_empty());
+        assert!(ctx.state.lock().calls.is_empty());
+    }
+
+    #[test]
+    fn arming_a_set_fires_each_member_independently() {
+        let ctx = CrossingContext::new();
+        let set = FaultSet::new(vec![
+            spec("a", "get_table", FaultKind::Unavailable, Trigger::Always),
+            spec("b", "create_table", FaultKind::Unavailable, Trigger::Always),
+        ]);
+        assert_eq!(set.id, "a+b");
+        ctx.arm_set(&set);
+        assert!(hit(&ctx, Channel::Metastore, "get_table").is_some());
+        assert!(hit(&ctx, Channel::Metastore, "create_table").is_some());
+        assert_eq!(ctx.fired().len(), 2);
+    }
+
+    #[test]
+    fn clones_share_one_state() {
+        // A deployment hands one clone to its metastore, one to its
+        // filesystem, and keeps one to read the results back.
+        let metastore = CrossingContext::new();
+        let filesystem = metastore.clone();
+        let executor = metastore.clone();
+        metastore.arm(spec(
+            "a",
+            "read",
+            FaultKind::Unavailable,
+            Trigger::OnCall(1),
+        ));
+        assert!(hit(&filesystem, Channel::Metastore, "read").is_none()); // call 0
+        let f = hit(&metastore, Channel::Metastore, "read").expect("call 1 fires");
+        assert_eq!(f.call, 1);
+        assert_eq!(executor.fired(), vec![f]);
+        assert_eq!(executor.trace().len(), 2);
+        assert_eq!(executor.trace(), filesystem.trace());
+        filesystem.reset();
+        for ctx in [&metastore, &filesystem, &executor] {
+            assert!(ctx.fired().is_empty());
+            assert!(ctx.trace().is_empty());
+        }
+        // Counters went too: call 0 is clean again, call 1 fires again.
+        assert!(hit(&executor, Channel::Metastore, "read").is_none());
+        assert!(hit(&filesystem, Channel::Metastore, "read").is_some());
     }
 
     #[test]
@@ -607,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_context_drives_the_registry_identically() {
+    fn disabled_context_counts_and_fires_identically() {
         let traced = CrossingContext::new();
         let silent = CrossingContext::disabled();
         for ctx in [&traced, &silent] {

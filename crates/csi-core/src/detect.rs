@@ -220,37 +220,21 @@ pub struct DetectorSpec {
 }
 
 impl DetectorSpec {
-    /// A spec with default thresholds and no baselines (pattern-anomaly
-    /// detection stays silent until baselines are learned).
-    pub fn new(config: DetectorConfig) -> DetectorSpec {
-        DetectorSpec {
-            config,
-            baselines: Arc::new(BaselineSet::default()),
-            tap: None,
-        }
-    }
-
-    /// Replaces the baselines.
-    pub fn with_baselines(mut self, baselines: Arc<BaselineSet>) -> DetectorSpec {
-        self.baselines = baselines;
-        self
-    }
-
-    /// Attaches a streaming detection tap.
-    pub fn with_tap(mut self, tap: DetectionTap) -> DetectorSpec {
-        self.tap = Some(tap);
-        self
-    }
-
-    /// Builds a detector from this spec.
+    /// Builds one worker's detector from this spec.
     pub fn build(&self) -> OnlineDetector {
-        OnlineDetector::from_spec(self.clone())
-    }
-}
-
-impl Default for DetectorSpec {
-    fn default() -> DetectorSpec {
-        DetectorSpec::new(DetectorConfig::default())
+        OnlineDetector {
+            inner: Arc::new(Mutex::new(DetectorState {
+                spec: self.clone(),
+                active: false,
+                scenario: String::new(),
+                fired: Vec::new(),
+                faulted: Vec::new(),
+                latency_counts: BTreeMap::new(),
+                ops: Vec::new(),
+                detections: Vec::new(),
+                last_crossing: (0, 0),
+            })),
+        }
     }
 }
 
@@ -286,32 +270,6 @@ pub struct OnlineDetector {
 }
 
 impl OnlineDetector {
-    /// A detector with the given thresholds and frozen baselines.
-    pub fn new(config: DetectorConfig, baselines: Arc<BaselineSet>) -> OnlineDetector {
-        OnlineDetector::from_spec(DetectorSpec {
-            config,
-            baselines,
-            tap: None,
-        })
-    }
-
-    /// A detector built from a spec.
-    pub fn from_spec(spec: DetectorSpec) -> OnlineDetector {
-        OnlineDetector {
-            inner: Arc::new(Mutex::new(DetectorState {
-                spec,
-                active: false,
-                scenario: String::new(),
-                fired: Vec::new(),
-                faulted: Vec::new(),
-                latency_counts: BTreeMap::new(),
-                ops: Vec::new(),
-                detections: Vec::new(),
-                last_crossing: (0, 0),
-            })),
-        }
-    }
-
     /// A boxed sink handle sharing this detector's state, ready for
     /// [`CrossingContext::set_sink`](crate::boundary::CrossingContext::set_sink).
     pub fn sink(&self) -> Box<dyn CrossingSink> {
@@ -344,7 +302,7 @@ impl OnlineDetector {
 
         // §9 error-handling mirror of `classify_fault_outcome`: the fired
         // set is reconstructed from Faulted crossings — provably the
-        // registry's own log, since the boundary is the only interposer.
+        // context's own fired log, since the boundary is the only interposer.
         if !s.fired.is_empty() {
             let (seq, at_ms) = s.fired_anchor();
             match surfaced {
@@ -637,6 +595,15 @@ mod tests {
         }
     }
 
+    fn build(config: DetectorConfig, baselines: BaselineSet) -> OnlineDetector {
+        DetectorSpec {
+            config,
+            baselines: Arc::new(baselines),
+            tap: None,
+        }
+        .build()
+    }
+
     fn drive(ctx: &CrossingContext, calls: &[BoundaryCall]) {
         for call in calls {
             let _ = ctx.intercept(call.clone());
@@ -645,7 +612,7 @@ mod tests {
 
     #[test]
     fn clean_stream_yields_no_detections() {
-        let detector = OnlineDetector::from_spec(DetectorSpec::default());
+        let detector = build(DetectorConfig::default(), BaselineSet::default());
         let ctx = CrossingContext::new();
         ctx.set_sink(detector.sink());
         detector.begin("s");
@@ -655,7 +622,7 @@ mod tests {
 
     #[test]
     fn swallowed_fault_is_detected_iff_oracle_agrees() {
-        let detector = OnlineDetector::from_spec(DetectorSpec::default());
+        let detector = build(DetectorConfig::default(), BaselineSet::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "u",
@@ -685,7 +652,7 @@ mod tests {
 
     #[test]
     fn mistranslated_error_is_detected() {
-        let detector = OnlineDetector::from_spec(DetectorSpec::default());
+        let detector = build(DetectorConfig::default(), BaselineSet::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "u",
@@ -721,7 +688,7 @@ mod tests {
 
     #[test]
     fn propagated_with_context_stays_silent() {
-        let detector = OnlineDetector::from_spec(DetectorSpec::default());
+        let detector = build(DetectorConfig::default(), BaselineSet::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "u",
@@ -743,7 +710,7 @@ mod tests {
 
     #[test]
     fn crash_bucket_is_left_to_the_offline_oracle() {
-        let detector = OnlineDetector::from_spec(DetectorSpec::default());
+        let detector = build(DetectorConfig::default(), BaselineSet::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "u",
@@ -760,12 +727,12 @@ mod tests {
 
     #[test]
     fn latency_storm_fires_online_at_the_threshold_exactly_once() {
-        let detector = OnlineDetector::new(
+        let detector = build(
             DetectorConfig {
                 storm_threshold: 3,
                 ..DetectorConfig::default()
             },
-            Arc::new(BaselineSet::default()),
+            BaselineSet::default(),
         );
         let ctx = CrossingContext::new();
         ctx.arm(spec(
@@ -808,7 +775,7 @@ mod tests {
         baselines.learn("s", &ctx.trace());
 
         // ...then replay with an extra crossing: anomaly at index 1.
-        let detector = OnlineDetector::new(DetectorConfig::default(), Arc::new(baselines.clone()));
+        let detector = build(DetectorConfig::default(), baselines.clone());
         let ctx = CrossingContext::new();
         ctx.set_sink(detector.sink());
         detector.begin("s");
@@ -826,7 +793,7 @@ mod tests {
         assert_eq!(detections[0].seq, 1);
 
         // A faithful replay is silent; an unknown scenario is silent too.
-        let detector = OnlineDetector::new(DetectorConfig::default(), Arc::new(baselines));
+        let detector = build(DetectorConfig::default(), baselines);
         let ctx = CrossingContext::new();
         ctx.set_sink(detector.sink());
         detector.begin("s");
@@ -839,7 +806,7 @@ mod tests {
 
     #[test]
     fn cross_channel_co_occurrence_clusters_by_virtual_time() {
-        let detector = OnlineDetector::from_spec(DetectorSpec::default());
+        let detector = build(DetectorConfig::default(), BaselineSet::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "ms-slow",
@@ -873,12 +840,12 @@ mod tests {
 
         // Same two channels, but separated by more than the window: no
         // cluster.
-        let detector = OnlineDetector::new(
+        let detector = build(
             DetectorConfig {
                 co_window_ms: 50,
                 ..DetectorConfig::default()
             },
-            Arc::new(BaselineSet::default()),
+            BaselineSet::default(),
         );
         let ctx = CrossingContext::new();
         ctx.arm(spec(
@@ -910,7 +877,7 @@ mod tests {
 
     #[test]
     fn crossings_outside_an_observation_are_ignored() {
-        let detector = OnlineDetector::from_spec(DetectorSpec::default());
+        let detector = build(DetectorConfig::default(), BaselineSet::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "u",

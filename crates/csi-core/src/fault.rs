@@ -1,30 +1,26 @@
-//! Deterministic fault injection at cross-system interaction boundaries.
+//! The plain data of deterministic fault injection at cross-system
+//! interaction boundaries.
 //!
 //! The paper's central claim is that failures fall *between* systems — at
 //! metastore RPCs, HDFS file operations, Kafka broker fetches, and YARN
-//! allocations. This module makes those boundaries injectable: a seeded,
-//! serializable [`FaultPlan`] is armed into a shared [`InjectionRegistry`],
-//! and each mini-system's connector layer calls
+//! allocations. This module names what can be injected there: a seeded,
+//! serializable [`FaultPlan`] (or a k-fault [`FaultSet`]) of
+//! [`FaultSpec`]s, the [`InjectedFault`] record of one that fired, and the
+//! [`FaultOutcome`] taxonomy that classifies how the stack handled it.
+//! Arming, call counting and firing live in
+//! [`CrossingContext`](crate::boundary::CrossingContext), the one
+//! interpose point: each mini-system's connector layer calls
 //! [`CrossingContext::cross`](crate::boundary::CrossingContext::cross) at
-//! the entry of its interaction-facing operations — the boundary layer is
-//! the only caller of the registry's interpose machinery. A fired fault is
-//! *materialized* into the system's native
-//! error type through the [`FaultPoint`] trait, so the fault then travels
-//! exactly the error-translation path a real boundary failure would take —
-//! which is what the [`FaultOutcome`] taxonomy classifies.
-//!
-//! Everything is deterministic: triggers count calls per `(channel, op)`
-//! pair, counters are reset per observation by the executor, and no wall
-//! clock or OS randomness is involved, so fault campaigns replay
-//! byte-identically across runs and worker counts.
+//! the entry of its interaction-facing operations. A fired fault is
+//! *materialized* into the system's native error type through the
+//! [`FaultPoint`] trait, so the fault then travels exactly the
+//! error-translation path a real boundary failure would take — which is
+//! what [`classify_fault_outcome`] classifies.
 
 use crate::error::{ErrorKind, InteractionError};
 use crate::rng::splitmix64;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// An interaction channel of the paper's Table 1 that faults can be
 /// injected on.
@@ -83,7 +79,7 @@ pub enum FaultKind {
     /// The call succeeds but takes `ms` longer than usual — the timing-race
     /// fault behind FLINK-12342. Latency faults never produce an error;
     /// they are recorded as fired and surfaced via
-    /// [`InjectionRegistry::virtual_delay_ms`].
+    /// [`CrossingContext::virtual_delay_ms`](crate::boundary::CrossingContext::virtual_delay_ms).
     Latency {
         /// Added service latency in virtual milliseconds.
         ms: u64,
@@ -262,139 +258,6 @@ pub struct InjectedFault {
     pub call: u64,
 }
 
-#[derive(Debug, Default)]
-struct RegistryState {
-    armed: Vec<FaultSpec>,
-    calls: BTreeMap<(Channel, String), u64>,
-    fired: Vec<InjectedFault>,
-    delay_ms: u64,
-}
-
-/// The shared injection registry: one per deployment, cloned into every
-/// mini-system the deployment wires together.
-///
-/// Interior mutability (the mini-systems intercept from `&self` methods)
-/// behind an `Arc` so all connector layers of one deployment observe the
-/// same call counters and fired-fault log.
-#[derive(Debug, Clone, Default)]
-pub struct InjectionRegistry {
-    inner: Arc<Mutex<RegistryState>>,
-}
-
-impl InjectionRegistry {
-    /// Creates an empty registry (no faults armed).
-    pub fn new() -> InjectionRegistry {
-        InjectionRegistry::default()
-    }
-
-    /// Arms one fault.
-    pub fn arm(&self, spec: FaultSpec) {
-        self.inner.lock().armed.push(spec);
-    }
-
-    /// Arms every fault of a plan.
-    pub fn arm_plan(&self, plan: &FaultPlan) {
-        let mut state = self.inner.lock();
-        state.armed.extend(plan.faults.iter().cloned());
-    }
-
-    /// Arms every fault of a combination set simultaneously. Members on
-    /// distinct `(channel, op)` pairs all fire independently; on a shared
-    /// pair the first armed match wins, same as [`arm_plan`].
-    ///
-    /// [`arm_plan`]: InjectionRegistry::arm_plan
-    pub fn arm_set(&self, set: &FaultSet) {
-        let mut state = self.inner.lock();
-        state.armed.extend(set.faults.iter().cloned());
-    }
-
-    /// Disarms all faults (armed specs only; counters and the fired log
-    /// are kept).
-    pub fn disarm_all(&self) {
-        self.inner.lock().armed.clear();
-    }
-
-    /// Resets per-observation state: call counters, the fired log, and the
-    /// accumulated virtual delay. The campaign executor calls this at the
-    /// start of every observation so `OnCall` triggers are scoped to one
-    /// observation — the property that makes fault campaigns byte-identical
-    /// across worker counts (workers reuse deployments differently, but
-    /// every observation starts from counter zero).
-    pub fn reset_counters(&self) {
-        let mut state = self.inner.lock();
-        state.calls.clear();
-        state.fired.clear();
-        state.delay_ms = 0;
-    }
-
-    /// The faults that fired since the last [`reset_counters`] call.
-    ///
-    /// [`reset_counters`]: InjectionRegistry::reset_counters
-    pub fn fired(&self) -> Vec<InjectedFault> {
-        self.inner.lock().fired.clone()
-    }
-
-    /// The current injected service latency, in virtual milliseconds — the
-    /// largest [`FaultKind::Latency`] that fired since the last reset.
-    pub fn virtual_delay_ms(&self) -> u64 {
-        self.inner.lock().delay_ms
-    }
-
-    /// Counts the call against the armed faults and reports what fired.
-    ///
-    /// Latency faults are recorded (fired log + delay) and returned as
-    /// [`Interception::Latency`]: the call proceeds, only slower, which is
-    /// exactly how timing faults like FLINK-12342 manifest.
-    ///
-    /// Crate-private: the boundary layer
-    /// ([`CrossingContext`](crate::boundary::CrossingContext)) is the only
-    /// interpose point; connector code never touches the registry directly.
-    pub(crate) fn intercept_full(&self, channel: Channel, op: &str) -> Interception {
-        let mut state = self.inner.lock();
-        if state.armed.is_empty() {
-            return Interception::Clean;
-        }
-        let counter = state.calls.entry((channel, op.to_string())).or_insert(0);
-        let call = *counter;
-        *counter += 1;
-        let Some(spec) = state.armed.iter().find(|s| {
-            s.channel == channel
-                && s.op == op
-                && match s.trigger {
-                    Trigger::Always => true,
-                    Trigger::OnCall(n) => n == call,
-                }
-        }) else {
-            return Interception::Clean;
-        };
-        let fault = InjectedFault {
-            spec_id: spec.id.clone(),
-            channel,
-            op: op.to_string(),
-            kind: spec.kind,
-            call,
-        };
-        state.fired.push(fault.clone());
-        if let FaultKind::Latency { ms } = fault.kind {
-            state.delay_ms = state.delay_ms.max(ms);
-            return Interception::Latency(fault);
-        }
-        Interception::Fault(fault)
-    }
-}
-
-/// The boundary-layer view of one interpose: clean, fired-but-proceeding
-/// (latency), or fired-and-materialize.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Interception {
-    /// No armed fault matched.
-    Clean,
-    /// A latency fault fired; the call proceeds, only slower.
-    Latency(InjectedFault),
-    /// A fault fired and must be materialized as the native error.
-    Fault(InjectedFault),
-}
-
 /// A connector-layer fault point: turns a fired fault into the system's
 /// native error type, so injected faults enter the same error-translation
 /// chain real boundary failures do.
@@ -500,13 +363,6 @@ pub fn classify_fault_outcome(
 mod tests {
     use super::*;
 
-    fn hit(reg: &InjectionRegistry, channel: Channel, op: &str) -> Option<InjectedFault> {
-        match reg.intercept_full(channel, op) {
-            Interception::Fault(f) => Some(f),
-            Interception::Latency(_) | Interception::Clean => None,
-        }
-    }
-
     fn spec(id: &str, op: &str, kind: FaultKind, trigger: Trigger) -> FaultSpec {
         FaultSpec {
             id: id.into(),
@@ -515,68 +371,6 @@ mod tests {
             kind,
             trigger,
         }
-    }
-
-    #[test]
-    fn always_trigger_fires_on_every_matching_call() {
-        let reg = InjectionRegistry::new();
-        reg.arm(spec(
-            "a",
-            "get_table",
-            FaultKind::Unavailable,
-            Trigger::Always,
-        ));
-        assert!(hit(&reg, Channel::Metastore, "get_table").is_some());
-        assert!(hit(&reg, Channel::Metastore, "get_table").is_some());
-        // Other ops and channels are untouched.
-        assert!(hit(&reg, Channel::Metastore, "create_table").is_none());
-        assert!(hit(&reg, Channel::Hdfs, "get_table").is_none());
-        assert_eq!(reg.fired().len(), 2);
-    }
-
-    #[test]
-    fn on_call_trigger_fires_exactly_once_per_reset() {
-        let reg = InjectionRegistry::new();
-        reg.arm(spec(
-            "a",
-            "read",
-            FaultKind::Unavailable,
-            Trigger::OnCall(1),
-        ));
-        assert!(hit(&reg, Channel::Metastore, "read").is_none()); // call 0
-        let f = hit(&reg, Channel::Metastore, "read").unwrap(); // call 1
-        assert_eq!(f.call, 1);
-        assert!(hit(&reg, Channel::Metastore, "read").is_none()); // call 2
-        reg.reset_counters();
-        assert!(reg.fired().is_empty());
-        assert!(hit(&reg, Channel::Metastore, "read").is_none()); // call 0 again
-        assert!(hit(&reg, Channel::Metastore, "read").is_some()); // call 1 again
-    }
-
-    #[test]
-    fn latency_faults_record_delay_but_do_not_error() {
-        let reg = InjectionRegistry::new();
-        reg.arm(FaultSpec {
-            id: "slow".into(),
-            channel: Channel::Yarn,
-            op: "allocate".into(),
-            kind: FaultKind::Latency { ms: 700 },
-            trigger: Trigger::Always,
-        });
-        assert!(hit(&reg, Channel::Yarn, "allocate").is_none());
-        assert_eq!(reg.virtual_delay_ms(), 700);
-        assert_eq!(reg.fired().len(), 1);
-        reg.reset_counters();
-        assert_eq!(reg.virtual_delay_ms(), 0);
-    }
-
-    #[test]
-    fn empty_plan_is_inert() {
-        let reg = InjectionRegistry::new();
-        reg.arm_plan(&FaultPlan::empty(42));
-        assert!(hit(&reg, Channel::Metastore, "get_table").is_none());
-        // With nothing armed, intercept does not even count calls.
-        assert!(reg.fired().is_empty());
     }
 
     #[test]
@@ -622,20 +416,6 @@ mod tests {
         let back: FaultSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back, a[6]);
         assert_eq!(FaultSet::empty().id, "none");
-    }
-
-    #[test]
-    fn arming_a_set_fires_each_member_independently() {
-        let reg = InjectionRegistry::new();
-        let set = FaultSet::new(vec![
-            spec("a", "get_table", FaultKind::Unavailable, Trigger::Always),
-            spec("b", "create_table", FaultKind::Unavailable, Trigger::Always),
-        ]);
-        assert_eq!(set.id, "a+b");
-        reg.arm_set(&set);
-        assert!(hit(&reg, Channel::Metastore, "get_table").is_some());
-        assert!(hit(&reg, Channel::Metastore, "create_table").is_some());
-        assert_eq!(reg.fired().len(), 2);
     }
 
     #[test]

@@ -139,6 +139,17 @@ impl Observation {
         }
     }
 
+    /// The error that surfaced to the caller, exactly as the §9 oracle
+    /// and the online detector define it: the write error, else the read
+    /// error, else nothing.
+    pub fn surfaced(&self) -> Option<&InteractionError> {
+        match (&self.write.result, &self.read) {
+            (Err(e), _) => Some(e),
+            (Ok(()), Some(read)) => read.result.as_ref().err(),
+            (Ok(()), None) => None,
+        }
+    }
+
     /// Whether any warning-or-worse diagnostic was emitted.
     pub fn has_feedback(&self) -> bool {
         let warned = |ds: &[Diagnostic]| ds.iter().any(|d| d.level >= Level::Warn);

@@ -18,9 +18,10 @@
 //! [`HiveQl::insert_columns`]: minihive::hiveql::HiveQl::insert_columns
 //! [`check_write_read_columns`]: csi_core::oracle::check_write_read_columns
 
-use crate::exec::{CrossTestConfig, Deployment};
+use crate::exec::Deployment;
 use crate::generator::{bulk_schema, generate_bulk_columns};
 use crate::plan::Interface;
+use csi_core::boundary::CrossingContext;
 use csi_core::column::ValueColumn;
 use csi_core::hash::Fnv1a;
 use csi_core::oracle::{check_write_read_columns, OracleFailure};
@@ -220,10 +221,7 @@ pub fn run_bulk(config: &BulkConfig) -> BulkReport {
             let plan = format!("{write}->{read}");
             // Tracing off: bulk campaigns measure the data plane, and the
             // per-op trace sink would dominate at millions of rows.
-            let d = Deployment::new(&CrossTestConfig {
-                trace_boundaries: false,
-                ..CrossTestConfig::default()
-            });
+            let d = Deployment::new(CrossingContext::disabled(), &[]);
             let table = format!("bulk_{}", format.extension());
             let outcome = bulk_write(&d, write, &table, *format, &expected)
                 .and_then(|()| bulk_read(&d, read, &table));

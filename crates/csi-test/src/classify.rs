@@ -8,7 +8,6 @@
 //! several discrepancies (the paper's own category lists overlap), and a
 //! failure matching none lands in `unattributed`.
 
-use crate::exec;
 use crate::generator::{TestInput, Validity};
 use crate::plan::Experiment;
 use csi_core::boundary::CrossingOutcome;
@@ -394,8 +393,7 @@ pub fn classify(
                 continue;
             }
             any_fired = true;
-            let surfaced = exec::surfaced_error(obs);
-            let oracle = classify_fault_outcome(&fired, surfaced.as_ref());
+            let oracle = classify_fault_outcome(&fired, obs.surfaced());
             let oracle_positive = matches!(
                 oracle,
                 FaultOutcome::Swallowed | FaultOutcome::Mistranslated

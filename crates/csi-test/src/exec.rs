@@ -127,36 +127,24 @@ pub(crate) struct Deployment {
 }
 
 impl Deployment {
-    pub(crate) fn new(config: &CrossTestConfig) -> Deployment {
-        let crossing = if config.trace_boundaries {
-            CrossingContext::new()
-        } else {
-            CrossingContext::disabled()
-        };
-        Deployment::with_crossing(config, crossing)
-    }
-
-    /// Builds the stack around a caller-supplied crossing context — the
-    /// fault-matrix cells use this to pre-arm (or deliberately not arm)
-    /// the context before the deployment exists.
-    pub(crate) fn with_crossing(config: &CrossTestConfig, crossing: CrossingContext) -> Deployment {
+    /// Builds the stack around `crossing` — which the caller may have
+    /// pre-armed, as the fault-matrix cells do — with `spark_overrides`
+    /// applied to the Spark session. Nothing per-run is attached; see
+    /// [`arm`](Deployment::arm).
+    pub(crate) fn new(
+        crossing: CrossingContext,
+        spark_overrides: &[(String, String)],
+    ) -> Deployment {
         let sink = DiagSink::new();
         let mut metastore = Metastore::new();
         let mut fs = MiniHdfs::with_datanodes(3);
-        if let Some(plan) = &config.fault_plan {
-            crossing.arm_plan(plan);
-        }
-        let detector = config.detector.as_ref().map(DetectorSpec::build);
-        if let Some(d) = &detector {
-            crossing.set_sink(d.sink());
-        }
         metastore.set_crossing(crossing.clone());
         fs.set_crossing(crossing.clone());
         let metastore = Arc::new(Mutex::new(metastore));
         let fs = Arc::new(Mutex::new(fs));
         let mut spark =
             SparkSession::connect(metastore.clone(), fs.clone(), sink.handle("minispark"));
-        for (k, v) in &config.spark_overrides {
+        for (k, v) in spark_overrides {
             spark.config.set(k, v);
         }
         let hive = HiveQl::new(metastore.clone(), fs.clone(), sink.handle("minihive"));
@@ -165,10 +153,52 @@ impl Deployment {
             spark,
             hive,
             crossing,
-            detector,
+            detector: None,
             fs,
             metastore,
         }
+    }
+
+    /// A fresh stack of `config`'s shape — boundary tracing and Spark
+    /// overrides, the two things baked in at construction — with none of
+    /// its per-run attachments.
+    pub(crate) fn unarmed(config: &CrossTestConfig) -> Deployment {
+        let crossing = if config.trace_boundaries {
+            CrossingContext::new()
+        } else {
+            CrossingContext::disabled()
+        };
+        Deployment::new(crossing, &config.spark_overrides)
+    }
+
+    /// Attaches a run's per-run state: arms `plan` on the crossing
+    /// context and wires a detector freshly built from `detector` in as
+    /// its streaming sink. The inverse is
+    /// [`reset_to_fresh`](Deployment::reset_to_fresh).
+    pub(crate) fn arm(&mut self, plan: Option<&FaultPlan>, detector: Option<&DetectorSpec>) {
+        if let Some(plan) = plan {
+            self.crossing.arm_plan(plan);
+        }
+        self.detector = detector.map(DetectorSpec::build);
+        if let Some(d) = &self.detector {
+            self.crossing.set_sink(d.sink());
+        }
+    }
+
+    /// Strips everything a run attached or left behind, until the stack
+    /// is construction-identical to a fresh one: the detector and its
+    /// sink, the armed faults, the context's counters, clock and trace,
+    /// both stores (rebuilt from scratch — erasing residue like
+    /// `next_part` / `next_block_id` cursors that `vacuum` deliberately
+    /// preserves), and the diagnostics sink.
+    pub(crate) fn reset_to_fresh(&mut self) {
+        self.crossing.clear_sink();
+        self.detector = None;
+        self.crossing.disarm_all();
+        self.crossing.reset();
+        self.metastore.lock().reset();
+        self.fs.lock().reset();
+        self.sink.drain();
     }
 
     /// Drops `table` (best effort), discards the diagnostics the drop
@@ -448,7 +478,7 @@ pub(crate) fn run_one(
         input.id
     );
     // Scope call-counted triggers, the fired log, the virtual clock, and
-    // the trace sink to this observation, regardless of which worker ran
+    // the trace to this observation, regardless of which worker ran
     // the previous one — the property that keeps campaigns byte-identical
     // across worker counts.
     d.crossing.reset();
@@ -470,49 +500,24 @@ pub(crate) fn run_one(
     } else {
         None
     };
-    let detections = match &d.detector {
-        Some(det) => {
-            // The caller-visible error, exactly as the offline oracle
-            // sees it: the write error, else the read error.
-            let surfaced = match (&write.result, read.as_ref().map(|r| &r.result)) {
-                (Err(e), _) => Some(e.clone()),
-                (Ok(()), Some(Err(e))) => Some(e.clone()),
-                _ => None,
-            };
-            det.finish(surfaced.as_ref())
-        }
-        None => Vec::new(),
-    };
-    let obs = Observation {
+    let mut obs = Observation {
         input_id: input.id,
         plan: format!("{}:{}", experiment.short(), plan),
         format: format.name().to_string(),
         write,
         read,
         trace: d.crossing.trace(),
-        detections,
+        detections: Vec::new(),
     };
+    if let Some(det) = &d.detector {
+        obs.detections = det.finish(obs.surfaced());
+    }
     if recycle {
         // Recycling crosses the boundary too (DROP TABLE), but the
         // detector is already finished: those crossings are ignored.
         d.recycle(&table);
     }
     obs
-}
-
-/// The error that surfaced to the caller of an observation, exactly as
-/// the §9 oracle and the online detector define it: the write error,
-/// else the read error, else nothing.
-pub(crate) fn surfaced_error(obs: &Observation) -> Option<InteractionError> {
-    if let Err(e) = &obs.write.result {
-        return Some(e.clone());
-    }
-    if let Some(read) = &obs.read {
-        if let Err(e) = &read.result {
-            return Some(e.clone());
-        }
-    }
-    None
 }
 
 /// Runs the per-observation oracle for `input`: write–read for valid
@@ -532,7 +537,11 @@ pub(crate) fn check_observation(input: &TestInput, obs: &Observation) -> Option<
 pub(crate) fn acquire_deployment(config: &CrossTestConfig) -> Deployment {
     match &config.pool {
         Some(pool) => pool.acquire(config),
-        None => Deployment::new(config),
+        None => {
+            let mut deployment = Deployment::unarmed(config);
+            deployment.arm(config.fault_plan.as_ref(), config.detector.as_ref());
+            deployment
+        }
     }
 }
 

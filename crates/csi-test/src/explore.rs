@@ -18,7 +18,7 @@
 //! `tests/explore.rs`.
 
 use crate::classify;
-use crate::exec::{self, CrossTestConfig, Deployment};
+use crate::exec::{self, Deployment};
 use crate::generator::{mutate_input, TestInput, Validity};
 use crate::inject;
 use crate::plan::{Experiment, TestPlan};
@@ -313,13 +313,13 @@ impl Explorer {
                 // fault, exactly like a fault-matrix probe cell.
                 let ctx = CrossingContext::new();
                 ctx.arm(fault.clone());
-                let d = Deployment::with_crossing(&CrossTestConfig::default(), ctx);
+                let d = Deployment::new(ctx, &[]);
                 exec::run_one(&d, exp, plan, fmt, input, false)
             }
             None => {
                 let d = pools
                     .entry(self.exp_idx(trial.combo))
-                    .or_insert_with(|| Deployment::new(&CrossTestConfig::default()));
+                    .or_insert_with(|| Deployment::new(CrossingContext::new(), &[]));
                 // Recycling keeps each worker's metastore footprint at one
                 // table and makes observations independent of what the
                 // deployment ran before — the sharding byte-identity lever.
@@ -351,8 +351,7 @@ impl Explorer {
                     _ => None,
                 })
                 .collect();
-            let surfaced = exec::surfaced_error(&obs);
-            let bucket = classify_fault_outcome(&fired, surfaced.as_ref());
+            let bucket = classify_fault_outcome(&fired, obs.surfaced());
             sig.tag(format!("fault:{}:{bucket}", fault.channel));
             // Fault observations feed coverage only; they stay out of the
             // classified report, whose oracles assume a fault-free stack.

@@ -14,10 +14,10 @@
 //! swallowed, mistranslated, propagated-with-context, or crash.
 //!
 //! Cells are hermetic (each builds its own deployment, broker, or RM and
-//! its own injection registry), so [`crate::Campaign::shards`] reproduces
+//! its own crossing context), so [`crate::Campaign::shards`] reproduces
 //! the one-worker report byte-for-byte at any worker count.
 
-use crate::exec::{self, run_one, CrossTestConfig, Deployment};
+use crate::exec::{run_one, Deployment};
 use crate::generator::{TestInput, Validity};
 use crate::plan::{Experiment, TestPlan};
 use crate::shard::run_ordered;
@@ -42,7 +42,6 @@ use minispark::connectors::kafka::{consume_range, plan_range, OffsetModel};
 use miniyarn::{Resource, ResourceManager};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 const KAFKA_TOPIC: &str = "t";
@@ -282,59 +281,6 @@ pub struct FaultMatrixReport {
 }
 
 impl FaultMatrixReport {
-    /// Renders the report as stable, diff-friendly text. With detection
-    /// off, the output is byte-identical to the pre-detector format.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== fault matrix (seed {}) == {} cells",
-            self.seed,
-            self.cases.len()
-        );
-        for (bucket, n) in &self.outcomes {
-            let _ = writeln!(out, "  {bucket}: {n}");
-        }
-        if self.detector_enabled {
-            for (kind, n) in &self.detection_kinds {
-                let _ = writeln!(out, "  detect[{kind}]: {n}");
-            }
-            if let Some(a) = &self.agreement {
-                let _ = writeln!(
-                    out,
-                    "  detector vs oracle: precision {:.3}, recall {:.3} \
-                     (tp {} fp {} fn {} tn {})",
-                    a.precision(),
-                    a.recall(),
-                    a.true_positives,
-                    a.false_positives,
-                    a.false_negatives,
-                    a.true_negatives
-                );
-            }
-        }
-        for case in &self.cases {
-            let outcome = match &case.outcome {
-                Some(o) => o.to_string(),
-                None => "unfired".to_string(),
-            };
-            let surfaced = match &case.surfaced {
-                Some(e) => e.signature(),
-                None => "-".to_string(),
-            };
-            let _ = write!(
-                out,
-                "{} | {} | {} | {} | {}",
-                case.fault.id, case.scenario, outcome, surfaced, case.detail
-            );
-            if self.detector_enabled {
-                let _ = write!(out, " | {} detections", case.detections.len());
-            }
-            let _ = writeln!(out);
-        }
-        out
-    }
-
     /// The cells as [`FaultCellRow`]s, for the unified
     /// [`csi_core::report::Render`] path.
     pub fn fault_cell_rows(&self) -> Vec<FaultCellRow> {
@@ -543,14 +489,9 @@ fn run_probe_cell(
 ) -> FaultCase {
     let scenario = format!("{}:{}:{}", experiment.short(), plan, format.name());
     run_cell_body(fault, scenario, detect, |ctx| {
-        let config = CrossTestConfig {
-            experiments: vec![experiment],
-            formats: vec![format],
-            ..CrossTestConfig::default()
-        };
         // The fault (when armed) already lives on `ctx`; the deployment
         // just wraps the stack around it.
-        let deployment = Deployment::with_crossing(&config, ctx.clone());
+        let deployment = Deployment::new(ctx.clone(), &[]);
         let obs = run_one(&deployment, experiment, plan, format, &probe_input(), false);
         let detail = match (&obs.write.result, obs.read.as_ref().map(|r| &r.result)) {
             (Err(e), _) => format!("write failed: {}", e.signature()),
@@ -558,7 +499,7 @@ fn run_probe_cell(
             (Ok(()), Some(Ok(rows))) => format!("write+read ok ({} rows)", rows.len()),
             (Ok(()), None) => "write ok; read skipped".to_string(),
         };
-        (exec::surfaced_error(&obs), detail)
+        (obs.surfaced().cloned(), detail)
     })
 }
 

@@ -11,8 +11,8 @@
 //! A *compound trial* runs several jobs — each an (experiment, plan,
 //! format, input) cell decomposed into `create`/`insert`/`read` turns —
 //! against **one** deployment, so they share the metastore, the
-//! filesystem, the crossing context, and (crucially) the injection
-//! registry's call counters. An [`InterleaveSchedule`] fixes the total
+//! filesystem, and the crossing context — (crucially) including its
+//! call counters. An [`InterleaveSchedule`] fixes the total
 //! order of turns; the discrete-event simulator ([`csi_core::sim::Sim`])
 //! dispatches them at virtual times taken from that order, so which job
 //! observes an `OnCall`-triggered fault is a deterministic function of the
@@ -29,7 +29,7 @@
 //! happens in trial order — a sharded compound pass is byte-identical to
 //! a one-worker one, pinned by `tests/kfault.rs`.
 
-use crate::exec::{self, CrossTestConfig, Deployment};
+use crate::exec::{self, Deployment};
 use crate::generator::TestInput;
 use crate::inject;
 use crate::plan::{Experiment, TestPlan};
@@ -244,7 +244,7 @@ pub fn run_compound_trial(
 ) -> CompoundTrialReport {
     let ctx = CrossingContext::new();
     ctx.arm_set(set);
-    let d = Deployment::with_crossing(&CrossTestConfig::default(), ctx);
+    let d = Deployment::new(ctx, &[]);
     let slots: Vec<JobSlot> = jobs
         .iter()
         .enumerate()

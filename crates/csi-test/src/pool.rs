@@ -9,24 +9,24 @@
 //! The invariant that makes pooling safe is the same one `vacuum`
 //! enforces for recycled tables, taken to its limit: **a released
 //! deployment is reset until it is construction-identical to a fresh
-//! one**. [`Metastore::reset`](minihive::metastore::Metastore::reset) and
-//! [`MiniHdfs::reset`](minihdfs::MiniHdfs::reset) rebuild both stores
-//! from scratch (erasing residue like `next_part` / `next_block_id`
-//! cursors that `vacuum` deliberately preserves), the crossing context is
-//! disarmed and its counters, clock and trace cleared, and the diag sink
-//! drained. Pooled campaigns are therefore byte-identical to unpooled
+//! one** — `Deployment::reset_to_fresh` is the one place that says what
+//! that takes. Pooled campaigns are therefore byte-identical to unpooled
 //! ones — pinned by `exec::tests::pooled_run_is_byte_identical_to_fresh`.
 //!
 //! Shelves are keyed by the parts of a [`CrossTestConfig`] that are baked
 //! in at construction time (Spark overrides, boundary tracing); per-run
-//! attachments — fault plans, detectors — are armed on acquire and torn
-//! down on release, so one shelf serves faulty and fault-free campaigns
-//! alike.
+//! attachments — fault plans, detectors — are armed on acquire
+//! (`Deployment::arm`) and torn down on release, so one shelf serves
+//! faulty and fault-free campaigns alike.
+//!
+//! The key comes from the campaign spec, which a `csi-serve` client
+//! writes, so the pool is bounded: it never holds more than
+//! [`MAX_SHELVED`] deployments, and a release at the cap drops the stack
+//! instead of shelving it.
 
 use crate::exec::{CrossTestConfig, Deployment};
-use csi_core::detect::DetectorSpec;
+use crate::spec::MAX_SHARDS;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,7 +45,8 @@ pub struct PoolStats {
 /// A thread-safe pool of reset-to-fresh [`Deployment`]s, keyed by
 /// deployment shape.
 pub struct DeploymentPool {
-    shelves: Mutex<BTreeMap<String, Vec<Deployment>>>,
+    /// `(shelf key, deployment)`, at most [`MAX_SHELVED`] of them.
+    shelves: Mutex<Vec<(String, Deployment)>>,
     created: AtomicU64,
     reused: AtomicU64,
 }
@@ -85,23 +86,17 @@ fn shelf_key(config: &CrossTestConfig) -> String {
     key
 }
 
-/// `config` with every per-run attachment stripped: what a pooled
-/// deployment is *built* from, so a shelf miss constructs exactly the
-/// stack a fresh unpooled run would.
-fn construction_config(config: &CrossTestConfig) -> CrossTestConfig {
-    CrossTestConfig {
-        fault_plan: None,
-        detector: None,
-        pool: None,
-        ..config.clone()
-    }
-}
+/// The most deployments the pool keeps across all shelves: what one
+/// campaign at the shard bound can hand back at once. Distinct override
+/// lists each open a shelf, so without a cap a client could park a full
+/// stack per list for the life of the daemon.
+const MAX_SHELVED: usize = MAX_SHARDS;
 
 impl DeploymentPool {
     /// An empty pool.
     pub fn new() -> DeploymentPool {
         DeploymentPool {
-            shelves: Mutex::new(BTreeMap::new()),
+            shelves: Mutex::new(Vec::new()),
             created: AtomicU64::new(0),
             reused: AtomicU64::new(0),
         }
@@ -111,15 +106,25 @@ impl DeploymentPool {
     /// acquires are shelf hits. The daemon calls this at startup to hide
     /// construction cost from the first wave of tenants.
     pub fn warm(&self, config: &CrossTestConfig, n: usize) {
+        for _ in 0..n {
+            let fresh = self.build(config);
+            self.shelve(config, fresh);
+        }
+    }
+
+    fn build(&self, config: &CrossTestConfig) -> Deployment {
+        self.created.fetch_add(1, Ordering::Relaxed);
+        Deployment::unarmed(config)
+    }
+
+    /// Puts a construction-identical-to-fresh deployment on `config`'s
+    /// shelf, or drops it when the pool already holds [`MAX_SHELVED`].
+    fn shelve(&self, config: &CrossTestConfig, deployment: Deployment) {
         let key = shelf_key(config);
-        let clean = construction_config(config);
-        let fresh: Vec<Deployment> = (0..n)
-            .map(|_| {
-                self.created.fetch_add(1, Ordering::Relaxed);
-                Deployment::new(&clean)
-            })
-            .collect();
-        self.shelves.lock().entry(key).or_default().extend(fresh);
+        let mut shelves = self.shelves.lock();
+        if shelves.len() < MAX_SHELVED {
+            shelves.push((key, deployment));
+        }
     }
 
     /// Hit/miss/occupancy counters.
@@ -127,7 +132,7 @@ impl DeploymentPool {
         PoolStats {
             created: self.created.load(Ordering::Relaxed),
             reused: self.reused.load(Ordering::Relaxed),
-            shelved: self.shelves.lock().values().map(Vec::len).sum(),
+            shelved: self.shelves.lock().len(),
         }
     }
 
@@ -135,46 +140,31 @@ impl DeploymentPool {
     /// one), then arms `config`'s per-run attachments on it: the fault
     /// plan, and a freshly built detector wired in as the crossing sink.
     pub(crate) fn acquire(&self, config: &CrossTestConfig) -> Deployment {
-        let shelved = self
-            .shelves
-            .lock()
-            .get_mut(&shelf_key(config))
-            .and_then(Vec::pop);
+        let key = shelf_key(config);
+        let shelved = {
+            let mut shelves = self.shelves.lock();
+            shelves
+                .iter()
+                .rposition(|(k, _)| *k == key)
+                .map(|i| shelves.remove(i))
+        };
         let mut deployment = match shelved {
-            Some(d) => {
+            Some((_, d)) => {
                 self.reused.fetch_add(1, Ordering::Relaxed);
                 d
             }
-            None => {
-                self.created.fetch_add(1, Ordering::Relaxed);
-                Deployment::new(&construction_config(config))
-            }
+            None => self.build(config),
         };
-        if let Some(plan) = &config.fault_plan {
-            deployment.crossing.arm_plan(plan);
-        }
-        deployment.detector = config.detector.as_ref().map(DetectorSpec::build);
-        if let Some(d) = &deployment.detector {
-            deployment.crossing.set_sink(d.sink());
-        }
+        deployment.arm(config.fault_plan.as_ref(), config.detector.as_ref());
         deployment
     }
 
     /// Resets `deployment` to construction-identical-to-fresh and shelves
-    /// it for the next acquire of the same shape.
+    /// it for the next acquire of the same shape (or drops it, at the
+    /// cap).
     pub(crate) fn release(&self, config: &CrossTestConfig, mut deployment: Deployment) {
-        deployment.crossing.clear_sink();
-        deployment.detector = None;
-        deployment.crossing.disarm_all();
-        deployment.crossing.reset();
-        deployment.metastore.lock().reset();
-        deployment.fs.lock().reset();
-        deployment.sink.drain();
-        self.shelves
-            .lock()
-            .entry(shelf_key(config))
-            .or_default()
-            .push(deployment);
+        deployment.reset_to_fresh();
+        self.shelve(config, deployment);
     }
 }
 
@@ -217,6 +207,26 @@ mod tests {
         pool.release(&config, a);
         pool.release(&config, b);
         assert_eq!(pool.stats().shelved, 2);
+    }
+
+    #[test]
+    fn distinct_shapes_cannot_grow_the_pool_past_the_cap() {
+        let pool = DeploymentPool::new();
+        for i in 0..300 {
+            let config = CrossTestConfig {
+                spark_overrides: vec![("spark.client.chosen".into(), i.to_string())],
+                ..CrossTestConfig::default()
+            };
+            let d = pool.acquire(&config);
+            pool.release(&config, d);
+        }
+        assert_eq!(pool.stats().shelved, 256);
+        // A full pool still serves a shape it has no shelf for.
+        let plain = CrossTestConfig::default();
+        let d = pool.acquire(&plain);
+        pool.release(&plain, d);
+        let stats = pool.stats();
+        assert_eq!((stats.created, stats.reused, stats.shelved), (301, 0, 256));
     }
 
     #[test]

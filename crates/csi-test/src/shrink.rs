@@ -11,9 +11,10 @@
 //! candidate order, bounded steps.
 
 use crate::classify;
-use crate::exec::{self, CrossTestConfig, Deployment};
+use crate::exec::{self, Deployment};
 use crate::generator::TestInput;
 use crate::plan::{Experiment, TestPlan};
+use csi_core::boundary::CrossingContext;
 use csi_core::oracle::{check_differential, Observation, OracleFailure};
 use csi_core::report::{DiscrepancyReport, ShrinkRow};
 use csi_core::value::{DataType, Value};
@@ -53,7 +54,7 @@ pub struct ShrunkReproducer {
 /// classified result still contains discrepancy `id`. This is the
 /// shrinker's oracle, public so tests can re-verify shipped reproducers.
 pub fn reproducer_triggers(id: &str, r: &Reproducer) -> bool {
-    let d = Deployment::new(&CrossTestConfig::default());
+    let d = Deployment::new(CrossingContext::new(), &[]);
     let mut observations: Vec<Observation> = Vec::new();
     let mut failures: Vec<OracleFailure> = Vec::new();
     for &plan in &r.plans {

@@ -9,8 +9,7 @@
 
 use csi_core::fault::{Channel, FaultPlan};
 use csi_test::{
-    fault_catalogue, generate_inputs, small_fault_catalogue, Campaign, Experiment,
-    FaultMatrixReport,
+    fault_catalogue, generate_inputs, small_fault_catalogue, Campaign, CampaignOutcome, Experiment,
 };
 use minihive::metastore::StorageFormat;
 use proptest::prelude::*;
@@ -22,18 +21,13 @@ fn json<T: serde::Serialize>(value: &T) -> String {
 
 /// The standard matrix campaign (full catalogue, full experiment × format
 /// cross) at the given seed and worker count, through the builder.
-fn standard_matrix(seed: u64, shards: usize) -> FaultMatrixReport {
-    Campaign::new(&[])
-        .fault_matrix(seed)
-        .shards(shards)
-        .run()
-        .matrix
-        .expect("matrix mode")
+fn standard_matrix(seed: u64, shards: usize) -> CampaignOutcome {
+    Campaign::new(&[]).fault_matrix(seed).shards(shards).run()
 }
 
 /// The smoke matrix campaign (small catalogue, one experiment, one
 /// format) at the given seed and worker count, through the builder.
-fn smoke_matrix(seed: u64, shards: usize) -> FaultMatrixReport {
+fn smoke_matrix(seed: u64, shards: usize) -> CampaignOutcome {
     Campaign::new(&[])
         .fault_matrix(seed)
         .experiments(vec![Experiment::ALL[0]])
@@ -41,8 +35,6 @@ fn smoke_matrix(seed: u64, shards: usize) -> FaultMatrixReport {
         .faults(small_fault_catalogue(seed))
         .shards(shards)
         .run()
-        .matrix
-        .expect("matrix mode")
 }
 
 #[test]
@@ -51,8 +43,8 @@ fn sharded_matrix_is_identical_to_serial_at_any_worker_count() {
     for workers in [1, 2, 5] {
         let sharded = standard_matrix(42, workers);
         assert_eq!(
-            json(&serial),
-            json(&sharded),
+            json(&serial.matrix),
+            json(&sharded.matrix),
             "report diverges at {workers} workers"
         );
         assert_eq!(serial.render(), sharded.render());
@@ -61,7 +53,7 @@ fn sharded_matrix_is_identical_to_serial_at_any_worker_count() {
 
 #[test]
 fn every_fired_fault_is_classified_and_every_channel_fires() {
-    let report = standard_matrix(42, 1);
+    let report = standard_matrix(42, 1).matrix.expect("matrix mode");
     let mut fired_channels = BTreeSet::new();
     for case in &report.cases {
         assert_eq!(
@@ -112,8 +104,8 @@ proptest! {
         let first = smoke_matrix(seed, 1);
         let again = smoke_matrix(seed, 1);
         let sharded = smoke_matrix(seed, 3);
-        prop_assert_eq!(json(&first), json(&again));
-        prop_assert_eq!(json(&first), json(&sharded));
+        prop_assert_eq!(json(&first.matrix), json(&again.matrix));
+        prop_assert_eq!(json(&first.matrix), json(&sharded.matrix));
         prop_assert_eq!(first.render(), sharded.render());
     }
 

@@ -36,8 +36,8 @@ fn disabling_tracing_changes_nothing_but_the_trace_fields() {
     let untraced = Campaign::new(inputs).trace(false).run();
     // Scrub the trace fields from the traced report; everything else —
     // observations, failures, classification, ordering — must be
-    // byte-identical, because a disabled context still drives the
-    // injection registry and the virtual clock the same way.
+    // byte-identical, because a disabled context still counts calls,
+    // fires faults and drives the virtual clock the same way.
     let mut scrubbed = traced.report.clone();
     for d in &mut scrubbed.discrepancies {
         d.trace.clear();
