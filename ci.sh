@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame guard
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite
 #   ./ci.sh determinism   # serial-vs-sharded byte-identity suites
@@ -37,6 +37,13 @@ stage_lint() {
   cargo fmt --all --check
   echo "==> clippy (deny warnings)"
   cargo clippy --workspace --all-targets -- -D warnings
+  # Split from its frame on a socket, a newline waits for the peer's ACK
+  # (Nagle) and the frame arrives an inter-arrival gap late.
+  echo "==> wire guard (a frame's terminator is never its own write)"
+  if grep -rnF --include='*.rs' 'write_all(b"\n")' crates/; then
+    echo "a line and its newline must leave in one write: push the '\\n' onto the buffer, then write_all once" >&2
+    exit 1
+  fi
 }
 
 stage_build() {
@@ -107,7 +114,7 @@ stage_bench_smoke() {
 }
 
 stage_serve() {
-  echo "==> csi-serve daemon (protocol, scheduler, tenant, end-to-end determinism)"
+  echo "==> csi-serve daemon (protocol, scheduler, tenant, end-to-end determinism, idle round trip under the delayed-ACK timer)"
   cargo test -q -p csi-serve
 }
 

@@ -41,9 +41,12 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to a daemon.
+    /// Connects to a daemon. The socket gets `TCP_NODELAY`, as the
+    /// daemon's end does: a request is one small write that must leave
+    /// now, not when the previous reply's delayed ACK goes out.
     pub fn connect(addr: SocketAddr) -> io::Result<ServeClient> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(ServeClient { writer, reader })
     }
@@ -55,10 +58,10 @@ impl ServeClient {
             tenant: tenant.to_string(),
             spec: spec.clone(),
         };
-        let line = serde_json::to_string(&request)
+        let mut line = serde_json::to_string(&request)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())
     }
 
     /// Reads the next frame, whatever tenant it belongs to.

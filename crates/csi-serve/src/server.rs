@@ -36,7 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Tuning knobs of one daemon instance.
 #[derive(Debug, Clone)]
@@ -62,14 +62,25 @@ impl Default for ServeConfig {
     }
 }
 
+/// Longest one frame write may block on a client that has stopped
+/// reading. The lock it is held under is shared with every worker
+/// streaming to the same connection, so an unbounded write would park
+/// them all.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The write half of one connection, shared by its reader and by every
+/// worker running a campaign it submitted. `None` once a write has
+/// failed: the line stream is corrupt from there on, so later frames are
+/// dropped without a syscall.
+type Writer<W = TcpStream> = Mutex<Option<W>>;
+
 /// One admitted campaign, queued for a worker.
 struct Job {
     tenant: String,
     /// Journal sequence of this submission in the tenant's namespace.
     seq: u64,
     spec: CampaignSpec,
-    /// The submitting connection's write half, shared with its reader.
-    writer: Arc<Mutex<TcpStream>>,
+    writer: Arc<Writer>,
 }
 
 /// A running `csi-serve` daemon. Dropping it shuts it down gracefully:
@@ -84,13 +95,20 @@ pub struct CsiServer {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Writes one frame as one line, best-effort: a vanished client is the
-/// client's problem, not the campaign's.
-fn send(writer: &Mutex<TcpStream>, frame: &Frame) {
-    let line = serde_json::to_string(frame).expect("frames serialize");
+/// Writes one frame as one line in one `write_all`, best-effort: a
+/// vanished client is the client's problem, not the campaign's. The
+/// frame and its terminator leave as one segment (the socket has
+/// `TCP_NODELAY`), so a frame is on the wire when its event happened,
+/// not when the peer's next ACK releases a held-back `\n`.
+fn send<W: Write>(writer: &Writer<W>, frame: &Frame) {
+    let mut line = serde_json::to_string(frame).expect("frames serialize");
+    line.push('\n');
     let mut stream = writer.lock();
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+    if let Some(live) = stream.as_mut() {
+        if live.write_all(line.as_bytes()).is_err() {
+            *stream = None;
+        }
+    }
 }
 
 impl CsiServer {
@@ -204,7 +222,12 @@ fn serve_connection(stream: TcpStream, scheduler: &FairScheduler<Job>, registry:
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(Mutex::new(write_half));
+    if write_half.set_nodelay(true).is_err()
+        || write_half.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
+        return;
+    }
+    let writer = Arc::new(Mutex::new(Some(write_half)));
     let malformed = |message: String| Frame::Rejected {
         tenant: String::new(),
         reason: RejectReason::Malformed(message),
@@ -257,7 +280,7 @@ fn admit(
     request: CampaignRequest,
     scheduler: &FairScheduler<Job>,
     registry: &TenantRegistry,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Arc<Writer>,
 ) -> Frame {
     let tenant = request.tenant;
     let reject = |reason| Frame::Rejected {
@@ -298,58 +321,189 @@ fn admit(
 
 /// Runs one admitted campaign on a worker thread: detections stream out
 /// through the tap as they happen, the report closes the request, and
-/// the registry records what was answered.
+/// the registry records what was answered. Everything up to the terminal
+/// frame runs under one `catch_unwind`, so whatever panics — the
+/// campaign, reviving the spec, serialising the report — the worker
+/// lives on and the client is answered.
 fn run_job(pool: &Arc<DeploymentPool>, registry: &TenantRegistry, job: Job) {
-    let started = Instant::now();
-    let streamed = Arc::new(AtomicUsize::new(0));
-    let tap = {
-        let writer = job.writer.clone();
-        let tenant = job.tenant.clone();
-        let streamed = streamed.clone();
-        DetectionTap::new(move |detection| {
-            streamed.fetch_add(1, Ordering::SeqCst);
-            send(
-                &writer,
-                &Frame::Detection {
-                    tenant: tenant.clone(),
-                    detection: detection.clone(),
-                },
-            );
-        })
-    };
-    let campaign = Campaign::from_spec(job.spec)
-        .expect("spec validated at admission")
-        .pool(pool.clone())
-        .detection_tap(tap);
-    match catch_unwind(AssertUnwindSafe(move || campaign.run())) {
-        Ok(outcome) => {
-            let report_json = serde_json::to_string(&outcome.report).expect("reports serialize");
-            let _ = registry.record_report(&job.tenant, job.seq, &report_json);
-            send(
-                &job.writer,
-                &Frame::Report {
-                    tenant: job.tenant,
-                    campaign_micros: u64::try_from(started.elapsed().as_micros())
-                        .unwrap_or(u64::MAX),
-                    detections: streamed.load(Ordering::SeqCst),
-                    report_json,
-                    render: outcome.render(),
-                },
-            );
+    let Job {
+        tenant,
+        seq,
+        spec,
+        writer,
+    } = job;
+    let answered = catch_unwind(AssertUnwindSafe(|| {
+        let started = Instant::now();
+        let streamed = Arc::new(AtomicUsize::new(0));
+        let tap = {
+            let writer = writer.clone();
+            let tenant = tenant.clone();
+            let streamed = streamed.clone();
+            DetectionTap::new(move |detection| {
+                streamed.fetch_add(1, Ordering::SeqCst);
+                send(
+                    &writer,
+                    &Frame::Detection {
+                        tenant: tenant.clone(),
+                        detection: detection.clone(),
+                    },
+                );
+            })
+        };
+        let outcome = Campaign::from_spec(spec)
+            .expect("spec validated at admission")
+            .pool(pool.clone())
+            .detection_tap(tap)
+            .run();
+        let report_json = serde_json::to_string(&outcome.report).expect("reports serialize");
+        let _ = registry.record_report(&tenant, seq, &report_json);
+        send(
+            &writer,
+            &Frame::Report {
+                tenant: tenant.clone(),
+                campaign_micros: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+                detections: streamed.load(Ordering::SeqCst),
+                report_json,
+                render: outcome.render(),
+            },
+        );
+    }));
+    if let Err(panic) = answered {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "campaign panicked".to_string());
+        send(
+            &writer,
+            &Frame::Rejected {
+                tenant,
+                reason: RejectReason::Internal(message),
+            },
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The bytes of every `write` call, in order.
+    type Calls = Rc<RefCell<Vec<Vec<u8>>>>;
+
+    /// Records every `write` call it is handed whole; calls from the
+    /// `fail_from`-th on (0-based) fail instead.
+    struct Recording {
+        calls: Calls,
+        fail_from: usize,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut calls = self.calls.borrow_mut();
+            calls.push(buf.to_vec());
+            if calls.len() > self.fail_from {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            Ok(buf.len())
         }
-        Err(panic) => {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "campaign panicked".to_string());
-            send(
-                &job.writer,
-                &Frame::Rejected {
-                    tenant: job.tenant,
-                    reason: RejectReason::Internal(message),
-                },
-            );
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn recording(fail_from: usize) -> (Writer<Recording>, Calls) {
+        let calls = Calls::default();
+        let writer = Mutex::new(Some(Recording {
+            calls: calls.clone(),
+            fail_from,
+        }));
+        (writer, calls)
+    }
+
+    fn accepted(queue_depth: usize) -> Frame {
+        Frame::Accepted {
+            tenant: "alpha".to_string(),
+            queue_depth,
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_ending_in_its_only_newline() {
+        let (writer, calls) = recording(usize::MAX);
+        let frames = [
+            accepted(3),
+            Frame::Rejected {
+                tenant: "alpha".to_string(),
+                reason: RejectReason::Malformed("line one\nline two".to_string()),
+            },
+        ];
+        for frame in &frames {
+            send(&writer, frame);
+        }
+        let calls = calls.borrow();
+        assert_eq!(calls.len(), frames.len(), "one write per frame");
+        for (bytes, frame) in calls.iter().zip(&frames) {
+            assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 1);
+            let (terminator, body) = bytes.split_last().expect("non-empty frame");
+            assert_eq!(*terminator, b'\n');
+            let text = std::str::from_utf8(body).expect("frames are UTF-8");
+            let back: Frame = serde_json::from_str(text).expect("frame parses");
+            assert_eq!(&back, frame);
+        }
+    }
+
+    #[test]
+    fn a_failed_write_kills_the_connection_for_later_frames() {
+        let (writer, calls) = recording(1);
+        send(&writer, &accepted(0));
+        assert!(writer.lock().is_some(), "first write succeeded");
+        send(&writer, &accepted(1));
+        assert!(writer.lock().is_none(), "second write failed");
+        send(&writer, &accepted(2));
+        send(&writer, &accepted(3));
+        assert_eq!(calls.borrow().len(), 2, "dead connections cost no write");
+    }
+
+    #[test]
+    fn a_panic_before_the_campaign_runs_is_answered_and_survived() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (served, _) = listener.accept().expect("accept");
+        // A spec admission would have refused: reviving it panics on the
+        // worker, outside the campaign proper.
+        let spec = CampaignSpec {
+            chunk_size: 0,
+            ..CampaignSpec::default()
+        };
+        assert!(spec.validate().is_err());
+        let job = Job {
+            tenant: "alpha".to_string(),
+            seq: 0,
+            spec,
+            writer: Arc::new(Mutex::new(Some(served))),
+        };
+        run_job(
+            &Arc::new(DeploymentPool::new()),
+            &TenantRegistry::new(),
+            job,
+        );
+        let mut line = String::new();
+        BufReader::new(client)
+            .read_line(&mut line)
+            .expect("terminal frame");
+        match serde_json::from_str(&line).expect("frame parses") {
+            Frame::Rejected {
+                tenant,
+                reason: RejectReason::Internal(message),
+            } => {
+                assert_eq!(tenant, "alpha");
+                assert!(message.contains("spec validated at admission"), "{message}");
+            }
+            other => panic!("expected an internal rejection, got {other:?}"),
         }
     }
 }

@@ -23,6 +23,7 @@
 use minihdfs::{HdfsPath, MiniHdfs};
 use minihive::metastore::Metastore;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 
 /// FNV-1a 64-bit, the digest used for report fingerprints.
 pub use csi_core::hash::fnv1a;
@@ -30,7 +31,17 @@ pub use csi_core::hash::fnv1a;
 /// The shared control-plane substrate, partitioned per tenant.
 pub struct TenantRegistry {
     metastore: Mutex<Metastore>,
-    fs: Mutex<MiniHdfs>,
+    fs: Mutex<Journal>,
+}
+
+/// The journal filesystem and, under the same lock, the next journal
+/// sequence of every tenant contacted since its last eviction. A missing
+/// entry means "not carved yet": [`TenantRegistry::register`] derives it
+/// from one listing of the subtree, so the counter can never disagree
+/// with the files it numbers.
+struct Journal {
+    fs: MiniHdfs,
+    next_seq: HashMap<String, u64>,
 }
 
 impl Default for TenantRegistry {
@@ -49,7 +60,10 @@ impl TenantRegistry {
             .expect("mkdirs /tenants");
         TenantRegistry {
             metastore: Mutex::new(Metastore::new()),
-            fs: Mutex::new(fs),
+            fs: Mutex::new(Journal {
+                fs,
+                next_seq: HashMap::new(),
+            }),
         }
     }
 
@@ -68,29 +82,41 @@ impl TenantRegistry {
     /// Ensures the tenant's namespace exists and journals one submitted
     /// spec (as JSON) under it, returning the journal sequence number of
     /// this submission. Registration is idempotent: the namespace is
-    /// created on first contact and reused afterwards.
+    /// carved (and the sequence counted from the subtree's `spec-*`
+    /// files) on first contact; afterwards a submission costs one counter
+    /// bump and one file.
     pub fn register(&self, tenant: &str, spec_json: &str) -> Result<u64, String> {
-        self.metastore
-            .lock()
-            .create_database(&TenantRegistry::database(tenant));
         let subtree = TenantRegistry::subtree(tenant);
-        let mut fs = self.fs.lock();
-        fs.mkdirs(&subtree).map_err(|e| e.to_string())?;
-        let seq = fs
-            .list_status(&subtree)
-            .map_err(|e| e.to_string())?
-            .iter()
-            .filter(|s| {
-                s.path
-                    .name()
-                    .is_some_and(|n| n.starts_with("spec-") && n.ends_with(".json"))
-            })
-            .count() as u64;
+        let mut journal = self.fs.lock();
+        let Journal { fs, next_seq } = &mut *journal;
+        let next = match next_seq.get_mut(tenant) {
+            Some(next) => next,
+            None => {
+                // Filesystem before metastore, as in `evict`.
+                self.metastore
+                    .lock()
+                    .create_database(&TenantRegistry::database(tenant));
+                fs.mkdirs(&subtree).map_err(|e| e.to_string())?;
+                let journaled = fs
+                    .list_status(&subtree)
+                    .map_err(|e| e.to_string())?
+                    .iter()
+                    .filter(|s| {
+                        s.path
+                            .name()
+                            .is_some_and(|n| n.starts_with("spec-") && n.ends_with(".json"))
+                    })
+                    .count() as u64;
+                next_seq.entry(tenant.to_string()).or_insert(journaled)
+            }
+        };
+        let seq = *next;
         fs.create(
             &subtree.join(&format!("spec-{seq:06}.json")),
             spec_json.as_bytes(),
         )
         .map_err(|e| e.to_string())?;
+        *next += 1;
         Ok(seq)
     }
 
@@ -98,7 +124,7 @@ impl TenantRegistry {
     /// into the tenant's subtree.
     pub fn record_report(&self, tenant: &str, seq: u64, report_json: &str) -> Result<(), String> {
         let subtree = TenantRegistry::subtree(tenant);
-        let mut fs = self.fs.lock();
+        let fs = &mut self.fs.lock().fs;
         fs.create(
             &subtree.join(&format!("report-{seq:06}.json")),
             report_json.as_bytes(),
@@ -115,7 +141,7 @@ impl TenantRegistry {
     /// The recorded digest of submission `seq`, if a report was written.
     pub fn digest(&self, tenant: &str, seq: u64) -> Option<String> {
         let path = TenantRegistry::subtree(tenant).join(&format!("report-{seq:06}.digest"));
-        let bytes = self.fs.lock().read(&path).ok()?;
+        let bytes = self.fs.lock().fs.read(&path).ok()?;
         String::from_utf8(bytes.to_vec()).ok()
     }
 
@@ -123,6 +149,7 @@ impl TenantRegistry {
     pub fn tenants(&self) -> Vec<String> {
         self.fs
             .lock()
+            .fs
             .list_status(&HdfsPath::parse("/tenants").expect("static path"))
             .map(|entries| {
                 entries
@@ -138,6 +165,7 @@ impl TenantRegistry {
     pub fn submissions(&self, tenant: &str) -> usize {
         self.fs
             .lock()
+            .fs
             .list_status(&TenantRegistry::subtree(tenant))
             .map(|entries| {
                 entries
@@ -149,12 +177,17 @@ impl TenantRegistry {
     }
 
     /// Tears down the tenant's namespace: every table in its database
-    /// dropped, its subtree deleted recursively, freed blocks vacuumed.
+    /// dropped, its subtree deleted recursively, freed blocks vacuumed,
+    /// its journal counter forgotten (the next `register` starts at 0).
     pub fn evict(&self, tenant: &str) -> Result<(), String> {
         let db = TenantRegistry::database(tenant);
         // Filesystem before metastore, as everywhere a deployment's two
         // locks nest.
-        let mut fs = self.fs.lock();
+        let mut journal = self.fs.lock();
+        let Journal { fs, next_seq } = &mut *journal;
+        // Forgotten first: if the teardown below fails half-way, the
+        // next `register` recounts whatever is left.
+        next_seq.remove(tenant);
         let mut metastore = self.metastore.lock();
         let tables: Vec<String> = metastore
             .list_tables(&db)
@@ -162,7 +195,7 @@ impl TenantRegistry {
             .unwrap_or_default();
         for table in tables {
             metastore
-                .drop_table(&db, &table, false, &mut fs)
+                .drop_table(&db, &table, false, fs)
                 .map_err(|e| e.to_string())?;
         }
         drop(metastore);
@@ -222,7 +255,35 @@ mod tests {
         assert_eq!(registry.tenants(), ["beta"]);
         assert_eq!(registry.submissions("alpha"), 0);
         assert_eq!(registry.digest("alpha", seq), None);
-        // Re-registration starts a fresh journal at sequence zero.
+        // Re-registration starts a fresh journal at sequence zero, and
+        // counts up from there.
         assert_eq!(registry.register("alpha", "{}").expect("register"), 0);
+        assert_eq!(registry.register("alpha", "{}").expect("register"), 1);
+        assert_eq!(registry.submissions("alpha"), 2);
+    }
+
+    #[test]
+    fn concurrent_registrations_number_the_journal_without_gaps_or_duplicates() {
+        let registry = TenantRegistry::new();
+        let start = std::sync::Barrier::new(4);
+        let mut seqs: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..64)
+                            .map(|_| registry.register("alpha", "{}").expect("register"))
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("registering thread"))
+                .collect()
+        });
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..256).collect::<Vec<u64>>());
+        assert_eq!(registry.submissions("alpha"), 256);
     }
 }

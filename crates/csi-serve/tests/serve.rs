@@ -364,3 +364,42 @@ fn backlogged_tenants_hit_admission_control() {
     }
     server.shutdown();
 }
+
+#[test]
+fn idle_round_trips_do_not_wait_for_delayed_ack() {
+    // One request at a time on an otherwise idle connection: nothing
+    // else is in flight to carry an ACK, so a frame split across two
+    // writes on a Nagle socket waits out the peer's delayed-ACK timer
+    // (~40 ms) — once per direction. The threshold excludes that timer;
+    // it is not a speed floor for the campaign itself.
+    let mut server = CsiServer::start(&ServeConfig {
+        workers: 1,
+        warm: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    let spec = CampaignSpec {
+        inputs: InputSelection::CataloguePrefix(1),
+        ..CampaignSpec::default()
+    };
+    let mut round_trips: Vec<std::time::Duration> = (0..64)
+        .map(|_| {
+            let sent = std::time::Instant::now();
+            client.submit("idle", &spec).expect("submit");
+            let outcomes = client.collect(1).expect("outcome");
+            assert!(outcomes[0].report_json.is_some(), "campaign finished");
+            sent.elapsed()
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(20),
+        "median idle round trip {median:?} (min {:?}, max {:?})",
+        round_trips[0],
+        round_trips[round_trips.len() - 1]
+    );
+    assert_eq!(server.registry().submissions("idle"), 64);
+    server.shutdown();
+}

@@ -94,18 +94,22 @@ fn ts(s: &str) -> Value {
     Value::Timestamp(parse_timestamp(s).expect("static timestamp"))
 }
 
-/// Generates the full input catalogue: 422 inputs, 210 valid, 212 invalid.
+/// The full input catalogue: 422 inputs, 210 valid, 212 invalid.
 ///
 /// The catalogue is deterministic, so it is built once per process and
-/// cached; every call clones the cached vector. Benchmarks and the
-/// parallel executor's worker threads can therefore call this freely
-/// without re-running the generators.
-pub fn generate_inputs() -> Vec<TestInput> {
+/// borrowed from there; callers that need only part of it (a
+/// `CataloguePrefix`, its length) clone only that part.
+pub fn catalogue() -> &'static [TestInput] {
     static CATALOGUE: std::sync::OnceLock<Vec<TestInput>> = std::sync::OnceLock::new();
-    CATALOGUE.get_or_init(build_catalogue).clone()
+    CATALOGUE.get_or_init(build_catalogue)
 }
 
-/// Builds the catalogue from scratch; [`generate_inputs`] caches this.
+/// An owned copy of the whole [`catalogue`].
+pub fn generate_inputs() -> Vec<TestInput> {
+    catalogue().to_vec()
+}
+
+/// Builds the catalogue from scratch; [`catalogue`] caches this.
 fn build_catalogue() -> Vec<TestInput> {
     let mut g = Gen { inputs: Vec::new() };
     integers(&mut g);

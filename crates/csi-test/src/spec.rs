@@ -66,9 +66,8 @@ impl InputSelection {
         match self {
             InputSelection::Catalogue => generator::generate_inputs(),
             InputSelection::CataloguePrefix(n) => {
-                let mut inputs = generator::generate_inputs();
-                inputs.truncate(*n);
-                inputs
+                let catalogue = generator::catalogue();
+                catalogue[..catalogue.len().min(*n)].to_vec()
             }
             InputSelection::Inline(inputs) => inputs.clone(),
             InputSelection::Corpus { shape, seed } => {
@@ -87,7 +86,7 @@ impl InputSelection {
     /// `corpus` origin.
     pub fn corpus_floor(&self) -> Option<usize> {
         match self {
-            InputSelection::Corpus { .. } => Some(generator::generate_inputs().len()),
+            InputSelection::Corpus { .. } => Some(generator::catalogue().len()),
             _ => None,
         }
     }
