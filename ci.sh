@@ -4,14 +4,8 @@
 #
 #   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame guard
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
-#   ./ci.sh test          # full test suite
-#   ./ci.sh determinism   # serial-vs-sharded byte-identity suites
-#   ./ci.sh reports       # report bins (boundary trace summary, online detector vs offline oracle)
-#   ./ci.sh golden        # golden campaign report drift check
-#   ./ci.sh explore       # coverage-guided explore smoke (small budget)
-#   ./ci.sh corpus        # corpus synthesis/inference tests + corpus-seeded explore smoke, run twice
+#   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # cluster-scale substrate smoke + the benchmark's own smoke (all four workloads)
-#   ./ci.sh serve         # csi-serve daemon tests
 #   ./ci.sh all           # everything above, in order (the default), then checks the work tree is as it was found
 #
 # The usage string, `all`, and the dispatch below are all derived from the
@@ -30,7 +24,7 @@ STAGE_TIMEOUT=900
 
 # The one stage list. A stage named `foo-bar` is implemented by a
 # function `stage_foo_bar`.
-STAGES=(lint build test determinism reports golden explore corpus bench-smoke serve)
+STAGES=(lint build test bench-smoke)
 
 stage_lint() {
   echo "==> fmt (check only)"
@@ -61,61 +55,11 @@ stage_test() {
   cargo test -q --workspace
 }
 
-stage_determinism() {
-  echo "==> determinism (serial vs parallel campaign)"
-  cargo test -q -p csi-test --test determinism
-  echo "==> fault matrix (injection determinism + taxonomy coverage)"
-  cargo test -q -p csi-test --test fault_matrix
-  echo "==> boundary traces (side-effect-free, serial == sharded)"
-  cargo test -q -p csi-test --test trace
-  echo "==> shared-deployment lock order (200x stress loop under a 30 s watchdog)"
-  cargo test -q -p csi-test --test concurrent_metastore
-}
-
-stage_reports() {
-  echo "==> boundary trace summary (per-channel crossing counts)"
-  cargo run -q --release -p csi-bench --bin trace_summary
-  echo "==> online detector vs offline oracle (recall 1.0, serial == sharded)"
-  cargo run -q --release -p csi-bench --bin detector_report
-}
-
-stage_golden() {
-  echo "==> golden campaign report"
-  cargo test -q -p csi-test --test golden_report
-}
-
-stage_explore() {
-  echo "==> coverage-guided explore smoke (asserts novel signatures beyond the seed grid)"
-  cargo run -q --release -p csi-bench --bin explore -- 42 400 4
-  echo "==> k-fault compound smoke (asserts a shrunk multi-fault cross-job cluster, serial == sharded)"
-  cargo run -q --release -p csi-bench --bin kfault_explore -- 42 96 4
-}
-
-stage_corpus() {
-  echo "==> corpus synthesis + schema-inference round-trip tests"
-  cargo test -q -p csi-test corpus
-  echo "==> corpus-seeded explore smoke, run twice with byte-compared summaries (flakiness guard)"
-  local first second
-  first="$(cargo run -q --release -p csi-bench --bin corpus_explore -- 42 160 4)"
-  second="$(cargo run -q --release -p csi-bench --bin corpus_explore -- 42 160 4)"
-  if [ "$first" != "$second" ]; then
-    echo "corpus explore smoke is not byte-deterministic across back-to-back runs:" >&2
-    diff <(printf '%s\n' "$first") <(printf '%s\n' "$second") >&2 || true
-    exit 1
-  fi
-  echo "    two runs byte-identical"
-}
-
 stage_bench_smoke() {
   echo "==> cluster-scale substrate smoke (interning/vacuum/slab invariants + sim event-rate floor)"
   cargo run -q --release -p csi-bench --bin cluster_scale -- --smoke
   echo "==> benchmark smoke (grid, bulk, explore, serve: every output check on, ~2 s each)"
   cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
-}
-
-stage_serve() {
-  echo "==> csi-serve daemon (protocol, scheduler, tenant, end-to-end determinism, idle round trip under the delayed-ACK timer)"
-  cargo test -q -p csi-serve
 }
 
 # Stages are shell functions and `timeout` needs a process: run the

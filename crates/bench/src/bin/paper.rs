@@ -1,55 +1,104 @@
-//! Regenerates the paper's artefacts, one per subcommand: `paper table1` …
-//! `paper table9`, `paper figure1` … `paper figure3`, the artifact's
-//! three experiment scripts (`paper spark_e2e`, `paper spark_hive_oneway`,
-//! `paper hive_spark_oneway`), and `paper findings`, `paper incidents`,
-//! `paper dataset`, `paper section8`. Each prints the artefact beside
-//! "paper vs measured" lines; see DESIGN.md's per-experiment index.
+//! Regenerates the paper's artefacts and prints the campaigns, one per
+//! subcommand (`paper nope` lists them all; see DESIGN.md's per-experiment
+//! index). The study subcommands print each table beside "paper vs
+//! measured" lines; the campaign subcommands (`matrix`, `explore`,
+//! `kfault`, `corpus`) build one [`Campaign`], run it once and print
+//! `outcome.render()`. Nothing here asserts — that is `cargo test`'s job —
+//! and nothing here is a stopwatch — that is `benchmark/`'s
+//! (`BENCHMARK.json`).
 
-use csi_bench::tables::{compare, header, run_artifact_experiment};
 use csi_core::boundary::CrossingContext;
+use csi_core::oracle::OracleKind;
 use csi_study::incidents::{load_incidents, median_csi_duration};
 use csi_study::{analyze, render, Dataset};
-use csi_test::{active_ids, generate_inputs, Campaign, CrossTestConfig, Experiment};
+use csi_test::contracts::{check_observations, documented_contracts, naive_contracts};
+use csi_test::{active_ids, generate_inputs, Campaign, CorpusShape, CrossTestConfig, Experiment};
 use miniflink::yarn_driver::{
     capacity_scheduler, check_allocation_consistency, fair_scheduler, flink_predicted_allocation,
     run_driver, DriverMode, DriverRun,
 };
 use minihdfs::{HdfsPath, MiniHdfs};
+use minihive::metastore::StorageFormat;
 use minispark::connectors::hdfs::{read_file, LengthCheck};
 use miniyarn::config::default_yarn_config;
 use miniyarn::Resource;
 
-const USAGE: &str = "usage: paper <table1..table9 | figure1..figure3 | \
-                     spark_e2e | spark_hive_oneway | hive_spark_oneway | \
-                     findings | incidents | dataset | section8>";
+/// A subcommand: its positional arguments (everything after the name).
+type Command = fn(&[String]);
+
+/// The one subcommand list. The usage string and the dispatch in `main`
+/// are both derived from it, so a subcommand cannot be runnable yet
+/// missing from the usage.
+const COMMANDS: &[(&str, Command)] = &[
+    ("table1", |_| table1(&Dataset::load())),
+    ("table2", |_| table2(&Dataset::load())),
+    ("table3", |_| table3(&Dataset::load())),
+    ("table4", |_| table4(&Dataset::load())),
+    ("table5", |_| table5(&Dataset::load())),
+    ("table6", |_| table6(&Dataset::load())),
+    ("table7", |_| table7(&Dataset::load())),
+    ("table8", |_| table8(&Dataset::load())),
+    ("table9", |_| table9(&Dataset::load())),
+    ("figure1", |_| figure1()),
+    ("figure2", |_| figure2()),
+    ("figure3", |_| figure3()),
+    ("spark_e2e", |_| {
+        run_artifact_experiment(Experiment::SparkToSpark)
+    }),
+    ("spark_hive_oneway", |_| {
+        run_artifact_experiment(Experiment::SparkToHive)
+    }),
+    ("hive_spark_oneway", |_| {
+        run_artifact_experiment(Experiment::HiveToSpark)
+    }),
+    ("findings", |_| findings(&Dataset::load())),
+    ("incidents", |_| incidents()),
+    ("dataset", |_| dataset(&Dataset::load())),
+    ("section8", |_| section8()),
+    ("ablation", |_| ablation()),
+    ("contracts", |_| contracts()),
+    ("matrix", matrix),
+    ("explore", explore),
+    ("kfault", kfault),
+    ("corpus", corpus),
+];
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_default();
-    match name.as_str() {
-        "table1" => table1(&Dataset::load()),
-        "table2" => table2(&Dataset::load()),
-        "table3" => table3(&Dataset::load()),
-        "table4" => table4(&Dataset::load()),
-        "table5" => table5(&Dataset::load()),
-        "table6" => table6(&Dataset::load()),
-        "table7" => table7(&Dataset::load()),
-        "table8" => table8(&Dataset::load()),
-        "table9" => table9(&Dataset::load()),
-        "figure1" => figure1(),
-        "figure2" => figure2(),
-        "figure3" => figure3(),
-        "spark_e2e" => run_artifact_experiment(Experiment::SparkToSpark),
-        "spark_hive_oneway" => run_artifact_experiment(Experiment::SparkToHive),
-        "hive_spark_oneway" => run_artifact_experiment(Experiment::HiveToSpark),
-        "findings" => findings(&Dataset::load()),
-        "incidents" => incidents(),
-        "dataset" => dataset(&Dataset::load()),
-        "section8" => section8(),
-        _ => {
-            eprintln!("{USAGE}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let name = args.first().map_or("", String::as_str);
+    match COMMANDS.iter().find(|(n, _)| *n == name) {
+        Some((_, run)) => run(&args[1..]),
+        None => {
+            let names: Vec<&str> = COMMANDS.iter().map(|(n, _)| *n).collect();
+            eprintln!("usage: paper <{}>", names.join(" | "));
             std::process::exit(2);
         }
     }
+}
+
+/// Prints a "paper vs measured" comparison line.
+fn compare(label: &str, paper: impl std::fmt::Display, measured: impl std::fmt::Display) {
+    let p = paper.to_string();
+    let m = measured.to_string();
+    let verdict = if p == m { "MATCH" } else { "DIFFERS" };
+    println!("{label:<58} paper={p:<12} measured={m:<12} [{verdict}]");
+}
+
+/// Prints a section header.
+fn header(title: &str) {
+    println!("\n=== {title} ===");
+}
+
+/// The `i`-th positional argument, or `default` when absent or unparsable.
+fn arg<T: std::str::FromStr>(args: &[String], i: usize, default: T) -> T {
+    args.get(i).and_then(|a| a.parse().ok()).unwrap_or(default)
+}
+
+/// The `[workers]` argument at position `i`: defaults to the machine's
+/// available parallelism.
+fn workers(args: &[String], i: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
+    arg(args, i, cores)
 }
 
 /// Table 1: target systems, interactions, and CSI failure counts.
@@ -391,5 +440,215 @@ fn section8() {
         "discrepancies resolved by custom configuration",
         8,
         resolved.len(),
+    );
+}
+
+/// Runs one of the artifact's three experiments and writes per-oracle
+/// failure logs (`<exp>_wr_failed.json`, `<exp>_eh_failed.json`,
+/// `<exp>_difft_failed.json`) into `logs/<exp>/`, mirroring the artifact's
+/// `logs/<script_name>/<timestamp>` layout.
+fn run_artifact_experiment(experiment: Experiment) {
+    let inputs = generate_inputs();
+    let outcome = Campaign::new(&inputs).experiments(vec![experiment]).run();
+    let dir = std::path::PathBuf::from("logs").join(experiment.short());
+    std::fs::create_dir_all(&dir).expect("create log dir");
+    for (oracle, suffix) in [
+        (OracleKind::WriteRead, "wr"),
+        (OracleKind::ErrorHandling, "eh"),
+        (OracleKind::Differential, "difft"),
+    ] {
+        let failed: Vec<_> = outcome
+            .report
+            .raw_failures
+            .iter()
+            .filter(|f| f.oracle == oracle)
+            .collect();
+        let path = dir.join(format!("{}_{suffix}_failed.json", experiment.short()));
+        std::fs::write(
+            &path,
+            serde_json::to_string_pretty(&failed).expect("serialize"),
+        )
+        .expect("write log");
+        println!(
+            "{}: {} failures -> {}",
+            format_args!("{}_{suffix}", experiment.short()),
+            failed.len(),
+            path.display()
+        );
+    }
+    println!(
+        "{} distinct discrepancies in this experiment: {:?}",
+        outcome.report.distinct(),
+        outcome
+            .report
+            .discrepancies
+            .iter()
+            .map(|d| d.id.as_str())
+            .collect::<Vec<_>>()
+    );
+}
+
+/// Design-choice ablations for the cross-testing harness:
+///
+/// 1. **Oracle ablation** — how many of the 15 discrepancies each oracle
+///    finds on its own (the design choice of running all three).
+/// 2. **Experiment ablation** — how many survive with only one of the
+///    Figure 6 experiments enabled (the choice of testing all directions).
+/// 3. **Format ablation** — how many survive with a single backend format
+///    (the choice of testing ORC, Parquet, and Avro together).
+fn ablation() {
+    let inputs = generate_inputs();
+    let full = Campaign::new(&inputs).run();
+    println!(
+        "full harness: {} discrepancies from {} raw failures",
+        full.report.distinct(),
+        full.report.raw_failures.len()
+    );
+
+    header("oracle ablation: discrepancies with evidence from each oracle alone");
+    for oracle in [
+        OracleKind::WriteRead,
+        OracleKind::ErrorHandling,
+        OracleKind::Differential,
+    ] {
+        let found = full
+            .report
+            .discrepancies
+            .iter()
+            .filter(|d| d.evidence.iter().any(|f| f.oracle == oracle))
+            .count();
+        println!("  {oracle:<8} alone evidences {found:>2}/15 discrepancies");
+    }
+
+    header("experiment ablation: single direction only");
+    for exp in Experiment::ALL {
+        let outcome = Campaign::new(&inputs).experiments(vec![exp]).run();
+        println!(
+            "  {:<14} ({}) finds {:>2}/15 discrepancies",
+            exp,
+            exp.short(),
+            outcome.report.distinct()
+        );
+    }
+
+    header("format ablation: single backend format only");
+    for format in StorageFormat::ALL {
+        let outcome = Campaign::new(&inputs).formats(vec![format]).run();
+        println!(
+            "  {:<8} only finds {:>2}/15 discrepancies",
+            format.name(),
+            outcome.report.distinct()
+        );
+    }
+    println!(
+        "\nNo single oracle, direction, or format covers the full surface —\n\
+         the composition is what reaches all 15 (the Figure 6 design)."
+    );
+}
+
+/// Specification-driven checking (the Section 10 direction): the same
+/// observations, judged against the naive everything-round-trips contract
+/// versus the documented per-channel contracts.
+fn contracts() {
+    let inputs = generate_inputs();
+    let outcome = Campaign::new(&inputs).run();
+
+    header("contract checking over the full 422-input campaign");
+    let naive = check_observations(&inputs, &outcome.observations, naive_contracts);
+    let documented = check_observations(&inputs, &outcome.observations, documented_contracts);
+    println!(
+        "  violations of the naive contract (everything exact): {}",
+        naive.len()
+    );
+    println!(
+        "  violations of the documented contracts:              {}",
+        documented.len()
+    );
+    println!(
+        "  explained by documentation alone:                    {}",
+        naive.len() - documented.len()
+    );
+
+    header("a sample of what only machine-checkable specs surface");
+    let mut seen = std::collections::BTreeSet::new();
+    for v in &documented {
+        let key = format!("{}/{}", v.channel, v.data_type.sql_name());
+        if seen.insert(key) && seen.len() <= 8 {
+            println!("  {v}");
+        }
+    }
+    println!(
+        "\nThe residue above is the paper's point: conventions that no\n\
+         documentation covers, checkable only by executing the interaction."
+    );
+}
+
+/// `paper matrix [seed] [workers]` — the standard fault matrix with the
+/// online detector on: every cell, the per-kind and per-channel detection
+/// totals, and the detector's agreement with the offline §9 oracle, then
+/// the taxonomy bucket totals (`Render` lists cells, not totals).
+fn matrix(args: &[String]) {
+    let seed = arg(args, 0, 42);
+    let outcome = Campaign::new(&[])
+        .fault_matrix(seed)
+        .detect(true)
+        .shards(workers(args, 1))
+        .run();
+    print!("{}", outcome.render());
+    let matrix = outcome.matrix.expect("matrix mode");
+    let buckets: Vec<String> = matrix
+        .outcomes
+        .iter()
+        .map(|(bucket, n)| format!("{bucket} {n}"))
+        .collect();
+    println!(
+        "outcome totals over {} cells: {}",
+        matrix.cases.len(),
+        buckets.join(", ")
+    );
+}
+
+/// `paper explore [seed] [budget] [workers]` — coverage-guided
+/// exploration over the full input catalogue.
+fn explore(args: &[String]) {
+    let outcome = Campaign::new(&generate_inputs())
+        .seed(arg(args, 0, 42))
+        .explore(arg(args, 1, 1500))
+        .shards(workers(args, 2))
+        .run();
+    print!("{}", outcome.render());
+}
+
+/// `paper kfault [seed] [budget] [workers]` — the compound (fault-set ×
+/// interleaving) search at k ≤ 3 with its co-failure clusters.
+fn kfault(args: &[String]) {
+    let outcome = Campaign::new(&[])
+        .seed(arg(args, 0, 42))
+        .kfaults(3)
+        .explore(arg(args, 1, 96))
+        .shards(workers(args, 2))
+        .run();
+    print!("{}", outcome.render());
+}
+
+/// `paper corpus [seed] [budget] [workers]` — exploration seeded with a
+/// synthesized real-shaped corpus above the catalogue, then how many of
+/// its coverage signatures a catalogue-only run at the same seed and
+/// budget never reaches.
+fn corpus(args: &[String]) {
+    let (seed, budget, shards) = (arg(args, 0, 42), arg(args, 1, 400), workers(args, 2));
+    let explore = |campaign: Campaign| campaign.seed(seed).explore(budget).shards(shards).run();
+    let signatures = |outcome: csi_test::CampaignOutcome| {
+        outcome.exploration.expect("explore mode").signatures_seen
+    };
+    let corpus = explore(Campaign::new(&[]).corpus(CorpusShape::default(), seed));
+    print!("{}", corpus.render());
+    let seen = signatures(corpus);
+    let base = signatures(explore(Campaign::new(&generate_inputs())));
+    println!(
+        "corpus-only signatures: {} ({} with the corpus, {} from the catalogue alone)",
+        seen.iter().filter(|fp| !base.contains(fp)).count(),
+        seen.len(),
+        base.len()
     );
 }

@@ -156,6 +156,14 @@ fn corpus_seeded_explore_reaches_coverage_the_catalogue_never_does() {
     assert!(corpus_only >= 1, "corpus contributed no new coverage");
     assert!(stats.novel_from_corpus >= 1, "{stats:?}");
     assert!(stats.corpus.iter().any(|r| r.origin == "corpus"));
+    // Every failure the corpus provokes lands in a D01–D15 class; the
+    // first one that does not is a new class (ROADMAP item 1) and gets
+    // named here, not silently counted.
+    assert!(
+        corpus.report.unattributed.is_empty(),
+        "{:?}",
+        corpus.report.unattributed
+    );
     // The render names the corpus contribution.
     assert!(
         corpus.render().contains("novel from corpus"),

@@ -75,6 +75,15 @@ fn standard_matrix_detector_matches_the_offline_oracle_exactly() {
         rendered.contains("detector vs offline oracle:"),
         "{rendered}"
     );
+
+    // The same matrix on three workers is the same bytes.
+    let sharded = Campaign::new(&[])
+        .fault_matrix(42)
+        .detect(true)
+        .shards(3)
+        .run();
+    assert_eq!(json(&outcome.matrix), json(&sharded.matrix));
+    assert_eq!(rendered, sharded.render());
 }
 
 #[test]

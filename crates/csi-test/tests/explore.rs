@@ -90,7 +90,7 @@ fn shrunk_reproducers_preserve_their_discrepancy_class() {
 /// under the exhaustive grid, explore rediscovers every class the
 /// exhaustive catalogue reports (all 15), sharded byte-identical to
 /// serial. The executions-to-first-discovery numbers behind
-/// EXPERIMENTS.md come from the `explore` bench binary.
+/// EXPERIMENTS.md are printed by `paper explore`.
 #[test]
 fn explore_rediscovers_all_classes_in_fewer_observations() {
     let inputs = generate_inputs();

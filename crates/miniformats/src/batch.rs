@@ -649,9 +649,13 @@ fn expected_tag(data: &ColumnData) -> Option<u8> {
 pub fn decode(rules: &FormatRules, data: &[u8]) -> Result<RecordBatch, FormatError> {
     let mut r = wire::open_reader(rules, data)?;
     let schema = wire::read_header(&mut r)?;
-    let nrows = r.len()?;
-    let mut batch = RecordBatch::with_capacity(schema, nrows.min(1 << 20));
-    let ncols = batch.columns.len();
+    let ncols = schema.columns.len();
+    let nrows = wire::read_row_count(&mut r, ncols)?;
+    // A row costs at least one tag byte per column, so the bytes left
+    // bound the rows a file can hold: an honest file reserves `nrows`, a
+    // hostile count reserves no more than the file is long.
+    let fits = (r.data.len() - r.pos) / ncols.max(1);
+    let mut batch = RecordBatch::with_capacity(schema, nrows.min(fits));
     for _ in 0..nrows {
         for c in 0..ncols {
             let tag = r.u8()?;
@@ -730,7 +734,7 @@ pub fn decode(rules: &FormatRules, data: &[u8]) -> Result<RecordBatch, FormatErr
                     // Floats, strings, bytes, nested, and tag-mismatched
                     // cells go through the generic reader; a mismatch
                     // demotes the column to row-wise nested storage.
-                    let value = wire::read_value_body(&mut r, tag)?;
+                    let value = wire::read_value_body(&mut r, tag, 0)?;
                     if !col.push_checked(&value) {
                         let mut demoted =
                             std::mem::replace(col, Column::for_type(&PhysicalType::Bool))

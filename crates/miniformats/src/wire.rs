@@ -247,7 +247,8 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, FormatError> {
         let n = self.len()?;
-        if self.pos + n > self.data.len() {
+        // `pos <= data.len()` always; `pos + n` can wrap on a hostile `n`.
+        if n > self.data.len() - self.pos {
             return Err(FormatError::Corrupt("byte run past end".into()));
         }
         let out = self.data[self.pos..self.pos + n].to_vec();
@@ -263,7 +264,7 @@ impl<'a> Reader<'a> {
     /// bytes consumed and same errors as [`Reader::bytes`].
     pub(crate) fn bytes_ref(&mut self) -> Result<&'a [u8], FormatError> {
         let n = self.len64()?;
-        if self.pos + n > self.data.len() {
+        if n > self.data.len() - self.pos {
             return Err(FormatError::Corrupt("byte run past end".into()));
         }
         let out = &self.data[self.pos..self.pos + n];
@@ -315,7 +316,22 @@ pub(crate) fn write_type(w: &mut Writer, ty: &PhysicalType) {
     }
 }
 
-pub(crate) fn read_type(r: &mut Reader) -> Result<PhysicalType, FormatError> {
+/// Deepest `List`/`Map`/`Struct` nesting a file may declare or carry.
+/// [`read_type`] and [`read_value_body`] recurse once per level, so an
+/// unbounded file overflows the stack — an abort no `catch_unwind` turns
+/// into an error. The generator and the corpus nest two levels at most.
+const MAX_NESTING: usize = 64;
+
+fn check_nesting(depth: usize) -> Result<(), FormatError> {
+    if depth > MAX_NESTING {
+        return Err(FormatError::Corrupt("nesting too deep".into()));
+    }
+    Ok(())
+}
+
+/// Reads a type whose enclosing types number `depth` (0 for a column's).
+pub(crate) fn read_type(r: &mut Reader, depth: usize) -> Result<PhysicalType, FormatError> {
+    check_nesting(depth)?;
     Ok(match r.u8()? {
         1 => PhysicalType::Bool,
         2 => PhysicalType::Int8,
@@ -327,18 +343,18 @@ pub(crate) fn read_type(r: &mut Reader) -> Result<PhysicalType, FormatError> {
         8 => PhysicalType::Decimal,
         9 => PhysicalType::Utf8,
         10 => PhysicalType::Bytes,
-        11 => PhysicalType::List(Box::new(read_type(r)?)),
+        11 => PhysicalType::List(Box::new(read_type(r, depth + 1)?)),
         12 => {
-            let k = read_type(r)?;
-            let v = read_type(r)?;
+            let k = read_type(r, depth + 1)?;
+            let v = read_type(r, depth + 1)?;
             PhysicalType::Map(Box::new(k), Box::new(v))
         }
         13 => {
             let n = r.len()?;
-            let mut fields = Vec::with_capacity(n);
+            let mut fields = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 let name = r.str()?;
-                let fty = read_type(r)?;
+                let fty = read_type(r, depth + 1)?;
                 fields.push((name, fty));
             }
             PhysicalType::Struct(fields)
@@ -417,15 +433,21 @@ pub(crate) fn write_value(w: &mut Writer, v: &PhysicalValue) {
     }
 }
 
-pub(crate) fn read_value(r: &mut Reader) -> Result<PhysicalValue, FormatError> {
+/// Reads a value whose enclosing values number `depth` (0 for a cell).
+pub(crate) fn read_value(r: &mut Reader, depth: usize) -> Result<PhysicalValue, FormatError> {
     let tag = r.u8()?;
-    read_value_body(r, tag)
+    read_value_body(r, tag, depth)
 }
 
 /// Reads a value whose tag byte has already been consumed. Split out so the
 /// columnar decoder in [`crate::batch`] can peek the tag, route primitive
 /// payloads into typed buffers, and fall back here for nested values.
-pub(crate) fn read_value_body(r: &mut Reader, tag: u8) -> Result<PhysicalValue, FormatError> {
+pub(crate) fn read_value_body(
+    r: &mut Reader,
+    tag: u8,
+    depth: usize,
+) -> Result<PhysicalValue, FormatError> {
+    check_nesting(depth)?;
     Ok(match tag {
         0 => PhysicalValue::Null,
         1 => PhysicalValue::Bool(r.u8()? != 0),
@@ -470,7 +492,7 @@ pub(crate) fn read_value_body(r: &mut Reader, tag: u8) -> Result<PhysicalValue, 
             let n = r.len()?;
             let mut items = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
-                items.push(read_value(r)?);
+                items.push(read_value(r, depth + 1)?);
             }
             PhysicalValue::List(items)
         }
@@ -478,8 +500,8 @@ pub(crate) fn read_value_body(r: &mut Reader, tag: u8) -> Result<PhysicalValue, 
             let n = r.len()?;
             let mut pairs = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
-                let k = read_value(r)?;
-                let v = read_value(r)?;
+                let k = read_value(r, depth + 1)?;
+                let v = read_value(r, depth + 1)?;
                 pairs.push((k, v));
             }
             PhysicalValue::Map(pairs)
@@ -489,7 +511,7 @@ pub(crate) fn read_value_body(r: &mut Reader, tag: u8) -> Result<PhysicalValue, 
             let mut fields = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 let name = r.str()?;
-                let v = read_value(r)?;
+                let v = read_value(r, depth + 1)?;
                 fields.push((name, v));
             }
             PhysicalValue::Struct(fields)
@@ -556,7 +578,7 @@ pub(crate) fn read_header(r: &mut Reader) -> Result<FileSchema, FormatError> {
     let mut columns = Vec::with_capacity(ncols.min(1 << 12));
     for _ in 0..ncols {
         let name = r.str()?;
-        let ty = read_type(r)?;
+        let ty = read_type(r, 0)?;
         let logical = if r.u8()? == 1 { Some(r.str()?) } else { None };
         columns.push(PhysicalColumn { name, ty, logical });
     }
@@ -568,6 +590,18 @@ pub(crate) fn read_header(r: &mut Reader) -> Result<FileSchema, FormatError> {
         meta.insert(k, v);
     }
     Ok(FileSchema { columns, meta })
+}
+
+/// Reads the row count that follows the header. Rows of a zero-column
+/// file occupy no bytes, so nothing in the file bounds their number: a
+/// nonzero count there is corrupt (and a [`crate::batch::RecordBatch`]
+/// could not hold it anyway — its length is its first column's).
+pub(crate) fn read_row_count(r: &mut Reader, ncols: usize) -> Result<usize, FormatError> {
+    let nrows = r.len()?;
+    if ncols == 0 && nrows > 0 {
+        return Err(FormatError::Corrupt("rows without columns".into()));
+    }
+    Ok(nrows)
 }
 
 /// Encodes a file under the given format rules.
@@ -617,12 +651,12 @@ pub fn decode(
     let mut r = open_reader(rules, data)?;
     let schema = read_header(&mut r)?;
     let ncols = schema.columns.len();
-    let nrows = r.len()?;
+    let nrows = read_row_count(&mut r, ncols)?;
     let mut rows = Vec::with_capacity(nrows.min(1 << 20));
     for _ in 0..nrows {
         let mut row = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            row.push(read_value(&mut r)?);
+            row.push(read_value(&mut r, 0)?);
         }
         rows.push(row);
     }

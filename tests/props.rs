@@ -319,9 +319,20 @@ proptest! {
         let _ = csi::core::value::parse_timestamp(&text);
         let _ = csi::core::value::Decimal::parse(&text);
         let _ = csi::hdfs::HdfsPath::parse(&text);
-        let _ = miniformats::orc::decode(&bytes);
-        let _ = miniformats::parquet::decode(&bytes);
-        let _ = miniformats::avro::decode(&bytes);
+        // Bare random bytes fail the four-byte magic almost always; framed
+        // as a file (magic, version 1, the bytes, footer magic) they reach
+        // the header, row-count and cell readers of the row reference and
+        // of the columnar decoder.
+        let framed = |magic: &[u8; 4]| [magic, &[1u8][..], &bytes, magic].concat();
+        let orc = framed(miniformats::orc::RULES.magic);
+        let _ = miniformats::orc::decode(&orc);
+        let _ = miniformats::orc::decode_batch(&orc);
+        let parquet = framed(miniformats::parquet::RULES.magic);
+        let _ = miniformats::parquet::decode(&parquet);
+        let _ = miniformats::parquet::decode_batch(&parquet);
+        let avro = framed(miniformats::avro::RULES.magic);
+        let _ = miniformats::avro::decode(&avro);
+        let _ = miniformats::avro::decode_batch(&avro);
     }
 
     #[test]
