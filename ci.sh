@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame guard
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame and digest-from-parts guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # cluster-scale substrate smoke + the benchmark's own smoke (all four workloads)
@@ -36,6 +36,13 @@ stage_lint() {
   echo "==> wire guard (a frame's terminator is never its own write)"
   if grep -rnF --include='*.rs' 'write_all(b"\n")' crates/; then
     echo "a line and its newline must leave in one write: push the '\\n' onto the buffer, then write_all once" >&2
+    exit 1
+  fi
+  # A crossing is the non-intrusive vantage point only while it allocates
+  # nothing: a payload rendered to a String exists only to be hashed.
+  echo "==> boundary guard (a payload is digested from its parts, never rendered first)"
+  if grep -rnE --include='*.rs' 'with_payload\(&(format!|.*\.to_string\(\))' crates/; then
+    echo "hash the parts instead: .with_payload_fmt(format_args!(..)) digests the same bytes without building them" >&2
     exit 1
   fi
 }

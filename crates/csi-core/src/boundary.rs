@@ -36,8 +36,9 @@ use crate::hash::Fnv1a;
 use crate::plane::{InteractionKind, Plane, SystemId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// One cross-system call descriptor: everything Table 1 records about an
@@ -54,8 +55,9 @@ pub struct BoundaryCall {
     pub kind: InteractionKind,
     /// The plane the crossing runs on (§2.2).
     pub plane: Plane,
-    /// The operation name at the downstream system's interface.
-    pub op: String,
+    /// The operation name at the downstream system's interface: a
+    /// literal at every call site, owned only when deserialized.
+    pub op: Cow<'static, str>,
     /// Digit-masked FNV-1a digest of the payload summary (0 when none).
     pub payload_digest: u64,
 }
@@ -63,7 +65,7 @@ pub struct BoundaryCall {
 impl BoundaryCall {
     /// Describes a crossing on `channel` with that channel's canonical
     /// endpoints and interaction kind; refine with the builder methods.
-    pub fn new(channel: Channel, op: &str) -> BoundaryCall {
+    pub fn new(channel: Channel, op: &'static str) -> BoundaryCall {
         let (upstream, downstream, kind) = match channel {
             Channel::Metastore => (SystemId::Spark, SystemId::Hive, InteractionKind::DataTables),
             Channel::Hdfs => (SystemId::Spark, SystemId::Hdfs, InteractionKind::DataFiles),
@@ -89,15 +91,30 @@ impl BoundaryCall {
             downstream,
             kind,
             plane: kind.native_plane(),
-            op: op.to_string(),
+            op: Cow::Borrowed(op),
             payload_digest: 0,
         }
     }
 
     /// Attaches a payload summary (a path, a table name, a topic/partition
     /// label) as a digit-masked digest.
-    pub fn with_payload(mut self, payload: &str) -> BoundaryCall {
-        self.payload_digest = digest_payload(payload);
+    pub fn with_payload(self, payload: &str) -> BoundaryCall {
+        self.with_payload_fmt(format_args!("{payload}"))
+    }
+
+    /// [`with_payload`](BoundaryCall::with_payload) for a summary made of
+    /// parts (`format_args!("{db}.{name}")`, a path's `Display`): the
+    /// parts are digested as they are formatted, so the summary is never
+    /// built. The digest is that of the rendered text.
+    pub fn with_payload_fmt(mut self, payload: fmt::Arguments<'_>) -> BoundaryCall {
+        let mut digest = PayloadDigest {
+            hash: Fnv1a::new(),
+            in_digits: false,
+        };
+        digest
+            .write_fmt(payload)
+            .expect("a Display implementation returned an error unexpectedly");
+        self.payload_digest = digest.hash.finish();
         self
     }
 
@@ -118,22 +135,29 @@ impl BoundaryCall {
 /// Digit-masked FNV-1a 64-bit digest: every maximal run of ASCII digits
 /// collapses to a single `#` before hashing, so counters embedded in
 /// generated names (`part-00017.csv`) never make two equivalent payloads
-/// digest differently across deployment pooling or recycling.
-fn digest_payload(payload: &str) -> u64 {
-    let mut hash = Fnv1a::new();
-    let mut in_digits = false;
-    for byte in payload.bytes() {
-        if byte.is_ascii_digit() {
-            if !in_digits {
-                hash.byte(b'#');
+/// digest differently across deployment pooling or recycling. A sink, so
+/// a payload arrives in as many chunks as its formatting produces;
+/// `in_digits` carries a digit run across chunk boundaries.
+struct PayloadDigest {
+    hash: Fnv1a,
+    in_digits: bool,
+}
+
+impl fmt::Write for PayloadDigest {
+    fn write_str(&mut self, chunk: &str) -> fmt::Result {
+        for byte in chunk.bytes() {
+            if byte.is_ascii_digit() {
+                if !self.in_digits {
+                    self.hash.byte(b'#');
+                }
+                self.in_digits = true;
+            } else {
+                self.in_digits = false;
+                self.hash.byte(byte);
             }
-            in_digits = true;
-        } else {
-            in_digits = false;
-            hash.byte(byte);
         }
+        Ok(())
     }
-    hash.finish()
 }
 
 /// What happened at one crossing.
@@ -210,13 +234,16 @@ impl InteractionTrace {
         self.crossings.is_empty()
     }
 
-    /// Crossing count per channel, in canonical channel order.
+    /// Crossing count per channel that was crossed, keyed by channel name.
     pub fn channel_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts = BTreeMap::new();
-        for crossing in &self.crossings {
-            *counts.entry(crossing.call.channel.to_string()).or_insert(0) += 1;
-        }
-        counts
+        Channel::ALL
+            .into_iter()
+            .filter_map(|channel| {
+                let on_channel = |c: &&Crossing| c.call.channel == channel;
+                let n = self.crossings.iter().filter(on_channel).count();
+                (n > 0).then(|| (channel.to_string(), n))
+            })
+            .collect()
     }
 
     /// Compact one-line-per-crossing rendering.
@@ -282,7 +309,7 @@ pub trait CrossingSink: Send {
 struct ContextState {
     enabled: bool,
     armed: Vec<FaultSpec>,
-    calls: BTreeMap<(Channel, String), u64>,
+    calls: BTreeMap<(Channel, Cow<'static, str>), u64>,
     fired: Vec<InjectedFault>,
     delay_ms: u64,
     clock_ms: u64,
@@ -308,23 +335,24 @@ impl fmt::Debug for ContextState {
 }
 
 impl ContextState {
-    /// Counts one call on `(channel, op)` against the armed faults and
+    /// Counts `call` on its `(channel, op)` against the armed faults and
     /// returns the fault that fires on it, if any: the first armed match
     /// wins. The fault is logged as fired, and a latency fault raises the
     /// virtual delay. With nothing armed the call is not even counted.
-    fn fire(&mut self, channel: Channel, op: &str) -> Option<InjectedFault> {
+    fn fire(&mut self, call: &BoundaryCall) -> Option<InjectedFault> {
         if self.armed.is_empty() {
             return None;
         }
-        let counter = self.calls.entry((channel, op.to_string())).or_insert(0);
-        let call = *counter;
+        let (channel, op) = (call.channel, &call.op);
+        let counter = self.calls.entry((channel, op.clone())).or_insert(0);
+        let nth = *counter;
         *counter += 1;
         let spec = self.armed.iter().find(|s| {
             s.channel == channel
-                && s.op == op
+                && s.op == *op
                 && match s.trigger {
                     Trigger::Always => true,
-                    Trigger::OnCall(n) => n == call,
+                    Trigger::OnCall(n) => n == nth,
                 }
         })?;
         let fault = InjectedFault {
@@ -332,7 +360,7 @@ impl ContextState {
             channel,
             op: op.to_string(),
             kind: spec.kind,
-            call,
+            call: nth,
         };
         self.fired.push(fault.clone());
         if let FaultKind::Latency { ms } = fault.kind {
@@ -468,7 +496,7 @@ impl CrossingContext {
         let mut state = self.state.lock();
         let fired = match given {
             Some(_) => None,
-            None => state.fire(call.channel, &call.op),
+            None => state.fire(&call),
         };
         let (cost_ms, acted_on) = match &fired {
             None => (0, None),
@@ -558,7 +586,7 @@ mod tests {
         }
     }
 
-    fn call(op: &str) -> BoundaryCall {
+    fn call(op: &'static str) -> BoundaryCall {
         BoundaryCall::new(Channel::Metastore, op)
     }
 
@@ -572,7 +600,7 @@ mod tests {
         }
     }
 
-    fn hit(ctx: &CrossingContext, channel: Channel, op: &str) -> Option<InjectedFault> {
+    fn hit(ctx: &CrossingContext, channel: Channel, op: &'static str) -> Option<InjectedFault> {
         ctx.intercept(BoundaryCall::new(channel, op))
     }
 
@@ -841,20 +869,90 @@ mod tests {
         }
     }
 
+    /// A clean, a faulted and a noted crossing. The JSON is pinned: served
+    /// reports and journals carry these bytes. It reads back equal, the op
+    /// then owned — `Cow` compares by content.
     #[test]
     fn traces_round_trip_through_serde() {
         let ctx = CrossingContext::new();
         ctx.arm(FaultSpec {
-            id: "u".into(),
-            channel: Channel::Metastore,
-            op: "get_table".into(),
-            kind: FaultKind::Unavailable,
+            id: "fs-timeout".into(),
+            channel: Channel::Hdfs,
+            op: "read".into(),
+            kind: FaultKind::Timeout { ms: 500 },
             trigger: Trigger::Always,
         });
-        let _: Result<(), InteractionError> = ctx.cross(call("get_table").with_payload("t"));
+        let _: Result<(), InteractionError> =
+            ctx.cross(call("get_table").with_payload("default.t1"));
+        let fired = ctx.intercept(
+            BoundaryCall::new(Channel::Hdfs, "read").with_payload("/wh/t1/part-00017.orc"),
+        );
+        assert!(fired.is_some());
+        ctx.note(
+            BoundaryCall::new(Channel::Metastore, "redundant_read")
+                .from_upstream(SystemId::Flink)
+                .with_plane(Plane::Management)
+                .with_payload("t1"),
+            "served-by=primary",
+        );
         let trace = ctx.trace();
         let json = serde_json::to_string(&trace).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"crossings":[{"seq":0,"at_ms":0,"call":{"channel":"Metastore","#,
+                r#""upstream":"Spark","downstream":"Hive","kind":"DataTables","plane":"Data","#,
+                r#""op":"get_table","payload_digest":15862017404119869469},"outcome":"Clean"},"#,
+                r#"{"seq":1,"at_ms":1,"call":{"channel":"Hdfs","upstream":"Spark","#,
+                r#""downstream":"Hdfs","kind":"DataFiles","plane":"Data","op":"read","#,
+                r#""payload_digest":6932802262471849681},"outcome":{"Faulted":{"fault":{"#,
+                r#""spec_id":"fs-timeout","channel":"Hdfs","op":"read","#,
+                r#""kind":{"Timeout":{"ms":500}},"call":0}}}},"#,
+                r#"{"seq":2,"at_ms":502,"call":{"channel":"Metastore","upstream":"Flink","#,
+                r#""downstream":"Hive","kind":"DataTables","plane":"Management","#,
+                r#""op":"redundant_read","payload_digest":632734890033037184},"#,
+                r#""outcome":{"Noted":{"info":"served-by=primary"}}}]}"#,
+            )
+        );
         let back: InteractionTrace = serde_json::from_str(&json).unwrap();
         assert_eq!(back, trace);
+        assert!(matches!(back.crossings[0].call.op, Cow::Owned(_)));
+    }
+
+    proptest::proptest! {
+        /// Digesting a payload part by part is digesting its rendering:
+        /// a digit run that spans two parts still masks to one `#`.
+        #[test]
+        fn payload_parts_digest_like_the_rendered_payload(
+            a in "[a-c0-9/.é-]{0,6}",
+            b in "[a-c0-9/.é-]{0,6}",
+            n in proptest::prelude::any::<u32>(),
+        ) {
+            let (dotted, joined) = (format!("{a}.{b}{n:03}"), format!("{a}{b}"));
+            let parts = call("op").with_payload_fmt(format_args!("{a}.{b}{n:03}"));
+            let whole = call("op").with_payload(&dotted);
+            proptest::prop_assert_eq!(parts.payload_digest, whole.payload_digest);
+            let parts = call("op").with_payload_fmt(format_args!("{a}{b}"));
+            let whole = call("op").with_payload(&joined);
+            proptest::prop_assert_eq!(parts.payload_digest, whole.payload_digest);
+        }
+    }
+
+    #[test]
+    fn a_digit_run_split_across_parts_masks_once() {
+        let (a, b) = ("t1", "2x");
+        let split = call("op").with_payload_fmt(format_args!("{a}{b}"));
+        assert_eq!(
+            split.payload_digest,
+            call("op").with_payload("t12x").payload_digest
+        );
+        assert_eq!(
+            split.payload_digest,
+            call("op").with_payload("t#x").payload_digest
+        );
+        assert_ne!(
+            split.payload_digest,
+            call("op").with_payload("t##x").payload_digest
+        );
     }
 }

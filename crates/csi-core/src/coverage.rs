@@ -160,7 +160,7 @@ mod tests {
     use crate::fault::{Channel, FaultSpec, Trigger};
     use crate::InteractionError;
 
-    fn trace_with(ops: &[&str]) -> InteractionTrace {
+    fn trace_with(ops: &[&'static str]) -> InteractionTrace {
         let ctx = CrossingContext::new();
         for op in ops {
             let _: Result<(), InteractionError> =

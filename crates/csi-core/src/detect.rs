@@ -40,6 +40,7 @@ use crate::error::{ErrorKind, InteractionError};
 use crate::fault::{canonical_signature, Channel, FaultKind, InjectedFault};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -135,7 +136,7 @@ impl Default for DetectorConfig {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScenarioProfile {
     /// (channel, op) pairs in causal order.
-    pub ops: Vec<(Channel, String)>,
+    pub ops: Vec<(Channel, Cow<'static, str>)>,
 }
 
 /// Frozen per-scenario baselines, learned from fault-free calibration
@@ -246,8 +247,8 @@ struct DetectorState {
     fired: Vec<InjectedFault>,
     /// seq/at_ms/channel of every faulted crossing, in stream order.
     faulted: Vec<(u64, u64, Channel)>,
-    latency_counts: BTreeMap<(Channel, String), u64>,
-    ops: Vec<(Channel, String)>,
+    latency_counts: BTreeMap<(Channel, Cow<'static, str>), u64>,
+    ops: Vec<(Channel, Cow<'static, str>)>,
     detections: Vec<Detection>,
     last_crossing: (u64, u64),
 }
@@ -581,7 +582,7 @@ mod tests {
     use crate::boundary::{BoundaryCall, CrossingContext};
     use crate::fault::{classify_fault_outcome, FaultOutcome, FaultSpec, Trigger};
 
-    fn ms_call(op: &str) -> BoundaryCall {
+    fn ms_call(op: &'static str) -> BoundaryCall {
         BoundaryCall::new(Channel::Metastore, op)
     }
 

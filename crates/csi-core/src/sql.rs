@@ -14,14 +14,16 @@
 
 use crate::value::{DataType, StructField};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
-    Number(String),
-    Str(String),
+/// A lexical token, borrowing its text from the statement: only a string
+/// with a `''` escape (and a hex literal's bytes) is owned.
+#[derive(Debug, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
+    Number(&'a str),
+    Str(Cow<'a, str>),
     HexBin(Vec<u8>),
     Symbol(char),
 }
@@ -334,62 +336,60 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
+/// Splits a statement into tokens, walking it by byte offset. Every
+/// delimiter the lexer looks for or steps over is ASCII, and an ASCII
+/// byte never occurs inside a multi-byte character, so `i` and every
+/// slice bound stay on character boundaries.
+fn tokenize(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
+    let bytes = input.as_bytes();
+    let find = |from: usize, delimiter: char| input[from..].find(delimiter).map(|at| from + at);
     let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
+    while let Some(c) = input[i..].chars().next() {
         if c.is_whitespace() {
-            i += 1;
+            i += c.len_utf8();
         } else if c == '\'' {
-            // String literal with '' escaping.
-            let mut s = String::new();
-            i += 1;
+            // String literal with '' escaping: borrowed as written unless
+            // an escape makes the text differ from the source.
+            let mut escaped: Option<String> = None;
+            let mut from = i + 1;
             loop {
-                if i >= chars.len() {
+                let Some(quote) = find(from, '\'') else {
                     return Err(ParseError::new("unterminated string literal"));
-                }
-                if chars[i] == '\'' {
-                    if i + 1 < chars.len() && chars[i + 1] == '\'' {
-                        s.push('\'');
-                        i += 2;
-                    } else {
-                        i += 1;
-                        break;
-                    }
+                };
+                if bytes.get(quote + 1) == Some(&b'\'') {
+                    escaped
+                        .get_or_insert_with(String::new)
+                        .push_str(&input[from..=quote]);
+                    from = quote + 2;
                 } else {
-                    s.push(chars[i]);
-                    i += 1;
+                    let tail = &input[from..quote];
+                    tokens.push(Token::Str(match escaped {
+                        Some(mut text) => {
+                            text.push_str(tail);
+                            Cow::Owned(text)
+                        }
+                        None => Cow::Borrowed(tail),
+                    }));
+                    i = quote + 1;
+                    break;
                 }
             }
-            tokens.push(Token::Str(s));
         } else if c == '`' {
             // Back-quoted identifier, case preserved.
-            let mut s = String::new();
-            i += 1;
-            while i < chars.len() && chars[i] != '`' {
-                s.push(chars[i]);
-                i += 1;
-            }
-            if i >= chars.len() {
+            let Some(close) = find(i + 1, '`') else {
                 return Err(ParseError::new("unterminated quoted identifier"));
-            }
-            i += 1;
-            tokens.push(Token::Ident(s));
-        } else if (c == 'X' || c == 'x') && i + 1 < chars.len() && chars[i + 1] == '\'' {
+            };
+            tokens.push(Token::Ident(&input[i + 1..close]));
+            i = close + 1;
+        } else if (c == 'X' || c == 'x') && bytes.get(i + 1) == Some(&b'\'') {
             // Hex binary literal.
-            let mut hex = String::new();
-            i += 2;
-            while i < chars.len() && chars[i] != '\'' {
-                hex.push(chars[i]);
-                i += 1;
-            }
-            if i >= chars.len() {
+            let Some(close) = find(i + 2, '\'') else {
                 return Err(ParseError::new("unterminated hex literal"));
-            }
-            i += 1;
-            if !hex.len().is_multiple_of(2) || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
+            };
+            let hex = &input[i + 2..close];
+            i = close + 1;
+            if !hex.len().is_multiple_of(2) || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
                 return Err(ParseError::new(format!("invalid hex literal X'{hex}'")));
             }
             let bytes = (0..hex.len())
@@ -398,43 +398,34 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
                 .collect();
             tokens.push(Token::HexBin(bytes));
         } else if c.is_ascii_digit()
-            || (c == '.' && i + 1 < chars.len() && chars[i + 1].is_ascii_digit())
+            || (c == '.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit))
         {
             // Number, optionally with a fraction and an alpha suffix.
-            let mut s = String::new();
+            let start = i;
             let mut seen_dot = false;
-            while i < chars.len() {
-                let d = chars[i];
-                if d.is_ascii_digit() {
-                    s.push(d);
-                    i += 1;
-                } else if d == '.' && !seen_dot {
+            while let Some(&d) = bytes.get(i) {
+                if d == b'.' && !seen_dot {
                     seen_dot = true;
-                    s.push(d);
-                    i += 1;
-                } else {
+                } else if !d.is_ascii_digit() {
                     break;
                 }
+                i += 1;
             }
             // Suffix letters (Y, S, L, D, F, BD) stick to the number.
-            let mut suffix = String::new();
-            while i < chars.len() && chars[i].is_ascii_alphabetic() && suffix.len() < 2 {
-                suffix.push(chars[i]);
+            let digits_end = i;
+            while i - digits_end < 2 && bytes.get(i).is_some_and(u8::is_ascii_alphabetic) {
                 i += 1;
             }
-            if !suffix.is_empty() {
-                s.push_str(&suffix);
-            }
-            tokens.push(Token::Number(s));
+            tokens.push(Token::Number(&input[start..i]));
         } else if c.is_ascii_alphabetic() || c == '_' {
-            let mut s = String::new();
-            while i < chars.len()
-                && (chars[i].is_ascii_alphanumeric() || chars[i] == '_' || chars[i] == '.')
+            let start = i;
+            while bytes
+                .get(i)
+                .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_' || *b == b'.')
             {
-                s.push(chars[i]);
                 i += 1;
             }
-            tokens.push(Token::Ident(s));
+            tokens.push(Token::Ident(&input[start..i]));
         } else if "(),*<>:;-=!".contains(c) {
             tokens.push(Token::Symbol(c));
             i += 1;
@@ -445,28 +436,25 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
     Ok(tokens)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Tokens are consumed by value, front to back: the parser copies a
+/// token's text only where the AST keeps it.
+struct Parser<'a> {
+    tokens: std::vec::IntoIter<Token<'a>>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
+        self.tokens.as_slice().first()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    fn next(&mut self) -> Option<Token<'a>> {
+        self.tokens.next()
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
         if let Some(Token::Ident(s)) = self.peek() {
             if s.eq_ignore_ascii_case(kw) {
-                self.pos += 1;
+                self.tokens.next();
                 return true;
             }
         }
@@ -487,7 +475,7 @@ impl Parser {
     fn eat_symbol(&mut self, c: char) -> bool {
         if let Some(Token::Symbol(s)) = self.peek() {
             if *s == c {
-                self.pos += 1;
+                self.tokens.next();
                 return true;
             }
         }
@@ -505,7 +493,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => Err(ParseError::new(format!(
@@ -516,7 +504,7 @@ impl Parser {
 
     fn expect_string(&mut self) -> Result<String, ParseError> {
         match self.next() {
-            Some(Token::Str(s)) => Ok(s),
+            Some(Token::Str(s)) => Ok(s.into_owned()),
             other => Err(ParseError::new(format!("expected string, found {other:?}"))),
         }
     }
@@ -531,11 +519,11 @@ impl Parser {
             } else {
                 false
             };
-            let name = self.expect_ident()?;
+            let name = self.expect_ident()?.to_string();
             self.expect_symbol('(')?;
             let mut columns = Vec::new();
             loop {
-                let col = self.expect_ident()?;
+                let col = self.expect_ident()?.to_string();
                 let ty = self.parse_type()?;
                 columns.push((col, ty));
                 if !self.eat_symbol(',') {
@@ -563,13 +551,13 @@ impl Parser {
             } else {
                 false
             };
-            let name = self.expect_ident()?;
+            let name = self.expect_ident()?.to_string();
             Ok(Statement::DropTable { name, if_exists })
         } else if self.eat_keyword("INSERT") {
             self.expect_keyword("INTO")?;
             // `TABLE` keyword is optional HiveQL syntax.
             let _ = self.eat_keyword("TABLE");
-            let table = self.expect_ident()?;
+            let table = self.expect_ident()?.to_string();
             self.expect_keyword("VALUES")?;
             let mut rows = Vec::new();
             loop {
@@ -592,18 +580,18 @@ impl Parser {
             let columns = if self.eat_symbol('*') {
                 SelectCols::Star
             } else {
-                let mut cols = vec![self.expect_ident()?];
+                let mut cols = vec![self.expect_ident()?.to_string()];
                 while self.eat_symbol(',') {
-                    cols.push(self.expect_ident()?);
+                    cols.push(self.expect_ident()?.to_string());
                 }
                 SelectCols::Columns(cols)
             };
             self.expect_keyword("FROM")?;
-            let table = self.expect_ident()?;
+            let table = self.expect_ident()?.to_string();
             let mut predicate = Vec::new();
             if self.eat_keyword("WHERE") {
                 loop {
-                    let column = self.expect_ident()?;
+                    let column = self.expect_ident()?.to_string();
                     let op = self.parse_cmp_op()?;
                     let literal = self.parse_expr()?;
                     predicate.push(Comparison {
@@ -663,9 +651,9 @@ impl Parser {
             return Ok(Expr::Neg(Box::new(self.parse_expr()?)));
         }
         match self.next() {
-            Some(Token::Str(s)) => Ok(Expr::Str(s)),
+            Some(Token::Str(s)) => Ok(Expr::Str(s.into_owned())),
             Some(Token::HexBin(b)) => Ok(Expr::Binary(b)),
-            Some(Token::Number(raw)) => Ok(split_number(&raw)?),
+            Some(Token::Number(raw)) => split_number(raw),
             Some(Token::Ident(id)) => {
                 let upper = id.to_ascii_uppercase();
                 match upper.as_str() {
@@ -679,9 +667,9 @@ impl Parser {
                         loop {
                             let (value, neg) = match self.next() {
                                 Some(Token::Str(s)) => (s, false),
-                                Some(Token::Number(n)) => (n, false),
+                                Some(Token::Number(n)) => (Cow::Borrowed(n), false),
                                 Some(Token::Symbol('-')) => match self.next() {
-                                    Some(Token::Number(n)) => (n, true),
+                                    Some(Token::Number(n)) => (Cow::Borrowed(n), true),
                                     other => {
                                         return Err(ParseError::new(format!(
                                             "expected interval magnitude, found {other:?}"
@@ -708,7 +696,11 @@ impl Parser {
                                     )))
                                 }
                             };
-                            let value = if neg { format!("-{value}") } else { value };
+                            let value = if neg {
+                                format!("-{value}")
+                            } else {
+                                value.into_owned()
+                            };
                             parts.push(IntervalPart { value, unit });
                             // Another magnitude token continues the compound
                             // literal (`INTERVAL 1 DAY 2 HOURS`); this grammar
@@ -917,7 +909,9 @@ pub fn parse(input: &str) -> Result<Statement, ParseError> {
     if tokens.last() == Some(&Token::Symbol(';')) {
         tokens.pop();
     }
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: tokens.into_iter(),
+    };
     let stmt = p.parse_statement()?;
     if p.peek().is_some() {
         return Err(ParseError::new(format!(
@@ -1176,6 +1170,173 @@ mod tests {
         assert!(parse("INSERT INTO t VALUES ('unterminated").is_err());
         assert!(parse("CREATE TABLE t (a WIDGET)").is_err());
         assert!(parse("INSERT INTO t VALUES (X'ABC')").is_err());
+    }
+
+    /// One statement per token class, each pinned to its `Statement`.
+    #[test]
+    fn every_token_class_lexes_to_the_same_statement() {
+        let insert = |row: Vec<Expr>| Statement::Insert {
+            table: "t".into(),
+            rows: vec![row],
+        };
+        let typed = |digits: &str, suffix| Expr::TypedNumber(digits.into(), suffix);
+        let cases: Vec<(&str, Statement)> = vec![
+            (
+                "INSERT INTO t VALUES ('it''s', '', '''', 'é''中''', 'plain é')",
+                insert(vec![
+                    Expr::Str("it's".into()),
+                    Expr::Str("".into()),
+                    Expr::Str("'".into()),
+                    Expr::Str("é'中'".into()),
+                    Expr::Str("plain é".into()),
+                ]),
+            ),
+            (
+                "INSERT INTO t VALUES (X'CAFE', x'', X'0a')",
+                insert(vec![
+                    Expr::Binary(vec![0xCA, 0xFE]),
+                    Expr::Binary(vec![]),
+                    Expr::Binary(vec![0x0A]),
+                ]),
+            ),
+            (
+                "INSERT INTO t VALUES (.5, 5., 007, 1.5BD, 12Y, 3l, 2.5d, -7F);",
+                insert(vec![
+                    Expr::Number(".5".into()),
+                    Expr::Number("5.".into()),
+                    Expr::Number("007".into()),
+                    typed("1.5", NumSuffix::Decimal),
+                    typed("12", NumSuffix::Byte),
+                    typed("3", NumSuffix::Long),
+                    typed("2.5", NumSuffix::Double),
+                    Expr::Neg(Box::new(typed("7", NumSuffix::Float))),
+                ]),
+            ),
+            (
+                "INSERT INTO t VALUES (DATE '2020-01-02', INTERVAL '1''' DAY -2 HOURS)",
+                insert(vec![
+                    Expr::DateLit("2020-01-02".into()),
+                    Expr::IntervalLit {
+                        parts: vec![
+                            IntervalPart::new("1'", IntervalUnit::Day),
+                            IntervalPart::new("-2", IntervalUnit::Hour),
+                        ],
+                    },
+                ]),
+            ),
+            (
+                "SELECT `Mi Xed`, `é`, _c.d FROM `T-1` WHERE `a b` <> 'x' ;",
+                Statement::Select {
+                    columns: SelectCols::Columns(vec![
+                        "Mi Xed".into(),
+                        "é".into(),
+                        "_c.d".into(),
+                    ]),
+                    table: "T-1".into(),
+                    predicate: vec![Comparison {
+                        column: "a b".into(),
+                        op: CmpOp::Ne,
+                        literal: Expr::Str("x".into()),
+                    }],
+                },
+            ),
+            (
+                // Unicode whitespace separates tokens like a space.
+                "SELECT\u{a0}*\u{3000}FROM\tdb.t\n",
+                Statement::Select {
+                    columns: SelectCols::Star,
+                    table: "db.t".into(),
+                    predicate: vec![],
+                },
+            ),
+            (
+                "CREATE TABLE IF NOT EXISTS `t` (`Ä` CHAR(3), s STRUCT<`f g`:INT>) STORED AS parquet",
+                Statement::CreateTable {
+                    name: "t".into(),
+                    columns: vec![
+                        ("Ä".into(), DataType::Char(3)),
+                        (
+                            "s".into(),
+                            DataType::Struct(vec![StructField::new("f g", DataType::Int)]),
+                        ),
+                    ],
+                    stored_as: Some("PARQUET".into()),
+                    if_not_exists: true,
+                },
+            ),
+        ];
+        for (text, expected) in cases {
+            assert_eq!(parse(text), Ok(expected), "{text}");
+        }
+    }
+
+    /// Lexer errors, and the parser errors that print a token, are pinned
+    /// byte for byte: engines wrap them into the errors a report shows.
+    #[test]
+    fn error_messages_are_unchanged() {
+        let cases = [
+            ("INSERT INTO t VALUES ('abc", "unterminated string literal"),
+            (
+                "INSERT INTO t VALUES ('abc''",
+                "unterminated string literal",
+            ),
+            ("SELECT `abc FROM t", "unterminated quoted identifier"),
+            ("INSERT INTO t VALUES (X'CAFE", "unterminated hex literal"),
+            (
+                "INSERT INTO t VALUES (X'ABC')",
+                "invalid hex literal X'ABC'",
+            ),
+            ("INSERT INTO t VALUES (X'é')", "invalid hex literal X'é'"),
+            ("INSERT INTO t VALUES (X'0g')", "invalid hex literal X'0g'"),
+            ("SELECT * FROM t WHERE a ~ 1", "unexpected character '~'"),
+            ("SELECT é FROM t", "unexpected character 'é'"),
+            // A lexer error anywhere wins over an earlier parser error.
+            ("SELEC * FROM t 😀", "unexpected character '😀'"),
+            (
+                "SELECT * FROM 'it''s'",
+                "expected identifier, found Some(Str(\"it's\"))",
+            ),
+            (
+                "SELECT * FROM 'x'",
+                "expected identifier, found Some(Str(\"x\"))",
+            ),
+            (
+                "SELECT * FROM t `t 2`",
+                "trailing tokens after statement: Some(Ident(\"t 2\"))",
+            ),
+            (
+                "SELECT * FROM t; SELECT * FROM t;",
+                "trailing tokens after statement: Some(Symbol(';'))",
+            ),
+            (
+                "CREATE TABLE t (a DECIMAL(x))",
+                "expected integer, found Some(Ident(\"x\"))",
+            ),
+            (
+                "CREATE TABLE t (a CHAR(1Y))",
+                "expected integer, found \"1Y\"",
+            ),
+            (
+                "INSERT INTO t VALUES (X'CAFE' 1.5)",
+                "expected ')', found Some(Number(\"1.5\"))",
+            ),
+            (
+                "INSERT INTO t VALUES (DATE X'00')",
+                "expected string, found Some(HexBin([0]))",
+            ),
+            (
+                "INSERT INTO t VALUES (1X)",
+                "invalid numeric literal \"1X\"",
+            ),
+            (
+                "INSERT INTO t VALUES (1ABC)",
+                "invalid numeric literal \"1AB\"",
+            ),
+            ("", "expected CREATE/DROP/INSERT/SELECT, found None"),
+        ];
+        for (text, message) in cases {
+            assert_eq!(parse(text), Err(ParseError::new(message)), "{text}");
+        }
     }
 
     #[test]

@@ -204,6 +204,34 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
         }
     );
 
+    // A revived spec cannot size the override list: the bound is the
+    // spec's own, not the request line's.
+    let unbounded = CampaignSpec {
+        spark_overrides: vec![("k".into(), "v".into()); csi_test::MAX_OVERRIDES + 1],
+        ..CampaignSpec::default()
+    };
+    client.submit("tenant-a", &unbounded).expect("submit");
+    match client.read_frame().expect("frame") {
+        Frame::Rejected {
+            reason: RejectReason::InvalidSpec(SpecError::BadOverrides { reason }),
+            ..
+        } => assert!(reason.contains("65 overrides"), "{reason}"),
+        other => panic!("expected BadOverrides, got {other:?}"),
+    }
+    // The connection lives on, and the paper's own override list runs.
+    let custom = CampaignSpec {
+        inputs: InputSelection::CataloguePrefix(1),
+        spark_overrides: csi_test::CrossTestConfig::custom_resolving_overrides(),
+        ..CampaignSpec::default()
+    };
+    client.submit("tenant-a", &custom).expect("submit");
+    let outcomes = client.collect(1).expect("frames");
+    assert_eq!(outcomes[0].rejected, None);
+    assert_eq!(
+        outcomes[0].report_json.as_deref(),
+        Some(batch_report_json(&custom).as_str())
+    );
+
     // A bad tenant name never reaches the scheduler.
     client
         .submit("Tenant A", &CampaignSpec::default())

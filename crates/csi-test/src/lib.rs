@@ -42,5 +42,8 @@ pub use plan::{Experiment, Interface, TestPlan};
 pub use pool::{DeploymentPool, PoolStats};
 pub use shard::{CampaignMetrics, WorkerStats};
 pub use shrink::{reproducer_triggers, Reproducer, ShrunkReproducer};
-pub use spec::{CampaignSpec, InputSelection, SpecError, MAX_KFAULTS, MAX_SHARDS};
+pub use spec::{
+    CampaignSpec, InputSelection, SpecError, MAX_KFAULTS, MAX_OVERRIDES, MAX_OVERRIDE_BYTES,
+    MAX_SHARDS,
+};
 pub use tolerate::{redundant_read, redundant_read_traced, ReadPath, RedundantRead};

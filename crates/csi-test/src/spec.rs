@@ -32,6 +32,14 @@ pub const MAX_SHARDS: usize = 256;
 /// enumeration limit of [`csi_core::fault::fault_combinations`].
 pub const MAX_KFAULTS: usize = 3;
 
+/// Upper bound on the entries of [`CampaignSpec::spark_overrides`]: every
+/// distinct list is a shelf key of the deployment pool and a `config.set`
+/// loop per deployment, so a revived spec may not size them freely.
+pub const MAX_OVERRIDES: usize = 64;
+
+/// Upper bound, in bytes, on each override key and each override value.
+pub const MAX_OVERRIDE_BYTES: usize = 256;
+
 /// Which test inputs a campaign runs over.
 ///
 /// The standard 422-input catalogue is referenced *by name* rather than
@@ -123,6 +131,12 @@ pub enum SpecError {
         /// The human-readable reason the shape was rejected.
         reason: String,
     },
+    /// `spark_overrides` has more than [`MAX_OVERRIDES`] entries, or a key
+    /// or value longer than [`MAX_OVERRIDE_BYTES`].
+    BadOverrides {
+        /// Which bound was exceeded, and by what.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -144,6 +158,9 @@ impl fmt::Display for SpecError {
             SpecError::NoJobs => write!(f, "compound campaigns need at least one job"),
             SpecError::BadCorpusShape { reason } => {
                 write!(f, "corpus shape cannot synthesize: {reason}")
+            }
+            SpecError::BadOverrides { reason } => {
+                write!(f, "spark overrides out of bounds: {reason}")
             }
         }
     }
@@ -251,6 +268,27 @@ impl CampaignSpec {
         if let InputSelection::Corpus { shape, .. } = &self.inputs {
             if let Err(reason) = shape.validate() {
                 return Err(SpecError::BadCorpusShape { reason });
+            }
+        }
+        if self.spark_overrides.len() > MAX_OVERRIDES {
+            return Err(SpecError::BadOverrides {
+                reason: format!(
+                    "{} overrides exceed the maximum of {MAX_OVERRIDES}",
+                    self.spark_overrides.len()
+                ),
+            });
+        }
+        for (i, (key, value)) in self.spark_overrides.iter().enumerate() {
+            for (part, text) in [("key", key), ("value", value)] {
+                if text.len() > MAX_OVERRIDE_BYTES {
+                    return Err(SpecError::BadOverrides {
+                        reason: format!(
+                            "override {i} has a {part} of {} bytes, over the maximum of \
+                             {MAX_OVERRIDE_BYTES}",
+                            text.len()
+                        ),
+                    });
+                }
             }
         }
         Ok(())
@@ -389,6 +427,34 @@ mod tests {
                     reason: format!("corpus rows 0 outside 1..={}", corpus::MAX_ROWS),
                 },
             ),
+            (
+                CampaignSpec {
+                    spark_overrides: vec![("k".into(), "v".into()); MAX_OVERRIDES + 1],
+                    ..base.clone()
+                },
+                SpecError::BadOverrides {
+                    reason: format!(
+                        "{} overrides exceed the maximum of {MAX_OVERRIDES}",
+                        MAX_OVERRIDES + 1
+                    ),
+                },
+            ),
+            (
+                CampaignSpec {
+                    spark_overrides: vec![
+                        ("k".into(), "v".into()),
+                        ("k".into(), "v".repeat(MAX_OVERRIDE_BYTES + 1)),
+                    ],
+                    ..base.clone()
+                },
+                SpecError::BadOverrides {
+                    reason: format!(
+                        "override 1 has a value of {} bytes, over the maximum of \
+                         {MAX_OVERRIDE_BYTES}",
+                        MAX_OVERRIDE_BYTES + 1
+                    ),
+                },
+            ),
         ];
         for (spec, expected) in cases {
             assert_eq!(spec.validate().expect_err("invalid spec"), expected);
@@ -396,5 +462,24 @@ mod tests {
             assert!(!expected.to_string().is_empty());
         }
         base.validate().expect("base spec is valid");
+        // Both bounds are inclusive, and the paper's custom configuration
+        // sits far inside them.
+        let at_the_bounds = CampaignSpec {
+            spark_overrides: vec![
+                (
+                    "k".repeat(MAX_OVERRIDE_BYTES),
+                    "v".repeat(MAX_OVERRIDE_BYTES)
+                );
+                MAX_OVERRIDES
+            ],
+            ..base.clone()
+        };
+        at_the_bounds.validate().expect("bounds are inclusive");
+        CampaignSpec {
+            spark_overrides: crate::CrossTestConfig::custom_resolving_overrides(),
+            ..base
+        }
+        .validate()
+        .expect("the custom configuration is valid");
     }
 }

@@ -217,11 +217,11 @@ impl MiniHdfs {
     }
 
     /// The file-operation boundary crossing at the entry of `op`.
-    fn cross(&self, op: &str, path: &HdfsPath) -> Result<(), HdfsError> {
+    fn cross(&self, op: &'static str, path: &HdfsPath) -> Result<(), HdfsError> {
         match &self.crossing {
-            Some(ctx) => {
-                ctx.cross(BoundaryCall::new(Channel::Hdfs, op).with_payload(&path.to_string()))
-            }
+            Some(ctx) => ctx.cross(
+                BoundaryCall::new(Channel::Hdfs, op).with_payload_fmt(format_args!("{path}")),
+            ),
             None => Ok(()),
         }
     }
@@ -436,26 +436,26 @@ impl MiniHdfs {
     pub fn mkdirs(&mut self, path: &HdfsPath) -> Result<(), HdfsError> {
         self.cross("mkdirs", path)?;
         self.check_mutable()?;
-        let comps = path.components();
         // `chain[d]` is the arena id of the prefix of length `d`.
         let mut chain = vec![ROOT];
-        for depth in 0..comps.len() {
+        for (depth, comp) in path.components().enumerate() {
             let here = *chain.last().expect("chain starts at root");
-            let child = self.names.lookup(&comps[depth]).and_then(|sym| {
-                match &self.arena[here as usize].node {
-                    INode::Dir { children, .. } => children.get(&sym).copied(),
-                    _ => None,
-                }
-            });
+            let child =
+                self.names
+                    .lookup(comp)
+                    .and_then(|sym| match &self.arena[here as usize].node {
+                        INode::Dir { children, .. } => children.get(&sym).copied(),
+                        _ => None,
+                    });
             match child {
                 Some(c) => match self.arena[c as usize].node {
                     INode::Dir { .. } => chain.push(c),
-                    _ => return Err(HdfsError::NotADirectory(partial(&comps[..=depth]))),
+                    _ => return Err(HdfsError::NotADirectory(partial(path, depth + 1))),
                 },
                 None => {
-                    self.check_namespace_quota(&chain, comps)?;
+                    self.check_namespace_quota(&chain, path)?;
                     let now = self.clock_ms;
-                    let sym = self.names.intern(&comps[depth]);
+                    let sym = self.names.intern(comp);
                     let id = self.alloc(Entry {
                         name: sym,
                         parent: here,
@@ -528,9 +528,8 @@ impl MiniHdfs {
             .expect("mkdirs created the parent");
         let mut chain = self.ancestors_root_first(parent);
         chain.push(parent);
-        let comps = path.components();
-        self.check_namespace_quota(&chain, comps)?;
-        self.check_space_quota(&chain, comps, data.len() as u64)?;
+        self.check_namespace_quota(&chain, path)?;
+        self.check_space_quota(&chain, path, data.len() as u64)?;
         let blocks = self.allocate_blocks(data.len() as u64);
         let now = self.clock_ms;
         let sym = self
@@ -600,7 +599,7 @@ impl MiniHdfs {
             return Err(HdfsError::IsADirectory(path.clone()));
         }
         let chain = self.ancestors_root_first(id);
-        self.check_space_quota(&chain, path.components(), data.len() as u64)?;
+        self.check_space_quota(&chain, path, data.len() as u64)?;
         let new_blocks = self.allocate_blocks(data.len() as u64);
         let now = self.clock_ms;
         let parent = self.arena[id as usize].parent;
@@ -672,7 +671,8 @@ impl MiniHdfs {
     /// deserializer that has to notice.
     pub fn read(&self, path: &HdfsPath) -> Result<Bytes, HdfsError> {
         if let Some(ctx) = &self.crossing {
-            let call = BoundaryCall::new(Channel::Hdfs, "read").with_payload(&path.to_string());
+            let call =
+                BoundaryCall::new(Channel::Hdfs, "read").with_payload_fmt(format_args!("{path}"));
             if let Some(fault) = ctx.intercept(call) {
                 if fault.kind == FaultKind::CorruptPayload {
                     let clean = self.read_inode(path)?;
@@ -818,9 +818,7 @@ impl MiniHdfs {
         if self.resolve(to).is_some() {
             return Err(HdfsError::AlreadyExists(to.clone()));
         }
-        let from_comps = from.components();
-        let to_comps = to.components();
-        if to_comps.len() > from_comps.len() && to_comps[..from_comps.len()] == from_comps[..] {
+        if to.components().count() > from.components().count() && to.starts_with(from) {
             return Err(HdfsError::InvalidPath(format!(
                 "cannot rename {from} into its own subtree {to}"
             )));
@@ -901,9 +899,9 @@ impl MiniHdfs {
     }
 
     /// Checks every ancestor's namespace quota before adding one inode.
-    /// `chain[d]` must be the arena id of `comps[..d]`; aggregates make
-    /// each check O(1), the walk O(depth).
-    fn check_namespace_quota(&self, chain: &[u32], comps: &[String]) -> Result<(), HdfsError> {
+    /// `chain[d]` must be the arena id of `path`'s first `d` components;
+    /// aggregates make each check O(1), the walk O(depth).
+    fn check_namespace_quota(&self, chain: &[u32], path: &HdfsPath) -> Result<(), HdfsError> {
         for (depth, &anc) in chain.iter().enumerate() {
             if let INode::Dir {
                 quota:
@@ -917,7 +915,7 @@ impl MiniHdfs {
             {
                 if *subtree_nodes + 1 > *max {
                     return Err(HdfsError::QuotaExceeded {
-                        dir: partial(&comps[..depth]),
+                        dir: partial(path, depth),
                         detail: format!("namespace quota {max} reached"),
                     });
                 }
@@ -930,7 +928,7 @@ impl MiniHdfs {
     fn check_space_quota(
         &self,
         chain: &[u32],
-        comps: &[String],
+        path: &HdfsPath,
         add_bytes: u64,
     ) -> Result<(), HdfsError> {
         for (depth, &anc) in chain.iter().enumerate() {
@@ -946,7 +944,7 @@ impl MiniHdfs {
             {
                 if *subtree_bytes + add_bytes > *max {
                     return Err(HdfsError::QuotaExceeded {
-                        dir: partial(&comps[..depth]),
+                        dir: partial(path, depth),
                         detail: format!("space quota {max} bytes would be exceeded"),
                     });
                 }
@@ -1156,12 +1154,12 @@ impl MiniHdfs {
     }
 }
 
-fn partial(components: &[String]) -> HdfsPath {
-    let mut p = HdfsPath::root();
-    for c in components {
-        p = p.join(c);
-    }
-    p
+/// The ancestor holding `path`'s first `depth` components, as the
+/// namespace names it (no authority). Error paths only.
+fn partial(path: &HdfsPath, depth: usize) -> HdfsPath {
+    path.components()
+        .take(depth)
+        .fold(HdfsPath::root(), |dir, comp| dir.join(comp))
 }
 
 /// Deterministically corrupts a payload: truncate to half and flip bits.
@@ -1232,10 +1230,11 @@ mod tests {
             fs.create(&p("/a"), b"3"),
             Err(HdfsError::IsADirectory(_))
         ));
-        assert!(matches!(
-            fs.mkdirs(&p("/a/b/c")),
-            Err(HdfsError::NotADirectory(_))
-        ));
+        // The error names the prefix that is in the way, not the request.
+        assert_eq!(
+            fs.mkdirs(&p("hdfs://nn:9000/a/b/c/d")),
+            Err(HdfsError::NotADirectory(p("/a/b")))
+        );
     }
 
     #[test]
@@ -1251,6 +1250,51 @@ mod tests {
             .map(|s| s.path.name().unwrap().to_string())
             .collect();
         assert_eq!(names, vec!["sub", "x", "y"]);
+    }
+
+    #[test]
+    fn a_table_directory_lists_and_sorts_component_wise() {
+        let mut fs = MiniHdfs::with_datanodes(1);
+        let dir = p("hdfs://nn:9000/user/hive/warehouse/t");
+        fs.create(&dir.join("part-00010.orc"), b"b").unwrap();
+        fs.create(&dir.join("part-00002.orc"), b"a").unwrap();
+        fs.create(&dir.join("sub").join("part-00001.orc"), b"c")
+            .unwrap();
+        // A sibling table whose name extends this one's with a byte below
+        // `/`: raw text would sort it between `t` and `t/...`.
+        fs.create(&p("/user/hive/warehouse/t-b/part-00003.orc"), b"d")
+            .unwrap();
+        let listed = fs.list_status(&dir).unwrap();
+        let shown: Vec<(String, bool)> = listed
+            .iter()
+            .map(|s| (s.path.to_string(), s.is_dir))
+            .collect();
+        // Statuses carry the namespace's own (authority-free) paths.
+        assert_eq!(
+            shown,
+            vec![
+                ("/user/hive/warehouse/t/part-00002.orc".to_string(), false),
+                ("/user/hive/warehouse/t/part-00010.orc".to_string(), false),
+                ("/user/hive/warehouse/t/sub".to_string(), true),
+            ]
+        );
+        // Sorting the paths (as `Metastore::table_data_files` does) keeps
+        // the listing's order, and ranks by component, not by text.
+        let mut paths: Vec<HdfsPath> = listed.into_iter().map(|s| s.path).collect();
+        paths.push(p("/user/hive/warehouse/t-b"));
+        paths.push(p("/user/hive/warehouse/t"));
+        paths.sort();
+        let sorted: Vec<String> = paths.iter().map(HdfsPath::to_string).collect();
+        assert_eq!(
+            sorted,
+            vec![
+                "/user/hive/warehouse/t",
+                "/user/hive/warehouse/t/part-00002.orc",
+                "/user/hive/warehouse/t/part-00010.orc",
+                "/user/hive/warehouse/t/sub",
+                "/user/hive/warehouse/t-b",
+            ]
+        );
     }
 
     #[test]
@@ -1304,9 +1348,10 @@ mod tests {
         fs.set_quota(&p("/q"), Some(2), None).unwrap();
         fs.create(&p("/q/a"), b"1").unwrap();
         fs.create(&p("/q/b"), b"2").unwrap();
+        // The error names the directory whose quota is spent.
         assert!(matches!(
-            fs.create(&p("/q/c"), b"3"),
-            Err(HdfsError::QuotaExceeded { .. })
+            fs.create(&p("/q/sub/c"), b"3"),
+            Err(HdfsError::QuotaExceeded { dir, .. }) if dir == p("/q")
         ));
     }
 

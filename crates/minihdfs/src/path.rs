@@ -9,14 +9,22 @@
 //! experience exactly the addressing discrepancies the study describes.
 
 use crate::error::HdfsError;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A validated, normalized HDFS path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+///
+/// Held as one string — `/` for the root, else `/a/b/c` with no trailing
+/// slash — so `join`, `parent` and `clone` are one allocation and
+/// `Display` is a copy. Ordering is nevertheless *component-wise*
+/// (`/a/b` sorts before `/a-b`, which raw text would reverse): listings
+/// sort by it. Serialized as its text, and revived only through
+/// [`HdfsPath::parse`], so no stored value can skip the checks.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HdfsPath {
     authority: Option<String>,
-    components: Vec<String>,
+    path: String,
 }
 
 impl HdfsPath {
@@ -43,27 +51,19 @@ impl HdfsPath {
         } else {
             (None, raw)
         };
-        if !rest.starts_with('/') {
+        // HDFS rejects `//`; what is left may carry the leading slash and a
+        // single trailing one, the only empty parts `split` then yields.
+        let bad_part = |part: &str| part == "." || part == ".." || part.contains(':');
+        if !rest.starts_with('/') || rest.contains("//") || rest.split('/').any(bad_part) {
             return Err(HdfsError::InvalidPath(raw.to_string()));
         }
-        let mut components = Vec::new();
-        for part in rest.split('/') {
-            if part.is_empty() {
-                continue; // Leading slash and a single trailing slash.
-            }
-            if part == "." || part == ".." || part.contains(':') {
-                return Err(HdfsError::InvalidPath(raw.to_string()));
-            }
-            components.push(part.to_string());
-        }
-        // `//` in the middle produced consecutive empties which we silently
-        // skipped above; HDFS rejects them, so re-check the raw string.
-        if rest.contains("//") {
-            return Err(HdfsError::InvalidPath(raw.to_string()));
-        }
+        let trimmed = match rest.strip_suffix('/') {
+            Some(head) if !head.is_empty() => head,
+            _ => rest,
+        };
         Ok(HdfsPath {
             authority,
-            components,
+            path: trimmed.to_string(),
         })
     }
 
@@ -71,7 +71,7 @@ impl HdfsPath {
     pub fn root() -> HdfsPath {
         HdfsPath {
             authority: None,
-            components: Vec::new(),
+            path: "/".to_string(),
         }
     }
 
@@ -80,19 +80,24 @@ impl HdfsPath {
         self.authority.as_deref()
     }
 
-    /// The path components.
-    pub fn components(&self) -> &[String] {
-        &self.components
+    /// The path components, root first; none for the root.
+    pub fn components(&self) -> impl Iterator<Item = &str> {
+        self.path[1..].split_terminator('/')
     }
 
     /// Whether this is the root.
     pub fn is_root(&self) -> bool {
-        self.components.is_empty()
+        self.path.len() == 1
+    }
+
+    /// Byte offset of the slash before the final component.
+    fn last_slash(&self) -> usize {
+        self.path.rfind('/').expect("paths start with a slash")
     }
 
     /// Final component, if any.
     pub fn name(&self) -> Option<&str> {
-        self.components.last().map(String::as_str)
+        (!self.is_root()).then(|| &self.path[self.last_slash() + 1..])
     }
 
     /// The parent path; `None` for the root.
@@ -102,7 +107,7 @@ impl HdfsPath {
         }
         Some(HdfsPath {
             authority: self.authority.clone(),
-            components: self.components[..self.components.len() - 1].to_vec(),
+            path: self.path[..self.last_slash().max(1)].to_string(),
         })
     }
 
@@ -116,42 +121,70 @@ impl HdfsPath {
             !child.contains('/') && !child.is_empty(),
             "join takes a single non-empty component"
         );
-        let mut components = self.components.clone();
-        components.push(child.to_string());
+        let stem = if self.is_root() { "" } else { &self.path };
+        let mut path = String::with_capacity(stem.len() + 1 + child.len());
+        path.push_str(stem);
+        path.push('/');
+        path.push_str(child);
         HdfsPath {
             authority: self.authority.clone(),
-            components,
+            path,
         }
     }
 
     /// Whether `self` is `other` or a descendant of `other` (ignoring
     /// authority).
     pub fn starts_with(&self, other: &HdfsPath) -> bool {
-        self.components.len() >= other.components.len()
-            && self.components[..other.components.len()] == other.components[..]
+        match self.path.strip_prefix(other.path.as_str()) {
+            // A sibling sharing a textual prefix (`/a/bx` under `/a/b`)
+            // leaves a rest that does not start at a component boundary.
+            Some(rest) => rest.is_empty() || rest.starts_with('/') || other.is_root(),
+            None => false,
+        }
     }
 
     /// The same path without its authority, as stored in the namespace.
     pub fn without_authority(&self) -> HdfsPath {
         HdfsPath {
             authority: None,
-            components: self.components.clone(),
+            path: self.path.clone(),
         }
+    }
+}
+
+impl Ord for HdfsPath {
+    fn cmp(&self, other: &HdfsPath) -> Ordering {
+        self.authority
+            .cmp(&other.authority)
+            .then_with(|| self.components().cmp(other.components()))
+    }
+}
+
+impl PartialOrd for HdfsPath {
+    fn partial_cmp(&self, other: &HdfsPath) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Serialize for HdfsPath {
+    fn to_content(&self) -> Content {
+        Content::Str(self.to_string())
+    }
+}
+
+impl Deserialize for HdfsPath {
+    fn from_content(c: &Content) -> Result<HdfsPath, String> {
+        HdfsPath::parse(&String::from_content(c)?).map_err(|e| e.to_string())
     }
 }
 
 impl fmt::Display for HdfsPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(a) = &self.authority {
-            write!(f, "hdfs://{a}")?;
+            f.write_str("hdfs://")?;
+            f.write_str(a)?;
         }
-        if self.components.is_empty() {
-            return write!(f, "/");
-        }
-        for c in &self.components {
-            write!(f, "/{c}")?;
-        }
-        Ok(())
+        f.write_str(&self.path)
     }
 }
 
@@ -162,7 +195,7 @@ mod tests {
     #[test]
     fn parses_plain_and_uri_paths() {
         let p = HdfsPath::parse("/user/hive/warehouse").unwrap();
-        assert_eq!(p.components().len(), 3);
+        assert_eq!(p.components().count(), 3);
         assert_eq!(p.authority(), None);
         assert_eq!(p.to_string(), "/user/hive/warehouse");
 
@@ -186,6 +219,19 @@ mod tests {
         ] {
             assert!(HdfsPath::parse(raw).is_err(), "{raw:?} should be invalid");
         }
+    }
+
+    #[test]
+    fn serde_goes_through_the_text_and_the_parser() {
+        let p = HdfsPath::parse("hdfs://nn:9000/data/x/").unwrap();
+        let content = p.to_content();
+        assert_eq!(content, Content::Str("hdfs://nn:9000/data/x".to_string()));
+        assert_eq!(HdfsPath::from_content(&content), Ok(p));
+        for bad in ["", "a/b", "/a//b", "s3a://bucket/x"] {
+            let revived = HdfsPath::from_content(&Content::Str(bad.to_string()));
+            assert!(revived.is_err(), "{bad:?}");
+        }
+        assert!(HdfsPath::from_content(&Content::Null).is_err());
     }
 
     #[test]

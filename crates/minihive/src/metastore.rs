@@ -13,7 +13,9 @@ use csi_core::fault::Channel;
 use minihdfs::{HdfsPath, MiniHdfs};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::fmt;
 use std::sync::Arc;
 
 /// The warehouse file system shared between Hive and its upstreams.
@@ -105,10 +107,22 @@ impl TableDef {
     }
 }
 
-/// The metastore.
+/// Hive's identifier fold, copying only a name that has an upper-case
+/// byte to fold.
+fn fold(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+/// The metastore. Definitions are shared out as [`Arc`]s: a statement
+/// holds the one it looked up without copying it, and an `ALTER` copies
+/// on write only while some statement still does.
 #[derive(Debug)]
 pub struct Metastore {
-    databases: BTreeMap<String, BTreeMap<String, TableDef>>,
+    databases: BTreeMap<String, BTreeMap<String, Arc<TableDef>>>,
     warehouse_root: HdfsPath,
     next_part: u64,
     crossing: Option<CrossingContext>,
@@ -141,9 +155,11 @@ impl Metastore {
     }
 
     /// The metastore-RPC boundary crossing at the entry of `op`.
-    fn cross(&self, op: &str, payload: &str) -> Result<(), HiveError> {
+    fn cross(&self, op: &'static str, payload: fmt::Arguments<'_>) -> Result<(), HiveError> {
         match &self.crossing {
-            Some(ctx) => ctx.cross(BoundaryCall::new(Channel::Metastore, op).with_payload(payload)),
+            Some(ctx) => {
+                ctx.cross(BoundaryCall::new(Channel::Metastore, op).with_payload_fmt(payload))
+            }
             None => Ok(()),
         }
     }
@@ -184,45 +200,51 @@ impl Metastore {
         columns: Vec<(String, HiveType)>,
         format: StorageFormat,
         if_not_exists: bool,
-    ) -> Result<&TableDef, HiveError> {
-        self.cross("create_table", &format!("{db}.{name}"))?;
-        let db_key = db.to_ascii_lowercase();
-        let table_key = name.to_ascii_lowercase();
-        let location = self.warehouse_root.join(&table_key);
+    ) -> Result<&Arc<TableDef>, HiveError> {
+        self.cross("create_table", format_args!("{db}.{name}"))?;
         let tables = self
             .databases
-            .get_mut(&db_key)
+            .get_mut(&*fold(db))
             .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?;
-        if tables.contains_key(&table_key) {
-            if if_not_exists {
-                return Ok(&tables[&table_key]);
+        match tables.entry(fold(name).into_owned()) {
+            Entry::Occupied(existing) if if_not_exists => Ok(existing.into_mut()),
+            Entry::Occupied(existing) => Err(HiveError::TableExists(existing.key().clone())),
+            Entry::Vacant(slot) => {
+                let def = TableDef {
+                    name: slot.key().clone(),
+                    columns: columns
+                        .into_iter()
+                        .map(|(mut name, hive_type)| {
+                            name.make_ascii_lowercase();
+                            ColumnDef { name, hive_type }
+                        })
+                        .collect(),
+                    format,
+                    location: self.warehouse_root.join(slot.key()),
+                    properties: BTreeMap::new(),
+                };
+                Ok(slot.insert(Arc::new(def)))
             }
-            return Err(HiveError::TableExists(table_key));
         }
-        let def = TableDef {
-            name: table_key.clone(),
-            columns: columns
-                .into_iter()
-                .map(|(n, t)| ColumnDef {
-                    name: n.to_ascii_lowercase(),
-                    hive_type: t,
-                })
-                .collect(),
-            format,
-            location,
-            properties: BTreeMap::new(),
-        };
-        tables.insert(table_key.clone(), def);
-        Ok(&tables[&table_key])
     }
 
     /// Looks a table up, case-insensitively.
-    pub fn get_table(&self, db: &str, name: &str) -> Result<&TableDef, HiveError> {
-        self.cross("get_table", &format!("{db}.{name}"))?;
+    pub fn get_table(&self, db: &str, name: &str) -> Result<&Arc<TableDef>, HiveError> {
+        self.cross("get_table", format_args!("{db}.{name}"))?;
         self.databases
-            .get(&db.to_ascii_lowercase())
+            .get(&*fold(db))
             .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?
-            .get(&name.to_ascii_lowercase())
+            .get(&*fold(name))
+            .ok_or_else(|| HiveError::UnknownTable(name.to_string()))
+    }
+
+    /// The definition of an existing table, for an `ALTER` to edit.
+    fn table_mut(&mut self, db: &str, name: &str) -> Result<&mut TableDef, HiveError> {
+        self.databases
+            .get_mut(&*fold(db))
+            .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?
+            .get_mut(&*fold(name))
+            .map(Arc::make_mut)
             .ok_or_else(|| HiveError::UnknownTable(name.to_string()))
     }
 
@@ -234,13 +256,8 @@ impl Metastore {
         key: &str,
         value: &str,
     ) -> Result<(), HiveError> {
-        self.cross("set_table_property", &format!("{db}.{name}#{key}"))?;
-        let t = self
-            .databases
-            .get_mut(&db.to_ascii_lowercase())
-            .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?
-            .get_mut(&name.to_ascii_lowercase())
-            .ok_or_else(|| HiveError::UnknownTable(name.to_string()))?;
+        self.cross("set_table_property", format_args!("{db}.{name}#{key}"))?;
+        let t = self.table_mut(db, name)?;
         t.properties.insert(key.to_string(), value.to_string());
         Ok(())
     }
@@ -259,13 +276,8 @@ impl Metastore {
         name: &str,
         hive_type: HiveType,
     ) -> Result<(), HiveError> {
-        self.cross("add_column", &format!("{db}.{table}.{name}"))?;
-        let t = self
-            .databases
-            .get_mut(&db.to_ascii_lowercase())
-            .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| HiveError::UnknownTable(table.to_string()))?;
+        self.cross("add_column", format_args!("{db}.{table}.{name}"))?;
+        let t = self.table_mut(db, table)?;
         let lower = name.to_ascii_lowercase();
         if t.columns.iter().any(|c| c.name == lower) {
             return Err(HiveError::TableExists(format!("{table}.{lower}")));
@@ -285,14 +297,12 @@ impl Metastore {
         if_exists: bool,
         fs: &mut MiniHdfs,
     ) -> Result<(), HiveError> {
-        self.cross("drop_table", &format!("{db}.{name}"))?;
-        let db_key = db.to_ascii_lowercase();
-        let table_key = name.to_ascii_lowercase();
+        self.cross("drop_table", format_args!("{db}.{name}"))?;
         let tables = self
             .databases
-            .get_mut(&db_key)
+            .get_mut(&*fold(db))
             .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?;
-        match tables.remove(&table_key) {
+        match tables.remove(&*fold(name)) {
             Some(def) => {
                 if fs.exists(&def.location) {
                     fs.delete(&def.location, true)
@@ -307,10 +317,10 @@ impl Metastore {
 
     /// Lists table names in a database.
     pub fn list_tables(&self, db: &str) -> Result<Vec<&str>, HiveError> {
-        self.cross("list_tables", db)?;
+        self.cross("list_tables", format_args!("{db}"))?;
         Ok(self
             .databases
-            .get(&db.to_ascii_lowercase())
+            .get(&*fold(db))
             .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?
             .keys()
             .map(String::as_str)
@@ -332,7 +342,7 @@ impl Metastore {
         table: &TableDef,
         fs: &MiniHdfs,
     ) -> Result<Vec<HdfsPath>, HiveError> {
-        self.cross("table_data_files", &table.location.to_string())?;
+        self.cross("table_data_files", format_args!("{}", table.location))?;
         if !fs.exists(&table.location) {
             return Ok(Vec::new());
         }
@@ -419,8 +429,11 @@ mod tests {
             false,
         )
         .unwrap();
+        // A statement's handle is a snapshot: the ALTER copies on write.
+        let held = ms.get_table("default", "t").unwrap().clone();
         ms.add_column("default", "t", "NewCol", HiveType::Str)
             .unwrap();
+        assert_eq!(held.columns.len(), 1);
         let def = ms.get_table("default", "t").unwrap();
         assert_eq!(def.columns.len(), 2);
         assert_eq!(def.columns[1].name, "newcol"); // Lowercased.

@@ -159,11 +159,16 @@ impl MiniKafka {
     }
 
     /// The broker request boundary crossing at the entry of `op`.
-    fn cross(&self, op: &str, topic: &str, partition: PartitionId) -> Result<(), KafkaError> {
+    fn cross(
+        &self,
+        op: &'static str,
+        topic: &str,
+        partition: PartitionId,
+    ) -> Result<(), KafkaError> {
         match &self.crossing {
             Some(ctx) => ctx.cross(
                 BoundaryCall::new(Channel::Kafka, op)
-                    .with_payload(&format!("{topic}/p{}", partition.0)),
+                    .with_payload_fmt(format_args!("{topic}/p{}", partition.0)),
             ),
             None => Ok(()),
         }

@@ -34,7 +34,9 @@ pub fn read_file(
     check: LengthCheck,
     ctx: &CrossingContext,
 ) -> Result<Bytes, SparkError> {
-    ctx.record(BoundaryCall::new(Channel::Hdfs, "task_read").with_payload(&path.to_string()));
+    ctx.record(
+        BoundaryCall::new(Channel::Hdfs, "task_read").with_payload_fmt(format_args!("{path}")),
+    );
     let status = fs
         .get_file_status(path)
         .map_err(|e| SparkError::Connector {

@@ -49,7 +49,7 @@ pub fn plan_range(
 ) -> Result<OffsetRange, SparkError> {
     ctx.record(
         BoundaryCall::new(Channel::Kafka, "plan_range")
-            .with_payload(&format!("{topic}/p{}", partition.0)),
+            .with_payload_fmt(format_args!("{topic}/p{}", partition.0)),
     );
     let until = broker
         .log_end_offset(topic, partition)
@@ -76,7 +76,7 @@ pub fn consume_range(
 ) -> Result<Vec<ConsumerRecord>, SparkError> {
     ctx.record(
         BoundaryCall::new(Channel::Kafka, "consume_range")
-            .with_payload(&format!("{topic}/p{}", partition.0)),
+            .with_payload_fmt(format_args!("{topic}/p{}", partition.0)),
     );
     let batch = broker
         .fetch(topic, partition, range.from, usize::MAX)

@@ -19,6 +19,7 @@ use csi_core::value::{DataType, StructField};
 use minihive::hiveql::SharedMetastore;
 use minihive::metastore::{SharedFs, StorageFormat, TableDef};
 use minihive::HiveType;
+use std::sync::Arc;
 
 /// Table property under which Spark stores its case-preserving schema.
 pub const SPARK_SCHEMA_PROPERTY: &str = "spark.sql.sources.schema";
@@ -85,8 +86,8 @@ impl SparkSession {
         &self.metastore
     }
 
-    /// Looks up a table definition.
-    pub fn table_def(&self, name: &str) -> Result<TableDef, SparkError> {
+    /// Looks up a table definition, shared with the metastore.
+    pub fn table_def(&self, name: &str) -> Result<Arc<TableDef>, SparkError> {
         Ok(self.metastore.lock().get_table("default", name)?.clone())
     }
 
@@ -133,10 +134,13 @@ impl SparkSession {
         }
         // The metastore guard ends with this block: the lock order is
         // filesystem before metastore, so it must be gone before `mkdirs`.
-        let def = {
+        // Only the location leaves it — a held definition would make the
+        // property write below copy the whole `TableDef`.
+        let location = {
             let mut ms = self.metastore.lock();
-            let def = ms
+            let location = ms
                 .create_table("default", name, hive_columns, format, if_not_exists)?
+                .location
                 .clone();
             if save_property {
                 ms.set_table_property(
@@ -146,11 +150,11 @@ impl SparkSession {
                     &schema_to_property(&stored_schema),
                 )?;
             }
-            def
+            location
         };
         self.fs
             .lock()
-            .mkdirs(&def.location)
+            .mkdirs(&location)
             .map_err(|e| SparkError::Connector {
                 code: "HDFS",
                 message: e.to_string(),

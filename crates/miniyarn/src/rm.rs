@@ -18,6 +18,7 @@ use csi_core::boundary::{BoundaryCall, CrossingContext};
 use csi_core::config::ConfigMap;
 use csi_core::fault::Channel;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 
 /// Identifier of a registered application (application master).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -329,9 +330,9 @@ impl ResourceManager {
     }
 
     /// The RM request boundary crossing at the entry of `op`.
-    fn cross(&self, op: &str, payload: &str) -> Result<(), YarnError> {
+    fn cross(&self, op: &'static str, payload: fmt::Arguments<'_>) -> Result<(), YarnError> {
         match &self.crossing {
-            Some(ctx) => ctx.cross(BoundaryCall::new(Channel::Yarn, op).with_payload(payload)),
+            Some(ctx) => ctx.cross(BoundaryCall::new(Channel::Yarn, op).with_payload_fmt(payload)),
             None => Ok(()),
         }
     }
@@ -420,7 +421,7 @@ impl ResourceManager {
         app: ApplicationId,
         ask: Resource,
     ) -> Result<Resource, YarnError> {
-        self.cross("add_container_request", &format!("app-{}", app.0))?;
+        self.cross("add_container_request", format_args!("app-{}", app.0))?;
         let idx = self.app_index(app)?;
         let normalized = self.scheduler.normalize(ask, &self.config)?;
         self.pending.push_back(PendingAsk {
@@ -456,7 +457,7 @@ impl ResourceManager {
     /// The AM–RM heartbeat: returns containers allocated and completed since
     /// the application's previous heartbeat.
     pub fn allocate(&mut self, app: ApplicationId) -> Result<AllocateResponse, YarnError> {
-        self.cross("allocate", &format!("app-{}", app.0))?;
+        self.cross("allocate", format_args!("app-{}", app.0))?;
         self.process_pipeline();
         let idx = self.app_index(app)?;
         let state = &mut self.apps[idx];
@@ -668,7 +669,7 @@ impl ResourceManager {
 
     /// Cluster metrics, available only in classic mode (YARN-9724).
     pub fn get_cluster_metrics(&self) -> Result<ClusterMetrics, YarnError> {
-        self.cross("get_cluster_metrics", "cluster")?;
+        self.cross("get_cluster_metrics", format_args!("cluster"))?;
         if self.mode == RmMode::Federation {
             return Err(YarnError::UnsupportedInMode {
                 op: "getClusterMetrics",

@@ -209,6 +209,37 @@ proptest! {
 
 // --- Substrates -------------------------------------------------------------
 
+/// One path component over a small alphabet, so equal components and
+/// shared textual prefixes come up often: `-` and `.` are bytes below `/`,
+/// the rest above it. `.` and `..` are not components.
+fn path_component() -> impl Strategy<Value = String> {
+    "[ab.0_é中-]{1,3}".prop_map(|c| {
+        if c == "." || c == ".." {
+            format!("d{c}")
+        } else {
+            c
+        }
+    })
+}
+
+#[test]
+fn the_root_path_has_no_components_name_or_parent() {
+    let root = HdfsPath::root();
+    assert_eq!(root.components().count(), 0);
+    assert_eq!(root.name(), None);
+    assert_eq!(root.parent(), None);
+    assert!(root.is_root());
+    assert_eq!(root.to_string(), "/");
+    assert_eq!(HdfsPath::parse("/").unwrap(), root);
+    // `/a-b` sorts after `/a/b` by components and before it as text.
+    let (nested, dashed) = (
+        HdfsPath::parse("/a/b").unwrap(),
+        HdfsPath::parse("/a-b").unwrap(),
+    );
+    assert!(nested < dashed);
+    assert!(nested.to_string() > dashed.to_string());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -232,6 +263,48 @@ proptest! {
         let renamed = fs.read(&dst).unwrap();
         prop_assert_eq!(renamed.as_ref(), &data[..]);
         prop_assert!(!fs.exists(&path));
+    }
+
+    #[test]
+    fn hdfs_paths_behave_as_their_component_lists(
+        authority_a in proptest::sample::select(vec![None, Some("nn:8020"), Some("nn:9000")]),
+        authority_b in proptest::sample::select(vec![None, Some("nn:8020"), Some("nn:9000")]),
+        comps_a in proptest::collection::vec(path_component(), 0..4),
+        comps_b in proptest::collection::vec(path_component(), 0..4),
+        child in path_component(),
+    ) {
+        let build = |authority: Option<&str>, comps: &[String]| {
+            let root = match authority {
+                Some(a) => HdfsPath::parse(&format!("hdfs://{a}/")).unwrap(),
+                None => HdfsPath::root(),
+            };
+            comps.iter().fold(root, |p, c| p.join(c))
+        };
+        let a = build(authority_a, &comps_a);
+        let b = build(authority_b, &comps_b);
+        // The text is the path: it parses back, and splits into the list.
+        prop_assert_eq!(&HdfsPath::parse(&a.to_string()).unwrap(), &a);
+        prop_assert_eq!(a.components().collect::<Vec<_>>(), comps_a.iter().collect::<Vec<_>>());
+        prop_assert_eq!(a.authority(), authority_a);
+        // Ordering is by (authority, components), never by raw text.
+        prop_assert_eq!(a.cmp(&b), (authority_a, &comps_a).cmp(&(authority_b, &comps_b)));
+        prop_assert_eq!(a == b, (authority_a, &comps_a) == (authority_b, &comps_b));
+        // join and parent are inverses.
+        let joined = a.join(&child);
+        prop_assert_eq!(joined.name(), Some(child.as_str()));
+        prop_assert_eq!(joined.parent().as_ref(), Some(&a));
+        prop_assert_eq!(joined.components().count(), comps_a.len() + 1);
+        // Prefixes hold at component boundaries only (authority ignored).
+        prop_assert!(a.starts_with(&a));
+        prop_assert!(joined.starts_with(&a));
+        prop_assert!(joined.join("z").starts_with(&a));
+        prop_assert!(a.starts_with(&HdfsPath::root()));
+        prop_assert!(!a.starts_with(&joined));
+        let sibling = a.join(&format!("{child}x"));
+        prop_assert!(!sibling.starts_with(&joined), "{} under {}", sibling, joined);
+        prop_assert!(!joined.starts_with(&sibling));
+        prop_assert_eq!(b.starts_with(&a), comps_b.starts_with(&comps_a));
+        prop_assert_eq!(a.without_authority(), build(None, &comps_a));
     }
 
     #[test]
@@ -315,6 +388,12 @@ proptest! {
     ) {
         // Robustness: hostile inputs produce errors, never panics.
         let _ = csi::core::sql::parse(&text);
+        // The lexer walks by byte offset: put the random (multi-byte) text
+        // right after every place it steps over a delimiter or an ASCII run.
+        for opener in ["'", "''", "'a''", "`", "`a`", "X'", "x'0A'", "1", "1.5B", "a1_", "("] {
+            let _ = csi::core::sql::parse(&format!("{opener}{text}"));
+            let _ = csi::core::sql::parse(&format!("SELECT * FROM t WHERE c = {opener}{text}"));
+        }
         let _ = csi::core::value::parse_date(&text);
         let _ = csi::core::value::parse_timestamp(&text);
         let _ = csi::core::value::Decimal::parse(&text);
