@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame and digest-from-parts guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts and one-judge guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # cluster-scale substrate smoke + the benchmark's own smoke (all four workloads)
@@ -43,6 +43,17 @@ stage_lint() {
   echo "==> boundary guard (a payload is digested from its parts, never rendered first)"
   if grep -rnE --include='*.rs' 'with_payload\(&(format!|.*\.to_string\(\))' crates/; then
     echo "hash the parts instead: .with_payload_fmt(format_args!(..)) digests the same bytes without building them" >&2
+    exit 1
+  fi
+  # How a trial is judged is one module's decision: a mode that runs an
+  # oracle or reads a crossing's outcome itself is a second copy of it.
+  echo "==> judge guard (oracles run in classify.rs, fired faults are read by csi_core::boundary::faulted)"
+  if grep -rnE --include='*.rs' 'check_(differential|write_read|error_handling)\(' crates/csi-test/src/ | grep -v '^crates/csi-test/src/classify\.rs:'; then
+    echo "hand the observation to classify::Classifier (absorb / failures / finish) instead of running its oracle here" >&2
+    exit 1
+  fi
+  if grep -rnF --include='*.rs' 'CrossingOutcome::Faulted' crates/csi-test/src/; then
+    echo "ask csi_core::boundary::faulted(&trace.crossings) which faults fired, and csi_core::detect::DetectionTally to score them" >&2
     exit 1
   fi
 }

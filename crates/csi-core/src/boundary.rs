@@ -216,6 +216,17 @@ impl Crossing {
     }
 }
 
+/// The crossings of `crossings` at which an armed fault fired, in order,
+/// each as the call it interrupted and the fault that fired — the one
+/// reading of "what fired" the §9 oracle, the agreement score and the
+/// compound pass's per-job attribution share.
+pub fn faulted(crossings: &[Crossing]) -> impl Iterator<Item = (&BoundaryCall, &InjectedFault)> {
+    crossings.iter().filter_map(|c| match &c.outcome {
+        CrossingOutcome::Faulted { fault } => Some((&c.call, fault)),
+        _ => None,
+    })
+}
+
 /// The append-only causal crossing sequence of one observation.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InteractionTrace {

@@ -150,11 +150,6 @@ impl ConfigMap {
         self.entries.get(key)?.value.as_deref()
     }
 
-    /// Gets a value, falling back to a default.
-    pub fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.get(key).unwrap_or(default)
-    }
-
     /// Parses a key as a boolean (`true`/`false`, case-insensitive).
     pub fn get_bool(&self, key: &str) -> Option<Result<bool, ConfigValueError>> {
         self.get(key)

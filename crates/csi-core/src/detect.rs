@@ -37,7 +37,9 @@
 
 use crate::boundary::{Crossing, CrossingOutcome, CrossingSink, InteractionTrace};
 use crate::error::{ErrorKind, InteractionError};
-use crate::fault::{canonical_signature, Channel, FaultKind, InjectedFault};
+use crate::fault::{
+    canonical_signature, classify_fault_outcome, Channel, FaultKind, FaultOutcome, InjectedFault,
+};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -574,6 +576,51 @@ impl DetectorAgreement {
 /// detector-side positive when scoring against the offline oracle.
 pub fn flags_error_handling(detections: &[Detection]) -> bool {
     detections.iter().any(|d| d.kind.is_error_handling())
+}
+
+/// The detection aggregates of one campaign: what a cross-test report and
+/// a fault-matrix report both carry about the online detector. A campaign
+/// that ran without the detector records nothing and reports the empty
+/// tally.
+#[derive(Debug, Default)]
+pub struct DetectionTally {
+    /// Detection count per [`DetectionKind`].
+    pub kinds: BTreeMap<String, usize>,
+    /// Detection count per channel involved (a detection spanning several
+    /// channels counts once per channel).
+    pub totals: BTreeMap<String, usize>,
+    /// Agreement with the offline §9 oracle over the recorded units in
+    /// which a fault fired; `None` until one did.
+    pub agreement: Option<DetectorAgreement>,
+}
+
+impl DetectionTally {
+    /// Records one observation or matrix cell: its detections, and — when
+    /// `fired` is non-empty — one agreement score of the detector against
+    /// the §9 bucket of (`fired`, `surfaced`).
+    pub fn record(
+        &mut self,
+        detections: &[Detection],
+        fired: &[InjectedFault],
+        surfaced: Option<&InteractionError>,
+    ) {
+        for d in detections {
+            *self.kinds.entry(d.kind.to_string()).or_insert(0) += 1;
+            for channel in &d.channels {
+                *self.totals.entry(channel.to_string()).or_insert(0) += 1;
+            }
+        }
+        if fired.is_empty() {
+            return;
+        }
+        let oracle_positive = matches!(
+            classify_fault_outcome(fired, surfaced),
+            FaultOutcome::Swallowed | FaultOutcome::Mistranslated
+        );
+        self.agreement
+            .get_or_insert_with(DetectorAgreement::default)
+            .score(oracle_positive, flags_error_handling(detections));
+    }
 }
 
 #[cfg(test)]

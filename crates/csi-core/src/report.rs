@@ -158,48 +158,6 @@ impl DiscrepancyReport {
     }
 }
 
-/// One renderable section of a campaign report. The single [`Render`]
-/// path is parameterized by a section list instead of growing a new
-/// bolted-on optional block per feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Section {
-    /// Input/observation/failure headline counts.
-    Summary,
-    /// The distinct discrepancies with their representative traces.
-    Discrepancies,
-    /// Problem-category totals.
-    Categories,
-    /// Boundary crossings per channel.
-    Traces,
-    /// Online detections per channel and kind, plus oracle agreement.
-    Detections,
-    /// Fault-matrix cells (rows supplied via [`Render::fault_cells`]).
-    FaultCells,
-    /// Coverage-guided exploration stats (supplied via
-    /// [`Render::exploration`]).
-    Exploration,
-    /// Co-failure clusters of a compound campaign (supplied via
-    /// [`Render::clusters`]).
-    Clusters,
-    /// Unattributed-failure warning.
-    Warnings,
-}
-
-impl Section {
-    /// Every section, in canonical render order.
-    pub const ALL: [Section; 9] = [
-        Section::Summary,
-        Section::Discrepancies,
-        Section::Categories,
-        Section::Traces,
-        Section::Detections,
-        Section::FaultCells,
-        Section::Exploration,
-        Section::Clusters,
-        Section::Warnings,
-    ];
-}
-
 /// One fault-matrix cell, reduced to what a campaign report renders.
 /// Defined here (not in the test harness) so matrix campaigns render
 /// through the same [`Render`] path as cross-test campaigns.
@@ -349,266 +307,197 @@ pub struct ExplorationStats {
     pub shrinks: Vec<ShrinkRow>,
 }
 
-/// The single rendering path for campaign reports.
+/// The single rendering path for campaign reports. A block renders when
+/// its data is present: the summary, discrepancies and category totals
+/// always; crossings per channel when the campaign traced; detections when
+/// the detector ran; fault cells, exploration stats and co-failure clusters
+/// when supplied; the unattributed warning when anything went unattributed.
 ///
 /// ```
-/// use csi_core::report::{DiscrepancyReport, Render, Section};
+/// use csi_core::report::{DiscrepancyReport, Render};
 /// let report = DiscrepancyReport::default();
-/// let text = Render::new(&report)
-///     .section(Section::Summary)
-///     .section(Section::Detections)
-///     .to_string();
+/// let text = Render::standard(&report).to_string();
 /// assert!(text.starts_with("cross-testing:"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Render<'a> {
     report: &'a DiscrepancyReport,
-    sections: Vec<Section>,
     fault_cells: &'a [FaultCellRow],
     exploration: Option<&'a ExplorationStats>,
-    clusters: &'a [ClusterRow],
-    compound: Option<&'a CompoundStats>,
+    compound: Option<(&'a CompoundStats, &'a [ClusterRow])>,
 }
 
 impl<'a> Render<'a> {
-    /// A renderer with no sections selected.
-    pub fn new(report: &'a DiscrepancyReport) -> Render<'a> {
+    /// The renderer of a report, with no mode-specific rows supplied.
+    pub fn standard(report: &'a DiscrepancyReport) -> Render<'a> {
         Render {
             report,
-            sections: Vec::new(),
             fault_cells: &[],
             exploration: None,
-            clusters: &[],
             compound: None,
         }
     }
 
-    /// The standard selection: summary, discrepancies and categories
-    /// always; traces and detections when the campaign recorded them;
-    /// warnings when anything went unattributed.
-    pub fn standard(report: &'a DiscrepancyReport) -> Render<'a> {
-        let mut r = Render::new(report)
-            .section(Section::Summary)
-            .section(Section::Discrepancies)
-            .section(Section::Categories);
-        if !report.trace_totals.is_empty() {
-            r = r.section(Section::Traces);
-        }
-        if report.detector_enabled {
-            r = r.section(Section::Detections);
-        }
-        if !report.unattributed.is_empty() {
-            r = r.section(Section::Warnings);
-        }
-        r
-    }
-
-    /// Appends a section (idempotent; render order is the canonical
-    /// [`Section::ALL`] order, not call order).
-    pub fn section(mut self, section: Section) -> Render<'a> {
-        if !self.sections.contains(&section) {
-            self.sections.push(section);
-        }
+    /// Supplies fault-matrix rows.
+    pub fn fault_cells(mut self, rows: &'a [FaultCellRow]) -> Render<'a> {
+        self.fault_cells = rows;
         self
     }
 
-    /// Supplies fault-matrix rows and selects the [`Section::FaultCells`]
-    /// section.
-    pub fn fault_cells(mut self, rows: &'a [FaultCellRow]) -> Render<'a> {
-        self.fault_cells = rows;
-        self.section(Section::FaultCells)
-    }
-
-    /// Supplies exploration stats and selects the [`Section::Exploration`]
-    /// section.
+    /// Supplies exploration stats.
     pub fn exploration(mut self, stats: &'a ExplorationStats) -> Render<'a> {
         self.exploration = Some(stats);
-        self.section(Section::Exploration)
+        self
     }
 
-    /// Supplies compound-pass stats and co-failure cluster rows and
-    /// selects the [`Section::Clusters`] section.
+    /// Supplies compound-pass stats and co-failure cluster rows.
     pub fn clusters(mut self, stats: &'a CompoundStats, rows: &'a [ClusterRow]) -> Render<'a> {
-        self.compound = Some(stats);
-        self.clusters = rows;
-        self.section(Section::Clusters)
-    }
-
-    fn has(&self, section: Section) -> bool {
-        self.sections.contains(&section)
+        self.compound = Some((stats, rows));
+        self
     }
 }
 
 impl fmt::Display for Render<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let r = self.report;
-        for section in Section::ALL {
-            if !self.has(section) {
-                continue;
+        writeln!(
+            f,
+            "cross-testing: {} inputs ({} valid, {} invalid), {} observations",
+            r.inputs_total, r.inputs_valid, r.inputs_invalid, r.observations
+        )?;
+        writeln!(
+            f,
+            "{} raw oracle failures -> {} distinct discrepancies",
+            r.raw_failures.len(),
+            r.distinct()
+        )?;
+        for d in &r.discrepancies {
+            writeln!(
+                f,
+                "  {} [{}] {} ({} failures)",
+                d.id,
+                d.issue_keys.join(", "),
+                d.title,
+                d.evidence.len()
+            )?;
+            for line in &d.trace {
+                writeln!(f, "      {line}")?;
             }
-            match section {
-                Section::Summary => {
-                    writeln!(
-                        f,
-                        "cross-testing: {} inputs ({} valid, {} invalid), {} observations",
-                        r.inputs_total, r.inputs_valid, r.inputs_invalid, r.observations
-                    )?;
-                    writeln!(
-                        f,
-                        "{} raw oracle failures -> {} distinct discrepancies",
-                        r.raw_failures.len(),
-                        r.distinct()
-                    )?;
+        }
+        writeln!(f, "category totals:")?;
+        for (c, n) in r.category_counts() {
+            writeln!(f, "  {n:2} x {c}")?;
+        }
+        if !r.trace_totals.is_empty() {
+            writeln!(f, "boundary crossings per channel:")?;
+            for (channel, n) in &r.trace_totals {
+                writeln!(f, "  {n:6} x {channel}")?;
+            }
+        }
+        if r.detector_enabled {
+            if r.detection_totals.is_empty() {
+                writeln!(f, "online detections: none")?;
+            } else {
+                writeln!(f, "online detections per channel:")?;
+                for (channel, n) in &r.detection_totals {
+                    writeln!(f, "  {n:6} x {channel}")?;
                 }
-                Section::Discrepancies => {
-                    for d in &r.discrepancies {
-                        writeln!(
-                            f,
-                            "  {} [{}] {} ({} failures)",
-                            d.id,
-                            d.issue_keys.join(", "),
-                            d.title,
-                            d.evidence.len()
-                        )?;
-                        for line in &d.trace {
-                            writeln!(f, "      {line}")?;
-                        }
-                    }
-                }
-                Section::Categories => {
-                    writeln!(f, "category totals:")?;
-                    for (c, n) in r.category_counts() {
-                        writeln!(f, "  {n:2} x {c}")?;
-                    }
-                }
-                Section::Traces => {
-                    if !r.trace_totals.is_empty() {
-                        writeln!(f, "boundary crossings per channel:")?;
-                        for (channel, n) in &r.trace_totals {
-                            writeln!(f, "  {n:6} x {channel}")?;
-                        }
-                    }
-                }
-                Section::Detections => {
-                    if r.detection_totals.is_empty() {
-                        writeln!(f, "online detections: none")?;
-                    } else {
-                        writeln!(f, "online detections per channel:")?;
-                        for (channel, n) in &r.detection_totals {
-                            writeln!(f, "  {n:6} x {channel}")?;
-                        }
-                        writeln!(f, "online detections per kind:")?;
-                        for (kind, n) in &r.detection_kinds {
-                            writeln!(f, "  {n:6} x {kind}")?;
-                        }
-                    }
-                    if let Some(a) = &r.detector_agreement {
-                        writeln!(
-                            f,
-                            "detector vs offline oracle: {} fault-bearing observations, \
-                             precision {:.3}, recall {:.3} (tp {} fp {} fn {} tn {})",
-                            a.total(),
-                            a.precision(),
-                            a.recall(),
-                            a.true_positives,
-                            a.false_positives,
-                            a.false_negatives,
-                            a.true_negatives
-                        )?;
-                    }
-                }
-                Section::FaultCells => {
-                    if !self.fault_cells.is_empty() {
-                        writeln!(f, "fault matrix cells:")?;
-                        for row in self.fault_cells {
-                            writeln!(
-                                f,
-                                "  {} x {}: {} ({} detections) {}",
-                                row.fault_id, row.scenario, row.outcome, row.detections, row.detail
-                            )?;
-                        }
-                    }
-                }
-                Section::Exploration => {
-                    if let Some(s) = self.exploration {
-                        writeln!(
-                            f,
-                            "exploration: seed {}, budget {} over a {}-cell grid",
-                            s.seed, s.budget, s.grid_cells
-                        )?;
-                        writeln!(
-                            f,
-                            "  executed {} observations ({} fresh, {} mutated, {} fault-overlay)",
-                            s.executed, s.fresh, s.mutated, s.faulted
-                        )?;
-                        writeln!(
-                            f,
-                            "  coverage: {} signatures ({} novel from mutation, {} novel from \
-                             corpus), corpus {} entries",
-                            s.signatures,
-                            s.novel_from_mutation,
-                            s.novel_from_corpus,
-                            s.corpus.len()
-                        )?;
-                        for d in &s.discoveries {
-                            writeln!(
-                                f,
-                                "  discovered {} after {} executions ({})",
-                                d.id, d.executed, d.origin
-                            )?;
-                        }
-                        for sh in &s.shrinks {
-                            writeln!(
-                                f,
-                                "  shrunk {} -> {} [{}] ({} row x {} col, {} steps, {} checks)",
-                                sh.id,
-                                sh.scenario,
-                                sh.label,
-                                sh.rows,
-                                sh.columns,
-                                sh.steps,
-                                sh.checks
-                            )?;
-                        }
-                    }
-                }
-                Section::Clusters => {
-                    if let Some(s) = self.compound {
-                        writeln!(
-                            f,
-                            "compound pass: seed {}, k<={} faults x {} jobs, {} trials over a \
-                             {}-point product space",
-                            s.seed, s.kfaults, s.jobs, s.executed, s.space
-                        )?;
-                        writeln!(
-                            f,
-                            "  {} signatures, {} discrepancies -> {} co-failure clusters \
-                             ({} shrink checks)",
-                            s.signatures,
-                            s.discrepancies,
-                            self.clusters.len(),
-                            s.shrink_checks
-                        )?;
-                        for c in self.clusters {
-                            writeln!(
-                                f,
-                                "  cluster {} ({} members, prefix depth {}): cracks at {}",
-                                c.fingerprint, c.members, c.prefix_len, c.crack
-                            )?;
-                            writeln!(
-                                f,
-                                "    reproducer: faults [{}] ({}), schedule {}, job {}",
-                                c.fault_set, c.faults, c.schedule, c.scenario
-                            )?;
-                        }
-                    }
-                }
-                Section::Warnings => {
-                    if !r.unattributed.is_empty() {
-                        writeln!(f, "WARNING: {} unattributed failures", r.unattributed.len())?;
-                    }
+                writeln!(f, "online detections per kind:")?;
+                for (kind, n) in &r.detection_kinds {
+                    writeln!(f, "  {n:6} x {kind}")?;
                 }
             }
+            if let Some(a) = &r.detector_agreement {
+                writeln!(
+                    f,
+                    "detector vs offline oracle: {} fault-bearing observations, \
+                     precision {:.3}, recall {:.3} (tp {} fp {} fn {} tn {})",
+                    a.total(),
+                    a.precision(),
+                    a.recall(),
+                    a.true_positives,
+                    a.false_positives,
+                    a.false_negatives,
+                    a.true_negatives
+                )?;
+            }
+        }
+        if !self.fault_cells.is_empty() {
+            writeln!(f, "fault matrix cells:")?;
+            for row in self.fault_cells {
+                writeln!(
+                    f,
+                    "  {} x {}: {} ({} detections) {}",
+                    row.fault_id, row.scenario, row.outcome, row.detections, row.detail
+                )?;
+            }
+        }
+        if let Some(s) = self.exploration {
+            writeln!(
+                f,
+                "exploration: seed {}, budget {} over a {}-cell grid",
+                s.seed, s.budget, s.grid_cells
+            )?;
+            writeln!(
+                f,
+                "  executed {} observations ({} fresh, {} mutated, {} fault-overlay)",
+                s.executed, s.fresh, s.mutated, s.faulted
+            )?;
+            writeln!(
+                f,
+                "  coverage: {} signatures ({} novel from mutation, {} novel from \
+                 corpus), corpus {} entries",
+                s.signatures,
+                s.novel_from_mutation,
+                s.novel_from_corpus,
+                s.corpus.len()
+            )?;
+            for d in &s.discoveries {
+                writeln!(
+                    f,
+                    "  discovered {} after {} executions ({})",
+                    d.id, d.executed, d.origin
+                )?;
+            }
+            for sh in &s.shrinks {
+                writeln!(
+                    f,
+                    "  shrunk {} -> {} [{}] ({} row x {} col, {} steps, {} checks)",
+                    sh.id, sh.scenario, sh.label, sh.rows, sh.columns, sh.steps, sh.checks
+                )?;
+            }
+        }
+        if let Some((s, clusters)) = self.compound {
+            writeln!(
+                f,
+                "compound pass: seed {}, k<={} faults x {} jobs, {} trials over a \
+                 {}-point product space",
+                s.seed, s.kfaults, s.jobs, s.executed, s.space
+            )?;
+            writeln!(
+                f,
+                "  {} signatures, {} discrepancies -> {} co-failure clusters \
+                 ({} shrink checks)",
+                s.signatures,
+                s.discrepancies,
+                clusters.len(),
+                s.shrink_checks
+            )?;
+            for c in clusters {
+                writeln!(
+                    f,
+                    "  cluster {} ({} members, prefix depth {}): cracks at {}",
+                    c.fingerprint, c.members, c.prefix_len, c.crack
+                )?;
+                writeln!(
+                    f,
+                    "    reproducer: faults [{}] ({}), schedule {}, job {}",
+                    c.fault_set, c.faults, c.schedule, c.scenario
+                )?;
+            }
+        }
+        if !r.unattributed.is_empty() {
+            writeln!(f, "WARNING: {} unattributed failures", r.unattributed.len())?;
         }
         Ok(())
     }
@@ -694,24 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn render_sections_are_selectable_and_canonically_ordered() {
-        let r = report();
-        // Only the summary, regardless of selection call order.
-        let text = Render::new(&r).section(Section::Summary).to_string();
-        assert!(text.contains("cross-testing: 10 inputs"));
-        assert!(!text.contains("D01"));
-        assert!(!text.contains("category totals:"));
-        // Requesting sections out of order still renders canonically.
-        let text = Render::new(&r)
-            .section(Section::Categories)
-            .section(Section::Summary)
-            .to_string();
-        let summary_at = text.find("cross-testing:").unwrap();
-        let categories_at = text.find("category totals:").unwrap();
-        assert!(summary_at < categories_at);
-    }
-
-    #[test]
     fn detections_section_reports_none_and_totals() {
         let mut r = report();
         r.detector_enabled = true;
@@ -743,10 +614,7 @@ mod tests {
             detections: 1,
             detail: "no error surfaced".into(),
         }];
-        let text = Render::new(&r)
-            .section(Section::Summary)
-            .fault_cells(&rows)
-            .to_string();
+        let text = Render::standard(&r).fault_cells(&rows).to_string();
         assert!(text.contains("fault matrix cells:"), "{text}");
         assert!(
             text.contains("ms-unavail-get x sh:spark-sql->hiveql:orc: swallowed (1 detections)"),
@@ -790,10 +658,7 @@ mod tests {
                 checks: 9,
             }],
         };
-        let text = Render::new(&r)
-            .section(Section::Summary)
-            .exploration(&stats)
-            .to_string();
+        let text = Render::standard(&r).exploration(&stats).to_string();
         assert!(
             text.contains("exploration: seed 42, budget 600 over a 10128-cell grid"),
             "{text}"
@@ -840,10 +705,7 @@ mod tests {
             schedule: "identity".into(),
             scenario: "ss:SparkSQL->SparkSQL:ORC".into(),
         }];
-        let text = Render::new(&r)
-            .section(Section::Summary)
-            .clusters(&stats, &rows)
-            .to_string();
+        let text = Render::standard(&r).clusters(&stats, &rows).to_string();
         assert!(
             text.contains("compound pass: seed 42, k<=3 faults x 2 jobs"),
             "{text}"

@@ -317,36 +317,6 @@ impl DataType {
         ]
     }
 
-    /// Whether this is a nested (container) type.
-    pub fn is_nested(&self) -> bool {
-        matches!(
-            self,
-            DataType::Array(_) | DataType::Map(_, _) | DataType::Struct(_)
-        )
-    }
-
-    /// Whether this is a numeric type.
-    pub fn is_numeric(&self) -> bool {
-        matches!(
-            self,
-            DataType::Byte
-                | DataType::Short
-                | DataType::Int
-                | DataType::Long
-                | DataType::Float
-                | DataType::Double
-                | DataType::Decimal(_, _)
-        )
-    }
-
-    /// Whether this is a character type (STRING/CHAR/VARCHAR).
-    pub fn is_character(&self) -> bool {
-        matches!(
-            self,
-            DataType::String | DataType::Char(_) | DataType::Varchar(_)
-        )
-    }
-
     /// Renders the type in SQL DDL syntax, e.g. `DECIMAL(10,2)`.
     pub fn sql_name(&self) -> String {
         match self {

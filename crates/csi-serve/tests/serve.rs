@@ -218,7 +218,35 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
         } => assert!(reason.contains("65 overrides"), "{reason}"),
         other => panic!("expected BadOverrides, got {other:?}"),
     }
-    // The connection lives on, and the paper's own override list runs.
+    // Nor can it give two inline inputs one id: ids name the tables, so
+    // the pair would share every one of them.
+    let twin = InputSelection::CataloguePrefix(1).resolve().remove(0);
+    let twins = CampaignSpec {
+        inputs: InputSelection::Inline(vec![twin.clone(), twin]),
+        ..CampaignSpec::default()
+    };
+    client.submit("tenant-a", &twins).expect("submit");
+    match client.read_frame().expect("frame") {
+        Frame::Rejected {
+            reason: RejectReason::InvalidSpec(SpecError::BadInputs { reason }),
+            ..
+        } => assert!(reason.contains("id 0 appears more than once"), "{reason}"),
+        other => panic!("expected BadInputs, got {other:?}"),
+    }
+    // A bad tenant name never reaches the scheduler.
+    client
+        .submit("Tenant A", &CampaignSpec::default())
+        .expect("submit");
+    match client.read_frame().expect("frame") {
+        Frame::Rejected {
+            reason: RejectReason::BadTenantName(name),
+            ..
+        } => assert_eq!(name, "Tenant A"),
+        other => panic!("expected BadTenantName, got {other:?}"),
+    }
+    // The connection lives on, and the paper's own override list runs —
+    // last on this connection, because a campaign this short can report
+    // before the reader has answered `Accepted`.
     let custom = CampaignSpec {
         inputs: InputSelection::CataloguePrefix(1),
         spark_overrides: csi_test::CrossTestConfig::custom_resolving_overrides(),
@@ -231,18 +259,6 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
         outcomes[0].report_json.as_deref(),
         Some(batch_report_json(&custom).as_str())
     );
-
-    // A bad tenant name never reaches the scheduler.
-    client
-        .submit("Tenant A", &CampaignSpec::default())
-        .expect("submit");
-    match client.read_frame().expect("frame") {
-        Frame::Rejected {
-            reason: RejectReason::BadTenantName(name),
-            ..
-        } => assert_eq!(name, "Tenant A"),
-        other => panic!("expected BadTenantName, got {other:?}"),
-    }
 
     // A line that is not a request at all is answered, not dropped.
     use std::io::Write as _;

@@ -34,7 +34,6 @@
 //!
 //! [`OnlineDetector`]: csi_core::detect::OnlineDetector
 
-use crate::classify;
 use crate::corpus::CorpusShape;
 use crate::exec::{self, CrossTestConfig};
 use crate::explore;
@@ -318,8 +317,9 @@ impl Campaign {
     }
 
     /// Executes the campaign, panicking on an invalid spec. Specs built
-    /// through the builder methods are always valid; prefer
-    /// [`Campaign::try_run`] for campaigns revived from untrusted specs.
+    /// through the builder methods over inputs with distinct ids are
+    /// always valid; prefer [`Campaign::try_run`] for campaigns revived
+    /// from untrusted specs.
     pub fn run(self) -> CampaignOutcome {
         self.try_run()
             .unwrap_or_else(|e| panic!("invalid campaign spec: {e}"))
@@ -393,10 +393,13 @@ impl Campaign {
         // The campaign-level report carries the matrix's detection
         // aggregates so the unified Render path shows them alongside the
         // fault cells.
-        let mut report = classify::classify(&[], &[], Vec::new(), matrix.detector_enabled);
-        report.detection_kinds = matrix.detection_kinds.clone();
-        report.detection_totals = matrix.detection_totals.clone();
-        report.detector_agreement = matrix.agreement;
+        let report = DiscrepancyReport {
+            detector_enabled: matrix.detector_enabled,
+            detection_kinds: matrix.detection_kinds.clone(),
+            detection_totals: matrix.detection_totals.clone(),
+            detector_agreement: matrix.agreement,
+            ..DiscrepancyReport::default()
+        };
         CampaignOutcome {
             report,
             observations: Vec::new(),

@@ -1,5 +1,10 @@
-//! The discrepancy classifier: groups raw oracle failures into the 15
-//! distinct discrepancies of Section 8.2.
+//! The judge: the one module that turns observations into verdicts.
+//!
+//! Every [`crate::Campaign`] mode records [`Observation`]s and hands them
+//! here. The `Classifier` runs the three oracles of Section 8.1 over them
+//! (write–read or error-handling per observation, differential per
+//! experiment), and groups the raw failures into the 15 distinct
+//! discrepancies of Section 8.2:
 //!
 //! "There will be many more test failures produced than the ones listed,
 //! but they correspond to the same discrepancies as those shown" — this
@@ -7,22 +12,39 @@
 //! over (input, input-wide error summary, failure); a failure may evidence
 //! several discrepancies (the paper's own category lists overlap), and a
 //! failure matching none lands in `unattributed`.
+//!
+//! The grid merge, explore's absorption and the shrinker's triggering check
+//! drive a `Classifier` incrementally; [`classify`] is the batch entry
+//! over the same attribution, for callers that ran the oracles themselves.
 
 use crate::generator::{TestInput, Validity};
 use crate::plan::Experiment;
-use csi_core::boundary::CrossingOutcome;
-use csi_core::detect::{flags_error_handling, DetectorAgreement};
-use csi_core::fault::{classify_fault_outcome, FaultOutcome, InjectedFault};
-use csi_core::oracle::{Observation, OracleFailure};
+use csi_core::boundary::faulted;
+use csi_core::detect::DetectionTally;
+use csi_core::fault::InjectedFault;
+use csi_core::oracle::{
+    check_differential, check_error_handling, check_write_read, Observation, OracleFailure,
+};
 use csi_core::report::{Discrepancy, DiscrepancyReport, ProblemCategory};
 use csi_core::value::{parse_timestamp, DataType, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Error codes observed anywhere for one input, across every plan/format.
-#[derive(Debug, Default, Clone)]
-pub struct InputSummary {
+#[derive(Debug, Default)]
+struct InputSummary {
     /// Machine-readable error codes from writes and reads.
-    pub codes: BTreeSet<String>,
+    codes: BTreeSet<String>,
+}
+
+impl InputSummary {
+    fn fold(&mut self, obs: &Observation) {
+        if let Err(e) = &obs.write.result {
+            self.codes.insert(e.code.clone());
+        }
+        if let Some(Err(e)) = obs.read.as_ref().map(|read| &read.result) {
+            self.codes.insert(e.code.clone());
+        }
+    }
 }
 
 fn ty_contains_small_int(ty: &DataType) -> bool {
@@ -259,10 +281,8 @@ const CATALOGUE: &[Descriptor] = &[
 ];
 
 /// The catalogue ids a single failure evidences, given the per-input error
-/// summary accumulated so far. Shared between the batch classifier and the
-/// explore mode's incremental discovery tracker so both attribute failures
-/// identically.
-pub(crate) fn match_ids(
+/// summary accumulated so far.
+fn match_ids(
     input: &TestInput,
     summary: &InputSummary,
     failure: &OracleFailure,
@@ -272,11 +292,6 @@ pub(crate) fn match_ids(
         .filter(|desc| (desc.predicate)(input, summary, failure))
         .map(|desc| desc.id)
         .collect()
-}
-
-/// Every catalogue id, in catalogue (report) order.
-pub(crate) fn catalogue_ids() -> Vec<&'static str> {
-    CATALOGUE.iter().map(|d| d.id).collect()
 }
 
 /// The discrepancies *active* in a report: those with evidence from their
@@ -303,7 +318,139 @@ pub fn active_ids(report: &DiscrepancyReport) -> Vec<String> {
         .collect()
 }
 
-/// Classifies raw failures into the discrepancy catalogue.
+/// The incremental judge of one campaign: observations go in one at a
+/// time, in the order the mode decides; failures and the report come out.
+/// An experiment is named by its position in the list given to `new`, so
+/// a list that repeats one keeps a differential group per entry.
+pub(crate) struct Classifier {
+    experiments: Vec<Experiment>,
+    /// Observations per experiment, in absorb order.
+    observations: Vec<Vec<Observation>>,
+    /// Per-observation failures in absorb order; a sealed experiment's
+    /// differential failures sit where the seal fell.
+    failures: Vec<OracleFailure>,
+    sealed: Vec<bool>,
+    summaries: BTreeMap<usize, InputSummary>,
+}
+
+impl Classifier {
+    pub(crate) fn new(experiments: &[Experiment]) -> Classifier {
+        Classifier {
+            experiments: experiments.to_vec(),
+            observations: vec![Vec::new(); experiments.len()],
+            failures: Vec::new(),
+            sealed: vec![false; experiments.len()],
+            summaries: BTreeMap::new(),
+        }
+    }
+
+    /// Takes one observation of `input`: folds its error codes into the
+    /// input's summary, then runs the per-observation oracle — write–read
+    /// for a valid input, error-handling for an invalid one. A failure
+    /// comes back with the catalogue ids it evidences under the summary
+    /// *so far*; the report attributes under the complete one.
+    pub(crate) fn absorb(
+        &mut self,
+        experiment: usize,
+        input: &TestInput,
+        obs: Observation,
+    ) -> Option<(&OracleFailure, Vec<&'static str>)> {
+        let summary = self.summaries.entry(obs.input_id).or_default();
+        summary.fold(&obs);
+        let failure = match input.validity {
+            Validity::Valid => check_write_read(input.expected(), &obs),
+            Validity::Invalid => check_error_handling(&input.value, &obs),
+        };
+        self.observations[experiment].push(obs);
+        let failure = failure?;
+        let ids = match_ids(input, summary, &failure);
+        self.failures.push(failure);
+        Some((self.failures.last()?, ids))
+    }
+
+    /// Declares an experiment complete: its differential failures take
+    /// their place in the failure order here, ahead of anything absorbed
+    /// later. The grid seals each experiment as its merge leaves it; a
+    /// mode that interleaves experiments never seals, and every
+    /// differential follows every per-observation failure.
+    pub(crate) fn seal(&mut self, experiment: usize) {
+        if !std::mem::replace(&mut self.sealed[experiment], true) {
+            self.failures
+                .extend(check_differential(&self.observations[experiment]));
+        }
+    }
+
+    /// Every failure known so far: the absorbed ones, then the
+    /// differential of each experiment still open, in experiment order.
+    pub(crate) fn failures(&self) -> Vec<OracleFailure> {
+        let mut failures = self.failures.clone();
+        for (observations, sealed) in self.observations.iter().zip(&self.sealed) {
+            if !sealed {
+                failures.extend(check_differential(observations));
+            }
+        }
+        failures
+    }
+
+    /// For each catalogue id not yet `known`, the input of the first
+    /// failure so far that evidences it — explore's discovery tracker.
+    /// Runs no oracle once every id is known.
+    pub(crate) fn discoveries(
+        &self,
+        inputs: &[TestInput],
+        known: impl Fn(&str) -> bool,
+    ) -> Vec<(&'static str, usize)> {
+        let mut found: Vec<(&'static str, usize)> = Vec::new();
+        if CATALOGUE.iter().all(|desc| known(desc.id)) {
+            return found;
+        }
+        for failure in &self.failures() {
+            for id in evidenced(inputs, &self.summaries, failure).unwrap_or_default() {
+                if !known(id) && found.iter().all(|(seen, _)| *seen != id) {
+                    found.push((id, failure.input_id));
+                }
+            }
+        }
+        found
+    }
+
+    /// The campaign's report over `inputs`, and every observation tagged
+    /// with its experiment: grouped by experiment, absorb order within.
+    pub(crate) fn finish(
+        mut self,
+        inputs: &[TestInput],
+        detector_enabled: bool,
+    ) -> (DiscrepancyReport, Vec<(Experiment, Observation)>) {
+        // Sealing what is still open gives `failures()`' order, uncloned.
+        for experiment in 0..self.experiments.len() {
+            self.seal(experiment);
+        }
+        let total = self.observations.iter().map(Vec::len).sum();
+        let mut observations: Vec<(Experiment, Observation)> = Vec::with_capacity(total);
+        for (experiment, of) in self.experiments.into_iter().zip(self.observations) {
+            observations.extend(of.into_iter().map(|o| (experiment, o)));
+        }
+        let report = classify(inputs, &observations, self.failures, detector_enabled);
+        (report, observations)
+    }
+}
+
+/// The catalogue ids `failure` evidences under `summaries`; `None` when
+/// its input is not among `inputs`.
+fn evidenced(
+    inputs: &[TestInput],
+    summaries: &BTreeMap<usize, InputSummary>,
+    failure: &OracleFailure,
+) -> Option<Vec<&'static str>> {
+    let input = inputs.iter().find(|i| i.id == failure.input_id)?;
+    let empty = InputSummary::default();
+    let summary = summaries.get(&failure.input_id).unwrap_or(&empty);
+    Some(match_ids(input, summary, failure))
+}
+
+/// Classifies raw failures into the discrepancy catalogue — what
+/// `Classifier::finish` ends in, and the batch entry for a caller that
+/// ran the oracles itself.
 ///
 /// `detector_enabled` marks whether the campaign ran the online detector:
 /// it gates the detection aggregates so a detection-free report and a
@@ -314,29 +461,15 @@ pub fn classify(
     failures: Vec<OracleFailure>,
     detector_enabled: bool,
 ) -> DiscrepancyReport {
-    // Build per-input error summaries across all observations.
+    // Per-input error summaries across all observations.
     let mut summaries: BTreeMap<usize, InputSummary> = BTreeMap::new();
     for (_, obs) in observations {
-        let s = summaries.entry(obs.input_id).or_default();
-        if let Err(e) = &obs.write.result {
-            s.codes.insert(e.code.clone());
-        }
-        if let Some(read) = &obs.read {
-            if let Err(e) = &read.result {
-                s.codes.insert(e.code.clone());
-            }
-        }
+        summaries.entry(obs.input_id).or_default().fold(obs);
     }
-    let empty = InputSummary::default();
     let mut evidence: BTreeMap<&'static str, Vec<OracleFailure>> = BTreeMap::new();
     let mut unattributed = Vec::new();
     for failure in &failures {
-        let Some(input) = inputs.iter().find(|i| i.id == failure.input_id) else {
-            unattributed.push(failure.clone());
-            continue;
-        };
-        let summary = summaries.get(&failure.input_id).unwrap_or(&empty);
-        let ids = match_ids(input, summary, failure);
+        let ids = evidenced(inputs, &summaries, failure).unwrap_or_default();
         if ids.is_empty() {
             unattributed.push(failure.clone());
         }
@@ -365,40 +498,13 @@ pub fn classify(
             *trace_totals.entry(channel).or_insert(0) += n;
         }
     }
-    // Detection aggregates: per-channel and per-kind totals, plus the
-    // agreement score against the offline §9 oracle over every
-    // observation whose trace shows a fired fault.
-    let mut detection_totals: BTreeMap<String, usize> = BTreeMap::new();
-    let mut detection_kinds: BTreeMap<String, usize> = BTreeMap::new();
-    let mut agreement = DetectorAgreement::default();
-    let mut any_fired = false;
+    let mut tally = DetectionTally::default();
     if detector_enabled {
         for (_, obs) in observations {
-            for d in &obs.detections {
-                *detection_kinds.entry(d.kind.to_string()).or_insert(0) += 1;
-                for channel in &d.channels {
-                    *detection_totals.entry(channel.to_string()).or_insert(0) += 1;
-                }
-            }
-            let fired: Vec<InjectedFault> = obs
-                .trace
-                .crossings
-                .iter()
-                .filter_map(|c| match &c.outcome {
-                    CrossingOutcome::Faulted { fault } => Some(fault.clone()),
-                    _ => None,
-                })
+            let fired: Vec<InjectedFault> = faulted(&obs.trace.crossings)
+                .map(|(_, fault)| fault.clone())
                 .collect();
-            if fired.is_empty() {
-                continue;
-            }
-            any_fired = true;
-            let oracle = classify_fault_outcome(&fired, obs.surfaced());
-            let oracle_positive = matches!(
-                oracle,
-                FaultOutcome::Swallowed | FaultOutcome::Mistranslated
-            );
-            agreement.score(oracle_positive, flags_error_handling(&obs.detections));
+            tally.record(&obs.detections, &fired, obs.surfaced());
         }
     }
     let valid = inputs
@@ -415,9 +521,9 @@ pub fn classify(
         unattributed,
         trace_totals,
         detector_enabled,
-        detection_totals,
-        detection_kinds,
-        detector_agreement: any_fired.then_some(agreement),
+        detection_totals: tally.totals,
+        detection_kinds: tally.kinds,
+        detector_agreement: tally.agreement,
     }
 }
 
@@ -460,6 +566,41 @@ mod tests {
         assert_eq!(count(ICE), 5, "internal configuration exposure");
         assert_eq!(count(IEB), 7, "inconsistent error behavior");
         assert_eq!(count(CCR), 8, "custom configuration reliance");
+    }
+
+    #[test]
+    fn the_incremental_and_the_batch_entry_write_the_same_report() {
+        // An armed fault under the detector puts the detection tally and
+        // the agreement score on the compared bytes too.
+        let inputs = &crate::generator::catalogue()[..12];
+        let mut plan = crate::inject::small_fault_catalogue(7);
+        plan.faults.retain(|f| f.id == "hdfs-corrupt-read");
+        let outcome = crate::Campaign::new(inputs).faults(plan).detect(true).run();
+        assert!(outcome.report.detector_agreement.is_some());
+        for detector_enabled in [true, false] {
+            let mut judge = Classifier::new(&Experiment::ALL);
+            for (experiment, obs) in &outcome.observations {
+                let at = Experiment::ALL
+                    .iter()
+                    .position(|e| e == experiment)
+                    .unwrap();
+                if at > 0 {
+                    judge.seal(at - 1);
+                }
+                judge.absorb(at, &inputs[obs.input_id], obs.clone());
+            }
+            let failures = judge.failures();
+            let (incremental, observations) = judge.finish(inputs, detector_enabled);
+            assert_eq!(observations, outcome.observations);
+            let batch = classify(inputs, &observations, failures, detector_enabled);
+            assert_eq!(
+                serde_json::to_string(&incremental).unwrap(),
+                serde_json::to_string(&batch).unwrap()
+            );
+            if detector_enabled {
+                assert_eq!(incremental, outcome.report, "what the campaign ran");
+            }
+        }
     }
 
     #[test]

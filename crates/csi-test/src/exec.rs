@@ -4,20 +4,19 @@
 //! creates a one-column table through the *write* interface, inserts the
 //! input, reads it back through the *read* interface, and records an
 //! [`Observation`]. [`crate::shard`] walks the whole space with it and
-//! runs the oracles at the merge: write–read and error-handling per
-//! observation, differential per experiment across all of its plans *and*
-//! formats, matching the artifact's `ss/sh/hs_difft` structure.
+//! hands the observations to [`crate::classify`], which runs the oracles:
+//! write–read and error-handling per observation, differential per
+//! experiment across all of its plans *and* formats, matching the
+//! artifact's `ss/sh/hs_difft` structure.
 
-use crate::generator::{TestInput, Validity};
-use crate::plan::{Experiment, Interface, TestPlan};
+use crate::generator::TestInput;
+use crate::plan::{scenario_key, Experiment, Interface, TestPlan};
 use crate::pool::DeploymentPool;
 use csi_core::boundary::CrossingContext;
 use csi_core::detect::{BaselineSet, DetectorSpec, OnlineDetector};
 use csi_core::diag::DiagSink;
 use csi_core::fault::FaultPlan;
-use csi_core::oracle::{
-    check_error_handling, check_write_read, Observation, OracleFailure, ReadOutcome, WriteOutcome,
-};
+use csi_core::oracle::{Observation, ReadOutcome, WriteOutcome};
 use csi_core::sql::quote_string;
 use csi_core::value::{format_date, format_timestamp, Value};
 use csi_core::InteractionError;
@@ -442,24 +441,6 @@ pub(crate) fn first_column(rows: Vec<Vec<Value>>) -> Result<Vec<Value>, Interact
         .collect()
 }
 
-/// The scenario key detector baselines are learned and matched under:
-/// one key per (experiment, plan, format, input) combination, identical
-/// between the calibration run and the real run.
-pub(crate) fn scenario_key(
-    experiment: Experiment,
-    plan: TestPlan,
-    format: StorageFormat,
-    input_id: usize,
-) -> String {
-    format!(
-        "{}:{}:{}:{}",
-        experiment.short(),
-        plan,
-        format.name(),
-        input_id
-    )
-}
-
 pub(crate) fn run_one(
     d: &Deployment,
     experiment: Experiment,
@@ -483,8 +464,9 @@ pub(crate) fn run_one(
     // across worker counts.
     d.crossing.reset();
     d.sink.drain();
+    let plan_label = experiment.plan_label(plan);
     if let Some(det) = &d.detector {
-        det.begin(&scenario_key(experiment, plan, format, input.id));
+        det.begin(&scenario_key(&plan_label, format.name(), Some(input.id)));
     }
     let write_result = write_via(d, plan.write, &table, input, format);
     let write = WriteOutcome {
@@ -502,7 +484,7 @@ pub(crate) fn run_one(
     };
     let mut obs = Observation {
         input_id: input.id,
-        plan: format!("{}:{}", experiment.short(), plan),
+        plan: plan_label,
         format: format.name().to_string(),
         write,
         read,
@@ -518,17 +500,6 @@ pub(crate) fn run_one(
         d.recycle(&table);
     }
     obs
-}
-
-/// Runs the per-observation oracle for `input`: write–read for valid
-/// inputs, error-handling for invalid ones. Shared between the grid
-/// merger and explore's absorption so both evaluate observations
-/// identically.
-pub(crate) fn check_observation(input: &TestInput, obs: &Observation) -> Option<OracleFailure> {
-    match input.validity {
-        Validity::Valid => check_write_read(input.expected(), obs),
-        Validity::Invalid => check_error_handling(&input.value, obs),
-    }
 }
 
 /// Obtains a deployment for `config`: from its warm pool when one is
@@ -562,9 +533,7 @@ pub(crate) fn release_deployment(config: &CrossTestConfig, deployment: Deploymen
 pub(crate) fn learn_baselines(observations: &[(Experiment, Observation)]) -> BaselineSet {
     let mut baselines = BaselineSet::default();
     for (_, obs) in observations {
-        // obs.plan is already "{experiment.short()}:{plan}", so this key
-        // matches what `run_one` passes to `OnlineDetector::begin`.
-        let key = format!("{}:{}:{}", obs.plan, obs.format, obs.input_id);
+        let key = scenario_key(&obs.plan, &obs.format, Some(obs.input_id));
         baselines.learn(&key, &obs.trace);
     }
     baselines
@@ -574,7 +543,7 @@ pub(crate) fn learn_baselines(observations: &[(Experiment, Observation)]) -> Bas
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
-    use crate::generator::generate_inputs;
+    use crate::generator::{generate_inputs, Validity};
     use csi_core::value::{DataType, Decimal};
 
     fn one_input(column_type: DataType, value: Value, validity: Validity) -> Vec<TestInput> {

@@ -17,17 +17,17 @@
 //! sharded explore run is byte-identical to a one-worker one, pinned by
 //! `tests/explore.rs`.
 
-use crate::classify;
+use crate::classify::Classifier;
 use crate::exec::{self, Deployment};
 use crate::generator::{mutate_input, TestInput, Validity};
 use crate::inject;
 use crate::plan::{Experiment, TestPlan};
 use crate::shard::run_ordered;
 use crate::shrink;
-use csi_core::boundary::{CrossingContext, CrossingOutcome};
+use csi_core::boundary::{faulted, CrossingContext};
 use csi_core::coverage::{CoverageMap, CoverageSignature};
 use csi_core::fault::{classify_fault_outcome, Channel, FaultSpec, InjectedFault};
-use csi_core::oracle::{check_differential, Observation, OracleFailure};
+use csi_core::oracle::Observation;
 use csi_core::report::{CorpusRow, DiscoveryRow, DiscrepancyReport, ExplorationStats};
 use csi_core::value::DataType;
 use minihive::metastore::StorageFormat;
@@ -113,9 +113,9 @@ struct Explorer {
     faulted: usize,
     novel_from_mutation: usize,
     novel_from_corpus: usize,
-    exp_obs: Vec<Vec<Observation>>,
-    obs_failures: Vec<OracleFailure>,
-    summaries: BTreeMap<usize, classify::InputSummary>,
+    /// Judges every fault-free observation; never sealed, because trials
+    /// interleave experiments.
+    judge: Classifier,
     discovered: BTreeMap<&'static str, DiscoveryRow>,
     faults: Vec<FaultSpec>,
     fault_rotor: usize,
@@ -194,9 +194,7 @@ impl Explorer {
             faulted: 0,
             novel_from_mutation: 0,
             novel_from_corpus: 0,
-            exp_obs: vec![Vec::new(); experiments.len()],
-            obs_failures: Vec::new(),
-            summaries: BTreeMap::new(),
+            judge: Classifier::new(experiments),
             discovered: BTreeMap::new(),
             faults,
             fault_rotor: 0,
@@ -235,7 +233,7 @@ impl Explorer {
     }
 
     /// The position of a combo's experiment in `experiments` (and so in
-    /// `exp_obs` and a worker's deployment pools).
+    /// the classifier and a worker's deployment pools).
     fn exp_idx(&self, combo: usize) -> usize {
         let exp = self.combos[combo].0;
         self.experiments
@@ -342,14 +340,8 @@ impl Explorer {
         });
         if let Some(fault) = &trial.fault {
             self.faulted += 1;
-            let fired: Vec<InjectedFault> = obs
-                .trace
-                .crossings
-                .iter()
-                .filter_map(|c| match &c.outcome {
-                    CrossingOutcome::Faulted { fault } => Some(fault.clone()),
-                    _ => None,
-                })
+            let fired: Vec<InjectedFault> = faulted(&obs.trace.crossings)
+                .map(|(_, fault)| fault.clone())
                 .collect();
             let bucket = classify_fault_outcome(&fired, obs.surfaced());
             sig.tag(format!("fault:{}:{bucket}", fault.channel));
@@ -364,24 +356,14 @@ impl Explorer {
         } else {
             self.fresh += 1;
         }
-        // Fold this observation's error codes into the per-input summary
-        // *before* matching predicates, exactly like the batch classifier.
-        let summary = self.summaries.entry(input.id).or_default();
-        if let Err(e) = &obs.write.result {
-            summary.codes.insert(e.code.clone());
+        // `run_one` reads only after a clean write, so the surfaced error
+        // is the observation's only one.
+        if let Some(e) = obs.surfaced() {
             sig.tag(format!("code:{}", e.code));
         }
-        if let Some(read) = &obs.read {
-            if let Err(e) = &read.result {
-                summary.codes.insert(e.code.clone());
-                sig.tag(format!("code:{}", e.code));
-            }
-        }
-        let summary = summary.clone();
-        let failure = exec::check_observation(&input, &obs);
-        if let Some(f) = &failure {
-            sig.tag(format!("oracle:{}", f.oracle));
-            for id in classify::match_ids(&input, &summary, f) {
+        if let Some((failure, ids)) = self.judge.absorb(self.exp_idx(trial.combo), &input, obs) {
+            sig.tag(format!("oracle:{}", failure.oracle));
+            for id in ids {
                 sig.tag(format!("d:{id}"));
             }
         }
@@ -399,11 +381,6 @@ impl Explorer {
             });
             self.expand_corpus_entry(trial.input_idx, trial.combo, is_mutant);
         }
-        if let Some(f) = failure {
-            self.obs_failures.push(f);
-        }
-        let exp_idx = self.exp_idx(trial.combo);
-        self.exp_obs[exp_idx].push(obs);
     }
 
     /// A corpus admission earns: a full combo sweep, deterministic mutants
@@ -449,39 +426,18 @@ impl Explorer {
 
     /// Records first-discovery execution counts: after each round, every
     /// not-yet-seen catalogue id is checked against the failures known so
-    /// far (per-observation plus freshly recomputed differential).
+    /// far.
     fn update_discoveries(&mut self) {
-        let undiscovered: Vec<&'static str> = classify::catalogue_ids()
-            .into_iter()
-            .filter(|id| !self.discovered.contains_key(id))
-            .collect();
-        if undiscovered.is_empty() {
-            return;
-        }
-        let mut failures: Vec<OracleFailure> = self.obs_failures.clone();
-        for obs in &self.exp_obs {
-            failures.extend(check_differential(obs));
-        }
-        let empty = classify::InputSummary::default();
-        for id in undiscovered {
-            for f in &failures {
-                let Some(input) = self.pool.iter().find(|i| i.id == f.input_id) else {
-                    continue;
-                };
-                let summary = self.summaries.get(&f.input_id).unwrap_or(&empty);
-                if classify::match_ids(input, summary, f).contains(&id) {
-                    let origin = self.origin(f.input_id);
-                    self.discovered.insert(
-                        id,
-                        DiscoveryRow {
-                            id: id.to_string(),
-                            executed: self.executed,
-                            origin: origin.into(),
-                        },
-                    );
-                    break;
-                }
-            }
+        let found = self
+            .judge
+            .discoveries(&self.pool, |id| self.discovered.contains_key(id));
+        for (id, input_id) in found {
+            let row = DiscoveryRow {
+                id: id.to_string(),
+                executed: self.executed,
+                origin: self.origin(input_id).into(),
+            };
+            self.discovered.insert(id, row);
         }
     }
 }
@@ -519,13 +475,7 @@ pub(crate) fn run_explore(
         }
         ex.update_discoveries();
     }
-    let mut failures = ex.obs_failures.clone();
-    let mut observations: Vec<(Experiment, Observation)> = Vec::new();
-    for (ei, &exp) in ex.experiments.iter().enumerate() {
-        failures.extend(check_differential(&ex.exp_obs[ei]));
-        observations.extend(ex.exp_obs[ei].iter().cloned().map(|o| (exp, o)));
-    }
-    let report = classify::classify(&ex.pool, &observations, failures, false);
+    let (report, observations) = ex.judge.finish(&ex.pool, false);
     let (shrinks, reproducers) = shrink::shrink_report(&report, &ex.pool);
     let mut discoveries: Vec<DiscoveryRow> = ex.discovered.into_values().collect();
     discoveries.sort_by(|a, b| a.executed.cmp(&b.executed).then_with(|| a.id.cmp(&b.id)));

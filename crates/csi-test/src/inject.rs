@@ -19,11 +19,11 @@
 
 use crate::exec::{run_one, Deployment};
 use crate::generator::{TestInput, Validity};
-use crate::plan::{Experiment, TestPlan};
+use crate::plan::{scenario_key, Experiment, TestPlan};
 use crate::shard::run_ordered;
 use csi_core::boundary::{CrossingContext, InteractionTrace};
 use csi_core::detect::{
-    flags_error_handling, BaselineSet, Detection, DetectionTap, DetectorAgreement, DetectorConfig,
+    BaselineSet, Detection, DetectionTally, DetectionTap, DetectorAgreement, DetectorConfig,
     DetectorSpec,
 };
 use csi_core::fault::{
@@ -487,7 +487,7 @@ fn run_probe_cell(
     format: StorageFormat,
     detect: Option<CellDetect<'_>>,
 ) -> FaultCase {
-    let scenario = format!("{}:{}:{}", experiment.short(), plan, format.name());
+    let scenario = scenario_key(&experiment.plan_label(plan), format.name(), None);
     run_cell_body(fault, scenario, detect, |ctx| {
         // The fault (when armed) already lives on `ctx`; the deployment
         // just wraps the stack around it.
@@ -651,10 +651,7 @@ fn run_cell(config: &FaultMatrixConfig, cell: &Cell) -> FaultCase {
 fn build_report(config: &FaultMatrixConfig, cases: Vec<FaultCase>) -> FaultMatrixReport {
     let detector_enabled = config.detect.is_some();
     let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
-    let mut detection_kinds: BTreeMap<String, usize> = BTreeMap::new();
-    let mut detection_totals: BTreeMap<String, usize> = BTreeMap::new();
-    let mut agreement = DetectorAgreement::default();
-    let mut any_fired = false;
+    let mut tally = DetectionTally::default();
     for case in &cases {
         let key = match &case.outcome {
             Some(o) => o.to_string(),
@@ -662,20 +659,7 @@ fn build_report(config: &FaultMatrixConfig, cases: Vec<FaultCase>) -> FaultMatri
         };
         *outcomes.entry(key).or_insert(0) += 1;
         if detector_enabled {
-            for d in &case.detections {
-                *detection_kinds.entry(d.kind.to_string()).or_insert(0) += 1;
-                for channel in &d.channels {
-                    *detection_totals.entry(channel.to_string()).or_insert(0) += 1;
-                }
-            }
-            if !case.fired.is_empty() {
-                any_fired = true;
-                let oracle_positive = matches!(
-                    case.outcome,
-                    Some(FaultOutcome::Swallowed | FaultOutcome::Mistranslated)
-                );
-                agreement.score(oracle_positive, flags_error_handling(&case.detections));
-            }
+            tally.record(&case.detections, &case.fired, case.surfaced.as_ref());
         }
     }
     FaultMatrixReport {
@@ -683,9 +667,9 @@ fn build_report(config: &FaultMatrixConfig, cases: Vec<FaultCase>) -> FaultMatri
         detector_enabled,
         cases,
         outcomes,
-        detection_kinds,
-        detection_totals,
-        agreement: (detector_enabled && any_fired).then_some(agreement),
+        detection_kinds: tally.kinds,
+        detection_totals: tally.totals,
+        agreement: tally.agreement,
     }
 }
 

@@ -6,6 +6,11 @@
 //! format (ORC, Parquet, Avro), checked by the write–read, error-handling,
 //! and differential oracles, and classified into distinct discrepancies.
 //!
+//! The modes ([`shard`]'s grid, [`inject`]'s fault matrix, [`explore`],
+//! [`multi`]'s compound pass) decide what runs and in what order; how a
+//! trial is judged lives in [`classify`], the only module that runs an
+//! oracle or attributes a failure (DESIGN.md, "Where a trial is judged").
+//!
 //! Beyond the exhaustive grid, [`Campaign::explore`] runs the same space
 //! coverage-guided: boundary-crossing traces become coverage signatures,
 //! novel inputs seed a mutating corpus, and every reported discrepancy is

@@ -13,9 +13,9 @@
 //! against **one** deployment, so they share the metastore, the
 //! filesystem, and the crossing context — (crucially) including its
 //! call counters. An [`InterleaveSchedule`] fixes the total
-//! order of turns; the discrete-event simulator ([`csi_core::sim::Sim`])
-//! dispatches them at virtual times taken from that order, so which job
-//! observes an `OnCall`-triggered fault is a deterministic function of the
+//! order of turns and [`run_compound_trial`] dispatches them in that
+//! order, one after another on the calling thread, so which job observes
+//! an `OnCall`-triggered fault is a deterministic function of the
 //! schedule. The armed faults come as a [`FaultSet`] from
 //! [`csi_core::fault::fault_combinations`] (k ≤ 3, seeded, serializable).
 //!
@@ -32,16 +32,16 @@
 use crate::exec::{self, Deployment};
 use crate::generator::TestInput;
 use crate::inject;
-use crate::plan::{Experiment, TestPlan};
+use crate::plan::{scenario_key, Experiment, TestPlan};
 use crate::shard::run_ordered;
-use csi_core::boundary::{CrossingContext, CrossingOutcome, InteractionTrace};
+use crate::shrink::ddmin_lite;
+use csi_core::boundary::{faulted, CrossingContext, InteractionTrace};
 use csi_core::coverage::{prefix_fingerprint, CoverageMap, CoverageSignature};
 use csi_core::fault::{
     classify_fault_outcome, fault_combinations, Channel, FaultOutcome, FaultSet, InjectedFault,
 };
 use csi_core::report::{ClusterRow, CompoundStats};
 use csi_core::rng::splitmix64;
-use csi_core::sim::{Millis, Sim};
 use csi_core::value::Value;
 use csi_core::InteractionError;
 use minihive::metastore::StorageFormat;
@@ -77,11 +77,10 @@ pub struct JobSpec {
 impl JobSpec {
     /// The scenario key, in the fault-matrix probe-cell notation.
     pub fn scenario(&self) -> String {
-        format!(
-            "{}:{}:{}",
-            self.experiment.short(),
-            self.plan,
-            self.format.name()
+        scenario_key(
+            &self.experiment.plan_label(self.plan),
+            self.format.name(),
+            None,
         )
     }
 }
@@ -196,47 +195,32 @@ impl JobRun {
     }
 }
 
-struct JobSlot {
-    spec: JobSpec,
-    run: JobRun,
-}
-
-struct TrialState {
-    d: Deployment,
-    jobs: Vec<JobSlot>,
-}
-
-fn turn_handler(st: &mut TrialState, job: usize, turn: usize) {
-    let n0 = st.d.crossing.trace().len();
-    let spec = st.jobs[job].spec.clone();
-    let table = st.jobs[job].run.table.clone();
+fn run_turn(d: &Deployment, spec: &JobSpec, run: &mut JobRun, turn: usize) {
+    let n0 = d.crossing.trace().len();
     match turn {
         0 => {
-            let r = exec::create_via(&st.d, spec.plan.write, &table, &spec.input, spec.format);
-            st.jobs[job].run.create = Some(r);
+            let r = exec::create_via(d, spec.plan.write, &run.table, &spec.input, spec.format);
+            run.create = Some(r);
         }
         1 => {
-            if matches!(st.jobs[job].run.create, Some(Ok(()))) {
-                let r = exec::insert_via(&st.d, spec.plan.write, &table, &spec.input);
-                st.jobs[job].run.insert = Some(r);
+            if matches!(run.create, Some(Ok(()))) {
+                let r = exec::insert_via(d, spec.plan.write, &run.table, &spec.input);
+                run.insert = Some(r);
             }
         }
         _ => {
-            if st.jobs[job].run.write_ok() {
-                let r = exec::read_via(&st.d, spec.plan.read, &table);
-                st.jobs[job].run.read = Some(r);
+            if run.write_ok() {
+                run.read = Some(exec::read_via(d, spec.plan.read, &run.table));
             }
         }
     }
-    let n1 = st.d.crossing.trace().len();
-    st.jobs[job].run.spans.push((n0, n1));
+    run.spans.push((n0, d.crossing.trace().len()));
 }
 
 /// Executes one compound trial: `jobs` share a single deployment, `set` is
-/// armed on the shared crossing context, and the discrete-event simulator
-/// dispatches the turns of `schedule` at consecutive virtual times.
-/// Hermetic and deterministic: a fresh deployment per call, no wall clock,
-/// no randomness.
+/// armed on the shared crossing context, and the turns of `schedule` run
+/// in schedule order. Hermetic and deterministic: a fresh deployment per
+/// call, no wall clock, no randomness.
 pub fn run_compound_trial(
     jobs: &[JobSpec],
     set: &FaultSet,
@@ -245,55 +229,40 @@ pub fn run_compound_trial(
     let ctx = CrossingContext::new();
     ctx.arm_set(set);
     let d = Deployment::new(ctx, &[]);
-    let slots: Vec<JobSlot> = jobs
+    let mut runs: Vec<JobRun> = jobs
         .iter()
         .enumerate()
-        .map(|(j, spec)| JobSlot {
-            spec: spec.clone(),
-            run: JobRun {
-                table: format!(
-                    "kj{j}_{}_{}",
-                    spec.experiment.short(),
-                    spec.format.name().to_ascii_lowercase()
-                ),
-                create: None,
-                insert: None,
-                read: None,
-                spans: Vec::new(),
-            },
+        .map(|(j, spec)| JobRun {
+            table: format!(
+                "kj{j}_{}_{}",
+                spec.experiment.short(),
+                spec.format.name().to_ascii_lowercase()
+            ),
+            create: None,
+            insert: None,
+            read: None,
+            spans: Vec::new(),
         })
         .collect();
-    let mut sim = Sim::new(TrialState { d, jobs: slots });
-    for (k, &(job, turn)) in schedule.turns.iter().enumerate() {
-        if job >= jobs.len() || turn >= TURNS_PER_JOB {
-            continue;
+    for &(job, turn) in &schedule.turns {
+        if job < jobs.len() && turn < TURNS_PER_JOB {
+            run_turn(&d, &jobs[job], &mut runs[job], turn);
         }
-        sim.schedule_at(k as Millis, move |st: &mut TrialState, _ops| {
-            turn_handler(st, job, turn);
-        });
     }
-    sim.run();
-    let st = &sim.state;
-    let trace = st.d.crossing.trace();
+    let trace = d.crossing.trace();
     let prefix = trace.causal_prefix();
     let fingerprint = prefix_fingerprint(&prefix);
     let mut discrepancies = Vec::new();
-    for (j, slot) in st.jobs.iter().enumerate() {
-        let in_spans = |i: usize| slot.run.spans.iter().any(|&(a, b)| a <= i && i < b);
-        let fired: Vec<InjectedFault> = trace
-            .crossings
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| in_spans(*i))
-            .filter_map(|(_, c)| match &c.outcome {
-                CrossingOutcome::Faulted { fault } => Some(fault.clone()),
-                _ => None,
-            })
-            .collect();
-        if fired.is_empty() {
+    for (j, (spec, run)) in jobs.iter().zip(&runs).enumerate() {
+        // A job's turns never overlap and run in turn order, so walking
+        // its spans walks its crossings in trace order.
+        let in_spans = |&(a, b): &(usize, usize)| faulted(&trace.crossings[a..b]);
+        let hits: Vec<_> = run.spans.iter().flat_map(in_spans).collect();
+        let Some((cracked, _)) = hits.first() else {
             continue;
-        }
-        let surfaced = slot.run.surfaced();
+        };
+        let fired: Vec<InjectedFault> = hits.iter().map(|(_, fault)| (*fault).clone()).collect();
+        let surfaced = run.surfaced();
         let outcome = classify_fault_outcome(&fired, surfaced.as_ref());
         if !matches!(
             outcome,
@@ -301,18 +270,12 @@ pub fn run_compound_trial(
         ) {
             continue;
         }
-        let crack = trace
-            .crossings
-            .iter()
-            .enumerate()
-            .find(|(i, c)| in_spans(*i) && matches!(c.outcome, CrossingOutcome::Faulted { .. }))
-            .map(|(_, c)| format!("{}/{}", c.call.channel, c.call.op))
-            .unwrap_or_default();
+        let crack = format!("{}/{}", cracked.channel, cracked.op);
         discrepancies.push(CompoundDiscrepancy {
             fault_set: set.clone(),
             schedule: schedule.clone(),
             job: j,
-            scenario: slot.spec.scenario(),
+            scenario: spec.scenario(),
             outcome,
             crack,
             prefix_len: prefix.len(),
@@ -397,28 +360,6 @@ pub struct CompoundResult {
     pub clusters: Vec<ClusterRow>,
     /// Every discrepancy the search found, in trial order.
     pub discrepancies: Vec<CompoundDiscrepancy>,
-}
-
-/// Sub-sets of `set` at the given arity, in member order — the ddmin
-/// candidate order of the cluster shrinker.
-fn subsets_of(set: &FaultSet, size: usize) -> Vec<FaultSet> {
-    let n = set.faults.len();
-    let mut out = Vec::new();
-    if size == 1 {
-        for f in &set.faults {
-            out.push(FaultSet::new(vec![f.clone()]));
-        }
-    } else if size == 2 {
-        for i in 0..n {
-            for j in (i + 1)..n {
-                out.push(FaultSet::new(vec![
-                    set.faults[i].clone(),
-                    set.faults[j].clone(),
-                ]));
-            }
-        }
-    }
-    out
 }
 
 /// Runs the coverage-guided compound campaign: enumerate the (fault-set ×
@@ -538,17 +479,12 @@ pub fn run_compound(config: &CompoundConfig) -> CompoundResult {
         if best_sched.turns != identity.turns && reproduces(&best_set, &identity).is_some() {
             best_sched = identity.clone();
         }
-        // ddmin-lite over the fault set: singletons, then pairs.
-        'sizes: for size in [1usize, 2] {
-            if best_set.len() <= size {
-                break;
-            }
-            for candidate in subsets_of(&best_set, size) {
-                if reproduces(&candidate, &best_sched).is_some() {
-                    best_set = candidate;
-                    break 'sizes;
-                }
-            }
+        // Then the fault set.
+        let fewer_faults = ddmin_lite(&best_set.faults, |faults| {
+            reproduces(&FaultSet::new(faults.to_vec()), &best_sched).is_some()
+        });
+        if let Some(faults) = fewer_faults {
+            best_set = FaultSet::new(faults);
         }
         // The final reproducer run pins the row's scenario; fall back to
         // the representative if the shrunk pair regressed (it cannot, but

@@ -1,7 +1,7 @@
 //! Test plans: the interface matrix of Figure 6.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A data-plane interface of the deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -69,6 +69,12 @@ impl Experiment {
         }
     }
 
+    /// The label an observation of `plan` carries under this experiment,
+    /// e.g. `"sh:SparkSQL->HiveQL"`.
+    pub(crate) fn plan_label(&self, plan: TestPlan) -> String {
+        format!("{}:{plan}", self.short())
+    }
+
     /// The plans this experiment runs (Figure 6's right column).
     pub fn plans(&self) -> Vec<TestPlan> {
         use Interface::*;
@@ -124,6 +130,19 @@ impl fmt::Display for Experiment {
         };
         f.write_str(s)
     }
+}
+
+/// The scenario key of one cross-test cell, from the labels its
+/// observation carries: `sh:SparkSQL->HiveQL:ORC` names a fault-matrix
+/// probe cell or a compound job; with an input (`…:ORC:17`) it is the key a
+/// detector baseline is learned under (from a finished calibration
+/// observation) and matched under (by the live one), so they cannot differ.
+pub(crate) fn scenario_key(plan_label: &str, format: &str, input_id: Option<usize>) -> String {
+    let mut key = format!("{plan_label}:{format}");
+    if let Some(id) = input_id {
+        let _ = write!(key, ":{id}");
+    }
+    key
 }
 
 #[cfg(test)]

@@ -20,21 +20,19 @@
 //!   acquiring the next.
 //! - **Deterministic merge** — workers only *record* observations. The
 //!   merger walks the shards in canonical (experiment, plan, format,
-//!   input-id) order and only then runs the write–read, error-handling,
-//!   and differential oracles, so failures are produced in the same order
+//!   input-id) order and hands each observation to the one
+//!   `classify::Classifier`, so failures are produced in the same order
 //!   and the [`DiscrepancyReport`] is byte-identical at any worker count.
 //! - **Campaign metrics** — observations/sec, per-phase wall time, and
 //!   per-worker utilization are surfaced in [`CampaignMetrics`].
 //!
 //! [`DiscrepancyReport`]: csi_core::report::DiscrepancyReport
 
-use crate::classify;
-use crate::exec::{
-    acquire_deployment, check_observation, release_deployment, run_one, CrossTestConfig, Deployment,
-};
+use crate::classify::Classifier;
+use crate::exec::{acquire_deployment, release_deployment, run_one, CrossTestConfig, Deployment};
 use crate::generator::TestInput;
 use crate::plan::{Experiment, TestPlan};
-use csi_core::oracle::{check_differential, Observation, OracleFailure};
+use csi_core::oracle::Observation;
 use csi_core::report::DiscrepancyReport;
 use minihive::metastore::StorageFormat;
 use parking_lot::Mutex;
@@ -237,7 +235,7 @@ pub(crate) fn run_cross_test(
     let workers = workers.clamp(1, shards.len().max(1));
     let stats: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::with_capacity(workers));
 
-    let mut batches: Vec<Vec<Observation>> = run_ordered(
+    let batches: Vec<Vec<Observation>> = run_ordered(
         workers,
         shards.len(),
         || GridWorker {
@@ -277,28 +275,20 @@ pub(crate) fn run_cross_test(
     let merge_started = Instant::now();
 
     // Deterministic merge: batch order is canonical shard order, so walking
-    // the batches replays the grid's observation sequence and the oracles
-    // fire in the same order at any worker count.
-    let mut observations: Vec<(Experiment, Observation)> = Vec::new();
-    let mut failures: Vec<OracleFailure> = Vec::new();
-    let mut cursor = 0;
-    for (experiment_idx, &experiment) in config.experiments.iter().enumerate() {
-        let mut exp_observations: Vec<Observation> = Vec::new();
-        while cursor < shards.len() && shards[cursor].experiment_idx == experiment_idx {
-            let shard = &shards[cursor];
-            let batch = std::mem::take(&mut batches[cursor]);
-            for (input, obs) in inputs[shard.lo..shard.hi].iter().zip(&batch) {
-                if let Some(f) = check_observation(input, obs) {
-                    failures.push(f);
-                }
-            }
-            exp_observations.extend(batch);
-            cursor += 1;
+    // the batches hands the classifier the grid's observation sequence —
+    // each experiment sealed as the walk leaves it — and the report is the
+    // same at any worker count.
+    let mut judge = Classifier::new(&config.experiments);
+    for (i, (shard, batch)) in shards.iter().zip(batches).enumerate() {
+        for (input, obs) in inputs[shard.lo..shard.hi].iter().zip(batch) {
+            judge.absorb(shard.experiment_idx, input, obs);
         }
-        failures.extend(check_differential(&exp_observations));
-        observations.extend(exp_observations.into_iter().map(|o| (experiment, o)));
+        let next = shards.get(i + 1).map(|next| next.experiment_idx);
+        if next != Some(shard.experiment_idx) {
+            judge.seal(shard.experiment_idx);
+        }
     }
-    let report = classify::classify(inputs, &observations, failures, config.detector.is_some());
+    let (report, observations) = judge.finish(inputs, config.detector.is_some());
 
     let oracle_micros = merge_started.elapsed().as_micros() as u64;
     let total_micros = campaign_started.elapsed().as_micros() as u64;

@@ -10,12 +10,11 @@
 //! through the real classifier. Fully deterministic: no randomness, fixed
 //! candidate order, bounded steps.
 
-use crate::classify;
+use crate::classify::Classifier;
 use crate::exec::{self, Deployment};
 use crate::generator::TestInput;
 use crate::plan::{Experiment, TestPlan};
 use csi_core::boundary::CrossingContext;
-use csi_core::oracle::{check_differential, Observation, OracleFailure};
 use csi_core::report::{DiscrepancyReport, ShrinkRow};
 use csi_core::value::{DataType, Value};
 use minihive::metastore::StorageFormat;
@@ -55,22 +54,37 @@ pub struct ShrunkReproducer {
 /// shrinker's oracle, public so tests can re-verify shipped reproducers.
 pub fn reproducer_triggers(id: &str, r: &Reproducer) -> bool {
     let d = Deployment::new(CrossingContext::new(), &[]);
-    let mut observations: Vec<Observation> = Vec::new();
-    let mut failures: Vec<OracleFailure> = Vec::new();
+    let mut judge = Classifier::new(&[r.experiment]);
     for &plan in &r.plans {
         let obs = exec::run_one(&d, r.experiment, plan, r.format, &r.input, true);
-        if let Some(f) = exec::check_observation(&r.input, &obs) {
-            failures.push(f);
-        }
-        observations.push(obs);
+        judge.absorb(0, &r.input, obs);
     }
-    failures.extend(check_differential(&observations));
-    let tagged: Vec<(Experiment, Observation)> = observations
-        .into_iter()
-        .map(|o| (r.experiment, o))
-        .collect();
-    let report = classify::classify(std::slice::from_ref(&r.input), &tagged, failures, false);
+    let (report, _) = judge.finish(std::slice::from_ref(&r.input), false);
     report.discrepancies.iter().any(|d| d.id == id)
+}
+
+/// ddmin-lite, the one candidate order every shrinker in the harness
+/// walks: the singletons of `members` in member order, then the pairs
+/// `(i, j)` with `i < j`, each size tried only while it would still remove
+/// a member. Returns the first candidate `keeps` accepts; `keeps` is
+/// called once per candidate up to that one, so its caller's count of
+/// calls is the count of re-executions spent.
+pub(crate) fn ddmin_lite<T: Clone>(
+    members: &[T],
+    mut keeps: impl FnMut(&[T]) -> bool,
+) -> Option<Vec<T>> {
+    let n = members.len();
+    let mut candidates: Vec<Vec<usize>> = Vec::new();
+    if n > 1 {
+        candidates.extend((0..n).map(|i| vec![i]));
+    }
+    if n > 2 {
+        candidates.extend((0..n).flat_map(|i| (i + 1..n).map(move |j| vec![i, j])));
+    }
+    candidates
+        .into_iter()
+        .map(|at| at.iter().map(|&i| members[i].clone()).collect::<Vec<T>>())
+        .find(|candidate| keeps(candidate))
 }
 
 /// A coarse size metric; every accepted value-shrink step strictly
@@ -258,37 +272,18 @@ pub(crate) fn shrink_report(
             continue;
         };
         let mut steps = 0;
-        // ddmin-lite over the plan set: singletons, then pairs.
-        'plans: for size in [1usize, 2] {
-            if current.plans.len() <= size {
-                break;
-            }
-            let plans = current.plans.clone();
-            let subsets: Vec<Vec<TestPlan>> = if size == 1 {
-                plans.iter().map(|&p| vec![p]).collect()
-            } else {
-                let mut v = Vec::new();
-                for i in 0..plans.len() {
-                    for j in (i + 1)..plans.len() {
-                        v.push(vec![plans[i], plans[j]]);
-                    }
-                }
-                v
-            };
-            for subset in subsets {
-                if shrinker.checks >= MAX_CHECKS {
-                    break 'plans;
-                }
-                let candidate = Reproducer {
-                    plans: subset,
+        // Over the plan set first. Out of budget, a candidate is refused
+        // without being run (or counted).
+        let fewer_plans = ddmin_lite(&current.plans, |plans| {
+            shrinker.checks < MAX_CHECKS
+                && shrinker.triggers(&Reproducer {
+                    plans: plans.to_vec(),
                     ..current.clone()
-                };
-                if shrinker.triggers(&candidate) {
-                    current = candidate;
-                    steps += 1;
-                    break 'plans;
-                }
-            }
+                })
+        });
+        if let Some(plans) = fewer_plans {
+            current.plans = plans;
+            steps += 1;
         }
         // Greedy weight-decreasing value (and struct-schema) shrink.
         while steps < MAX_STEPS && shrinker.checks < MAX_CHECKS {
@@ -385,6 +380,39 @@ mod tests {
                 assert!(weight(&c) < weight(&value), "{c:?} !< {value:?}");
             }
         }
+    }
+
+    #[test]
+    fn ddmin_lite_tries_singletons_then_ordered_pairs_and_stops_at_the_first_hit() {
+        // The shrunk list when only `hit` reproduces, and every candidate
+        // the predicate was asked about, in order.
+        fn run(members: &str, hit: &str) -> (Option<String>, Vec<String>) {
+            let members: Vec<char> = members.chars().collect();
+            let mut asked = Vec::new();
+            let kept = ddmin_lite(&members, |candidate| {
+                asked.push(candidate.iter().collect::<String>());
+                asked.last().is_some_and(|c| c == hit)
+            });
+            (kept.map(|k| k.into_iter().collect()), asked)
+        }
+        let (kept, asked) = run("abcd", "bd");
+        assert_eq!(kept.as_deref(), Some("bd"));
+        assert_eq!(
+            asked,
+            ["a", "b", "c", "d", "ab", "ac", "ad", "bc", "bd"],
+            "one call per candidate, none after the hit"
+        );
+        let (kept, asked) = run("abcd", "c");
+        assert_eq!((kept.as_deref(), asked.len()), (Some("c"), 3));
+        // Nothing smaller reproduces: every candidate was asked, once.
+        let (kept, asked) = run("abcd", "");
+        assert_eq!((kept, asked.len()), (None, 4 + 6));
+        // A size is tried only while it would remove a member.
+        assert_eq!(
+            run("ab", "ab"),
+            (None, vec!["a".to_string(), "b".to_string()])
+        );
+        assert_eq!(run("a", "a"), (None, Vec::new()));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use csi_core::detect::DetectorConfig;
 use csi_core::fault::FaultPlan;
 use minihive::metastore::StorageFormat;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Upper bound on [`CampaignSpec::shards`]: beyond this a "campaign" is a
@@ -39,6 +40,11 @@ pub const MAX_OVERRIDES: usize = 64;
 
 /// Upper bound, in bytes, on each override key and each override value.
 pub const MAX_OVERRIDE_BYTES: usize = 256;
+
+/// Upper bound on the id of an [`InputSelection::Inline`] input. Ids name
+/// tables and key summaries, and explore numbers its mutants upward from
+/// the largest one, so the bound leaves the rest of `usize` to them.
+const MAX_INLINE_ID: usize = 1 << 24;
 
 /// Which test inputs a campaign runs over.
 ///
@@ -137,6 +143,12 @@ pub enum SpecError {
         /// Which bound was exceeded, and by what.
         reason: String,
     },
+    /// Two [`InputSelection::Inline`] inputs share an id (they would share
+    /// every table), or an id is too large to number mutants above.
+    BadInputs {
+        /// Which id, and what is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -162,6 +174,7 @@ impl fmt::Display for SpecError {
             SpecError::BadOverrides { reason } => {
                 write!(f, "spark overrides out of bounds: {reason}")
             }
+            SpecError::BadInputs { reason } => write!(f, "inline inputs unusable: {reason}"),
         }
     }
 }
@@ -270,6 +283,19 @@ impl CampaignSpec {
                 return Err(SpecError::BadCorpusShape { reason });
             }
         }
+        if let InputSelection::Inline(inputs) = &self.inputs {
+            let mut seen = BTreeSet::new();
+            for TestInput { id, .. } in inputs {
+                let reason = if *id > MAX_INLINE_ID {
+                    format!("input id {id} exceeds the maximum of {MAX_INLINE_ID}")
+                } else if !seen.insert(id) {
+                    format!("input id {id} appears more than once")
+                } else {
+                    continue;
+                };
+                return Err(SpecError::BadInputs { reason });
+            }
+        }
         if self.spark_overrides.len() > MAX_OVERRIDES {
             return Err(SpecError::BadOverrides {
                 reason: format!(
@@ -370,6 +396,7 @@ mod tests {
     #[test]
     fn every_rejection_rule_fires_with_its_typed_error() {
         let base = CampaignSpec::default();
+        let catalogue = generator::catalogue();
         let cases: Vec<(CampaignSpec, SpecError)> = vec![
             (
                 CampaignSpec {
@@ -455,6 +482,33 @@ mod tests {
                     ),
                 },
             ),
+            (
+                CampaignSpec {
+                    inputs: InputSelection::Inline(vec![
+                        catalogue[3].clone(),
+                        catalogue[3].clone(),
+                    ]),
+                    ..base.clone()
+                },
+                SpecError::BadInputs {
+                    reason: "input id 3 appears more than once".into(),
+                },
+            ),
+            (
+                CampaignSpec {
+                    inputs: InputSelection::Inline(vec![TestInput {
+                        id: usize::MAX,
+                        ..catalogue[3].clone()
+                    }]),
+                    ..base.clone()
+                },
+                SpecError::BadInputs {
+                    reason: format!(
+                        "input id {} exceeds the maximum of {MAX_INLINE_ID}",
+                        usize::MAX
+                    ),
+                },
+            ),
         ];
         for (spec, expected) in cases {
             assert_eq!(spec.validate().expect_err("invalid spec"), expected);
@@ -475,6 +529,16 @@ mod tests {
             ..base.clone()
         };
         at_the_bounds.validate().expect("bounds are inclusive");
+        // Distinct inline ids validate in any order, up to the bound.
+        let mut shuffled = catalogue.to_vec();
+        shuffled.reverse();
+        shuffled[7].id = MAX_INLINE_ID;
+        CampaignSpec {
+            inputs: InputSelection::Inline(shuffled),
+            ..base.clone()
+        }
+        .validate()
+        .expect("a shuffled catalogue is valid");
         CampaignSpec {
             spark_overrides: crate::CrossTestConfig::custom_resolving_overrides(),
             ..base

@@ -13,7 +13,7 @@
 use crate::config::{self, default_yarn_config};
 use crate::error::YarnError;
 use crate::resource::Resource;
-use crate::scheduler::{scheduler_from_config, Scheduler, SchedulerKind};
+use crate::scheduler::{scheduler_from_config, Scheduler};
 use csi_core::boundary::{BoundaryCall, CrossingContext};
 use csi_core::config::ConfigMap;
 use csi_core::fault::Channel;
@@ -345,11 +345,6 @@ impl ResourceManager {
             rm.add_node(NodeId(i), capacity);
         }
         rm
-    }
-
-    /// The active scheduler kind.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.scheduler.kind()
     }
 
     /// The RM's configuration.
