@@ -1,9 +1,9 @@
-//! String interning for substrate namespaces.
+//! String interning for the HDFS namespace.
 //!
-//! Production control planes hold millions of entities whose names repeat
-//! heavily (file components like `part-00001.orc`, topic names, owner
-//! strings). Storing each occurrence as its own `String` costs an
-//! allocation per occurrence per operation. A [`NameTable`] interns every
+//! A namespace holds many entities whose names repeat heavily (file
+//! components like `part-00001.orc`, owner strings). Storing each
+//! occurrence as its own `String` costs an allocation per occurrence per
+//! operation — `minihdfs` is the one user. A [`NameTable`] interns every
 //! distinct name once and hands out copyable u32 [`Sym`] handles; hot
 //! paths then run on symbol comparisons with zero per-operation string
 //! clones.

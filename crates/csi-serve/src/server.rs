@@ -101,9 +101,19 @@ pub struct CsiServer {
 /// `TCP_NODELAY`), so a frame is on the wire when its event happened,
 /// not when the peer's next ACK releases a held-back `\n`.
 fn send<W: Write>(writer: &Writer<W>, frame: &Frame) {
+    let line = frame_line(frame);
+    write_line(&mut writer.lock(), &line);
+}
+
+/// One frame as its wire line, terminator included.
+fn frame_line(frame: &Frame) -> String {
     let mut line = serde_json::to_string(frame).expect("frames serialize");
     line.push('\n');
-    let mut stream = writer.lock();
+    line
+}
+
+/// The write of [`send`], for a caller that already holds the write half.
+fn write_line<W: Write>(stream: &mut Option<W>, line: &str) {
     if let Some(live) = stream.as_mut() {
         if live.write_all(line.as_bytes()).is_err() {
             *stream = None;
@@ -268,35 +278,34 @@ fn serve_connection(stream: TcpStream, scheduler: &FairScheduler<Job>, registry:
                 continue;
             }
         };
-        let verdict = admit(request, scheduler, registry, &writer);
-        send(&writer, &verdict);
+        admit(request, scheduler, registry, &writer);
     }
 }
 
 /// Runs a request through the admission pipeline — tenant-name policy,
-/// spec validation, namespace registration, scheduler caps — returning
-/// the frame to answer with.
+/// spec validation, namespace registration, scheduler caps — and answers
+/// it with its one verdict frame.
 fn admit(
     request: CampaignRequest,
     scheduler: &FairScheduler<Job>,
     registry: &TenantRegistry,
     writer: &Arc<Writer>,
-) -> Frame {
+) {
     let tenant = request.tenant;
     let reject = |reason| Frame::Rejected {
         tenant: tenant.clone(),
         reason,
     };
     if !valid_tenant_name(&tenant) {
-        return reject(RejectReason::BadTenantName(tenant.clone()));
+        return send(writer, &reject(RejectReason::BadTenantName(tenant.clone())));
     }
     if let Err(e) = request.spec.validate() {
-        return reject(RejectReason::InvalidSpec(e));
+        return send(writer, &reject(RejectReason::InvalidSpec(e)));
     }
     let spec_json = serde_json::to_string(&request.spec).expect("specs serialize");
     let seq = match registry.register(&tenant, &spec_json) {
         Ok(seq) => seq,
-        Err(e) => return reject(RejectReason::Internal(e)),
+        Err(e) => return send(writer, &reject(RejectReason::Internal(e))),
     };
     let job = Job {
         tenant: tenant.clone(),
@@ -304,9 +313,15 @@ fn admit(
         spec: request.spec,
         writer: writer.clone(),
     };
-    match scheduler.submit(&tenant, job) {
+    // Once submitted, a worker may finish the campaign at any moment, and
+    // `Accepted` must still be the first frame about it on the wire: hold
+    // the write half from before the submit until the verdict is out.
+    // (Lock order is writer, then scheduler; a worker never holds the
+    // scheduler's lock while it writes.)
+    let mut stream = writer.lock();
+    let verdict = match scheduler.submit(&tenant, job) {
         Ok(queue_depth) => Frame::Accepted {
-            tenant,
+            tenant: tenant.clone(),
             queue_depth,
         },
         Err(Admission::QueueFull { depth, limit }) => {
@@ -316,7 +331,8 @@ fn admit(
             reject(RejectReason::TenantBacklog { depth, limit })
         }
         Err(Admission::Closed) => reject(RejectReason::ShuttingDown),
-    }
+    };
+    write_line(&mut stream, &frame_line(&verdict));
 }
 
 /// Runs one admitted campaign on a worker thread: detections stream out

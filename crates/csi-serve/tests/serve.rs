@@ -4,18 +4,35 @@
 //! per-tenant control-plane state.
 
 use csi_serve::{
-    run_specs, CsiServer, Frame, RejectReason, ServeClient, ServeConfig, TenantOutcome,
+    run_specs, CampaignRequest, CsiServer, Frame, RejectReason, ServeClient, ServeConfig,
+    TenantOutcome,
 };
 use csi_test::inject::small_fault_catalogue;
 use csi_test::plan::Experiment;
 use csi_test::{Campaign, CampaignSpec, InputSelection, SpecError};
 use minihive::metastore::StorageFormat;
+use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::net::TcpStream;
 
 /// The server-side determinism contract: the report a tenant receives
 /// over the wire, byte-for-byte.
 fn batch_report_json(spec: &CampaignSpec) -> String {
     let outcome = Campaign::from_spec(spec.clone()).expect("valid spec").run();
     serde_json::to_string(&outcome.report).expect("reports serialize")
+}
+
+/// Reads the next frame, which must be a tenant-less `Malformed` reject,
+/// and returns its message.
+fn read_malformed(reader: &mut impl BufRead) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    match serde_json::from_str(&line).expect("frame parses") {
+        Frame::Rejected {
+            tenant,
+            reason: RejectReason::Malformed(message),
+        } if tenant.is_empty() => message,
+        other => panic!("expected Malformed, got {other:?}"),
+    }
 }
 
 /// A small campaign spec, varied per tenant index.
@@ -218,6 +235,19 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
         } => assert!(reason.contains("65 overrides"), "{reason}"),
         other => panic!("expected BadOverrides, got {other:?}"),
     }
+    // The connection lives on, and the paper's own override list runs.
+    let custom = CampaignSpec {
+        inputs: InputSelection::CataloguePrefix(1),
+        spark_overrides: csi_test::CrossTestConfig::custom_resolving_overrides(),
+        ..CampaignSpec::default()
+    };
+    client.submit("tenant-a", &custom).expect("submit");
+    let outcomes = client.collect(1).expect("frames");
+    assert_eq!(outcomes[0].rejected, None);
+    assert_eq!(
+        outcomes[0].report_json.as_deref(),
+        Some(batch_report_json(&custom).as_str())
+    );
     // Nor can it give two inline inputs one id: ids name the tables, so
     // the pair would share every one of them.
     let twin = InputSelection::CataloguePrefix(1).resolve().remove(0);
@@ -233,6 +263,19 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
         } => assert!(reason.contains("id 0 appears more than once"), "{reason}"),
         other => panic!("expected BadInputs, got {other:?}"),
     }
+    // ... or name a format twice, for the same reason.
+    let twice = CampaignSpec {
+        formats: vec![StorageFormat::Orc, StorageFormat::Orc],
+        ..CampaignSpec::default()
+    };
+    client.submit("tenant-a", &twice).expect("submit");
+    match client.read_frame().expect("frame") {
+        Frame::Rejected {
+            reason: RejectReason::InvalidSpec(SpecError::RepeatedAxis { reason }),
+            ..
+        } => assert_eq!(reason, "formats lists Orc more than once"),
+        other => panic!("expected RepeatedAxis, got {other:?}"),
+    }
     // A bad tenant name never reaches the scheduler.
     client
         .submit("Tenant A", &CampaignSpec::default())
@@ -244,39 +287,34 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
         } => assert_eq!(name, "Tenant A"),
         other => panic!("expected BadTenantName, got {other:?}"),
     }
-    // The connection lives on, and the paper's own override list runs —
-    // last on this connection, because a campaign this short can report
-    // before the reader has answered `Accepted`.
-    let custom = CampaignSpec {
-        inputs: InputSelection::CataloguePrefix(1),
-        spark_overrides: csi_test::CrossTestConfig::custom_resolving_overrides(),
-        ..CampaignSpec::default()
-    };
-    client.submit("tenant-a", &custom).expect("submit");
-    let outcomes = client.collect(1).expect("frames");
-    assert_eq!(outcomes[0].rejected, None);
-    assert_eq!(
-        outcomes[0].report_json.as_deref(),
-        Some(batch_report_json(&custom).as_str())
-    );
 
-    // A line that is not a request at all is answered, not dropped.
-    use std::io::Write as _;
-    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
-    raw.write_all(b"not json\n").expect("write");
-    use std::io::{BufRead as _, BufReader};
-    let mut line = String::new();
-    BufReader::new(raw.try_clone().expect("clone"))
-        .read_line(&mut line)
-        .expect("read");
-    let frame: Frame = serde_json::from_str(&line).expect("frame parses");
-    match frame {
-        Frame::Rejected {
-            tenant,
-            reason: RejectReason::Malformed(_),
-        } => assert_eq!(tenant, ""),
-        other => panic!("expected Malformed, got {other:?}"),
+    // A line that is not a request at all is answered, not dropped — and
+    // 10,000 bytes of open brackets are such a line, not a stack overflow
+    // on the connection's thread that takes every tenant down with it.
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let mut frames = BufReader::new(raw.try_clone().expect("clone"));
+    for hostile in ["not json", &"[".repeat(10_000), &"{\"a\":".repeat(2_000)] {
+        raw.write_all(format!("{hostile}\n").as_bytes())
+            .expect("write");
+        read_malformed(&mut frames);
     }
+    // The same connection then has its next request accepted.
+    let next = CampaignRequest {
+        tenant: "tenant-b".into(),
+        spec: custom,
+    };
+    let next = serde_json::to_string(&next).expect("requests serialize");
+    raw.write_all(format!("{next}\n").as_bytes())
+        .expect("write");
+    let mut line = String::new();
+    frames.read_line(&mut line).expect("read");
+    assert_eq!(
+        serde_json::from_str::<Frame>(&line).expect("frame parses"),
+        Frame::Accepted {
+            tenant: "tenant-b".into(),
+            queue_depth: 1,
+        }
+    );
     server.shutdown();
 }
 
@@ -285,23 +323,11 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
 /// line gets the same typed reject, and neither disturbs anyone else.
 #[test]
 fn oversized_and_non_utf8_lines_are_rejected_without_stalling_other_connections() {
-    use std::io::{BufReader, Read as _, Write as _};
-    fn read_malformed(reader: &mut impl std::io::BufRead) -> String {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        match serde_json::from_str(&line).expect("frame parses") {
-            Frame::Rejected {
-                tenant,
-                reason: RejectReason::Malformed(message),
-            } if tenant.is_empty() => message,
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-    }
     let mut server = CsiServer::start(&ServeConfig::default()).expect("server starts");
 
     // 5 MiB, no newline, ever. The first MiB leaves the server's reader
     // parked mid-line while a well-behaved connection gets its report.
-    let mut hostile = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut hostile = TcpStream::connect(server.addr()).expect("connect");
     hostile.write_all(&vec![b'x'; 1 << 20]).expect("write");
     let spec = tenant_spec(0);
     let outcomes = run_specs(server.addr(), &[("bystander".to_string(), spec.clone())])
@@ -324,11 +350,38 @@ fn oversized_and_non_utf8_lines_are_rejected_without_stalling_other_connections(
     assert!(rest.is_empty(), "{} stray bytes", rest.len());
 
     // Invalid UTF-8 is answered in kind, and the connection lives on.
-    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
     raw.write_all(b"\xff\xfe\nnot json\n").expect("write");
     let mut raw = BufReader::new(raw);
     assert!(read_malformed(&mut raw).contains("utf-8"));
     read_malformed(&mut raw);
+    server.shutdown();
+}
+
+/// `protocol.rs` promises `Accepted`, then detections, then `Report`, per
+/// request. A campaign short enough to finish on an idle worker while the
+/// reader is still answering is the one that can break it, so run many,
+/// each against an idle daemon.
+#[test]
+fn accepted_precedes_every_other_frame_of_its_campaign() {
+    let mut server = CsiServer::start(&ServeConfig::default()).expect("server starts");
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    let spec = CampaignSpec {
+        inputs: InputSelection::CataloguePrefix(1),
+        experiments: vec![Experiment::ALL[0]],
+        formats: vec![StorageFormat::Orc],
+        detect: true,
+        ..CampaignSpec::default()
+    };
+    for i in 0..200 {
+        client.submit("in-order", &spec).expect("submit");
+        let first = client.read_frame().expect("frame");
+        assert!(
+            matches!(first, Frame::Accepted { .. }),
+            "request {i}: a later frame of the campaign arrived before `Accepted`"
+        );
+        while !client.read_frame().expect("frame").is_terminal() {}
+    }
     server.shutdown();
 }
 

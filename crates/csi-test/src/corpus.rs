@@ -1099,6 +1099,13 @@ mod tests {
         assert_eq!(t.columns[2].data_type, DataType::Decimal(2, 1));
         // The missing first-line "extra" slot padded to null.
         assert_eq!(t.columns[2].cells[0], Value::Null);
+        // A 200 KB line of open brackets is a malformed line like any
+        // other — one `raw` string cell — not a stack overflow.
+        let deep = format!("{{\"a\":{}", "[".repeat(200_000));
+        let t = infer(deep.as_bytes()).expect("infers");
+        assert_eq!(t.columns.len(), 1);
+        assert_eq!(t.columns[0].name, "raw");
+        assert_eq!(t.columns[0].cells, vec![Value::Str(deep)]);
     }
 
     #[test]

@@ -149,6 +149,13 @@ pub enum SpecError {
         /// Which id, and what is wrong with it.
         reason: String,
     },
+    /// `experiments` or `formats` names a value twice: both passes would
+    /// share every table name, and the second one's failures would be
+    /// reported as real. (So neither list outgrows its `ALL`.)
+    RepeatedAxis {
+        /// Which list, and which value it repeats.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -175,6 +182,7 @@ impl fmt::Display for SpecError {
                 write!(f, "spark overrides out of bounds: {reason}")
             }
             SpecError::BadInputs { reason } => write!(f, "inline inputs unusable: {reason}"),
+            SpecError::RepeatedAxis { reason } => write!(f, "campaign axis repeats: {reason}"),
         }
     }
 }
@@ -278,6 +286,11 @@ impl CampaignSpec {
         if self.jobs == 0 {
             return Err(SpecError::NoJobs);
         }
+        if let Some(reason) = first_repeat("experiments", &self.experiments)
+            .or_else(|| first_repeat("formats", &self.formats))
+        {
+            return Err(SpecError::RepeatedAxis { reason });
+        }
         if let InputSelection::Corpus { shape, .. } = &self.inputs {
             if let Err(reason) = shape.validate() {
                 return Err(SpecError::BadCorpusShape { reason });
@@ -319,6 +332,16 @@ impl CampaignSpec {
         }
         Ok(())
     }
+}
+
+/// Names the first value `list` holds twice. By pigeonhole that is found
+/// within one more element than the type has values, however long a
+/// revived list is.
+fn first_repeat<T: PartialEq + fmt::Debug>(axis: &str, list: &[T]) -> Option<String> {
+    list.iter()
+        .enumerate()
+        .find(|(i, value)| list[..*i].contains(value))
+        .map(|(_, value)| format!("{axis} lists {value:?} more than once"))
 }
 
 #[cfg(test)]
@@ -496,6 +519,24 @@ mod tests {
             ),
             (
                 CampaignSpec {
+                    formats: vec![StorageFormat::Orc, StorageFormat::Avro, StorageFormat::Orc],
+                    ..base.clone()
+                },
+                SpecError::RepeatedAxis {
+                    reason: "formats lists Orc more than once".into(),
+                },
+            ),
+            (
+                CampaignSpec {
+                    experiments: vec![Experiment::ALL[1]; 1 << 16],
+                    ..base.clone()
+                },
+                SpecError::RepeatedAxis {
+                    reason: format!("experiments lists {:?} more than once", Experiment::ALL[1]),
+                },
+            ),
+            (
+                CampaignSpec {
                     inputs: InputSelection::Inline(vec![TestInput {
                         id: usize::MAX,
                         ..catalogue[3].clone()
@@ -541,9 +582,20 @@ mod tests {
         .expect("a shuffled catalogue is valid");
         CampaignSpec {
             spark_overrides: crate::CrossTestConfig::custom_resolving_overrides(),
-            ..base
+            ..base.clone()
         }
         .validate()
         .expect("the custom configuration is valid");
+        // Order is the caller's: every permutation of the full lists runs.
+        for (first, step) in [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)] {
+            let order = [first, (first + step) % 3, (first + 2 * step) % 3];
+            CampaignSpec {
+                experiments: order.map(|i| Experiment::ALL[i]).to_vec(),
+                formats: order.map(|i| StorageFormat::ALL[i]).to_vec(),
+                ..base.clone()
+            }
+            .validate()
+            .expect("a permutation of the full lists is valid");
+        }
     }
 }

@@ -1555,6 +1555,28 @@ mod tests {
     }
 
     #[test]
+    fn interner_holds_distinct_names_not_one_per_file() {
+        // 100 directories, each with the same 100 file names.
+        let (dirs, files_per_dir) = (100, 100);
+        let mut fs = MiniHdfs::with_datanodes(3);
+        for d in 0..dirs {
+            let dir = p(&format!("/warehouse/db{d}"));
+            for f in 0..files_per_dir {
+                fs.create(&dir.join(&format!("part-{f:05}.orc")), b"orcdata!")
+                    .unwrap();
+            }
+        }
+        assert_eq!(fs.inode_count(), (1 + dirs + dirs * files_per_dir) as u64);
+        // Directory and file names plus a handful of constants (owner
+        // strings and the like) — not proportional to the file count.
+        assert!(
+            fs.interned_names() <= dirs + files_per_dir + 16,
+            "{} names interned",
+            fs.interned_names()
+        );
+    }
+
+    #[test]
     fn vacuum_state_is_history_independent() {
         // Two different operation histories that converge to the same live
         // namespace must converge to the same internal layout after vacuum.

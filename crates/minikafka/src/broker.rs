@@ -1,20 +1,16 @@
 //! The minikafka broker: topics, partitioned logs, compaction, transactions,
 //! and consumer-group offsets.
 //!
-//! Storage is production-shaped: topic names are interned to dense u32
-//! ids, partitions live in a flat sharded map keyed by packed
-//! `(topic, partition)` ids, and group offsets / transactions sit in
-//! hashed indexes. Every hash map is **lookup-only** — anything
-//! order-sensitive (like [`MiniKafka::topics`]) sorts by name before
-//! returning, so no observable output depends on hash iteration order or
-//! on the ids themselves.
+//! Storage is plain ordered structures: a name-keyed map of topics, each a
+//! `Vec` of partitions indexed by partition id; a partition holds its log
+//! and the offsets consumer groups committed against it. Nothing here
+//! hashes, so nothing observable can depend on a hash iteration order.
 
 use crate::error::KafkaError;
 use bytes::Bytes;
 use csi_core::boundary::{BoundaryCall, CrossingContext};
 use csi_core::fault::Channel;
-use csi_core::intern::{NameTable, Sym};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A record offset within a partition.
 pub type Offset = i64;
@@ -70,78 +66,22 @@ struct Partition {
     log: Vec<StoredRecord>,
     next_offset: Offset,
     log_start: Offset,
+    /// Consumer-group name → the offset it committed on this partition.
+    committed: BTreeMap<String, Offset>,
 }
 
 #[derive(Debug)]
 struct Transaction {
-    topic: u32,
+    topic: String,
     staged: Vec<(PartitionId, Option<Bytes>, Option<Bytes>, u64)>,
-}
-
-#[derive(Debug)]
-struct TopicMeta {
-    name: String,
-    partitions: u32,
-}
-
-/// Number of shards in the flat partition map. A fixed power of two keeps
-/// the shard choice a pure function of the packed id.
-const SHARDS: usize = 16;
-
-/// Packs a dense topic id and partition index into one map key.
-fn pkey(topic: u32, partition: PartitionId) -> u64 {
-    (u64::from(topic) << 32) | u64::from(partition.0)
-}
-
-/// Flat sharded partition store: `(topic, partition)` packed ids hashed
-/// into a fixed shard array, replacing the seed's per-topic `Vec` behind a
-/// name-keyed `BTreeMap`. Lookups touch one shard; nothing iterates the
-/// shards, so layout never leaks into observable output.
-#[derive(Debug)]
-struct PartitionMap {
-    shards: Vec<HashMap<u64, Partition>>,
-}
-
-impl Default for PartitionMap {
-    fn default() -> PartitionMap {
-        PartitionMap {
-            shards: (0..SHARDS).map(|_| HashMap::new()).collect(),
-        }
-    }
-}
-
-impl PartitionMap {
-    fn shard_of(key: u64) -> usize {
-        ((key ^ (key >> 32)) as usize) % SHARDS
-    }
-
-    fn insert(&mut self, key: u64, partition: Partition) {
-        self.shards[Self::shard_of(key)].insert(key, partition);
-    }
-
-    fn get(&self, key: u64) -> Option<&Partition> {
-        self.shards[Self::shard_of(key)].get(&key)
-    }
-
-    fn get_mut(&mut self, key: u64) -> Option<&mut Partition> {
-        self.shards[Self::shard_of(key)].get_mut(&key)
-    }
 }
 
 /// The in-memory broker.
 #[derive(Debug, Default)]
 pub struct MiniKafka {
-    /// Topic name → dense topic id. Lookup-only.
-    topic_ids: HashMap<String, u32>,
-    /// Topic metadata, indexed by dense topic id.
-    topic_meta: Vec<TopicMeta>,
-    /// All partitions of all topics, sharded by packed id.
-    partitions: PartitionMap,
-    /// Consumer-group name interner for the offset index.
-    group_names: NameTable,
-    /// `(group, topic, partition)` → committed offset. Lookup-only.
-    group_offsets: HashMap<(Sym, u32, u32), Offset>,
-    transactions: HashMap<u64, Transaction>,
+    /// Topic name → its partitions, indexed by partition id.
+    topics: BTreeMap<String, Vec<Partition>>,
+    transactions: BTreeMap<u64, Transaction>,
     next_txn_id: u64,
     crossing: Option<CrossingContext>,
 }
@@ -176,58 +116,26 @@ impl MiniKafka {
 
     /// Creates a topic with `partitions` partitions. Idempotent.
     pub fn create_topic(&mut self, topic: &str, partitions: u32) {
-        if self.topic_ids.contains_key(topic) {
-            return;
-        }
-        let id = u32::try_from(self.topic_meta.len()).expect("topic id overflow");
-        self.topic_ids.insert(topic.to_string(), id);
-        self.topic_meta.push(TopicMeta {
-            name: topic.to_string(),
-            partitions,
-        });
-        for p in 0..partitions {
-            self.partitions
-                .insert(pkey(id, PartitionId(p)), Partition::default());
+        if !self.topics.contains_key(topic) {
+            let parts = (0..partitions).map(|_| Partition::default()).collect();
+            self.topics.insert(topic.to_string(), parts);
         }
     }
 
     /// Topic names, sorted.
     pub fn topics(&self) -> Vec<&str> {
-        // Ids are creation-ordered; listings sort by name so the id
-        // assignment stays unobservable.
-        let mut names: Vec<&str> = self.topic_meta.iter().map(|t| t.name.as_str()).collect();
-        names.sort_unstable();
-        names
+        self.topics.keys().map(String::as_str).collect()
     }
 
-    fn topic_id(&self, topic: &str) -> Result<u32, KafkaError> {
-        self.topic_ids
+    fn topic(&self, topic: &str) -> Result<&Vec<Partition>, KafkaError> {
+        self.topics
             .get(topic)
-            .copied()
             .ok_or_else(|| KafkaError::UnknownTopic(topic.to_string()))
     }
 
     /// Number of partitions of a topic.
     pub fn partition_count(&self, topic: &str) -> Result<u32, KafkaError> {
-        Ok(self.topic_meta[self.topic_id(topic)? as usize].partitions)
-    }
-
-    fn partition_mut_by_id(
-        &mut self,
-        topic: u32,
-        partition: PartitionId,
-    ) -> Result<&mut Partition, KafkaError> {
-        let meta = &self.topic_meta[topic as usize];
-        if partition.0 >= meta.partitions {
-            return Err(KafkaError::UnknownPartition {
-                topic: meta.name.clone(),
-                partition: partition.0,
-            });
-        }
-        Ok(self
-            .partitions
-            .get_mut(pkey(topic, partition))
-            .expect("in-range partition exists"))
+        Ok(u32::try_from(self.topic(topic)?.len()).expect("created with a u32 count"))
     }
 
     fn partition_mut(
@@ -235,23 +143,23 @@ impl MiniKafka {
         topic: &str,
         partition: PartitionId,
     ) -> Result<&mut Partition, KafkaError> {
-        let id = self.topic_id(topic)?;
-        self.partition_mut_by_id(id, partition)
+        self.topics
+            .get_mut(topic)
+            .ok_or_else(|| KafkaError::UnknownTopic(topic.to_string()))?
+            .get_mut(partition.0 as usize)
+            .ok_or_else(|| KafkaError::UnknownPartition {
+                topic: topic.to_string(),
+                partition: partition.0,
+            })
     }
 
     fn partition(&self, topic: &str, partition: PartitionId) -> Result<&Partition, KafkaError> {
-        let id = self.topic_id(topic)?;
-        let meta = &self.topic_meta[id as usize];
-        if partition.0 >= meta.partitions {
-            return Err(KafkaError::UnknownPartition {
-                topic: meta.name.clone(),
+        self.topic(topic)?
+            .get(partition.0 as usize)
+            .ok_or_else(|| KafkaError::UnknownPartition {
+                topic: topic.to_string(),
                 partition: partition.0,
-            });
-        }
-        Ok(self
-            .partitions
-            .get(pkey(id, partition))
-            .expect("in-range partition exists"))
+            })
     }
 
     /// Produces one record; returns its offset.
@@ -279,12 +187,12 @@ impl MiniKafka {
 
     /// Begins a transaction on a topic; returns the transaction handle.
     pub fn begin_transaction(&mut self, topic: &str) -> Result<u64, KafkaError> {
-        let id = self.topic_id(topic)?;
+        self.topic(topic)?;
         self.next_txn_id += 1;
         self.transactions.insert(
             self.next_txn_id,
             Transaction {
-                topic: id,
+                topic: topic.to_string(),
                 staged: Vec::new(),
             },
         );
@@ -332,7 +240,7 @@ impl MiniKafka {
             .ok_or(KafkaError::NoOpenTransaction)?;
         let mut touched: Vec<PartitionId> = Vec::new();
         for (partition, key, value, timestamp) in t.staged {
-            let p = self.partition_mut_by_id(t.topic, partition)?;
+            let p = self.partition_mut(&t.topic, partition)?;
             let offset = p.next_offset;
             p.next_offset += 1;
             p.log.push(StoredRecord {
@@ -347,7 +255,7 @@ impl MiniKafka {
             }
         }
         for partition in touched {
-            let p = self.partition_mut_by_id(t.topic, partition)?;
+            let p = self.partition_mut(&t.topic, partition)?;
             let offset = p.next_offset;
             p.next_offset += 1;
             p.log.push(StoredRecord {
@@ -425,10 +333,9 @@ impl MiniKafka {
     /// removed.
     pub fn compact(&mut self, topic: &str, partition: PartitionId) -> Result<usize, KafkaError> {
         let p = self.partition_mut(topic, partition)?;
-        // Index latest offsets by *borrowed* key slices — the seed cloned
-        // every record key into a `BTreeMap<Vec<u8>, Offset>` here, one
-        // heap allocation per record per compaction pass.
-        let mut latest_by_key: HashMap<&[u8], Offset> = HashMap::new();
+        // Index latest offsets by *borrowed* key slices: no record key is
+        // cloned for the pass.
+        let mut latest_by_key: BTreeMap<&[u8], Offset> = BTreeMap::new();
         for r in &p.log {
             if let (Some(k), StoredKind::Data { aborted: false }) = (&r.key, &r.kind) {
                 latest_by_key.insert(k.as_ref(), r.offset);
@@ -486,10 +393,9 @@ impl MiniKafka {
         partition: PartitionId,
         offset: Offset,
     ) -> Result<(), KafkaError> {
-        self.partition(topic, partition)?;
-        let gsym = self.group_names.intern(group);
-        let tid = self.topic_id(topic)?;
-        self.group_offsets.insert((gsym, tid, partition.0), offset);
+        self.partition_mut(topic, partition)?
+            .committed
+            .insert(group.to_string(), offset);
         Ok(())
     }
 
@@ -500,11 +406,8 @@ impl MiniKafka {
         topic: &str,
         partition: PartitionId,
     ) -> Option<Offset> {
-        // A group or topic this broker has never seen has no offsets; the
-        // read path never interns, so `&self` suffices.
-        let gsym = self.group_names.lookup(group)?;
-        let tid = self.topic_ids.get(topic).copied()?;
-        self.group_offsets.get(&(gsym, tid, partition.0)).copied()
+        let p = self.partition(topic, partition).ok()?;
+        p.committed.get(group).copied()
     }
 }
 

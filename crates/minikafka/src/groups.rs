@@ -8,7 +8,7 @@
 
 use crate::broker::{MiniKafka, PartitionId};
 use crate::error::KafkaError;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A member's view after joining: its generation and assigned partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,27 +20,29 @@ pub struct Membership {
 }
 
 /// One consumer group, bound to a topic.
-///
-/// Membership is double-indexed: `members` stays sorted (rebalance order
-/// is observable through assignments), while `member_slot` hashes each
-/// member name to its position so the membership test on every join and
-/// commit is O(1) instead of a `Vec` scan. The slot map is lookup-only —
-/// nothing iterates it.
 #[derive(Debug, Default)]
 pub struct ConsumerGroup {
     topic: String,
+    /// Member names, sorted: rebalance order is observable through
+    /// assignments, and a member's slot is a `binary_search` away.
     members: Vec<String>,
-    member_slot: HashMap<String, usize>,
     generation: u64,
     /// Assigned partitions, indexed by member slot (parallel to `members`).
     assignment: Vec<Vec<PartitionId>>,
 }
 
+impl ConsumerGroup {
+    /// The slot `member` holds in the sorted list, or the one it would take.
+    fn slot_of(&self, member: &str) -> Result<usize, usize> {
+        self.members.binary_search_by(|m| m.as_str().cmp(member))
+    }
+}
+
 /// The group coordinator.
 #[derive(Debug, Default)]
 pub struct GroupCoordinator {
-    /// Group name → group. Lookup-only; never iterated.
-    groups: HashMap<String, ConsumerGroup>,
+    /// Group name → group.
+    groups: BTreeMap<String, ConsumerGroup>,
 }
 
 impl GroupCoordinator {
@@ -62,23 +64,10 @@ impl GroupCoordinator {
         let partitions = broker.partition_count(topic)?;
         let g = self.groups.entry(group.to_string()).or_default();
         g.topic = topic.to_string();
-        let slot = match g.member_slot.get(member) {
-            Some(&slot) => slot, // O(1) re-join, the common case.
-            None => {
-                // New member: splice into the sorted list and reindex the
-                // shifted tail (no full re-sort).
-                let slot = g
-                    .members
-                    .binary_search_by(|m| m.as_str().cmp(member))
-                    .expect_err("member not yet present");
-                g.members.insert(slot, member.to_string());
-                g.member_slot.insert(member.to_string(), slot);
-                for (i, m) in g.members.iter().enumerate().skip(slot + 1) {
-                    *g.member_slot.get_mut(m).expect("indexed member") = i;
-                }
-                slot
-            }
-        };
+        let slot = g.slot_of(member).unwrap_or_else(|slot| {
+            g.members.insert(slot, member.to_string());
+            slot
+        });
         Self::rebalance(g, partitions);
         Ok(Membership {
             generation: g.generation,
@@ -97,14 +86,10 @@ impl GroupCoordinator {
             .groups
             .get_mut(group)
             .ok_or_else(|| KafkaError::UnknownGroup(group.to_string()))?;
-        if let Some(slot) = g.member_slot.remove(member) {
+        if let Ok(slot) = g.slot_of(member) {
             g.members.remove(slot);
-            for (i, m) in g.members.iter().enumerate().skip(slot) {
-                *g.member_slot.get_mut(m).expect("indexed member") = i;
-            }
         }
-        // A leave always rebalances, member or not — the seed's
-        // unconditional retain-and-rebalance did the same.
+        // A leave always rebalances, member or not.
         let partitions = broker.partition_count(&g.topic)?;
         Self::rebalance(g, partitions);
         Ok(())
@@ -116,8 +101,7 @@ impl GroupCoordinator {
         if g.members.is_empty() {
             return;
         }
-        // Round-robin over the sorted member list, exactly as the seed's
-        // name-keyed assignment map distributed them.
+        // Round-robin over the sorted member list.
         for p in 0..partitions {
             g.assignment[p as usize % g.members.len()].push(PartitionId(p));
         }
@@ -223,8 +207,8 @@ mod tests {
     #[test]
     fn out_of_order_joins_assign_by_sorted_member_name() {
         // Members join unsorted; assignments must still distribute
-        // round-robin over the *sorted* list, and the hashed slot index
-        // must survive the mid-list splices and removals.
+        // round-robin over the *sorted* list, through mid-list splices and
+        // removals.
         let k = broker();
         let mut gc = GroupCoordinator::new();
         for m in ["delta", "alpha", "charlie", "bravo"] {

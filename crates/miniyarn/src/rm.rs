@@ -1,14 +1,12 @@
 //! The ResourceManager: applications, nodes, the allocation pipeline, and
 //! the pmem monitor.
 //!
-//! Storage is production-shaped: applications live in a dense `Vec` indexed
-//! by id, containers in a generation-checked [`Slab`] whose slots are only
-//! recycled through [`ResourceManager::evict_completed`], and the live
-//! containers of each application (plus the cluster-wide live set) are
-//! indexed in `BTreeSet`s so heartbeats, reports, and the pmem monitor no
-//! longer scan every container ever allocated. Iteration order everywhere
-//! observable is ascending container id — exactly the order the seed's
-//! `BTreeMap<ContainerId, Container>` produced.
+//! Applications and containers each live in a dense `Vec` indexed by
+//! `id - 1`; records are never freed, so ids are the sequence `1, 2, 3, …`
+//! and a finished container stays queryable. The live containers of each
+//! application (plus the cluster-wide live set) are indexed in `BTreeSet`s,
+//! which fixes the order everything observable iterates in: ascending
+//! container id.
 
 use crate::config::{self, default_yarn_config};
 use crate::error::YarnError;
@@ -24,14 +22,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ApplicationId(pub u64);
 
-/// Identifier of a container.
-///
-/// Encodes a slab slot and its generation: the low 32 bits are
-/// `slot + 1`, the high 32 bits the slot's generation. Generation-0 ids
-/// are therefore the plain sequence `1, 2, 3, …` — identical to the
-/// seed's monotonic counter — and only diverge once
-/// [`ResourceManager::evict_completed`] recycles slots, at which point the
-/// generation fences every stale id.
+/// Identifier of a container: `1, 2, 3, …` in allocation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContainerId(pub u64);
 
@@ -39,17 +30,9 @@ pub struct ContainerId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-fn encode_container(slot: u32, generation: u32) -> ContainerId {
-    ContainerId((u64::from(generation) << 32) | (u64::from(slot) + 1))
-}
-
-fn decode_container(id: ContainerId) -> Option<(u32, u32)> {
-    let low = id.0 & 0xFFFF_FFFF;
-    if low == 0 {
-        return None;
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    Some(((low - 1) as u32, (id.0 >> 32) as u32))
+/// The container table index of `id`, if it can name a record at all.
+fn container_index(id: ContainerId) -> Option<usize> {
+    usize::try_from(id.0.checked_sub(1)?).ok()
 }
 
 /// Deployment mode of the ResourceManager.
@@ -173,8 +156,7 @@ struct AppState {
     completed: Vec<(ContainerId, ContainerState)>,
     lifecycle: AppLifecycle,
     final_status: AmFinalStatus,
-    /// This app's containers in `Allocated | Running` state, ascending id —
-    /// the order the seed's full-map scans observed them in.
+    /// This app's containers in `Allocated | Running` state, ascending id.
     live: BTreeSet<ContainerId>,
     /// This app's asks still waiting in the pipeline (O(1) `num_pending`).
     pending_asks: usize,
@@ -183,96 +165,6 @@ struct AppState {
 struct PendingAsk {
     app: ApplicationId,
     resource: Resource,
-}
-
-#[derive(Debug)]
-struct SlabEntry<T> {
-    generation: u32,
-    val: Option<T>,
-}
-
-/// A slab allocator with generation-checked handles.
-///
-/// Slots are recycled LIFO; every removal bumps the slot's generation so a
-/// handle minted for the previous occupant no longer resolves. A slab that
-/// is never drained hands out slots `0, 1, 2, …` in order, which is what
-/// keeps generation-0 container ids sequential.
-#[derive(Debug)]
-struct Slab<T> {
-    entries: Vec<SlabEntry<T>>,
-    free: Vec<u32>,
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Slab<T> {
-        Slab {
-            entries: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-}
-
-impl<T> Slab<T> {
-    /// The (slot, generation) the next [`Slab::insert`] will occupy.
-    fn next_slot(&self) -> (u32, u32) {
-        match self.free.last() {
-            Some(&slot) => (slot, self.entries[slot as usize].generation),
-            None => (u32::try_from(self.entries.len()).expect("slab overflow"), 0),
-        }
-    }
-
-    fn insert(&mut self, val: T) -> (u32, u32) {
-        match self.free.pop() {
-            Some(slot) => {
-                let e = &mut self.entries[slot as usize];
-                debug_assert!(e.val.is_none(), "free slot must be empty");
-                e.val = Some(val);
-                (slot, e.generation)
-            }
-            None => {
-                let slot = u32::try_from(self.entries.len()).expect("slab overflow");
-                self.entries.push(SlabEntry {
-                    generation: 0,
-                    val: Some(val),
-                });
-                (slot, 0)
-            }
-        }
-    }
-
-    fn get(&self, slot: u32, generation: u32) -> Option<&T> {
-        self.entries
-            .get(slot as usize)
-            .filter(|e| e.generation == generation)
-            .and_then(|e| e.val.as_ref())
-    }
-
-    fn get_mut(&mut self, slot: u32, generation: u32) -> Option<&mut T> {
-        self.entries
-            .get_mut(slot as usize)
-            .filter(|e| e.generation == generation)
-            .and_then(|e| e.val.as_mut())
-    }
-
-    fn remove(&mut self, slot: u32, generation: u32) -> Option<T> {
-        let e = self.entries.get_mut(slot as usize)?;
-        if e.generation != generation || e.val.is_none() {
-            return None;
-        }
-        let val = e.val.take();
-        e.generation = e.generation.wrapping_add(1);
-        self.free.push(slot);
-        val
-    }
-
-    /// Occupied slots, ascending — deterministic scan order.
-    fn iter(&self) -> impl Iterator<Item = (u32, u32, &T)> {
-        self.entries.iter().enumerate().filter_map(|(i, e)| {
-            e.val
-                .as_ref()
-                .map(|v| (u32::try_from(i).expect("slab overflow"), e.generation, v))
-        })
-    }
 }
 
 /// The miniyarn ResourceManager.
@@ -288,7 +180,9 @@ pub struct ResourceManager {
     /// Applications, indexed by `id - 1`. Never freed: YARN keeps finished
     /// application reports queryable.
     apps: Vec<AppState>,
-    containers: Slab<Container>,
+    /// Every container ever allocated, indexed by `id - 1`. Never freed:
+    /// a completed or killed container's record stays queryable.
+    containers: Vec<Container>,
     /// Every container in `Allocated | Running` state, ascending id.
     live: BTreeSet<ContainerId>,
     pending: VecDeque<PendingAsk>,
@@ -310,7 +204,7 @@ impl ResourceManager {
             mode,
             nodes: BTreeMap::new(),
             apps: Vec::new(),
-            containers: Slab::default(),
+            containers: Vec::new(),
             live: BTreeSet::new(),
             pending: VecDeque::new(),
             clock_ms: 0,
@@ -392,8 +286,8 @@ impl ResourceManager {
     }
 
     fn container_mut(&mut self, id: ContainerId) -> Result<&mut Container, YarnError> {
-        decode_container(id)
-            .and_then(|(slot, generation)| self.containers.get_mut(slot, generation))
+        container_index(id)
+            .and_then(|idx| self.containers.get_mut(idx))
             .ok_or(YarnError::UnknownContainer(id.0))
     }
 
@@ -461,11 +355,7 @@ impl ResourceManager {
         let completed = std::mem::take(&mut state.completed);
         let allocated = ready
             .iter()
-            .filter_map(|id| {
-                decode_container(*id)
-                    .and_then(|(slot, generation)| self.containers.get(slot, generation))
-                    .cloned()
-            })
+            .filter_map(|id| self.container(*id).cloned())
             .collect();
         Ok(AllocateResponse {
             allocated,
@@ -501,8 +391,7 @@ impl ResourceManager {
                 Some(node) => {
                     let ask = self.pending.pop_front().expect("checked non-empty");
                     self.pipeline_free_at = done_at;
-                    let (slot, generation) = self.containers.next_slot();
-                    let id = encode_container(slot, generation);
+                    let id = ContainerId(self.containers.len() as u64 + 1);
                     let container = Container {
                         id,
                         app: ask.app,
@@ -512,8 +401,7 @@ impl ResourceManager {
                         pmem_used_mb: 0,
                     };
                     self.nodes.get_mut(&node).expect("node exists").used += ask.resource;
-                    let inserted = self.containers.insert(container);
-                    debug_assert_eq!(inserted, (slot, generation));
+                    self.containers.push(container);
                     self.live.insert(id);
                     self.total_allocated += 1;
                     if let Ok(idx) = self.app_index(ask.app) {
@@ -592,16 +480,13 @@ impl ResourceManager {
             return Vec::new();
         }
         let mut killed = Vec::new();
-        // The live index replaces the seed's scan over every container ever
-        // allocated; `BTreeSet` iteration preserves the ascending-id victim
-        // order the scan produced.
+        // `BTreeSet` iteration fixes the victim order: ascending id.
         let victims: Vec<ContainerId> = self
             .live
             .iter()
             .copied()
             .filter(|id| {
-                decode_container(*id)
-                    .and_then(|(slot, generation)| self.containers.get(slot, generation))
+                self.container(*id)
                     .is_some_and(|c| c.pmem_used_mb > c.resource.memory_mb)
             })
             .collect();
@@ -640,7 +525,7 @@ impl ResourceManager {
         let idx = self.app_index(app)?;
         self.pending.retain(|a| a.app != app);
         self.apps[idx].pending_asks = 0;
-        // Ascending-id release order, as the seed's container scan yielded.
+        // Ascending-id release order.
         let held: Vec<ContainerId> = self.apps[idx].live.iter().copied().collect();
         for id in held {
             self.release_container(id)?;
@@ -690,33 +575,7 @@ impl ResourceManager {
 
     /// Looks up a container.
     pub fn container(&self, id: ContainerId) -> Option<&Container> {
-        decode_container(id).and_then(|(slot, generation)| self.containers.get(slot, generation))
-    }
-
-    /// Evicts every `Completed`/`Killed` container record, freeing its slab
-    /// slot for reuse. The freed slot's generation bumps, so stale ids
-    /// minted for evicted containers no longer resolve. Returns the number
-    /// of records evicted.
-    ///
-    /// Long-running clusters call this between job waves; without it the
-    /// container table grows without bound (and ids never deviate from the
-    /// seed's sequence).
-    pub fn evict_completed(&mut self) -> usize {
-        let dead: Vec<(u32, u32)> = self
-            .containers
-            .iter()
-            .filter(|(_, _, c)| {
-                matches!(
-                    c.state,
-                    ContainerState::Completed | ContainerState::Killed { .. }
-                )
-            })
-            .map(|(slot, generation, _)| (slot, generation))
-            .collect();
-        for &(slot, generation) in &dead {
-            self.containers.remove(slot, generation);
-        }
-        dead.len()
+        container_index(id).and_then(|idx| self.containers.get(idx))
     }
 
     /// Total asks ever submitted (the "4000+ requested" counter of Figure 1).
@@ -972,8 +831,7 @@ mod tests {
 
     #[test]
     fn container_ids_stay_sequential_without_eviction() {
-        // Release/kill alone must never recycle ids — the seed's counter
-        // semantics hold until an explicit evict.
+        // Release/kill never recycle ids.
         let mut rm = rm();
         let app = rm.register_application("a");
         for _ in 0..3 {
@@ -998,39 +856,37 @@ mod tests {
     }
 
     #[test]
-    fn evict_recycles_slots_and_fences_stale_ids() {
+    fn ids_stay_dense_and_finished_records_resolve_across_unregister() {
         let mut rm = rm();
-        let app = rm.register_application("a");
-        for _ in 0..2 {
-            rm.add_container_request(app, Resource::new(1024, 1))
+        let mut ids = Vec::new();
+        for wave in 0..3 {
+            let app = rm.register_application("wave");
+            for _ in 0..2 {
+                rm.add_container_request(app, Resource::new(1024, 1))
+                    .unwrap();
+            }
+            rm.advance_clock(100);
+            let allocated = rm.allocate(app).unwrap().allocated;
+            ids.extend(allocated.iter().map(|c| c.id.0));
+            if wave == 1 {
+                rm.release_container(allocated[0].id).unwrap();
+            }
+            rm.unregister_application(app, AmFinalStatus::Succeeded)
                 .unwrap();
         }
-        rm.advance_clock(100);
-        let ids: Vec<ContainerId> = rm
-            .allocate(app)
-            .unwrap()
-            .allocated
-            .iter()
-            .map(|c| c.id)
-            .collect();
-        rm.release_container(ids[0]).unwrap();
-        assert_eq!(rm.evict_completed(), 1);
-        // The evicted record is gone; the live one is untouched.
-        assert!(rm.container(ids[0]).is_none());
-        assert!(rm.container(ids[1]).is_some());
+        assert_eq!(ids, (1..=6).collect::<Vec<u64>>());
+        for id in ids {
+            let c = rm.container(ContainerId(id)).expect("record kept");
+            assert_eq!((c.id.0, &c.state), (id, &ContainerState::Completed));
+            // Releasing a finished container again is a no-op, not an error.
+            rm.release_container(c.id).unwrap();
+        }
+        assert!(rm.container(ContainerId(0)).is_none());
+        assert!(rm.container(ContainerId(7)).is_none());
         assert!(matches!(
-            rm.release_container(ids[0]),
-            Err(YarnError::UnknownContainer(1))
+            rm.release_container(ContainerId(7)),
+            Err(YarnError::UnknownContainer(7))
         ));
-        // The next allocation reuses slot 0 under generation 1.
-        rm.add_container_request(app, Resource::new(1024, 1))
-            .unwrap();
-        rm.advance_clock(100);
-        let c = &rm.allocate(app).unwrap().allocated[0];
-        assert_eq!(c.id.0, (1 << 32) | 1);
-        // The stale generation-0 id still does not resolve.
-        assert!(rm.container(ids[0]).is_none());
-        let m = rm.get_cluster_metrics().unwrap();
-        assert_eq!(m.containers_active, 2);
+        assert_eq!(rm.get_cluster_metrics().unwrap().containers_active, 0);
     }
 }
