@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, one-judge and hash guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, one-judge, hash and one-varint guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -62,6 +62,13 @@ stage_lint() {
   echo "==> hash guard (HashMap/HashSet only in intern.rs, token.rs and tenant.rs)"
   if grep -rnE --include='*.rs' 'Hash(Map|Set)' crates/ | grep -vE '^crates/(csi-core/src/intern|minihdfs/src/token|csi-serve/src/tenant)\.rs:'; then
     echo "use a BTreeMap/BTreeSet or a sorted Vec, or show the BENCHMARK.json rung that needs the hash" >&2
+    exit 1
+  fi
+  # The row reference codec and the batch codec agree byte for byte
+  # because they read and write integers with the same code.
+  echo "==> varint guard (the LEB128 masks 0x7f / 0x80 are spelled in miniformats' wire.rs only)"
+  if grep -rnEi --include='*.rs' '0x(7f|80)' crates/miniformats/src/ | grep -v '^crates/miniformats/src/wire\.rs:'; then
+    echo "a kernel calls the shared primitive (wire::Reader::varint64, Writer::tagged_varint64, ...) instead of spelling a second varint" >&2
     exit 1
   fi
 }

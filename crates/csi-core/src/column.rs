@@ -415,6 +415,28 @@ impl ValueColumn {
         self.validity.null_count()
     }
 
+    /// Whether this is a DECIMAL lane whose every valid cell is declared
+    /// exactly `(precision, scale)` and has at most `precision` digits —
+    /// the cells both engines' decimal casts return unchanged.
+    pub fn decimals_are_exactly(&self, precision: u8, scale: u8) -> bool {
+        let ColumnValues::Decimal {
+            unscaled,
+            precision: p,
+            scale: s,
+        } = &self.values
+        else {
+            return false;
+        };
+        if precision == 0 || precision > Decimal::MAX_PRECISION || scale > precision {
+            return false;
+        }
+        let bound = 10u128.pow(u32::from(precision));
+        (0..unscaled.len()).all(|i| {
+            !self.validity.get(i)
+                || (p[i] == precision && s[i] == scale && unscaled[i].unsigned_abs() < bound)
+        })
+    }
+
     /// Appends a cell. A variant mismatch demotes the column to
     /// [`ColumnValues::Mixed`] — appends never fail.
     pub fn push(&mut self, value: &Value) {
@@ -538,14 +560,26 @@ impl ValueColumn {
                         continue;
                     }
                     // Canonical form: strip trailing zeros so rescaled
-                    // decimals (canonically equal) hash equally.
-                    let (mut u, mut s) = (unscaled[i], scale[i]);
-                    while s > 0 && u % 10 == 0 {
-                        u /= 10;
-                        s -= 1;
-                    }
-                    h.word(u as u64);
-                    h.word((u >> 64) as u64);
+                    // decimals (canonically equal) hash equally. 64-bit
+                    // division when the cell fits; the sign extension is
+                    // the high word the 128-bit shift would produce.
+                    let mut s = scale[i];
+                    let (lo, hi) = if let Ok(mut u) = i64::try_from(unscaled[i]) {
+                        while s > 0 && u % 10 == 0 {
+                            u /= 10;
+                            s -= 1;
+                        }
+                        (u as u64, (u >> 63) as u64)
+                    } else {
+                        let mut u = unscaled[i];
+                        while s > 0 && u % 10 == 0 {
+                            u /= 10;
+                            s -= 1;
+                        }
+                        (u as u64, (u >> 64) as u64)
+                    };
+                    h.word(lo);
+                    h.word(hi);
                     h.word(u64::from(s));
                 }
             }

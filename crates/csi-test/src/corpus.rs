@@ -33,6 +33,7 @@ use csi_core::value::{
     Value,
 };
 use serde::{Content, Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Upper bound on [`CorpusShape::columns`]: a wire spec asking for more is
@@ -41,6 +42,11 @@ pub const MAX_COLUMNS: usize = 4096;
 
 /// Upper bound on [`CorpusShape::rows`].
 pub const MAX_ROWS: usize = 65_536;
+
+/// Upper bound on the cells of an inferred table. Padding ragged rows and
+/// unioning key sets make cells out of nothing — `rows × columns` of them
+/// from `rows + columns` bytes — so [`infer`] bounds the product too.
+pub const MAX_CELLS: usize = 1 << 20;
 
 /// The shape of a synthesized corpus table. Serializable (it travels
 /// inside `CampaignSpec` via `InputSelection::Corpus`), integer-only so
@@ -415,14 +421,52 @@ pub enum InferError {
     /// The stream holds no rows at all (it may still hold a BOM or
     /// whitespace).
     Empty,
+    /// The widest row, or the union of the objects' keys, exceeds
+    /// [`MAX_COLUMNS`].
+    TooManyColumns(usize),
+    /// The stream holds more than [`MAX_ROWS`] rows.
+    TooManyRows(usize),
+    /// Rows times columns exceeds [`MAX_CELLS`] (each within its own
+    /// bound).
+    TooManyCells {
+        /// Rows in the stream.
+        rows: usize,
+        /// Columns the table would have.
+        columns: usize,
+    },
 }
 
 impl fmt::Display for InferError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InferError::Empty => write!(f, "input stream holds no rows"),
+            InferError::TooManyColumns(n) => {
+                write!(f, "input stream has {n} columns, more than {MAX_COLUMNS}")
+            }
+            InferError::TooManyRows(n) => {
+                write!(f, "input stream has {n} rows, more than {MAX_ROWS}")
+            }
+            InferError::TooManyCells { rows, columns } => write!(
+                f,
+                "input stream makes {rows} rows x {columns} columns, more than {MAX_CELLS} cells"
+            ),
         }
     }
+}
+
+/// The bounds of [`infer`], checked on the shape alone — before a ragged
+/// row is padded or an absent key filled in.
+fn check_shape(rows: usize, columns: usize) -> Result<(), InferError> {
+    if columns > MAX_COLUMNS {
+        return Err(InferError::TooManyColumns(columns));
+    }
+    if rows > MAX_ROWS {
+        return Err(InferError::TooManyRows(rows));
+    }
+    if rows.saturating_mul(columns) > MAX_CELLS {
+        return Err(InferError::TooManyCells { rows, columns });
+    }
+    Ok(())
 }
 
 impl std::error::Error for InferError {}
@@ -553,66 +597,72 @@ impl Serialize for RawJsonSer {
 /// Parses the stream into (names, row-major cells): JSON-lines when the
 /// first non-empty line starts with `{`, CSV (first row = header)
 /// otherwise. Ragged CSV rows are padded with nulls to the widest row;
-/// JSON objects contribute columns in first-seen key order.
-fn parse_rows(text: &str) -> (Vec<String>, Vec<Vec<RawCell>>) {
+/// JSON objects contribute columns in first-seen key order. The table's
+/// shape is bounded ([`check_shape`]) before either fills a cell in.
+fn parse_rows(text: &str) -> Result<(Vec<String>, Vec<Vec<RawCell>>), InferError> {
     let lines: Vec<&str> = text
         .lines()
         .map(|l| l.strip_suffix('\r').unwrap_or(l))
         .filter(|l| !l.trim().is_empty())
         .collect();
     if lines.is_empty() {
-        return (Vec::new(), Vec::new());
+        return Ok((Vec::new(), Vec::new()));
     }
     if lines
         .first()
         .is_some_and(|l| l.trim_start().starts_with('{'))
     {
+        // Column index by key, beside the first-seen order.
+        let mut index: BTreeMap<String, usize> = BTreeMap::new();
         let mut names: Vec<String> = Vec::new();
-        let mut objects: Vec<Vec<(String, RawCell)>> = Vec::new();
+        let mut objects: Vec<Vec<(usize, RawCell)>> = Vec::with_capacity(lines.len());
         for line in &lines {
-            let Ok(RawJson(Content::Map(entries))) = serde_json::from_str::<RawJson>(line) else {
+            let entries = match serde_json::from_str::<RawJson>(line) {
+                Ok(RawJson(Content::Map(entries))) => entries
+                    .iter()
+                    .map(|(k, v)| {
+                        let key = match k {
+                            Content::Str(s) => s.clone(),
+                            other => format!("{other:?}"),
+                        };
+                        (key, json_cell(v))
+                    })
+                    .collect(),
                 // A malformed JSON line degrades to one string cell in a
                 // catch-all column, rather than poisoning the stream.
-                objects.push(vec![(
+                _ => vec![(
                     "raw".to_string(),
                     RawCell {
                         text: (*line).to_string(),
                         quoted: true,
                     },
-                )]);
-                if !names.iter().any(|n| n == "raw") {
-                    names.push("raw".to_string());
-                }
-                continue;
+                )],
             };
-            let mut row = Vec::new();
-            for (k, v) in &entries {
-                let key = match k {
-                    Content::Str(s) => s.clone(),
-                    other => format!("{other:?}"),
-                };
-                if !names.contains(&key) {
+            let mut row = Vec::with_capacity(entries.len());
+            for (key, cell) in entries {
+                let column = *index.entry(key).or_insert_with_key(|key| {
                     names.push(key.clone());
-                }
-                row.push((key, json_cell(v)));
+                    names.len() - 1
+                });
+                row.push((column, cell));
             }
+            check_shape(lines.len(), names.len())?;
             objects.push(row);
         }
         let rows = objects
             .into_iter()
-            .map(|obj| {
-                names
-                    .iter()
-                    .map(|name| {
-                        obj.iter()
-                            .find(|(k, _)| k == name)
-                            .map(|(_, c)| c.clone())
-                            .unwrap_or_else(|| RawCell::bare(""))
-                    })
+            .map(|object| {
+                let mut row: Vec<Option<RawCell>> = vec![None; names.len()];
+                // A key an object repeats keeps its first value.
+                for (column, cell) in object {
+                    row[column].get_or_insert(cell);
+                }
+                row.into_iter()
+                    .map(|cell| cell.unwrap_or_else(|| RawCell::bare("")))
                     .collect()
             })
             .collect();
-        (names, rows)
+        Ok((names, rows))
     } else {
         let mut parsed: Vec<Vec<RawCell>> = lines.iter().map(|l| split_csv_line(l)).collect();
         let header = parsed.remove(0);
@@ -622,6 +672,7 @@ fn parse_rows(text: &str) -> (Vec<String>, Vec<Vec<RawCell>>) {
             .chain([header.len()])
             .max()
             .unwrap_or(0);
+        check_shape(parsed.len(), width)?;
         let mut names: Vec<String> = header.into_iter().map(|c| c.text).collect();
         for i in names.len()..width {
             names.push(format!("c{i}"));
@@ -631,7 +682,7 @@ fn parse_rows(text: &str) -> (Vec<String>, Vec<Vec<RawCell>>) {
                 row.push(RawCell::bare(""));
             }
         }
-        (names, parsed)
+        Ok((names, parsed))
     }
 }
 
@@ -847,10 +898,12 @@ fn materialize(cell: &RawCell, ty: &DataType) -> Value {
 /// decimal / date / timestamp, string fallback — quoted cells always vote
 /// string, integers overflowing `i64` and decimals overflowing
 /// `DECIMAL(38)` fall back to string). An empty stream is
-/// [`InferError::Empty`].
+/// [`InferError::Empty`]; one that would make a table of more than
+/// [`MAX_COLUMNS`] columns, [`MAX_ROWS`] rows or [`MAX_CELLS`] cells is
+/// refused before the table is built.
 pub fn infer(bytes: &[u8]) -> Result<InferredTable, InferError> {
     let text = decode(bytes);
-    let (names, rows) = parse_rows(&text);
+    let (names, rows) = parse_rows(&text)?;
     if names.is_empty() {
         return Err(InferError::Empty);
     }

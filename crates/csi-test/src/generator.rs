@@ -10,10 +10,11 @@
 //! it emits boundary values, representative values, format variants, and
 //! malformed inputs. A unit test pins the totals to the paper's numbers.
 
-use csi_core::column::ValueColumn;
+use csi_core::column::{self, ColumnValues, ValueColumn};
 use csi_core::rng::xorshift64;
 use csi_core::value::{parse_date, parse_timestamp, DataType, Decimal, StructField, Value};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Whether an input is expected to be representable in its column type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -1123,37 +1124,81 @@ pub fn generate_bulk_column(ty: &DataType, rows: usize, seed: u64) -> ValueColum
     for byte in ty.sql_name().bytes() {
         s = s.wrapping_mul(0x100_0000_01b3) ^ byte as u64;
     }
-    let mut col = ValueColumn::with_capacity(ty, rows);
-    for i in 0..rows {
+    // One draw per row, written straight into the column's lanes: `None`
+    // is a NULL slot, which holds the placeholder `ValueColumn::push`
+    // would give it.
+    let mut validity = column::Validity::with_capacity(rows);
+    let mut draw = || {
         let r = xorshift64(&mut s);
-        if r.is_multiple_of(16) {
-            col.push(&Value::Null);
-            continue;
-        }
-        let v = match ty {
-            DataType::Boolean => Value::Boolean(r & 1 == 1),
-            DataType::Int => Value::Int(r as i32),
-            DataType::Long => Value::Long(r as i64),
-            DataType::Double => Value::Double((r as i64 as f64) / 1024.0),
-            DataType::Decimal(p, scale) => {
-                // At most p digits, stored at exactly the declared scale.
-                let digits = 10i128.pow(*p as u32 - 1);
-                let unscaled = (r as i128 % digits) - digits / 2;
-                Value::Decimal(
-                    Decimal::new(unscaled, *p, *scale).expect("bulk decimal within bounds"),
-                )
-            }
-            DataType::String => Value::Str(format!("row-{i}-{:08x}-\u{00e9}\u{4e16}", r as u32)),
-            DataType::Binary => Value::Binary(r.to_le_bytes()[..(r % 8 + 1) as usize].to_vec()),
-            // 1970-01-01 .. ~2100: inside both engines' ranges and past
-            // every Julian/ORC cutover.
-            DataType::Date => Value::Date((r % 47_000) as i32),
-            DataType::Timestamp => Value::Timestamp((r % 4_000_000_000_000_000) as i64),
-            other => panic!("generate_bulk_column: unsupported bulk type {other:?}"),
-        };
-        col.push(&v);
+        validity.push(!r.is_multiple_of(16));
+        (!r.is_multiple_of(16)).then_some(r)
+    };
+    fn lane<T: Default>(
+        rows: usize,
+        mut draw: impl FnMut() -> Option<u64>,
+        cell: impl Fn(u64) -> T,
+    ) -> Vec<T> {
+        (0..rows)
+            .map(|_| draw().map_or_else(T::default, &cell))
+            .collect()
     }
-    col
+    let values = match ty {
+        DataType::Boolean => ColumnValues::Boolean(lane(rows, draw, |r| r & 1 == 1)),
+        DataType::Int => ColumnValues::Int(lane(rows, draw, |r| r as i32)),
+        DataType::Long => ColumnValues::Long(lane(rows, draw, |r| r as i64)),
+        DataType::Double => ColumnValues::Double(lane(rows, draw, |r| (r as i64 as f64) / 1024.0)),
+        DataType::Decimal(p, scale) => {
+            // At most p digits, stored at exactly the declared scale.
+            let digits = 10i128.pow(*p as u32 - 1);
+            let cells = lane(rows, draw, |r| {
+                let unscaled = (r as i128 % digits) - digits / 2;
+                Some(Decimal::new(unscaled, *p, *scale).expect("bulk decimal within bounds"))
+            });
+            let of = |d: &Option<Decimal>| {
+                d.unwrap_or(Decimal {
+                    unscaled: 0,
+                    precision: 1,
+                    scale: 0,
+                })
+            };
+            ColumnValues::Decimal {
+                unscaled: cells.iter().map(|d| of(d).unscaled).collect(),
+                precision: cells.iter().map(|d| of(d).precision).collect(),
+                scale: cells.iter().map(|d| of(d).scale).collect(),
+            }
+        }
+        DataType::String => {
+            let (mut offsets, mut text) = (vec![0], String::new());
+            for i in 0..rows {
+                if let Some(r) = draw() {
+                    let _ = write!(text, "row-{i}-{:08x}-\u{00e9}\u{4e16}", r as u32);
+                }
+                offsets.push(text.len());
+            }
+            ColumnValues::Str {
+                offsets,
+                bytes: text.into_bytes(),
+            }
+        }
+        DataType::Binary => {
+            let (mut offsets, mut bytes) = (vec![0], Vec::new());
+            for _ in 0..rows {
+                if let Some(r) = draw() {
+                    bytes.extend_from_slice(&r.to_le_bytes()[..(r % 8 + 1) as usize]);
+                }
+                offsets.push(bytes.len());
+            }
+            ColumnValues::Binary { offsets, bytes }
+        }
+        // 1970-01-01 .. ~2100: inside both engines' ranges and past
+        // every Julian/ORC cutover.
+        DataType::Date => ColumnValues::Date(lane(rows, draw, |r| (r % 47_000) as i32)),
+        DataType::Timestamp => {
+            ColumnValues::Timestamp(lane(rows, draw, |r| (r % 4_000_000_000_000_000) as i64))
+        }
+        other => panic!("generate_bulk_column: unsupported bulk type {other:?}"),
+    };
+    ValueColumn::from_parts(validity, values)
 }
 
 /// All columns of [`bulk_schema`] at `rows` rows.

@@ -12,16 +12,28 @@
 //!   (`read_file_rows` vs `rows_from_columns` after `read_columns`);
 //! - [`ValueColumn`] round-trips every `Value` shape losslessly, so the
 //!   statement edges and the differential oracle's fingerprints never see
-//!   a transposition artifact.
+//!   a transposition artifact;
+//! - every **fast lane** agrees with the path it skips: the decimal
+//!   identity lanes with the per-cell casts and the row serializers, the
+//!   moving `read_columns` with `read_file_rows`, the typed batch codec
+//!   with the row codec on edge values and on every truncation of a file,
+//!   and the 64-bit decimal fingerprint with committed values.
 
 use csi_core::column::{columns_from_rows, rows_from_columns, ValueColumn};
 use csi_core::diag::DiagSink;
-use csi_core::value::{DataType, Decimal, Value};
+use csi_core::value::{DataType, Decimal, StructField, Value};
 use csi_test::generator::{bulk_schema, generate_bulk_columns, generate_inputs};
-use minihive::metastore::{ColumnDef, StorageFormat};
-use minihive::HiveType;
-use minispark::SparkConfig;
+use miniformats::physical::{FileSchema, PhysicalType, PhysicalValue};
+use miniformats::RecordBatch;
+use minihdfs::MiniHdfs;
+use minihive::metastore::{ColumnDef, Metastore, StorageFormat};
+use minihive::{HiveQl, HiveType};
+use minispark::config::{StoreAssignmentPolicy, STORE_ASSIGNMENT_POLICY};
+use minispark::types::{store_assign, CastOptions};
+use minispark::{SparkConfig, SparkSession};
+use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn formats() -> [StorageFormat; 3] {
     StorageFormat::ALL
@@ -266,3 +278,668 @@ proptest! {
         }
     }
 }
+
+/// The declarations the decimal differentials run against: the bulk
+/// table's, an integral one, the widest, and one that is all fraction.
+const DECLARED: [(u8, u8); 4] = [(18, 2), (10, 0), (38, 10), (5, 5)];
+
+/// A decimal cell for a `decimal(p,s)` column, drawn to land on both sides
+/// of every line the identity lanes draw: NULL, declared exactly and
+/// fitting, another scale, another declared precision, more digits than
+/// `p`, and beyond `i64`.
+fn arb_decimal_cell(p: u8, s: u8) -> impl Strategy<Value = Value> {
+    let fitting = move |hi: u64, lo: u64| {
+        let bound = 10i128.pow(p as u32);
+        ((hi as i128) << 64 | lo as i128) % bound
+    };
+    prop_oneof![
+        any::<u8>().prop_map(|_| Value::Null),
+        (any::<u64>(), any::<u64>()).prop_map(move |(hi, lo)| {
+            Value::Decimal(Decimal::new(fitting(hi, lo), p, s).expect("fits p digits"))
+        }),
+        (any::<u64>(), any::<u64>()).prop_map(move |(hi, lo)| {
+            Value::Decimal(Decimal::new(fitting(hi, lo), p, s).expect("fits p digits"))
+        }),
+        (any::<i32>(), 0u8..=12).prop_map(|(u, scale)| Value::Decimal(Decimal {
+            unscaled: u as i128,
+            precision: 38,
+            scale,
+        })),
+        any::<i16>().prop_map(move |u| Value::Decimal(Decimal {
+            unscaled: u as i128,
+            precision: p.max(6) - 1,
+            scale: s.min(p.max(6) - 1),
+        })),
+        (any::<u64>(), 0u32..=4).prop_map(move |(u, extra)| Value::Decimal(Decimal {
+            unscaled: 10i128.pow((p as u32 + extra).min(38)) + u as i128,
+            precision: p,
+            scale: s,
+        })),
+        any::<i64>().prop_map(move |u| Value::Decimal(Decimal {
+            unscaled: (u as i128) << 40,
+            precision: 38,
+            scale: s,
+        })),
+    ]
+}
+
+fn spark_session(
+    policy: &str,
+) -> (
+    SparkSession,
+    Arc<Mutex<Metastore>>,
+    Arc<Mutex<MiniHdfs>>,
+    DiagSink,
+) {
+    let sink = DiagSink::new();
+    let metastore = Arc::new(Mutex::new(Metastore::new()));
+    let fs = Arc::new(Mutex::new(MiniHdfs::with_datanodes(3)));
+    let mut s = SparkSession::connect(metastore.clone(), fs.clone(), sink.handle("minispark"));
+    s.config.set(STORE_ASSIGNMENT_POLICY, policy);
+    (s, metastore, fs, sink)
+}
+
+/// The bytes of a table's data files, oldest first.
+fn table_files(metastore: &Mutex<Metastore>, fs: &Mutex<MiniHdfs>, table: &str) -> Vec<Vec<u8>> {
+    let ms = metastore.lock();
+    let fs = fs.lock();
+    let def = ms
+        .get_table("default", table)
+        .expect("table exists")
+        .clone();
+    ms.table_data_files(&def, &fs)
+        .expect("listing")
+        .iter()
+        .map(|p| fs.read(p).expect("data file").to_vec())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A cell the identity predicate accepts is returned unchanged by
+    /// Spark's cast under all three store-assignment policies and by
+    /// Hive's `coerce`, silently.
+    #[test]
+    fn identity_decimals_are_fixed_points_of_every_cast(
+        which in 0usize..DECLARED.len(),
+        seed in any::<u64>(),
+        len in 1usize..24,
+    ) {
+        let (p, s) = DECLARED[which];
+        let ty = DataType::Decimal(p, s);
+        for cell in decimal_cells(p, s, seed, len, true) {
+            if cell.is_null() {
+                continue;
+            }
+            for policy in [
+                StoreAssignmentPolicy::Ansi,
+                StoreAssignmentPolicy::Legacy,
+                StoreAssignmentPolicy::Strict,
+            ] {
+                let opts = CastOptions { policy, char_varchar_as_string: false, date_range_check: false };
+                prop_assert_eq!(store_assign(&cell, &ty, opts).expect("identity cell casts"), cell.clone());
+            }
+            let sink = DiagSink::new();
+            let coerced = minihive::value::coerce(&cell, &HiveType::Decimal(p, s), &sink.handle("h"));
+            prop_assert_eq!(coerced.expect("identity cell coerces"), cell);
+            prop_assert!(sink.drain().is_empty());
+        }
+    }
+
+    /// DataFrame: `insert_columns` over a decimal lane — identity or not —
+    /// leaves the file the per-cell cast plus the row serializer would,
+    /// the file `insert_into` of the same cells leaves, with the same
+    /// diagnostics and the same error, whatever the session's policy says
+    /// (the DataFrame writer follows the legacy cast regardless).
+    #[test]
+    fn spark_decimal_lanes_match_the_per_cell_cast_and_row_serializer(
+        which in 0usize..DECLARED.len(),
+        seed in any::<u64>(),
+        len in 1usize..24,
+        all_identity in any::<bool>(),
+    ) {
+        let (p, s) = DECLARED[which];
+        let cells = decimal_cells(p, s, seed, len, all_identity);
+        let ty = DataType::Decimal(p, s);
+        let schema = vec![StructField::new("d", ty.clone())];
+        let col = ValueColumn::from_values(&ty, &cells);
+        let rows: Vec<Vec<Value>> = cells.iter().map(|c| vec![c.clone()]).collect();
+        for policy in ["ANSI", "LEGACY", "STRICT"] {
+            for format in formats() {
+                // One deployment per insert, so both name their table alike.
+                let insert = |by_columns: bool| {
+                    let (spark, metastore, fs, sink) = spark_session(policy);
+                    let df = spark.dataframe();
+                    df.create_table("t", &schema, format).expect("create");
+                    sink.drain();
+                    let outcome = if by_columns {
+                        df.insert_columns("t", std::slice::from_ref(&col))
+                    } else {
+                        df.insert_into("t", &rows)
+                    };
+                    let diags = format!("{:?}", sink.drain());
+                    (outcome.map_err(|e| e.to_string()), diags, table_files(&metastore, &fs, "t"))
+                };
+                let (via_cols, col_diags, written) = insert(true);
+                let (via_rows, row_diags, row_written) = insert(false);
+                prop_assert_eq!(&via_cols, &via_rows);
+                prop_assert_eq!(col_diags, row_diags);
+                prop_assert_eq!(&written, &row_written);
+                // The path both skip: cast cell by cell, serialize row by row.
+                let opts = CastOptions {
+                    policy: StoreAssignmentPolicy::Legacy,
+                    char_varchar_as_string: false,
+                    date_range_check: false,
+                };
+                let cast: Vec<Vec<Value>> = cells
+                    .iter()
+                    .map(|c| vec![store_assign(c, &ty, opts).expect("legacy never raises")])
+                    .collect();
+                let reference =
+                    minispark::serde_layer::write_file_rows(format, &schema, &cast, &SparkConfig::default())
+                        .map_err(|e| e.to_string());
+                match (via_cols, reference) {
+                    (Ok(()), Ok(bytes)) => prop_assert_eq!(written, vec![bytes]),
+                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                    (a, b) => prop_assert!(false, "insert {:?} vs reference {:?}", a, b.map(|b| b.len())),
+                }
+            }
+        }
+    }
+
+    /// HiveQL: the same contract against `coerce` cell by cell and Hive's
+    /// row serializer — bytes, warnings in order, errors.
+    #[test]
+    fn hive_decimal_lanes_match_per_cell_coerce_and_row_serializer(
+        which in 0usize..DECLARED.len(),
+        seed in any::<u64>(),
+        len in 1usize..24,
+        all_identity in any::<bool>(),
+    ) {
+        let (p, s) = DECLARED[which];
+        let cells = decimal_cells(p, s, seed, len, all_identity);
+        let ty = DataType::Decimal(p, s);
+        let col = ValueColumn::from_values(&ty, &cells);
+        let columns = vec![ColumnDef { name: "d".into(), hive_type: HiveType::Decimal(p, s) }];
+        for format in formats() {
+            let sink = DiagSink::new();
+            let metastore = Arc::new(Mutex::new(Metastore::new()));
+            let fs = Arc::new(Mutex::new(MiniHdfs::with_datanodes(3)));
+            let hive = HiveQl::new(metastore.clone(), fs.clone(), sink.handle("minihive"));
+            hive.execute(&format!("CREATE TABLE t (d DECIMAL({p},{s})) STORED AS {}", format.name()))
+                .expect("create");
+            sink.drain();
+            let via_cols = hive.insert_columns("t", std::slice::from_ref(&col)).map_err(|e| e.to_string());
+            let col_diags = format!("{:?}", sink.drain());
+            let diag = sink.handle("minihive");
+            let reference = cells
+                .iter()
+                .map(|c| minihive::value::coerce(c, &columns[0].hive_type, &diag).map(|v| vec![v]))
+                .collect::<Result<Vec<_>, _>>()
+                .and_then(|rows| minihive::serde_layer::write_file_rows(format, &columns, &rows, &diag))
+                .map_err(|e| e.to_string());
+            prop_assert_eq!(col_diags, format!("{:?}", sink.drain()));
+            match (via_cols, reference) {
+                (Ok(()), Ok(bytes)) => prop_assert_eq!(table_files(&metastore, &fs, "t"), vec![bytes]),
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(false, "insert {:?} vs reference {:?}", a, b.map(|b| b.len())),
+            }
+        }
+    }
+
+    /// Hive's serde writer alone, on lanes that never met `coerce` (what
+    /// `write_columns` is handed by a caller other than the engine): the
+    /// no-rescale lane and the rescaling one both match the row writer.
+    #[test]
+    fn hive_serde_decimal_lanes_match_the_row_writer(
+        which in 0usize..DECLARED.len(),
+        seed in any::<u64>(),
+        len in 1usize..24,
+        all_identity in any::<bool>(),
+    ) {
+        let (p, s) = DECLARED[which];
+        let cells = decimal_cells(p, s, seed, len, all_identity);
+        let col = ValueColumn::from_values(&DataType::Decimal(p, s), &cells);
+        let rows: Vec<Vec<Value>> = cells.iter().map(|c| vec![c.clone()]).collect();
+        let columns = vec![ColumnDef { name: "d".into(), hive_type: HiveType::Decimal(p, s) }];
+        let sink = DiagSink::new();
+        let diag = sink.handle("minihive");
+        for format in formats() {
+            let via_cols = minihive::serde_layer::write_columns(format, &columns, std::slice::from_ref(&col), &diag)
+                .map_err(|e| e.to_string());
+            let col_diags = format!("{:?}", sink.drain());
+            let via_rows = minihive::serde_layer::write_file_rows(format, &columns, &rows, &diag)
+                .map_err(|e| e.to_string());
+            prop_assert_eq!(col_diags, format!("{:?}", sink.drain()));
+            prop_assert_eq!(via_cols, via_rows);
+        }
+    }
+}
+
+/// `len` cells for a `decimal(p,s)` column from a private stream; with
+/// `all_identity`, only NULLs and exactly-declared fitting cells, so the
+/// whole lane takes the identity path.
+fn decimal_cells(p: u8, s: u8, seed: u64, len: usize, all_identity: bool) -> Vec<Value> {
+    let strategy = arb_decimal_cell(p, s);
+    let mut rng = proptest::test_runner::TestRng::deterministic();
+    for _ in 0..seed % 101 {
+        rng.next_u64();
+    }
+    let ty = DataType::Decimal(p, s);
+    let mut cells = Vec::with_capacity(len);
+    while cells.len() < len {
+        let cell = strategy.generate(&mut rng);
+        let identity = cell.is_null()
+            || ValueColumn::from_values(&ty, std::slice::from_ref(&cell))
+                .decimals_are_exactly(p, s);
+        if identity || !all_identity {
+            cells.push(cell);
+        }
+    }
+    cells
+}
+
+/// A file of every flat lane (and one nested) whose read schema names a
+/// physical column twice by case, skips one, and names one the file does
+/// not have: the moving `read_columns` and `read_file_rows` agree on the
+/// rows, engine by engine, format by format.
+#[test]
+fn moving_reads_agree_with_row_reads_on_repeated_and_missing_columns() {
+    let write_schema = vec![
+        StructField::new("n", DataType::Long),
+        StructField::new("Text", DataType::String),
+        StructField::new("d", DataType::Decimal(18, 2)),
+        StructField::new("bin", DataType::Binary),
+        StructField::new("ts", DataType::Timestamp),
+        StructField::new("skipped", DataType::Double),
+        StructField::new("xs", DataType::Array(Box::new(DataType::Int))),
+    ];
+    let rows: Vec<Vec<Value>> = (0..70i64)
+        .map(|i| {
+            if i % 9 == 4 {
+                return vec![Value::Null; 7];
+            }
+            vec![
+                Value::Long(i << 57),
+                Value::Str(format!("r{i}-\u{e9}\u{4e16}")),
+                Value::Decimal(Decimal::new(i as i128 * 12_345 - 400_000, 18, 2).unwrap()),
+                Value::Binary(vec![i as u8; (i % 5) as usize]),
+                Value::Timestamp(i * 86_400_000_000 + 1_000_000_000_000_000),
+                Value::Double(i as f64 / 8.0),
+                Value::Array(vec![Value::Int(i as i32), Value::Null]),
+            ]
+        })
+        .collect();
+    let cols = columns_from_rows(write_schema.iter().map(|f| &f.data_type), &rows).unwrap();
+    let read_names = [
+        "text", "n", "TEXT", "absent", "D", "ts", "xs", "bin", "N", "d",
+    ];
+    let by_name = |name: &str| {
+        write_schema
+            .iter()
+            .find(|f| f.name.eq_ignore_ascii_case(name))
+            .map_or(DataType::Int, |f| f.data_type.clone())
+    };
+    let config = SparkConfig::default();
+    let sink = DiagSink::new();
+    let diag = sink.handle("minihive");
+    for format in formats() {
+        let spark_bytes =
+            minispark::serde_layer::write_columns(format, &write_schema, &cols, &config).unwrap();
+        let read_schema: Vec<StructField> = read_names
+            .iter()
+            .map(|n| StructField::new(*n, by_name(n)))
+            .collect();
+        let via_rows =
+            minispark::serde_layer::read_file_rows(format, &read_schema, &spark_bytes, &config)
+                .unwrap();
+        let via_cols =
+            minispark::serde_layer::read_columns(format, &read_schema, &spark_bytes, &config)
+                .unwrap();
+        assert_eq!(
+            rows_from_columns(&via_cols),
+            via_rows,
+            "spark via {}",
+            format.name()
+        );
+        // Both readers of a repeated column see all of it, not a moved-out husk.
+        assert_eq!(via_cols[0].to_values(), via_cols[2].to_values());
+        assert_eq!(via_cols[0].null_count(), 8);
+
+        let write_defs: Vec<ColumnDef> = write_schema
+            .iter()
+            .map(|f| ColumnDef {
+                name: f.name.clone(),
+                hive_type: HiveType::from_data_type(&f.data_type).unwrap(),
+            })
+            .collect();
+        let hive_bytes =
+            minihive::serde_layer::write_columns(format, &write_defs, &cols, &diag).unwrap();
+        let read_defs: Vec<ColumnDef> = read_names
+            .iter()
+            .map(|n| ColumnDef {
+                name: n.to_string(),
+                hive_type: HiveType::from_data_type(&by_name(n)).unwrap(),
+            })
+            .collect();
+        sink.drain();
+        let via_rows =
+            minihive::serde_layer::read_file_rows(format, &read_defs, &hive_bytes, &diag).unwrap();
+        sink.drain();
+        let via_cols =
+            minihive::serde_layer::read_columns(format, &read_defs, &hive_bytes, &diag).unwrap();
+        assert_eq!(
+            rows_from_columns(&via_cols),
+            via_rows,
+            "hive via {}",
+            format.name()
+        );
+        let warned = sink.drain();
+        assert_eq!(
+            warned.len(),
+            1,
+            "one warning per file for the missing column: {warned:?}"
+        );
+        assert_eq!(warned[0].code, "HIVE_MISSING_COLUMN");
+    }
+}
+
+/// Every LEB128 length 1–10 of an `i64`, both signs and both extremes.
+fn varint_edges() -> Vec<i64> {
+    let mut out = vec![0, -1, 1, i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1];
+    for bytes in 1..=9u32 {
+        // The zig-zagged value crosses into `bytes + 1` bytes at 2^(7·bytes).
+        let edge = 1i64 << (7 * bytes - 1);
+        out.extend([edge - 1, edge, -edge, -edge - 1]);
+    }
+    out
+}
+
+fn edge_schema() -> FileSchema {
+    FileSchema::of(vec![
+        ("l", PhysicalType::Int64),
+        ("i", PhysicalType::Int32),
+        ("dec", PhysicalType::Decimal),
+        ("s", PhysicalType::Utf8),
+        ("bin", PhysicalType::Bytes),
+        ("f", PhysicalType::Float64),
+        ("b", PhysicalType::Bool),
+    ])
+}
+
+fn edge_rows() -> Vec<Vec<PhysicalValue>> {
+    let strings = [0usize, 1, 31, 32, 33, 200].map(|n| "x".repeat(n));
+    let decimals = [
+        0i128,
+        i64::MAX as i128,
+        i64::MIN as i128,
+        i64::MAX as i128 + 1,
+        i64::MIN as i128 - 1,
+        i128::MAX / 2,
+        i128::MIN / 2,
+        10i128.pow(37),
+    ];
+    varint_edges()
+        .into_iter()
+        .enumerate()
+        .map(|(k, v)| {
+            if k % 11 == 5 {
+                return vec![PhysicalValue::Null; 7];
+            }
+            vec![
+                PhysicalValue::Int64(v),
+                PhysicalValue::Int32(v as i32),
+                PhysicalValue::Decimal {
+                    unscaled: decimals[k % decimals.len()],
+                    scale: (k % 39) as u8,
+                },
+                PhysicalValue::Utf8(format!("{}\u{4e16}", strings[k % strings.len()])),
+                PhysicalValue::Bytes(strings[(k + 1) % strings.len()].as_bytes().to_vec()),
+                PhysicalValue::Float64(f64::from_bits(v as u64)),
+                PhysicalValue::Bool(v & 1 == 1),
+            ]
+        })
+        .collect()
+}
+
+type RowCodec = (
+    fn(&FileSchema, &[Vec<PhysicalValue>]) -> Result<Vec<u8>, miniformats::FormatError>,
+    fn(&[u8]) -> Result<(FileSchema, Vec<Vec<PhysicalValue>>), miniformats::FormatError>,
+);
+type BatchCodec = (
+    fn(&RecordBatch) -> Result<Vec<u8>, miniformats::FormatError>,
+    fn(&[u8]) -> Result<RecordBatch, miniformats::FormatError>,
+);
+
+const CODECS: [(RowCodec, BatchCodec); 3] = [
+    (
+        (miniformats::orc::encode, miniformats::orc::decode),
+        (
+            miniformats::orc::encode_batch,
+            miniformats::orc::decode_batch,
+        ),
+    ),
+    (
+        (miniformats::parquet::encode, miniformats::parquet::decode),
+        (
+            miniformats::parquet::encode_batch,
+            miniformats::parquet::decode_batch,
+        ),
+    ),
+    (
+        (miniformats::avro::encode, miniformats::avro::decode),
+        (
+            miniformats::avro::encode_batch,
+            miniformats::avro::decode_batch,
+        ),
+    ),
+];
+
+/// `decode_batch` and `decode` agree on `bytes`: the same rows (NaN-proof,
+/// via `Debug`) or the same `FormatError`.
+fn assert_decoders_agree(codec: &(RowCodec, BatchCodec), bytes: &[u8], what: &str) {
+    let rows = (codec.0 .1)(bytes).map(|(schema, rows)| format!("{schema:?} {rows:?}"));
+    let batch = (codec.1 .1)(bytes).map(|b| format!("{:?} {:?}", b.schema, b.to_rows()));
+    assert_eq!(batch, rows, "{what}");
+}
+
+/// The batch codec is the row codec on the values where their kernels
+/// differ most: every varint length, both `i64` extremes, decimals on both
+/// sides of `i64`, strings around the 32-byte copy window, NaN bit
+/// patterns — and on every truncation of the file those make.
+#[test]
+fn batch_codec_is_the_row_codec_on_edge_values_and_every_truncation() {
+    let (schema, rows) = (edge_schema(), edge_rows());
+    for codec in &CODECS {
+        let bytes = (codec.0 .0)(&schema, &rows).expect("row encode");
+        let batch = RecordBatch::from_rows(&schema, &rows).expect("batch");
+        assert_eq!((codec.1 .0)(&batch).expect("batch encode"), bytes);
+        assert_decoders_agree(codec, &bytes, "the whole file");
+        let decoded = (codec.1 .1)(&bytes).expect("batch decode");
+        assert_eq!(format!("{:?}", decoded.to_rows()), format!("{rows:?}"));
+        let footer = &bytes[bytes.len() - 4..];
+        for cut in 0..bytes.len() {
+            assert_decoders_agree(codec, &bytes[..cut], &format!("cut at {cut}"));
+            // The body cut short under an intact footer: the error comes
+            // from inside the cells, not from the missing magic.
+            let resealed = [&bytes[..cut], footer].concat();
+            assert_decoders_agree(codec, &resealed, &format!("cut at {cut}, resealed"));
+        }
+    }
+}
+
+/// A one-column file of `rows` rows whose cells are `cells` verbatim
+/// (lengths and integers zig-zagged, as on the wire).
+fn one_cell_file(
+    codec: &(RowCodec, BatchCodec),
+    ty: PhysicalType,
+    rows: usize,
+    cells: &[u8],
+) -> Vec<u8> {
+    let schema = FileSchema::of(vec![("c", ty)]);
+    let empty = (codec.0 .0)(&schema, &[]).expect("empty file");
+    // header ++ row count (one byte for < 64 rows) ++ cells ++ footer
+    let (head, footer) = empty.split_at(empty.len() - 4);
+    assert_eq!(head[head.len() - 1], 0, "zero rows is one byte");
+    assert!(rows < 64);
+    [&head[..head.len() - 1], &[(rows as u8) << 1], cells, footer].concat()
+}
+
+/// Hand-made cells no encoder emits: an eleven-byte varint that still
+/// fits `i64`, a tenth byte carrying bits past the 64th, a varint that
+/// never ends, a tag the column does not declare, and one multi-byte
+/// character split across two adjacent string cells (each cell invalid,
+/// their concatenation valid).
+#[test]
+fn batch_decoder_is_the_row_decoder_on_hand_made_cells() {
+    let nine = [0xffu8; 9];
+    let cases: Vec<(&str, PhysicalType, usize, Vec<u8>)> = vec![
+        (
+            "i64::MIN in ten bytes",
+            PhysicalType::Int64,
+            1,
+            [&[5][..], &nine, &[0x01]].concat(),
+        ),
+        (
+            "an eleven-byte varint",
+            PhysicalType::Int64,
+            1,
+            [&[5][..], &nine, &[0x81, 0x00]].concat(),
+        ),
+        (
+            "a tenth byte past bit 63",
+            PhysicalType::Int64,
+            1,
+            [&[5][..], &nine, &[0x03]].concat(),
+        ),
+        (
+            "a tenth byte of 0x7f",
+            PhysicalType::Int64,
+            1,
+            [&[5][..], &nine, &[0x7f]].concat(),
+        ),
+        (
+            "a twenty-byte varint",
+            PhysicalType::Int64,
+            1,
+            [&[5][..], &[0xff; 19], &[0x01]].concat(),
+        ),
+        (
+            "a decimal past i64 by its tenth byte",
+            PhysicalType::Decimal,
+            1,
+            [&[8][..], &nine, &[0x03, 2]].concat(),
+        ),
+        (
+            "an int32 that needs 33 bits",
+            PhysicalType::Int32,
+            1,
+            vec![4, 0x80, 0x80, 0x80, 0x80, 0x20],
+        ),
+        (
+            "an int64 cell in an int32 column",
+            PhysicalType::Int32,
+            2,
+            vec![4, 2, 5, 0x80, 0x80, 0x80, 0x80, 0x20],
+        ),
+        (
+            "a string cell in a bytes column",
+            PhysicalType::Bytes,
+            2,
+            vec![10, 2, b'a', 9, 2, b'b'],
+        ),
+        (
+            "one character split across two string cells",
+            PhysicalType::Utf8,
+            2,
+            vec![9, 4, b'a', 0xe4, 9, 6, 0xb8, 0x96, b'b'],
+        ),
+        (
+            "a string cell cut inside a character",
+            PhysicalType::Utf8,
+            1,
+            vec![9, 4, 0xe4, 0xb8],
+        ),
+        (
+            "a string of valid characters",
+            PhysicalType::Utf8,
+            2,
+            vec![9, 6, 0xe4, 0xb8, 0x96, 0],
+        ),
+    ];
+    for codec in &CODECS {
+        for (what, ty, rows, cells) in &cases {
+            let bytes = one_cell_file(codec, ty.clone(), *rows, cells);
+            assert_decoders_agree(codec, &bytes, what);
+        }
+        // The split character is an error, not a silently merged string.
+        let split = one_cell_file(codec, PhysicalType::Utf8, 2, &cases[9].3);
+        assert!((codec.1 .1)(&split).is_err());
+        let whole = one_cell_file(codec, PhysicalType::Utf8, 2, &cases[11].3);
+        assert!((codec.1 .1)(&whole).is_ok());
+    }
+}
+
+/// `ValueColumn::fingerprint` of decimal lanes, pinned to the values the
+/// 128-bit arithmetic produced: trailing zeros stripped to several depths,
+/// negatives, NULLs, and cells only `i128` holds.
+#[test]
+fn decimal_fingerprints_hold_their_committed_values() {
+    let dec = |unscaled: i128, scale: u8| {
+        Value::Decimal(Decimal {
+            unscaled,
+            precision: 38,
+            scale,
+        })
+    };
+    let vectors: [(&[Value], u64); 4] = [
+        (
+            &[
+                dec(120, 2),
+                Value::Null,
+                dec(-4_500, 3),
+                dec(0, 5),
+                dec(7, 0),
+            ],
+            FINGERPRINTS[0],
+        ),
+        (
+            &[
+                dec(i64::MAX as i128, 4),
+                dec(i64::MIN as i128, 0),
+                dec(-1, 1),
+            ],
+            FINGERPRINTS[1],
+        ),
+        (
+            &[
+                dec(i64::MAX as i128 + 1, 2),
+                dec(-(1i128 << 100), 10),
+                dec(10i128.pow(30), 30),
+                dec(-(10i128.pow(20)) * 3, 7),
+                Value::Null,
+            ],
+            FINGERPRINTS[2],
+        ),
+        (
+            &[
+                dec(9_223_372_036_854_775_800, 2),
+                dec(-9_223_372_036_854_775_800, 18),
+            ],
+            FINGERPRINTS[3],
+        ),
+    ];
+    for (cells, expected) in vectors {
+        let col = ValueColumn::from_values(&DataType::Decimal(38, 2), cells);
+        assert_eq!(col.fingerprint(), expected, "{cells:?}");
+    }
+}
+
+/// Computed at the commit before decimals were fingerprinted in 64 bits.
+const FINGERPRINTS: [u64; 4] = [
+    0x47fd_b471_f434_491f,
+    0x45c2_4aeb_2a5a_614e,
+    0x784e_61b9_73de_e24e,
+    0xe5d5_4acc_5d1e_aed5,
+];

@@ -1,7 +1,7 @@
 //! Hostile files at the decoders' front door: each byte string below once
 //! panicked, aborted or over-allocated a decoder, and must now come back
-//! as `FormatError::Corrupt` from the row reference and the columnar
-//! decoder of every format. These are the first seeds of the byte
+//! as `FormatError::Corrupt` — the same one — from the row reference and
+//! the columnar decoder of every format. These are the first seeds of the byte
 //! mutator's corpus (ROADMAP item 1).
 //!
 //! One `#[test]` on purpose: the allocation bound is read from the
@@ -106,12 +106,14 @@ fn hostile_files_are_corrupt_not_fatal() {
         for (format, magic, decode, decode_batch) in FORMATS {
             let bytes = file(magic, &body);
             let before = vm_peak();
-            for (plane, verdict) in [("row", decode(&bytes)), ("batch", decode_batch(&bytes))] {
+            let (row, batch) = (decode(&bytes), decode_batch(&bytes));
+            for (plane, verdict) in [("row", &row), ("batch", &batch)] {
                 assert!(
                     matches!(verdict, Err(FormatError::Corrupt(_))),
                     "{format} {plane} decoder on {what}: {verdict:?}"
                 );
             }
+            assert_eq!(batch, row, "{format} on {what}: the two decoders' errors");
             let grew = vm_peak() - before;
             assert!(
                 grew < 64 << 20,

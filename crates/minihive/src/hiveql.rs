@@ -17,7 +17,7 @@ use csi_core::sql::{self, eval_interval_parts, Expr, NumSuffix, SelectCols, Stat
 use csi_core::value::{parse_date, parse_timestamp, Decimal, Value};
 use minihdfs::HdfsPath;
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::{borrow::Borrow, borrow::Cow, sync::Arc};
 
 /// A shared metastore handle (Hive and its upstreams see the same catalog).
 pub type SharedMetastore = Arc<Mutex<Metastore>>;
@@ -133,7 +133,7 @@ impl HiveQl {
         &self,
         def: &TableDef,
         part: &HdfsPath,
-        coerced: &[ValueColumn],
+        coerced: &[impl Borrow<ValueColumn>],
     ) -> Result<(), HiveError> {
         let bytes = serde_layer::write_columns(def.format, &def.columns, coerced, &self.diag)?;
         self.fs
@@ -175,9 +175,10 @@ impl HiveQl {
 
     /// Bulk `INSERT INTO` over column buffers — the columnar counterpart of
     /// the HiveQL `INSERT` path. Columns whose buffer already inhabits the
-    /// target Hive type skip the per-cell lenient coercion entirely;
-    /// anything else (decimals, CHAR/VARCHAR, type-skewed or out-of-range
-    /// buffers) replays `coerce` per cell, with identical warnings.
+    /// target Hive type skip the per-cell lenient coercion entirely and are
+    /// written from the caller's buffers; anything else (off-scale
+    /// decimals, CHAR/VARCHAR, type-skewed or out-of-range buffers) replays
+    /// `coerce` per cell, with identical warnings, into a column of its own.
     pub fn insert_columns(&self, table: &str, cols: &[ValueColumn]) -> Result<(), HiveError> {
         let (def, part) = {
             let mut ms = self.metastore.lock();
@@ -194,7 +195,7 @@ impl HiveQl {
         let mut coerced = Vec::with_capacity(cols.len());
         for (col, def_col) in cols.iter().zip(&def.columns) {
             if column_coerces_identically(&def_col.hive_type, col) {
-                coerced.push(col.clone());
+                coerced.push(Cow::Borrowed(col));
                 continue;
             }
             let ty = def_col.hive_type.to_data_type();
@@ -202,7 +203,7 @@ impl HiveQl {
             for i in 0..col.len() {
                 out.push(&coerce(&col.get(i), &def_col.hive_type, &self.diag)?);
             }
-            coerced.push(out);
+            coerced.push(Cow::Owned(out));
         }
         self.write_part(&def, &part, &coerced)
     }
@@ -408,7 +409,11 @@ impl HiveQl {
 /// DATE/TIMESTAMP additionally require every slot in the supported range,
 /// because `coerce` NULLs (and warns on) out-of-range values. FLOAT is
 /// excluded: the row path round-trips f32 through f64, which can quiet
-/// signalling NaN payloads. DECIMAL and CHAR/VARCHAR always rescale or pad.
+/// signalling NaN payloads. A DECIMAL lane qualifies when every valid cell
+/// is declared exactly the column's `(precision, scale)` and fits its
+/// digits — `coerce` rescales to the scale the cell already has; any other
+/// cell is rounded, re-declared or NULLed with a warning. CHAR/VARCHAR
+/// always pad or truncate.
 fn column_coerces_identically(ty: &HiveType, col: &ValueColumn) -> bool {
     const MIN_TS: i64 = MIN_DATE_DAYS as i64 * 86_400_000_000;
     const MAX_TS: i64 = (MAX_DATE_DAYS as i64 + 1) * 86_400_000_000 - 1;
@@ -429,6 +434,7 @@ fn column_coerces_identically(ty: &HiveType, col: &ValueColumn) -> bool {
         (HiveType::Timestamp, ColumnValues::Timestamp(us)) => {
             us.iter().all(|v| (MIN_TS..=MAX_TS).contains(v))
         }
+        (HiveType::Decimal(p, s), ColumnValues::Decimal { .. }) => col.decimals_are_exactly(*p, *s),
         _ => false,
     }
 }

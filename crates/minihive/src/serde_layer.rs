@@ -25,9 +25,12 @@ use crate::types::HiveType;
 use csi_core::column::{ColumnValues, Validity, ValueColumn};
 use csi_core::diag::DiagHandle;
 use csi_core::value::{parse_date, Decimal, Value};
-use miniformats::batch::{Bitmap, Column as BatchColumn, ColumnData, RecordBatch, VarBuffer};
+use miniformats::batch::{
+    self, Bitmap, Column as BatchColumn, ColumnCow, ColumnData, ColumnRef, LaneRef,
+};
 use miniformats::physical::{FileSchema, PhysicalColumn, PhysicalType, PhysicalValue};
 use miniformats::{avro, orc, parquet, FormatError};
+use std::borrow::Borrow;
 
 /// Microseconds of the 1582-10-15 Gregorian cutover.
 pub fn gregorian_cutover_micros() -> i64 {
@@ -103,14 +106,15 @@ fn serde_err(format: StorageFormat, e: FormatError) -> HiveError {
 }
 
 /// Serializes typed column buffers (already coerced) into a table data
-/// file — the one production writer. Flat columns move buffer-to-buffer;
-/// nested or type-skewed columns replay the per-cell converter with the
-/// errors and diagnostics of [`write_file_rows`] (column-major rather than
-/// row-major when several columns hold invalid cells).
+/// file — the one production writer. Flat columns are encoded from the
+/// caller's own buffers; nested or type-skewed columns replay the per-cell
+/// converter with the errors and diagnostics of [`write_file_rows`]
+/// (column-major rather than row-major when several columns hold invalid
+/// cells).
 pub fn write_columns(
     format: StorageFormat,
     columns: &[ColumnDef],
-    cols: &[ValueColumn],
+    cols: &[impl Borrow<ValueColumn>],
     diag: &DiagHandle,
 ) -> Result<Vec<u8>, HiveError> {
     if cols.len() != columns.len() {
@@ -133,95 +137,107 @@ pub fn write_columns(
             .meta
             .insert(parquet::TIMESTAMP_REBASE_KEY.into(), "julian".into());
     }
-    let mut batch = RecordBatch {
-        schema,
-        columns: Vec::with_capacity(cols.len()),
-    };
+    let mut physical = Vec::with_capacity(cols.len());
     for (def, col) in columns.iter().zip(cols) {
-        batch
-            .columns
-            .push(column_to_physical(format, def, col, diag)?);
+        physical.push(column_to_physical(format, def, col.borrow(), diag)?);
     }
-    let encode = match format {
-        StorageFormat::Orc => orc::encode_batch(&batch),
-        StorageFormat::Parquet => parquet::encode_batch(&batch),
-        StorageFormat::Avro => avro::encode_batch(&batch),
+    let rules = match format {
+        StorageFormat::Orc => &orc::RULES,
+        StorageFormat::Parquet => &parquet::RULES,
+        StorageFormat::Avro => &avro::RULES,
     };
-    encode.map_err(|e| serde_err(format, e))
+    batch::encode_columns(rules, &schema, &physical).map_err(|e| serde_err(format, e))
 }
 
-/// Converts one typed column into its physical batch column. Each fast
-/// path is the vectorized image of the matching [`to_physical`] arm,
-/// including Hive's write-time semantics: declared-scale decimal rescale,
-/// pre-1900 ORC timestamps written as NULL with a warning, and the
-/// Julian rebase for pre-cutover Parquet timestamps.
-fn column_to_physical(
+/// Lends one typed column to the encoder as its physical lanes, or builds
+/// the physical column where the file stores something else. Each arm is
+/// the vectorized image of the matching [`to_physical`] arm, including
+/// Hive's write-time semantics: declared-scale decimal rescale, pre-1900
+/// ORC timestamps written as NULL with a warning, and the Julian rebase
+/// for pre-cutover Parquet timestamps — each applied only to a lane that
+/// holds a cell it changes.
+fn column_to_physical<'a>(
     format: StorageFormat,
     def: &ColumnDef,
-    col: &ValueColumn,
+    col: &'a ValueColumn,
     diag: &DiagHandle,
-) -> Result<BatchColumn, HiveError> {
-    let validity = || Bitmap::from_raw(col.validity().words().to_vec(), col.len());
+) -> Result<ColumnCow<'a>, HiveError> {
     let avro = format == StorageFormat::Avro;
-    let data = match (&def.hive_type, col.values()) {
-        (HiveType::Boolean, ColumnValues::Boolean(v)) => ColumnData::Bool(v.clone()),
+    let rebuilt = |data| {
+        Ok(ColumnCow::Owned(BatchColumn {
+            validity: Bitmap::from_raw(col.validity().words().to_vec(), col.len()),
+            data,
+        }))
+    };
+    let valid_below = |v: &[i64], bound: i64| {
+        v.iter()
+            .enumerate()
+            .any(|(i, us)| *us < bound && col.validity().get(i))
+    };
+    let lanes = match (&def.hive_type, col.values()) {
+        (HiveType::Boolean, ColumnValues::Boolean(v)) => LaneRef::Bool(v),
         (HiveType::TinyInt, ColumnValues::Byte(v)) if avro => {
-            ColumnData::Int32(v.iter().map(|x| *x as i32).collect())
+            return rebuilt(ColumnData::Int32(v.iter().map(|x| *x as i32).collect()));
         }
-        (HiveType::TinyInt, ColumnValues::Byte(v)) => ColumnData::Int8(v.clone()),
+        (HiveType::TinyInt, ColumnValues::Byte(v)) => LaneRef::Int8(v),
         (HiveType::SmallInt, ColumnValues::Short(v)) if avro => {
-            ColumnData::Int32(v.iter().map(|x| *x as i32).collect())
+            return rebuilt(ColumnData::Int32(v.iter().map(|x| *x as i32).collect()));
         }
-        (HiveType::SmallInt, ColumnValues::Short(v)) => ColumnData::Int16(v.clone()),
-        (HiveType::Int, ColumnValues::Int(v)) => ColumnData::Int32(v.clone()),
-        (HiveType::BigInt, ColumnValues::Long(v)) => ColumnData::Int64(v.clone()),
-        (HiveType::Float, ColumnValues::Float(v)) => ColumnData::Float32(v.clone()),
-        (HiveType::Double, ColumnValues::Double(v)) => ColumnData::Float64(v.clone()),
-        // Hive stores the table-declared scale, rescaling if needed.
+        (HiveType::SmallInt, ColumnValues::Short(v)) => LaneRef::Int16(v),
+        (HiveType::Int, ColumnValues::Int(v)) => LaneRef::Int32(v),
+        (HiveType::BigInt, ColumnValues::Long(v)) => LaneRef::Int64(v),
+        (HiveType::Float, ColumnValues::Float(v)) => LaneRef::Float32(v),
+        (HiveType::Double, ColumnValues::Double(v)) => LaneRef::Float64(v),
+        // Hive stores the table-declared scale. A lane already at it (what
+        // `coerce` hands over) is stored as it is; any other is rescaled.
         (
             HiveType::Decimal(p, s),
             ColumnValues::Decimal {
                 unscaled, scale, ..
             },
         ) => {
-            let mut out_unscaled = Vec::with_capacity(unscaled.len());
-            let mut out_scale = Vec::with_capacity(unscaled.len());
-            for i in 0..unscaled.len() {
-                if !col.validity().get(i) {
-                    out_unscaled.push(0);
-                    out_scale.push(0);
-                    continue;
-                }
-                let d = Decimal {
-                    unscaled: unscaled[i],
-                    precision: Decimal::MAX_PRECISION,
-                    scale: scale[i],
-                };
-                // `Display` for `Decimal` ignores precision, so the error
-                // message matches the row path exactly.
-                let rescaled = crate::value::rescale_half_up(&d, *p, *s).ok_or_else(|| {
-                    HiveError::SchemaMismatch {
-                        message: format!("decimal {d} does not fit decimal({p},{s})"),
+            if col.decimals_are_exactly(*p, *s) {
+                LaneRef::Decimal { unscaled, scale }
+            } else {
+                let mut out_unscaled = Vec::with_capacity(unscaled.len());
+                let mut out_scale = Vec::with_capacity(unscaled.len());
+                for i in 0..unscaled.len() {
+                    if !col.validity().get(i) {
+                        out_unscaled.push(0);
+                        out_scale.push(0);
+                        continue;
                     }
-                })?;
-                out_unscaled.push(rescaled.unscaled);
-                out_scale.push(rescaled.scale);
-            }
-            ColumnData::Decimal {
-                unscaled: out_unscaled,
-                scale: out_scale,
+                    let d = Decimal {
+                        unscaled: unscaled[i],
+                        precision: Decimal::MAX_PRECISION,
+                        scale: scale[i],
+                    };
+                    // `Display` for `Decimal` ignores precision, so the error
+                    // message matches the row path exactly.
+                    let rescaled = crate::value::rescale_half_up(&d, *p, *s).ok_or_else(|| {
+                        HiveError::SchemaMismatch {
+                            message: format!("decimal {d} does not fit decimal({p},{s})"),
+                        }
+                    })?;
+                    out_unscaled.push(rescaled.unscaled);
+                    out_scale.push(rescaled.scale);
+                }
+                return rebuilt(ColumnData::Decimal {
+                    unscaled: out_unscaled,
+                    scale: out_scale,
+                });
             }
         }
         (
             HiveType::Str | HiveType::Char(_) | HiveType::Varchar(_),
             ColumnValues::Str { offsets, bytes },
-        ) => ColumnData::Utf8(VarBuffer::from_raw(offsets.clone(), bytes.clone())),
+        ) => LaneRef::Utf8 { offsets, bytes },
         (HiveType::Binary, ColumnValues::Binary { offsets, bytes }) => {
-            ColumnData::Bytes(VarBuffer::from_raw(offsets.clone(), bytes.clone()))
+            LaneRef::Bytes { offsets, bytes }
         }
-        (HiveType::Date, ColumnValues::Date(v)) => ColumnData::Int32(v.clone()),
+        (HiveType::Date, ColumnValues::Date(v)) => LaneRef::Int32(v),
         (HiveType::Timestamp, ColumnValues::Timestamp(v)) => match format {
-            StorageFormat::Orc => {
+            StorageFormat::Orc if valid_below(v, orc_min_timestamp_micros()) => {
                 let min = orc_min_timestamp_micros();
                 let mut validity = Bitmap::with_capacity(v.len());
                 let mut out = Vec::with_capacity(v.len());
@@ -241,16 +257,16 @@ fn column_to_physical(
                         out.push(*us);
                     }
                 }
-                return Ok(BatchColumn {
+                return Ok(ColumnCow::Owned(BatchColumn {
                     validity,
                     data: ColumnData::Int64(out),
-                });
+                }));
             }
-            StorageFormat::Parquet => {
+            StorageFormat::Parquet if valid_below(v, gregorian_cutover_micros()) => {
                 // Julian rebase: Hive writes the hybrid-calendar
                 // representation and marks the file metadata.
                 let cutover = gregorian_cutover_micros();
-                ColumnData::Int64(
+                return rebuilt(ColumnData::Int64(
                     v.iter()
                         .enumerate()
                         .map(|(i, us)| {
@@ -261,9 +277,9 @@ fn column_to_physical(
                             }
                         })
                         .collect(),
-                )
+                ));
             }
-            StorageFormat::Avro => ColumnData::Int64(v.clone()),
+            _ => LaneRef::Int64(v),
         },
         // Nested, Mixed, and type-skewed columns replay the per-cell
         // converter (identical SchemaMismatch errors and diagnostics).
@@ -275,13 +291,14 @@ fn column_to_physical(
                 let ok = out.push_checked(&pv);
                 debug_assert!(ok, "to_physical output conforms to physical_type_for");
             }
-            return Ok(out);
+            return Ok(ColumnCow::Owned(out));
         }
     };
-    Ok(BatchColumn {
-        validity: validity(),
-        data,
-    })
+    Ok(ColumnCow::Borrowed(ColumnRef::new(
+        col.validity().words(),
+        col.len(),
+        lanes,
+    )))
 }
 
 /// The retained row-at-a-time serializer: the pre-columnar baseline, kept
@@ -433,7 +450,7 @@ pub fn read_columns(
     bytes: &[u8],
     diag: &DiagHandle,
 ) -> Result<Vec<ValueColumn>, HiveError> {
-    let batch = match format {
+    let mut batch = match format {
         StorageFormat::Orc => orc::decode_batch(bytes),
         StorageFormat::Parquet => parquet::decode_batch(bytes),
         StorageFormat::Avro => avro::decode_batch(bytes),
@@ -447,10 +464,14 @@ pub fn read_columns(
         == Some("julian");
     let nrows = batch.len();
     // Case-insensitive column resolution; missing columns become NULL.
+    let mapping: Vec<Option<usize>> = columns
+        .iter()
+        .map(|c| batch.schema.index_of_ci(&c.name))
+        .collect();
     let mut out = Vec::with_capacity(columns.len());
-    for def in columns {
-        let col = match batch.schema.index_of_ci(&def.name) {
-            Some(i) => column_from_physical(format, def, &batch.columns[i], julian, diag)?,
+    for (k, def) in columns.iter().enumerate() {
+        out.push(match batch.take_column(&mapping, k) {
+            Some(col) => column_from_physical(format, def, col, julian, diag)?,
             None => {
                 diag.warn(
                     "HIVE_MISSING_COLUMN",
@@ -458,83 +479,38 @@ pub fn read_columns(
                 );
                 ValueColumn::nulls(&def.hive_type.to_data_type(), nrows)
             }
-        };
-        out.push(col);
+        });
     }
     Ok(out)
 }
 
-/// Converts one physical batch column into a typed value column. Each
-/// fast path is the vectorized image of the matching [`from_physical`]
-/// arm, including Hive's lenient narrowing (overflow → NULL with a
-/// warning) and declared-scale decimal validation.
+/// Converts one physical batch column into a typed value column, moving
+/// its buffers. Each fast path is the vectorized image of the matching
+/// [`from_physical`] arm, including Hive's lenient narrowing (overflow →
+/// NULL with a warning) and declared-scale decimal validation.
 fn column_from_physical(
     format: StorageFormat,
     def: &ColumnDef,
-    col: &BatchColumn,
+    col: BatchColumn,
     julian: bool,
     diag: &DiagHandle,
 ) -> Result<ValueColumn, HiveError> {
-    let validity = || Validity::from_raw(col.validity.words().to_vec(), col.len());
-    let values = match (&def.hive_type, &col.data) {
-        (HiveType::Boolean, ColumnData::Bool(v)) => ColumnValues::Boolean(v.clone()),
-        (HiveType::TinyInt, ColumnData::Int8(v)) => ColumnValues::Byte(v.clone()),
+    let BatchColumn { validity, data } = col;
+    let values = match (&def.hive_type, data) {
+        (HiveType::Boolean, ColumnData::Bool(v)) => ColumnValues::Boolean(v),
+        (HiveType::TinyInt, ColumnData::Int8(v)) => ColumnValues::Byte(v),
         // Hive's reader narrows widened integers back, leniently — the
         // conversion Spark's Avro reader is missing (SPARK-39075).
         (HiveType::TinyInt, ColumnData::Int32(v)) => {
-            let mut validity = Validity::with_capacity(v.len());
-            let mut out = Vec::with_capacity(v.len());
-            for (i, x) in v.iter().enumerate() {
-                if !col.validity.get(i) {
-                    validity.push(false);
-                    out.push(0);
-                    continue;
-                }
-                match i8::try_from(*x) {
-                    Ok(b) => {
-                        validity.push(true);
-                        out.push(b);
-                    }
-                    Err(_) => {
-                        diag.warn(
-                            "HIVE_NARROWING_NULL",
-                            format!("int value {x} does not fit tinyint, reading NULL"),
-                        );
-                        validity.push(false);
-                        out.push(0);
-                    }
-                }
-            }
+            let (validity, out) = narrowed(&validity, &v, "tinyint", diag);
             return Ok(ValueColumn::from_parts(validity, ColumnValues::Byte(out)));
         }
-        (HiveType::SmallInt, ColumnData::Int16(v)) => ColumnValues::Short(v.clone()),
+        (HiveType::SmallInt, ColumnData::Int16(v)) => ColumnValues::Short(v),
         (HiveType::SmallInt, ColumnData::Int32(v)) => {
-            let mut validity = Validity::with_capacity(v.len());
-            let mut out = Vec::with_capacity(v.len());
-            for (i, x) in v.iter().enumerate() {
-                if !col.validity.get(i) {
-                    validity.push(false);
-                    out.push(0);
-                    continue;
-                }
-                match i16::try_from(*x) {
-                    Ok(s) => {
-                        validity.push(true);
-                        out.push(s);
-                    }
-                    Err(_) => {
-                        diag.warn(
-                            "HIVE_NARROWING_NULL",
-                            format!("int value {x} does not fit smallint, reading NULL"),
-                        );
-                        validity.push(false);
-                        out.push(0);
-                    }
-                }
-            }
+            let (validity, out) = narrowed(&validity, &v, "smallint", diag);
             return Ok(ValueColumn::from_parts(validity, ColumnValues::Short(out)));
         }
-        (HiveType::Int, ColumnData::Int32(v)) => ColumnValues::Int(v.clone()),
+        (HiveType::Int, ColumnData::Int32(v)) => ColumnValues::Int(v),
         // Files written with a wider schema than the table declares.
         (HiveType::Int, ColumnData::Int8(v)) => {
             ColumnValues::Int(v.iter().map(|x| *x as i32).collect())
@@ -542,18 +518,18 @@ fn column_from_physical(
         (HiveType::Int, ColumnData::Int16(v)) => {
             ColumnValues::Int(v.iter().map(|x| *x as i32).collect())
         }
-        (HiveType::BigInt, ColumnData::Int64(v)) => ColumnValues::Long(v.clone()),
+        (HiveType::BigInt, ColumnData::Int64(v)) => ColumnValues::Long(v),
         (HiveType::BigInt, ColumnData::Int32(v)) => {
             ColumnValues::Long(v.iter().map(|x| *x as i64).collect())
         }
-        (HiveType::Float, ColumnData::Float32(v)) => ColumnValues::Float(v.clone()),
-        (HiveType::Double, ColumnData::Float64(v)) => ColumnValues::Double(v.clone()),
+        (HiveType::Float, ColumnData::Float32(v)) => ColumnValues::Float(v),
+        (HiveType::Double, ColumnData::Float64(v)) => ColumnValues::Double(v),
         (HiveType::Decimal(p, s), ColumnData::Decimal { unscaled, scale }) => {
             // Hive validates the stored scale against the declaration
             // (the rigidity behind SPARK-39158 / D02).
             let mut precision = Vec::with_capacity(unscaled.len());
             for i in 0..unscaled.len() {
-                if !col.validity.get(i) {
+                if !validity.get(i) {
                     precision.push(1);
                     continue;
                 }
@@ -583,40 +559,33 @@ fn column_from_physical(
                 precision.push(*p);
             }
             ColumnValues::Decimal {
-                unscaled: unscaled.clone(),
+                unscaled,
                 precision,
-                scale: scale.clone(),
+                scale,
             }
         }
         (HiveType::Str | HiveType::Char(_) | HiveType::Varchar(_), ColumnData::Utf8(buf)) => {
-            ColumnValues::Str {
-                offsets: buf.offsets().to_vec(),
-                bytes: buf.raw_bytes().to_vec(),
-            }
+            let (offsets, bytes) = buf.into_raw();
+            ColumnValues::Str { offsets, bytes }
         }
-        (HiveType::Binary, ColumnData::Bytes(buf)) => ColumnValues::Binary {
-            offsets: buf.offsets().to_vec(),
-            bytes: buf.raw_bytes().to_vec(),
-        },
-        (HiveType::Date, ColumnData::Int32(v)) => ColumnValues::Date(v.clone()),
-        (HiveType::Timestamp, ColumnData::Int64(v)) => {
-            let cutover = gregorian_cutover_micros();
-            let shift = format == StorageFormat::Parquet && julian;
-            ColumnValues::Timestamp(
-                v.iter()
-                    .map(|us| {
-                        if shift && *us < cutover {
-                            *us + JULIAN_SHIFT_MICROS
-                        } else {
-                            *us
-                        }
-                    })
-                    .collect(),
-            )
+        (HiveType::Binary, ColumnData::Bytes(buf)) => {
+            let (offsets, bytes) = buf.into_raw();
+            ColumnValues::Binary { offsets, bytes }
+        }
+        (HiveType::Date, ColumnData::Int32(v)) => ColumnValues::Date(v),
+        (HiveType::Timestamp, ColumnData::Int64(mut v)) => {
+            if format == StorageFormat::Parquet && julian {
+                let cutover = gregorian_cutover_micros();
+                for us in v.iter_mut().filter(|us| **us < cutover) {
+                    *us += JULIAN_SHIFT_MICROS;
+                }
+            }
+            ColumnValues::Timestamp(v)
         }
         // Nested values and type-skewed buffers replay the per-cell
         // reader (identical errors and diagnostics).
-        _ => {
+        (_, data) => {
+            let col = BatchColumn { validity, data };
             let mut out = ValueColumn::with_capacity(&def.hive_type.to_data_type(), col.len());
             for i in 0..col.len() {
                 let v = from_physical(format, &def.hive_type, &col.get(i), julian, diag)?;
@@ -625,7 +594,40 @@ fn column_from_physical(
             return Ok(out);
         }
     };
-    Ok(ValueColumn::from_parts(validity(), values))
+    let len = validity.len();
+    Ok(ValueColumn::from_parts(
+        Validity::from_raw(validity.into_words(), len),
+        values,
+    ))
+}
+
+/// Narrows a widened integer lane to `T` (named `ty` in the warning): a
+/// value that does not fit reads as NULL with a warning.
+fn narrowed<T: TryFrom<i32> + Default>(
+    valid: &Bitmap,
+    wide: &[i32],
+    ty: &str,
+    diag: &DiagHandle,
+) -> (Validity, Vec<T>) {
+    let mut validity = Validity::with_capacity(wide.len());
+    let mut out = Vec::with_capacity(wide.len());
+    for (i, x) in wide.iter().enumerate() {
+        let cell = if valid.get(i) {
+            let cell = T::try_from(*x).ok();
+            if cell.is_none() {
+                diag.warn(
+                    "HIVE_NARROWING_NULL",
+                    format!("int value {x} does not fit {ty}, reading NULL"),
+                );
+            }
+            cell
+        } else {
+            None
+        };
+        validity.push(cell.is_some());
+        out.push(cell.unwrap_or_default());
+    }
+    (validity, out)
 }
 
 /// The retained row-at-a-time deserializer: the pre-columnar baseline,

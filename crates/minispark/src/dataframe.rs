@@ -15,6 +15,7 @@ use crate::types::{store_assign, CastOptions};
 use csi_core::column::{columns_from_rows, rows_from_columns, ColumnValues, ValueColumn};
 use csi_core::value::{DataType, StructField, Value};
 use minihive::metastore::{StorageFormat, TableDef};
+use std::borrow::Cow;
 
 /// The DataFrame writer/reader over a session.
 pub struct DataFrameApi<'a> {
@@ -58,9 +59,10 @@ impl<'a> DataFrameApi<'a> {
     }
 
     /// `df.write.insertInto(name)` over column buffers. Columns whose buffer
-    /// already inhabits the target type skip the per-cell cast entirely;
-    /// anything else (decimals, CHAR/VARCHAR, type-skewed or out-of-range
-    /// buffers) replays `store_assign` per cell.
+    /// already inhabits the target type skip the per-cell cast entirely and
+    /// are written from the caller's buffers; anything else (off-scale
+    /// decimals, CHAR/VARCHAR, type-skewed or out-of-range buffers) replays
+    /// `store_assign` per cell into a column of its own.
     pub fn insert_columns(&self, name: &str, cols: &[ValueColumn]) -> Result<(), SparkError> {
         let def = self.session.table_def(name)?;
         let schema = self.session.resolve_schema(&def);
@@ -83,7 +85,7 @@ impl<'a> DataFrameApi<'a> {
         let mut cast_cols = Vec::with_capacity(cols.len());
         for (field, col) in schema.iter().zip(cols) {
             if column_passes_through(&field.data_type, col, opts) {
-                cast_cols.push(col.clone());
+                cast_cols.push(Cow::Borrowed(col));
                 continue;
             }
             let mut out = ValueColumn::with_capacity(&field.data_type, col.len());
@@ -100,7 +102,7 @@ impl<'a> DataFrameApi<'a> {
                 }
                 out.push(&store_assign(&v, &field.data_type, opts)?);
             }
-            cast_cols.push(out);
+            cast_cols.push(Cow::Owned(out));
         }
         self.session.write_columns(def, schema, &cast_cols)
     }
@@ -137,8 +139,12 @@ impl<'a> DataFrameApi<'a> {
 ///
 /// Only (target, lane) pairs proven identity in `legacy_cast` qualify:
 /// exact-variant integrals and booleans, doubles, strings into STRING,
-/// binary, intervals, and dates/timestamps when the range check is off
-/// (the check both warns and, for dates, NULLs — both need the row replay).
+/// binary, intervals, dates/timestamps when the range check is off (the
+/// check both warns and, for dates, NULLs — both need the row replay), and
+/// decimal lanes whose every valid cell is declared exactly the target's
+/// `(precision, scale)` and fits its digits (the cast returns such a cell
+/// as it is under every policy; any other cell may be NULLed or keep a
+/// runtime scale, which the row replay decides).
 /// FLOAT is excluded: the row path round-trips f32 through f64, which can
 /// quiet signalling NaN payloads, and pass-through must not diverge from it.
 fn column_passes_through(ty: &DataType, col: &ValueColumn, opts: CastOptions) -> bool {
@@ -154,6 +160,7 @@ fn column_passes_through(ty: &DataType, col: &ValueColumn, opts: CastOptions) ->
         | (DataType::Interval, ColumnValues::Interval { .. }) => true,
         (DataType::Date, ColumnValues::Date(_))
         | (DataType::Timestamp, ColumnValues::Timestamp(_)) => !opts.date_range_check,
+        (DataType::Decimal(p, s), ColumnValues::Decimal { .. }) => col.decimals_are_exactly(*p, *s),
         _ => false,
     }
 }

@@ -22,10 +22,13 @@ use crate::config::SparkConfig;
 use crate::error::SparkError;
 use csi_core::column::{ColumnValues, Validity, ValueColumn};
 use csi_core::value::{DataType, Decimal, StructField, Value};
-use miniformats::batch::{Bitmap, Column as BatchColumn, ColumnData, RecordBatch, VarBuffer};
+use miniformats::batch::{
+    self, Bitmap, Column as BatchColumn, ColumnCow, ColumnData, ColumnRef, LaneRef,
+};
 use miniformats::physical::{FileSchema, PhysicalColumn, PhysicalType, PhysicalValue};
 use miniformats::{avro, orc, parquet, FormatError};
 use minihive::metastore::StorageFormat;
+use std::borrow::Borrow;
 
 /// Maps a Spark type to its physical type in a given format.
 pub fn physical_type_for(format: StorageFormat, ty: &DataType) -> Result<PhysicalType, SparkError> {
@@ -81,7 +84,7 @@ pub fn write_file_rows(
     format: StorageFormat,
     schema: &[StructField],
     rows: &[Vec<Value>],
-    config: &SparkConfig,
+    _config: &SparkConfig,
 ) -> Result<Vec<u8>, SparkError> {
     let mut file_schema = FileSchema::default();
     for f in schema {
@@ -112,7 +115,6 @@ pub fn write_file_rows(
         }
         out_rows.push(out);
     }
-    let _ = config;
     match format {
         StorageFormat::Orc => orc::encode(&file_schema, &out_rows),
         StorageFormat::Parquet => parquet::encode(&file_schema, &out_rows),
@@ -123,15 +125,17 @@ pub fn write_file_rows(
 
 /// Serializes typed column buffers (already store-assigned) into a data
 /// file — the one production writer. `schema` carries Spark's
-/// case-preserved field names. Flat columns move buffer-to-buffer with no
-/// per-cell enum traffic; nested or type-skewed columns fall back to the
-/// per-cell converter and report the same errors as [`write_file_rows`]
-/// (column-major-first when several columns hold invalid cells).
+/// case-preserved field names. Flat columns are encoded from the caller's
+/// own buffers; nested or type-skewed columns fall back to the per-cell
+/// converter and report the same errors as [`write_file_rows`]
+/// (column-major-first when several columns hold invalid cells). No
+/// setting of `_config` reaches the writer: Spark's write-side choices are
+/// made by the cast in front of it.
 pub fn write_columns(
     format: StorageFormat,
     schema: &[StructField],
-    cols: &[ValueColumn],
-    config: &SparkConfig,
+    cols: &[impl Borrow<ValueColumn>],
+    _config: &SparkConfig,
 ) -> Result<Vec<u8>, SparkError> {
     if cols.len() != schema.len() {
         return Err(SparkError::Arity {
@@ -154,64 +158,62 @@ pub fn write_columns(
             .meta
             .insert(parquet::TIMESTAMP_REBASE_KEY.into(), "proleptic".into());
     }
-    let _ = config;
-    let mut batch = RecordBatch {
-        schema: file_schema,
-        columns: Vec::with_capacity(cols.len()),
-    };
+    let mut physical = Vec::with_capacity(cols.len());
     for (f, col) in schema.iter().zip(cols) {
-        let out = column_to_physical(format, f, col)?;
-        batch.columns.push(out);
+        physical.push(column_to_physical(format, f, col.borrow())?);
     }
-    let encode = match format {
-        StorageFormat::Orc => orc::encode_batch(&batch),
-        StorageFormat::Parquet => parquet::encode_batch(&batch),
-        StorageFormat::Avro => avro::encode_batch(&batch),
+    let rules = match format {
+        StorageFormat::Orc => &orc::RULES,
+        StorageFormat::Parquet => &parquet::RULES,
+        StorageFormat::Avro => &avro::RULES,
     };
-    encode.map_err(format_err)
+    batch::encode_columns(rules, &file_schema, &physical).map_err(format_err)
 }
 
-/// Converts one typed column into its physical batch column. Each fast
-/// path is the vectorized image of the matching [`to_physical`] arm.
-fn column_to_physical(
+/// Lends one typed column to the encoder as its physical lanes, or builds
+/// the physical column where the file stores something else. Each arm is
+/// the vectorized image of the matching [`to_physical`] arm.
+fn column_to_physical<'a>(
     format: StorageFormat,
     field: &StructField,
-    col: &ValueColumn,
-) -> Result<BatchColumn, SparkError> {
-    let validity = || Bitmap::from_raw(col.validity().words().to_vec(), col.len());
+    col: &'a ValueColumn,
+) -> Result<ColumnCow<'a>, SparkError> {
     let avro = format == StorageFormat::Avro;
-    let data = match (&field.data_type, col.values()) {
-        (DataType::Boolean, ColumnValues::Boolean(v)) => ColumnData::Bool(v.clone()),
+    let widened = |data| {
+        Ok(ColumnCow::Owned(BatchColumn {
+            validity: Bitmap::from_raw(col.validity().words().to_vec(), col.len()),
+            data,
+        }))
+    };
+    let lanes = match (&field.data_type, col.values()) {
+        (DataType::Boolean, ColumnValues::Boolean(v)) => LaneRef::Bool(v),
         (DataType::Byte, ColumnValues::Byte(v)) if avro => {
-            ColumnData::Int32(v.iter().map(|x| *x as i32).collect())
+            return widened(ColumnData::Int32(v.iter().map(|x| *x as i32).collect()));
         }
-        (DataType::Byte, ColumnValues::Byte(v)) => ColumnData::Int8(v.clone()),
+        (DataType::Byte, ColumnValues::Byte(v)) => LaneRef::Int8(v),
         (DataType::Short, ColumnValues::Short(v)) if avro => {
-            ColumnData::Int32(v.iter().map(|x| *x as i32).collect())
+            return widened(ColumnData::Int32(v.iter().map(|x| *x as i32).collect()));
         }
-        (DataType::Short, ColumnValues::Short(v)) => ColumnData::Int16(v.clone()),
-        (DataType::Int, ColumnValues::Int(v)) => ColumnData::Int32(v.clone()),
-        (DataType::Long, ColumnValues::Long(v)) => ColumnData::Int64(v.clone()),
-        (DataType::Float, ColumnValues::Float(v)) => ColumnData::Float32(v.clone()),
-        (DataType::Double, ColumnValues::Double(v)) => ColumnData::Float64(v.clone()),
+        (DataType::Short, ColumnValues::Short(v)) => LaneRef::Int16(v),
+        (DataType::Int, ColumnValues::Int(v)) => LaneRef::Int32(v),
+        (DataType::Long, ColumnValues::Long(v)) => LaneRef::Int64(v),
+        (DataType::Float, ColumnValues::Float(v)) => LaneRef::Float32(v),
+        (DataType::Double, ColumnValues::Double(v)) => LaneRef::Float64(v),
         // Spark writes the runtime scale, unchanged (D02's writer half).
         (
             DataType::Decimal(_, _),
             ColumnValues::Decimal {
                 unscaled, scale, ..
             },
-        ) => ColumnData::Decimal {
-            unscaled: unscaled.clone(),
-            scale: scale.clone(),
-        },
+        ) => LaneRef::Decimal { unscaled, scale },
         (
             DataType::String | DataType::Char(_) | DataType::Varchar(_),
             ColumnValues::Str { offsets, bytes },
-        ) => ColumnData::Utf8(VarBuffer::from_raw(offsets.clone(), bytes.clone())),
+        ) => LaneRef::Utf8 { offsets, bytes },
         (DataType::Binary, ColumnValues::Binary { offsets, bytes }) => {
-            ColumnData::Bytes(VarBuffer::from_raw(offsets.clone(), bytes.clone()))
+            LaneRef::Bytes { offsets, bytes }
         }
-        (DataType::Date, ColumnValues::Date(v)) => ColumnData::Int32(v.clone()),
+        (DataType::Date, ColumnValues::Date(v)) => LaneRef::Int32(v),
         (DataType::Timestamp, ColumnValues::Timestamp(v)) => {
             if format == StorageFormat::Orc {
                 let min = minihive::serde_layer::orc_min_timestamp_micros();
@@ -227,7 +229,7 @@ fn column_to_physical(
                 }
             }
             // Parquet: proleptic, no rebase.
-            ColumnData::Int64(v.clone())
+            LaneRef::Int64(v)
         }
         // Nested columns, Mixed columns, and type-skewed buffers: the
         // per-cell converter, which raises the row path's exact errors
@@ -240,13 +242,14 @@ fn column_to_physical(
                 let ok = out.push_checked(&pv);
                 debug_assert!(ok, "to_physical output conforms to physical_type_for");
             }
-            return Ok(out);
+            return Ok(ColumnCow::Owned(out));
         }
     };
-    Ok(BatchColumn {
-        validity: validity(),
-        data,
-    })
+    Ok(ColumnCow::Borrowed(ColumnRef::new(
+        col.validity().words(),
+        col.len(),
+        lanes,
+    )))
 }
 
 fn to_physical(
@@ -333,7 +336,7 @@ pub fn read_columns(
     bytes: &[u8],
     config: &SparkConfig,
 ) -> Result<Vec<ValueColumn>, SparkError> {
-    let batch = match format {
+    let mut batch = match format {
         StorageFormat::Orc => orc::decode_batch(bytes),
         StorageFormat::Parquet => parquet::decode_batch(bytes),
         StorageFormat::Avro => avro::decode_batch(bytes),
@@ -351,52 +354,53 @@ pub fn read_columns(
     // Spark resolves columns case-insensitively at the top level (its
     // analyzer is case-insensitive by default) but keeps exact physical
     // type expectations.
+    let mapping: Vec<Option<usize>> = schema
+        .iter()
+        .map(|f| batch.schema.index_of_ci(&f.name))
+        .collect();
     let mut out = Vec::with_capacity(schema.len());
-    for f in schema {
-        let col = match batch.schema.index_of_ci(&f.name) {
-            Some(i) => column_from_physical(
-                format,
-                f,
-                &batch.columns[i],
-                &batch.schema.columns[i],
-                rebase,
-            )?,
+    for (k, f) in schema.iter().enumerate() {
+        out.push(match batch.take_column(&mapping, k) {
+            Some(col) => {
+                let stored = &batch.schema.columns[mapping[k].expect("a column was read")];
+                column_from_physical(format, f, col, stored, rebase)?
+            }
             None => ValueColumn::nulls(&f.data_type, nrows),
-        };
-        out.push(col);
+        });
     }
     Ok(out)
 }
 
-/// Converts one physical batch column into a typed value column. Each
-/// fast path is the vectorized image of the matching [`from_physical`]
-/// arm; anything else replays the per-cell reader (so annotation checks,
-/// narrowing errors, and nested resolution behave exactly as before).
+/// Converts one physical batch column into a typed value column, moving
+/// its buffers. Each fast path is the vectorized image of the matching
+/// [`from_physical`] arm; anything else replays the per-cell reader (so
+/// annotation checks, narrowing errors, and nested resolution behave
+/// exactly as before).
 fn column_from_physical(
     format: StorageFormat,
     field: &StructField,
-    col: &BatchColumn,
+    col: BatchColumn,
     column: &PhysicalColumn,
     rebase: bool,
 ) -> Result<ValueColumn, SparkError> {
-    let validity = || Validity::from_raw(col.validity.words().to_vec(), col.len());
-    let values = match (&field.data_type, &col.data) {
-        (DataType::Boolean, ColumnData::Bool(v)) => ColumnValues::Boolean(v.clone()),
-        (DataType::Byte, ColumnData::Int8(v)) => ColumnValues::Byte(v.clone()),
-        (DataType::Short, ColumnData::Int16(v)) => ColumnValues::Short(v.clone()),
-        (DataType::Int, ColumnData::Int32(v)) => ColumnValues::Int(v.clone()),
+    let BatchColumn { validity, data } = col;
+    let values = match (&field.data_type, data) {
+        (DataType::Boolean, ColumnData::Bool(v)) => ColumnValues::Boolean(v),
+        (DataType::Byte, ColumnData::Int8(v)) => ColumnValues::Byte(v),
+        (DataType::Short, ColumnData::Int16(v)) => ColumnValues::Short(v),
+        (DataType::Int, ColumnData::Int32(v)) => ColumnValues::Int(v),
         (DataType::Int, ColumnData::Int8(v)) => {
             ColumnValues::Int(v.iter().map(|x| *x as i32).collect())
         }
         (DataType::Int, ColumnData::Int16(v)) => {
             ColumnValues::Int(v.iter().map(|x| *x as i32).collect())
         }
-        (DataType::Long, ColumnData::Int64(v)) => ColumnValues::Long(v.clone()),
+        (DataType::Long, ColumnData::Int64(v)) => ColumnValues::Long(v),
         (DataType::Long, ColumnData::Int32(v)) => {
             ColumnValues::Long(v.iter().map(|x| *x as i64).collect())
         }
-        (DataType::Float, ColumnData::Float32(v)) => ColumnValues::Float(v.clone()),
-        (DataType::Double, ColumnData::Float64(v)) => ColumnValues::Double(v.clone()),
+        (DataType::Float, ColumnData::Float32(v)) => ColumnValues::Float(v),
+        (DataType::Double, ColumnData::Float64(v)) => ColumnValues::Double(v),
         // Spark's decimal reader trusts the stored scale (lenient to its
         // own runtime-scaled files); precision widens to fit the digits.
         // The digits are computed inline — constructing two checked
@@ -406,7 +410,7 @@ fn column_from_physical(
         (DataType::Decimal(p, _), ColumnData::Decimal { unscaled, scale }) => {
             let mut out_precision = Vec::with_capacity(unscaled.len());
             for i in 0..unscaled.len() {
-                if !col.validity.get(i) {
+                if !validity.get(i) {
                     out_precision.push(1);
                     continue;
                 }
@@ -433,42 +437,35 @@ fn column_from_physical(
                 out_precision.push(precision);
             }
             ColumnValues::Decimal {
-                unscaled: unscaled.clone(),
+                unscaled,
                 precision: out_precision,
-                scale: scale.clone(),
+                scale,
             }
         }
         (DataType::String | DataType::Char(_) | DataType::Varchar(_), ColumnData::Utf8(buf)) => {
-            ColumnValues::Str {
-                offsets: buf.offsets().to_vec(),
-                bytes: buf.raw_bytes().to_vec(),
-            }
+            let (offsets, bytes) = buf.into_raw();
+            ColumnValues::Str { offsets, bytes }
         }
-        (DataType::Binary, ColumnData::Bytes(buf)) => ColumnValues::Binary {
-            offsets: buf.offsets().to_vec(),
-            bytes: buf.raw_bytes().to_vec(),
-        },
-        (DataType::Date, ColumnData::Int32(v)) => ColumnValues::Date(v.clone()),
-        (DataType::Timestamp, ColumnData::Int64(v)) => {
-            let cutover = minihive::serde_layer::gregorian_cutover_micros();
-            let shift = format == StorageFormat::Parquet && rebase;
-            ColumnValues::Timestamp(
-                v.iter()
-                    .map(|us| {
-                        if shift && *us < cutover {
-                            *us + minihive::serde_layer::JULIAN_SHIFT_MICROS
-                        } else {
-                            // The default CORRECTED mode reads the raw value
-                            // even if the file was written Julian-rebased (D07).
-                            *us
-                        }
-                    })
-                    .collect(),
-            )
+        (DataType::Binary, ColumnData::Bytes(buf)) => {
+            let (offsets, bytes) = buf.into_raw();
+            ColumnValues::Binary { offsets, bytes }
+        }
+        (DataType::Date, ColumnData::Int32(v)) => ColumnValues::Date(v),
+        (DataType::Timestamp, ColumnData::Int64(mut v)) => {
+            // The default CORRECTED mode reads the raw value even if the
+            // file was written Julian-rebased (D07).
+            if format == StorageFormat::Parquet && rebase {
+                let cutover = minihive::serde_layer::gregorian_cutover_micros();
+                for us in v.iter_mut().filter(|us| **us < cutover) {
+                    *us += minihive::serde_layer::JULIAN_SHIFT_MICROS;
+                }
+            }
+            ColumnValues::Timestamp(v)
         }
         // Annotation-gated narrowing, nested values, and type-skewed
         // buffers replay the per-cell reader.
-        _ => {
+        (_, data) => {
+            let col = BatchColumn { validity, data };
             let mut out = ValueColumn::with_capacity(&field.data_type, col.len());
             for i in 0..col.len() {
                 let v = from_physical(format, &field.data_type, &col.get(i), column, rebase)?;
@@ -477,7 +474,11 @@ fn column_from_physical(
             return Ok(out);
         }
     };
-    Ok(ValueColumn::from_parts(validity(), values))
+    let len = validity.len();
+    Ok(ValueColumn::from_parts(
+        Validity::from_raw(validity.into_words(), len),
+        values,
+    ))
 }
 
 /// The retained row-at-a-time deserializer: the pre-columnar baseline,

@@ -19,7 +19,7 @@ use csi_core::value::{DataType, StructField};
 use minihive::hiveql::SharedMetastore;
 use minihive::metastore::{SharedFs, StorageFormat, TableDef};
 use minihive::HiveType;
-use std::sync::Arc;
+use std::{borrow::Borrow, sync::Arc};
 
 /// Table property under which Spark stores its case-preserving schema.
 pub const SPARK_SCHEMA_PROPERTY: &str = "spark.sql.sources.schema";
@@ -215,7 +215,7 @@ impl SparkSession {
         &self,
         def: &TableDef,
         schema: &[StructField],
-        cols: &[ValueColumn],
+        cols: &[impl Borrow<ValueColumn>],
     ) -> Result<(), SparkError> {
         let bytes = serde_layer::write_columns(def.format, schema, cols, &self.config)?;
         let part = self.metastore.lock().next_part_path(def);
