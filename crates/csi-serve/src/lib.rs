@@ -5,9 +5,8 @@
 //! long-running multi-tenant daemon: a [`CsiServer`] listens on TCP,
 //! speaks newline-delimited JSON ([`protocol`]), keeps a pool of warm
 //! deployments, and runs concurrent campaigns on a worker pool scheduled
-//! fairly across tenants ([`sched`]), each tenant confined to its own
-//! metastore database and HDFS subtree on the shared control plane
-//! ([`tenant`]).
+//! fairly across tenants ([`sched`]), with what each tenant asked and
+//! was answered kept in a bounded journal ([`tenant`]).
 //!
 //! The request body is the serializable
 //! [`CampaignSpec`](csi_test::CampaignSpec) — the very struct the
@@ -29,4 +28,4 @@ pub use protocol::{
 };
 pub use sched::{Admission, FairScheduler};
 pub use server::{CsiServer, ServeConfig};
-pub use tenant::{fnv1a, TenantRegistry};
+pub use tenant::{fnv1a, Record, TenantRegistry, JOURNAL_BYTES};

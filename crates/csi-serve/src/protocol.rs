@@ -43,12 +43,11 @@ pub struct CampaignRequest {
 /// client that never sends a newline cannot grow the reader's buffer.
 pub const MAX_REQUEST_BYTES: usize = 4 << 20;
 
-/// Upper bound on tenant-name length, keeping names usable as metastore
-/// database names and HDFS path components.
+/// Upper bound on tenant-name length: a name is copied into every frame
+/// and journal record of its campaigns.
 pub const MAX_TENANT_LEN: usize = 64;
 
-/// Checks a tenant name against the `[a-z0-9_-]{1,64}` rule shared by the
-/// metastore namespace and the HDFS subtree layout.
+/// Checks a tenant name against the `[a-z0-9_-]{1,64}` rule.
 pub fn valid_tenant_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= MAX_TENANT_LEN

@@ -45,8 +45,7 @@ pub enum Admission {
 
 /// The mutex-guarded core: per-tenant queues plus the service ring.
 struct State<T> {
-    /// FIFO queue per tenant. Entries stay present (possibly empty)
-    /// until the scheduler drops, so tenant order is stable.
+    /// FIFO queue per tenant with at least one queued job.
     queues: BTreeMap<String, VecDeque<T>>,
     /// Round-robin ring over tenants with at least one queued job.
     ring: VecDeque<String>,
@@ -125,7 +124,9 @@ impl<T> FairScheduler<T> {
             if let Some(tenant) = s.ring.pop_front() {
                 let queue = s.queues.get_mut(&tenant).expect("ring tenant has a queue");
                 let job = queue.pop_front().expect("ring tenant has a job");
-                if !queue.is_empty() {
+                if queue.is_empty() {
+                    s.queues.remove(&tenant);
+                } else {
                     s.ring.push_back(tenant.clone());
                 }
                 s.depth -= 1;
@@ -186,6 +187,20 @@ mod tests {
             Admission::QueueFull { depth: 3, limit: 3 }
         );
         assert_eq!(sched.depth(), 3);
+    }
+
+    #[test]
+    fn a_drained_tenant_is_forgotten() {
+        let sched = FairScheduler::new(16, 16);
+        for i in 0..10_000 {
+            let tenant = format!("stranger-{i}");
+            sched.submit(&tenant, 2 * i).expect("admitted");
+            sched.submit(&tenant, 2 * i + 1).expect("admitted");
+            assert_eq!(sched.next(), Some((tenant.clone(), 2 * i)));
+            assert_eq!(sched.next(), Some((tenant, 2 * i + 1)));
+        }
+        let s = sched.state.lock().expect("scheduler lock");
+        assert!(s.queues.is_empty() && s.ring.is_empty() && s.depth == 0);
     }
 
     #[test]

@@ -77,7 +77,7 @@ type Writer<W = TcpStream> = Mutex<Option<W>>;
 /// One admitted campaign, queued for a worker.
 struct Job {
     tenant: String,
-    /// Journal sequence of this submission in the tenant's namespace.
+    /// Journal sequence of this submission.
     seq: u64,
     spec: CampaignSpec,
     writer: Arc<Writer>,
@@ -196,7 +196,7 @@ impl CsiServer {
         self.pool.stats()
     }
 
-    /// The per-tenant control-plane registry.
+    /// The journal of what tenants asked and were answered.
     pub fn registry(&self) -> &TenantRegistry {
         &self.registry
     }
@@ -283,7 +283,7 @@ fn serve_connection(stream: TcpStream, scheduler: &FairScheduler<Job>, registry:
 }
 
 /// Runs a request through the admission pipeline — tenant-name policy,
-/// spec validation, namespace registration, scheduler caps — and answers
+/// spec validation, journaling, scheduler caps — and answers
 /// it with its one verdict frame.
 fn admit(
     request: CampaignRequest,

@@ -1,216 +1,147 @@
-//! Per-tenant namespaces on a shared control-plane substrate.
+//! The daemon's journal: one byte-budgeted ring of records.
 //!
-//! The daemon keeps one [`Metastore`] and one [`MiniHdfs`] as its
-//! control plane, shared by every tenant but partitioned by name:
+//! [`TenantRegistry::register`] appends what a tenant asked (the spec, as
+//! JSON) and returns a daemon-wide sequence number;
+//! [`TenantRegistry::record_report`] fills in what it was answered (the
+//! report and its FNV-1a digest). Both drop records from the old end
+//! while the ring holds more than [`JOURNAL_BYTES`], so the daemon's
+//! memory is bounded by a constant, not by the requests it has served.
+//! [`TenantRegistry::recent`] reads a tenant's records back: a spec
+//! revived from one replays to the journaled report, byte for byte.
 //!
-//! - tenant `t` owns metastore database `tenant_t` and nothing else;
-//! - tenant `t` owns the HDFS subtree `/tenants/t` and nothing else.
-//!
-//! [`TenantRegistry::register`] carves both out on first contact and
-//! journals each submitted spec under the subtree;
-//! [`TenantRegistry::record_report`] writes the finished report and its
-//! FNV-1a digest next to it. [`TenantRegistry::evict`] tears the whole
-//! namespace down (tables dropped, subtree deleted, blocks vacuumed), so
-//! a departed tenant leaves no residue for the next one to observe —
-//! the isolation half of the multi-tenant story, with the scheduling
-//! half in [`crate::sched`].
-//!
-//! Campaign *execution* state never lives here: each campaign runs in
-//! its own pooled [`Deployment`](csi_test::exec) with a private
-//! metastore and filesystem. The registry is strictly the durable
-//! per-tenant record of what was asked and what was answered.
+//! One ring and one counter, not a map per tenant: tenant names are
+//! chosen by strangers, so any per-tenant structure would be a second
+//! unbounded table. Campaign *execution* state never lives here: each
+//! campaign runs in its own pooled [`Deployment`](csi_test::exec), and
+//! the scheduling half of the multi-tenant story is [`crate::sched`].
 
-use minihdfs::{HdfsPath, MiniHdfs};
-use minihive::metastore::Metastore;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// FNV-1a 64-bit, the digest used for report fingerprints.
 pub use csi_core::hash::fnv1a;
 
-/// The shared control-plane substrate, partitioned per tenant.
-pub struct TenantRegistry {
-    metastore: Mutex<Metastore>,
-    fs: Mutex<Journal>,
+/// The most the journal holds: older records leave once their total
+/// passes this. The newest record stays whatever its size.
+pub const JOURNAL_BYTES: usize = 16 << 20;
+
+/// One submission: what was asked and, once the campaign has finished,
+/// what was answered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
+    /// Daemon-wide submission number, in admission order.
+    pub seq: u64,
+    /// The tenant that submitted it.
+    pub tenant: String,
+    /// The submitted spec, as JSON.
+    pub spec_json: String,
+    /// The finished report as JSON, after its FNV-1a digest.
+    pub report: Option<(u64, String)>,
 }
 
-/// The journal filesystem and, under the same lock, the next journal
-/// sequence of every tenant contacted since its last eviction. A missing
-/// entry means "not carved yet": [`TenantRegistry::register`] derives it
-/// from one listing of the subtree, so the counter can never disagree
-/// with the files it numbers.
+impl Record {
+    /// What this record counts against [`JOURNAL_BYTES`].
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Record>()
+            + self.tenant.len()
+            + self.spec_json.len()
+            + self.report.as_ref().map_or(0, |(_, json)| json.len())
+    }
+}
+
+/// The journal behind its one lock.
+#[derive(Default)]
+pub struct TenantRegistry(Mutex<Journal>);
+
+/// Records in sequence order with no gaps, so a sequence number finds
+/// its record by its distance from the front.
+#[derive(Default)]
 struct Journal {
-    fs: MiniHdfs,
-    next_seq: HashMap<String, u64>,
+    next_seq: u64,
+    /// Σ [`Record::bytes`] over `ring`.
+    bytes: usize,
+    ring: VecDeque<Record>,
 }
 
-impl Default for TenantRegistry {
-    fn default() -> TenantRegistry {
-        TenantRegistry::new()
+impl Journal {
+    /// Drops the oldest records while over budget, never the newest.
+    fn trim(&mut self) {
+        while self.bytes > JOURNAL_BYTES && self.ring.len() > 1 {
+            let oldest = self.ring.pop_front().expect("more than one record");
+            self.bytes -= oldest.bytes();
+        }
     }
 }
 
 impl TenantRegistry {
-    /// An empty registry: fresh metastore, fresh filesystem with a bare
-    /// `/tenants` root. The filesystem gets a small datanode set so it
-    /// is out of safe mode and writable from the start.
+    /// An empty journal.
     pub fn new() -> TenantRegistry {
-        let mut fs = MiniHdfs::with_datanodes(3);
-        fs.mkdirs(&HdfsPath::parse("/tenants").expect("static path"))
-            .expect("mkdirs /tenants");
-        TenantRegistry {
-            metastore: Mutex::new(Metastore::new()),
-            fs: Mutex::new(Journal {
-                fs,
-                next_seq: HashMap::new(),
-            }),
-        }
+        TenantRegistry::default()
     }
 
-    /// The metastore database owned by `tenant`.
-    pub fn database(tenant: &str) -> String {
-        format!("tenant_{tenant}")
-    }
-
-    /// The HDFS subtree owned by `tenant`.
-    pub fn subtree(tenant: &str) -> HdfsPath {
-        HdfsPath::parse("/tenants")
-            .expect("static path")
-            .join(tenant)
-    }
-
-    /// Ensures the tenant's namespace exists and journals one submitted
-    /// spec (as JSON) under it, returning the journal sequence number of
-    /// this submission. Registration is idempotent: the namespace is
-    /// carved (and the sequence counted from the subtree's `spec-*`
-    /// files) on first contact; afterwards a submission costs one counter
-    /// bump and one file.
+    /// Journals one submitted spec (as JSON) and returns its sequence
+    /// number. Always `Ok`: appending to the ring cannot fail.
     pub fn register(&self, tenant: &str, spec_json: &str) -> Result<u64, String> {
-        let subtree = TenantRegistry::subtree(tenant);
-        let mut journal = self.fs.lock();
-        let Journal { fs, next_seq } = &mut *journal;
-        let next = match next_seq.get_mut(tenant) {
-            Some(next) => next,
-            None => {
-                // Filesystem before metastore, as in `evict`.
-                self.metastore
-                    .lock()
-                    .create_database(&TenantRegistry::database(tenant));
-                fs.mkdirs(&subtree).map_err(|e| e.to_string())?;
-                let journaled = fs
-                    .list_status(&subtree)
-                    .map_err(|e| e.to_string())?
-                    .iter()
-                    .filter(|s| {
-                        s.path
-                            .name()
-                            .is_some_and(|n| n.starts_with("spec-") && n.ends_with(".json"))
-                    })
-                    .count() as u64;
-                next_seq.entry(tenant.to_string()).or_insert(journaled)
-            }
+        let (tenant, spec_json) = (tenant.to_string(), spec_json.to_string());
+        let mut journal = self.0.lock();
+        let seq = journal.next_seq;
+        journal.next_seq += 1;
+        let record = Record {
+            seq,
+            tenant,
+            spec_json,
+            report: None,
         };
-        let seq = *next;
-        fs.create(
-            &subtree.join(&format!("spec-{seq:06}.json")),
-            spec_json.as_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
-        *next += 1;
+        journal.bytes += record.bytes();
+        journal.ring.push_back(record);
+        journal.trim();
         Ok(seq)
     }
 
-    /// Writes a finished report (and its digest) for submission `seq`
-    /// into the tenant's subtree.
+    /// Journals the finished report (and its digest) of submission `seq`.
+    /// An `Err` when that record has left the ring or is not `tenant`'s.
     pub fn record_report(&self, tenant: &str, seq: u64, report_json: &str) -> Result<(), String> {
-        let subtree = TenantRegistry::subtree(tenant);
-        let fs = &mut self.fs.lock().fs;
-        fs.create(
-            &subtree.join(&format!("report-{seq:06}.json")),
-            report_json.as_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
-        fs.create(
-            &subtree.join(&format!("report-{seq:06}.digest")),
-            format!("{:016x}", fnv1a(report_json.as_bytes())).as_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
+        let report = (fnv1a(report_json.as_bytes()), report_json.to_string());
+        let mut journal = self.0.lock();
+        let Journal { bytes, ring, .. } = &mut *journal;
+        let at = ring.front().and_then(|oldest| seq.checked_sub(oldest.seq));
+        let record = at
+            .and_then(|at| ring.get_mut(usize::try_from(at).ok()?))
+            .filter(|record| record.tenant == tenant)
+            .ok_or_else(|| format!("submission {seq} of tenant {tenant} is not in the journal"))?;
+        *bytes -= record.bytes();
+        record.report = Some(report);
+        *bytes += record.bytes();
+        journal.trim();
         Ok(())
     }
 
-    /// The recorded digest of submission `seq`, if a report was written.
-    pub fn digest(&self, tenant: &str, seq: u64) -> Option<String> {
-        let path = TenantRegistry::subtree(tenant).join(&format!("report-{seq:06}.digest"));
-        let bytes = self.fs.lock().fs.read(&path).ok()?;
-        String::from_utf8(bytes.to_vec()).ok()
+    /// The records `tenant` still has in the journal, oldest first.
+    pub fn recent(&self, tenant: &str) -> Vec<Record> {
+        let journal = self.0.lock();
+        let mine = journal.ring.iter().filter(|r| r.tenant == tenant);
+        mine.cloned().collect()
     }
 
-    /// Tenants with a live namespace, in name order.
+    /// Tenants with a record in the journal, in name order.
     pub fn tenants(&self) -> Vec<String> {
-        self.fs
-            .lock()
-            .fs
-            .list_status(&HdfsPath::parse("/tenants").expect("static path"))
-            .map(|entries| {
-                entries
-                    .iter()
-                    .filter(|s| s.is_dir)
-                    .filter_map(|s| s.path.name().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Journaled submissions for `tenant` (spec files in its subtree).
-    pub fn submissions(&self, tenant: &str) -> usize {
-        self.fs
-            .lock()
-            .fs
-            .list_status(&TenantRegistry::subtree(tenant))
-            .map(|entries| {
-                entries
-                    .iter()
-                    .filter(|s| s.path.name().is_some_and(|n| n.starts_with("spec-")))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Tears down the tenant's namespace: every table in its database
-    /// dropped, its subtree deleted recursively, freed blocks vacuumed,
-    /// its journal counter forgotten (the next `register` starts at 0).
-    pub fn evict(&self, tenant: &str) -> Result<(), String> {
-        let db = TenantRegistry::database(tenant);
-        // Filesystem before metastore, as everywhere a deployment's two
-        // locks nest.
-        let mut journal = self.fs.lock();
-        let Journal { fs, next_seq } = &mut *journal;
-        // Forgotten first: if the teardown below fails half-way, the
-        // next `register` recounts whatever is left.
-        next_seq.remove(tenant);
-        let mut metastore = self.metastore.lock();
-        let tables: Vec<String> = metastore
-            .list_tables(&db)
-            .map(|names| names.into_iter().map(str::to_string).collect())
-            .unwrap_or_default();
-        for table in tables {
-            metastore
-                .drop_table(&db, &table, false, fs)
-                .map_err(|e| e.to_string())?;
-        }
-        drop(metastore);
-        let subtree = TenantRegistry::subtree(tenant);
-        if fs.exists(&subtree) {
-            fs.delete(&subtree, true).map_err(|e| e.to_string())?;
-        }
-        fs.vacuum();
-        Ok(())
+        let journal = self.0.lock();
+        let mut names: Vec<&str> = journal.ring.iter().map(|r| r.tenant.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        names.into_iter().map(str::to_string).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The journal's byte counter and every record in it.
+    fn snapshot(registry: &TenantRegistry) -> (usize, Vec<Record>) {
+        let journal = registry.0.lock();
+        (journal.bytes, journal.ring.iter().cloned().collect())
+    }
 
     #[test]
     fn namespaces_are_carved_per_tenant_and_isolated() {
@@ -223,43 +154,102 @@ mod tests {
             .register("alpha", "{\"spec\":3}")
             .expect("register");
         assert_eq!(registry.tenants(), ["alpha", "beta"]);
-        assert_eq!(registry.submissions("alpha"), 2);
-        assert_eq!(registry.submissions("beta"), 1);
-        assert_eq!(registry.submissions("nobody"), 0);
+        assert_eq!(registry.recent("alpha").len(), 2);
+        assert_eq!(registry.recent("beta").len(), 1);
+        assert_eq!(registry.recent("nobody").len(), 0);
     }
 
     #[test]
     fn reports_record_a_stable_digest_per_submission() {
         let registry = TenantRegistry::new();
         let seq = registry.register("alpha", "{}").expect("register");
+        let open = registry
+            .register("alpha", "{\"later\":1}")
+            .expect("register");
         registry
             .record_report("alpha", seq, "{\"report\":true}")
             .expect("record");
-        let digest = registry.digest("alpha", seq).expect("digest written");
+        let records = registry.recent("alpha");
         assert_eq!(
-            digest,
-            format!("{:016x}", fnv1a(b"{\"report\":true}")),
+            records[0],
+            Record {
+                seq,
+                tenant: "alpha".to_string(),
+                spec_json: "{}".to_string(),
+                report: Some((fnv1a(b"{\"report\":true}"), "{\"report\":true}".to_string())),
+            },
             "digest is the FNV-1a of the report bytes"
         );
-        assert_eq!(registry.digest("alpha", seq + 1), None);
-        assert_eq!(registry.digest("beta", seq), None);
+        assert_eq!((records[1].seq, &records[1].report), (open, &None));
+        assert_eq!(registry.recent("beta"), []);
     }
 
     #[test]
-    fn eviction_leaves_no_residue() {
+    fn the_journal_is_bounded_in_bytes_whatever_the_tenants() {
         let registry = TenantRegistry::new();
-        let seq = registry.register("alpha", "{}").expect("register");
-        registry.record_report("alpha", seq, "{}").expect("record");
-        registry.register("beta", "{}").expect("register");
-        registry.evict("alpha").expect("evict");
-        assert_eq!(registry.tenants(), ["beta"]);
-        assert_eq!(registry.submissions("alpha"), 0);
-        assert_eq!(registry.digest("alpha", seq), None);
-        // Re-registration starts a fresh journal at sequence zero, and
-        // counts up from there.
-        assert_eq!(registry.register("alpha", "{}").expect("register"), 0);
-        assert_eq!(registry.register("alpha", "{}").expect("register"), 1);
-        assert_eq!(registry.submissions("alpha"), 2);
+        let report = "r".repeat(35_000);
+        for i in 0..10_000 {
+            let tenant = format!("stranger-{i}");
+            let seq = registry
+                .register(&tenant, "{\"spec\":1}")
+                .expect("register");
+            registry
+                .record_report(&tenant, seq, &report)
+                .expect("the newest record is always in the ring");
+            assert!(registry.0.lock().bytes <= JOURNAL_BYTES, "after {i}");
+        }
+        let (bytes, ring) = snapshot(&registry);
+        assert_eq!(bytes, ring.iter().map(Record::bytes).sum::<usize>());
+        assert_eq!(ring.last().expect("newest").seq, 9_999);
+        // 16 MiB of 35 KB records is under 500 of the 10,000.
+        assert_eq!(registry.tenants().len(), ring.len());
+        assert!((400..500).contains(&ring.len()), "{} records", ring.len());
+    }
+
+    #[test]
+    fn a_record_over_the_whole_budget_is_kept_alone_until_the_next() {
+        let registry = TenantRegistry::new();
+        let small = registry.register("alpha", "{}").expect("register");
+        let huge = registry.register("alpha", "{}").expect("register");
+        registry
+            .record_report("alpha", huge, &"r".repeat(JOURNAL_BYTES + 1))
+            .expect("record");
+        let (bytes, ring) = snapshot(&registry);
+        assert!(bytes > JOURNAL_BYTES);
+        assert_eq!(ring.iter().map(|r| r.seq).collect::<Vec<_>>(), [huge]);
+        assert!(registry.record_report("alpha", small, "{}").is_err());
+
+        let next = registry.register("beta", "{}").expect("register");
+        let (bytes, ring) = snapshot(&registry);
+        assert_eq!(ring.iter().map(|r| r.seq).collect::<Vec<_>>(), [next]);
+        assert_eq!(bytes, ring[0].bytes());
+    }
+
+    #[test]
+    fn a_report_for_a_record_that_is_not_there_is_refused() {
+        let registry = TenantRegistry::new();
+        assert!(registry.record_report("alpha", 0, "{}").is_err(), "empty");
+        // Fill past the budget so the first records leave the ring.
+        let spec = "s".repeat(1 << 20);
+        let seqs: Vec<u64> = (0..20)
+            .map(|_| registry.register("alpha", &spec).expect("register"))
+            .collect();
+        let before = snapshot(&registry);
+        let oldest = before.1[0].seq;
+        assert!(oldest > seqs[0], "nothing was evicted");
+        for (tenant, seq, why) in [
+            ("alpha", seqs[0], "evicted"),
+            ("alpha", oldest - 1, "just evicted"),
+            ("alpha", seqs[19] + 1, "not yet issued"),
+            ("alpha", u64::MAX, "unknown"),
+            ("beta", seqs[19], "another tenant's"),
+        ] {
+            assert!(registry.record_report(tenant, seq, "{}").is_err(), "{why}");
+            assert_eq!(snapshot(&registry), before, "{why}");
+        }
+        registry
+            .record_report("alpha", oldest, "{}")
+            .expect("the oldest record still in the ring");
     }
 
     #[test]
@@ -284,6 +274,6 @@ mod tests {
         });
         seqs.sort_unstable();
         assert_eq!(seqs, (0..256).collect::<Vec<u64>>());
-        assert_eq!(registry.submissions("alpha"), 256);
+        assert_eq!(registry.recent("alpha").len(), 256);
     }
 }

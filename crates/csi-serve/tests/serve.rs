@@ -1,7 +1,7 @@
 //! End-to-end tests of the `csi-serve` daemon over real TCP: concurrent
 //! multi-tenant campaigns byte-identical to batch runs, streamed
 //! detections arriving before the report, typed wire rejections, and
-//! per-tenant control-plane state.
+//! the journal of who asked.
 
 use csi_serve::{
     run_specs, CampaignRequest, CsiServer, Frame, RejectReason, ServeClient, ServeConfig,
@@ -12,7 +12,7 @@ use csi_test::plan::Experiment;
 use csi_test::{Campaign, CampaignSpec, InputSelection, SpecError};
 use minihive::metastore::StorageFormat;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 
 /// The server-side determinism contract: the report a tenant receives
 /// over the wire, byte-for-byte.
@@ -86,7 +86,7 @@ fn concurrent_tenants_get_byte_identical_reports() {
         assert!(outcome.render.as_ref().is_some_and(|r| !r.is_empty()));
     }
 
-    // Every tenant got its own control-plane namespace.
+    // Every tenant is in the journal.
     let mut tenants = server.registry().tenants();
     tenants.sort();
     assert_eq!(
@@ -385,6 +385,52 @@ fn accepted_precedes_every_other_frame_of_its_campaign() {
     server.shutdown();
 }
 
+/// A client that has said all it will say still hears every answer: it
+/// shuts its write side with campaigns in flight, and the EOF that ends
+/// the daemon's reader ends neither the campaigns nor their frames.
+#[test]
+fn a_half_closed_connection_still_gets_every_frame() {
+    let mut server = CsiServer::start(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let lines: String = (0..8)
+        .map(|i| {
+            let request = CampaignRequest {
+                tenant: format!("half-{i}"),
+                spec: tenant_spec(i),
+            };
+            serde_json::to_string(&request).expect("requests serialize") + "\n"
+        })
+        .collect();
+    raw.write_all(lines.as_bytes()).expect("write");
+    raw.shutdown(Shutdown::Write).expect("half-close");
+    // A daemon that never hangs up fails the test instead of hanging it.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("timeout");
+    let (mut accepted, mut reports) = (0, 0);
+    for line in BufReader::new(raw).lines() {
+        match serde_json::from_str(&line.expect("read")).expect("frame parses") {
+            Frame::Accepted { .. } => accepted += 1,
+            Frame::Detection { .. } => {}
+            Frame::Report { .. } => reports += 1,
+            Frame::Rejected { reason, .. } => panic!("rejected: {reason}"),
+        }
+    }
+    assert_eq!((accepted, reports), (8, 8), "frames before EOF");
+
+    let spec = tenant_spec(0);
+    let outcomes =
+        run_specs(server.addr(), &[("after".to_string(), spec.clone())]).expect("still serving");
+    assert_eq!(
+        outcomes[0].report_json.as_deref(),
+        Some(batch_report_json(&spec).as_str())
+    );
+    server.shutdown();
+}
+
 #[test]
 fn backlogged_tenants_hit_admission_control() {
     // One worker, tiny per-tenant slice: occupy the worker with a slow
@@ -497,6 +543,6 @@ fn idle_round_trips_do_not_wait_for_delayed_ack() {
         round_trips[0],
         round_trips[round_trips.len() - 1]
     );
-    assert_eq!(server.registry().submissions("idle"), 64);
+    assert_eq!(server.registry().recent("idle").len(), 64);
     server.shutdown();
 }
