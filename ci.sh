@@ -48,8 +48,8 @@ stage_lint() {
   # How a trial is judged is one module's decision: a mode that runs an
   # oracle or reads a crossing's outcome itself is a second copy of it.
   echo "==> judge guard (oracles run in classify.rs, fired faults are read by csi_core::boundary::faulted)"
-  if grep -rnE --include='*.rs' 'check_(differential|write_read|error_handling)\(' crates/csi-test/src/ | grep -v '^crates/csi-test/src/classify\.rs:'; then
-    echo "hand the observation to classify::Classifier (absorb / failures / finish) instead of running its oracle here" >&2
+  if grep -rnE --include='*.rs' '(check_(differential|write_read|error_handling)|differential_of)\(' crates/csi-test/src/ | grep -v '^crates/csi-test/src/classify\.rs:'; then
+    echo "hand the observation to classify::Classifier (absorb / discoveries / finish) instead of running its oracle here" >&2
     exit 1
   fi
   if grep -rnF --include='*.rs' 'CrossingOutcome::Faulted' crates/csi-test/src/; then

@@ -227,6 +227,26 @@ pub fn faulted(crossings: &[Crossing]) -> impl Iterator<Item = (&BoundaryCall, &
     })
 }
 
+/// Crossing count per channel over every trace of `traces`, keyed by the
+/// name of each channel crossed at least once. Counts land in an array;
+/// only the totals are named.
+pub fn channel_totals<'a>(
+    traces: impl IntoIterator<Item = &'a InteractionTrace>,
+) -> BTreeMap<String, usize> {
+    let mut counts = [0usize; Channel::ALL.len()];
+    for trace in traces {
+        for c in &trace.crossings {
+            counts[c.call.channel as usize] += 1;
+        }
+    }
+    Channel::ALL
+        .into_iter()
+        .zip(counts)
+        .filter(|&(_, n)| n > 0)
+        .map(|(channel, n)| (channel.to_string(), n))
+        .collect()
+}
+
 /// The append-only causal crossing sequence of one observation.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InteractionTrace {
@@ -247,14 +267,7 @@ impl InteractionTrace {
 
     /// Crossing count per channel that was crossed, keyed by channel name.
     pub fn channel_counts(&self) -> BTreeMap<String, usize> {
-        Channel::ALL
-            .into_iter()
-            .filter_map(|channel| {
-                let on_channel = |c: &&Crossing| c.call.channel == channel;
-                let n = self.crossings.iter().filter(on_channel).count();
-                (n > 0).then(|| (channel.to_string(), n))
-            })
-            .collect()
+        channel_totals([self])
     }
 
     /// Compact one-line-per-crossing rendering.
@@ -754,6 +767,26 @@ mod tests {
         assert_eq!(trace.crossings[0].at_ms, 0);
         assert_eq!(trace.crossings[1].at_ms, 1);
         assert_eq!(trace.channel_counts()["metastore"], 2);
+    }
+
+    #[test]
+    fn channel_totals_sum_every_trace_under_each_channel_name() {
+        // The counting array is indexed by discriminant.
+        for (i, channel) in Channel::ALL.into_iter().enumerate() {
+            assert_eq!(channel as usize, i);
+        }
+        let ctx = CrossingContext::new();
+        for channel in Channel::ALL {
+            ctx.record(BoundaryCall::new(channel, "op"));
+        }
+        let every = ctx.trace();
+        ctx.record(call("get_table"));
+        let totals = channel_totals([&every, &ctx.trace(), &InteractionTrace::default()]);
+        let names: Vec<&str> = totals.keys().map(String::as_str).collect();
+        assert_eq!(names, ["hbase", "hdfs", "kafka", "metastore", "yarn"]);
+        assert_eq!(totals["metastore"], 3);
+        assert_eq!(totals["yarn"], 2);
+        assert!(channel_totals([&InteractionTrace::default()]).is_empty());
     }
 
     #[test]

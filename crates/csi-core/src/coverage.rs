@@ -17,7 +17,7 @@
 
 use crate::boundary::{CrossingOutcome, InteractionTrace};
 use crate::fault::FaultKind;
-use crate::hash::{fnv1a, Fnv1a};
+use crate::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -82,9 +82,22 @@ impl CoverageSignature {
         format!("{}##{}", tuples.join(";"), tags.join(";"))
     }
 
-    /// FNV-1a 64-bit fingerprint of the canonical rendering.
+    /// FNV-1a 64-bit fingerprint of the canonical rendering, streamed
+    /// from the parts instead of building it.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.canonical().as_bytes())
+        fn joined<'a>(hash: &mut Fnv1a, parts: impl IntoIterator<Item = &'a String>) {
+            for (i, part) in parts.into_iter().enumerate() {
+                if i > 0 {
+                    hash.byte(b';');
+                }
+                hash.bytes(part.as_bytes());
+            }
+        }
+        let mut hash = Fnv1a::new();
+        joined(&mut hash, &self.tuples);
+        hash.bytes(b"##");
+        joined(&mut hash, &self.tags);
+        hash.finish()
     }
 }
 
@@ -158,6 +171,7 @@ mod tests {
     use super::*;
     use crate::boundary::{BoundaryCall, CrossingContext};
     use crate::fault::{Channel, FaultSpec, Trigger};
+    use crate::hash::fnv1a;
     use crate::InteractionError;
 
     fn trace_with(ops: &[&'static str]) -> InteractionTrace {
@@ -211,6 +225,29 @@ mod tests {
         let fp = tagged.fingerprint();
         tagged.tag("code:CAST_OVERFLOW");
         assert_eq!(tagged.fingerprint(), fp);
+    }
+
+    #[test]
+    fn the_fingerprint_hashes_exactly_the_canonical_bytes() {
+        let tuples = CoverageSignature::from_trace(&trace_with(&["get_table", "create_table"]));
+        let mut tags_only = CoverageSignature::default();
+        tags_only.tag("valid");
+        let mut many = CoverageSignature::from_trace(&trace_with(&[
+            "get_table",
+            "create_table",
+            "alter_table",
+            "drop_table",
+        ]));
+        for k in 0..40 {
+            many.tag(format!("d:D{k:02}"));
+        }
+        for sig in [CoverageSignature::default(), tuples, tags_only, many] {
+            assert_eq!(
+                sig.fingerprint(),
+                fnv1a(sig.canonical().as_bytes()),
+                "{sig:?}"
+            );
+        }
     }
 
     #[test]

@@ -312,47 +312,57 @@ pub fn check_error_handling_strict(raw: &Value, obs: &Observation) -> Option<Ora
 /// same behavior across interface pairs and formats.
 ///
 /// Returns one failure per input whose observations split into more than one
-/// behavior class; the detail lists each class and its members.
+/// behavior class, in input-id order; see [`differential_of`].
 pub fn check_differential(observations: &[Observation]) -> Vec<OracleFailure> {
     let mut by_input: BTreeMap<usize, Vec<&Observation>> = BTreeMap::new();
     for obs in observations {
         by_input.entry(obs.input_id).or_default().push(obs);
     }
-    let mut failures = Vec::new();
-    for (input_id, group) in by_input {
-        let mut classes: BTreeMap<Behavior, Vec<&Observation>> = BTreeMap::new();
-        for obs in group {
-            classes.entry(obs.behavior()).or_default().push(obs);
-        }
-        if classes.len() > 1 {
-            let mut plans = Vec::new();
-            let mut formats = Vec::new();
-            let mut lines = Vec::new();
-            for (behavior, members) in &classes {
-                let names: Vec<String> = members
-                    .iter()
-                    .map(|o| format!("{}/{}", o.plan, o.format))
-                    .collect();
-                lines.push(format!("{behavior} <- [{}]", names.join(", ")));
-                for o in members {
-                    if !plans.contains(&o.plan) {
-                        plans.push(o.plan.clone());
-                    }
-                    if !formats.contains(&o.format) {
-                        formats.push(o.format.clone());
-                    }
-                }
+    by_input
+        .into_iter()
+        .filter_map(|(input_id, group)| differential_of(input_id, group))
+        .collect()
+}
+
+/// The differential oracle over one input's observations, in absorb order:
+/// a failure when they split into more than one behavior class; the detail
+/// lists each class and its members.
+pub fn differential_of<'a>(
+    input_id: usize,
+    group: impl IntoIterator<Item = &'a Observation>,
+) -> Option<OracleFailure> {
+    let mut classes: BTreeMap<Behavior, Vec<&Observation>> = BTreeMap::new();
+    for obs in group {
+        classes.entry(obs.behavior()).or_default().push(obs);
+    }
+    if classes.len() < 2 {
+        return None;
+    }
+    let mut plans = Vec::new();
+    let mut formats = Vec::new();
+    let mut lines = Vec::new();
+    for (behavior, members) in &classes {
+        let names: Vec<String> = members
+            .iter()
+            .map(|o| format!("{}/{}", o.plan, o.format))
+            .collect();
+        lines.push(format!("{behavior} <- [{}]", names.join(", ")));
+        for o in members {
+            if !plans.contains(&o.plan) {
+                plans.push(o.plan.clone());
             }
-            failures.push(OracleFailure {
-                oracle: OracleKind::Differential,
-                input_id,
-                plans,
-                formats,
-                detail: lines.join(" | "),
-            });
+            if !formats.contains(&o.format) {
+                formats.push(o.format.clone());
+            }
         }
     }
-    failures
+    Some(OracleFailure {
+        oracle: OracleKind::Differential,
+        input_id,
+        plans,
+        formats,
+        detail: lines.join(" | "),
+    })
 }
 
 #[cfg(test)]

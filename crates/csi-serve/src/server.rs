@@ -4,7 +4,7 @@
 //! thread groups of the daemon:
 //!
 //! - an **acceptor** that takes connections and hands each to a
-//!   detached reader thread;
+//!   reader thread, which it joins on shutdown;
 //! - **readers** that parse newline-delimited [`CampaignRequest`]s,
 //!   police tenant names and specs, journal the submission in the
 //!   [`TenantRegistry`], and push admitted jobs into the
@@ -31,10 +31,10 @@ use csi_test::exec::CrossTestConfig;
 use csi_test::{Campaign, CampaignSpec, DeploymentPool, PoolStats};
 use parking_lot::Mutex;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -84,7 +84,7 @@ struct Job {
 }
 
 /// A running `csi-serve` daemon. Dropping it shuts it down gracefully:
-/// admission closes, queued campaigns drain, workers join.
+/// admission closes, readers join, queued campaigns drain, workers join.
 pub struct CsiServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -138,34 +138,58 @@ impl CsiServer {
         ));
         let shutdown = Arc::new(AtomicBool::new(false));
 
+        // The workers are running before any other thread of the daemon
+        // starts. A thread takes its allocator arena as it starts, and
+        // glibc hands out the arenas of exited threads last-exited first;
+        // `shutdown` joins the workers last, so a daemon started after
+        // another in one process puts its workers on the arenas the
+        // earlier workers grew instead of growing more.
+        let running = Arc::new(Barrier::new(config.workers.max(1) + 1));
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let scheduler = scheduler.clone();
                 let pool = pool.clone();
                 let registry = registry.clone();
+                let running = running.clone();
                 std::thread::spawn(move || {
+                    running.wait();
                     while let Some((_, job)) = scheduler.next() {
                         run_job(&pool, &registry, job);
                     }
                 })
             })
             .collect();
+        running.wait();
 
         let acceptor = {
             let scheduler = scheduler.clone();
             let registry = registry.clone();
             let shutdown = shutdown.clone();
             std::thread::spawn(move || {
+                // Each live reader, with a handle on its connection that
+                // does not keep the connection open.
+                let mut readers: Vec<(Weak<TcpStream>, JoinHandle<()>)> = Vec::new();
                 for stream in listener.incoming() {
                     if shutdown.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    readers.retain(|(_, reader)| !reader.is_finished());
+                    let stream = Arc::new(stream);
+                    let connection = Arc::downgrade(&stream);
                     let scheduler = scheduler.clone();
                     let registry = registry.clone();
-                    // Readers are detached: they end when their client
-                    // hangs up, and hold no state the daemon must join.
-                    std::thread::spawn(move || serve_connection(stream, &scheduler, &registry));
+                    let reader = std::thread::spawn(move || {
+                        serve_connection(&stream, &scheduler, &registry)
+                    });
+                    readers.push((connection, reader));
+                }
+                // Admission is closing: end every reader at its next read.
+                for (connection, reader) in readers {
+                    if let Some(stream) = connection.upgrade() {
+                        let _ = stream.shutdown(Shutdown::Read);
+                    }
+                    let _ = reader.join();
                 }
             })
         };
@@ -201,18 +225,19 @@ impl CsiServer {
         &self.registry
     }
 
-    /// Graceful shutdown: closes admission, unblocks the acceptor,
-    /// drains queued campaigns, and joins every daemon thread.
+    /// Graceful shutdown: closes admission — the acceptor stops and joins
+    /// every reader — then drains queued campaigns and joins the workers,
+    /// the last daemon threads to exit (see [`CsiServer::start`]).
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.scheduler.close();
         // Wake the acceptor out of `incoming()` with one self-connect.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
+        self.scheduler.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -228,7 +253,7 @@ impl Drop for CsiServer {
 /// The reader loop of one connection: one request per line, one
 /// admission verdict per request, demultiplexed by tenant on the way
 /// back out.
-fn serve_connection(stream: TcpStream, scheduler: &FairScheduler<Job>, registry: &TenantRegistry) {
+fn serve_connection(stream: &TcpStream, scheduler: &FairScheduler<Job>, registry: &TenantRegistry) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };

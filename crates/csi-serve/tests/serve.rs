@@ -431,6 +431,24 @@ fn a_half_closed_connection_still_gets_every_frame() {
     server.shutdown();
 }
 
+/// Shutdown leaves no reader behind: a client still connected and idle
+/// has its reader ended and joined, and hears the connection close.
+#[test]
+fn shutdown_joins_the_reader_of_a_connected_client() {
+    let mut server = CsiServer::start(&ServeConfig::default()).expect("server starts");
+    let raw = TcpStream::connect(server.addr()).expect("connect");
+    // A daemon that never hangs up fails the test instead of hanging it.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("timeout");
+    (&raw).write_all(b"not json\n").expect("write");
+    let mut frames = BufReader::new(&raw);
+    read_malformed(&mut frames);
+    server.shutdown();
+    let mut rest = Vec::new();
+    frames.read_to_end(&mut rest).expect("EOF, not a timeout");
+    assert!(rest.is_empty(), "{} stray bytes", rest.len());
+}
+
 #[test]
 fn backlogged_tenants_hit_admission_control() {
     // One worker, tiny per-tenant slice: occupy the worker with a slow

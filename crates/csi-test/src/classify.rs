@@ -19,11 +19,12 @@
 
 use crate::generator::{TestInput, Validity};
 use crate::plan::Experiment;
-use csi_core::boundary::faulted;
+use csi_core::boundary::{channel_totals, faulted};
 use csi_core::detect::DetectionTally;
 use csi_core::fault::InjectedFault;
 use csi_core::oracle::{
-    check_differential, check_error_handling, check_write_read, Observation, OracleFailure,
+    check_differential, check_error_handling, check_write_read, differential_of, Observation,
+    OracleFailure,
 };
 use csi_core::report::{Discrepancy, DiscrepancyReport, ProblemCategory};
 use csi_core::value::{parse_timestamp, DataType, Value};
@@ -331,6 +332,20 @@ pub(crate) struct Classifier {
     failures: Vec<OracleFailure>,
     sealed: Vec<bool>,
     summaries: BTreeMap<usize, InputSummary>,
+    index: DiscoveryIndex,
+}
+
+/// `discoveries`' own index of what was absorbed, extended from its
+/// watermarks only when `discoveries` runs.
+struct DiscoveryIndex {
+    /// Observations already indexed, per experiment.
+    looked: Vec<usize>,
+    /// Per experiment: input id → positions of its observations.
+    members: Vec<BTreeMap<usize, Vec<usize>>>,
+    /// Failures already indexed.
+    looked_failures: usize,
+    /// Input id → positions of its failures in `failures`.
+    failed_at: BTreeMap<usize, Vec<usize>>,
 }
 
 impl Classifier {
@@ -341,6 +356,12 @@ impl Classifier {
             failures: Vec::new(),
             sealed: vec![false; experiments.len()],
             summaries: BTreeMap::new(),
+            index: DiscoveryIndex {
+                looked: vec![0; experiments.len()],
+                members: vec![BTreeMap::new(); experiments.len()],
+                looked_failures: 0,
+                failed_at: BTreeMap::new(),
+            },
         }
     }
 
@@ -380,23 +401,17 @@ impl Classifier {
         }
     }
 
-    /// Every failure known so far: the absorbed ones, then the
-    /// differential of each experiment still open, in experiment order.
-    pub(crate) fn failures(&self) -> Vec<OracleFailure> {
-        let mut failures = self.failures.clone();
-        for (observations, sealed) in self.observations.iter().zip(&self.sealed) {
-            if !sealed {
-                failures.extend(check_differential(observations));
-            }
-        }
-        failures
-    }
-
     /// For each catalogue id not yet `known`, the input of the first
     /// failure so far that evidences it — explore's discovery tracker.
-    /// Runs no oracle once every id is known.
+    /// Failures are visited as a full rescan would: the absorbed ones,
+    /// then the differential of each open experiment in experiment order.
+    ///
+    /// `known` must hold every id an earlier call returned. A failure's
+    /// evidence changes only when its input is absorbed again, so only
+    /// the inputs absorbed since the last call are matched; every other
+    /// failure evidences known ids. Runs no oracle once every id is known.
     pub(crate) fn discoveries(
-        &self,
+        &mut self,
         inputs: &[TestInput],
         known: impl Fn(&str) -> bool,
     ) -> Vec<(&'static str, usize)> {
@@ -404,10 +419,53 @@ impl Classifier {
         if CATALOGUE.iter().all(|desc| known(desc.id)) {
             return found;
         }
-        for failure in &self.failures() {
+        let index = &mut self.index;
+        let mut touched = BTreeSet::new();
+        for (e, observations) in self.observations.iter().enumerate() {
+            for (at, obs) in observations.iter().enumerate().skip(index.looked[e]) {
+                index.members[e].entry(obs.input_id).or_default().push(at);
+                touched.insert(obs.input_id);
+            }
+            index.looked[e] = observations.len();
+        }
+        for (at, failure) in self.failures.iter().enumerate().skip(index.looked_failures) {
+            index
+                .failed_at
+                .entry(failure.input_id)
+                .or_default()
+                .push(at);
+        }
+        index.looked_failures = self.failures.len();
+
+        let mut note = |failure: &OracleFailure| {
             for id in evidenced(inputs, &self.summaries, failure).unwrap_or_default() {
                 if !known(id) && found.iter().all(|(seen, _)| *seen != id) {
                     found.push((id, failure.input_id));
+                }
+            }
+        };
+        let mut failed: Vec<usize> = touched
+            .iter()
+            .filter_map(|id| index.failed_at.get(id))
+            .flatten()
+            .copied()
+            .collect();
+        failed.sort_unstable();
+        for at in failed {
+            note(&self.failures[at]);
+        }
+        for (e, observations) in self.observations.iter().enumerate() {
+            if self.sealed[e] {
+                continue;
+            }
+            for &id in &touched {
+                let Some(group) = index.members[e].get(&id) else {
+                    continue;
+                };
+                if let Some(failure) =
+                    differential_of(id, group.iter().map(|&at| &observations[at]))
+                {
+                    note(&failure);
                 }
             }
         }
@@ -421,7 +479,9 @@ impl Classifier {
         inputs: &[TestInput],
         detector_enabled: bool,
     ) -> (DiscrepancyReport, Vec<(Experiment, Observation)>) {
-        // Sealing what is still open gives `failures()`' order, uncloned.
+        // Sealing what is still open puts each open experiment's
+        // differential after every absorbed failure, in experiment order:
+        // the order `discoveries` visits.
         for experiment in 0..self.experiments.len() {
             self.seal(experiment);
         }
@@ -492,12 +552,7 @@ pub fn classify(
             })
         })
         .collect();
-    let mut trace_totals: BTreeMap<String, usize> = BTreeMap::new();
-    for (_, obs) in observations {
-        for (channel, n) in obs.trace.channel_counts() {
-            *trace_totals.entry(channel).or_insert(0) += n;
-        }
-    }
+    let trace_totals = channel_totals(observations.iter().map(|(_, obs)| &obs.trace));
     let mut tally = DetectionTally::default();
     if detector_enabled {
         for (_, obs) in observations {
@@ -589,9 +644,9 @@ mod tests {
                 }
                 judge.absorb(at, &inputs[obs.input_id], obs.clone());
             }
-            let failures = judge.failures();
             let (incremental, observations) = judge.finish(inputs, detector_enabled);
             assert_eq!(observations, outcome.observations);
+            let failures = incremental.raw_failures.clone();
             let batch = classify(inputs, &observations, failures, detector_enabled);
             assert_eq!(
                 serde_json::to_string(&incremental).unwrap(),
@@ -601,6 +656,77 @@ mod tests {
                 assert_eq!(incremental, outcome.report, "what the campaign ran");
             }
         }
+    }
+
+    /// The discovery tracker before it was incremental: every failure so
+    /// far — the absorbed ones, then each open experiment's differential —
+    /// matched under the current summaries, first input per new id.
+    fn rescan(
+        judge: &Classifier,
+        inputs: &[TestInput],
+        known: &BTreeSet<&str>,
+    ) -> Vec<(&'static str, usize)> {
+        let mut failures = judge.failures.clone();
+        for (observations, sealed) in judge.observations.iter().zip(&judge.sealed) {
+            if !sealed {
+                failures.extend(check_differential(observations));
+            }
+        }
+        let mut found: Vec<(&'static str, usize)> = Vec::new();
+        for failure in &failures {
+            for id in evidenced(inputs, &judge.summaries, failure).unwrap_or_default() {
+                if !known.contains(id) && found.iter().all(|(seen, _)| *seen != id) {
+                    found.push((id, failure.input_id));
+                }
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn discoveries_answer_what_a_full_rescan_answers() {
+        let inputs = crate::generator::catalogue();
+        let mut observations = crate::Campaign::new(inputs).run().observations;
+        // A seeded shuffle that keeps catalogue order loosely: each
+        // observation lands a random quarter-run after its input's id, or
+        // a further quarter later. Inputs come back in later rounds, the
+        // experiments interleave, and since the catalogue groups inputs by
+        // type family, ids are still being found when the seal falls.
+        let n = inputs.len() as u64;
+        let mut state = 7;
+        observations.sort_by_cached_key(|(_, obs)| {
+            let mut draw = || csi_core::rng::splitmix64(&mut state);
+            let slot = obs.input_id as u64 + draw() % (n / 4) + draw() % 2 * (n / 4);
+            (slot, draw())
+        });
+        let rounds: Vec<_> = observations.chunks(64).collect();
+        let mut judge = Classifier::new(&Experiment::ALL);
+        let mut known: BTreeSet<&str> = BTreeSet::new();
+        let mut first_round: BTreeMap<usize, usize> = BTreeMap::new();
+        let (mut revisited, mut after_seal) = (0, 0);
+        for (round, chunk) in rounds.iter().enumerate() {
+            let sealed = round >= rounds.len() / 2;
+            if round == rounds.len() / 2 {
+                judge.seal(1);
+            }
+            for (experiment, obs) in chunk.iter() {
+                let at = Experiment::ALL.iter().position(|e| e == experiment);
+                judge.absorb(at.unwrap(), &inputs[obs.input_id], obs.clone());
+                if *first_round.entry(obs.input_id).or_insert(round) < round {
+                    revisited += 1;
+                }
+            }
+            let expected = rescan(&judge, inputs, &known);
+            let found = judge.discoveries(inputs, |id| known.contains(id));
+            assert_eq!(found, expected, "round {round}");
+            if sealed {
+                after_seal += found.len();
+            }
+            known.extend(found.iter().map(|(id, _)| *id));
+        }
+        assert!(revisited > 0, "no input came back in a later round");
+        assert!(after_seal > 0, "every id was found before the seal");
+        assert_eq!(known.len(), CATALOGUE.len(), "{known:?}");
     }
 
     #[test]

@@ -209,21 +209,16 @@ impl Explorer {
         )
     }
 
-    /// The fine-grained variant of a signature: the coarse signature plus
-    /// the input's declared SQL type, width and precision included —
-    /// reported coverage distinguishes DECIMAL(24,6) from DECIMAL(10,2)
-    /// traffic, which is what lets corpus-only declarations register as
-    /// novel signatures in the corpus-vs-catalogue diff.
-    fn fine(&self, sig: &CoverageSignature, input: &TestInput) -> CoverageSignature {
-        let mut fine = sig.clone();
-        fine.tag(format!("decl:{}", input.column_type.sql_name()));
-        fine
-    }
-
-    /// Records a signature in the fine (reported) map and credits a novel
-    /// one to the input's origin.
-    fn observe_fine(&mut self, sig: &CoverageSignature, input: &TestInput) {
-        if self.map.observe(&self.fine(sig, input), self.executed) {
+    /// Turns a coarse signature, once the coarse map has seen it, into its
+    /// fine-grained variant — tagged with the input's declared SQL type,
+    /// width and precision included, so reported coverage distinguishes
+    /// DECIMAL(24,6) from DECIMAL(10,2) traffic, which is what lets
+    /// corpus-only declarations register as novel signatures in the
+    /// corpus-vs-catalogue diff — records it in the fine (reported) map
+    /// and credits a novel one to the input's origin.
+    fn observe_fine(&mut self, mut sig: CoverageSignature, input: &TestInput) {
+        sig.tag(format!("decl:{}", input.column_type.sql_name()));
+        if self.map.observe(&sig, self.executed) {
             match self.origin(input.id) {
                 "mutation" => self.novel_from_mutation += 1,
                 "corpus" => self.novel_from_corpus += 1,
@@ -348,7 +343,7 @@ impl Explorer {
             // Fault observations feed coverage only; they stay out of the
             // classified report, whose oracles assume a fault-free stack.
             self.sched_map.observe(&sig, self.executed);
-            self.observe_fine(&sig, &input);
+            self.observe_fine(sig, &input);
             return;
         }
         if is_mutant {
@@ -367,10 +362,10 @@ impl Explorer {
                 sig.tag(format!("d:{id}"));
             }
         }
-        self.observe_fine(&sig, &input);
         // Admission keys off coarse novelty, so declared-type granularity
         // never changes what gets scheduled.
         let novel = self.sched_map.observe(&sig, self.executed);
+        self.observe_fine(sig, &input);
         if novel && !self.corpus_ids.contains(&input.id) {
             self.corpus_ids.insert(input.id);
             self.corpus.push(CorpusRow {

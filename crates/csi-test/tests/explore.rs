@@ -4,7 +4,8 @@
 //! coverage-guided mode rediscovers every discrepancy class the exhaustive
 //! catalogue reports, in fewer executed observations.
 
-use csi_test::{generate_inputs, reproducer_triggers, Campaign, CampaignOutcome};
+use csi_core::hash::fnv1a;
+use csi_test::{generate_inputs, reproducer_triggers, Campaign, CampaignOutcome, CorpusShape};
 use proptest::prelude::*;
 
 fn json<T: serde::Serialize>(value: &T) -> String {
@@ -83,6 +84,38 @@ fn shrunk_reproducers_preserve_their_discrepancy_class() {
             "shrunk reproducer for {} no longer triggers it",
             shrunk.id
         );
+    }
+}
+
+/// Discovery rows, corpus, signatures and shrinks do not move across
+/// commits: FNV-1a of the exploration stats' JSON at the benchmark's
+/// budget, for the catalogue and the corpus-seeded hunt at two seeds,
+/// against values computed on the commit before the discovery tracker
+/// went incremental. Every other explore test compares one build with
+/// itself.
+#[test]
+fn discovery_rows_hold_their_committed_values() {
+    let budget = 3200;
+    for (seed, catalogue, corpus) in [
+        (42, 0x8925_3240_dd9d_040f_u64, 0x736a_c4c1_8e32_118d_u64),
+        (7, 0xd0e4_196b_9485_2416, 0x2555_808a_79f7_414d),
+    ] {
+        let hunts = [
+            Campaign::new(&generate_inputs()).seed(seed).explore(budget),
+            Campaign::new(&[])
+                .corpus(CorpusShape::default(), seed)
+                .seed(seed)
+                .explore(budget),
+        ];
+        for (campaign, committed) in hunts.into_iter().zip([catalogue, corpus]) {
+            let stats = campaign.run().exploration.expect("explore mode");
+            assert_eq!(stats.discoveries.len(), 15, "seed {seed}");
+            assert_eq!(
+                fnv1a(json(&stats).as_bytes()),
+                committed,
+                "seed {seed}: {stats:?}"
+            );
+        }
     }
 }
 
