@@ -57,10 +57,9 @@ stage_lint() {
     exit 1
   fi
   # Hash iteration order differs run to run, and every report is a pure
-  # function of (spec, seed). The two files that hash do keyed lookups
-  # only and never iterate a table into output.
-  echo "==> hash guard (HashMap/HashSet only in intern.rs and token.rs)"
-  if grep -rnE --include='*.rs' 'Hash(Map|Set)' crates/ | grep -vE '^crates/(csi-core/src/intern|minihdfs/src/token)\.rs:'; then
+  # function of (spec, seed). No crate hashes.
+  echo "==> hash guard (no HashMap/HashSet under crates/)"
+  if grep -rnE --include='*.rs' 'Hash(Map|Set)' crates/; then
     echo "use a BTreeMap/BTreeSet or a sorted Vec, or show the BENCHMARK.json rung that needs the hash" >&2
     exit 1
   fi

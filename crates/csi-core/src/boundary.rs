@@ -265,11 +265,6 @@ impl InteractionTrace {
         self.crossings.is_empty()
     }
 
-    /// Crossing count per channel that was crossed, keyed by channel name.
-    pub fn channel_counts(&self) -> BTreeMap<String, usize> {
-        channel_totals([self])
-    }
-
     /// Compact one-line-per-crossing rendering.
     pub fn compact(&self) -> Vec<String> {
         self.crossings.iter().map(Crossing::compact).collect()
@@ -766,7 +761,7 @@ mod tests {
         assert_eq!(trace.crossings[0].seq, 0);
         assert_eq!(trace.crossings[0].at_ms, 0);
         assert_eq!(trace.crossings[1].at_ms, 1);
-        assert_eq!(trace.channel_counts()["metastore"], 2);
+        assert_eq!(channel_totals([&trace])["metastore"], 2);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! would never show.
 
 use crate::boundary::{Crossing, CrossingOutcome, CrossingSink, InteractionTrace};
-use crate::error::{ErrorKind, InteractionError};
+use crate::error::InteractionError;
 use crate::fault::{
     canonical_signature, classify_fault_outcome, Channel, FaultKind, FaultOutcome, InjectedFault,
 };
@@ -303,61 +303,54 @@ impl OnlineDetector {
         }
         s.active = false;
 
-        // §9 error-handling mirror of `classify_fault_outcome`: the fired
-        // set is reconstructed from Faulted crossings — provably the
-        // context's own fired log, since the boundary is the only interposer.
+        // §9 error handling, bucketed by the offline oracle's own table:
+        // the fired set is reconstructed from Faulted crossings — provably
+        // the context's own fired log, since the boundary is the only
+        // interposer.
         if !s.fired.is_empty() {
             let (seq, at_ms) = s.fired_anchor();
-            match surfaced {
-                None => {
-                    let channels = distinct_channels(s.fired.iter().map(|f| f.channel));
+            let judged = match (classify_fault_outcome(&s.fired, surfaced), surfaced) {
+                (FaultOutcome::Swallowed, _) => {
                     let fired_ids: Vec<&str> = s.fired.iter().map(|f| f.spec_id.as_str()).collect();
-                    let detection = Detection {
-                        kind: DetectionKind::SwallowedError,
-                        scenario: s.scenario.clone(),
-                        channels,
-                        seq,
-                        at_ms,
-                        detail: format!(
+                    Some((
+                        DetectionKind::SwallowedError,
+                        format!(
                             "{} fault(s) fired [{}] but no error surfaced",
                             s.fired.len(),
                             fired_ids.join(", ")
                         ),
-                    };
-                    s.emit(detection);
+                    ))
                 }
-                Some(e) if matches!(e.kind, ErrorKind::Crash | ErrorKind::AssertionFailure) => {
-                    // Crash bucket: the failure is loud; nothing slipped
-                    // through a crack. The offline oracle owns it.
+                (FaultOutcome::Mistranslated, Some(e)) => {
+                    let expected: Vec<String> = s
+                        .fired
+                        .iter()
+                        .filter_map(|f| canonical_signature(f.channel, f.kind))
+                        .map(|(kind, code)| format!("{kind}:{code}"))
+                        .collect();
+                    Some((
+                        DetectionKind::MistranslatedError,
+                        format!(
+                            "surfaced {} matches none of [{}]",
+                            e.signature(),
+                            expected.join(", ")
+                        ),
+                    ))
                 }
-                Some(e) => {
-                    let translated_ok = s.fired.iter().any(|f| {
-                        canonical_signature(f.channel, f.kind)
-                            .is_some_and(|(kind, code)| e.kind == kind && e.code == code)
-                    });
-                    if !translated_ok {
-                        let channels = distinct_channels(s.fired.iter().map(|f| f.channel));
-                        let expected: Vec<String> = s
-                            .fired
-                            .iter()
-                            .filter_map(|f| canonical_signature(f.channel, f.kind))
-                            .map(|(kind, code)| format!("{kind}:{code}"))
-                            .collect();
-                        let detection = Detection {
-                            kind: DetectionKind::MistranslatedError,
-                            scenario: s.scenario.clone(),
-                            channels,
-                            seq,
-                            at_ms,
-                            detail: format!(
-                                "surfaced {} matches none of [{}]",
-                                e.signature(),
-                                expected.join(", ")
-                            ),
-                        };
-                        s.emit(detection);
-                    }
-                }
+                // A crash is loud and a faithful propagation kept its
+                // context: nothing slipped through a crack.
+                _ => None,
+            };
+            if let Some((kind, detail)) = judged {
+                let detection = Detection {
+                    kind,
+                    scenario: s.scenario.clone(),
+                    channels: distinct_channels(s.fired.iter().map(|f| f.channel)),
+                    seq,
+                    at_ms,
+                    detail,
+                };
+                s.emit(detection);
             }
         }
 
@@ -627,7 +620,8 @@ impl DetectionTally {
 mod tests {
     use super::*;
     use crate::boundary::{BoundaryCall, CrossingContext};
-    use crate::fault::{classify_fault_outcome, FaultOutcome, FaultSpec, Trigger};
+    use crate::error::ErrorKind;
+    use crate::fault::{FaultSpec, Trigger};
 
     fn ms_call(op: &'static str) -> BoundaryCall {
         BoundaryCall::new(Channel::Metastore, op)

@@ -45,7 +45,6 @@ pub mod diag;
 pub mod error;
 pub mod fault;
 pub mod hash;
-pub mod intern;
 pub mod oracle;
 pub mod plane;
 pub mod report;

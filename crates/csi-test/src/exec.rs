@@ -118,7 +118,7 @@ pub(crate) struct Deployment {
     /// streaming sink), when the campaign runs with detection.
     pub(crate) detector: Option<OnlineDetector>,
     /// The deployment's filesystem, shared with `spark` and `hive` — held
-    /// so recycling can vacuum the namenode back to canonical state.
+    /// so the pool can reset it wholesale when the deployment is released.
     pub(crate) fs: Arc<Mutex<MiniHdfs>>,
     /// The deployment's metastore, shared with both engines — held so the
     /// pool can reset it wholesale when the deployment is released.
@@ -187,9 +187,9 @@ impl Deployment {
     /// Strips everything a run attached or left behind, until the stack
     /// is construction-identical to a fresh one: the detector and its
     /// sink, the armed faults, the context's counters, clock and trace,
-    /// both stores (rebuilt from scratch — erasing residue like
-    /// `next_part` / `next_block_id` cursors that `vacuum` deliberately
-    /// preserves), and the diagnostics sink.
+    /// both stores (rebuilt from scratch — erasing residue like the
+    /// `next_part` / `next_block_id` cursors that dropping a table leaves
+    /// advanced), and the diagnostics sink.
     pub(crate) fn reset_to_fresh(&mut self) {
         self.crossing.clear_sink();
         self.detector = None;
@@ -200,20 +200,12 @@ impl Deployment {
         self.sink.drain();
     }
 
-    /// Drops `table` (best effort), discards the diagnostics the drop
-    /// produced, and vacuums the namenode so recycling never leaks into the
-    /// next observation.
-    ///
-    /// The vacuum is what keeps pooled deployments byte-identical with
-    /// fresh ones: it rebuilds the interner and inode arena as a pure
-    /// function of the surviving namespace, erasing any layout residue the
-    /// recycled experiment left behind. Without it, a pool worker's
-    /// interner would depend on which experiments it happened to serve —
-    /// harmless today (nothing observable derives from symbol values), but
-    /// the invariant is cheap to enforce and easy to lose silently.
+    /// Drops `table` (best effort) and discards the diagnostics the drop
+    /// produced, so recycling never leaks into the next observation. The
+    /// namenode needs nothing more: its namespace is a tree of the live
+    /// files, the same whichever experiments built and dropped them.
     pub(crate) fn recycle(&self, table: &str) {
         let _ = self.spark.sql(&format!("DROP TABLE IF EXISTS {table}"));
-        self.fs.lock().vacuum();
         self.sink.drain();
     }
 }

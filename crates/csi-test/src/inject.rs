@@ -692,6 +692,7 @@ pub(crate) fn run_fault_matrix(config: &FaultMatrixConfig, workers: usize) -> Fa
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
+    use csi_core::boundary::channel_totals;
 
     #[test]
     fn catalogue_covers_every_channel() {
@@ -812,7 +813,7 @@ mod tests {
         assert!(fixed.surfaced.is_none());
         // Both cells carry their crossing sequence.
         assert!(!shipped.trace.is_empty());
-        assert_eq!(fixed.trace.channel_counts()["hbase"], 3);
+        assert_eq!(channel_totals([&fixed.trace])["hbase"], 3);
     }
 
     #[test]

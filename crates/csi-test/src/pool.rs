@@ -6,11 +6,10 @@
 //! identical deployment *shapes*, so the pool keeps finished stacks warm
 //! on per-shape shelves and hands them back out instead of rebuilding.
 //!
-//! The invariant that makes pooling safe is the same one `vacuum`
-//! enforces for recycled tables, taken to its limit: **a released
-//! deployment is reset until it is construction-identical to a fresh
-//! one** — `Deployment::reset_to_fresh` is the one place that says what
-//! that takes. Pooled campaigns are therefore byte-identical to unpooled
+//! The invariant that makes pooling safe: **a released deployment is
+//! reset until it is construction-identical to a fresh one** —
+//! `Deployment::reset_to_fresh` is the one place that says what that
+//! takes. Pooled campaigns are therefore byte-identical to unpooled
 //! ones — pinned by `exec::tests::pooled_run_is_byte_identical_to_fresh`.
 //!
 //! Shelves are keyed by the parts of a [`CrossTestConfig`] that are baked

@@ -1,21 +1,22 @@
-//! Observational identity of the interned/sharded substrates.
+//! Observational identity of the substrates.
 //!
-//! The production-scale storage refactor (interned-name inode arena in
-//! minihdfs, flat sharded partition map and hashed group index in
-//! minikafka, slab-allocated containers in miniyarn) promised one thing:
-//! nothing observable changes. These tests pin that promise from three
+//! These tests pin what a substrate's storage may not change, from three
 //! directions:
 //!
-//! - property tests drive random operation sequences against two
-//!   instances whose *internal layout histories* differ (one vacuums its
-//!   interner mid-stream, one doesn't) and against independent models of
-//!   the observable semantics — every result must match;
+//! - fixed-seed operation sequences drive minihdfs and fold every
+//!   rendered result into one committed digest, so a rewrite of the
+//!   namespace storage must reproduce each status, listing, error, block
+//!   id and replica placement byte for byte;
+//! - property tests check minikafka against independent models of the
+//!   observable semantics;
 //! - the compound fault campaign (`kfaults(2).jobs(3)`) must stay
 //!   byte-identical between the serial and sharded executors, the
-//!   end-to-end check that no substrate leaked hash-map iteration order
-//!   or interner state into a report.
+//!   end-to-end check that no substrate leaked state from a recycled
+//!   deployment into a report.
 
-use minihdfs::{HdfsPath, MiniHdfs};
+use csi_core::hash::Fnv1a;
+use csi_core::rng::splitmix64;
+use minihdfs::{DataNodeId, FileProperties, HdfsPath, Locality, MiniHdfs};
 use minikafka::{GroupCoordinator, MiniKafka, PartitionId};
 use proptest::prelude::*;
 
@@ -24,58 +25,145 @@ fn json<T: serde::Serialize>(value: &T) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// minihdfs: layout history must be unobservable.
+// minihdfs: fixed op sequences against a committed digest.
 // ---------------------------------------------------------------------------
 
-/// A random namespace operation over a small path alphabet (so sequences
-/// collide constantly: re-creates, deletes of parents, renames onto
-/// existing paths — every error arm gets exercised).
+/// A namespace operation over a small path alphabet (so sequences collide
+/// constantly: re-creates, deletes of parents, renames onto existing
+/// paths, quotas below current usage — every error arm gets exercised).
 #[derive(Debug, Clone)]
 enum FsOp {
     Mkdirs(String),
-    Create(String, u8),
+    /// Path, fill byte, length, and which constructor (plain, compressed,
+    /// or remote with an explicit owner).
+    Create(String, u8, usize, u8),
     Append(String, u8),
     Delete(String, bool),
     Rename(String, String),
     List(String),
     Read(String),
-    Vacuumable,
+    Status(String),
+    SetQuota(String, Option<u64>, Option<u64>),
+    Blocks(String),
+    AdvanceClock(u64),
+    KillDatanode(u32),
+    /// A datanode (re)joins, then the namenode re-replicates.
+    Replicate(u32),
 }
 
-fn path_strategy() -> impl Strategy<Value = String> {
-    // Depth ≤ 3 over 4 names: tiny alphabet, maximal collision pressure.
-    proptest::collection::vec(
-        proptest::sample::select(vec!["a", "b", "dir", "part-0"]),
-        1..4,
-    )
-    .prop_map(|comps| format!("/{}", comps.join("/")))
-}
+/// Draws ops from one SplitMix64 stream.
+struct Draw(u64);
 
-fn fs_op_strategy() -> impl Strategy<Value = FsOp> {
-    prop_oneof![
-        path_strategy().prop_map(FsOp::Mkdirs),
-        (path_strategy(), any::<u8>()).prop_map(|(p, b)| FsOp::Create(p, b)),
-        (path_strategy(), any::<u8>()).prop_map(|(p, b)| FsOp::Append(p, b)),
-        (path_strategy(), any::<bool>()).prop_map(|(p, r)| FsOp::Delete(p, r)),
-        (path_strategy(), path_strategy()).prop_map(|(a, b)| FsOp::Rename(a, b)),
-        path_strategy().prop_map(FsOp::List),
-        path_strategy().prop_map(FsOp::Read),
-        proptest::sample::select(vec![FsOp::Vacuumable]),
-    ]
+impl Draw {
+    fn below(&mut self, n: u64) -> u64 {
+        splitmix64(&mut self.0) % n
+    }
+
+    /// `/` one time in 16, else depth 1..=3.
+    fn path(&mut self) -> String {
+        let depth = match self.below(16) {
+            0 => 0,
+            _ => 1 + self.below(3),
+        };
+        self.path_of(depth)
+    }
+
+    /// A path of `depth` components over 4 names.
+    fn path_of(&mut self, depth: u64) -> String {
+        const NAMES: [&str; 4] = ["a", "b", "dir", "part-0"];
+        if depth == 0 {
+            return "/".to_string();
+        }
+        (0..depth)
+            .map(|_| format!("/{}", NAMES[self.below(4) as usize]))
+            .collect()
+    }
+
+    fn op(&mut self) -> FsOp {
+        match self.below(15) {
+            0 => FsOp::Mkdirs(self.path()),
+            1..=3 => {
+                let path = self.path();
+                let fill = self.below(256) as u8;
+                let len = [0, 3, 200][self.below(3) as usize];
+                FsOp::Create(path, fill, len, self.below(3) as u8)
+            }
+            4 => FsOp::Append(self.path(), self.below(256) as u8),
+            5 => FsOp::Delete(self.path(), self.below(2) == 0),
+            6 => FsOp::Rename(self.path(), self.path()),
+            7 => FsOp::List(self.path()),
+            8 => FsOp::Read(self.path()),
+            9 => FsOp::Status(self.path()),
+            10 => {
+                // Shallow, so the quota has a subtree to weigh.
+                let depth = self.below(2);
+                let path = self.path_of(depth);
+                let names = (self.below(2) == 0).then(|| self.below(6));
+                let space = (self.below(2) == 0).then(|| self.below(250));
+                FsOp::SetQuota(path, names, space)
+            }
+            11 => FsOp::Blocks(self.path()),
+            12 => FsOp::AdvanceClock(1 + self.below(1000)),
+            13 => FsOp::KillDatanode(self.below(4) as u32),
+            _ => FsOp::Replicate(self.below(4) as u32),
+        }
+    }
 }
 
 /// Applies one op and renders everything observable about its result.
 fn apply_fs(fs: &mut MiniHdfs, op: &FsOp) -> String {
     let parse = |raw: &str| HdfsPath::parse(raw).expect("valid test path");
+    let health = |fs: &MiniHdfs| {
+        format!(
+            "{} live, {} under-replicated",
+            fs.live_datanodes(),
+            fs.under_replicated_blocks()
+        )
+    };
     match op {
         FsOp::Mkdirs(p) => format!("{:?}", fs.mkdirs(&parse(p))),
-        FsOp::Create(p, b) => format!("{:?}", fs.create(&parse(p), &[*b; 3])),
+        FsOp::Create(p, b, len, how) => {
+            let (path, data) = (parse(p), vec![*b; *len]);
+            let created = match how {
+                0 => fs.create(&path, &data),
+                1 => fs.create_compressed(&path, &data),
+                _ => {
+                    let props = FileProperties {
+                        locality: Locality::Remote,
+                        ..FileProperties::default()
+                    };
+                    fs.create_with(&path, &data, props, "hive", 0o600)
+                }
+            };
+            format!("{created:?}")
+        }
         FsOp::Append(p, b) => format!("{:?}", fs.append(&parse(p), &[*b; 2])),
         FsOp::Delete(p, recursive) => format!("{:?}", fs.delete(&parse(p), *recursive)),
         FsOp::Rename(a, b) => format!("{:?}", fs.rename(&parse(a), &parse(b))),
         FsOp::List(p) => format!("{:?}", fs.list_status(&parse(p))),
         FsOp::Read(p) => format!("{:?}", fs.read(&parse(p))),
-        FsOp::Vacuumable => String::new(),
+        FsOp::Status(p) => format!(
+            "{:?} {:?}",
+            fs.get_file_status(&parse(p)),
+            fs.stored_length(&parse(p))
+        ),
+        FsOp::SetQuota(p, names, space) => {
+            format!("{:?}", fs.set_quota(&parse(p), *names, *space))
+        }
+        FsOp::Blocks(p) => format!("{:?}", fs.blocks(&parse(p))),
+        FsOp::AdvanceClock(ms) => {
+            fs.advance_clock(*ms);
+            fs.now().to_string()
+        }
+        FsOp::KillDatanode(id) => {
+            fs.kill_datanode(DataNodeId(*id));
+            health(fs)
+        }
+        FsOp::Replicate(id) => {
+            fs.register_datanode(DataNodeId(*id));
+            let placed = fs.replicate_under_replicated();
+            format!("{placed} placed, {}", health(fs))
+        }
     }
 }
 
@@ -89,37 +177,31 @@ fn namespace_snapshot(fs: &MiniHdfs, path: &HdfsPath, out: &mut String) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Two filesystems run the same op sequence; one vacuums (canonical
-    /// interner/arena rebuild) at every marker. Every per-op result and
-    /// the final recursive namespace snapshot must be identical — the
-    /// internal layout history is unobservable.
-    #[test]
-    fn hdfs_vacuum_history_is_unobservable(
-        ops in proptest::collection::vec(fs_op_strategy(), 1..40)
-    ) {
-        let mut plain = MiniHdfs::with_datanodes(3);
-        let mut vacuumed = MiniHdfs::with_datanodes(3);
-        for (i, op) in ops.iter().enumerate() {
-            if matches!(op, FsOp::Vacuumable) {
-                vacuumed.vacuum();
-                continue;
-            }
-            let a = apply_fs(&mut plain, op);
-            let b = apply_fs(&mut vacuumed, op);
-            prop_assert_eq!(a, b, "op {} diverged: {:?}", i, op);
+/// FNV-1a over every rendered per-op result and the final namespace of
+/// 64 fixed sequences of 60 ops. The committed value was computed before
+/// the namespace moved from an interned inode arena to a tree of names,
+/// and holds unchanged after it.
+#[test]
+fn hdfs_op_sequences_hold_their_committed_digest() {
+    let mut digest = Fnv1a::new();
+    for seed in 0..64 {
+        let mut draw = Draw(seed);
+        let mut fs = MiniHdfs::with_datanodes(3);
+        for _ in 0..60 {
+            let op = draw.op();
+            digest.bytes(apply_fs(&mut fs, &op).as_bytes());
+            digest.byte(b'\n');
         }
-        vacuumed.vacuum();
-        let (mut sa, mut sb) = (String::new(), String::new());
-        namespace_snapshot(&plain, &HdfsPath::root(), &mut sa);
-        namespace_snapshot(&vacuumed, &HdfsPath::root(), &mut sb);
-        prop_assert_eq!(sa, sb, "final namespace diverged");
-        // The vacuumed interner never holds more names than the live
-        // namespace needs; the plain one may hold garbage.
-        prop_assert!(vacuumed.interned_names() <= plain.interned_names());
+        let mut snapshot = String::new();
+        namespace_snapshot(&fs, &HdfsPath::root(), &mut snapshot);
+        digest.bytes(snapshot.as_bytes());
     }
+    assert_eq!(
+        digest.finish(),
+        0x8dd9_b88b_e0e0_7470,
+        "{:#018x}",
+        digest.finish()
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -229,9 +311,9 @@ proptest! {
 
 /// `kfaults(2).jobs(3)`: the compound fault-set × interleaving pass plus
 /// the cross campaign, serial vs sharded, must agree byte for byte. This
-/// is the check that the substrate refactor leaked no iteration order —
-/// the sharded executor recycles pooled deployments (vacuuming their
-/// namenode interners), while the serial one builds fresh stacks.
+/// is the check that no substrate leaked iteration order or recycled
+/// state — the sharded executor recycles pooled deployments, while the
+/// serial one builds fresh stacks.
 #[test]
 fn compound_campaign_kfaults2_jobs3_serial_matches_sharded() {
     // A catalogue slice keeps the doubled run affordable; the full-set

@@ -284,6 +284,7 @@ impl HBaseClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csi_core::boundary::channel_totals;
     use csi_core::fault::{FaultSpec, Trigger};
 
     #[test]
@@ -400,7 +401,7 @@ mod tests {
         assert_eq!(client.master_lookups(), 2);
         // The trace shows the route plus both lookups.
         let trace = ctx.trace();
-        assert_eq!(trace.channel_counts()["hbase"], 3);
+        assert_eq!(channel_totals([&trace])["hbase"], 3);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 pub mod error;
 pub mod fs;
-pub mod name;
 pub mod path;
 pub mod token;
 

@@ -8,6 +8,7 @@
 //! failure when they schedule renewal poorly.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Opaque token identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -35,16 +36,13 @@ impl DelegationToken {
 
 /// Server-side token registry.
 ///
-/// Tokens live in a hashed index keyed by raw id, so issue, renewal,
-/// cancellation, and verification are O(1) at any fleet size. The map is
-/// **lookup-only**: no code path iterates it (hash iteration order is
-/// nondeterministic), and anything order-sensitive — such as
-/// [`TokenRegistry::expired`] — sorts by `(expires_at, id)` before
-/// returning.
+/// Tokens live in an ordered map keyed by raw id, so the map iterates in
+/// issue order; [`TokenRegistry::expired`] re-sorts by
+/// `(expires_at, id)`, clock order first.
 #[derive(Debug, Default, Clone)]
 pub struct TokenRegistry {
     next_id: u64,
-    tokens: std::collections::HashMap<u64, DelegationToken>,
+    tokens: BTreeMap<u64, DelegationToken>,
 }
 
 /// Outcome of a token verification.
@@ -125,9 +123,9 @@ impl TokenRegistry {
         self.tokens.is_empty()
     }
 
-    /// All tokens expired at `now`, in deterministic clock order: sorted
-    /// by `(expires_at, id)` so ties on the expiry instant break by issue
-    /// order, never by hash-map iteration order.
+    /// All tokens expired at `now`, in clock order: sorted by
+    /// `(expires_at, id)` so ties on the expiry instant break by issue
+    /// order.
     pub fn expired(&self, now: u64) -> Vec<DelegationToken> {
         let mut out: Vec<DelegationToken> = self
             .tokens
@@ -200,9 +198,7 @@ mod tests {
 
     #[test]
     fn expiry_order_is_deterministic_clock_order() {
-        // Regression for the hashed-index refactor: tokens must still
-        // expire in clock order, with ties broken by issue order — never
-        // by hash-map iteration order.
+        // Tokens expire in clock order, with ties broken by issue order.
         let build = || {
             let mut reg = TokenRegistry::default();
             for (now, interval) in [(0, 300), (0, 100), (50, 50), (0, 100), (10, 500)] {
