@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, one-judge, hash and one-varint guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, one-judge, hash, glue and one-varint guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -61,6 +61,13 @@ stage_lint() {
   echo "==> hash guard (no HashMap/HashSet under crates/)"
   if grep -rnE --include='*.rs' 'Hash(Map|Set)' crates/; then
     echo "use a BTreeMap/BTreeSet or a sorted Vec, or show the BENCHMARK.json rung that needs the hash" >&2
+    exit 1
+  fi
+  # The harness's own bookkeeping goes through the session API: a statement
+  # it formats and parses only to clean up is cost, not a test.
+  echo "==> glue guard (the harness drops tables without SQL text)"
+  if grep -rnF 'DROP TABLE' crates/csi-test/src/; then
+    echo "drop through \`SparkSession::drop_table\`; statement text is for the interfaces under test" >&2
     exit 1
   fi
   # The row reference codec and the batch codec agree byte for byte

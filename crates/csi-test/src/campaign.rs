@@ -159,9 +159,10 @@ impl Campaign {
         self
     }
 
-    /// Drops each table right after its observation is recorded.
-    pub fn recycle_tables(mut self, recycle: bool) -> Campaign {
-        self.spec.recycle_tables = recycle;
+    /// Does nothing: every cross-test observation drops its own table, so
+    /// there is no mode to choose. Kept so callers that once chose it
+    /// still compile.
+    pub fn recycle_tables(self, _recycle: bool) -> Campaign {
         self
     }
 
@@ -418,7 +419,6 @@ impl Campaign {
             experiments: self.spec.experiments,
             formats: self.spec.formats,
             spark_overrides: self.spec.spark_overrides,
-            recycle_tables: self.spec.recycle_tables,
             fault_plan: self.spec.faults,
             // The baseline learner and the agreement scorer both read
             // observation traces, so detection forces tracing on.

@@ -25,6 +25,7 @@ use minihive::hiveql::HiveQl;
 use minihive::metastore::{Metastore, StorageFormat};
 use minispark::SparkSession;
 use parking_lot::Mutex;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Configuration of a cross-testing run.
@@ -37,10 +38,6 @@ pub struct CrossTestConfig {
     /// Spark configuration overrides applied to every deployment
     /// ("testing under the deployment configuration").
     pub spark_overrides: Vec<(String, String)>,
-    /// Drop each table right after its observation is recorded, keeping the
-    /// metastore and filesystem footprint bounded by one table per worker
-    /// instead of one per (plan, format, input) combination.
-    pub recycle_tables: bool,
     /// Faults to arm on every deployment's metastore and filesystem.
     /// `None` (and an empty plan) runs fault-free.
     pub fault_plan: Option<FaultPlan>,
@@ -66,7 +63,6 @@ impl Default for CrossTestConfig {
             experiments: Experiment::ALL.to_vec(),
             formats: StorageFormat::ALL.to_vec(),
             spark_overrides: Vec::new(),
-            recycle_tables: false,
             fault_plan: None,
             trace_boundaries: true,
             detector: None,
@@ -200,12 +196,13 @@ impl Deployment {
         self.sink.drain();
     }
 
-    /// Drops `table` (best effort) and discards the diagnostics the drop
-    /// produced, so recycling never leaks into the next observation. The
-    /// namenode needs nothing more: its namespace is a tree of the live
-    /// files, the same whichever experiments built and dropped them.
+    /// Drops `table` (best effort) through the session API and discards
+    /// the diagnostics the drop produced, so recycling never leaks into
+    /// the next observation. The namenode needs nothing more: its
+    /// namespace is a tree of the live files, the same whichever
+    /// experiments built and dropped them.
     pub(crate) fn recycle(&self, table: &str) {
-        let _ = self.spark.sql(&format!("DROP TABLE IF EXISTS {table}"));
+        let _ = self.spark.drop_table(table, true);
         self.sink.drain();
     }
 }
@@ -441,12 +438,15 @@ pub(crate) fn run_one(
     input: &TestInput,
     recycle: bool,
 ) -> Observation {
-    let table = format!(
-        "t_{}_{}_{}_{}",
+    // `t_{exp}_{write}{read}_{ext}_{id}` is at most 52 bytes, so the name
+    // costs one allocation.
+    let mut table = String::with_capacity(64);
+    let _ = write!(
+        table,
+        "t_{}_{}{}_{}_{}",
         experiment.short(),
-        format!("{plan}")
-            .replace(['-', '>'], "")
-            .to_ascii_lowercase(),
+        plan.write.slug(),
+        plan.read.slug(),
         format.extension(),
         input.id
     );
@@ -487,8 +487,8 @@ pub(crate) fn run_one(
         obs.detections = det.finish(obs.surfaced());
     }
     if recycle {
-        // Recycling crosses the boundary too (DROP TABLE), but the
-        // detector is already finished: those crossings are ignored.
+        // The drop crosses the boundary too, but the trace is already
+        // taken and the detector finished: those crossings are ignored.
         d.recycle(&table);
     }
     obs
@@ -646,6 +646,51 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.created, 1);
         assert_eq!(stats.reused, 5);
+    }
+
+    /// The tables and warehouse directories `d` holds, in name order.
+    fn namespace(d: &Deployment) -> (Vec<String>, Vec<String>) {
+        let fs = d.fs.lock();
+        let metastore = d.metastore.lock();
+        let tables = metastore.list_tables("default").unwrap();
+        let dirs = fs
+            .list_status(metastore.warehouse_root())
+            .unwrap_or_default();
+        (
+            tables.into_iter().map(str::to_string).collect(),
+            dirs.iter()
+                .map(|s| s.path.name().unwrap().to_string())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_recycled_observation_leaves_an_empty_namespace() {
+        let config = CrossTestConfig::default();
+        let d = Deployment::unarmed(&config);
+        let inputs = generate_inputs();
+        let experiment = Experiment::SparkToSpark;
+        for format in StorageFormat::ALL {
+            for plan in experiment.plans() {
+                for input in &inputs[..24] {
+                    run_one(&d, experiment, plan, format, input, true);
+                    assert_eq!(
+                        namespace(&d),
+                        (vec![], vec![]),
+                        "{plan} {format:?} input {} left its table behind",
+                        input.id
+                    );
+                }
+            }
+        }
+        // Without the drop (the fault-matrix cell path, which reads the
+        // crossing context after `run_one` returns) the table stays.
+        let d = Deployment::unarmed(&config);
+        let inputs = one_input(DataType::Int, Value::Int(7), Validity::Valid);
+        let plan = experiment.plans()[0];
+        run_one(&d, experiment, plan, StorageFormat::Orc, &inputs[0], false);
+        let name = "t_ss_sparksqlsparksql_orc_0".to_string();
+        assert_eq!(namespace(&d), (vec![name.clone()], vec![name]));
     }
 
     #[test]

