@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, one-judge, hash, glue and one-varint guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge, hash, glue and one-varint guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -43,6 +43,13 @@ stage_lint() {
   echo "==> boundary guard (a payload is digested from its parts, never rendered first)"
   if grep -rnE --include='*.rs' 'with_payload\(&(format!|.*\.to_string\(\))' crates/; then
     echo "hash the parts instead: .with_payload_fmt(format_args!(..)) digests the same bytes without building them" >&2
+    exit 1
+  fi
+  # A coverage tag is compared and hashed, never read: a tag rendered to a
+  # String first is one allocation per tag per trial.
+  echo "==> coverage guard (a tag is written from its parts, never rendered first)"
+  if grep -rnE --include='*.rs' '\.tag\(format!' crates/; then
+    echo "write the tag from its parts: \`.tag(format_args!(..))\`" >&2
     exit 1
   fi
   # How a trial is judged is one module's decision: a mode that runs an

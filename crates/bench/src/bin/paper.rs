@@ -572,7 +572,7 @@ fn contracts() {
     header("a sample of what only machine-checkable specs surface");
     let mut seen = std::collections::BTreeSet::new();
     for v in &documented {
-        let key = format!("{}/{}", v.channel, v.data_type.sql_name());
+        let key = format!("{}/{}", v.channel, v.data_type);
         if seen.insert(key) && seen.len() <= 8 {
             println!("  {v}");
         }

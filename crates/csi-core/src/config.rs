@@ -152,16 +152,15 @@ impl ConfigMap {
 
     /// Parses a key as a boolean (`true`/`false`, case-insensitive).
     pub fn get_bool(&self, key: &str) -> Option<Result<bool, ConfigValueError>> {
-        self.get(key)
-            .map(|v| match v.to_ascii_lowercase().as_str() {
-                "true" => Ok(true),
-                "false" => Ok(false),
-                _ => Err(ConfigValueError {
-                    key: key.to_string(),
-                    value: v.to_string(),
-                    expected: "boolean",
-                }),
-            })
+        self.get(key).map(|v| match v {
+            _ if v.eq_ignore_ascii_case("true") => Ok(true),
+            _ if v.eq_ignore_ascii_case("false") => Ok(false),
+            _ => Err(ConfigValueError {
+                key: key.to_string(),
+                value: v.to_string(),
+                expected: "boolean",
+            }),
+        })
     }
 
     /// Parses a key as an integer.

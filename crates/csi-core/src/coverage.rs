@@ -8,28 +8,38 @@
 //! signature never seen before is *novel* and earns a place in the
 //! exploration corpus.
 //!
-//! Signatures are canonical: tuples and tags live in ordered sets, so two
-//! observations that crossed the same boundaries in different interleavings
-//! or multiplicities collapse to the same signature. The fingerprint is a
-//! plain FNV-1a over the canonical text, which keeps the whole map
-//! deterministic and serializable — the properties the explore mode's
-//! serial-vs-sharded byte-identity rests on.
+//! Signatures are canonical: tuples and tags are kept deduplicated and in
+//! byte order, so two observations that crossed the same boundaries in
+//! different interleavings or multiplicities collapse to the same
+//! signature. The fingerprint is a plain FNV-1a over the canonical text,
+//! streamed from the parts, and the map keys on it: the whole map is
+//! deterministic, the property the explore mode's serial-vs-sharded
+//! byte-identity rests on.
+//!
+//! A signature is judged far more often than it is read, so it is built
+//! from its parts: one text buffer holds every distinct tuple and tag, and
+//! two sorted range lists index it. Nothing renders the canonical text
+//! except [`CoverageSignature::canonical`].
 
 use crate::boundary::{CrossingOutcome, InteractionTrace};
 use crate::fault::FaultKind;
 use crate::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 /// The coverage signature of one observation: canonical crossing tuples
 /// plus classifier tags.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct CoverageSignature {
-    /// Canonical `channel|op|plane|outcome-class` tuples, deduplicated.
-    pub tuples: BTreeSet<String>,
-    /// Classifier tags: error codes, oracle verdicts, taxonomy buckets,
-    /// input-shape markers. Deduplicated and ordered.
-    pub tags: BTreeSet<String>,
+    /// The text of every distinct tuple and tag, in first-insertion order.
+    text: String,
+    /// `channel|op|plane|outcome-class` tuples: ranges into `text`,
+    /// deduplicated and sorted by the bytes they cover.
+    tuples: Vec<(u32, u32)>,
+    /// Classifier tags (error codes, oracle verdicts, taxonomy buckets,
+    /// input-shape markers), kept like `tuples`.
+    tags: Vec<(u32, u32)>,
 }
 
 /// The outcome class of a crossing, independent of fault parameters: a
@@ -48,56 +58,90 @@ fn outcome_class(outcome: &CrossingOutcome) -> &'static str {
     }
 }
 
+/// Files `text[start..]`, just appended, into the sorted range list `set`,
+/// or drops it from `text` when `set` already covers the same bytes.
+fn insert_sorted(text: &mut String, set: &mut Vec<(u32, u32)>, start: usize) {
+    let part = &text[start..];
+    let found = set.binary_search_by(|&(a, b)| text[a as usize..b as usize].cmp(part));
+    match found {
+        Ok(_) => text.truncate(start),
+        Err(at) => set.insert(at, (start as u32, text.len() as u32)),
+    }
+}
+
 impl CoverageSignature {
     /// Extracts the crossing tuples of a trace; tags start empty.
     pub fn from_trace(trace: &InteractionTrace) -> CoverageSignature {
-        let tuples = trace
-            .crossings
-            .iter()
-            .map(|c| {
-                format!(
-                    "{}|{}|{}|{}",
-                    c.call.channel,
-                    c.call.op,
-                    c.call.plane,
-                    outcome_class(&c.outcome)
-                )
-            })
-            .collect();
-        CoverageSignature {
-            tuples,
-            tags: BTreeSet::new(),
+        // Sized so a typical signature never regrows: a tuple renders to
+        // 19–36 bytes, and a trial adds a handful of short tags.
+        let n = trace.crossings.len();
+        let mut sig = CoverageSignature {
+            text: String::with_capacity(32 * n + 64),
+            tuples: Vec::with_capacity(n),
+            tags: Vec::with_capacity(8),
+        };
+        for c in &trace.crossings {
+            let start = sig.text.len();
+            for part in [
+                c.call.channel.name(),
+                &c.call.op,
+                c.call.plane.name(),
+                outcome_class(&c.outcome),
+            ] {
+                sig.text.push_str(part);
+                sig.text.push('|');
+            }
+            sig.text.pop();
+            insert_sorted(&mut sig.text, &mut sig.tuples, start);
         }
+        sig
     }
 
-    /// Adds a classifier tag (idempotent).
-    pub fn tag(&mut self, tag: impl Into<String>) {
-        self.tags.insert(tag.into());
+    /// Adds a classifier tag (idempotent). Pass `format_args!` to write a
+    /// composite tag from its parts.
+    pub fn tag(&mut self, tag: impl fmt::Display) {
+        let start = self.text.len();
+        write!(self.text, "{tag}").expect("writing to a String cannot fail");
+        insert_sorted(&mut self.text, &mut self.tags, start);
+    }
+
+    /// Feeds the canonical rendering to `sink`, part by part: the tuples
+    /// joined by `;`, then `##`, then the tags joined by `;`.
+    fn stream(&self, mut sink: impl FnMut(&str)) {
+        for (k, set) in [&self.tuples, &self.tags].into_iter().enumerate() {
+            if k > 0 {
+                sink("##");
+            }
+            for (i, &(a, b)) in set.iter().enumerate() {
+                if i > 0 {
+                    sink(";");
+                }
+                sink(&self.text[a as usize..b as usize]);
+            }
+        }
     }
 
     /// The canonical one-line rendering the fingerprint hashes.
     pub fn canonical(&self) -> String {
-        let tuples: Vec<&str> = self.tuples.iter().map(String::as_str).collect();
-        let tags: Vec<&str> = self.tags.iter().map(String::as_str).collect();
-        format!("{}##{}", tuples.join(";"), tags.join(";"))
+        let mut out = String::with_capacity(self.text.len() + self.tuples.len() + self.tags.len());
+        self.stream(|part| out.push_str(part));
+        out
     }
 
     /// FNV-1a 64-bit fingerprint of the canonical rendering, streamed
     /// from the parts instead of building it.
     pub fn fingerprint(&self) -> u64 {
-        fn joined<'a>(hash: &mut Fnv1a, parts: impl IntoIterator<Item = &'a String>) {
-            for (i, part) in parts.into_iter().enumerate() {
-                if i > 0 {
-                    hash.byte(b';');
-                }
-                hash.bytes(part.as_bytes());
-            }
-        }
         let mut hash = Fnv1a::new();
-        joined(&mut hash, &self.tuples);
-        hash.bytes(b"##");
-        joined(&mut hash, &self.tags);
+        self.stream(|part| hash.bytes(part.as_bytes()));
         hash.finish()
+    }
+}
+
+impl fmt::Debug for CoverageSignature {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("CoverageSignature")
+            .field(&self.canonical())
+            .finish()
     }
 }
 
@@ -121,11 +165,9 @@ pub fn prefix_fingerprint(prefix: &[String]) -> u64 {
 
 /// The set of coverage signatures a campaign has seen, with the execution
 /// index each was first observed at.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageMap {
-    // Keyed by the hex fingerprint (JSON map keys are strings, so a
-    // string key round-trips through serialization losslessly).
-    first_seen: BTreeMap<String, usize>,
+    first_seen: BTreeMap<u64, usize>,
 }
 
 impl CoverageMap {
@@ -137,19 +179,18 @@ impl CoverageMap {
     /// Records a signature observed at execution index `executed`.
     /// Returns `true` when the signature is novel (first occurrence).
     pub fn observe(&mut self, signature: &CoverageSignature, executed: usize) -> bool {
-        let fp = format!("{:016x}", signature.fingerprint());
-        if let std::collections::btree_map::Entry::Vacant(slot) = self.first_seen.entry(fp) {
-            slot.insert(executed);
-            true
-        } else {
-            false
+        match self.first_seen.entry(signature.fingerprint()) {
+            Entry::Vacant(slot) => {
+                slot.insert(executed);
+                true
+            }
+            Entry::Occupied(_) => false,
         }
     }
 
     /// Whether the signature has been seen.
     pub fn contains(&self, signature: &CoverageSignature) -> bool {
-        self.first_seen
-            .contains_key(&format!("{:016x}", signature.fingerprint()))
+        self.first_seen.contains_key(&signature.fingerprint())
     }
 
     /// Number of distinct signatures seen.
@@ -161,8 +202,12 @@ impl CoverageMap {
     /// (lexicographic) order. Exploration reports expose this so two runs
     /// can be compared by *which* signatures they reached, not just how
     /// many — the corpus-vs-catalogue set difference is computed on it.
+    /// Fixed-width lowercase hex sorts like the integer it renders.
     pub fn fingerprints(&self) -> Vec<String> {
-        self.first_seen.keys().cloned().collect()
+        self.first_seen
+            .keys()
+            .map(|fp| format!("{fp:016x}"))
+            .collect()
     }
 }
 
@@ -173,6 +218,7 @@ mod tests {
     use crate::fault::{Channel, FaultSpec, Trigger};
     use crate::hash::fnv1a;
     use crate::InteractionError;
+    use std::collections::BTreeSet;
 
     fn trace_with(ops: &[&'static str]) -> InteractionTrace {
         let ctx = CrossingContext::new();
@@ -239,7 +285,7 @@ mod tests {
             "drop_table",
         ]));
         for k in 0..40 {
-            many.tag(format!("d:D{k:02}"));
+            many.tag(format_args!("d:D{k:02}"));
         }
         for sig in [CoverageSignature::default(), tuples, tags_only, many] {
             assert_eq!(
@@ -287,8 +333,70 @@ mod tests {
         assert!(!map.observe(&sig, 2));
         assert!(map.contains(&sig));
         assert_eq!(map.distinct(), 1);
-        let json = serde_json::to_string(&map).unwrap();
-        let back: CoverageMap = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, map);
+        assert_eq!(map.fingerprints(), [format!("{:016x}", sig.fingerprint())]);
+    }
+
+    /// The signature as it was built before it kept its parts: every
+    /// tuple and tag rendered to its own `String` in a `BTreeSet`. Kept
+    /// as the reference the part-built signature is checked against.
+    fn reference_canonical(trace: &InteractionTrace, tags: &[&str]) -> String {
+        let tuples: BTreeSet<String> = trace
+            .crossings
+            .iter()
+            .map(|c| {
+                format!(
+                    "{}|{}|{}|{}",
+                    c.call.channel,
+                    c.call.op,
+                    c.call.plane,
+                    outcome_class(&c.outcome)
+                )
+            })
+            .collect();
+        let tags: BTreeSet<String> = tags.iter().map(|t| t.to_string()).collect();
+        let tuples: Vec<&str> = tuples.iter().map(String::as_str).collect();
+        let tags: Vec<&str> = tags.iter().map(String::as_str).collect();
+        format!("{}##{}", tuples.join(";"), tags.join(";"))
+    }
+
+    proptest::proptest! {
+        /// Random crossings and tags, in random order and multiplicity,
+        /// with ops and tags that share prefixes (`get_table` sorts after
+        /// `get_table_x` because `'|'` > `'_'`), canonicalize and
+        /// fingerprint exactly like the `BTreeSet<String>` reference.
+        #[test]
+        fn part_built_signatures_match_the_string_set_reference(
+            crossings in proptest::collection::vec(
+                (0usize..5, 0usize..5, 0usize..3, proptest::prelude::any::<bool>()),
+                0..24,
+            ),
+            tags in proptest::collection::vec(
+                proptest::sample::select(vec![
+                    "", "d:D01", "d:D0", "d:D01x", "code:A_B", "code:A|B", "code:A",
+                    "valid", "ty:int", "ty:int_x", "decl:INT",
+                ]),
+                0..16,
+            ),
+        ) {
+            const OPS: [&str; 5] = ["get", "get_table", "get_table_x", "get_tables", "create"];
+            let ctx = CrossingContext::new();
+            for (op, channel, plane, noted) in crossings {
+                let call = BoundaryCall::new(Channel::ALL[channel], OPS[op])
+                    .with_plane(crate::plane::Plane::ALL[plane]);
+                if noted {
+                    ctx.note(call, "info");
+                } else {
+                    let _: Result<(), InteractionError> = ctx.cross(call);
+                }
+            }
+            let trace = ctx.trace();
+            let mut sig = CoverageSignature::from_trace(&trace);
+            for tag in &tags {
+                sig.tag(tag);
+            }
+            let reference = reference_canonical(&trace, &tags);
+            proptest::prop_assert_eq!(sig.canonical(), reference.clone());
+            proptest::prop_assert_eq!(sig.fingerprint(), fnv1a(reference.as_bytes()));
+        }
     }
 }

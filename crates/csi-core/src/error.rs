@@ -102,7 +102,16 @@ impl InteractionError {
     /// *consistent* even if the message wording differs; a rejection versus
     /// a crash with the same code counts as *inconsistent*.
     pub fn signature(&self) -> String {
-        format!("{}:{}", self.kind, self.code)
+        let mut out = String::new();
+        self.write_signature(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Writes the [signature](InteractionError::signature) to `w` without
+    /// building it.
+    pub(crate) fn write_signature(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write!(w, "{}:{}", self.kind, self.code)
     }
 }
 

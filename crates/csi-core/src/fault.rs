@@ -47,18 +47,22 @@ impl Channel {
         Channel::Yarn,
         Channel::HBase,
     ];
-}
 
-impl fmt::Display for Channel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The channel's display name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
             Channel::Metastore => "metastore",
             Channel::Hdfs => "hdfs",
             Channel::Kafka => "kafka",
             Channel::Yarn => "yarn",
             Channel::HBase => "hbase",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Channel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -21,6 +21,7 @@ use crate::value::{DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::mem;
 
 /// Which oracle produced a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -103,16 +104,70 @@ impl fmt::Display for Behavior {
     }
 }
 
+/// A [`fmt::Write`] sink that consumes an expected text and fails at the
+/// first write that does not continue it.
+struct Matching<'a>(&'a str);
+
+impl fmt::Write for Matching<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let rest = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+        self.0 = rest;
+        Ok(())
+    }
+}
+
 impl Observation {
     /// The canonical behavior signature of this observation.
     pub fn behavior(&self) -> Behavior {
+        let mut payload = String::new();
+        let variant = self
+            .write_behavior(&mut payload)
+            .expect("writing to a String cannot fail");
+        variant(payload)
+    }
+
+    /// Whether this observation's [`behavior`](Observation::behavior) is
+    /// `behavior`, decided by streaming the payload against it instead of
+    /// rendering it.
+    pub fn has_behavior(&self, behavior: &Behavior) -> bool {
+        let (Behavior::WriteRejected(payload)
+        | Behavior::ReadFailed(payload)
+        | Behavior::Values(payload)) = behavior;
+        let mut rest = Matching(payload);
+        match self.write_behavior(&mut rest) {
+            // An empty payload allocates nothing; only its variant counts.
+            Ok(variant) => {
+                rest.0.is_empty()
+                    && mem::discriminant(&variant(String::new())) == mem::discriminant(behavior)
+            }
+            Err(fmt::Error) => false,
+        }
+    }
+
+    /// Writes the behavior's payload to `w` and returns the variant that
+    /// wraps it.
+    fn write_behavior(
+        &self,
+        w: &mut impl fmt::Write,
+    ) -> Result<fn(String) -> Behavior, fmt::Error> {
         match (&self.write.result, &self.read) {
-            (Err(e), _) => Behavior::WriteRejected(e.signature()),
+            (Err(e), _) => {
+                e.write_signature(w)?;
+                Ok(Behavior::WriteRejected)
+            }
             (Ok(()), Some(read)) => match &read.result {
-                Err(e) => Behavior::ReadFailed(e.signature()),
+                Err(e) => {
+                    e.write_signature(w)?;
+                    Ok(Behavior::ReadFailed)
+                }
                 Ok(values) if values.len() <= 1 => {
-                    let sigs: Vec<String> = values.iter().map(Value::signature).collect();
-                    Behavior::Values(sigs.join(";"))
+                    for (i, v) in values.iter().enumerate() {
+                        if i > 0 {
+                            w.write_char(';')?;
+                        }
+                        v.write_signature(w)?;
+                    }
+                    Ok(Behavior::Values)
                 }
                 Ok(values) => {
                     // Bulk reads: a per-row signature join would allocate a
@@ -128,14 +183,19 @@ impl Observation {
                             .unwrap_or(DataType::String),
                         values,
                     );
-                    Behavior::Values(format!(
+                    write!(
+                        w,
                         "<{} rows digest {:016x}>",
                         values.len(),
                         col.fingerprint()
-                    ))
+                    )?;
+                    Ok(Behavior::Values)
                 }
             },
-            (Ok(()), None) => Behavior::Values("<no read attempted>".into()),
+            (Ok(()), None) => {
+                w.write_str("<no read attempted>")?;
+                Ok(Behavior::Values)
+            }
         }
     }
 
@@ -327,10 +387,21 @@ pub fn check_differential(observations: &[Observation]) -> Vec<OracleFailure> {
 /// The differential oracle over one input's observations, in absorb order:
 /// a failure when they split into more than one behavior class; the detail
 /// lists each class and its members.
-pub fn differential_of<'a>(
-    input_id: usize,
-    group: impl IntoIterator<Item = &'a Observation>,
-) -> Option<OracleFailure> {
+///
+/// Only the first observation's behavior is rendered: every other one is
+/// matched against it as it streams, and the class map is built only for
+/// a group that splits.
+pub fn differential_of<'a, G>(input_id: usize, group: G) -> Option<OracleFailure>
+where
+    G: IntoIterator<Item = &'a Observation>,
+    G::IntoIter: Clone,
+{
+    let group = group.into_iter();
+    let mut rest = group.clone();
+    let first = rest.next()?.behavior();
+    if rest.all(|obs| obs.has_behavior(&first)) {
+        return None;
+    }
     let mut classes: BTreeMap<Behavior, Vec<&Observation>> = BTreeMap::new();
     for obs in group {
         classes.entry(obs.behavior()).or_default().push(obs);

@@ -24,15 +24,20 @@ pub enum Plane {
 impl Plane {
     /// All planes, in the order used by the paper's tables.
     pub const ALL: [Plane; 3] = [Plane::Control, Plane::Data, Plane::Management];
+
+    /// The plane's display name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Plane::Control => "Control",
+            Plane::Data => "Data",
+            Plane::Management => "Management",
+        }
+    }
 }
 
 impl fmt::Display for Plane {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Plane::Control => write!(f, "Control"),
-            Plane::Data => write!(f, "Data"),
-            Plane::Management => write!(f, "Management"),
-        }
+        f.write_str(self.name())
     }
 }
 

@@ -110,10 +110,7 @@ impl fmt::Display for SpecViolation {
         write!(
             f,
             "{}: {} declared '{}' but observed {}",
-            self.channel,
-            self.data_type.sql_name(),
-            self.rule,
-            self.observed
+            self.channel, self.data_type, self.rule, self.observed
         )
     }
 }

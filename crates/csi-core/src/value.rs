@@ -317,40 +317,44 @@ impl DataType {
         ]
     }
 
-    /// Renders the type in SQL DDL syntax, e.g. `DECIMAL(10,2)`.
+    /// Renders the type in SQL DDL syntax, e.g. `DECIMAL(10,2)`: the
+    /// [`Display`](fmt::Display) text as a `String`.
     pub fn sql_name(&self) -> String {
-        match self {
-            DataType::Boolean => "BOOLEAN".into(),
-            DataType::Byte => "TINYINT".into(),
-            DataType::Short => "SMALLINT".into(),
-            DataType::Int => "INT".into(),
-            DataType::Long => "BIGINT".into(),
-            DataType::Float => "FLOAT".into(),
-            DataType::Double => "DOUBLE".into(),
-            DataType::Decimal(p, s) => format!("DECIMAL({p},{s})"),
-            DataType::String => "STRING".into(),
-            DataType::Char(n) => format!("CHAR({n})"),
-            DataType::Varchar(n) => format!("VARCHAR({n})"),
-            DataType::Binary => "BINARY".into(),
-            DataType::Date => "DATE".into(),
-            DataType::Timestamp => "TIMESTAMP".into(),
-            DataType::Interval => "INTERVAL".into(),
-            DataType::Array(e) => format!("ARRAY<{}>", e.sql_name()),
-            DataType::Map(k, v) => format!("MAP<{},{}>", k.sql_name(), v.sql_name()),
-            DataType::Struct(fields) => {
-                let inner: Vec<String> = fields
-                    .iter()
-                    .map(|f| format!("{}:{}", f.name, f.data_type.sql_name()))
-                    .collect();
-                format!("STRUCT<{}>", inner.join(","))
-            }
-        }
+        self.to_string()
     }
 }
 
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.sql_name())
+        match self {
+            DataType::Boolean => f.write_str("BOOLEAN"),
+            DataType::Byte => f.write_str("TINYINT"),
+            DataType::Short => f.write_str("SMALLINT"),
+            DataType::Int => f.write_str("INT"),
+            DataType::Long => f.write_str("BIGINT"),
+            DataType::Float => f.write_str("FLOAT"),
+            DataType::Double => f.write_str("DOUBLE"),
+            DataType::Decimal(p, s) => write!(f, "DECIMAL({p},{s})"),
+            DataType::String => f.write_str("STRING"),
+            DataType::Char(n) => write!(f, "CHAR({n})"),
+            DataType::Varchar(n) => write!(f, "VARCHAR({n})"),
+            DataType::Binary => f.write_str("BINARY"),
+            DataType::Date => f.write_str("DATE"),
+            DataType::Timestamp => f.write_str("TIMESTAMP"),
+            DataType::Interval => f.write_str("INTERVAL"),
+            DataType::Array(e) => write!(f, "ARRAY<{e}>"),
+            DataType::Map(k, v) => write!(f, "MAP<{k},{v}>"),
+            DataType::Struct(fields) => {
+                f.write_str("STRUCT<")?;
+                for (i, field) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{}:{}", field.name, field.data_type)?;
+                }
+                f.write_str(">")
+            }
+        }
     }
 }
 
@@ -443,44 +447,62 @@ impl Value {
         }
     }
 
-    /// A stable signature string used to group differential observations.
+    /// A stable signature string used to group differential observations:
+    /// [`Value::write_signature`] into a `String`.
     pub fn signature(&self) -> String {
+        let mut out = String::new();
+        self.write_signature(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Writes the signature to `w` part by part, so a caller that only
+    /// compares or hashes it never builds it.
+    pub(crate) fn write_signature(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        fn list<W: fmt::Write, T>(
+            w: &mut W,
+            prefix: &str,
+            items: &[T],
+            mut item: impl FnMut(&mut W, &T) -> fmt::Result,
+        ) -> fmt::Result {
+            w.write_str(prefix)?;
+            w.write_char('[')?;
+            for (i, x) in items.iter().enumerate() {
+                if i > 0 {
+                    w.write_char(',')?;
+                }
+                item(w, x)?;
+            }
+            w.write_char(']')
+        }
         match self {
-            Value::Null => "null".into(),
-            Value::Boolean(b) => format!("bool:{b}"),
-            Value::Byte(v) => format!("i8:{v}"),
-            Value::Short(v) => format!("i16:{v}"),
-            Value::Int(v) => format!("i32:{v}"),
-            Value::Long(v) => format!("i64:{v}"),
-            Value::Float(v) => format!("f32:{:08x}", canon_f32(*v)),
-            Value::Double(v) => format!("f64:{:016x}", canon_f64(*v)),
-            Value::Decimal(d) => format!("dec:{}", d.normalized()),
-            Value::Str(s) => format!("str:{s:?}"),
+            Value::Null => w.write_str("null"),
+            Value::Boolean(b) => write!(w, "bool:{b}"),
+            Value::Byte(v) => write!(w, "i8:{v}"),
+            Value::Short(v) => write!(w, "i16:{v}"),
+            Value::Int(v) => write!(w, "i32:{v}"),
+            Value::Long(v) => write!(w, "i64:{v}"),
+            Value::Float(v) => write!(w, "f32:{:08x}", canon_f32(*v)),
+            Value::Double(v) => write!(w, "f64:{:016x}", canon_f64(*v)),
+            Value::Decimal(d) => write!(w, "dec:{}", d.normalized()),
+            Value::Str(s) => write!(w, "str:{s:?}"),
             Value::Binary(b) => {
-                let hex: String = b.iter().map(|x| format!("{x:02x}")).collect();
-                format!("bin:{hex}")
+                w.write_str("bin:")?;
+                b.iter().try_for_each(|x| write!(w, "{x:02x}"))
             }
-            Value::Date(d) => format!("date:{d}"),
-            Value::Timestamp(t) => format!("ts:{t}"),
-            Value::Interval { months, micros } => format!("iv:{months}m{micros}us"),
-            Value::Array(items) => {
-                let inner: Vec<String> = items.iter().map(|v| v.signature()).collect();
-                format!("arr:[{}]", inner.join(","))
-            }
-            Value::Map(pairs) => {
-                let inner: Vec<String> = pairs
-                    .iter()
-                    .map(|(k, v)| format!("{}=>{}", k.signature(), v.signature()))
-                    .collect();
-                format!("map:[{}]", inner.join(","))
-            }
-            Value::Struct(fields) => {
-                let inner: Vec<String> = fields
-                    .iter()
-                    .map(|(n, v)| format!("{n}:{}", v.signature()))
-                    .collect();
-                format!("struct:[{}]", inner.join(","))
-            }
+            Value::Date(d) => write!(w, "date:{d}"),
+            Value::Timestamp(t) => write!(w, "ts:{t}"),
+            Value::Interval { months, micros } => write!(w, "iv:{months}m{micros}us"),
+            Value::Array(items) => list(w, "arr:", items, |w, v| v.write_signature(w)),
+            Value::Map(pairs) => list(w, "map:", pairs, |w, (k, v)| {
+                k.write_signature(w)?;
+                w.write_str("=>")?;
+                v.write_signature(w)
+            }),
+            Value::Struct(fields) => list(w, "struct:", fields, |w, (n, v)| {
+                write!(w, "{n}:")?;
+                v.write_signature(w)
+            }),
         }
     }
 

@@ -160,7 +160,7 @@ fn bulk_write(
         Interface::HiveQl => {
             let cols_sql: Vec<String> = schema
                 .iter()
-                .map(|f| format!("{} {}", f.name, f.data_type.sql_name()))
+                .map(|f| format!("{} {}", f.name, f.data_type))
                 .collect();
             d.hive
                 .execute(&format!(

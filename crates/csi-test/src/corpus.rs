@@ -396,7 +396,7 @@ pub fn synthesize_inputs(shape: &CorpusShape, seed: u64, first_id: usize) -> Vec
             ty.clone(),
             rep,
             Validity::Valid,
-            format!("corpus {} {} rep", field.name, ty.sql_name()),
+            format!("corpus {} {} rep", field.name, ty),
         );
         if shape.invalid_every > 0 && col % shape.invalid_every == 1 {
             if let Some((value, edge)) = invalid_edge(ty) {
@@ -404,7 +404,7 @@ pub fn synthesize_inputs(shape: &CorpusShape, seed: u64, first_id: usize) -> Vec
                     ty.clone(),
                     value,
                     Validity::Invalid,
-                    format!("corpus {} {} {edge}", field.name, ty.sql_name()),
+                    format!("corpus {} {} {edge}", field.name, ty),
                 );
             }
         }
@@ -1007,7 +1007,7 @@ impl InferredTable {
                     column_type: col.data_type.clone(),
                     value,
                     validity: Validity::Valid,
-                    label: format!("inferred {} {}", col.name, col.data_type.sql_name()),
+                    label: format!("inferred {} {}", col.name, col.data_type),
                     expected_back: None,
                 }
             })

@@ -306,7 +306,7 @@ pub(crate) fn create_via(
         Interface::SparkSql | Interface::HiveQl => {
             let create = format!(
                 "CREATE TABLE {table} (c {}) STORED AS {}",
-                input.column_type.sql_name(),
+                input.column_type,
                 format.name()
             );
             match interface {

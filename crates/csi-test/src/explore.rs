@@ -121,15 +121,28 @@ struct Explorer {
     fault_rotor: usize,
 }
 
-fn type_tag(ty: &DataType) -> String {
+/// The `ty:` coverage tag of a declared type: its kind, without width,
+/// precision or element types.
+fn type_tag(ty: &DataType) -> &'static str {
     match ty {
-        DataType::Decimal(_, _) => "decimal".into(),
-        DataType::Char(_) => "char".into(),
-        DataType::Varchar(_) => "varchar".into(),
-        DataType::Array(_) => "array".into(),
-        DataType::Map(_, _) => "map".into(),
-        DataType::Struct(_) => "struct".into(),
-        other => format!("{other:?}").to_ascii_lowercase(),
+        DataType::Boolean => "boolean",
+        DataType::Byte => "byte",
+        DataType::Short => "short",
+        DataType::Int => "int",
+        DataType::Long => "long",
+        DataType::Float => "float",
+        DataType::Double => "double",
+        DataType::Decimal(_, _) => "decimal",
+        DataType::String => "string",
+        DataType::Char(_) => "char",
+        DataType::Varchar(_) => "varchar",
+        DataType::Binary => "binary",
+        DataType::Date => "date",
+        DataType::Timestamp => "timestamp",
+        DataType::Interval => "interval",
+        DataType::Array(_) => "array",
+        DataType::Map(_, _) => "map",
+        DataType::Struct(_) => "struct",
     }
 }
 
@@ -216,8 +229,9 @@ impl Explorer {
     /// corpus-only declarations register as novel signatures in the
     /// corpus-vs-catalogue diff — records it in the fine (reported) map
     /// and credits a novel one to the input's origin.
-    fn observe_fine(&mut self, mut sig: CoverageSignature, input: &TestInput) {
-        sig.tag(format!("decl:{}", input.column_type.sql_name()));
+    fn observe_fine(&mut self, mut sig: CoverageSignature, input_idx: usize) {
+        let input = &self.pool[input_idx];
+        sig.tag(format_args!("decl:{}", input.column_type));
         if self.map.observe(&sig, self.executed) {
             match self.origin(input.id) {
                 "mutation" => self.novel_from_mutation += 1,
@@ -325,10 +339,12 @@ impl Explorer {
     /// admission, and (for fault-free trials) the report stream.
     fn absorb(&mut self, trial: &Trial, obs: Observation) {
         self.executed += 1;
-        let input = self.pool[trial.input_idx].clone();
-        let is_mutant = input.id >= self.first_mutant_id;
+        let exp_idx = self.exp_idx(trial.combo);
+        let input = &self.pool[trial.input_idx];
+        let input_id = input.id;
+        let is_mutant = input_id >= self.first_mutant_id;
         let mut sig = CoverageSignature::from_trace(&obs.trace);
-        sig.tag(format!("ty:{}", type_tag(&input.column_type)));
+        sig.tag(format_args!("ty:{}", type_tag(&input.column_type)));
         sig.tag(match input.validity {
             Validity::Valid => "valid",
             Validity::Invalid => "invalid",
@@ -339,11 +355,11 @@ impl Explorer {
                 .map(|(_, fault)| fault.clone())
                 .collect();
             let bucket = classify_fault_outcome(&fired, obs.surfaced());
-            sig.tag(format!("fault:{}:{bucket}", fault.channel));
+            sig.tag(format_args!("fault:{}:{bucket}", fault.channel));
             // Fault observations feed coverage only; they stay out of the
             // classified report, whose oracles assume a fault-free stack.
             self.sched_map.observe(&sig, self.executed);
-            self.observe_fine(sig, &input);
+            self.observe_fine(sig, trial.input_idx);
             return;
         }
         if is_mutant {
@@ -354,24 +370,24 @@ impl Explorer {
         // `run_one` reads only after a clean write, so the surfaced error
         // is the observation's only one.
         if let Some(e) = obs.surfaced() {
-            sig.tag(format!("code:{}", e.code));
+            sig.tag(format_args!("code:{}", e.code));
         }
-        if let Some((failure, ids)) = self.judge.absorb(self.exp_idx(trial.combo), &input, obs) {
-            sig.tag(format!("oracle:{}", failure.oracle));
+        if let Some((failure, ids)) = self.judge.absorb(exp_idx, input, obs) {
+            sig.tag(format_args!("oracle:{}", failure.oracle));
             for id in ids {
-                sig.tag(format!("d:{id}"));
+                sig.tag(format_args!("d:{id}"));
             }
         }
         // Admission keys off coarse novelty, so declared-type granularity
         // never changes what gets scheduled.
         let novel = self.sched_map.observe(&sig, self.executed);
-        self.observe_fine(sig, &input);
-        if novel && !self.corpus_ids.contains(&input.id) {
-            self.corpus_ids.insert(input.id);
+        self.observe_fine(sig, trial.input_idx);
+        if novel && !self.corpus_ids.contains(&input_id) {
+            self.corpus_ids.insert(input_id);
             self.corpus.push(CorpusRow {
-                input_id: input.id,
-                label: input.label.clone(),
-                origin: self.origin(input.id).into(),
+                input_id,
+                label: self.pool[trial.input_idx].label.clone(),
+                origin: self.origin(input_id).into(),
                 executed: self.executed,
             });
             self.expand_corpus_entry(trial.input_idx, trial.combo, is_mutant);
@@ -502,6 +518,27 @@ pub(crate) fn run_explore(
 mod tests {
     use super::*;
     use crate::generator::generate_inputs;
+
+    /// The `ty:` tag as it was written before it became a table: the
+    /// variant's `Debug` text, lowercased, for every unparameterised type.
+    fn debug_lowercase_tag(ty: &DataType) -> String {
+        match ty {
+            DataType::Decimal(_, _) => "decimal".into(),
+            DataType::Char(_) => "char".into(),
+            DataType::Varchar(_) => "varchar".into(),
+            DataType::Array(_) => "array".into(),
+            DataType::Map(_, _) => "map".into(),
+            DataType::Struct(_) => "struct".into(),
+            other => format!("{other:?}").to_ascii_lowercase(),
+        }
+    }
+
+    #[test]
+    fn type_tags_are_the_debug_lowercase_names() {
+        for ty in DataType::primitives() {
+            assert_eq!(type_tag(&ty), debug_lowercase_tag(&ty), "{ty:?}");
+        }
+    }
 
     #[test]
     fn grid_cursor_visits_every_cell_exactly_once() {

@@ -816,6 +816,111 @@ mod tests {
         assert_eq!(channel_totals([&fixed.trace])["hbase"], 3);
     }
 
+    /// Matching an observation's behavior by streaming it is `Behavior`
+    /// equality, pair by pair: within each input group of the default
+    /// grid, across the `fault_matrix(42)` probe cells, and across
+    /// multi-row and no-read variants of one observation.
+    #[test]
+    fn a_streamed_behavior_match_is_behavior_equality() {
+        use csi_core::oracle::{Behavior, Observation};
+        let mut groups: BTreeMap<(usize, usize), Vec<Observation>> = BTreeMap::new();
+        for (experiment, obs) in Campaign::new(crate::generator::catalogue())
+            .run()
+            .observations
+        {
+            let at = Experiment::ALL.iter().position(|e| *e == experiment);
+            groups
+                .entry((at.unwrap(), obs.input_id))
+                .or_default()
+                .push(obs);
+        }
+        let config = FaultMatrixConfig {
+            seed: 42,
+            experiments: Experiment::ALL.to_vec(),
+            formats: StorageFormat::ALL.to_vec(),
+            faults: fault_catalogue(42),
+            detect: None,
+            tap: None,
+        };
+        let probes: Vec<Observation> = enumerate_cells(&config)
+            .into_iter()
+            .filter_map(|cell| match cell {
+                Cell::Probe {
+                    fault,
+                    experiment,
+                    plan,
+                    format,
+                } => {
+                    let ctx = CrossingContext::new();
+                    ctx.arm(fault);
+                    let d = Deployment::new(ctx, &[]);
+                    Some(run_one(&d, experiment, plan, format, &probe_input(), false))
+                }
+                _ => None,
+            })
+            .collect();
+        groups.insert((usize::MAX, 0), probes);
+        // One clean single-row observation, read back as two different
+        // three-row results, as the same three rows twice, and unread.
+        let base = groups
+            .values()
+            .flatten()
+            .find(|o| matches!(&o.read, Some(r) if r.result.as_ref().is_ok_and(|v| v.len() == 1)))
+            .unwrap()
+            .clone();
+        let rows = |values: Vec<Value>| {
+            let mut obs = base.clone();
+            obs.read.as_mut().unwrap().result = Ok(values);
+            obs
+        };
+        let mut unread = base.clone();
+        unread.read = None;
+        groups.insert(
+            (usize::MAX, 1),
+            vec![
+                base.clone(),
+                rows(vec![Value::Int(1), Value::Int(2), Value::Int(3)]),
+                rows(vec![Value::Int(1), Value::Int(2), Value::Int(3)]),
+                rows(vec![Value::Int(1), Value::Int(2), Value::Int(4)]),
+                unread,
+            ],
+        );
+
+        let (mut same, mut differ) = (0, 0);
+        let mut shapes = BTreeMap::new();
+        for group in groups.values() {
+            let behaviors: Vec<Behavior> = group.iter().map(Observation::behavior).collect();
+            for (a, behavior) in group.iter().zip(&behaviors) {
+                let shape = match (&a.write.result, a.read.as_ref().map(|r| &r.result)) {
+                    (Err(_), _) => "failed write",
+                    (Ok(()), Some(Err(_))) => "failed read",
+                    (Ok(()), Some(Ok(v))) if v.len() == 1 => "one-row read",
+                    (Ok(()), Some(Ok(v))) if v.len() > 1 => "multi-row read",
+                    _ => "other",
+                };
+                *shapes.entry(shape).or_insert(0) += 1;
+                for b in &behaviors {
+                    let equal = behavior == b;
+                    assert_eq!(a.has_behavior(b), equal, "{behavior} vs {b}");
+                    if equal {
+                        same += 1;
+                    } else {
+                        differ += 1;
+                    }
+                }
+            }
+        }
+        for shape in [
+            "failed write",
+            "failed read",
+            "one-row read",
+            "multi-row read",
+        ] {
+            assert!(shapes.contains_key(shape), "no {shape} in {shapes:?}");
+        }
+        assert!(same > 0 && differ > 0, "{same} same, {differ} differ");
+    }
+
     #[test]
     fn sharded_matrix_is_byte_identical_to_serial() {
         // The small catalogue against one experiment and one format.

@@ -434,9 +434,9 @@ pub fn run_compound(config: &CompoundConfig) -> CompoundResult {
         for (&(si, _hi), report) in batch.iter().zip(reports) {
             executed += 1;
             let mut sig = CoverageSignature::from_trace(&report.trace);
-            sig.tag(format!("k:{}", sets[si].len()));
+            sig.tag(format_args!("k:{}", sets[si].len()));
             for d in &report.discrepancies {
-                sig.tag(format!("j{}:{}", d.job, d.outcome));
+                sig.tag(format_args!("j{}:{}", d.job, d.outcome));
             }
             let novel = map.observe(&sig, executed);
             if novel && !report.discrepancies.is_empty() {

@@ -4,7 +4,7 @@
 //! coverage-guided mode rediscovers every discrepancy class the exhaustive
 //! catalogue reports, in fewer executed observations.
 
-use csi_core::hash::fnv1a;
+use csi_core::hash::{fnv1a, Fnv1a};
 use csi_test::{generate_inputs, reproducer_triggers, Campaign, CampaignOutcome, CorpusShape};
 use proptest::prelude::*;
 
@@ -87,35 +87,68 @@ fn shrunk_reproducers_preserve_their_discrepancy_class() {
     }
 }
 
-/// Discovery rows, corpus, signatures and shrinks do not move across
-/// commits: FNV-1a of the exploration stats' JSON at the benchmark's
-/// budget, for the catalogue and the corpus-seeded hunt at two seeds,
-/// against values computed on the commit before the discovery tracker
-/// went incremental. Every other explore test compares one build with
-/// itself.
+/// FNV-1a over what a hunt hands its caller beside the exploration
+/// stats: the report JSON, the rendered text and the compound stats.
+fn hunt_digest(outcome: &CampaignOutcome) -> u64 {
+    let mut digest = Fnv1a::new();
+    digest.bytes(json(&outcome.report).as_bytes());
+    digest.bytes(outcome.render().as_bytes());
+    digest.bytes(json(&outcome.compound).as_bytes());
+    digest.finish()
+}
+
+/// Discovery rows, corpus, signatures, shrinks, reports and renderings do
+/// not move across commits. Per seed, three hunts: the catalogue and the
+/// corpus-seeded hunt at the benchmark's budget, and a k-fault compound
+/// pass. Each pins FNV-1a of its exploration stats' JSON and
+/// [`hunt_digest`], against values computed on earlier commits: the
+/// catalogue and corpus stats before the discovery tracker went
+/// incremental, the rest before coverage signatures were built from their
+/// parts. Every other explore test compares one build with itself.
 #[test]
 fn discovery_rows_hold_their_committed_values() {
     let budget = 3200;
-    for (seed, catalogue, corpus) in [
-        (42, 0x8925_3240_dd9d_040f_u64, 0x736a_c4c1_8e32_118d_u64),
-        (7, 0xd0e4_196b_9485_2416, 0x2555_808a_79f7_414d),
+    for (seed, committed) in [
+        (
+            42,
+            [
+                (0x8925_3240_dd9d_040f_u64, 0xe56e_ceca_4b0a_3c64_u64),
+                (0x736a_c4c1_8e32_118d, 0xe7bf_b9e8_6fbc_474a),
+                (0x2b2b_a0d8_4d49_538c, 0x3e34_1dbf_2650_043c),
+            ],
+        ),
+        (
+            7,
+            [
+                (0xd0e4_196b_9485_2416, 0xd523_7709_4a94_3b3f),
+                (0x2555_808a_79f7_414d, 0xaaba_3ded_c7e6_f070),
+                (0x77b1_9c9e_72a3_568d, 0x6e68_793c_aac1_dafd),
+            ],
+        ),
     ] {
+        let catalogue = generate_inputs();
         let hunts = [
-            Campaign::new(&generate_inputs()).seed(seed).explore(budget),
+            Campaign::new(&catalogue).seed(seed).explore(budget),
             Campaign::new(&[])
                 .corpus(CorpusShape::default(), seed)
                 .seed(seed)
                 .explore(budget),
+            Campaign::new(&catalogue)
+                .seed(seed)
+                .kfaults(3)
+                .jobs(3)
+                .explore(400),
         ];
-        for (campaign, committed) in hunts.into_iter().zip([catalogue, corpus]) {
-            let stats = campaign.run().exploration.expect("explore mode");
-            assert_eq!(stats.discoveries.len(), 15, "seed {seed}");
-            assert_eq!(
-                fnv1a(json(&stats).as_bytes()),
-                committed,
-                "seed {seed}: {stats:?}"
-            );
+        let mut got = Vec::new();
+        for (k, campaign) in hunts.into_iter().enumerate() {
+            let outcome = campaign.run();
+            let stats = outcome.exploration.as_ref().expect("explore mode");
+            if k < 2 {
+                assert_eq!(stats.discoveries.len(), 15, "seed {seed}");
+            }
+            got.push((fnv1a(json(stats).as_bytes()), hunt_digest(&outcome)));
         }
+        assert_eq!(got, committed, "seed {seed}: {got:#018x?}");
     }
 }
 

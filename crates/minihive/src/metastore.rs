@@ -55,14 +55,15 @@ impl StorageFormat {
 
     /// Parses a `STORED AS` clause; `None` selects the default (ORC).
     pub fn from_stored_as(s: Option<&str>) -> Result<StorageFormat, HiveError> {
-        match s.map(str::to_ascii_uppercase).as_deref() {
-            None | Some("ORC") => Ok(StorageFormat::Orc),
-            Some("PARQUET") => Ok(StorageFormat::Parquet),
-            Some("AVRO") => Ok(StorageFormat::Avro),
-            Some(other) => Err(HiveError::UnsupportedType {
-                ty: format!("storage format {other}"),
-            }),
-        }
+        let Some(name) = s else {
+            return Ok(StorageFormat::Orc);
+        };
+        StorageFormat::ALL
+            .into_iter()
+            .find(|f| f.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| HiveError::UnsupportedType {
+                ty: format!("storage format {}", name.to_ascii_uppercase()),
+            })
     }
 
     /// File extension used in the warehouse.

@@ -106,14 +106,9 @@ impl SparkConfig {
     /// The effective store-assignment policy; unknown values fall back to
     /// ANSI.
     pub fn store_assignment_policy(&self) -> StoreAssignmentPolicy {
-        match self
-            .map
-            .get(STORE_ASSIGNMENT_POLICY)
-            .map(str::to_ascii_uppercase)
-            .as_deref()
-        {
-            Some("LEGACY") => StoreAssignmentPolicy::Legacy,
-            Some("STRICT") => StoreAssignmentPolicy::Strict,
+        match self.map.get(STORE_ASSIGNMENT_POLICY) {
+            Some(v) if v.eq_ignore_ascii_case("LEGACY") => StoreAssignmentPolicy::Legacy,
+            Some(v) if v.eq_ignore_ascii_case("STRICT") => StoreAssignmentPolicy::Strict,
             _ => StoreAssignmentPolicy::Ansi,
         }
     }
@@ -152,14 +147,12 @@ impl SparkConfig {
     /// ORC and Parquet, but not Avro" — the internal-configuration-exposure
     /// problem of Section 8.2.
     pub fn case_preserving_schema_for(&self, format: &str) -> bool {
-        let mode = self
+        let never_infer = self
             .map
             .get(CASE_SENSITIVE_INFERENCE)
-            .map(str::to_ascii_uppercase);
-        if mode.as_deref() == Some("NEVER_INFER") {
-            return false;
-        }
-        matches!(format.to_ascii_uppercase().as_str(), "ORC" | "PARQUET")
+            .is_some_and(|mode| mode.eq_ignore_ascii_case("NEVER_INFER"));
+        !never_infer
+            && (format.eq_ignore_ascii_case("ORC") || format.eq_ignore_ascii_case("PARQUET"))
     }
 
     /// Merges a Hadoop configuration into Spark's: Spark-side values win
