@@ -8,14 +8,120 @@
 //! mistranslated is flagged online — recall 1.0 — with no false flags on
 //! the propagated/crash cells — precision 1.0).
 
-use csi_core::detect::{flags_error_handling, DetectionKind, DetectorConfig};
+use csi_core::detect::{flags_error_handling, DetectionKind, DetectionTap, DetectorConfig};
 use csi_core::fault::{Channel, FaultKind, FaultOutcome, FaultPlan, FaultSpec, Trigger};
+use csi_core::hash::Fnv1a;
 use csi_test::{generate_inputs, small_fault_catalogue, Campaign, Experiment};
 use minihive::metastore::StorageFormat;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 fn json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serializable")
+}
+
+/// Latency faults on the metastore and on HDFS at once: they delay rather
+/// than abort, so one observation crosses both degraded channels.
+fn two_latency_faults() -> FaultPlan {
+    FaultPlan {
+        seed: 7,
+        faults: vec![
+            FaultSpec {
+                id: "ms-slow".into(),
+                channel: Channel::Metastore,
+                op: "get_table".into(),
+                kind: FaultKind::Latency { ms: 800 },
+                trigger: Trigger::Always,
+            },
+            FaultSpec {
+                id: "hdfs-slow".into(),
+                channel: Channel::Hdfs,
+                op: "create".into(),
+                kind: FaultKind::Latency { ms: 800 },
+                trigger: Trigger::Always,
+            },
+        ],
+    }
+}
+
+/// FNV-1a over everything a detecting campaign hands its caller — the
+/// rendered report, the report and matrix JSON, every observation — and
+/// over every detection its tap streamed. A serial campaign's stream is
+/// digested in arrival order; a sharded one hears its workers in whatever
+/// order they finish, so its stream is digested sorted.
+fn detecting_digest(campaign: Campaign) -> u64 {
+    let serial = campaign.spec().shards <= 1;
+    let streamed = Arc::new(Mutex::new(Vec::new()));
+    let sink = streamed.clone();
+    let outcome = campaign
+        .detection_tap(DetectionTap::new(move |d| {
+            sink.lock().expect("no tap panicked").push(json(d))
+        }))
+        .run();
+    let mut digest = Fnv1a::new();
+    digest.bytes(outcome.render().as_bytes());
+    digest.bytes(json(&outcome.report).as_bytes());
+    digest.bytes(json(&outcome.matrix).as_bytes());
+    for tagged in &outcome.observations {
+        digest.bytes(json(tagged).as_bytes());
+    }
+    let mut streamed = streamed.lock().expect("no tap panicked").clone();
+    assert!(!streamed.is_empty(), "the campaign detected nothing");
+    if !serial {
+        streamed.sort();
+    }
+    for detection in &streamed {
+        digest.bytes(detection.as_bytes());
+    }
+    digest.finish()
+}
+
+/// Four detecting campaigns pinned to digests committed before detection
+/// became a function of the trace: the standard matrix, the same with a
+/// storm threshold low enough for the FLINK-12342 cell to storm, a sharded
+/// matrix at another seed, and the two-channel latency campaign whose
+/// observations co-occur.
+#[test]
+fn detections_hold_their_committed_digests() {
+    let inputs = generate_inputs();
+    let shapes = [
+        (
+            "matrix 42",
+            Campaign::new(&[]).fault_matrix(42).detect(true),
+            0x1763_9ed9_880e_b51e,
+        ),
+        (
+            "matrix 42, storm threshold 8",
+            Campaign::new(&[])
+                .fault_matrix(42)
+                .detect(true)
+                .detector_config(DetectorConfig {
+                    storm_threshold: 8,
+                    ..DetectorConfig::default()
+                }),
+            0xfb90_7b51_25e9_ff5f,
+        ),
+        (
+            "matrix 7 on three workers",
+            Campaign::new(&[]).fault_matrix(7).detect(true).shards(3),
+            0xc1f9_5c77_3150_407d,
+        ),
+        (
+            "two latency faults, co-occurring",
+            Campaign::new(&inputs[..1])
+                .faults(two_latency_faults())
+                .detect(true),
+            0x5ab5_6c6b_8a06_9865,
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (name, campaign, expected) in shapes {
+        let got = detecting_digest(campaign);
+        if got != expected {
+            moved.push(format!("{name}: {got:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "digests moved: {moved:#?}");
 }
 
 #[test]
@@ -123,26 +229,10 @@ fn co_occurrence_flags_a_multi_channel_fault_burst() {
     // *both* degraded channels inside one causal window — the
     // cross-channel signature of a CSI failure cascading.
     let inputs = generate_inputs();
-    let plan = FaultPlan {
-        seed: 7,
-        faults: vec![
-            FaultSpec {
-                id: "ms-slow".into(),
-                channel: Channel::Metastore,
-                op: "get_table".into(),
-                kind: FaultKind::Latency { ms: 800 },
-                trigger: Trigger::Always,
-            },
-            FaultSpec {
-                id: "hdfs-slow".into(),
-                channel: Channel::Hdfs,
-                op: "create".into(),
-                kind: FaultKind::Latency { ms: 800 },
-                trigger: Trigger::Always,
-            },
-        ],
-    };
-    let outcome = Campaign::new(&inputs[..1]).faults(plan).detect(true).run();
+    let outcome = Campaign::new(&inputs[..1])
+        .faults(two_latency_faults())
+        .detect(true)
+        .run();
     let co_occurrences: usize = outcome
         .observations
         .iter()
