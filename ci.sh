@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge, hash, glue and one-varint guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), hash, glue and one-varint guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -54,13 +54,19 @@ stage_lint() {
   fi
   # How a trial is judged is one module's decision: a mode that runs an
   # oracle or reads a crossing's outcome itself is a second copy of it.
-  echo "==> judge guard (oracles run in classify.rs, fired faults are read by csi_core::boundary::faulted)"
+  echo "==> judge guard (oracles run in classify.rs; fired faults are read from the trace by csi_core::boundary::faulted, and detection is a function of it)"
   if grep -rnE --include='*.rs' '(check_(differential|write_read|error_handling)|differential_of)\(' crates/csi-test/src/ | grep -v '^crates/csi-test/src/classify\.rs:'; then
     echo "hand the observation to classify::Classifier (absorb / discoveries / finish) instead of running its oracle here" >&2
     exit 1
   fi
   if grep -rnF --include='*.rs' 'CrossingOutcome::Faulted' crates/csi-test/src/; then
     echo "ask csi_core::boundary::faulted(&trace.crossings) which faults fired, and csi_core::detect::DetectionTally to score them" >&2
+    exit 1
+  fi
+  # Detection is a function of the trace: a live copy of the crossing
+  # stream beside it is a second record that can disagree with it.
+  if grep -rnE --include='*.rs' 'CrossingSink|set_sink|clear_sink|\.fired\(\)' crates/; then
+    echo "read what fired from the trace (csi_core::boundary::faulted) and judge it with DetectorSpec::detect; nothing streams crossings beside it" >&2
     exit 1
   fi
   # Hash iteration order differs run to run, and every report is a pure

@@ -5,12 +5,13 @@
 //! that crossing a single choke point. A [`BoundaryCall`] describes the
 //! crossing (channel, endpoints, plane, operation, payload digest); a
 //! [`CrossingContext`] is the one object behind it: the armed faults with
-//! their per-observation call counters and fired log, a virtual latency
-//! clock, and an append-only [`InteractionTrace`], all under a single
-//! lock. Connector layers call [`CrossingContext::cross`] at the entry of
-//! every interaction-facing operation instead of hand-rolling the
-//! interpose-then-materialize pattern, so fault injection and tracing
-//! happen in exactly one place — and wiring a new channel is one
+//! their per-observation call counters, a virtual latency clock, and an
+//! append-only [`InteractionTrace`] — the one record of what crossed,
+//! fired faults included — all under a single lock. Connector layers call
+//! [`CrossingContext::cross`] at the entry of every interaction-facing
+//! operation instead of hand-rolling the interpose-then-materialize
+//! pattern, so fault injection and tracing happen in exactly one place —
+//! and wiring a new channel is one
 //! [`FaultPoint`] impl plus `cross(...)` calls. The code that counts a
 //! call and picks the fault that fires is private to this module: no
 //! connector can interpose any other way.
@@ -21,7 +22,7 @@
 //! byte-identically across runs and worker counts.
 //!
 //! Tracing is side-effect-free: a disabled context counts and fires
-//! identically (same counters, same fired faults, same virtual delay) and
+//! identically (same counters, same faults, same virtual delay) and
 //! merely skips the trace, so trace-disabled campaigns reproduce traced
 //! campaigns byte-for-byte modulo the trace fields. Payload digests mask
 //! runs of ASCII digits before hashing, so generated artifact names
@@ -217,12 +218,12 @@ impl Crossing {
 }
 
 /// The crossings of `crossings` at which an armed fault fired, in order,
-/// each as the call it interrupted and the fault that fired — the one
-/// reading of "what fired" the §9 oracle, the agreement score and the
-/// compound pass's per-job attribution share.
-pub fn faulted(crossings: &[Crossing]) -> impl Iterator<Item = (&BoundaryCall, &InjectedFault)> {
+/// each with the fault that fired — the one reading of "what fired" the
+/// §9 oracle, the detector, the agreement score and the compound pass's
+/// per-job attribution share.
+pub fn faulted(crossings: &[Crossing]) -> impl Iterator<Item = (&Crossing, &InjectedFault)> {
     crossings.iter().filter_map(|c| match &c.outcome {
-        CrossingOutcome::Faulted { fault } => Some((&c.call, fault)),
+        CrossingOutcome::Faulted { fault } => Some((c, fault)),
         _ => None,
     })
 }
@@ -309,55 +310,22 @@ impl fmt::Display for InteractionTrace {
     }
 }
 
-/// A streaming consumer of crossings, attached beside the append-only
-/// trace: the sink sees every crossing *as it happens*, even on a
-/// trace-disabled context. This is the hook the online detector
-/// ([`crate::detect`]) rides on — the boundary stays the single choke
-/// point, and run-time analysis never has to wait for a campaign to end.
-///
-/// Sinks must never call back into the [`CrossingContext`] that notifies
-/// them: notification happens under the context's own lock, so a
-/// re-entrant crossing from inside a sink would deadlock.
-pub trait CrossingSink: Send {
-    /// Called once per crossing, in causal order, before the crossing is
-    /// appended to the trace.
-    fn on_crossing(&mut self, crossing: &Crossing);
-}
-
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct ContextState {
     enabled: bool,
     armed: Vec<FaultSpec>,
     calls: BTreeMap<(Channel, Cow<'static, str>), u64>,
-    fired: Vec<InjectedFault>,
     delay_ms: u64,
     clock_ms: u64,
     next_seq: u64,
     trace: InteractionTrace,
-    sink: Option<Box<dyn CrossingSink>>,
-}
-
-impl fmt::Debug for ContextState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ContextState")
-            .field("enabled", &self.enabled)
-            .field("armed", &self.armed)
-            .field("calls", &self.calls)
-            .field("fired", &self.fired)
-            .field("delay_ms", &self.delay_ms)
-            .field("clock_ms", &self.clock_ms)
-            .field("next_seq", &self.next_seq)
-            .field("trace", &self.trace)
-            .field("sink", &self.sink.as_ref().map(|_| "<attached>"))
-            .finish()
-    }
 }
 
 impl ContextState {
     /// Counts `call` on its `(channel, op)` against the armed faults and
     /// returns the fault that fires on it, if any: the first armed match
-    /// wins. The fault is logged as fired, and a latency fault raises the
-    /// virtual delay. With nothing armed the call is not even counted.
+    /// wins. A latency fault raises the virtual delay. With nothing armed
+    /// the call is not even counted.
     fn fire(&mut self, call: &BoundaryCall) -> Option<InjectedFault> {
         if self.armed.is_empty() {
             return None;
@@ -381,7 +349,6 @@ impl ContextState {
             kind: spec.kind,
             call: nth,
         };
-        self.fired.push(fault.clone());
         if let FaultKind::Latency { ms } = fault.kind {
             self.delay_ms = self.delay_ms.max(ms);
         }
@@ -393,9 +360,9 @@ impl ContextState {
 /// connector-layer operation routes through.
 ///
 /// One state behind one lock: the armed faults, their per-observation
-/// call counters, fired log and accumulated delay, the virtual latency
-/// clock, and the [`InteractionTrace`]. Cloned into every mini-system a
-/// deployment wires together — clones share that state — so all connector
+/// call counters and accumulated delay, the virtual latency clock, and
+/// the [`InteractionTrace`]. Cloned into every mini-system a deployment
+/// wires together — clones share that state — so all connector
 /// layers of one deployment observe the same call counters and all
 /// crossings of one observation land in one causally ordered trace.
 #[derive(Debug, Clone)]
@@ -448,17 +415,12 @@ impl CrossingContext {
         self.state.lock().armed.extend(set.faults.iter().cloned());
     }
 
-    /// Removes every armed fault (counters and the fired log are cleared
-    /// separately by [`reset`](CrossingContext::reset)). Deployment pools
-    /// call this when a deployment is returned, so a recycled stack can
-    /// never replay the previous campaign's fault plan.
+    /// Removes every armed fault (counters are cleared separately by
+    /// [`reset`](CrossingContext::reset)). Deployment pools call this when
+    /// a deployment is returned, so a recycled stack can never replay the
+    /// previous campaign's fault plan.
     pub fn disarm_all(&self) {
         self.state.lock().armed.clear();
-    }
-
-    /// The faults that fired since the last [`reset`](CrossingContext::reset).
-    pub fn fired(&self) -> Vec<InjectedFault> {
-        self.state.lock().fired.clone()
     }
 
     /// The current injected service latency, in virtual milliseconds — the
@@ -468,17 +430,16 @@ impl CrossingContext {
         self.state.lock().delay_ms
     }
 
-    /// Resets per-observation state: call counters, the fired log and the
-    /// accumulated delay, the virtual clock, and the trace. Armed faults
-    /// and an attached sink stay. The campaign executor calls this at the
-    /// start of every observation so `OnCall` triggers are scoped to one
-    /// observation — the property that makes fault campaigns
-    /// byte-identical across worker counts (workers reuse deployments
-    /// differently, but every observation starts from counter zero).
+    /// Resets per-observation state: call counters, the accumulated delay,
+    /// the virtual clock, and the trace. Armed faults stay. The campaign
+    /// executor calls this at the start of every observation so `OnCall`
+    /// triggers are scoped to one observation — the property that makes
+    /// fault campaigns byte-identical across worker counts (workers reuse
+    /// deployments differently, but every observation starts from counter
+    /// zero).
     pub fn reset(&self) {
         let mut state = self.state.lock();
         state.calls.clear();
-        state.fired.clear();
         state.delay_ms = 0;
         state.clock_ms = 0;
         state.next_seq = 0;
@@ -490,27 +451,13 @@ impl CrossingContext {
         self.state.lock().trace.clone()
     }
 
-    /// Attaches a streaming sink: from now on every crossing is handed to
-    /// `sink` as it happens, in causal order, whether or not the trace is
-    /// enabled. Replaces any previously attached sink. Sinks survive
-    /// [`reset`](CrossingContext::reset) — per-observation state belongs
-    /// to the sink, not the context.
-    pub fn set_sink(&self, sink: Box<dyn CrossingSink>) {
-        self.state.lock().sink = Some(sink);
-    }
-
-    /// Detaches the streaming sink, if any.
-    pub fn clear_sink(&self) {
-        self.state.lock().sink = None;
-    }
-
     /// The one path a crossing takes, under the single lock: counts the
     /// call and picks the fault (unless the caller has `given` the
     /// outcome — records and notes have no fault point), charges the
-    /// virtual clock, notifies the sink, appends to the trace. Returns
-    /// the fault the caller must act on; a latency fault is traced and
-    /// charged but not returned, because the call proceeds, only slower —
-    /// exactly how timing faults like FLINK-12342 manifest.
+    /// virtual clock, appends to the trace. Returns the fault the caller
+    /// must act on; a latency fault is traced and charged but not returned,
+    /// because the call proceeds, only slower — exactly how timing faults
+    /// like FLINK-12342 manifest.
     fn push(&self, call: BoundaryCall, given: Option<CrossingOutcome>) -> Option<InjectedFault> {
         let mut state = self.state.lock();
         let fired = match given {
@@ -533,17 +480,13 @@ impl CrossingContext {
         state.clock_ms += 1 + cost_ms;
         let seq = state.next_seq;
         state.next_seq += 1;
-        let crossing = Crossing {
-            seq,
-            at_ms,
-            call,
-            outcome,
-        };
-        if let Some(sink) = state.sink.as_mut() {
-            sink.on_crossing(&crossing);
-        }
         if state.enabled {
-            state.trace.crossings.push(crossing);
+            state.trace.crossings.push(Crossing {
+                seq,
+                at_ms,
+                call,
+                outcome,
+            });
         }
         acted_on
     }
@@ -623,6 +566,13 @@ mod tests {
         ctx.intercept(BoundaryCall::new(channel, op))
     }
 
+    /// The faults `ctx`'s trace shows fired since its last reset.
+    fn fired(ctx: &CrossingContext) -> Vec<InjectedFault> {
+        faulted(&ctx.trace().crossings)
+            .map(|(_, fault)| fault.clone())
+            .collect()
+    }
+
     #[test]
     fn always_trigger_fires_on_every_matching_call() {
         let ctx = CrossingContext::new();
@@ -637,7 +587,7 @@ mod tests {
         // Other ops and channels are untouched.
         assert!(hit(&ctx, Channel::Metastore, "create_table").is_none());
         assert!(hit(&ctx, Channel::Hdfs, "get_table").is_none());
-        assert_eq!(ctx.fired().len(), 2);
+        assert_eq!(fired(&ctx).len(), 2);
     }
 
     #[test]
@@ -654,7 +604,7 @@ mod tests {
         assert_eq!(f.call, 1);
         assert!(hit(&ctx, Channel::Metastore, "read").is_none()); // call 2
         ctx.reset();
-        assert!(ctx.fired().is_empty());
+        assert!(fired(&ctx).is_empty());
         assert!(hit(&ctx, Channel::Metastore, "read").is_none()); // call 0 again
         assert!(hit(&ctx, Channel::Metastore, "read").is_some()); // call 1 again
     }
@@ -671,7 +621,7 @@ mod tests {
         });
         assert!(hit(&ctx, Channel::Yarn, "allocate").is_none());
         assert_eq!(ctx.virtual_delay_ms(), 700);
-        assert_eq!(ctx.fired().len(), 1);
+        assert_eq!(fired(&ctx).len(), 1);
         ctx.reset();
         assert_eq!(ctx.virtual_delay_ms(), 0);
     }
@@ -682,7 +632,7 @@ mod tests {
         ctx.arm_plan(&FaultPlan::empty(42));
         assert!(hit(&ctx, Channel::Metastore, "get_table").is_none());
         // With nothing armed, a crossing does not even count calls.
-        assert!(ctx.fired().is_empty());
+        assert!(fired(&ctx).is_empty());
         assert!(ctx.state.lock().calls.is_empty());
     }
 
@@ -697,7 +647,7 @@ mod tests {
         ctx.arm_set(&set);
         assert!(hit(&ctx, Channel::Metastore, "get_table").is_some());
         assert!(hit(&ctx, Channel::Metastore, "create_table").is_some());
-        assert_eq!(ctx.fired().len(), 2);
+        assert_eq!(fired(&ctx).len(), 2);
     }
 
     #[test]
@@ -716,12 +666,12 @@ mod tests {
         assert!(hit(&filesystem, Channel::Metastore, "read").is_none()); // call 0
         let f = hit(&metastore, Channel::Metastore, "read").expect("call 1 fires");
         assert_eq!(f.call, 1);
-        assert_eq!(executor.fired(), vec![f]);
+        assert_eq!(fired(&executor), vec![f]);
         assert_eq!(executor.trace().len(), 2);
         assert_eq!(executor.trace(), filesystem.trace());
         filesystem.reset();
         for ctx in [&metastore, &filesystem, &executor] {
-            assert!(ctx.fired().is_empty());
+            assert!(fired(ctx).is_empty());
             assert!(ctx.trace().is_empty());
         }
         // Counters went too: call 0 is clean again, call 1 fires again.
@@ -805,7 +755,7 @@ mod tests {
         ));
         // The second crossing starts after the timeout's 500 virtual ms.
         assert_eq!(trace.crossings[1].at_ms, 501);
-        assert_eq!(ctx.fired().len(), 1);
+        assert_eq!(fired(&ctx).len(), 1);
     }
 
     #[test]
@@ -831,7 +781,7 @@ mod tests {
     fn disabled_context_counts_and_fires_identically() {
         let traced = CrossingContext::new();
         let silent = CrossingContext::disabled();
-        for ctx in [&traced, &silent] {
+        let results = [&traced, &silent].map(|ctx| {
             ctx.arm(FaultSpec {
                 id: "u".into(),
                 channel: Channel::Metastore,
@@ -839,10 +789,10 @@ mod tests {
                 kind: FaultKind::Unavailable,
                 trigger: Trigger::OnCall(1),
             });
-            let _: Result<(), InteractionError> = ctx.cross(call("get_table"));
-            let _: Result<(), InteractionError> = ctx.cross(call("get_table"));
-        }
-        assert_eq!(traced.fired(), silent.fired());
+            [(); 2].map(|()| ctx.cross::<InteractionError>(call("get_table")))
+        });
+        assert_eq!(results[0], results[1]);
+        assert!(results[0][0].is_ok() && results[0][1].is_err());
         assert_eq!(traced.trace().len(), 2);
         assert!(silent.trace().is_empty());
     }
@@ -861,7 +811,7 @@ mod tests {
         assert!(first.is_err());
         ctx.reset();
         assert!(ctx.trace().is_empty());
-        assert!(ctx.fired().is_empty());
+        assert!(fired(&ctx).is_empty());
         // OnCall(0) is scoped per reset: it fires again.
         let again: Result<(), InteractionError> = ctx.cross(call("get_table"));
         assert!(again.is_err());
@@ -877,35 +827,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("[Management]"), "{}", lines[0]);
         assert!(lines[1].ends_with("note:served-by=primary"), "{}", lines[1]);
-    }
-
-    #[test]
-    fn sinks_stream_every_crossing_even_when_tracing_is_disabled() {
-        #[derive(Default)]
-        struct Tape(Arc<Mutex<Vec<String>>>);
-        impl CrossingSink for Tape {
-            fn on_crossing(&mut self, crossing: &Crossing) {
-                self.0.lock().push(crossing.compact());
-            }
-        }
-        let tape = Arc::new(Mutex::new(Vec::new()));
-        for ctx in [CrossingContext::new(), CrossingContext::disabled()] {
-            tape.lock().clear();
-            ctx.set_sink(Box::new(Tape(tape.clone())));
-            let _: Result<(), InteractionError> = ctx.cross(call("get_table"));
-            ctx.note(call("read"), "served-by=primary");
-            let seen = tape.lock().clone();
-            assert_eq!(seen.len(), 2, "sink missed a crossing: {seen:?}");
-            assert!(seen[0].starts_with("#0 "), "{}", seen[0]);
-            assert!(seen[1].starts_with("#1 "), "{}", seen[1]);
-            // Reset keeps the sink attached and restarts seq/clock.
-            ctx.reset();
-            let _: Result<(), InteractionError> = ctx.cross(call("get_table"));
-            assert!(tape.lock()[2].starts_with("#0 "), "{}", tape.lock()[2]);
-            ctx.clear_sink();
-            let _: Result<(), InteractionError> = ctx.cross(call("get_table"));
-            assert_eq!(tape.lock().len(), 3);
-        }
     }
 
     /// A clean, a faulted and a noted crossing. The JSON is pinned: served

@@ -1,11 +1,12 @@
-//! Online CSI failure detection over the boundary crossing stream.
+//! CSI failure detection over an observation's boundary-crossing trace.
 //!
 //! The offline oracle ([`crate::fault::classify_fault_outcome`]) judges an
-//! observation *after* it ends, from the fired-fault log and the surfaced
-//! error. This module moves that judgement to run time: an
-//! [`OnlineDetector`] attaches to a [`CrossingContext`] as a
-//! [`CrossingSink`] and watches every metastore/HDFS/Kafka/YARN/HBase
-//! crossing as it happens, emitting typed [`Detection`]s —
+//! observation from the faults that fired and the surfaced error.
+//! [`DetectorSpec::detect`] judges it, when it closes, from the record the
+//! observation already carries — its [`InteractionTrace`] of
+//! metastore/HDFS/Kafka/YARN/HBase crossings — together with the error
+//! the caller surfaced and a frozen per-scenario baseline, and emits typed
+//! [`Detection`]s —
 //!
 //! - [`DetectionKind::SwallowedError`]: a fault fired at the boundary but
 //!   no error surfaced to the caller (the paper's most common §9 bucket);
@@ -22,25 +23,27 @@
 //!   cluster signal ("Systemic Flakiness") that single-crossing judgement
 //!   cannot see.
 //!
-//! Determinism contract: detections are a pure function of the crossing
-//! stream, the surfaced error, and a frozen [`BaselineSet`] — never of
-//! wall-clock time or worker interleaving — so serial and sharded
-//! campaigns produce byte-identical detection sets.
+//! Determinism contract: detections are a pure function of the trace, the
+//! surfaced error, a frozen [`BaselineSet`] and the [`DetectorConfig`] —
+//! never of wall-clock time or worker interleaving — so serial and sharded
+//! campaigns produce byte-identical detection sets, and a stored trace is
+//! judged again to the same detections.
 //!
 //! Compound campaigns (`csi_test::multi`: k-fault sets armed at once,
 //! several jobs interleaved on one shared deployment) exercise exactly the
 //! cascading scenarios [`DetectionKind::CoOccurrence`] exists for: the
-//! shared [`CrossingContext`] carries every job's crossings in one stream,
+//! shared [`CrossingContext`] records every job's crossings in one trace,
 //! so faults that only co-fire under a particular interleaving land in the
-//! same virtual-time window and become detectable — which a per-job stream
+//! same virtual-time window and become detectable — which a per-job trace
 //! would never show.
+//!
+//! [`CrossingContext`]: crate::boundary::CrossingContext
 
-use crate::boundary::{Crossing, CrossingOutcome, CrossingSink, InteractionTrace};
+use crate::boundary::{faulted, InteractionTrace};
 use crate::error::InteractionError;
 use crate::fault::{
     canonical_signature, classify_fault_outcome, Channel, FaultKind, FaultOutcome, InjectedFault,
 };
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -174,20 +177,16 @@ impl BaselineSet {
     }
 }
 
-/// A streaming observer of detections, invoked the moment each
-/// [`Detection`] is recorded — before the observation finishes and long
-/// before the campaign report exists.
+/// A streaming observer of detections, handed each [`Detection`] as the
+/// observation it belongs to is judged — long before the campaign report
+/// exists.
 ///
 /// This is the push half of detection-as-a-service: `csi-serve` hands
 /// every tenant's campaign a tap that writes detection frames to the
 /// tenant's connection, so detections stream out incrementally while the
 /// campaign is still running. Taps observe only; they cannot alter the
 /// detection set, so a tapped campaign stays byte-identical to an
-/// untapped one.
-///
-/// Taps may be invoked while detector (and boundary) locks are held:
-/// like [`CrossingSink`]s, they must never call back into a crossing
-/// context or detector.
+/// untapped one. A tap runs with no detector or boundary lock held.
 #[derive(Clone)]
 pub struct DetectionTap(Arc<dyn Fn(&Detection) + Send + Sync>);
 
@@ -209,9 +208,9 @@ impl fmt::Debug for DetectionTap {
     }
 }
 
-/// Detector configuration plus frozen baselines — everything needed to
-/// build one worker's [`OnlineDetector`]. Cheap to clone; the baselines
-/// are shared.
+/// Detector configuration plus frozen baselines: everything
+/// [`detect`](DetectorSpec::detect) judges an observation against. Cheap
+/// to clone; the baselines are shared.
 #[derive(Debug, Clone)]
 pub struct DetectorSpec {
     /// Thresholds.
@@ -223,107 +222,72 @@ pub struct DetectorSpec {
 }
 
 impl DetectorSpec {
-    /// Builds one worker's detector from this spec.
-    pub fn build(&self) -> OnlineDetector {
-        OnlineDetector {
-            inner: Arc::new(Mutex::new(DetectorState {
-                spec: self.clone(),
-                active: false,
-                scenario: String::new(),
-                fired: Vec::new(),
-                faulted: Vec::new(),
-                latency_counts: BTreeMap::new(),
-                ops: Vec::new(),
-                detections: Vec::new(),
-                last_crossing: (0, 0),
-            })),
+    /// Judges one observation of `scenario` from its `trace` and the error
+    /// that `surfaced` to the caller, if any. Detections come in a fixed
+    /// order — latency storms in stream order, then the §9 error-handling
+    /// judgement, then the pattern anomaly, then the co-occurrence
+    /// clusters — and each is handed to the tap, if any, in that order, so
+    /// a tap sees exactly the detections the report carries.
+    pub fn detect(
+        &self,
+        scenario: &str,
+        trace: &InteractionTrace,
+        surfaced: Option<&InteractionError>,
+    ) -> Vec<Detection> {
+        let crossings = &trace.crossings;
+        let hits: Vec<_> = faulted(crossings).collect();
+        let detection = |kind, channels, seq, at_ms, detail| Detection {
+            kind,
+            scenario: scenario.to_string(),
+            channels,
+            seq,
+            at_ms,
+            detail,
+        };
+        let mut detections = Vec::new();
+
+        // Latency storms: one per (channel, op), anchored at the crossing
+        // whose count of delayed calls reaches the threshold.
+        let threshold = self.config.storm_threshold;
+        let mut delayed: BTreeMap<(Channel, &str), u64> = BTreeMap::new();
+        for &(crossing, fault) in &hits {
+            if matches!(
+                fault.kind,
+                FaultKind::Latency { .. } | FaultKind::Timeout { .. }
+            ) {
+                let (channel, op) = (crossing.call.channel, &*crossing.call.op);
+                let count = delayed.entry((channel, op)).or_insert(0);
+                *count += 1;
+                if *count == threshold {
+                    detections.push(detection(
+                        DetectionKind::LatencyStorm,
+                        vec![channel],
+                        crossing.seq,
+                        crossing.at_ms,
+                        format!("{count} delayed {channel}:{op} crossings (threshold {threshold})"),
+                    ));
+                }
+            }
         }
-    }
-}
 
-#[derive(Debug)]
-struct DetectorState {
-    spec: DetectorSpec,
-    active: bool,
-    scenario: String,
-    fired: Vec<InjectedFault>,
-    /// seq/at_ms/channel of every faulted crossing, in stream order.
-    faulted: Vec<(u64, u64, Channel)>,
-    latency_counts: BTreeMap<(Channel, Cow<'static, str>), u64>,
-    ops: Vec<(Channel, Cow<'static, str>)>,
-    detections: Vec<Detection>,
-    last_crossing: (u64, u64),
-}
-
-/// The online detector: a [`CrossingSink`] with per-observation state.
-///
-/// Lifecycle: [`begin`](OnlineDetector::begin) at the start of an
-/// observation, crossings arrive through the sink hook while the scenario
-/// runs, [`finish`](OnlineDetector::finish) with the surfaced error (if
-/// any) closes the observation and returns its detections. Crossings seen
-/// outside a begin/finish window (deployment seeding, table recycling)
-/// are ignored.
-///
-/// Clones share state — cloning is how the same detector is handed to a
-/// context as a sink while the executor keeps a handle for
-/// `begin`/`finish`.
-#[derive(Debug, Clone)]
-pub struct OnlineDetector {
-    inner: Arc<Mutex<DetectorState>>,
-}
-
-impl OnlineDetector {
-    /// A boxed sink handle sharing this detector's state, ready for
-    /// [`CrossingContext::set_sink`](crate::boundary::CrossingContext::set_sink).
-    pub fn sink(&self) -> Box<dyn CrossingSink> {
-        Box::new(self.clone())
-    }
-
-    /// Opens an observation: clears per-observation state and starts
-    /// listening.
-    pub fn begin(&self, scenario: &str) {
-        let mut s = self.inner.lock();
-        s.active = true;
-        s.scenario = scenario.to_string();
-        s.fired.clear();
-        s.faulted.clear();
-        s.latency_counts.clear();
-        s.ops.clear();
-        s.detections.clear();
-        s.last_crossing = (0, 0);
-    }
-
-    /// Closes the observation with the error that surfaced to the caller
-    /// (if any), runs the end-of-stream rules, and returns every
-    /// detection of the observation, in emission order.
-    pub fn finish(&self, surfaced: Option<&InteractionError>) -> Vec<Detection> {
-        let mut s = self.inner.lock();
-        if !s.active {
-            return Vec::new();
-        }
-        s.active = false;
-
-        // §9 error handling, bucketed by the offline oracle's own table:
-        // the fired set is reconstructed from Faulted crossings — provably
-        // the context's own fired log, since the boundary is the only
-        // interposer.
-        if !s.fired.is_empty() {
-            let (seq, at_ms) = s.fired_anchor();
-            let judged = match (classify_fault_outcome(&s.fired, surfaced), surfaced) {
+        // §9 error handling, bucketed by the offline oracle's own table
+        // and anchored at the first faulted crossing.
+        if let Some(&(first, _)) = hits.first() {
+            let fired: Vec<InjectedFault> = hits.iter().map(|&(_, f)| f.clone()).collect();
+            let judged = match (classify_fault_outcome(&fired, surfaced), surfaced) {
                 (FaultOutcome::Swallowed, _) => {
-                    let fired_ids: Vec<&str> = s.fired.iter().map(|f| f.spec_id.as_str()).collect();
+                    let ids: Vec<&str> = fired.iter().map(|f| f.spec_id.as_str()).collect();
                     Some((
                         DetectionKind::SwallowedError,
                         format!(
                             "{} fault(s) fired [{}] but no error surfaced",
-                            s.fired.len(),
-                            fired_ids.join(", ")
+                            fired.len(),
+                            ids.join(", ")
                         ),
                     ))
                 }
                 (FaultOutcome::Mistranslated, Some(e)) => {
-                    let expected: Vec<String> = s
-                        .fired
+                    let expected: Vec<String> = fired
                         .iter()
                         .filter_map(|f| canonical_signature(f.channel, f.kind))
                         .map(|(kind, code)| format!("{kind}:{code}"))
@@ -342,163 +306,69 @@ impl OnlineDetector {
                 _ => None,
             };
             if let Some((kind, detail)) = judged {
-                let detection = Detection {
-                    kind,
-                    scenario: s.scenario.clone(),
-                    channels: distinct_channels(s.fired.iter().map(|f| f.channel)),
-                    seq,
-                    at_ms,
-                    detail,
-                };
-                s.emit(detection);
+                let channels = distinct_channels(fired.iter().map(|f| f.channel));
+                detections.push(detection(kind, channels, first.seq, first.at_ms, detail));
             }
         }
 
-        // Crossing-pattern anomaly vs. the frozen per-scenario baseline.
-        let baselines = s.spec.baselines.clone();
-        if let Some(profile) = baselines.profiles.get(&s.scenario) {
-            if s.ops != profile.ops {
-                let divergence = s
-                    .ops
-                    .iter()
-                    .zip(&profile.ops)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or_else(|| s.ops.len().min(profile.ops.len()));
-                let channels = match s
-                    .ops
+        // Crossing-pattern anomaly: the first (channel, op) that differs
+        // from the frozen baseline, or where the shorter sequence ends.
+        if let Some(profile) = self.baselines.profiles.get(scenario) {
+            let baseline = &profile.ops;
+            let divergence = crossings
+                .iter()
+                .zip(baseline)
+                .position(|(c, (channel, op))| c.call.channel != *channel || c.call.op != *op)
+                .unwrap_or_else(|| crossings.len().min(baseline.len()));
+            if divergence < crossings.len().max(baseline.len()) {
+                let channel = crossings
                     .get(divergence)
-                    .or_else(|| profile.ops.get(divergence))
-                {
-                    Some((channel, _)) => vec![*channel],
-                    None => Vec::new(),
-                };
-                let detection = Detection {
-                    kind: DetectionKind::PatternAnomaly,
-                    scenario: s.scenario.clone(),
-                    channels,
-                    seq: divergence as u64,
-                    at_ms: 0,
-                    detail: format!(
+                    .map(|c| c.call.channel)
+                    .or_else(|| baseline.get(divergence).map(|&(channel, _)| channel));
+                detections.push(detection(
+                    DetectionKind::PatternAnomaly,
+                    channel.into_iter().collect(),
+                    divergence as u64,
+                    0,
+                    format!(
                         "crossing sequence diverged from baseline at #{divergence} \
                          (observed {} ops, baseline {})",
-                        s.ops.len(),
-                        profile.ops.len()
+                        crossings.len(),
+                        baseline.len()
                     ),
-                };
-                s.emit(detection);
+                ));
             }
         }
 
-        // Cross-channel co-occurrence: cluster faulted crossings by
-        // virtual-time gaps; a cluster spanning ≥2 channels is the signal.
-        let window = s.spec.config.co_window_ms;
-        let mut cluster: Vec<(u64, u64, Channel)> = Vec::new();
-        let faulted = s.faulted.clone();
-        let mut clusters: Vec<Vec<(u64, u64, Channel)>> = Vec::new();
-        for event in faulted {
-            match cluster.last() {
-                Some(&(_, last_at, _)) if event.1.saturating_sub(last_at) <= window => {
-                    cluster.push(event);
-                }
-                Some(_) => {
-                    clusters.push(std::mem::take(&mut cluster));
-                    cluster.push(event);
-                }
-                None => cluster.push(event),
-            }
-        }
-        if !cluster.is_empty() {
-            clusters.push(cluster);
-        }
-        for cluster in clusters {
-            let channels = distinct_channels(cluster.iter().map(|&(_, _, c)| c));
+        // Cross-channel co-occurrence: faulted crossings cluster while each
+        // follows the previous one within the window; a cluster spanning
+        // ≥2 channels is the signal.
+        let window = self.config.co_window_ms;
+        for cluster in hits.chunk_by(|(a, _), (b, _)| b.at_ms.saturating_sub(a.at_ms) <= window) {
+            let channels = distinct_channels(cluster.iter().map(|(c, _)| c.call.channel));
             if channels.len() >= 2 {
-                let (seq, at_ms, _) = cluster[0];
-                let detection = Detection {
-                    kind: DetectionKind::CoOccurrence,
-                    scenario: s.scenario.clone(),
-                    channels: channels.clone(),
-                    seq,
-                    at_ms,
-                    detail: format!(
-                        "{} faulted crossings across {} channels within {window}ms windows",
-                        cluster.len(),
-                        channels.len()
-                    ),
-                };
-                s.emit(detection);
+                let (first, _) = cluster[0];
+                let detail = format!(
+                    "{} faulted crossings across {} channels within {window}ms windows",
+                    cluster.len(),
+                    channels.len()
+                );
+                detections.push(detection(
+                    DetectionKind::CoOccurrence,
+                    channels,
+                    first.seq,
+                    first.at_ms,
+                    detail,
+                ));
             }
         }
 
-        std::mem::take(&mut s.detections)
-    }
-}
-
-impl DetectorState {
-    /// Records one detection, streaming it through the tap (if any)
-    /// first. Every detection site funnels through here, so a tap sees
-    /// exactly the detections the final report carries, in order.
-    fn emit(&mut self, detection: Detection) {
-        if let Some(tap) = &self.spec.tap {
-            tap.emit(&detection);
-        }
-        self.detections.push(detection);
-    }
-
-    /// seq/at_ms of the first faulted crossing — the anchor for the
-    /// error-handling detections.
-    fn fired_anchor(&self) -> (u64, u64) {
-        self.faulted
-            .first()
-            .map(|&(seq, at_ms, _)| (seq, at_ms))
-            .unwrap_or(self.last_crossing)
-    }
-
-    fn observe(&mut self, crossing: &Crossing) {
-        if !self.active {
-            return;
-        }
-        self.last_crossing = (crossing.seq, crossing.at_ms);
-        self.ops
-            .push((crossing.call.channel, crossing.call.op.clone()));
-        if let CrossingOutcome::Faulted { fault } = &crossing.outcome {
-            self.fired.push(fault.clone());
-            self.faulted
-                .push((crossing.seq, crossing.at_ms, crossing.call.channel));
-            if matches!(
-                fault.kind,
-                FaultKind::Latency { .. } | FaultKind::Timeout { .. }
-            ) {
-                let key = (crossing.call.channel, crossing.call.op.clone());
-                let count = self.latency_counts.entry(key).or_insert(0);
-                *count += 1;
-                // Emit exactly once, online, the moment the storm
-                // threshold is crossed — not at end of stream.
-                if *count == self.spec.config.storm_threshold {
-                    let detection = Detection {
-                        kind: DetectionKind::LatencyStorm,
-                        scenario: self.scenario.clone(),
-                        channels: vec![crossing.call.channel],
-                        seq: crossing.seq,
-                        at_ms: crossing.at_ms,
-                        detail: format!(
-                            "{} delayed {}:{} crossings (threshold {})",
-                            count,
-                            crossing.call.channel,
-                            crossing.call.op,
-                            self.spec.config.storm_threshold
-                        ),
-                    };
-                    self.emit(detection);
-                }
+        if let Some(tap) = &self.tap {
+            for d in &detections {
+                tap.emit(d);
             }
         }
-    }
-}
-
-impl CrossingSink for OnlineDetector {
-    fn on_crossing(&mut self, crossing: &Crossing) {
-        self.inner.lock().observe(crossing);
+        detections
     }
 }
 
@@ -619,9 +489,10 @@ impl DetectionTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::{BoundaryCall, CrossingContext};
+    use crate::boundary::{BoundaryCall, Crossing, CrossingContext, CrossingOutcome};
     use crate::error::ErrorKind;
     use crate::fault::{FaultSpec, Trigger};
+    use proptest::prelude::*;
 
     fn ms_call(op: &'static str) -> BoundaryCall {
         BoundaryCall::new(Channel::Metastore, op)
@@ -637,13 +508,12 @@ mod tests {
         }
     }
 
-    fn build(config: DetectorConfig, baselines: BaselineSet) -> OnlineDetector {
+    fn build(config: DetectorConfig, baselines: BaselineSet) -> DetectorSpec {
         DetectorSpec {
             config,
             baselines: Arc::new(baselines),
             tap: None,
         }
-        .build()
     }
 
     fn drive(ctx: &CrossingContext, calls: &[BoundaryCall]) {
@@ -652,14 +522,19 @@ mod tests {
         }
     }
 
+    /// The faults `ctx`'s trace shows fired.
+    fn fired(ctx: &CrossingContext) -> Vec<InjectedFault> {
+        faulted(&ctx.trace().crossings)
+            .map(|(_, fault)| fault.clone())
+            .collect()
+    }
+
     #[test]
     fn clean_stream_yields_no_detections() {
         let detector = build(DetectorConfig::default(), BaselineSet::default());
         let ctx = CrossingContext::new();
-        ctx.set_sink(detector.sink());
-        detector.begin("s");
         drive(&ctx, &[ms_call("get_table"), ms_call("create_table")]);
-        assert!(detector.finish(None).is_empty());
+        assert!(detector.detect("s", &ctx.trace(), None).is_empty());
     }
 
     #[test]
@@ -672,14 +547,12 @@ mod tests {
             "get_table",
             FaultKind::Unavailable,
         ));
-        ctx.set_sink(detector.sink());
-        detector.begin("s");
         drive(&ctx, &[ms_call("get_table")]);
         // No error surfaced: the oracle says swallowed, and so does the
-        // detector, from the stream alone.
-        let detections = detector.finish(None);
+        // detector, from the trace alone.
+        let detections = detector.detect("s", &ctx.trace(), None);
         assert_eq!(
-            classify_fault_outcome(&ctx.fired(), None),
+            classify_fault_outcome(&fired(&ctx), None),
             FaultOutcome::Swallowed
         );
         assert_eq!(detections.len(), 1);
@@ -702,16 +575,13 @@ mod tests {
             "get_table",
             FaultKind::Unavailable,
         ));
-        ctx.set_sink(detector.sink());
-        detector.begin("s");
         drive(&ctx, &[ms_call("get_table")]);
         let generic = InteractionError::new("spark", ErrorKind::Rejected, "INTERNAL", "boom");
-        let fired = ctx.fired();
         assert_eq!(
-            classify_fault_outcome(&fired, Some(&generic)),
+            classify_fault_outcome(&fired(&ctx), Some(&generic)),
             FaultOutcome::Mistranslated
         );
-        let detections = detector.finish(Some(&generic));
+        let detections = detector.detect("s", &ctx.trace(), Some(&generic));
         assert_eq!(detections.len(), 1);
         assert_eq!(detections[0].kind, DetectionKind::MistranslatedError);
         assert!(
@@ -738,8 +608,6 @@ mod tests {
             "get_table",
             FaultKind::Unavailable,
         ));
-        ctx.set_sink(detector.sink());
-        detector.begin("s");
         drive(&ctx, &[ms_call("get_table")]);
         let canonical = InteractionError::new(
             "hive",
@@ -747,7 +615,9 @@ mod tests {
             "METASTORE_UNAVAILABLE",
             "down",
         );
-        assert!(detector.finish(Some(&canonical)).is_empty());
+        assert!(detector
+            .detect("s", &ctx.trace(), Some(&canonical))
+            .is_empty());
     }
 
     #[test]
@@ -760,11 +630,9 @@ mod tests {
             "get_table",
             FaultKind::Unavailable,
         ));
-        ctx.set_sink(detector.sink());
-        detector.begin("s");
         drive(&ctx, &[ms_call("get_table")]);
         let crash = InteractionError::new("spark", ErrorKind::Crash, "NPE", "null");
-        assert!(detector.finish(Some(&crash)).is_empty());
+        assert!(detector.detect("s", &ctx.trace(), Some(&crash)).is_empty());
     }
 
     #[test]
@@ -783,22 +651,21 @@ mod tests {
             "allocate",
             FaultKind::Latency { ms: 700 },
         ));
-        ctx.set_sink(detector.sink());
-        detector.begin("yarn:driver");
         let call = BoundaryCall::new(Channel::Yarn, "allocate");
         drive(
             &ctx,
             &[call.clone(), call.clone(), call.clone(), call.clone()],
         );
         // 4 delayed crossings, threshold 3: exactly one storm detection,
-        // anchored at the third crossing, plus the swallowed-error mirror
-        // (latency faults fired, nothing surfaced).
-        let detections = detector.finish(None);
+        // anchored at the third crossing and reported first, plus the
+        // swallowed-error mirror (latency faults fired, nothing surfaced).
+        let detections = detector.detect("yarn:driver", &ctx.trace(), None);
         let storms: Vec<_> = detections
             .iter()
             .filter(|d| d.kind == DetectionKind::LatencyStorm)
             .collect();
         assert_eq!(storms.len(), 1);
+        assert_eq!(detections[0].kind, DetectionKind::LatencyStorm);
         assert_eq!(storms[0].seq, 2);
         assert!(
             storms[0].detail.contains("yarn:allocate"),
@@ -817,10 +684,8 @@ mod tests {
         baselines.learn("s", &ctx.trace());
 
         // ...then replay with an extra crossing: anomaly at index 1.
-        let detector = build(DetectorConfig::default(), baselines.clone());
+        let detector = build(DetectorConfig::default(), baselines);
         let ctx = CrossingContext::new();
-        ctx.set_sink(detector.sink());
-        detector.begin("s");
         drive(
             &ctx,
             &[
@@ -829,26 +694,23 @@ mod tests {
                 ms_call("create_table"),
             ],
         );
-        let detections = detector.finish(None);
+        let detections = detector.detect("s", &ctx.trace(), None);
         assert_eq!(detections.len(), 1);
         assert_eq!(detections[0].kind, DetectionKind::PatternAnomaly);
         assert_eq!(detections[0].seq, 1);
 
         // A faithful replay is silent; an unknown scenario is silent too.
-        let detector = build(DetectorConfig::default(), baselines);
-        let ctx = CrossingContext::new();
-        ctx.set_sink(detector.sink());
-        detector.begin("s");
+        ctx.reset();
         drive(&ctx, &[ms_call("get_table"), ms_call("create_table")]);
-        assert!(detector.finish(None).is_empty());
-        detector.begin("unknown");
+        assert!(detector.detect("s", &ctx.trace(), None).is_empty());
+        ctx.reset();
         drive(&ctx, &[ms_call("drop_table")]);
-        assert!(detector.finish(None).is_empty());
+        assert!(detector.detect("unknown", &ctx.trace(), None).is_empty());
     }
 
     #[test]
     fn cross_channel_co_occurrence_clusters_by_virtual_time() {
-        let detector = build(DetectorConfig::default(), BaselineSet::default());
+        let generic = InteractionError::new("hdfs", ErrorKind::Unavailable, "SAFE_MODE", "safe");
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "ms-slow",
@@ -862,8 +724,6 @@ mod tests {
             "read",
             FaultKind::Unavailable,
         ));
-        ctx.set_sink(detector.sink());
-        detector.begin("s");
         drive(
             &ctx,
             &[
@@ -871,8 +731,9 @@ mod tests {
                 BoundaryCall::new(Channel::Hdfs, "read"),
             ],
         );
-        let generic = InteractionError::new("hdfs", ErrorKind::Unavailable, "SAFE_MODE", "safe");
-        let detections = detector.finish(Some(&generic));
+        let trace = ctx.trace();
+        let detector = build(DetectorConfig::default(), BaselineSet::default());
+        let detections = detector.detect("s", &trace, Some(&generic));
         let co: Vec<_> = detections
             .iter()
             .filter(|d| d.kind == DetectionKind::CoOccurrence)
@@ -889,54 +750,301 @@ mod tests {
             },
             BaselineSet::default(),
         );
-        let ctx = CrossingContext::new();
-        ctx.arm(spec(
-            "ms-slow",
-            Channel::Metastore,
-            "get_table",
-            FaultKind::Latency { ms: 100 },
-        ));
-        ctx.arm(spec(
-            "fs-down",
-            Channel::Hdfs,
-            "read",
-            FaultKind::Unavailable,
-        ));
-        ctx.set_sink(detector.sink());
-        detector.begin("s");
-        drive(
-            &ctx,
-            &[
-                ms_call("get_table"),
-                BoundaryCall::new(Channel::Hdfs, "read"),
-            ],
-        );
-        let detections = detector.finish(Some(&generic));
+        let detections = detector.detect("s", &trace, Some(&generic));
         assert!(detections
             .iter()
             .all(|d| d.kind != DetectionKind::CoOccurrence));
     }
 
-    #[test]
-    fn crossings_outside_an_observation_are_ignored() {
-        let detector = build(DetectorConfig::default(), BaselineSet::default());
-        let ctx = CrossingContext::new();
-        ctx.arm(spec(
-            "u",
-            Channel::Metastore,
-            "get_table",
-            FaultKind::Unavailable,
-        ));
-        ctx.set_sink(detector.sink());
-        // Seeding traffic before begin() — invisible to the detector.
-        drive(&ctx, &[ms_call("get_table")]);
-        detector.begin("s");
-        let detections = detector.finish(None);
-        assert!(detections.is_empty());
-        // And after finish() — also invisible.
-        drive(&ctx, &[ms_call("get_table")]);
-        detector.begin("s2");
-        assert!(detector.finish(None).is_empty());
+    /// The streaming detector [`DetectorSpec::detect`] replaced, kept as
+    /// the reference it must agree with: fed one crossing at a time, it
+    /// reports a storm the moment a count reaches the threshold and judges
+    /// everything else when the observation finishes.
+    struct OnlineDetector<'a> {
+        spec: &'a DetectorSpec,
+        scenario: &'a str,
+        fired: Vec<InjectedFault>,
+        /// seq/at_ms/channel of every faulted crossing, in stream order.
+        faulted: Vec<(u64, u64, Channel)>,
+        latency_counts: BTreeMap<(Channel, Cow<'static, str>), u64>,
+        ops: Vec<(Channel, Cow<'static, str>)>,
+        detections: Vec<Detection>,
+    }
+
+    impl<'a> OnlineDetector<'a> {
+        fn begin(spec: &'a DetectorSpec, scenario: &'a str) -> OnlineDetector<'a> {
+            OnlineDetector {
+                spec,
+                scenario,
+                fired: Vec::new(),
+                faulted: Vec::new(),
+                latency_counts: BTreeMap::new(),
+                ops: Vec::new(),
+                detections: Vec::new(),
+            }
+        }
+
+        fn observe(&mut self, crossing: &Crossing) {
+            self.ops
+                .push((crossing.call.channel, crossing.call.op.clone()));
+            if let CrossingOutcome::Faulted { fault } = &crossing.outcome {
+                self.fired.push(fault.clone());
+                self.faulted
+                    .push((crossing.seq, crossing.at_ms, crossing.call.channel));
+                if matches!(
+                    fault.kind,
+                    FaultKind::Latency { .. } | FaultKind::Timeout { .. }
+                ) {
+                    let key = (crossing.call.channel, crossing.call.op.clone());
+                    let count = self.latency_counts.entry(key).or_insert(0);
+                    *count += 1;
+                    if *count == self.spec.config.storm_threshold {
+                        self.detections.push(Detection {
+                            kind: DetectionKind::LatencyStorm,
+                            scenario: self.scenario.to_string(),
+                            channels: vec![crossing.call.channel],
+                            seq: crossing.seq,
+                            at_ms: crossing.at_ms,
+                            detail: format!(
+                                "{} delayed {}:{} crossings (threshold {})",
+                                count,
+                                crossing.call.channel,
+                                crossing.call.op,
+                                self.spec.config.storm_threshold
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+
+        fn finish(mut self, surfaced: Option<&InteractionError>) -> Vec<Detection> {
+            let scenario = self.scenario.to_string();
+            if let Some(&(seq, at_ms, _)) = self.faulted.first() {
+                let judged = match (classify_fault_outcome(&self.fired, surfaced), surfaced) {
+                    (FaultOutcome::Swallowed, _) => {
+                        let ids: Vec<&str> =
+                            self.fired.iter().map(|f| f.spec_id.as_str()).collect();
+                        Some((
+                            DetectionKind::SwallowedError,
+                            format!(
+                                "{} fault(s) fired [{}] but no error surfaced",
+                                self.fired.len(),
+                                ids.join(", ")
+                            ),
+                        ))
+                    }
+                    (FaultOutcome::Mistranslated, Some(e)) => {
+                        let expected: Vec<String> = self
+                            .fired
+                            .iter()
+                            .filter_map(|f| canonical_signature(f.channel, f.kind))
+                            .map(|(kind, code)| format!("{kind}:{code}"))
+                            .collect();
+                        Some((
+                            DetectionKind::MistranslatedError,
+                            format!(
+                                "surfaced {} matches none of [{}]",
+                                e.signature(),
+                                expected.join(", ")
+                            ),
+                        ))
+                    }
+                    _ => None,
+                };
+                if let Some((kind, detail)) = judged {
+                    self.detections.push(Detection {
+                        kind,
+                        scenario: scenario.clone(),
+                        channels: distinct_channels(self.fired.iter().map(|f| f.channel)),
+                        seq,
+                        at_ms,
+                        detail,
+                    });
+                }
+            }
+
+            if let Some(profile) = self.spec.baselines.profiles.get(self.scenario) {
+                if self.ops != profile.ops {
+                    let divergence = self
+                        .ops
+                        .iter()
+                        .zip(&profile.ops)
+                        .position(|(a, b)| a != b)
+                        .unwrap_or_else(|| self.ops.len().min(profile.ops.len()));
+                    let channels = match self
+                        .ops
+                        .get(divergence)
+                        .or_else(|| profile.ops.get(divergence))
+                    {
+                        Some((channel, _)) => vec![*channel],
+                        None => Vec::new(),
+                    };
+                    self.detections.push(Detection {
+                        kind: DetectionKind::PatternAnomaly,
+                        scenario: scenario.clone(),
+                        channels,
+                        seq: divergence as u64,
+                        at_ms: 0,
+                        detail: format!(
+                            "crossing sequence diverged from baseline at #{divergence} \
+                             (observed {} ops, baseline {})",
+                            self.ops.len(),
+                            profile.ops.len()
+                        ),
+                    });
+                }
+            }
+
+            let window = self.spec.config.co_window_ms;
+            let mut cluster: Vec<(u64, u64, Channel)> = Vec::new();
+            let mut clusters: Vec<Vec<(u64, u64, Channel)>> = Vec::new();
+            for &event in &self.faulted {
+                match cluster.last() {
+                    Some(&(_, last_at, _)) if event.1.saturating_sub(last_at) <= window => {
+                        cluster.push(event);
+                    }
+                    Some(_) => {
+                        clusters.push(std::mem::take(&mut cluster));
+                        cluster.push(event);
+                    }
+                    None => cluster.push(event),
+                }
+            }
+            if !cluster.is_empty() {
+                clusters.push(cluster);
+            }
+            for cluster in clusters {
+                let channels = distinct_channels(cluster.iter().map(|&(_, _, c)| c));
+                if channels.len() >= 2 {
+                    let (seq, at_ms, _) = cluster[0];
+                    self.detections.push(Detection {
+                        kind: DetectionKind::CoOccurrence,
+                        scenario: scenario.clone(),
+                        channels: channels.clone(),
+                        seq,
+                        at_ms,
+                        detail: format!(
+                            "{} faulted crossings across {} channels within {window}ms windows",
+                            cluster.len(),
+                            channels.len()
+                        ),
+                    });
+                }
+            }
+            self.detections
+        }
+    }
+
+    const OPS: [&str; 3] = ["get_table", "create", "read"];
+
+    /// Crossings from `(channel, op, class, gap)` draws: class 0 is clean,
+    /// 1–4 a fault of each kind, 5 a note; `gap` is the virtual time since
+    /// the previous crossing.
+    fn crossings_of(draws: Vec<(usize, usize, u8, u64)>) -> Vec<Crossing> {
+        let mut at_ms = 0;
+        draws
+            .into_iter()
+            .enumerate()
+            .map(|(i, (channel, op, class, gap))| {
+                at_ms += gap;
+                let (channel, op) = (Channel::ALL[channel], OPS[op]);
+                let kind = match class {
+                    1 => Some(FaultKind::Latency { ms: gap }),
+                    2 => Some(FaultKind::Timeout { ms: gap }),
+                    3 => Some(FaultKind::Unavailable),
+                    4 => Some(FaultKind::CorruptPayload),
+                    _ => None,
+                };
+                let outcome = match kind {
+                    Some(kind) => CrossingOutcome::Faulted {
+                        fault: InjectedFault {
+                            spec_id: format!("f{i}"),
+                            channel,
+                            op: op.to_string(),
+                            kind,
+                            call: i as u64,
+                        },
+                    },
+                    None if class == 5 => CrossingOutcome::Noted {
+                        info: "served-by=primary".into(),
+                    },
+                    None => CrossingOutcome::Clean,
+                };
+                Crossing {
+                    seq: i as u64,
+                    at_ms,
+                    call: BoundaryCall::new(channel, op),
+                    outcome,
+                }
+            })
+            .collect()
+    }
+
+    /// The surfaced error of class `class`: none, a crash, a rejection no
+    /// fault translates to, or the canonical signature of the first faulted
+    /// crossing that has one (the rejection when none does).
+    fn surfaced_of(class: u8, crossings: &[Crossing]) -> Option<InteractionError> {
+        let generic = InteractionError::new("spark", ErrorKind::Rejected, "INTERNAL", "boom");
+        match class {
+            0 => None,
+            1 => Some(InteractionError::crash("spark", "NPE", "null")),
+            2 => Some(generic),
+            _ => Some(
+                faulted(crossings)
+                    .find_map(|(_, f)| canonical_signature(f.channel, f.kind))
+                    .map_or(generic, |(kind, code)| {
+                        InteractionError::new("hive", kind, code, "down")
+                    }),
+            ),
+        }
+    }
+
+    fn arb_draws() -> impl Strategy<Value = Vec<(usize, usize, u8, u64)>> {
+        proptest::collection::vec(
+            (0..Channel::ALL.len(), 0..OPS.len(), 0u8..6, 0u64..40),
+            0..24,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Judging a trace is feeding its crossings to the streaming
+        /// detector, for every crossing class and fault kind, gaps,
+        /// thresholds 1–4, windows, a baseline learned from a prefix of
+        /// the trace plus other crossings (under the scenario, under
+        /// another one, or none), and every class of surfaced error.
+        #[test]
+        fn detect_is_the_streaming_reference(
+            draws in arb_draws(),
+            others in arb_draws(),
+            (storm_threshold, co_window_ms, learned, prefix) in
+                (1u64..5, 0u64..60, 0u8..3, 0usize..32),
+            surfaced in 0u8..4,
+        ) {
+            let trace = InteractionTrace { crossings: crossings_of(draws) };
+            let mut baselines = BaselineSet::default();
+            if learned > 0 {
+                let mut crossings = trace.crossings[..prefix.min(trace.len())].to_vec();
+                crossings.extend(crossings_of(others));
+                let scenario = if learned == 1 { "s" } else { "elsewhere" };
+                baselines.learn(scenario, &InteractionTrace { crossings });
+            }
+            let detector = build(
+                DetectorConfig { storm_threshold, co_window_ms },
+                baselines,
+            );
+            let surfaced = surfaced_of(surfaced, &trace.crossings);
+            let mut reference = OnlineDetector::begin(&detector, "s");
+            for crossing in &trace.crossings {
+                reference.observe(crossing);
+            }
+            prop_assert_eq!(
+                detector.detect("s", &trace, surfaced.as_ref()),
+                reference.finish(surfaced.as_ref())
+            );
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   `*failed.json` output;
 //! - a deterministic **discrete-event simulator** ([`sim`]) used to reproduce
 //!   timing-sensitive control-plane failures such as FLINK-12342;
-//! - an **online CSI failure detector** ([`detect`]) that consumes boundary
-//!   crossings as a stream and emits typed detections, cross-checked
-//!   against the offline §9 oracle;
+//! - an **online CSI failure detector** ([`detect`]) that judges each
+//!   observation's boundary-crossing trace as it closes and emits typed
+//!   detections, cross-checked against the offline §9 oracle;
 //! - **coverage signatures** ([`coverage`]) distilled from interaction
 //!   traces, the feedback signal of the coverage-guided campaign mode;
 //! - a provenance-tracking **configuration plane** ([`config`]) that makes

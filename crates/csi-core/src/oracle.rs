@@ -78,8 +78,8 @@ pub struct Observation {
     pub read: Option<ReadOutcome>,
     /// The causal sequence of boundary crossings this observation drove.
     pub trace: InteractionTrace,
-    /// What the online detector flagged while the observation ran (empty
-    /// when detection is off).
+    /// What the detector judged from the observation's trace (empty when
+    /// detection is off).
     pub detections: Vec<Detection>,
 }
 

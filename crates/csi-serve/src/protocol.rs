@@ -11,8 +11,8 @@
 //! 1. one [`Frame::Accepted`] (admission granted, with the queue depth
 //!    observed at admission time);
 //! 2. zero or more [`Frame::Detection`] lines, each forwarding one online
-//!    [`Detection`] the moment the campaign's detector records it — long
-//!    before the final report exists;
+//!    [`Detection`] as the campaign's detector judges an observation —
+//!    long before the final report exists;
 //! 3. exactly one [`Frame::Report`] with the finished campaign.
 //!
 //! A request that fails admission gets exactly one [`Frame::Rejected`]
@@ -130,8 +130,8 @@ pub enum Frame {
         /// Why the request was refused.
         reason: RejectReason,
     },
-    /// One online detection, streamed the moment the running campaign's
-    /// detector records it.
+    /// One online detection, streamed as the running campaign's detector
+    /// judges an observation.
     Detection {
         /// The tenant the frame belongs to.
         tenant: String,

@@ -13,7 +13,7 @@
 //! - **workers** that pull jobs fairly across tenants and run each as a
 //!   [`Campaign`] drawing warm deployments from a shared
 //!   [`DeploymentPool`], streaming every online detection back as a
-//!   [`Frame::Detection`] the moment the detector records it, then
+//!   [`Frame::Detection`] as each observation is judged, then
 //!   finishing with one [`Frame::Report`].
 //!
 //! Backpressure is admission-time and explicit: when the global queue or

@@ -25,14 +25,12 @@
 //!
 //! With `.detect(true)`, a cross-test campaign first replays the same
 //! (experiment × plan × format × input) space fault-free to learn the
-//! per-scenario baseline crossing profiles, freezes them, and then runs
-//! the real campaign with an [`OnlineDetector`] streaming over every
-//! observation — so pattern-anomaly detection has a meaningful "normal"
-//! to compare against. Fault-matrix cells self-calibrate instead (each
-//! cell learns its own baseline from an unarmed run), so
-//! `.fault_matrix(seed)` needs no separate calibration pass.
-//!
-//! [`OnlineDetector`]: csi_core::detect::OnlineDetector
+//! per-scenario baseline crossing profiles, freezes them, and then judges
+//! every observation of the real campaign with [`DetectorSpec::detect`] —
+//! so pattern-anomaly detection has a meaningful "normal" to compare
+//! against. Fault-matrix cells self-calibrate instead (each cell learns
+//! its own baseline from an unarmed run), so `.fault_matrix(seed)` needs
+//! no separate calibration pass.
 
 use crate::corpus::CorpusShape;
 use crate::exec::{self, CrossTestConfig};
@@ -278,8 +276,8 @@ impl Campaign {
     }
 
     /// Attaches a streaming detection observer: every [`Detection`] the
-    /// campaign's online detectors emit is handed to `tap` the moment it
-    /// is recorded, long before the final report exists. Taps only
+    /// campaign's detector judges is handed to `tap` as its observation
+    /// closes, long before the final report exists. Taps only
     /// observe — a tapped campaign's outcome is byte-identical to an
     /// untapped one. Only modes that build detectors (cross-test and
     /// matrix with `.detect(true)`) ever invoke it.
@@ -420,9 +418,7 @@ impl Campaign {
             formats: self.spec.formats,
             spark_overrides: self.spec.spark_overrides,
             fault_plan: self.spec.faults,
-            // The baseline learner and the agreement scorer both read
-            // observation traces, so detection forces tracing on.
-            trace_boundaries: self.spec.trace || self.spec.detect,
+            trace_boundaries: self.spec.trace,
             detector: None,
             pool: self.pool,
         };

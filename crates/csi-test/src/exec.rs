@@ -13,7 +13,7 @@ use crate::generator::TestInput;
 use crate::plan::{scenario_key, Experiment, Interface, TestPlan};
 use crate::pool::DeploymentPool;
 use csi_core::boundary::CrossingContext;
-use csi_core::detect::{BaselineSet, DetectorSpec, OnlineDetector};
+use csi_core::detect::{BaselineSet, DetectorSpec};
 use csi_core::diag::DiagSink;
 use csi_core::fault::FaultPlan;
 use csi_core::oracle::{Observation, ReadOutcome, WriteOutcome};
@@ -42,13 +42,14 @@ pub struct CrossTestConfig {
     /// `None` (and an empty plan) runs fault-free.
     pub fault_plan: Option<FaultPlan>,
     /// Record an [`csi_core::boundary::InteractionTrace`] per observation.
-    /// Disabling skips only the trace sink; the fault path is identical
-    /// (tracing is side-effect-free, pinned by `tests/trace.rs`).
+    /// Disabling skips only the trace; the fault path is identical
+    /// (tracing is side-effect-free, pinned by `tests/trace.rs`). Under a
+    /// detector the trace is recorded anyway: see
+    /// [`records_traces`](CrossTestConfig::records_traces).
     pub trace_boundaries: bool,
-    /// Run the online detector over every observation's crossing stream.
-    /// The spec carries frozen baselines; each deployment builds its own
-    /// [`OnlineDetector`] from it, so sharding never shares mutable
-    /// detector state. `None` disables detection.
+    /// Judge every observation's trace with [`DetectorSpec::detect`]. The
+    /// spec holds only thresholds and frozen baselines, so sharding shares
+    /// no mutable detector state. `None` disables detection.
     pub detector: Option<DetectorSpec>,
     /// Acquire deployments from this warm pool instead of building them
     /// fresh. Pooled deployments are reset to construction-identical on
@@ -72,6 +73,12 @@ impl Default for CrossTestConfig {
 }
 
 impl CrossTestConfig {
+    /// Whether deployments record the trace: when asked to, and always
+    /// under a detector, which judges each observation from its trace.
+    pub(crate) fn records_traces(&self) -> bool {
+        self.trace_boundaries || self.detector.is_some()
+    }
+
     /// The custom (non-default) configuration set that Section 8.2 reports
     /// as resolving 8 of the 15 discrepancies.
     pub fn custom_resolving_overrides() -> Vec<(String, String)> {
@@ -110,9 +117,9 @@ pub(crate) struct Deployment {
     /// filesystem: the single choke point where faults are injected and
     /// boundary crossings are traced.
     pub(crate) crossing: CrossingContext,
-    /// This deployment's online detector (attached to `crossing` as a
-    /// streaming sink), when the campaign runs with detection.
-    pub(crate) detector: Option<OnlineDetector>,
+    /// The detector that judges each observation's trace, when the
+    /// campaign runs with detection.
+    pub(crate) detector: Option<DetectorSpec>,
     /// The deployment's filesystem, shared with `spark` and `hive` — held
     /// so the pool can reset it wholesale when the deployment is released.
     pub(crate) fs: Arc<Mutex<MiniHdfs>>,
@@ -154,11 +161,12 @@ impl Deployment {
         }
     }
 
-    /// A fresh stack of `config`'s shape — boundary tracing and Spark
-    /// overrides, the two things baked in at construction — with none of
-    /// its per-run attachments.
+    /// A fresh stack of `config`'s shape — boundary tracing
+    /// ([`CrossTestConfig::records_traces`]) and Spark overrides, the two
+    /// things baked in at construction — with none of its per-run
+    /// attachments.
     pub(crate) fn unarmed(config: &CrossTestConfig) -> Deployment {
-        let crossing = if config.trace_boundaries {
+        let crossing = if config.records_traces() {
             CrossingContext::new()
         } else {
             CrossingContext::disabled()
@@ -167,27 +175,22 @@ impl Deployment {
     }
 
     /// Attaches a run's per-run state: arms `plan` on the crossing
-    /// context and wires a detector freshly built from `detector` in as
-    /// its streaming sink. The inverse is
-    /// [`reset_to_fresh`](Deployment::reset_to_fresh).
+    /// context and keeps `detector` to judge each observation. The inverse
+    /// is [`reset_to_fresh`](Deployment::reset_to_fresh).
     pub(crate) fn arm(&mut self, plan: Option<&FaultPlan>, detector: Option<&DetectorSpec>) {
         if let Some(plan) = plan {
             self.crossing.arm_plan(plan);
         }
-        self.detector = detector.map(DetectorSpec::build);
-        if let Some(d) = &self.detector {
-            self.crossing.set_sink(d.sink());
-        }
+        self.detector = detector.cloned();
     }
 
     /// Strips everything a run attached or left behind, until the stack
-    /// is construction-identical to a fresh one: the detector and its
-    /// sink, the armed faults, the context's counters, clock and trace,
+    /// is construction-identical to a fresh one: the detector, the armed
+    /// faults, the context's counters, clock and trace,
     /// both stores (rebuilt from scratch — erasing residue like the
     /// `next_part` / `next_block_id` cursors that dropping a table leaves
     /// advanced), and the diagnostics sink.
     pub(crate) fn reset_to_fresh(&mut self) {
-        self.crossing.clear_sink();
         self.detector = None;
         self.crossing.disarm_all();
         self.crossing.reset();
@@ -450,16 +453,13 @@ pub(crate) fn run_one(
         format.extension(),
         input.id
     );
-    // Scope call-counted triggers, the fired log, the virtual clock, and
-    // the trace to this observation, regardless of which worker ran
-    // the previous one — the property that keeps campaigns byte-identical
-    // across worker counts.
+    // Scope call-counted triggers, the virtual clock, and the trace to
+    // this observation, regardless of which worker ran the previous one —
+    // the property that keeps campaigns byte-identical across worker
+    // counts.
     d.crossing.reset();
     d.sink.drain();
     let plan_label = experiment.plan_label(plan);
-    if let Some(det) = &d.detector {
-        det.begin(&scenario_key(&plan_label, format.name(), Some(input.id)));
-    }
     let write_result = write_via(d, plan.write, &table, input, format);
     let write = WriteOutcome {
         result: write_result,
@@ -483,12 +483,13 @@ pub(crate) fn run_one(
         trace: d.crossing.trace(),
         detections: Vec::new(),
     };
-    if let Some(det) = &d.detector {
-        obs.detections = det.finish(obs.surfaced());
+    if let Some(detector) = &d.detector {
+        let scenario = scenario_key(&obs.plan, &obs.format, Some(input.id));
+        obs.detections = detector.detect(&scenario, &obs.trace, obs.surfaced());
     }
     if recycle {
         // The drop crosses the boundary too, but the trace is already
-        // taken and the detector finished: those crossings are ignored.
+        // taken and judged: those crossings are in neither.
         d.recycle(&table);
     }
     obs
@@ -646,6 +647,42 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.created, 1);
         assert_eq!(stats.reused, 5);
+    }
+
+    /// A detector judges the trace, so it turns tracing on: a hand-built
+    /// config that asks for detection but not for tracing detects exactly
+    /// what the traced run does.
+    #[test]
+    fn a_detector_records_traces_it_was_not_asked_for() {
+        use crate::shard::run_cross_test;
+        use csi_core::detect::DetectorConfig;
+        let inputs = one_input(DataType::Byte, Value::Byte(5), Validity::Valid);
+        let traced = CrossTestConfig {
+            fault_plan: Some(crate::inject::small_fault_catalogue(7)),
+            detector: Some(DetectorSpec {
+                config: DetectorConfig::default(),
+                baselines: Arc::default(),
+                tap: None,
+            }),
+            ..CrossTestConfig::default()
+        };
+        let untraced = CrossTestConfig {
+            trace_boundaries: false,
+            ..traced.clone()
+        };
+        let detections = |config: &CrossTestConfig| -> Vec<_> {
+            run_cross_test(&inputs, config, 1, 64)
+                .observations
+                .into_iter()
+                .map(|(_, obs)| obs.detections)
+                .collect()
+        };
+        let expected = detections(&traced);
+        assert!(
+            expected.iter().any(|d| !d.is_empty()),
+            "the faulted run detected nothing"
+        );
+        assert_eq!(detections(&untraced), expected);
     }
 
     /// The tables and warehouse directories `d` holds, in name order.

@@ -21,7 +21,7 @@ use crate::exec::{run_one, Deployment};
 use crate::generator::{TestInput, Validity};
 use crate::plan::{scenario_key, Experiment, TestPlan};
 use crate::shard::run_ordered;
-use csi_core::boundary::{CrossingContext, InteractionTrace};
+use csi_core::boundary::{faulted, CrossingContext, InteractionTrace};
 use csi_core::detect::{
     BaselineSet, Detection, DetectionTally, DetectionTap, DetectorAgreement, DetectorConfig,
     DetectorSpec,
@@ -223,14 +223,14 @@ pub struct FaultMatrixConfig {
     pub formats: Vec<StorageFormat>,
     /// The faults to exercise, in catalogue order.
     pub faults: FaultPlan,
-    /// Run the online detector over every cell. Each cell self-calibrates:
-    /// a fault-free run of the same scenario first learns its baseline
-    /// crossing profile, then the armed run streams through a fresh
-    /// [`OnlineDetector`] built on that frozen baseline. `None` disables
+    /// Run the detector over every cell. Each cell self-calibrates: a
+    /// fault-free run of the same scenario first learns its baseline
+    /// crossing profile, then [`DetectorSpec::detect`] judges the armed
+    /// run's trace against that frozen baseline. `None` disables
     /// detection (and keeps the legacy report output byte-identical).
     pub detect: Option<DetectorConfig>,
-    /// Streaming observer invoked on every detection the instant a cell's
-    /// detector emits it, before the report exists — how `csi-serve`
+    /// Streaming observer handed every detection as its cell is judged,
+    /// before the report exists — how `csi-serve`
     /// forwards matrix detections to tenants incrementally. Taps only
     /// observe, so a tapped matrix stays byte-identical to an untapped
     /// one. Ignored unless `detect` is set.
@@ -245,7 +245,7 @@ pub struct FaultCase {
     /// The scenario the fault was exercised against (e.g.
     /// `"sh:spark-sql->hiveql:ORC"` or `"yarn:flink-driver"`).
     pub scenario: String,
-    /// The faults that actually fired during the cell.
+    /// The faults that actually fired during the cell, read from its trace.
     pub fired: Vec<InjectedFault>,
     /// The error the caller saw, if any.
     pub surfaced: Option<InteractionError>,
@@ -393,32 +393,6 @@ pub(crate) fn probe_input() -> TestInput {
     }
 }
 
-fn finish(
-    fault: &FaultSpec,
-    scenario: String,
-    fired: Vec<InjectedFault>,
-    surfaced: Option<InteractionError>,
-    detail: String,
-    trace: InteractionTrace,
-    detections: Vec<Detection>,
-) -> FaultCase {
-    let outcome = if fired.is_empty() {
-        None
-    } else {
-        Some(classify_fault_outcome(&fired, surfaced.as_ref()))
-    };
-    FaultCase {
-        fault: fault.clone(),
-        scenario,
-        fired,
-        surfaced,
-        outcome,
-        detail,
-        trace,
-        detections,
-    }
-}
-
 /// The detection half of a [`FaultMatrixConfig`], borrowed per cell:
 /// thresholds plus the optional streaming tap.
 #[derive(Clone, Copy)]
@@ -427,16 +401,15 @@ struct CellDetect<'a> {
     tap: Option<&'a DetectionTap>,
 }
 
-/// Runs one hermetic cell body, optionally under the online detector.
+/// Runs one hermetic cell body and, with detection on, judges it.
 ///
 /// With detection on, the cell self-calibrates: the body first runs
 /// against a fresh, unarmed context to learn the scenario's baseline
-/// crossing profile, then runs again against an armed context with a
-/// fresh [`csi_core::detect::OnlineDetector`] (frozen on that baseline)
-/// attached as the streaming sink. Both runs build their own substrate
-/// state inside `body`, so calibration can never leak into detection —
-/// the property that keeps sharded matrices byte-identical to serial
-/// ones.
+/// crossing profile, then runs again against an armed context whose trace
+/// [`DetectorSpec::detect`] judges against that frozen baseline. Both runs
+/// build their own substrate state inside `body`, so calibration can
+/// never leak into detection — the property that keeps sharded matrices
+/// byte-identical to serial ones.
 fn run_cell_body<F>(
     fault: &FaultSpec,
     scenario: String,
@@ -456,28 +429,33 @@ where
             baselines: Arc::new(baselines),
             tap: d.tap.cloned(),
         }
-        .build()
     });
     let ctx = CrossingContext::new();
     ctx.arm(fault.clone());
-    if let Some(det) = &detector {
-        ctx.set_sink(det.sink());
-        det.begin(&scenario);
-    }
     let (surfaced, detail) = body(&ctx);
+    let trace = ctx.trace();
     let detections = match &detector {
-        Some(det) => det.finish(surfaced.as_ref()),
+        Some(detector) => detector.detect(&scenario, &trace, surfaced.as_ref()),
         None => Vec::new(),
     };
-    finish(
-        fault,
+    let fired: Vec<InjectedFault> = faulted(&trace.crossings)
+        .map(|(_, fault)| fault.clone())
+        .collect();
+    let outcome = if fired.is_empty() {
+        None
+    } else {
+        Some(classify_fault_outcome(&fired, surfaced.as_ref()))
+    };
+    FaultCase {
+        fault: fault.clone(),
         scenario,
-        ctx.fired(),
+        fired,
         surfaced,
+        outcome,
         detail,
-        ctx.trace(),
+        trace,
         detections,
-    )
+    }
 }
 
 fn run_probe_cell(

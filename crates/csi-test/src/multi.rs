@@ -270,7 +270,7 @@ pub fn run_compound_trial(
         ) {
             continue;
         }
-        let crack = format!("{}/{}", cracked.channel, cracked.op);
+        let crack = format!("{}/{}", cracked.call.channel, cracked.call.op);
         discrepancies.push(CompoundDiscrepancy {
             fault_set: set.clone(),
             schedule: schedule.clone(),

@@ -71,7 +71,7 @@ impl Default for DeploymentPool {
 /// construction time. Everything else (faults, detectors) is armed per
 /// acquire.
 fn shelf_key(config: &CrossTestConfig) -> String {
-    let mut key = String::from(if config.trace_boundaries {
+    let mut key = String::from(if config.records_traces() {
         "trace"
     } else {
         "notrace"
@@ -137,7 +137,7 @@ impl DeploymentPool {
 
     /// Takes a deployment of `config`'s shape off its shelf (or builds
     /// one), then arms `config`'s per-run attachments on it: the fault
-    /// plan, and a freshly built detector wired in as the crossing sink.
+    /// plan, and the detector that judges its observations.
     pub(crate) fn acquire(&self, config: &CrossTestConfig) -> Deployment {
         let key = shelf_key(config);
         let shelved = {
@@ -180,6 +180,17 @@ mod tests {
             ..CrossTestConfig::default()
         };
         assert_ne!(shelf_key(&plain), shelf_key(&tuned));
+        // A detector reads the trace, so it shares the traced shelf.
+        let detecting = CrossTestConfig {
+            trace_boundaries: false,
+            detector: Some(csi_core::detect::DetectorSpec {
+                config: csi_core::detect::DetectorConfig::default(),
+                baselines: Default::default(),
+                tap: None,
+            }),
+            ..CrossTestConfig::default()
+        };
+        assert_eq!(shelf_key(&detecting), shelf_key(&plain));
 
         let d = pool.acquire(&plain);
         pool.release(&plain, d);

@@ -110,6 +110,7 @@ pub fn redundant_read_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csi_core::boundary::faulted;
     use csi_core::diag::DiagSink;
     use csi_core::fault::{Channel, FaultKind, FaultSpec, Trigger};
     use csi_core::value::{DataType, Decimal, StructField};
@@ -259,7 +260,7 @@ mod tests {
         ms.lock().set_crossing(ctx.clone());
         let err = redundant_read(&spark, &hive, "t").unwrap_err();
         assert_eq!(err.code, "HIVE_METASTORE");
-        assert!(!ctx.fired().is_empty());
+        assert!(faulted(&ctx.trace().crossings).next().is_some());
     }
 
     #[test]
@@ -296,7 +297,7 @@ mod tests {
             "fallback fired on a non-discrepancy error: {}",
             primary.code
         );
-        assert_eq!(ctx.fired().len(), 1);
+        assert_eq!(faulted(&ctx.trace().crossings).count(), 1);
     }
 
     #[test]
@@ -317,6 +318,6 @@ mod tests {
         fs.lock().set_crossing(ctx.clone());
         let err = redundant_read(&spark, &hive, "t").unwrap_err();
         assert_eq!(err.code, "HDFS");
-        assert!(!ctx.fired().is_empty());
+        assert!(faulted(&ctx.trace().crossings).next().is_some());
     }
 }
