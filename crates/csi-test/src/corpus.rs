@@ -558,16 +558,6 @@ fn split_csv_line(line: &str) -> Vec<RawCell> {
     cells
 }
 
-/// A raw JSON value, deserialized through the vendored serde's [`Content`]
-/// data model (this workspace's serde has no `Value` type).
-struct RawJson(Content);
-
-impl Deserialize for RawJson {
-    fn from_content(c: &Content) -> Result<RawJson, String> {
-        Ok(RawJson(c.clone()))
-    }
-}
-
 fn json_cell(content: &Content) -> RawCell {
     match content {
         Content::Null => RawCell::bare(""),
@@ -580,17 +570,9 @@ fn json_cell(content: &Content) -> RawCell {
         },
         // Nested structures flatten to their JSON text, as string data.
         nested => RawCell {
-            text: serde_json::to_string(&RawJsonSer(nested.clone())).unwrap_or_default(),
+            text: serde_json::to_string(nested).unwrap_or_default(),
             quoted: true,
         },
-    }
-}
-
-struct RawJsonSer(Content);
-
-impl Serialize for RawJsonSer {
-    fn to_content(&self) -> Content {
-        self.0.clone()
     }
 }
 
@@ -617,8 +599,9 @@ fn parse_rows(text: &str) -> Result<(Vec<String>, Vec<Vec<RawCell>>), InferError
         let mut names: Vec<String> = Vec::new();
         let mut objects: Vec<Vec<(usize, RawCell)>> = Vec::with_capacity(lines.len());
         for line in &lines {
-            let entries = match serde_json::from_str::<RawJson>(line) {
-                Ok(RawJson(Content::Map(entries))) => entries
+            // The vendored serde has no `Value`: any JSON parses to its tree.
+            let entries = match serde_json::from_str::<Content>(line) {
+                Ok(Content::Map(entries)) => entries
                     .iter()
                     .map(|(k, v)| {
                         let key = match k {
