@@ -20,7 +20,7 @@ use crate::error::InteractionError;
 use crate::value::{DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::mem;
 
 /// Which oracle produced a failure.
@@ -411,13 +411,16 @@ where
     }
     let mut plans = Vec::new();
     let mut formats = Vec::new();
-    let mut lines = Vec::new();
-    for (behavior, members) in &classes {
-        let names: Vec<String> = members
-            .iter()
-            .map(|o| format!("{}/{}", o.plan, o.format))
-            .collect();
-        lines.push(format!("{behavior} <- [{}]", names.join(", ")));
+    // `behavior <- [plan/format, ...]` per class, ` | `-separated.
+    let mut detail = String::new();
+    for (class, (behavior, members)) in classes.iter().enumerate() {
+        let sep = if class > 0 { " | " } else { "" };
+        let _ = write!(detail, "{sep}{behavior} <- [");
+        for (i, o) in members.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(detail, "{sep}{}/{}", o.plan, o.format);
+        }
+        detail.push(']');
         for o in members {
             if !plans.contains(&o.plan) {
                 plans.push(o.plan.clone());
@@ -432,7 +435,7 @@ where
         input_id,
         plans,
         formats,
-        detail: lines.join(" | "),
+        detail,
     })
 }
 

@@ -69,9 +69,9 @@ fn map_with_non_string_key(ty: &DataType) -> bool {
 
 fn struct_with_mixed_case(ty: &DataType) -> bool {
     match ty {
-        DataType::Struct(fields) => fields
-            .iter()
-            .any(|f| f.name != f.name.to_ascii_lowercase() || struct_with_mixed_case(&f.data_type)),
+        DataType::Struct(fields) => fields.iter().any(|f| {
+            f.name.bytes().any(|b| b.is_ascii_uppercase()) || struct_with_mixed_case(&f.data_type)
+        }),
         DataType::Array(e) => struct_with_mixed_case(e),
         DataType::Map(k, v) => struct_with_mixed_case(k) || struct_with_mixed_case(v),
         _ => false,

@@ -992,7 +992,7 @@ pub fn mutate_input(parent: &TestInput) -> Vec<TestInput> {
             // Flip the case of every field name in both schema and value:
             // the case-folding probe (D14).
             let flip = |name: &str| -> String {
-                if name == name.to_ascii_lowercase() {
+                if !name.bytes().any(|b| b.is_ascii_uppercase()) {
                     let mut cs: Vec<char> = name.chars().collect();
                     if let Some(first) = cs.first_mut() {
                         *first = first.to_ascii_uppercase();

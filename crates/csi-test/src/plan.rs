@@ -84,7 +84,11 @@ impl Experiment {
     /// The label an observation of `plan` carries under this experiment,
     /// e.g. `"sh:SparkSQL->HiveQL"`.
     pub(crate) fn plan_label(&self, plan: TestPlan) -> String {
-        format!("{}:{plan}", self.short())
+        // `ss:DataFrame->DataFrame`, the longest label, is 23 bytes: one
+        // allocation.
+        let mut label = String::with_capacity(24);
+        let _ = write!(label, "{}:{plan}", self.short());
+        label
     }
 
     /// The plans this experiment runs (Figure 6's right column).

@@ -304,13 +304,10 @@ impl Metastore {
             .get_mut(&*fold(db))
             .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?;
         match tables.remove(&*fold(name)) {
-            Some(def) => {
-                if fs.exists(&def.location) {
-                    fs.delete(&def.location, true)
-                        .map_err(|e| HiveError::Storage(e.to_string()))?;
-                }
-                Ok(())
-            }
+            Some(def) => fs
+                .delete_if_exists(&def.location, true)
+                .map(drop)
+                .map_err(|e| HiveError::Storage(e.to_string())),
             None if if_exists => Ok(()),
             None => Err(HiveError::UnknownTable(name.to_string())),
         }
@@ -334,28 +331,19 @@ impl Metastore {
         self.next_part += 1;
         table
             .location
-            .join(&format!("part-{part:05}.{}", table.format.extension()))
+            .join_fmt(format_args!("part-{part:05}.{}", table.format.extension()))
     }
 
-    /// Lists a table's data files, oldest first.
+    /// Lists a table's data files, oldest first: part names number them
+    /// in order, and one directory's listing is already in path order.
     pub fn table_data_files(
         &self,
         table: &TableDef,
         fs: &MiniHdfs,
     ) -> Result<Vec<HdfsPath>, HiveError> {
         self.cross("table_data_files", format_args!("{}", table.location))?;
-        if !fs.exists(&table.location) {
-            return Ok(Vec::new());
-        }
-        let mut files: Vec<HdfsPath> = fs
-            .list_status(&table.location)
-            .map_err(|e| HiveError::Storage(e.to_string()))?
-            .into_iter()
-            .filter(|s| !s.is_dir)
-            .map(|s| s.path)
-            .collect();
-        files.sort();
-        Ok(files)
+        fs.list_files(&table.location)
+            .map_err(|e| HiveError::Storage(e.to_string()))
     }
 }
 

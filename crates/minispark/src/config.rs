@@ -136,9 +136,7 @@ impl SparkConfig {
     pub fn parquet_rebase_legacy(&self) -> bool {
         self.map
             .get(PARQUET_REBASE_MODE)
-            .map(str::to_ascii_uppercase)
-            .as_deref()
-            == Some("LEGACY")
+            .is_some_and(|mode| mode.eq_ignore_ascii_case("LEGACY"))
     }
 
     /// Whether Spark saves a case-preserving schema for a storage format.

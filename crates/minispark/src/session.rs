@@ -111,7 +111,7 @@ impl SparkSession {
         for f in schema {
             let (hive_source_type, stored_type) = self.map_for_ddl(&f.data_type, path)?;
             let hive_type = HiveType::from_data_type(&hive_source_type)?;
-            if f.name != f.name.to_ascii_lowercase() {
+            if has_upper(&f.name) {
                 folded_case = true;
             }
             hive_columns.push((f.name.clone(), hive_type));
@@ -276,12 +276,17 @@ impl SparkSession {
     }
 }
 
+/// Whether Hive's lowercase fold would change `name`.
+fn has_upper(name: &str) -> bool {
+    name.bytes().any(|b| b.is_ascii_uppercase())
+}
+
 fn has_mixed_case_struct(field: &StructField) -> bool {
     fn ty_has(ty: &DataType) -> bool {
         match ty {
             DataType::Struct(fields) => fields
                 .iter()
-                .any(|f| f.name != f.name.to_ascii_lowercase() || ty_has(&f.data_type)),
+                .any(|f| has_upper(&f.name) || ty_has(&f.data_type)),
             DataType::Array(e) => ty_has(e),
             DataType::Map(k, v) => ty_has(k) || ty_has(v),
             _ => false,
