@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), hash, glue and one-varint guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), hash, glue, one-varint and case-without-a-copy guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -81,6 +81,13 @@ stage_lint() {
   echo "==> glue guard (the harness drops tables without SQL text)"
   if grep -rnF 'DROP TABLE' crates/csi-test/src/; then
     echo "drop through \`SparkSession::drop_table\`; statement text is for the interfaces under test" >&2
+    exit 1
+  fi
+  # A case check asks the bytes: a lowered or uppered copy built only to be
+  # compared with the original is one allocation per check, per DDL.
+  echo "==> case guard (a name's case is checked in place, never against a folded copy)"
+  if grep -rnE --include='*.rs' '(==|!=) *[A-Za-z_][A-Za-z0-9_.]*\.to_ascii_(lower|upper)case\(\)' crates/; then
+    echo "check the bytes instead: \`name.bytes().any(|b| b.is_ascii_uppercase())\`, or \`eq_ignore_ascii_case\`" >&2
     exit 1
   fi
   # The row reference codec and the batch codec agree byte for byte

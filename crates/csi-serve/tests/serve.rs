@@ -298,12 +298,40 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
             .expect("write");
         read_malformed(&mut frames);
     }
-    // The same connection then has its next request accepted.
     let next = CampaignRequest {
         tenant: "tenant-b".into(),
         spec: custom,
     };
     let next = serde_json::to_string(&next).expect("requests serialize");
+    // A request RFC 8259 refuses is refused with the parser's reason, not
+    // read as a neighbour: a signed `\u` escape is not `b`, `02` is not 2
+    // and `2.` is not 2.0.
+    let field = "\"chunk_size\":";
+    let digits = next.find(field).expect("a numeric field") + field.len();
+    let end = digits
+        + next[digits..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("a number");
+    for (flawed, reason) in [
+        (
+            next.replace("\"tenant-b\"", r#""tenant-\u+062""#),
+            "invalid unicode escape",
+        ),
+        (
+            format!("{}0{}", &next[..digits], &next[digits..]),
+            "invalid number: leading zero",
+        ),
+        (
+            format!("{}.{}", &next[..end], &next[end..]),
+            "invalid number: no digit after the decimal point",
+        ),
+    ] {
+        raw.write_all(format!("{flawed}\n").as_bytes())
+            .expect("write");
+        let message = read_malformed(&mut frames);
+        assert!(message.contains(reason), "{flawed}: {message}");
+    }
+    // The same connection then has its next request accepted.
     raw.write_all(format!("{next}\n").as_bytes())
         .expect("write");
     let mut line = String::new();
