@@ -943,3 +943,116 @@ const FINGERPRINTS: [u64; 4] = [
     0x784e_61b9_73de_e24e,
     0xe5d5_4acc_5d1e_aed5,
 ];
+
+/// Everything the bulk data plane writes, as `(what, FNV-1a)` pairs: the
+/// generator's columns (their `Debug`, so NULL placeholders count too);
+/// every file both engines' `write_columns` make of them in each format,
+/// with the `table_digest` of that file read back by each engine; and
+/// `run_bulk`'s rendered report and report JSON at row counts around a
+/// validity word.
+fn bulk_digests() -> Vec<(String, u64)> {
+    let schema = bulk_schema();
+    let defs: Vec<ColumnDef> = schema
+        .iter()
+        .map(|f| ColumnDef {
+            name: f.name.clone(),
+            hive_type: HiveType::from_data_type(&f.data_type).expect("bulk types exist in Hive"),
+        })
+        .collect();
+    let config = SparkConfig::default();
+    let sink = DiagSink::new();
+    let diag = sink.handle("minihive");
+    let mut out = Vec::new();
+    for seed in [42u64, 7] {
+        let cols = generate_bulk_columns(4096, seed);
+        out.push((
+            format!("generator seed {seed}"),
+            csi_core::hash::fnv1a(format!("{cols:?}").as_bytes()),
+        ));
+        for format in formats() {
+            let written = [
+                (
+                    "spark",
+                    minispark::serde_layer::write_columns(format, &schema, &cols, &config)
+                        .expect("spark bulk write"),
+                ),
+                (
+                    "hive",
+                    minihive::serde_layer::write_columns(format, &defs, &cols, &diag)
+                        .expect("hive bulk write"),
+                ),
+            ];
+            for (writer, bytes) in written {
+                let mut h = csi_core::hash::Fnv1a::new();
+                h.bytes(&bytes);
+                let spark = minispark::serde_layer::read_columns(format, &schema, &bytes, &config)
+                    .expect("spark bulk read");
+                h.bytes(&csi_test::bulk::table_digest(&spark).to_le_bytes());
+                let hive = minihive::serde_layer::read_columns(format, &defs, &bytes, &diag)
+                    .expect("hive bulk read");
+                h.bytes(&csi_test::bulk::table_digest(&hive).to_le_bytes());
+                out.push((
+                    format!("seed {seed} {writer} {}", format.name()),
+                    h.finish(),
+                ));
+            }
+        }
+    }
+    for rows in [1usize, 63, 64, 65, 4096] {
+        let report = csi_test::run_bulk(&csi_test::BulkConfig {
+            rows,
+            ..csi_test::BulkConfig::default()
+        });
+        let mut h = csi_core::hash::Fnv1a::new();
+        h.bytes(report.render().as_bytes());
+        h.bytes(
+            serde_json::to_string(&report)
+                .expect("bulk reports serialize")
+                .as_bytes(),
+        );
+        out.push((format!("run_bulk rows {rows}"), h.finish()));
+    }
+    assert!(sink.drain().is_empty(), "clean bulk data draws no warning");
+    out
+}
+
+/// The bulk generator, both serde stacks' columnar writers and readers in
+/// every format, and the bulk report, pinned byte for byte to what they
+/// produced before the codec's per-cell loops were last rewritten.
+#[test]
+fn bulk_bytes_hold_their_committed_digests() {
+    let actual = bulk_digests();
+    let now: String = actual
+        .iter()
+        .map(|(what, d)| format!("    ({what:?}, {d:#018x}),\n"))
+        .collect();
+    let want: Vec<(String, u64)> = BULK_DIGESTS
+        .iter()
+        .map(|(what, d)| (what.to_string(), *d))
+        .collect();
+    assert!(actual == want, "the digests now:\n{now}");
+}
+
+/// Computed at the commit before the codec's fast paths took `Option`
+/// primitives and a one-store-per-cell writer.
+const BULK_DIGESTS: [(&str, u64); 19] = [
+    ("generator seed 42", 0xf4fba8f7deda67de),
+    ("seed 42 spark ORC", 0x10aa2830ecb247b5),
+    ("seed 42 hive ORC", 0xdac816de18df42fc),
+    ("seed 42 spark PARQUET", 0x9d3803d6a935fe53),
+    ("seed 42 hive PARQUET", 0x8c3913a351ca6e53),
+    ("seed 42 spark AVRO", 0x3cdb58e84aeb6491),
+    ("seed 42 hive AVRO", 0x541d26f4ba85d164),
+    ("generator seed 7", 0x8d07837a5077156c),
+    ("seed 7 spark ORC", 0x8f29779dab35a66c),
+    ("seed 7 hive ORC", 0x8578e9cd5d339ceb),
+    ("seed 7 spark PARQUET", 0x49d8b80cd8e9bfb0),
+    ("seed 7 hive PARQUET", 0x4c98ea449da20fb0),
+    ("seed 7 spark AVRO", 0xf0fd2ebec2edf97a),
+    ("seed 7 hive AVRO", 0xc4b933a34767e59d),
+    ("run_bulk rows 1", 0x13219d0181fbe606),
+    ("run_bulk rows 63", 0x791778de58adf990),
+    ("run_bulk rows 64", 0x0ad8e01536e8e8f4),
+    ("run_bulk rows 65", 0x667299e140607a0c),
+    ("run_bulk rows 4096", 0x38a59bd8b82ac0f6),
+];
