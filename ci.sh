@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), hash, glue, one-varint and case-without-a-copy guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), hash, glue, one-varint (any 7f/80 mask outside wire.rs) and case-without-a-copy guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -91,10 +91,11 @@ stage_lint() {
     exit 1
   fi
   # The row reference codec and the batch codec agree byte for byte
-  # because they read and write integers with the same code.
-  echo "==> varint guard (the LEB128 masks 0x7f / 0x80 are spelled in miniformats' wire.rs only)"
-  if grep -rnEi --include='*.rs' '0x(7f|80)' crates/miniformats/src/ | grep -v '^crates/miniformats/src/wire\.rs:'; then
-    echo "a kernel calls the shared primitive (wire::Reader::varint64, Writer::tagged_varint64, ...) instead of spelling a second varint" >&2
+  # because they read and write integers with the same code. A group mask
+  # carries 7f or 80 anywhere in the literal (0x007F_007F_..., 0x8080...).
+  echo "==> varint guard (a hex literal holding 7f or 80 is spelled in miniformats' wire.rs only)"
+  if grep -rnEi --include='*.rs' '0x[0-9a-f_]*(7f|80)' crates/miniformats/src/ | grep -v '^crates/miniformats/src/wire\.rs:'; then
+    echo "a kernel calls the shared primitive (wire::tagged_varint64_word, Reader::varint64, Reader::fast_int, ...) instead of spelling a second varint" >&2
     exit 1
   fi
 }

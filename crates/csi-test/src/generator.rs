@@ -14,7 +14,6 @@ use csi_core::column::{self, ColumnValues, ValueColumn};
 use csi_core::rng::xorshift64;
 use csi_core::value::{parse_date, parse_timestamp, DataType, Decimal, StructField, Value};
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// Whether an input is expected to be representable in its column type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -1148,37 +1147,51 @@ pub fn generate_bulk_column(ty: &DataType, rows: usize, seed: u64) -> ValueColum
         DataType::Long => ColumnValues::Long(lane(rows, draw, |r| r as i64)),
         DataType::Double => ColumnValues::Double(lane(rows, draw, |r| (r as i64 as f64) / 1024.0)),
         DataType::Decimal(p, scale) => {
-            // At most p digits, stored at exactly the declared scale.
+            // At most p digits, stored at exactly the declared scale. A
+            // draw is below 2^64, so when 10^(p-1) is not, the remainder
+            // is the draw itself.
+            Decimal::new(0, *p, *scale).expect("bulk decimal within bounds");
             let digits = 10i128.pow(*p as u32 - 1);
-            let cells = lane(rows, draw, |r| {
-                let unscaled = (r as i128 % digits) - digits / 2;
-                Some(Decimal::new(unscaled, *p, *scale).expect("bulk decimal within bounds"))
-            });
-            let of = |d: &Option<Decimal>| {
-                d.unwrap_or(Decimal {
-                    unscaled: 0,
-                    precision: 1,
-                    scale: 0,
-                })
-            };
+            let modulus = u64::try_from(digits).ok();
+            let (mut unscaled, mut precision, mut scales) = (
+                Vec::with_capacity(rows),
+                Vec::with_capacity(rows),
+                Vec::with_capacity(rows),
+            );
+            for _ in 0..rows {
+                let (u, pr, sc) = match draw() {
+                    Some(r) => {
+                        let rem = modulus.map_or(r, |m| r % m);
+                        (i128::from(rem) - digits / 2, *p, *scale)
+                    }
+                    // The placeholder `ValueColumn::push` gives a NULL.
+                    None => (0, 1, 0),
+                };
+                unscaled.push(u);
+                precision.push(pr);
+                scales.push(sc);
+            }
             ColumnValues::Decimal {
-                unscaled: cells.iter().map(|d| of(d).unscaled).collect(),
-                precision: cells.iter().map(|d| of(d).precision).collect(),
-                scale: cells.iter().map(|d| of(d).scale).collect(),
+                unscaled,
+                precision,
+                scale: scales,
             }
         }
         DataType::String => {
-            let (mut offsets, mut text) = (vec![0], String::new());
+            // `row-{i}-{r as u32:08x}-é世`, written without `core::fmt`.
+            let (mut offsets, mut bytes) = (vec![0], Vec::with_capacity(rows * 32));
             for i in 0..rows {
                 if let Some(r) = draw() {
-                    let _ = write!(text, "row-{i}-{:08x}-\u{00e9}\u{4e16}", r as u32);
+                    bytes.extend_from_slice(b"row-");
+                    push_decimal(&mut bytes, i);
+                    bytes.push(b'-');
+                    let word = r as u32;
+                    bytes.extend((0..8).rev().map(|k| HEX[(word >> (4 * k)) as usize & 15]));
+                    bytes.extend_from_slice("-\u{00e9}\u{4e16}".as_bytes());
                 }
-                offsets.push(text.len());
+                offsets.push(bytes.len());
             }
-            ColumnValues::Str {
-                offsets,
-                bytes: text.into_bytes(),
-            }
+            ColumnValues::Str { offsets, bytes }
         }
         DataType::Binary => {
             let (mut offsets, mut bytes) = (vec![0], Vec::new());
@@ -1201,6 +1214,23 @@ pub fn generate_bulk_column(ty: &DataType, rows: usize, seed: u64) -> ValueColum
     ValueColumn::from_parts(validity, values)
 }
 
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// All columns of [`bulk_schema`] at `rows` rows.
 pub fn generate_bulk_columns(rows: usize, seed: u64) -> Vec<ValueColumn> {
     bulk_schema()
@@ -1212,6 +1242,27 @@ pub fn generate_bulk_columns(rows: usize, seed: u64) -> Vec<ValueColumn> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bulk_row_numbers_are_written_as_fmt_writes_them() {
+        for n in [
+            0,
+            7,
+            9,
+            10,
+            99,
+            100,
+            4095,
+            99_999,
+            100_000,
+            131_071,
+            usize::MAX,
+        ] {
+            let mut out = b"x".to_vec();
+            push_decimal(&mut out, n);
+            assert_eq!(out, format!("x{n}").into_bytes());
+        }
+    }
 
     #[test]
     fn catalogue_is_nonempty_with_unique_ids() {

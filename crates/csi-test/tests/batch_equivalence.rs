@@ -744,10 +744,30 @@ fn assert_decoders_agree(codec: &(RowCodec, BatchCodec), bytes: &[u8], what: &st
     assert_eq!(batch, rows, "{what}");
 }
 
+/// Rows of the edge file whose every single-byte edit is decoded: the
+/// varint extremes, both decimals whose tenth byte is 2, and strings and
+/// binaries on both sides of the 32-byte window and past it.
+const HOSTILE_ROWS: usize = 5;
+
+/// Every single-bit flip and every single-byte deletion of `bytes`.
+fn single_byte_edits(bytes: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    let flips = (0..bytes.len() * 8).map(move |bit| {
+        let mut v = bytes.to_vec();
+        v[bit / 8] ^= 1 << (bit % 8);
+        (format!("bit {bit} flipped"), v)
+    });
+    let deletions = (0..bytes.len()).map(move |at| {
+        let v = [&bytes[..at], &bytes[at + 1..]].concat();
+        (format!("byte {at} deleted"), v)
+    });
+    flips.chain(deletions)
+}
+
 /// The batch codec is the row codec on the values where their kernels
 /// differ most: every varint length, both `i64` extremes, decimals on both
 /// sides of `i64`, strings around the 32-byte copy window, NaN bit
-/// patterns — and on every truncation of the file those make.
+/// patterns — on every truncation of the file those make, and on every
+/// single-bit flip and single-byte deletion of its first rows.
 #[test]
 fn batch_codec_is_the_row_codec_on_edge_values_and_every_truncation() {
     let (schema, rows) = (edge_schema(), edge_rows());
@@ -766,7 +786,202 @@ fn batch_codec_is_the_row_codec_on_edge_values_and_every_truncation() {
             let resealed = [&bytes[..cut], footer].concat();
             assert_decoders_agree(codec, &resealed, &format!("cut at {cut}, resealed"));
         }
+        // Hostile bytes: each edit as written, and with its last four
+        // bytes resealed to the footer where the edit broke them, so a
+        // flip in the footer or a deletion that shifts it still reaches
+        // the cells.
+        let head = (codec.0 .0)(&schema, &rows[..HOSTILE_ROWS]).expect("row encode");
+        for (what, edited) in single_byte_edits(&head) {
+            assert_decoders_agree(codec, &edited, &what);
+            let body = &edited[..edited.len() - 4];
+            if &edited[body.len()..] != footer {
+                let resealed = [body, footer].concat();
+                assert_decoders_agree(codec, &resealed, &format!("{what}, resealed"));
+            }
+        }
     }
+}
+
+/// A splitmix64 stream for hand-built tables.
+fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed;
+    move || {
+        s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+const FLAT: [PhysicalType; 10] = [
+    PhysicalType::Bool,
+    PhysicalType::Int8,
+    PhysicalType::Int16,
+    PhysicalType::Int32,
+    PhysicalType::Int64,
+    PhysicalType::Float32,
+    PhysicalType::Float64,
+    PhysicalType::Decimal,
+    PhysicalType::Utf8,
+    PhysicalType::Bytes,
+];
+
+/// An integer of a random width, so every varint length turns up, of
+/// either sign; `i64::MIN` and `i64::MAX` one time in eight.
+fn any_width(next: &mut dyn FnMut() -> u64) -> i64 {
+    let r = next();
+    match r % 16 {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        _ => (next() >> ((r >> 8) % 64)) as i64 ^ -((r >> 16) as i64 & 1),
+    }
+}
+
+/// A cell of a flat type: integers of every varint length and both signs
+/// (and both `i64` extremes), decimals past `i64` both ways, strings and
+/// binaries of 0–40 bytes, any float bits. `worst` draws the cell that
+/// advances the batch encoder the most.
+fn flat_cell(ty: &PhysicalType, next: &mut dyn FnMut() -> u64, worst: bool) -> PhysicalValue {
+    match ty {
+        PhysicalType::Bool => PhysicalValue::Bool(next() & 1 == 1),
+        PhysicalType::Int8 if worst => PhysicalValue::Int8(i8::MIN),
+        PhysicalType::Int16 if worst => PhysicalValue::Int16(i16::MIN),
+        PhysicalType::Int32 if worst => PhysicalValue::Int32(i32::MIN),
+        PhysicalType::Int64 if worst => PhysicalValue::Int64(i64::MIN),
+        PhysicalType::Int8 => PhysicalValue::Int8(any_width(next) as i8),
+        PhysicalType::Int16 => PhysicalValue::Int16(any_width(next) as i16),
+        PhysicalType::Int32 => PhysicalValue::Int32(any_width(next) as i32),
+        PhysicalType::Int64 => PhysicalValue::Int64(any_width(next)),
+        PhysicalType::Float32 => PhysicalValue::Float32(f32::from_bits(next() as u32)),
+        PhysicalType::Float64 => PhysicalValue::Float64(f64::from_bits(next())),
+        PhysicalType::Decimal => {
+            let unscaled = match next() % 4 {
+                _ if worst => i64::MIN.into(),
+                // Past `i64` on either side, by up to 64 bits.
+                0 => i128::from(any_width(next)) << (1 + next() % 64),
+                _ => any_width(next).into(),
+            };
+            PhysicalValue::Decimal {
+                unscaled,
+                scale: (next() % 39) as u8,
+            }
+        }
+        PhysicalType::Utf8 | PhysicalType::Bytes => {
+            let len = if worst { 32 } else { (next() % 41) as usize };
+            let b: Vec<u8> = (0..len).map(|_| b'a' + (next() % 26) as u8).collect();
+            if *ty == PhysicalType::Utf8 {
+                PhysicalValue::Utf8(String::from_utf8(b).expect("ascii"))
+            } else {
+                PhysicalValue::Bytes(b)
+            }
+        }
+        nested => unreachable!("{nested:?} is not flat"),
+    }
+}
+
+/// A table of `nrows` × `ncols` flat cells: small ints only when
+/// `small_ints` (Avro rejects them), a run of NULLs in each column, one
+/// row of every cell at its widest, and each variable-width column's
+/// longest cell last, ending its arena.
+fn flat_table(
+    seed: u64,
+    nrows: usize,
+    ncols: usize,
+    small_ints: bool,
+) -> (FileSchema, Vec<Vec<PhysicalValue>>) {
+    let mut next = splitmix(seed);
+    let types: Vec<PhysicalType> = (0..ncols)
+        .map(|_| loop {
+            let ty = &FLAT[(next() % FLAT.len() as u64) as usize];
+            if small_ints || !matches!(ty, PhysicalType::Int8 | PhysicalType::Int16) {
+                break ty.clone();
+            }
+        })
+        .collect();
+    let worst = (next() % nrows as u64) as usize;
+    let mut rows: Vec<Vec<PhysicalValue>> = (0..nrows)
+        .map(|r| {
+            types
+                .iter()
+                .map(|ty| flat_cell(ty, &mut next, r == worst))
+                .collect()
+        })
+        .collect();
+    for (c, ty) in types.iter().enumerate() {
+        let from = (next() % nrows as u64) as usize;
+        let to = from + (next() % (nrows - from) as u64) as usize;
+        for row in &mut rows[from..to] {
+            row[c] = PhysicalValue::Null;
+        }
+        if matches!(ty, PhysicalType::Utf8 | PhysicalType::Bytes) {
+            let len = |v: &PhysicalValue| match v {
+                PhysicalValue::Utf8(s) => s.len(),
+                PhysicalValue::Bytes(b) => b.len(),
+                _ => 0,
+            };
+            let longest = (0..nrows).max_by_key(|&r| len(&rows[r][c])).expect("rows");
+            let cell = std::mem::replace(&mut rows[longest][c], PhysicalValue::Null);
+            let last = std::mem::replace(&mut rows[nrows - 1][c], cell);
+            rows[longest][c] = last;
+        }
+    }
+    let names: Vec<String> = (0..ncols).map(|c| format!("c{c}")).collect();
+    let schema = FileSchema::of(names.iter().map(String::as_str).zip(types).collect());
+    (schema, rows)
+}
+
+/// Both encoders on one table, every format: the same bytes or the same
+/// error.
+fn assert_encoders_agree(schema: &FileSchema, rows: &[Vec<PhysicalValue>], what: &str) {
+    let batch = RecordBatch::from_rows(schema, rows).expect("flat cells fit their lanes");
+    for codec in &CODECS {
+        assert_eq!((codec.1 .0)(&batch), (codec.0 .0)(schema, rows), "{what}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `encode_batch` is the row `encode`, byte for byte, on random flat
+    /// tables: the batch encoder's one-store-per-cell window against the
+    /// reference that appends byte runs.
+    #[test]
+    fn batch_encoder_is_the_row_encoder_on_random_flat_tables(
+        seed in any::<u64>(),
+        nrows in 1usize..71,
+        ncols in 1usize..13,
+        small_ints in any::<bool>(),
+    ) {
+        let (schema, rows) = flat_table(seed, nrows, ncols, small_ints);
+        assert_encoders_agree(&schema, &rows, &format!("seed {seed}, {nrows} x {ncols}"));
+    }
+}
+
+/// Cells far past the batch encoder's per-cell bounds — 19-byte decimals
+/// and 4 KB strings and binaries — outgrow any size it guesses up front.
+#[test]
+fn batch_encoder_is_the_row_encoder_past_every_bound() {
+    let schema = FileSchema::of(vec![
+        ("dec", PhysicalType::Decimal),
+        ("s", PhysicalType::Utf8),
+        ("l", PhysicalType::Int64),
+        ("bin", PhysicalType::Bytes),
+    ]);
+    let rows: Vec<Vec<PhysicalValue>> = (0..70u8)
+        .map(|k| {
+            vec![
+                PhysicalValue::Decimal {
+                    unscaled: if k % 2 == 0 { i128::MAX } else { i128::MIN },
+                    scale: k % 39,
+                },
+                PhysicalValue::Utf8(char::from(b'a' + k % 26).to_string().repeat(4096)),
+                PhysicalValue::Int64(i64::MIN + i64::from(k)),
+                PhysicalValue::Bytes(vec![k; 4096 + usize::from(k)]),
+            ]
+        })
+        .collect();
+    assert_encoders_agree(&schema, &rows, "19-byte decimals and 4 KB strings");
 }
 
 /// A one-column file of `rows` rows whose cells are `cells` verbatim

@@ -66,6 +66,35 @@ mod tests {
         assert!(encode(&ok, &[]).is_ok());
     }
 
+    /// The context an error names is rendered only for the error, and
+    /// reads as it always has, from either encoder.
+    #[test]
+    fn avro_type_errors_keep_their_text() {
+        let cases = [
+            (
+                PhysicalType::Int8,
+                "avro-sim does not support Int8 (column c)",
+            ),
+            (
+                PhysicalType::Map(Box::new(PhysicalType::Int32), Box::new(PhysicalType::Utf8)),
+                "avro-sim does not support Int32 (column c: map keys must be strings)",
+            ),
+            (
+                PhysicalType::Struct(vec![(
+                    "f".into(),
+                    PhysicalType::List(Box::new(PhysicalType::Int16)),
+                )]),
+                "avro-sim does not support Int16 (column c.f)",
+            ),
+        ];
+        for (ty, text) in cases {
+            let schema = FileSchema::of(vec![("c", ty)]);
+            assert_eq!(encode(&schema, &[]).unwrap_err().to_string(), text);
+            let batch = crate::batch::RecordBatch::new(schema);
+            assert_eq!(encode_batch(&batch).unwrap_err().to_string(), text);
+        }
+    }
+
     #[test]
     fn avro_round_trip() {
         let schema = FileSchema::of(vec![("x", PhysicalType::Int32)]);

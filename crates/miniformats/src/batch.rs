@@ -25,7 +25,7 @@
 //! fast paths. That is where all the studied hot loops live.
 
 use crate::physical::{value_matches, FileSchema, PhysicalType, PhysicalValue};
-use crate::wire::{self, FormatRules, Writer};
+use crate::wire::{self, FormatRules, Window, Writer};
 use crate::FormatError;
 
 /// A validity bitmap: bit set ⇒ the slot holds a value, clear ⇒ NULL.
@@ -504,46 +504,57 @@ impl<'a> ColumnRef<'a> {
         self.len == 0
     }
 
+    /// The most bytes one cell of this column advances a [`Window`] by
+    /// without [`Window::append`] (a NULL advances one).
+    fn cell_bound(&self) -> usize {
+        match self.data {
+            LaneRef::Bool(_) => 2,
+            LaneRef::Int8(_) => 3,
+            LaneRef::Int16(_) => 4,
+            LaneRef::Int32(_) => 6,
+            LaneRef::Int64(_) => 11,
+            LaneRef::Float32(_) => 5,
+            LaneRef::Float64(_) => 9,
+            // Tag, an `i64`'s varint, scale.
+            LaneRef::Decimal { .. } => 12,
+            // Tag, a one-byte length, a 32-byte window.
+            LaneRef::Utf8 { .. } | LaneRef::Bytes { .. } => 34,
+            LaneRef::Nested(_) => 1,
+        }
+    }
+
     /// Writes slot `i` in the wire cell encoding (tag byte + payload).
-    /// Always inlined: as a call per cell the writer's pointer, length and
-    /// capacity travel through memory (whole-table encode 13.5 → 12.0
-    /// ns/cell inlined).
+    /// Always inlined: as a call per cell the window's cursor travels
+    /// through memory.
     #[inline(always)]
-    fn write_cell(&self, w: &mut Writer, i: usize) {
+    fn write_cell(&self, w: &mut Window, i: usize) {
         if self.validity[i / 64] & (1u64 << (i % 64)) == 0 {
-            w.u8(0);
+            w.put(0, 1);
             return;
         }
-        // Each flat arm appends tag + payload with one buffer grow check
-        // (stack-assembled), not one per byte — this loop is the write
-        // hot path for the whole data plane.
+        // Each flat arm assembles tag + payload in a word and stores it
+        // whole: this loop is the write hot path for the whole data plane.
         match self.data {
-            LaneRef::Bool(v) => {
-                w.buf.extend_from_slice(&[1, v[i] as u8]);
-            }
-            LaneRef::Int8(v) => w.tagged_varint64(2, v[i] as i64),
-            LaneRef::Int16(v) => w.tagged_varint64(3, v[i] as i64),
-            LaneRef::Int32(v) => w.tagged_varint64(4, v[i] as i64),
+            LaneRef::Bool(v) => w.put(1 | u128::from(v[i]) << 8, 2),
+            LaneRef::Int8(v) => w.tagged_varint64(2, v[i].into()),
+            LaneRef::Int16(v) => w.tagged_varint64(3, v[i].into()),
+            LaneRef::Int32(v) => w.tagged_varint64(4, v[i].into()),
             LaneRef::Int64(v) => w.tagged_varint64(5, v[i]),
-            LaneRef::Float32(v) => {
-                let bits = v[i].to_bits().to_le_bytes();
-                let mut tmp = [6u8; 5];
-                tmp[1..].copy_from_slice(&bits);
-                w.buf.extend_from_slice(&tmp);
-            }
-            LaneRef::Float64(v) => {
-                let bits = v[i].to_bits().to_le_bytes();
-                let mut tmp = [7u8; 9];
-                tmp[1..].copy_from_slice(&bits);
-                w.buf.extend_from_slice(&tmp);
-            }
-            LaneRef::Decimal { unscaled, scale } => {
-                w.tagged_decimal(unscaled[i]);
-                w.u8(scale[i]);
-            }
+            LaneRef::Float32(v) => w.put(6 | u128::from(v[i].to_bits()) << 8, 5),
+            LaneRef::Float64(v) => w.put(7 | u128::from(v[i].to_bits()) << 8, 9),
+            LaneRef::Decimal { unscaled, scale } => match i64::try_from(unscaled[i]) {
+                Ok(narrow) => {
+                    let (word, len) = wire::tagged_varint64_word(8, narrow);
+                    w.put(word | u128::from(scale[i]) << (8 * len), len + 1);
+                }
+                Err(_) => w.append(|w| {
+                    w.tagged_decimal(unscaled[i]);
+                    w.u8(scale[i]);
+                }),
+            },
             LaneRef::Utf8 { offsets, bytes } => write_var_cell(w, 9, offsets, bytes, i),
             LaneRef::Bytes { offsets, bytes } => write_var_cell(w, 10, offsets, bytes, i),
-            LaneRef::Nested(v) => wire::write_value(w, &v[i]),
+            LaneRef::Nested(v) => w.append(|w| wire::write_value(w, &v[i])),
         }
     }
 }
@@ -717,9 +728,7 @@ fn encode_lanes(
     schema: &FileSchema,
     columns: &[ColumnRef<'_>],
 ) -> Result<Vec<u8>, FormatError> {
-    for col in &schema.columns {
-        rules.check_type(&col.ty, &format!("column {}", col.name))?;
-    }
+    rules.check_schema(schema)?;
     if columns.len() != schema.columns.len() {
         return Err(FormatError::Corrupt(format!(
             "batch has {} columns for {} schema entries",
@@ -750,21 +759,23 @@ fn encode_lanes(
             }
         }
     }
-    // Size the output once: tag byte plus a worst-case fixed payload per
-    // cell, plus actual payload bytes for the variable-width lanes. This
-    // is a hint, not a bound — the writer still grows if it falls short.
-    let mut cap = 64;
+    // A row's stores touch at most the bytes its cells advance by, plus
+    // what the widest store of its last cell reaches past its own cell (a
+    // sixteen-byte word, or a 32-byte window two bytes in).
+    let (mut room, mut cells) = (0, 0);
+    for col in columns {
+        room = room.max(cells + col.cell_bound().max(16));
+        cells += col.cell_bound();
+    }
+    // Size the output once: a fixed-width cell at its bound, a
+    // variable-width one at tag, length and payload, and the last row's
+    // room. This is a hint, not a bound — a wide decimal, a nested cell,
+    // a length past three bytes or a long header still grows the buffer.
+    let mut cap = 64 + room;
     for col in columns {
         cap += match col.data {
-            LaneRef::Bool(_) => n * 2,
-            LaneRef::Int8(_) | LaneRef::Int16(_) => n * 4,
-            LaneRef::Int32(_) => n * 6,
-            LaneRef::Int64(_) => n * 11,
-            LaneRef::Float32(_) => n * 5,
-            LaneRef::Float64(_) => n * 9,
-            LaneRef::Decimal { .. } => n * 12,
             LaneRef::Utf8 { bytes, .. } | LaneRef::Bytes { bytes, .. } => n * 4 + bytes.len(),
-            LaneRef::Nested(_) => n * 16,
+            _ => n * col.cell_bound(),
         };
     }
     let mut w = Writer {
@@ -772,30 +783,36 @@ fn encode_lanes(
     };
     wire::write_header(&mut w, rules, schema);
     w.len(n);
+    let mut w = Window::new(w, room);
     for i in 0..n {
+        w.row();
         for col in columns {
             col.write_cell(&mut w, i);
         }
     }
+    let mut w = w.finish();
     w.buf.extend_from_slice(rules.magic);
     Ok(w.buf)
 }
 
-/// Appends tag byte + length prefix + payload for cell `i` of a
-/// var-width lane. Byte-identical to tag + length prefix + payload on
-/// the cell's slice, but short payloads copy through a constant-size
-/// window (see [`VarBuffer::set_within`] for why).
-#[inline]
-fn write_var_cell(w: &mut Writer, tag: u8, offsets: &[usize], bytes: &[u8], i: usize) {
+/// Writes tag byte + length prefix + payload for cell `i` of a var-width
+/// lane. A payload of up to 32 bytes copies through a constant-size
+/// window when one fits in `bytes` (see [`VarBuffer::set_within`] for
+/// why), and exactly when it ends the lane; a longer one is appended.
+#[inline(always)]
+fn write_var_cell(w: &mut Window, tag: u8, offsets: &[usize], bytes: &[u8], i: usize) {
     let (start, end) = (offsets[i], offsets[i + 1]);
-    let len = end - start;
-    w.tagged_varint64(tag, len as i64);
-    if len <= 32 && start + 32 <= bytes.len() {
-        let keep = w.buf.len() + len;
-        w.buf.extend_from_slice(&bytes[start..start + 32]);
-        w.buf.truncate(keep);
-    } else {
-        w.buf.extend_from_slice(&bytes[start..end]);
+    let payload = &bytes[start..end];
+    if payload.len() > 32 {
+        return w.append(|w| {
+            w.u8(tag);
+            w.bytes(payload);
+        });
+    }
+    w.tagged_varint64(tag, payload.len() as i64);
+    match bytes[start..].first_chunk() {
+        Some(window) => w.put32(window, payload.len()),
+        None => w.put_slice(payload),
     }
 }
 
@@ -853,8 +870,10 @@ fn typed_column(ty: &PhysicalType, rows: usize) -> Option<Column> {
 
 /// The fast path of [`decode`]: every column flat, every cell NULL or of
 /// its column's tag, every payload well-formed. Lanes and validity words
-/// are sized once and set by row index. `None` says nothing about the
-/// file except that [`decode_careful`] must read it.
+/// are sized once and set by row index, and cells are read by the
+/// reader's `Option`-typed fast primitives, so no error is built for a
+/// file that has none. `None` says nothing about the file except that
+/// [`decode_careful`] must read it.
 fn decode_typed(r: &mut wire::Reader, schema: &FileSchema, nrows: usize) -> Option<Vec<Column>> {
     let mut columns: Vec<Column> = schema
         .columns
@@ -866,33 +885,33 @@ fn decode_typed(r: &mut wire::Reader, schema: &FileSchema, nrows: usize) -> Opti
         for col in &mut columns {
             // Each lane takes its own tag and NULL; any other tag ends
             // the fast path.
-            match (r.u8().ok()?, &mut col.data) {
+            match (r.fast_u8()?, &mut col.data) {
                 (0, ColumnData::Utf8(buf) | ColumnData::Bytes(buf)) => {
                     buf.offsets[row + 1] = buf.bytes.len();
                     continue;
                 }
                 (0, _) => continue,
-                (1, ColumnData::Bool(v)) => v[row] = r.u8().ok()? != 0,
-                (2, ColumnData::Int8(v)) => v[row] = r.int("int8").ok()?,
-                (3, ColumnData::Int16(v)) => v[row] = r.int("int16").ok()?,
-                (4, ColumnData::Int32(v)) => v[row] = r.int("int32").ok()?,
-                (5, ColumnData::Int64(v)) => v[row] = r.int("int64").ok()?,
+                (1, ColumnData::Bool(v)) => v[row] = r.fast_u8()? != 0,
+                (2, ColumnData::Int8(v)) => v[row] = r.fast_int()?,
+                (3, ColumnData::Int16(v)) => v[row] = r.fast_int()?,
+                (4, ColumnData::Int32(v)) => v[row] = r.fast_int()?,
+                (5, ColumnData::Int64(v)) => v[row] = r.fast_int()?,
                 (6, ColumnData::Float32(v)) => {
-                    v[row] = f32::from_bits(u32::from_le_bytes(r.array().ok()?));
+                    v[row] = f32::from_bits(u32::from_le_bytes(r.fast_array()?));
                 }
                 (7, ColumnData::Float64(v)) => {
-                    v[row] = f64::from_bits(u64::from_le_bytes(r.array().ok()?));
+                    v[row] = f64::from_bits(u64::from_le_bytes(r.fast_array()?));
                 }
                 (8, ColumnData::Decimal { unscaled, scale }) => {
-                    unscaled[row] = r.decimal().ok()?;
-                    scale[row] = r.u8().ok()?;
+                    unscaled[row] = r.fast_decimal()?;
+                    scale[row] = r.fast_u8()?;
                 }
                 (9, ColumnData::Utf8(buf)) => {
-                    let len = std::str::from_utf8(r.bytes_ref().ok()?).ok()?.len();
+                    let len = std::str::from_utf8(r.fast_run()?).ok()?.len();
                     buf.set_within(row, file, r.pos - len, len);
                 }
                 (10, ColumnData::Bytes(buf)) => {
-                    let len = r.bytes_ref().ok()?.len();
+                    let len = r.fast_run()?.len();
                     buf.set_within(row, file, r.pos - len, len);
                 }
                 _ => return None,

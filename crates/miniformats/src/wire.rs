@@ -8,6 +8,7 @@
 
 use crate::physical::{value_matches, FileSchema, PhysicalColumn, PhysicalType, PhysicalValue};
 use crate::FormatError;
+use std::fmt;
 
 /// Which physical types a format admits.
 #[derive(Debug, Clone, Copy)]
@@ -23,8 +24,13 @@ pub struct FormatRules {
 }
 
 impl FormatRules {
-    /// Validates a physical type against the format's rules.
-    pub fn check_type(&self, ty: &PhysicalType, context: &str) -> Result<(), FormatError> {
+    /// Validates a physical type against the format's rules. `context`
+    /// names the column in an error and is rendered only for one.
+    pub fn check_type(
+        &self,
+        ty: &PhysicalType,
+        context: &dyn fmt::Display,
+    ) -> Result<(), FormatError> {
         match ty {
             PhysicalType::Int8 | PhysicalType::Int16 if !self.allows_small_ints => {
                 Err(FormatError::UnsupportedType {
@@ -47,12 +53,20 @@ impl FormatRules {
             }
             PhysicalType::Struct(fields) => {
                 for (fname, fty) in fields {
-                    self.check_type(fty, &format!("{context}.{fname}"))?;
+                    self.check_type(fty, &format_args!("{context}.{fname}"))?;
                 }
                 Ok(())
             }
             _ => Ok(()),
         }
+    }
+
+    /// [`FormatRules::check_type`] on every column of `schema`.
+    pub(crate) fn check_schema(&self, schema: &FileSchema) -> Result<(), FormatError> {
+        for col in &schema.columns {
+            self.check_type(&col.ty, &format_args!("column {}", col.name))?;
+        }
+        Ok(())
     }
 }
 
@@ -80,46 +94,12 @@ impl Writer {
         }
     }
 
-    /// Tag byte plus zig-zag varint in one append: byte-identical to
-    /// `u8(tag)` followed by [`Writer::varint`] for every `i64`, without
-    /// 128-bit arithmetic (the batch hot path). The encoded length is
-    /// computed up front from the bit width so every branch appends one
-    /// constant-size slice — a compile-time-sized copy with a single grow
-    /// check, which beats both a byte-at-a-time loop and a fixed 10-byte
-    /// fill on every value distribution.
+    /// Tag byte plus zig-zag varint: the cell [`tagged_varint64_word`]
+    /// assembles, appended.
     #[inline]
     pub(crate) fn tagged_varint64(&mut self, tag: u8, v: i64) {
-        let z = zigzag64(v);
-        if z < 0x80 {
-            self.buf.extend_from_slice(&[tag, z as u8]);
-            return;
-        }
-        macro_rules! emit {
-            ($n:expr) => {{
-                let mut tmp = [0u8; 1 + $n];
-                tmp[0] = tag;
-                let mut zz = z;
-                let mut k = 1;
-                while k < $n {
-                    tmp[k] = (zz as u8) | 0x80;
-                    zz >>= 7;
-                    k += 1;
-                }
-                tmp[$n] = zz as u8;
-                self.buf.extend_from_slice(&tmp);
-            }};
-        }
-        match varint64_len(z) {
-            2 => emit!(2),
-            3 => emit!(3),
-            4 => emit!(4),
-            5 => emit!(5),
-            6 => emit!(6),
-            7 => emit!(7),
-            8 => emit!(8),
-            9 => emit!(9),
-            _ => emit!(10),
-        }
+        let (word, len) = tagged_varint64_word(tag, v);
+        self.buf.extend_from_slice(&word.to_le_bytes()[..len]);
     }
 
     /// The decimal tag plus the unscaled integer: 64-bit encode, wide
@@ -165,6 +145,16 @@ fn squeeze7(x: u64) -> u64 {
     ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff)
 }
 
+/// Spreads the low 56 bits of `z` over eight bytes, seven to a byte (the
+/// high bit of each clear): the inverse of [`squeeze7`], value → LEB128
+/// payload groups.
+#[inline]
+fn spread7(z: u64) -> u64 {
+    let x = ((z << 4) & 0x0fff_ffff_0000_0000) | (z & 0x0000_0000_0fff_ffff);
+    let x = ((x << 2) & 0x3fff_0000_3fff_0000) | (x & 0x0000_3fff_0000_3fff);
+    ((x << 1) & 0x7f00_7f00_7f00_7f00) | (x & 0x007f_007f_007f_007f)
+}
+
 /// Inverse of [`zigzag64`].
 #[inline]
 pub(crate) fn unzigzag64(z: u64) -> i64 {
@@ -177,6 +167,168 @@ pub(crate) fn varint64_len(z: u64) -> usize {
     (64 - (z | 1).leading_zeros() as usize).div_ceil(7)
 }
 
+/// The one integer writer: a tag byte and the zig-zag LEB128 varint of
+/// `v` as one little-endian word, with the cell's length in bytes (at
+/// most eleven; the bytes past it are zero). One byte (every length
+/// prefix of a short cell) is a compare, as in [`varint64_in`]. Anything
+/// longer takes its length from the value's bit width and every byte from
+/// arithmetic, so no branch depends on the length: half of all random
+/// `i64`s take nine bytes and half ten, and a length dispatch mispredicts
+/// on them.
+#[inline(always)]
+pub(crate) fn tagged_varint64_word(tag: u8, v: i64) -> (u128, usize) {
+    const MORE: u128 = 0x8080_8080_8080_8080_8080;
+    let z = zigzag64(v);
+    if z < 0x80 {
+        return (u128::from(tag) | u128::from(z) << 8, 2);
+    }
+    let len = varint64_len(z);
+    // Bits 0–55 in the first eight bytes, 56–62 in the ninth, 63 in the
+    // tenth; a continuation bit on every byte but the last.
+    let groups =
+        u128::from(spread7(z)) | u128::from((z >> 56) & 0x7f) << 64 | u128::from(z >> 63) << 72;
+    let more = MORE & ((1u128 << (8 * len - 8)) - 1);
+    (u128::from(tag) | (groups | more) << 8, len + 1)
+}
+
+/// The one LEB128 decoder of a 64-bit value: given the ten bytes at a
+/// varint, its zig-zagged value and length, or `None` when it runs past
+/// ten bytes or past bit 63. One byte (every length prefix of a short
+/// cell) is a compare. Anything longer decodes without a branch per byte
+/// — find the terminating byte in one word, squeeze the 7-bit groups
+/// together, and fold in a ninth and tenth byte by arithmetic — so a
+/// cell's length is no branch to mispredict.
+#[inline(always)]
+fn varint64_in(window: &[u8; 10]) -> Option<(u64, usize)> {
+    if window[0] < 0x80 {
+        return Some((u64::from(window[0]), 1));
+    }
+    const STOP: u64 = 0x8080_8080_8080_8080;
+    let word = u64::from_le_bytes(*window.first_chunk().expect("8 of 10 bytes"));
+    let (ninth, tenth) = (u64::from(window[8]), u64::from(window[9]));
+    let stops = !word & STOP;
+    let long = (stops == 0) as u64;
+    // Bytes of the first word that belong to the varint: all eight, or up
+    // to and including the first without the continuation bit.
+    let in_word = if stops == 0 {
+        8
+    } else {
+        stops.trailing_zeros() / 8 + 1
+    };
+    let z = squeeze7(word & (u64::MAX >> (64 - 8 * in_word)));
+    let has_tenth = long & (ninth >> 7);
+    // A tenth byte of 0 or 1 is bit 63 of an `i64`; anything else
+    // continues or overflows.
+    (has_tenth & (tenth > 1) as u64 == 0).then(|| {
+        (
+            z | ((ninth & 0x7f) * long) << 56 | ((tenth & 1) * has_tenth) << 63,
+            (u64::from(in_word) + long + has_tenth) as usize,
+        )
+    })
+}
+
+/// Scratch zero-filled past a [`Window`]'s cursor at a time, within the
+/// buffer's capacity: one grow per few kilobytes of file, not per row.
+const AHEAD: usize = 16 << 10;
+
+/// A file written by fixed-size stores at a cursor. The bytes before the
+/// cursor are the file so far; the ones after it are scratch that later
+/// stores overwrite. [`Window::row`] makes room once for a row's worth of
+/// stores, so a cell is one store of a word and an advance by the cell's
+/// length, with no grow check; a cell of no fixed bound goes through
+/// [`Window::append`].
+pub(crate) struct Window {
+    w: Writer,
+    pos: usize,
+    /// Bytes past a row's first cursor that its stores may touch.
+    room: usize,
+    /// Where the current row's room ends.
+    limit: usize,
+}
+
+impl Window {
+    /// Continues `w` with stores, each row touching at most `room` bytes.
+    pub(crate) fn new(w: Writer, room: usize) -> Window {
+        let pos = w.buf.len();
+        Window {
+            w,
+            pos,
+            room,
+            limit: pos,
+        }
+    }
+
+    /// Makes the room for one row's stores.
+    #[inline(always)]
+    pub(crate) fn row(&mut self) {
+        if self.w.buf.len() - self.pos < self.room {
+            self.grow();
+        }
+        self.limit = self.pos + self.room;
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let ahead = (self.pos + AHEAD).min(self.w.buf.capacity());
+        self.w.buf.resize((self.pos + self.room).max(ahead), 0);
+    }
+
+    /// Stores all `N` bytes at the cursor and advances by `len` of them.
+    #[inline(always)]
+    fn store<const N: usize>(&mut self, bytes: &[u8; N], len: usize) {
+        debug_assert!(self.pos + N <= self.limit, "a store past the row's room");
+        self.w.buf[self.pos..self.pos + N].copy_from_slice(bytes);
+        self.pos += len;
+    }
+
+    /// The first `len` bytes of a little-endian word.
+    #[inline(always)]
+    pub(crate) fn put(&mut self, word: u128, len: usize) {
+        self.store(&word.to_le_bytes(), len);
+    }
+
+    /// Tag byte plus zig-zag varint.
+    #[inline(always)]
+    pub(crate) fn tagged_varint64(&mut self, tag: u8, v: i64) {
+        let (word, len) = tagged_varint64_word(tag, v);
+        self.put(word, len);
+    }
+
+    /// The first `len` of 32 bytes: a constant-size copy, where a short
+    /// variable one bounces through the memcpy dispatcher.
+    #[inline(always)]
+    pub(crate) fn put32(&mut self, bytes: &[u8; 32], len: usize) {
+        self.store(bytes, len);
+    }
+
+    /// `bytes`, copied exactly.
+    #[inline(always)]
+    pub(crate) fn put_slice(&mut self, bytes: &[u8]) {
+        let end = self.pos + bytes.len();
+        debug_assert!(end <= self.limit, "a store past the row's room");
+        self.w.buf[self.pos..end].copy_from_slice(bytes);
+        self.pos = end;
+    }
+
+    /// A cell of no fixed bound, appended at the cursor by the row
+    /// encoder's writer; the rest of the row gets a row's room again.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn append(&mut self, cell: impl FnOnce(&mut Writer)) {
+        self.w.buf.truncate(self.pos);
+        cell(&mut self.w);
+        self.pos = self.w.buf.len();
+        self.row();
+    }
+
+    /// The writer holding exactly the bytes stored.
+    pub(crate) fn finish(mut self) -> Writer {
+        self.w.buf.truncate(self.pos);
+        self.w
+    }
+}
+
 pub(crate) struct Reader<'a> {
     pub(crate) data: &'a [u8],
     pub(crate) pos: usize,
@@ -184,12 +336,8 @@ pub(crate) struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     pub(crate) fn u8(&mut self) -> Result<u8, FormatError> {
-        let b = *self
-            .data
-            .get(self.pos)
-            .ok_or_else(|| FormatError::Corrupt("unexpected end of file".into()))?;
-        self.pos += 1;
-        Ok(b)
+        self.fast_u8()
+            .ok_or_else(|| FormatError::Corrupt("unexpected end of file".into()))
     }
 
     pub(crate) fn varint(&mut self) -> Result<i128, FormatError> {
@@ -209,51 +357,101 @@ impl<'a> Reader<'a> {
         Ok(((z >> 1) as i128) ^ -((z & 1) as i128))
     }
 
+    /// The ten bytes at the cursor, if there are ten.
+    #[inline(always)]
+    fn window(&self) -> Option<&[u8; 10]> {
+        self.data.get(self.pos..)?.first_chunk()
+    }
+
     /// u64-domain varint decode: consumes the same bytes and surfaces the
     /// same corruption errors as [`Reader::varint`]. `Ok(Err(wide))` means
     /// the encoded value was valid but outside `i64` — callers map it to
     /// their own range error exactly as they would the wide read.
     #[inline]
     pub(crate) fn varint64(&mut self) -> Result<Result<i64, i128>, FormatError> {
-        // Fast path, with ten bytes in hand. One byte (every length prefix
-        // of a short cell) is a compare. Anything longer decodes without a
-        // branch per byte — find the terminating byte in one word, squeeze
-        // the 7-bit groups together, and fold in a ninth and tenth byte by
-        // arithmetic — so a cell's length is no branch to mispredict (half
-        // of all random `i64`s are ten bytes, half nine).
-        if let Some(window) = self.data.get(self.pos..self.pos + 10) {
-            if window[0] < 0x80 {
-                self.pos += 1;
-                return Ok(Ok(unzigzag64(window[0] as u64)));
-            }
-            const STOP: u64 = 0x8080_8080_8080_8080;
-            let word = u64::from_le_bytes(window[..8].try_into().expect("8 of 10 bytes"));
-            let (ninth, tenth) = (window[8] as u64, window[9] as u64);
-            let stops = !word & STOP;
-            let long = (stops == 0) as u64;
-            // Bytes of the first word that belong to the varint: all
-            // eight, or up to and including the first without the
-            // continuation bit.
-            let in_word = if stops == 0 {
-                8
-            } else {
-                stops.trailing_zeros() / 8 + 1
-            };
-            let mut z = squeeze7(word & (u64::MAX >> (64 - 8 * in_word)));
-            let has_tenth = long & (ninth >> 7);
-            // A tenth byte of 0 or 1 is bit 63 of an `i64`; anything
-            // else continues or overflows, and takes the slow path.
-            if has_tenth & (tenth > 1) as u64 == 0 {
-                z |= ((ninth & 0x7f) * long) << 56 | ((tenth & 1) * has_tenth) << 63;
-                self.pos += (in_word as u64 + long + has_tenth) as usize;
-                return Ok(Ok(unzigzag64(z)));
-            }
+        if let Some((z, len)) = self.window().and_then(varint64_in) {
+            self.pos += len;
+            return Ok(Ok(unzigzag64(z)));
         }
         // Within ten bytes of the end of the buffer, longer than ten bytes
         // or wider than 64 bits: the wide reader, so out-of-range and
         // too-long cases are its own.
         let wide = self.varint()?;
         Ok(i64::try_from(wide).map_err(|_| wide))
+    }
+
+    // The fast path's readers. What one returns as `Some` is what its
+    // careful twin above returns as `Ok`, having consumed the same bytes;
+    // `None` says only that the careful reader must decide. Always
+    // inlined and `Option`-typed, a cell's value comes back in registers.
+
+    /// A byte.
+    #[inline(always)]
+    pub(crate) fn fast_u8(&mut self) -> Option<u8> {
+        let b = *self.data.get(self.pos)?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    /// `N` raw payload bytes.
+    #[inline(always)]
+    pub(crate) fn fast_array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let chunk = *self.data.get(self.pos..)?.first_chunk()?;
+        self.pos += N;
+        Some(chunk)
+    }
+
+    /// A varint that fits `i64` in at most ten bytes.
+    #[inline(always)]
+    fn fast_varint64(&mut self) -> Option<i64> {
+        let (z, len) = match self.window() {
+            Some(window) => varint64_in(window)?,
+            None => self.varint64_near_end()?,
+        };
+        self.pos += len;
+        Some(unzigzag64(z))
+    }
+
+    /// The same decoder over the bytes left, padded with zeros: a zero
+    /// byte ends a varint, so one that runs past the end reads as longer
+    /// than what is left.
+    #[cold]
+    fn varint64_near_end(&self) -> Option<(u64, usize)> {
+        let rest = &self.data[self.pos..];
+        let mut window = [0u8; 10];
+        window[..rest.len()].copy_from_slice(rest);
+        varint64_in(&window).filter(|&(_, len)| len <= rest.len())
+    }
+
+    /// An integer cell of type `T`.
+    #[inline(always)]
+    pub(crate) fn fast_int<T: TryFrom<i64>>(&mut self) -> Option<T> {
+        T::try_from(self.fast_varint64()?).ok()
+    }
+
+    /// A decimal's unscaled integer; one past `i64` is read out of line
+    /// by the careful reader.
+    #[inline(always)]
+    pub(crate) fn fast_decimal(&mut self) -> Option<i128> {
+        match self.fast_varint64() {
+            Some(narrow) => Some(i128::from(narrow)),
+            None => self.wide_decimal(),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn wide_decimal(&mut self) -> Option<i128> {
+        self.decimal().ok()
+    }
+
+    /// A length-prefixed run of bytes, borrowed.
+    #[inline(always)]
+    pub(crate) fn fast_run(&mut self) -> Option<&'a [u8]> {
+        let n = usize::try_from(self.fast_varint64()?).ok()?;
+        let run = self.data.get(self.pos..)?.get(..n)?;
+        self.pos += n;
+        Some(run)
     }
 
     /// A length prefix; a value outside `usize` is corrupt.
@@ -298,27 +496,11 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.bytes()?).map_err(|_| FormatError::Corrupt("invalid UTF-8".into()))
     }
 
-    /// Borrows the next length-prefixed byte run without allocating; same
-    /// bytes consumed and same errors as [`Reader::bytes`].
-    pub(crate) fn bytes_ref(&mut self) -> Result<&'a [u8], FormatError> {
-        let n = self.len()?;
-        if n > self.data.len() - self.pos {
-            return Err(FormatError::Corrupt("byte run past end".into()));
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
     /// Reads `N` raw payload bytes at once; same EOF error as reading
     /// them one [`Reader::u8`] at a time.
     pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], FormatError> {
-        let chunk = self
-            .data
-            .get(self.pos..self.pos + N)
-            .ok_or_else(|| FormatError::Corrupt("unexpected end of file".into()))?;
-        self.pos += N;
-        Ok(chunk.try_into().expect("slice length is N"))
+        self.fast_array()
+            .ok_or_else(|| FormatError::Corrupt("unexpected end of file".into()))
     }
 }
 
@@ -611,9 +793,7 @@ pub fn encode(
     schema: &FileSchema,
     rows: &[Vec<PhysicalValue>],
 ) -> Result<Vec<u8>, FormatError> {
-    for col in &schema.columns {
-        rules.check_type(&col.ty, &format!("column {}", col.name))?;
-    }
+    rules.check_schema(schema)?;
     for row in rows {
         if row.len() != schema.columns.len() {
             return Err(FormatError::Corrupt(format!(
