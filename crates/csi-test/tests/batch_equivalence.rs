@@ -802,18 +802,6 @@ fn batch_codec_is_the_row_codec_on_edge_values_and_every_truncation() {
     }
 }
 
-/// A splitmix64 stream for hand-built tables.
-fn splitmix(seed: u64) -> impl FnMut() -> u64 {
-    let mut s = seed;
-    move || {
-        s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 const FLAT: [PhysicalType; 10] = [
     PhysicalType::Bool,
     PhysicalType::Int8,
@@ -890,7 +878,8 @@ fn flat_table(
     ncols: usize,
     small_ints: bool,
 ) -> (FileSchema, Vec<Vec<PhysicalValue>>) {
-    let mut next = splitmix(seed);
+    let mut state = seed;
+    let mut next = || csi_core::rng::splitmix64(&mut state);
     let types: Vec<PhysicalType> = (0..ncols)
         .map(|_| loop {
             let ty = &FLAT[(next() % FLAT.len() as u64) as usize];

@@ -811,7 +811,7 @@ fn write_var_cell(w: &mut Window, tag: u8, offsets: &[usize], bytes: &[u8], i: u
     }
     w.tagged_varint64(tag, payload.len() as i64);
     match bytes[start..].first_chunk() {
-        Some(window) => w.put32(window, payload.len()),
+        Some(window) => w.store::<32>(window, payload.len()),
         None => w.put_slice(payload),
     }
 }

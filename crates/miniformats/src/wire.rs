@@ -274,9 +274,11 @@ impl Window {
         self.w.buf.resize((self.pos + self.room).max(ahead), 0);
     }
 
-    /// Stores all `N` bytes at the cursor and advances by `len` of them.
+    /// Stores all `N` bytes at the cursor and advances by `len` of them:
+    /// a constant-size copy, where a short variable one bounces through
+    /// the memcpy dispatcher.
     #[inline(always)]
-    fn store<const N: usize>(&mut self, bytes: &[u8; N], len: usize) {
+    pub(crate) fn store<const N: usize>(&mut self, bytes: &[u8; N], len: usize) {
         debug_assert!(self.pos + N <= self.limit, "a store past the row's room");
         self.w.buf[self.pos..self.pos + N].copy_from_slice(bytes);
         self.pos += len;
@@ -293,13 +295,6 @@ impl Window {
     pub(crate) fn tagged_varint64(&mut self, tag: u8, v: i64) {
         let (word, len) = tagged_varint64_word(tag, v);
         self.put(word, len);
-    }
-
-    /// The first `len` of 32 bytes: a constant-size copy, where a short
-    /// variable one bounces through the memcpy dispatcher.
-    #[inline(always)]
-    pub(crate) fn put32(&mut self, bytes: &[u8; 32], len: usize) {
-        self.store(bytes, len);
     }
 
     /// `bytes`, copied exactly.
