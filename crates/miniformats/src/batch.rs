@@ -907,7 +907,7 @@ fn decode_typed(r: &mut wire::Reader, schema: &FileSchema, nrows: usize) -> Opti
                     scale[row] = r.fast_u8()?;
                 }
                 (9, ColumnData::Utf8(buf)) => {
-                    let len = std::str::from_utf8(r.fast_run()?).ok()?.len();
+                    let len = r.fast_str()?.len();
                     buf.set_within(row, file, r.pos - len, len);
                 }
                 (10, ColumnData::Bytes(buf)) => {

@@ -449,6 +449,12 @@ impl<'a> Reader<'a> {
         Some(run)
     }
 
+    /// A length-prefixed run of UTF-8, borrowed.
+    #[inline(always)]
+    pub(crate) fn fast_str(&mut self) -> Option<&'a str> {
+        std::str::from_utf8(self.fast_run()?).ok()
+    }
+
     /// A length prefix; a value outside `usize` is corrupt.
     pub(crate) fn len(&mut self) -> Result<usize, FormatError> {
         let negative = |_| FormatError::Corrupt("negative length".into());
