@@ -759,9 +759,10 @@ fn encode_lanes(
             }
         }
     }
-    // A row's stores touch at most the bytes its cells advance by, plus
-    // what the widest store of its last cell reaches past its own cell (a
-    // sixteen-byte word, or a 32-byte window two bytes in).
+    // Every store of a row lands within `room` of where the row starts:
+    // a cell starts at most the bounds of the cells before it in, and
+    // its stores reach the larger of its own bound and a sixteen-byte
+    // word (a NULL is stored as a word too).
     let (mut room, mut cells) = (0, 0);
     for col in columns {
         room = room.max(cells + col.cell_bound().max(16));
