@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), hash, glue, one-varint (any 7f/80 mask outside wire.rs) and case-without-a-copy guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs) and case-without-a-copy guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -67,6 +67,14 @@ stage_lint() {
   # stream beside it is a second record that can disagree with it.
   if grep -rnE --include='*.rs' 'CrossingSink|set_sink|clear_sink|\.fired\(\)' crates/; then
     echo "read what fired from the trace (csi_core::boundary::faulted) and judge it with DetectorSpec::detect; nothing streams crossings beside it" >&2
+    exit 1
+  fi
+  # Explaining a finding and scoring a detector both start from the
+  # crossing trace, so no campaign path may build a context that skips it.
+  # The bulk path crosses no observation and keeps the silent context.
+  echo "==> trace guard (no CrossingContext::disabled in csi-test outside bulk.rs)"
+  if grep -rnF --include='*.rs' 'CrossingContext::disabled' crates/csi-test/src/ | grep -v '^crates/csi-test/src/bulk\.rs:'; then
+    echo "every campaign observation carries its trace: build the deployment on CrossingContext::new()" >&2
     exit 1
   fi
   # Hash iteration order differs run to run, and every report is a pure

@@ -23,8 +23,10 @@
 //!
 //! Tracing is side-effect-free: a disabled context counts and fires
 //! identically (same counters, same faults, same virtual delay) and
-//! merely skips the trace, so trace-disabled campaigns reproduce traced
-//! campaigns byte-for-byte modulo the trace fields. Payload digests mask
+//! merely skips the trace — pinned by
+//! `disabled_context_counts_and_fires_identically`. Callers that want no
+//! record (the connectors' pure functions, the bulk path) use one; every
+//! campaign observation is traced. Payload digests mask
 //! runs of ASCII digits before hashing, so generated artifact names
 //! (`part-00017.csv`) digest identically regardless of how deployments
 //! were pooled or recycled — the property that keeps traces byte-identical

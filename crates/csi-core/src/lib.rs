@@ -12,8 +12,6 @@
 //!   handling, and differential;
 //! - **discrepancy reports** ([`report`]) mirroring the artifact's
 //!   `*failed.json` output;
-//! - a deterministic **discrete-event simulator** ([`sim`]) used to reproduce
-//!   timing-sensitive control-plane failures such as FLINK-12342;
 //! - an **online CSI failure detector** ([`detect`]) that judges each
 //!   observation's boundary-crossing trace as it closes and emits typed
 //!   detections, cross-checked against the offline §9 oracle;
@@ -49,7 +47,6 @@ pub mod oracle;
 pub mod plane;
 pub mod report;
 pub mod rng;
-pub mod sim;
 pub mod spec;
 pub mod sql;
 pub mod taxonomy;

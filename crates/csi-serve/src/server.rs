@@ -27,7 +27,6 @@ use crate::protocol::{valid_tenant_name, CampaignRequest, Frame, RejectReason, M
 use crate::sched::{Admission, FairScheduler};
 use crate::tenant::TenantRegistry;
 use csi_core::detect::DetectionTap;
-use csi_test::exec::CrossTestConfig;
 use csi_test::{Campaign, CampaignSpec, DeploymentPool, PoolStats};
 use parking_lot::Mutex;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -128,9 +127,7 @@ impl CsiServer {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let pool = Arc::new(DeploymentPool::new());
-        // Default campaigns trace boundaries, so warm the shelf that
-        // default and detection campaigns both draw from.
-        pool.warm(&CrossTestConfig::default(), config.warm);
+        pool.warm(config.warm);
         let registry = Arc::new(TenantRegistry::new());
         let scheduler = Arc::new(FairScheduler::new(
             config.max_queue,

@@ -221,7 +221,7 @@ pub fn run_bulk(config: &BulkConfig) -> BulkReport {
             let plan = format!("{write}->{read}");
             // Tracing off: bulk campaigns measure the data plane, and the
             // per-op trace sink would dominate at millions of rows.
-            let d = Deployment::new(CrossingContext::disabled(), &[]);
+            let d = Deployment::new(CrossingContext::disabled());
             let table = format!("bulk_{}", format.extension());
             let outcome = bulk_write(&d, write, &table, *format, &expected)
                 .and_then(|()| bulk_read(&d, read, &table));

@@ -23,7 +23,7 @@ use csi_core::InteractionError;
 use minihdfs::MiniHdfs;
 use minihive::hiveql::HiveQl;
 use minihive::metastore::{Metastore, StorageFormat};
-use minispark::SparkSession;
+use minispark::{SparkConfig, SparkSession};
 use parking_lot::Mutex;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -35,18 +35,12 @@ pub struct CrossTestConfig {
     pub experiments: Vec<Experiment>,
     /// Backend formats to exercise.
     pub formats: Vec<StorageFormat>,
-    /// Spark configuration overrides applied to every deployment
+    /// Spark configuration overrides set on every deployment's session
     /// ("testing under the deployment configuration").
     pub spark_overrides: Vec<(String, String)>,
     /// Faults to arm on every deployment's metastore and filesystem.
     /// `None` (and an empty plan) runs fault-free.
     pub fault_plan: Option<FaultPlan>,
-    /// Record an [`csi_core::boundary::InteractionTrace`] per observation.
-    /// Disabling skips only the trace; the fault path is identical
-    /// (tracing is side-effect-free, pinned by `tests/trace.rs`). Under a
-    /// detector the trace is recorded anyway: see
-    /// [`records_traces`](CrossTestConfig::records_traces).
-    pub trace_boundaries: bool,
     /// Judge every observation's trace with [`DetectorSpec::detect`]. The
     /// spec holds only thresholds and frozen baselines, so sharding shares
     /// no mutable detector state. `None` disables detection.
@@ -65,7 +59,6 @@ impl Default for CrossTestConfig {
             formats: StorageFormat::ALL.to_vec(),
             spark_overrides: Vec::new(),
             fault_plan: None,
-            trace_boundaries: true,
             detector: None,
             pool: None,
         }
@@ -73,12 +66,6 @@ impl Default for CrossTestConfig {
 }
 
 impl CrossTestConfig {
-    /// Whether deployments record the trace: when asked to, and always
-    /// under a detector, which judges each observation from its trace.
-    pub(crate) fn records_traces(&self) -> bool {
-        self.trace_boundaries || self.detector.is_some()
-    }
-
     /// The custom (non-default) configuration set that Section 8.2 reports
     /// as resolving 8 of the 15 discrepancies.
     pub fn custom_resolving_overrides() -> Vec<(String, String)> {
@@ -130,13 +117,9 @@ pub(crate) struct Deployment {
 
 impl Deployment {
     /// Builds the stack around `crossing` — which the caller may have
-    /// pre-armed, as the fault-matrix cells do — with `spark_overrides`
-    /// applied to the Spark session. Nothing per-run is attached; see
-    /// [`arm`](Deployment::arm).
-    pub(crate) fn new(
-        crossing: CrossingContext,
-        spark_overrides: &[(String, String)],
-    ) -> Deployment {
+    /// pre-armed, as the fault-matrix cells do. Nothing per-run is
+    /// attached; see [`arm`](Deployment::arm).
+    pub(crate) fn new(crossing: CrossingContext) -> Deployment {
         let sink = DiagSink::new();
         let mut metastore = Metastore::new();
         let mut fs = MiniHdfs::with_datanodes(3);
@@ -144,11 +127,7 @@ impl Deployment {
         fs.set_crossing(crossing.clone());
         let metastore = Arc::new(Mutex::new(metastore));
         let fs = Arc::new(Mutex::new(fs));
-        let mut spark =
-            SparkSession::connect(metastore.clone(), fs.clone(), sink.handle("minispark"));
-        for (k, v) in spark_overrides {
-            spark.config.set(k, v);
-        }
+        let spark = SparkSession::connect(metastore.clone(), fs.clone(), sink.handle("minispark"));
         let hive = HiveQl::new(metastore.clone(), fs.clone(), sink.handle("minihive"));
         Deployment {
             sink,
@@ -161,36 +140,28 @@ impl Deployment {
         }
     }
 
-    /// A fresh stack of `config`'s shape — boundary tracing
-    /// ([`CrossTestConfig::records_traces`]) and Spark overrides, the two
-    /// things baked in at construction — with none of its per-run
-    /// attachments.
-    pub(crate) fn unarmed(config: &CrossTestConfig) -> Deployment {
-        let crossing = if config.records_traces() {
-            CrossingContext::new()
-        } else {
-            CrossingContext::disabled()
-        };
-        Deployment::new(crossing, &config.spark_overrides)
-    }
-
-    /// Attaches a run's per-run state: arms `plan` on the crossing
-    /// context and keeps `detector` to judge each observation. The inverse
-    /// is [`reset_to_fresh`](Deployment::reset_to_fresh).
-    pub(crate) fn arm(&mut self, plan: Option<&FaultPlan>, detector: Option<&DetectorSpec>) {
-        if let Some(plan) = plan {
+    /// Attaches `config`'s per-run state: sets its Spark overrides on the
+    /// session, arms its fault plan on the crossing context, and keeps its
+    /// detector to judge each observation. The inverse is
+    /// [`reset_to_fresh`](Deployment::reset_to_fresh).
+    pub(crate) fn arm(&mut self, config: &CrossTestConfig) {
+        for (k, v) in &config.spark_overrides {
+            self.spark.config.set(k, v);
+        }
+        if let Some(plan) = &config.fault_plan {
             self.crossing.arm_plan(plan);
         }
-        self.detector = detector.cloned();
+        self.detector = config.detector.clone();
     }
 
     /// Strips everything a run attached or left behind, until the stack
-    /// is construction-identical to a fresh one: the detector, the armed
-    /// faults, the context's counters, clock and trace,
-    /// both stores (rebuilt from scratch — erasing residue like the
+    /// is construction-identical to a fresh one: the Spark overrides, the
+    /// detector, the armed faults, the context's counters, clock and
+    /// trace, both stores (rebuilt from scratch — erasing residue like the
     /// `next_part` / `next_block_id` cursors that dropping a table leaves
     /// advanced), and the diagnostics sink.
     pub(crate) fn reset_to_fresh(&mut self) {
+        self.spark.config = SparkConfig::new();
         self.detector = None;
         self.crossing.disarm_all();
         self.crossing.reset();
@@ -556,8 +527,8 @@ pub(crate) fn acquire_deployment(config: &CrossTestConfig) -> Deployment {
     match &config.pool {
         Some(pool) => pool.acquire(config),
         None => {
-            let mut deployment = Deployment::unarmed(config);
-            deployment.arm(config.fault_plan.as_ref(), config.detector.as_ref());
+            let mut deployment = Deployment::new(CrossingContext::new());
+            deployment.arm(config);
             deployment
         }
     }
@@ -567,7 +538,7 @@ pub(crate) fn acquire_deployment(config: &CrossTestConfig) -> Deployment {
 /// pool (reset to fresh) when one is attached, dropped otherwise.
 pub(crate) fn release_deployment(config: &CrossTestConfig, deployment: Deployment) {
     if let Some(pool) = &config.pool {
-        pool.release(config, deployment);
+        pool.release(deployment);
     }
 }
 
@@ -703,42 +674,6 @@ mod tests {
         assert_eq!(stats.reused, 5);
     }
 
-    /// A detector judges the trace, so it turns tracing on: a hand-built
-    /// config that asks for detection but not for tracing detects exactly
-    /// what the traced run does.
-    #[test]
-    fn a_detector_records_traces_it_was_not_asked_for() {
-        use crate::shard::run_cross_test;
-        use csi_core::detect::DetectorConfig;
-        let inputs = one_input(DataType::Byte, Value::Byte(5), Validity::Valid);
-        let traced = CrossTestConfig {
-            fault_plan: Some(crate::inject::small_fault_catalogue(7)),
-            detector: Some(DetectorSpec {
-                config: DetectorConfig::default(),
-                baselines: Arc::default(),
-                tap: None,
-            }),
-            ..CrossTestConfig::default()
-        };
-        let untraced = CrossTestConfig {
-            trace_boundaries: false,
-            ..traced.clone()
-        };
-        let detections = |config: &CrossTestConfig| -> Vec<_> {
-            run_cross_test(&inputs, config, 1, 64)
-                .observations
-                .into_iter()
-                .map(|(_, obs)| obs.detections)
-                .collect()
-        };
-        let expected = detections(&traced);
-        assert!(
-            expected.iter().any(|d| !d.is_empty()),
-            "the faulted run detected nothing"
-        );
-        assert_eq!(detections(&untraced), expected);
-    }
-
     /// The tables and warehouse directories `d` holds, in name order.
     fn namespace(d: &Deployment) -> (Vec<String>, Vec<String>) {
         let fs = d.fs.lock();
@@ -757,8 +692,7 @@ mod tests {
 
     #[test]
     fn a_recycled_observation_leaves_an_empty_namespace() {
-        let config = CrossTestConfig::default();
-        let d = Deployment::unarmed(&config);
+        let d = Deployment::new(CrossingContext::new());
         let inputs = generate_inputs();
         let experiment = Experiment::SparkToSpark;
         for format in StorageFormat::ALL {
@@ -776,7 +710,7 @@ mod tests {
         }
         // Without the drop (the fault-matrix cell path, which reads the
         // crossing context after `run_one` returns) the table stays.
-        let d = Deployment::unarmed(&config);
+        let d = Deployment::new(CrossingContext::new());
         let inputs = one_input(DataType::Int, Value::Int(7), Validity::Valid);
         let plan = experiment.plans()[0];
         run_one(&d, experiment, plan, StorageFormat::Orc, &inputs[0], false);

@@ -320,13 +320,13 @@ impl Explorer {
                 // fault, exactly like a fault-matrix probe cell.
                 let ctx = CrossingContext::new();
                 ctx.arm(fault.clone());
-                let d = Deployment::new(ctx, &[]);
+                let d = Deployment::new(ctx);
                 exec::run_one(&d, exp, plan, fmt, input, false)
             }
             None => {
                 let d = pools
                     .entry(self.exp_idx(trial.combo))
-                    .or_insert_with(|| Deployment::new(CrossingContext::new(), &[]));
+                    .or_insert_with(|| Deployment::new(CrossingContext::new()));
                 // Recycling keeps each worker's metastore footprint at one
                 // table and makes observations independent of what the
                 // deployment ran before — the sharding byte-identity lever.

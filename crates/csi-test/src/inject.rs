@@ -469,7 +469,7 @@ fn run_probe_cell(
     run_cell_body(fault, scenario, detect, |ctx| {
         // The fault (when armed) already lives on `ctx`; the deployment
         // just wraps the stack around it.
-        let deployment = Deployment::new(ctx.clone(), &[]);
+        let deployment = Deployment::new(ctx.clone());
         let obs = run_one(&deployment, experiment, plan, format, &probe_input(), false);
         let detail = match (&obs.write.result, obs.read.as_ref().map(|r| &r.result)) {
             (Err(e), _) => format!("write failed: {}", e.signature()),
@@ -831,7 +831,7 @@ mod tests {
                 } => {
                     let ctx = CrossingContext::new();
                     ctx.arm(fault);
-                    let d = Deployment::new(ctx, &[]);
+                    let d = Deployment::new(ctx);
                     Some(run_one(&d, experiment, plan, format, &probe_input(), false))
                 }
                 _ => None,

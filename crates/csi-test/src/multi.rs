@@ -228,7 +228,7 @@ pub fn run_compound_trial(
 ) -> CompoundTrialReport {
     let ctx = CrossingContext::new();
     ctx.arm_set(set);
-    let d = Deployment::new(ctx, &[]);
+    let d = Deployment::new(ctx);
     let mut runs: Vec<JobRun> = jobs
         .iter()
         .enumerate()

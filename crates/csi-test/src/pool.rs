@@ -2,29 +2,29 @@
 //!
 //! Building a deployment (metastore + namenode + two engine frontends)
 //! is the fixed cost of every campaign. A long-running host — the
-//! `csi-serve` daemon above all — runs thousands of campaigns against
-//! identical deployment *shapes*, so the pool keeps finished stacks warm
-//! on per-shape shelves and hands them back out instead of rebuilding.
+//! `csi-serve` daemon above all — runs thousands of campaigns, so the pool
+//! keeps finished stacks warm on one shelf and hands them back out instead
+//! of rebuilding.
 //!
 //! The invariant that makes pooling safe: **a released deployment is
 //! reset until it is construction-identical to a fresh one** —
 //! `Deployment::reset_to_fresh` is the one place that says what that
 //! takes. Pooled campaigns are therefore byte-identical to unpooled
-//! ones — pinned by `exec::tests::pooled_run_is_byte_identical_to_fresh`.
+//! ones — pinned by `exec::tests::pooled_run_is_byte_identical_to_fresh`
+//! and `campaign::tests::pooled_campaign_is_byte_identical_across_reuse`.
 //!
-//! Shelves are keyed by the parts of a [`CrossTestConfig`] that are baked
-//! in at construction time (Spark overrides, boundary tracing); per-run
-//! attachments — fault plans, detectors — are armed on acquire
-//! (`Deployment::arm`) and torn down on release, so one shelf serves
-//! faulty and fault-free campaigns alike.
+//! Every deployment is built alike, so the shelf has no key: everything a
+//! [`CrossTestConfig`] asks of a run — Spark overrides, fault plan,
+//! detector — is armed on acquire (`Deployment::arm`) and stripped on
+//! release, so any shelved stack serves any campaign.
 //!
-//! The key comes from the campaign spec, which a `csi-serve` client
-//! writes, so the pool is bounded: it never holds more than
-//! [`MAX_SHELVED`] deployments, and a release at the cap drops the stack
-//! instead of shelving it.
+//! The pool is bounded: it never holds more than [`MAX_SHELVED`]
+//! deployments, and a release at the cap drops the stack instead of
+//! shelving it.
 
 use crate::exec::{CrossTestConfig, Deployment};
 use crate::spec::MAX_SHARDS;
+use csi_core::boundary::CrossingContext;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,17 +35,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct PoolStats {
     /// Deployments built from scratch (shelf misses).
     pub created: u64,
-    /// Deployments handed back out from a shelf (hits).
+    /// Deployments handed back out from the shelf (hits).
     pub reused: u64,
-    /// Deployments currently sitting on shelves.
+    /// Deployments currently on the shelf.
     pub shelved: usize,
 }
 
-/// A thread-safe pool of reset-to-fresh [`Deployment`]s, keyed by
-/// deployment shape.
+/// A thread-safe pool of reset-to-fresh [`Deployment`]s.
 pub struct DeploymentPool {
-    /// `(shelf key, deployment)`, at most [`MAX_SHELVED`] of them.
-    shelves: Mutex<Vec<(String, Deployment)>>,
+    /// At most [`MAX_SHELVED`] deployments, the last released on top.
+    shelf: Mutex<Vec<Deployment>>,
     created: AtomicU64,
     reused: AtomicU64,
 }
@@ -67,62 +66,43 @@ impl Default for DeploymentPool {
     }
 }
 
-/// The shelf key: exactly the configuration a deployment bakes in at
-/// construction time. Everything else (faults, detectors) is armed per
-/// acquire.
-fn shelf_key(config: &CrossTestConfig) -> String {
-    let mut key = String::from(if config.records_traces() {
-        "trace"
-    } else {
-        "notrace"
-    });
-    for (k, v) in &config.spark_overrides {
-        key.push('|');
-        key.push_str(k);
-        key.push('=');
-        key.push_str(v);
-    }
-    key
-}
-
-/// The most deployments the pool keeps across all shelves: what one
-/// campaign at the shard bound can hand back at once. Distinct override
-/// lists each open a shelf, so without a cap a client could park a full
-/// stack per list for the life of the daemon.
+/// The most deployments the pool keeps: what one campaign at the shard
+/// bound can hand back at once. Campaigns running side by side can hand
+/// back more; the excess is dropped, so an idle daemon parks at most this
+/// many stacks.
 const MAX_SHELVED: usize = MAX_SHARDS;
 
 impl DeploymentPool {
     /// An empty pool.
     pub fn new() -> DeploymentPool {
         DeploymentPool {
-            shelves: Mutex::new(Vec::new()),
+            shelf: Mutex::new(Vec::new()),
             created: AtomicU64::new(0),
             reused: AtomicU64::new(0),
         }
     }
 
-    /// Pre-builds `n` deployments of `config`'s shape so the first `n`
-    /// acquires are shelf hits. The daemon calls this at startup to hide
-    /// construction cost from the first wave of tenants.
-    pub fn warm(&self, config: &CrossTestConfig, n: usize) {
+    /// Pre-builds `n` deployments so the first `n` acquires are shelf
+    /// hits. The daemon calls this at startup to hide construction cost
+    /// from the first wave of tenants.
+    pub fn warm(&self, n: usize) {
         for _ in 0..n {
-            let fresh = self.build(config);
-            self.shelve(config, fresh);
+            let fresh = self.build();
+            self.shelve(fresh);
         }
     }
 
-    fn build(&self, config: &CrossTestConfig) -> Deployment {
+    fn build(&self) -> Deployment {
         self.created.fetch_add(1, Ordering::Relaxed);
-        Deployment::unarmed(config)
+        Deployment::new(CrossingContext::new())
     }
 
-    /// Puts a construction-identical-to-fresh deployment on `config`'s
-    /// shelf, or drops it when the pool already holds [`MAX_SHELVED`].
-    fn shelve(&self, config: &CrossTestConfig, deployment: Deployment) {
-        let key = shelf_key(config);
-        let mut shelves = self.shelves.lock();
-        if shelves.len() < MAX_SHELVED {
-            shelves.push((key, deployment));
+    /// Puts a construction-identical-to-fresh deployment on the shelf, or
+    /// drops it when the pool already holds [`MAX_SHELVED`].
+    fn shelve(&self, deployment: Deployment) {
+        let mut shelf = self.shelf.lock();
+        if shelf.len() < MAX_SHELVED {
+            shelf.push(deployment);
         }
     }
 
@@ -131,58 +111,48 @@ impl DeploymentPool {
         PoolStats {
             created: self.created.load(Ordering::Relaxed),
             reused: self.reused.load(Ordering::Relaxed),
-            shelved: self.shelves.lock().len(),
+            shelved: self.shelf.lock().len(),
         }
     }
 
-    /// Takes a deployment of `config`'s shape off its shelf (or builds
-    /// one), then arms `config`'s per-run attachments on it: the fault
-    /// plan, and the detector that judges its observations.
+    /// Takes a deployment off the shelf (or builds one), then arms
+    /// `config`'s per-run attachments on it: the Spark overrides, the
+    /// fault plan, and the detector that judges its observations.
     pub(crate) fn acquire(&self, config: &CrossTestConfig) -> Deployment {
-        let key = shelf_key(config);
-        let shelved = {
-            let mut shelves = self.shelves.lock();
-            shelves
-                .iter()
-                .rposition(|(k, _)| *k == key)
-                .map(|i| shelves.remove(i))
-        };
+        let shelved = self.shelf.lock().pop();
         let mut deployment = match shelved {
-            Some((_, d)) => {
+            Some(d) => {
                 self.reused.fetch_add(1, Ordering::Relaxed);
                 d
             }
-            None => self.build(config),
+            None => self.build(),
         };
-        deployment.arm(config.fault_plan.as_ref(), config.detector.as_ref());
+        deployment.arm(config);
         deployment
     }
 
     /// Resets `deployment` to construction-identical-to-fresh and shelves
-    /// it for the next acquire of the same shape (or drops it, at the
-    /// cap).
-    pub(crate) fn release(&self, config: &CrossTestConfig, mut deployment: Deployment) {
+    /// it for the next acquire (or drops it, at the cap).
+    pub(crate) fn release(&self, mut deployment: Deployment) {
         deployment.reset_to_fresh();
-        self.shelve(config, deployment);
+        self.shelve(deployment);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minispark::config::STORE_ASSIGNMENT_POLICY;
 
     #[test]
-    fn shelves_are_keyed_by_deployment_shape() {
+    fn one_shelf_serves_every_configuration() {
         let pool = DeploymentPool::new();
         let plain = CrossTestConfig::default();
         let tuned = CrossTestConfig {
             spark_overrides: CrossTestConfig::custom_resolving_overrides(),
             ..CrossTestConfig::default()
         };
-        assert_ne!(shelf_key(&plain), shelf_key(&tuned));
-        // A detector reads the trace, so it shares the traced shelf.
         let detecting = CrossTestConfig {
-            trace_boundaries: false,
             detector: Some(csi_core::detect::DetectorSpec {
                 config: csi_core::detect::DetectorConfig::default(),
                 baselines: Default::default(),
@@ -190,53 +160,63 @@ mod tests {
             }),
             ..CrossTestConfig::default()
         };
-        assert_eq!(shelf_key(&detecting), shelf_key(&plain));
+        let fresh = format!("{:?}", Deployment::new(CrossingContext::new()).spark.config);
 
         let d = pool.acquire(&plain);
-        pool.release(&plain, d);
-        // A different shape misses the shelf...
+        assert_eq!(d.spark.config.get(STORE_ASSIGNMENT_POLICY), Some("ANSI"));
+        pool.release(d);
         let d = pool.acquire(&tuned);
-        pool.release(&tuned, d);
-        // ...while the same shape hits it.
-        let d = pool.acquire(&plain);
-        pool.release(&plain, d);
+        assert_eq!(
+            d.spark.config.get(STORE_ASSIGNMENT_POLICY),
+            Some("LEGACY"),
+            "overrides not armed"
+        );
+        pool.release(d);
+        let d = pool.acquire(&detecting);
+        assert!(d.detector.is_some());
+        assert_eq!(
+            format!("{:?}", d.spark.config),
+            fresh,
+            "the overrides outlived their release"
+        );
+        pool.release(d);
         let stats = pool.stats();
-        assert_eq!((stats.created, stats.reused), (2, 1));
-        assert_eq!(stats.shelved, 2);
+        assert_eq!((stats.created, stats.reused, stats.shelved), (1, 2, 1));
     }
 
     #[test]
     fn warm_prebuilds_shelf_hits() {
         let pool = DeploymentPool::new();
         let config = CrossTestConfig::default();
-        pool.warm(&config, 2);
+        pool.warm(2);
         assert_eq!(pool.stats().shelved, 2);
         let a = pool.acquire(&config);
         let b = pool.acquire(&config);
         assert_eq!(pool.stats().reused, 2);
-        pool.release(&config, a);
-        pool.release(&config, b);
+        pool.release(a);
+        pool.release(b);
         assert_eq!(pool.stats().shelved, 2);
     }
 
     #[test]
-    fn distinct_shapes_cannot_grow_the_pool_past_the_cap() {
+    fn releases_past_the_cap_are_dropped() {
         let pool = DeploymentPool::new();
-        for i in 0..300 {
-            let config = CrossTestConfig {
-                spark_overrides: vec![("spark.client.chosen".into(), i.to_string())],
-                ..CrossTestConfig::default()
-            };
-            let d = pool.acquire(&config);
-            pool.release(&config, d);
+        let config = CrossTestConfig::default();
+        let held: Vec<_> = (0..MAX_SHELVED + 44)
+            .map(|_| pool.acquire(&config))
+            .collect();
+        for d in held {
+            pool.release(d);
         }
-        assert_eq!(pool.stats().shelved, 256);
-        // A full pool still serves a shape it has no shelf for.
-        let plain = CrossTestConfig::default();
-        let d = pool.acquire(&plain);
-        pool.release(&plain, d);
+        assert_eq!(pool.stats().shelved, MAX_SHELVED);
+        // A full pool still serves, from the shelf.
+        let d = pool.acquire(&config);
+        pool.release(d);
         let stats = pool.stats();
-        assert_eq!((stats.created, stats.reused, stats.shelved), (301, 0, 256));
+        assert_eq!(
+            (stats.created, stats.reused, stats.shelved),
+            (MAX_SHELVED as u64 + 44, 1, MAX_SHELVED)
+        );
     }
 
     #[test]
@@ -268,7 +248,7 @@ mod tests {
             d.crossing.intercept(probe_call()).is_some(),
             "armed fault did not fire"
         );
-        pool.release(&config, d);
+        pool.release(d);
 
         let fault_free = CrossTestConfig::default();
         let d = pool.acquire(&fault_free);
@@ -276,6 +256,6 @@ mod tests {
             d.crossing.intercept(probe_call()).is_none(),
             "armed faults leaked the shelf"
         );
-        pool.release(&fault_free, d);
+        pool.release(d);
     }
 }

@@ -53,7 +53,7 @@ pub struct ShrunkReproducer {
 /// classified result still contains discrepancy `id`. This is the
 /// shrinker's oracle, public so tests can re-verify shipped reproducers.
 pub fn reproducer_triggers(id: &str, r: &Reproducer) -> bool {
-    let d = Deployment::new(CrossingContext::new(), &[]);
+    let d = Deployment::new(CrossingContext::new());
     let mut judge = Classifier::new(&[r.experiment]);
     for &plan in &r.plans {
         let obs = exec::run_one(&d, r.experiment, plan, r.format, &r.input, true);

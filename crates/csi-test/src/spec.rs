@@ -207,7 +207,7 @@ pub struct CampaignSpec {
     pub experiments: Vec<Experiment>,
     /// Storage formats to exercise.
     pub formats: Vec<StorageFormat>,
-    /// Spark configuration overrides applied to every deployment.
+    /// Spark configuration overrides set on every deployment's session.
     pub spark_overrides: Vec<(String, String)>,
     /// Worker count; `0` or `1` runs serially.
     pub shards: usize,
@@ -218,8 +218,6 @@ pub struct CampaignSpec {
     pub faults: Option<FaultPlan>,
     /// `Some(seed)` switches the campaign to fault-matrix mode.
     pub matrix_seed: Option<u64>,
-    /// Record an interaction trace per observation.
-    pub trace: bool,
     /// Run the online CSI failure detector.
     pub detect: bool,
     /// Detector thresholds.
@@ -237,7 +235,7 @@ pub struct CampaignSpec {
 
 impl Default for CampaignSpec {
     /// The default campaign over the full catalogue: every experiment and
-    /// format, serial, tracing on, no faults, no detection — identical to
+    /// format, serial, no faults, no detection — identical to
     /// `Campaign::new(&generate_inputs())`.
     fn default() -> CampaignSpec {
         CampaignSpec {
@@ -249,7 +247,6 @@ impl Default for CampaignSpec {
             chunk_size: 64,
             faults: None,
             matrix_seed: None,
-            trace: true,
             detect: false,
             detector_config: DetectorConfig::default(),
             seed: 42,

@@ -124,3 +124,21 @@ fn wire_rejections_carry_typed_reasons() {
     let back: SpecError = serde_json::from_str(&wire).expect("error round-trips");
     assert_eq!(back, err);
 }
+
+/// Specs written while campaigns could switch tracing off still parse:
+/// the wire ignores the retired `trace` key, and either value revives to
+/// the default spec, which runs traced.
+#[test]
+fn a_retired_trace_key_revives_to_the_default_spec() {
+    let default = CampaignSpec::default();
+    let wire = json(&default);
+    let expected = fingerprint(&Campaign::from_spec(default.clone()).expect("valid").run());
+    for trace in ["false", "true"] {
+        let old = wire.replacen("\"detect\":", &format!("\"trace\":{trace},\"detect\":"), 1);
+        assert_ne!(old, wire, "the key was not spliced in");
+        let revived: CampaignSpec = serde_json::from_str(&old).expect("an old spec parses");
+        assert_eq!(revived, default, "\"trace\":{trace}");
+        let outcome = Campaign::from_spec(revived).expect("valid spec").run();
+        assert_eq!(fingerprint(&outcome), expected, "\"trace\":{trace}");
+    }
+}

@@ -4,7 +4,8 @@
 //!
 //! - a **YARN resource driver** with both a synchronous (buggy, FLINK-12342)
 //!   and an asynchronous (fixed) container-request loop, plus the two
-//!   intermediate workarounds of Figure 5;
+//!   intermediate workarounds of Figure 5, stepped heartbeat by heartbeat
+//!   on a virtual millisecond clock so every run replays exactly;
 //! - a **resource calculator** that reads YARN's `minimum-allocation` keys
 //!   to predict container sizes — correct under the CapacityScheduler,
 //!   discrepant under the FairScheduler (FLINK-19141, Figure 3);
@@ -22,4 +23,4 @@ pub mod yarn_driver;
 
 pub use checkpoints::{CheckpointCoordinator, CheckpointId, CheckpointOutcome};
 pub use jobmanager::{JobManagerSpec, LaunchOutcome, MemoryModel, SizingPolicy};
-pub use yarn_driver::{run_driver, DriverMode, DriverRun, DriverStats, YarnDriverWorld};
+pub use yarn_driver::{run_driver, DriverMode, DriverRun, DriverStats};

@@ -192,9 +192,9 @@ impl Node {
 
 /// The in-memory HDFS cluster: one namenode plus registered datanodes.
 ///
-/// Time does not advance on its own; callers (or the discrete-event
-/// simulator) drive the clock via [`MiniHdfs::advance_clock`], which keeps
-/// token-expiry scenarios deterministic.
+/// Time does not advance on its own; callers drive the clock via
+/// [`MiniHdfs::advance_clock`], which keeps token-expiry scenarios
+/// deterministic.
 #[derive(Debug)]
 pub struct MiniHdfs {
     /// The root directory `/`; always a [`Node::Dir`].

@@ -3,7 +3,6 @@
 
 use csi::core::column::{columns_from_rows, rows_from_columns};
 use csi::core::config::{ConfigMap, MergePolicy};
-use csi::core::sim::Sim;
 use csi::core::value::{
     format_date, format_timestamp, parse_date, parse_timestamp, DataType, Decimal, StructField,
     Value,
@@ -412,23 +411,6 @@ proptest! {
         let avro = framed(miniformats::avro::RULES.magic);
         let _ = miniformats::avro::decode(&avro);
         let _ = miniformats::avro::decode_batch(&avro);
-    }
-
-    #[test]
-    fn sim_is_deterministic(delays in proptest::collection::vec(0u64..1000, 1..32)) {
-        let run = |delays: &[u64]| -> (u64, Vec<u64>) {
-            let mut sim = Sim::new(Vec::new());
-            for &d in delays {
-                sim.schedule_in(d, move |log: &mut Vec<u64>, ops| log.push(ops.now()));
-            }
-            let end = sim.run();
-            (end, sim.state)
-        };
-        let a = run(&delays);
-        let b = run(&delays);
-        prop_assert_eq!(&a, &b);
-        // Events fire in nondecreasing time order.
-        prop_assert!(a.1.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
