@@ -3,13 +3,16 @@
 //! detections arriving before the report, typed wire rejections, and
 //! the journal of who asked.
 
+use csi_core::value::DataType;
 use csi_serve::{
     run_specs, CampaignRequest, CsiServer, Frame, RejectReason, ServeClient, ServeConfig,
     TenantOutcome,
 };
 use csi_test::inject::small_fault_catalogue;
 use csi_test::plan::Experiment;
-use csi_test::{Campaign, CampaignSpec, InputSelection, SpecError};
+use csi_test::{
+    generate_inputs, Campaign, CampaignSpec, CrossTestConfig, InputSelection, SpecError, TestInput,
+};
 use minihive::metastore::StorageFormat;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{Shutdown, TcpStream};
@@ -35,10 +38,23 @@ fn read_malformed(reader: &mut impl BufRead) -> String {
     }
 }
 
-/// A small campaign spec, varied per tenant index.
+/// A small campaign spec, varied per tenant index. Every odd tenant runs
+/// inputs whose report the custom-resolving Spark overrides change
+/// ([`tuned_inputs`]); every fourth, from tenant 1, sets those overrides.
+/// Overrides that outlived their campaign would show in the report of a
+/// later odd tenant without them.
 fn tenant_spec(i: usize) -> CampaignSpec {
     CampaignSpec {
-        inputs: InputSelection::CataloguePrefix(1 + i % 3),
+        inputs: if i % 2 == 1 {
+            InputSelection::Inline(tuned_inputs())
+        } else {
+            InputSelection::CataloguePrefix(1 + i % 3)
+        },
+        spark_overrides: if i % 4 == 1 {
+            CrossTestConfig::custom_resolving_overrides()
+        } else {
+            Vec::new()
+        },
         formats: vec![StorageFormat::Orc, StorageFormat::Parquet],
         shards: 1 + i % 2,
         chunk_size: 2,
@@ -46,6 +62,22 @@ fn tenant_spec(i: usize) -> CampaignSpec {
         seed: 42 + i as u64,
         ..CampaignSpec::default()
     }
+}
+
+/// The catalogue's first CHAR and first INTERVAL input.
+fn tuned_inputs() -> Vec<TestInput> {
+    let catalogue = generate_inputs();
+    let first = |ty: fn(&DataType) -> bool| {
+        catalogue
+            .iter()
+            .find(|i| ty(&i.column_type))
+            .expect("catalogue input")
+            .clone()
+    };
+    vec![
+        first(|t| matches!(t, DataType::Char(_))),
+        first(|t| matches!(t, DataType::Interval)),
+    ]
 }
 
 #[test]
@@ -71,6 +103,21 @@ fn concurrent_tenants_get_byte_identical_reports() {
         .into_iter()
         .flat_map(|h| h.join().expect("client thread"))
         .collect();
+
+    // The tuned tenants' overrides change their report, so a deployment
+    // that carried them into another tenant's campaign would be visible.
+    for i in (0..8).filter(|i| i % 4 == 1) {
+        let tuned = tenant_spec(i);
+        let plain = CampaignSpec {
+            spark_overrides: Vec::new(),
+            ..tuned.clone()
+        };
+        assert_ne!(
+            batch_report_json(&tuned),
+            batch_report_json(&plain),
+            "the overrides do not change tenant-{i}'s report"
+        );
+    }
 
     assert_eq!(outcomes.len(), 8);
     for outcome in &outcomes {
