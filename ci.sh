@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs) and case-without-a-copy guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs) and case-without-a-copy guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -31,6 +31,10 @@ stage_lint() {
   cargo fmt --all --check
   echo "==> clippy (deny warnings)"
   cargo clippy --workspace --all-targets -- -D warnings
+  # A doc link to a deleted or private item is a rustdoc warning, and
+  # nothing else notices it.
+  echo "==> rustdoc (deny warnings: no broken or private intra-doc links)"
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
   # Split from its frame on a socket, a newline waits for the peer's ACK
   # (Nagle) and the frame arrives an inter-arrival gap late.
   echo "==> wire guard (a frame's terminator is never its own write)"

@@ -28,9 +28,9 @@
 //! record (the connectors' pure functions, the bulk path) use one; every
 //! campaign observation is traced. Payload digests mask
 //! runs of ASCII digits before hashing, so generated artifact names
-//! (`part-00017.csv`) digest identically regardless of how deployments
-//! were pooled or recycled — the property that keeps traces byte-identical
-//! between serial and sharded runs.
+//! (`part-00017.csv`) digest identically however many tables the
+//! deployment built and dropped before — the property that keeps traces
+//! byte-identical between serial and sharded runs.
 
 use crate::fault::{
     Channel, FaultKind, FaultPlan, FaultPoint, FaultSet, FaultSpec, InjectedFault, Trigger,
@@ -138,7 +138,7 @@ impl BoundaryCall {
 /// Digit-masked FNV-1a 64-bit digest: every maximal run of ASCII digits
 /// collapses to a single `#` before hashing, so counters embedded in
 /// generated names (`part-00017.csv`) never make two equivalent payloads
-/// digest differently across deployment pooling or recycling. A sink, so
+/// digest differently across table recycling. A sink, so
 /// a payload arrives in as many chunks as its formatting produces;
 /// `in_digits` carries a digit run across chunk boundaries.
 struct PayloadDigest {
@@ -281,7 +281,7 @@ impl InteractionTrace {
     /// shared-root-cause grouping, computed on `InteractionTrace`s).
     ///
     /// Tuples are `channel|op|plane|status`, deliberately free of sequence
-    /// numbers, timestamps, and payload digests so pooling, recycling, and
+    /// numbers, timestamps, and payload digests so recycling and
     /// table-name differences never split a cluster.
     pub fn causal_prefix(&self) -> Vec<String> {
         let mut prefix = Vec::new();
@@ -415,14 +415,6 @@ impl CrossingContext {
     /// [`arm_plan`](CrossingContext::arm_plan).
     pub fn arm_set(&self, set: &FaultSet) {
         self.state.lock().armed.extend(set.faults.iter().cloned());
-    }
-
-    /// Removes every armed fault (counters are cleared separately by
-    /// [`reset`](CrossingContext::reset)). Deployment pools call this when
-    /// a deployment is returned, so a recycled stack can never replay the
-    /// previous campaign's fault plan.
-    pub fn disarm_all(&self) {
-        self.state.lock().armed.clear();
     }
 
     /// The current injected service latency, in virtual milliseconds — the

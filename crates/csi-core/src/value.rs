@@ -448,7 +448,7 @@ impl Value {
     }
 
     /// A stable signature string used to group differential observations:
-    /// [`Value::write_signature`] into a `String`.
+    /// `Value::write_signature` into a `String`.
     pub fn signature(&self) -> String {
         let mut out = String::new();
         self.write_signature(&mut out)

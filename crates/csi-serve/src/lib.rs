@@ -3,10 +3,12 @@
 //! The in-process [`Campaign`](csi_test::Campaign) builder runs one
 //! campaign for one caller. This crate turns the same API surface into a
 //! long-running multi-tenant daemon: a [`CsiServer`] listens on TCP,
-//! speaks newline-delimited JSON ([`protocol`]), keeps a pool of warm
-//! deployments, and runs concurrent campaigns on a worker pool scheduled
-//! fairly across tenants ([`sched`]), with what each tenant asked and
-//! was answered kept in a bounded journal ([`tenant`]).
+//! speaks newline-delimited JSON ([`protocol`]), and runs concurrent
+//! campaigns on a worker pool scheduled fairly across tenants
+//! ([`sched`]), with what each tenant asked and was answered kept in a
+//! bounded journal ([`tenant`]). Each campaign builds its own
+//! deployments and drops them when done, so tenants share no engine
+//! state.
 //!
 //! The request body is the serializable
 //! [`CampaignSpec`](csi_test::CampaignSpec) — the very struct the
@@ -27,5 +29,5 @@ pub use protocol::{
     valid_tenant_name, CampaignRequest, Frame, RejectReason, MAX_REQUEST_BYTES, MAX_TENANT_LEN,
 };
 pub use sched::{Admission, FairScheduler};
-pub use server::{CsiServer, ServeConfig};
+pub use server::{CsiServer, PoolStats, ServeConfig};
 pub use tenant::{fnv1a, Record, TenantRegistry, JOURNAL_BYTES};

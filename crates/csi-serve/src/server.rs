@@ -11,23 +11,23 @@
 //!   [`FairScheduler`] — answering [`Frame::Accepted`] or
 //!   [`Frame::Rejected`] immediately, per line;
 //! - **workers** that pull jobs fairly across tenants and run each as a
-//!   [`Campaign`] drawing warm deployments from a shared
-//!   [`DeploymentPool`], streaming every online detection back as a
-//!   [`Frame::Detection`] as each observation is judged, then
-//!   finishing with one [`Frame::Report`].
+//!   [`Campaign`] on deployments of its own, streaming every online
+//!   detection back as a [`Frame::Detection`] as each observation is
+//!   judged, then finishing with one [`Frame::Report`].
 //!
 //! Backpressure is admission-time and explicit: when the global queue or
 //! a tenant's slice of it is full, the request is refused with the
 //! observed depths rather than buffered without bound. Campaign output
-//! is byte-identical to an in-process run of the same spec — pooling
-//! changes wall time only, taps only observe, and per-campaign state
-//! lives in the campaign's own deployment, not in the daemon.
+//! is byte-identical to an in-process run of the same spec — taps only
+//! observe, and per-campaign state lives in deployments the campaign
+//! builds and drops, never in the daemon, so no tenant's campaign can
+//! see another's.
 
 use crate::protocol::{valid_tenant_name, CampaignRequest, Frame, RejectReason, MAX_REQUEST_BYTES};
 use crate::sched::{Admission, FairScheduler};
 use crate::tenant::TenantRegistry;
 use csi_core::detect::DetectionTap;
-use csi_test::{Campaign, CampaignSpec, DeploymentPool, PoolStats};
+use csi_test::{Campaign, CampaignSpec};
 use parking_lot::Mutex;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -42,7 +42,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Campaign worker threads (the concurrency of the service).
     pub workers: usize,
-    /// Deployments pre-built into the pool before the listener opens.
+    /// Ignored: every campaign builds its own deployments, so there is
+    /// nothing to pre-build. Kept because `benchmark/` sets it.
     pub warm: usize,
     /// Global admission cap: queued campaigns across all tenants.
     pub max_queue: usize,
@@ -54,7 +55,7 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 4,
-            warm: 2,
+            warm: 0,
             max_queue: 64,
             per_tenant_queue: 8,
         }
@@ -82,13 +83,23 @@ struct Job {
     writer: Arc<Writer>,
 }
 
+/// Deployment-reuse counters of a daemon, all zero: every campaign builds
+/// its own deployments and reuses none. Kept because `benchmark/` reads
+/// [`CsiServer::pool_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Deployments built ahead of the campaigns that ran on them.
+    pub created: u64,
+    /// Deployments handed to a second campaign.
+    pub reused: u64,
+}
+
 /// A running `csi-serve` daemon. Dropping it shuts it down gracefully:
 /// admission closes, readers join, queued campaigns drain, workers join.
 pub struct CsiServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     scheduler: Arc<FairScheduler<Job>>,
-    pool: Arc<DeploymentPool>,
     registry: Arc<TenantRegistry>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -121,13 +132,11 @@ fn write_line<W: Write>(stream: &mut Option<W>, line: &str) {
 }
 
 impl CsiServer {
-    /// Binds an ephemeral port on localhost, warms the deployment pool,
-    /// and starts the acceptor and worker threads.
+    /// Binds an ephemeral port on localhost and starts the acceptor and
+    /// worker threads.
     pub fn start(config: &ServeConfig) -> io::Result<CsiServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let pool = Arc::new(DeploymentPool::new());
-        pool.warm(config.warm);
         let registry = Arc::new(TenantRegistry::new());
         let scheduler = Arc::new(FairScheduler::new(
             config.max_queue,
@@ -145,13 +154,12 @@ impl CsiServer {
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let scheduler = scheduler.clone();
-                let pool = pool.clone();
                 let registry = registry.clone();
                 let running = running.clone();
                 std::thread::spawn(move || {
                     running.wait();
                     while let Some((_, job)) = scheduler.next() {
-                        run_job(&pool, &registry, job);
+                        run_job(&registry, job);
                     }
                 })
             })
@@ -195,7 +203,6 @@ impl CsiServer {
             addr,
             shutdown,
             scheduler,
-            pool,
             registry,
             acceptor: Some(acceptor),
             workers,
@@ -212,9 +219,10 @@ impl CsiServer {
         self.scheduler.depth()
     }
 
-    /// Construction/reuse counters of the shared deployment pool.
+    /// All-zero [`PoolStats`]: the daemon keeps no deployments between
+    /// campaigns. Kept because `benchmark/` reads it.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        PoolStats::default()
     }
 
     /// The journal of what tenants asked and were answered.
@@ -363,7 +371,7 @@ fn admit(
 /// frame runs under one `catch_unwind`, so whatever panics — the
 /// campaign, reviving the spec, serialising the report — the worker
 /// lives on and the client is answered.
-fn run_job(pool: &Arc<DeploymentPool>, registry: &TenantRegistry, job: Job) {
+fn run_job(registry: &TenantRegistry, job: Job) {
     let Job {
         tenant,
         seq,
@@ -390,7 +398,6 @@ fn run_job(pool: &Arc<DeploymentPool>, registry: &TenantRegistry, job: Job) {
         };
         let outcome = Campaign::from_spec(spec)
             .expect("spec validated at admission")
-            .pool(pool.clone())
             .detection_tap(tap)
             .run();
         let report_json = serde_json::to_string(&outcome.report).expect("reports serialize");
@@ -524,11 +531,7 @@ mod tests {
             spec,
             writer: Arc::new(Mutex::new(Some(served))),
         };
-        run_job(
-            &Arc::new(DeploymentPool::new()),
-            &TenantRegistry::new(),
-            job,
-        );
+        run_job(&TenantRegistry::new(), job);
         let mut line = String::new();
         BufReader::new(client)
             .read_line(&mut line)

@@ -12,7 +12,7 @@
 //! One ring and one counter, not a map per tenant: tenant names are
 //! chosen by strangers, so any per-tenant structure would be a second
 //! unbounded table. Campaign *execution* state never lives here: each
-//! campaign runs in its own pooled [`Deployment`](csi_test::exec), and
+//! campaign runs in deployments of its own ([`csi_test::exec`]), and
 //! the scheduling half of the multi-tenant story is [`crate::sched`].
 
 use parking_lot::Mutex;

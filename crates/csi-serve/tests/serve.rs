@@ -140,12 +140,6 @@ fn concurrent_tenants_get_byte_identical_reports() {
         tenants,
         (0..8).map(|i| format!("tenant-{i}")).collect::<Vec<_>>()
     );
-    // Warm deployments were actually reused across campaigns.
-    assert!(
-        server.pool_stats().reused > 0,
-        "no deployment reuse across 8 campaigns: {:?}",
-        server.pool_stats()
-    );
     server.shutdown();
 }
 

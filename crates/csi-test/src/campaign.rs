@@ -17,11 +17,11 @@
 //! [`SpecError`]s instead of panicking), and the round trip is lossless —
 //! running a serialized-and-revived spec is byte-identical to running the
 //! builder it came from. The wire surface of the `csi-serve` daemon is
-//! exactly this spec. Two attachments stay *outside* the spec because
-//! they describe the runtime, not the campaign: a [`DetectionTap`]
-//! ([`Campaign::detection_tap`]) for streaming detections out mid-run,
-//! and a shared [`DeploymentPool`] ([`Campaign::pool`]) that amortizes
-//! deployment construction across campaigns.
+//! exactly this spec. One attachment stays *outside* the spec because it
+//! describes the runtime, not the campaign: a [`DetectionTap`]
+//! ([`Campaign::detection_tap`]) for streaming detections out mid-run.
+//! A campaign builds every deployment it runs on and drops it when done,
+//! so nothing of one campaign outlives it into another.
 //!
 //! With `.detect(true)`, a cross-test campaign first replays the same
 //! (experiment × plan × format × input) space fault-free to learn the
@@ -39,7 +39,6 @@ use crate::generator::TestInput;
 use crate::inject::{self, FaultMatrixConfig, FaultMatrixReport};
 use crate::multi::{self, CompoundConfig};
 use crate::plan::Experiment;
-use crate::pool::DeploymentPool;
 use crate::shard::{self, CampaignMetrics};
 use crate::shrink::ShrunkReproducer;
 use crate::spec::{CampaignSpec, InputSelection, SpecError};
@@ -51,13 +50,12 @@ use minihive::metastore::StorageFormat;
 use std::sync::Arc;
 
 /// Builder for a cross-testing or fault-matrix campaign: a serializable
-/// [`CampaignSpec`] plus the runtime-only attachments (detection tap,
-/// deployment pool) that never travel over the wire.
+/// [`CampaignSpec`] plus the runtime-only detection tap that never
+/// travels over the wire.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     spec: CampaignSpec,
     tap: Option<DetectionTap>,
-    pool: Option<Arc<DeploymentPool>>,
 }
 
 /// The result of [`Campaign::run`].
@@ -118,7 +116,6 @@ impl Campaign {
                 ..CampaignSpec::default()
             },
             tap: None,
-            pool: None,
         }
     }
 
@@ -127,11 +124,7 @@ impl Campaign {
     /// panicking — the validation gate every wire request passes through.
     pub fn from_spec(spec: CampaignSpec) -> Result<Campaign, SpecError> {
         spec.validate()?;
-        Ok(Campaign {
-            spec,
-            tap: None,
-            pool: None,
-        })
+        Ok(Campaign { spec, tap: None })
     }
 
     /// The campaign's serializable spec. `Campaign::from_spec(c.spec().clone())`
@@ -282,17 +275,6 @@ impl Campaign {
         self
     }
 
-    /// Draws this campaign's deployments from a shared warm
-    /// [`DeploymentPool`] instead of building them fresh, returning them
-    /// (reset) when done. Pooling changes wall time only: pooled output
-    /// is byte-identical to unpooled. Only the standard cross-test path
-    /// consumes the pool; matrix, explore, and compound modes build
-    /// hermetic per-cell state by design.
-    pub fn pool(mut self, pool: Arc<DeploymentPool>) -> Campaign {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Runs a *bulk* campaign alongside (not instead of) the builder's
     /// row-oriented modes: the wide clean-data table of
     /// [`crate::generator::bulk_schema`] at `rows` rows, written and read
@@ -413,7 +395,6 @@ impl Campaign {
             spark_overrides: self.spec.spark_overrides,
             fault_plan: self.spec.faults,
             detector: None,
-            pool: self.pool,
         };
         if self.spec.detect {
             // Fault-free calibration replay over the identical scenario
@@ -576,78 +557,6 @@ mod tests {
             let metrics = outcome.metrics.as_ref().expect("grid metrics");
             assert_eq!(metrics.observations, outcome.observations.len());
         }
-    }
-
-    #[test]
-    fn pooled_campaign_is_byte_identical_across_reuse() {
-        let inputs = byte_input();
-        let fresh = Campaign::new(&inputs).detect(true).run();
-        let pool = Arc::new(DeploymentPool::new());
-        for _ in 0..2 {
-            let pooled = Campaign::new(&inputs).detect(true).pool(pool.clone()).run();
-            assert_eq!(
-                serde_json::to_string(&pooled.report).unwrap(),
-                serde_json::to_string(&fresh.report).unwrap()
-            );
-        }
-        // Calibration then detection, three experiments each, one worker:
-        // every deployment goes back before the next is taken, so one build
-        // serves all twelve acquires.
-        let stats = pool.stats();
-        assert_eq!((stats.created, stats.reused), (1, 11));
-
-        // One pool shared by tuned and plain campaigns, detection on and
-        // off: each report equals its unpooled twin, so neither the
-        // overrides nor the detector leak from one campaign to the next.
-        // The inputs are ones whose report the overrides change.
-        let catalogue = crate::generator::generate_inputs();
-        let first = |ty: fn(&DataType) -> bool| {
-            catalogue
-                .iter()
-                .find(|i| ty(&i.column_type))
-                .expect("catalogue input")
-                .clone()
-        };
-        let inputs = vec![
-            first(|t| matches!(t, DataType::Char(_))),
-            first(|t| matches!(t, DataType::Interval)),
-        ];
-        let campaign = |custom: bool, detect: bool| {
-            let campaign = Campaign::new(&inputs).detect(detect);
-            if custom {
-                campaign.spark_overrides(CrossTestConfig::custom_resolving_overrides())
-            } else {
-                campaign
-            }
-        };
-        let report = |campaign: Campaign| serde_json::to_string(&campaign.run().report).unwrap();
-        let unpooled = |custom: bool, detect: bool| report(campaign(custom, detect));
-        let expected = [false, true].map(|custom| [false, true].map(|d| unpooled(custom, d)));
-        for detect in [0, 1] {
-            assert_ne!(
-                expected[0][detect], expected[1][detect],
-                "the overrides do not change these inputs' report"
-            );
-        }
-        let shared = Arc::new(DeploymentPool::new());
-        for (custom, detect) in [
-            (true, false),
-            (false, false),
-            (true, true),
-            (false, true),
-            (false, false),
-            (true, false),
-        ] {
-            assert_eq!(
-                report(campaign(custom, detect).pool(shared.clone())),
-                expected[usize::from(custom)][usize::from(detect)],
-                "pooled campaign (custom {custom}, detect {detect}) diverged from unpooled"
-            );
-        }
-        assert!(
-            shared.stats().reused > 0,
-            "the shared pool was never reused"
-        );
     }
 
     #[test]

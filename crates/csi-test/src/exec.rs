@@ -1,6 +1,6 @@
 //! One cross-testing cell: Figure 6's deployment and the write/read step.
 //!
-//! For an (experiment, plan, format, input) combination [`run_one`]
+//! For an (experiment, plan, format, input) combination `run_one`
 //! creates a one-column table through the *write* interface, inserts the
 //! input, reads it back through the *read* interface, and records an
 //! [`Observation`]. [`crate::shard`] walks the whole space with it and
@@ -11,7 +11,6 @@
 
 use crate::generator::TestInput;
 use crate::plan::{scenario_key, Experiment, Interface, TestPlan};
-use crate::pool::DeploymentPool;
 use csi_core::boundary::CrossingContext;
 use csi_core::detect::{BaselineSet, DetectorSpec};
 use csi_core::diag::DiagSink;
@@ -23,7 +22,7 @@ use csi_core::InteractionError;
 use minihdfs::MiniHdfs;
 use minihive::hiveql::HiveQl;
 use minihive::metastore::{Metastore, StorageFormat};
-use minispark::{SparkConfig, SparkSession};
+use minispark::SparkSession;
 use parking_lot::Mutex;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -45,11 +44,6 @@ pub struct CrossTestConfig {
     /// spec holds only thresholds and frozen baselines, so sharding shares
     /// no mutable detector state. `None` disables detection.
     pub detector: Option<DetectorSpec>,
-    /// Acquire deployments from this warm pool instead of building them
-    /// fresh. Pooled deployments are reset to construction-identical on
-    /// release, so the run is byte-identical either way; `None` (the
-    /// one-shot default) builds and drops per run.
-    pub pool: Option<Arc<DeploymentPool>>,
 }
 
 impl Default for CrossTestConfig {
@@ -60,7 +54,6 @@ impl Default for CrossTestConfig {
             spark_overrides: Vec::new(),
             fault_plan: None,
             detector: None,
-            pool: None,
         }
     }
 }
@@ -88,14 +81,15 @@ impl CrossTestConfig {
 }
 
 /// One full Metastore/MiniHdfs/SparkSession/HiveQl stack plus its
-/// diagnostics sink. Each grid worker in [`crate::shard`] holds its own,
-/// one experiment at a time, so workers never contend on engine state.
+/// diagnostics sink. Each grid worker in [`crate::shard`] builds its own,
+/// one per experiment, and drops it when done, so no two workers, and no
+/// two campaigns, ever share engine state.
 ///
-/// Lock order: `fs` before `metastore`, everywhere — both engines'
-/// statement paths, [`crate::pool`], and `csi-serve`'s tenant registry
-/// take the filesystem guard first (or hold only one of the two at a
-/// time), so no two threads sharing a deployment can each hold the lock
-/// the other wants.
+/// Lock order: the filesystem before the metastore, everywhere — both
+/// engines' statement paths and `csi-serve`'s tenant registry take the
+/// filesystem guard first (or hold only one of the two at a time), so no
+/// two threads sharing a deployment can each hold the lock the other
+/// wants.
 pub(crate) struct Deployment {
     pub(crate) sink: DiagSink,
     pub(crate) spark: SparkSession,
@@ -108,17 +102,19 @@ pub(crate) struct Deployment {
     /// campaign runs with detection.
     pub(crate) detector: Option<DetectorSpec>,
     /// The deployment's filesystem, shared with `spark` and `hive` — held
-    /// so the pool can reset it wholesale when the deployment is released.
+    /// only so the tests can inspect the namespace an observation leaves.
+    #[cfg(test)]
     pub(crate) fs: Arc<Mutex<MiniHdfs>>,
-    /// The deployment's metastore, shared with both engines — held so the
-    /// pool can reset it wholesale when the deployment is released.
+    /// The deployment's metastore, shared with both engines — held only so
+    /// the tests can inspect the namespace an observation leaves.
+    #[cfg(test)]
     pub(crate) metastore: Arc<Mutex<Metastore>>,
 }
 
 impl Deployment {
     /// Builds the stack around `crossing` — which the caller may have
     /// pre-armed, as the fault-matrix cells do. Nothing per-run is
-    /// attached; see [`arm`](Deployment::arm).
+    /// attached; see [`armed`](Deployment::armed).
     pub(crate) fn new(crossing: CrossingContext) -> Deployment {
         let sink = DiagSink::new();
         let mut metastore = Metastore::new();
@@ -135,39 +131,26 @@ impl Deployment {
             hive,
             crossing,
             detector: None,
+            #[cfg(test)]
             fs,
+            #[cfg(test)]
             metastore,
         }
     }
 
-    /// Attaches `config`'s per-run state: sets its Spark overrides on the
-    /// session, arms its fault plan on the crossing context, and keeps its
-    /// detector to judge each observation. The inverse is
-    /// [`reset_to_fresh`](Deployment::reset_to_fresh).
-    pub(crate) fn arm(&mut self, config: &CrossTestConfig) {
+    /// A fresh stack carrying `config`'s per-run state: its Spark
+    /// overrides set on the session, its fault plan armed on the crossing
+    /// context, and its detector kept to judge each observation.
+    pub(crate) fn armed(config: &CrossTestConfig) -> Deployment {
+        let mut deployment = Deployment::new(CrossingContext::new());
         for (k, v) in &config.spark_overrides {
-            self.spark.config.set(k, v);
+            deployment.spark.config.set(k, v);
         }
         if let Some(plan) = &config.fault_plan {
-            self.crossing.arm_plan(plan);
+            deployment.crossing.arm_plan(plan);
         }
-        self.detector = config.detector.clone();
-    }
-
-    /// Strips everything a run attached or left behind, until the stack
-    /// is construction-identical to a fresh one: the Spark overrides, the
-    /// detector, the armed faults, the context's counters, clock and
-    /// trace, both stores (rebuilt from scratch — erasing residue like the
-    /// `next_part` / `next_block_id` cursors that dropping a table leaves
-    /// advanced), and the diagnostics sink.
-    pub(crate) fn reset_to_fresh(&mut self) {
-        self.spark.config = SparkConfig::new();
-        self.detector = None;
-        self.crossing.disarm_all();
-        self.crossing.reset();
-        self.metastore.lock().reset();
-        self.fs.lock().reset();
-        self.sink.drain();
+        deployment.detector = config.detector.clone();
+        deployment
     }
 
     /// Drops `table` (best effort) through the session API and discards
@@ -520,28 +503,6 @@ pub(crate) fn run_one(
     obs
 }
 
-/// Obtains a deployment for `config`: from its warm pool when one is
-/// attached, built fresh otherwise. Every deployment the grid uses goes
-/// through here so pooled and unpooled campaigns share one code path.
-pub(crate) fn acquire_deployment(config: &CrossTestConfig) -> Deployment {
-    match &config.pool {
-        Some(pool) => pool.acquire(config),
-        None => {
-            let mut deployment = Deployment::new(CrossingContext::new());
-            deployment.arm(config);
-            deployment
-        }
-    }
-}
-
-/// Returns a deployment obtained from [`acquire_deployment`]: back to the
-/// pool (reset to fresh) when one is attached, dropped otherwise.
-pub(crate) fn release_deployment(config: &CrossTestConfig, deployment: Deployment) {
-    if let Some(pool) = &config.pool {
-        pool.release(deployment);
-    }
-}
-
 /// Learns per-scenario detector baselines from a finished campaign's
 /// observations: one profile per (experiment, plan, format, input) key.
 /// Learning is keyed, each key occurs once per campaign, so the result is
@@ -645,33 +606,6 @@ mod tests {
         let err = first_column(vec![vec![Value::Int(1)], vec![]]).unwrap_err();
         assert_eq!(err.kind, csi_core::ErrorKind::Crash);
         assert_eq!(err.code, "EMPTY_ROW");
-    }
-
-    #[test]
-    fn pooled_run_is_byte_identical_to_fresh() {
-        use crate::shard::run_cross_test;
-        let inputs = one_input(DataType::Byte, Value::Byte(5), Validity::Valid);
-        let fresh = run_cross_test(&inputs, &CrossTestConfig::default(), 1, 64);
-        let pool = Arc::new(DeploymentPool::new());
-        let pooled_config = CrossTestConfig {
-            pool: Some(pool.clone()),
-            ..CrossTestConfig::default()
-        };
-        // Two back-to-back runs: the second consumes deployments the first
-        // released, so reuse (not just construction) is what's pinned.
-        for round in 0..2 {
-            let pooled = run_cross_test(&inputs, &pooled_config, 1, 64);
-            assert_eq!(
-                serde_json::to_string(&pooled.report).unwrap(),
-                serde_json::to_string(&fresh.report).unwrap(),
-                "pooled round {round} diverged from the fresh run"
-            );
-        }
-        // One worker releases each experiment's deployment before
-        // acquiring the next, so one build serves all six acquires.
-        let stats = pool.stats();
-        assert_eq!(stats.created, 1);
-        assert_eq!(stats.reused, 5);
     }
 
     /// The tables and warehouse directories `d` holds, in name order.

@@ -13,9 +13,9 @@
 //!
 //! Determinism is load-bearing, exactly as everywhere else in the harness:
 //! scheduling is a pure function of (seed, inputs, budget); each round
-//! goes through [`run_ordered`], and absorption happens in trial order. A
-//! sharded explore run is byte-identical to a one-worker one, pinned by
-//! `tests/explore.rs`.
+//! goes through `shard::run_ordered`, and absorption happens in trial
+//! order. A sharded explore run is byte-identical to a one-worker one,
+//! pinned by `tests/explore.rs`.
 
 use crate::classify::Classifier;
 use crate::exec::{self, Deployment};
@@ -242,7 +242,7 @@ impl Explorer {
     }
 
     /// The position of a combo's experiment in `experiments` (and so in
-    /// the classifier and a worker's deployment pools).
+    /// the classifier and a worker's deployments).
     fn exp_idx(&self, combo: usize) -> usize {
         let exp = self.combos[combo].0;
         self.experiments
@@ -311,7 +311,11 @@ impl Explorer {
         batch
     }
 
-    fn run_trial(&self, trial: &Trial, pools: &mut BTreeMap<usize, Deployment>) -> Observation {
+    fn run_trial(
+        &self,
+        trial: &Trial,
+        deployments: &mut BTreeMap<usize, Deployment>,
+    ) -> Observation {
         let (exp, plan, fmt) = self.combos[trial.combo];
         let input = &self.pool[trial.input_idx];
         match &trial.fault {
@@ -324,7 +328,7 @@ impl Explorer {
                 exec::run_one(&d, exp, plan, fmt, input, false)
             }
             None => {
-                let d = pools
+                let d = deployments
                     .entry(self.exp_idx(trial.combo))
                     .or_insert_with(|| Deployment::new(CrossingContext::new()));
                 // Recycling keeps each worker's metastore footprint at one
@@ -478,8 +482,8 @@ pub(crate) fn run_explore(
         }
         // Each worker keeps its own recycling deployments for the round;
         // observations come back in trial order.
-        let observations = run_ordered(ex.shards, batch.len(), BTreeMap::new, |pools, i| {
-            ex.run_trial(&batch[i], pools)
+        let observations = run_ordered(ex.shards, batch.len(), BTreeMap::new, |deployments, i| {
+            ex.run_trial(&batch[i], deployments)
         });
         for (trial, obs) in batch.iter().zip(observations) {
             ex.absorb(trial, obs);

@@ -27,7 +27,6 @@ pub mod generator;
 pub mod inject;
 pub mod multi;
 pub mod plan;
-pub mod pool;
 pub mod shard;
 pub mod shrink;
 pub mod spec;
@@ -44,7 +43,6 @@ pub use inject::{
 };
 pub use multi::{CompoundConfig, CompoundResult, InterleaveSchedule};
 pub use plan::{Experiment, Interface, TestPlan};
-pub use pool::{DeploymentPool, PoolStats};
 pub use shard::{CampaignMetrics, WorkerStats};
 pub use shrink::{reproducer_triggers, Reproducer, ShrunkReproducer};
 pub use spec::{

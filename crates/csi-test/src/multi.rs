@@ -25,7 +25,7 @@
 //! [`prefix_fingerprint`]), and ddmin-shrinks each cluster to a minimal
 //! fault-set + interleaving reproducer. Determinism is load-bearing, as
 //! everywhere else in the harness: trials are hermetic (fresh deployment
-//! per trial), each round goes through [`run_ordered`], and absorption
+//! per trial), each round goes through `shard::run_ordered`, and absorption
 //! happens in trial order — a sharded compound pass is byte-identical to
 //! a one-worker one, pinned by `tests/kfault.rs`.
 

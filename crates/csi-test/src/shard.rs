@@ -1,23 +1,22 @@
 //! The one executor: an ordered worker pool, and the cross-test grid on it.
 //!
-//! [`run_ordered`] is the only place the harness spawns threads. Every
+//! `run_ordered` is the only place the harness spawns threads. Every
 //! [`crate::Campaign`] mode hands it `n` independent jobs — grid shards
 //! here, fault-matrix cells in [`crate::inject`], explore rounds in
 //! [`crate::explore`], compound trials in [`crate::multi`] — and gets the
 //! results back in index order, whatever worker ran them. Serial is
 //! `workers = 1`: the same closure, inline on the calling thread.
 //!
-//! The cross-test grid ([`run_cross_test`]) shards the (experiment, plan,
+//! The cross-test grid (`run_cross_test`) shards the (experiment, plan,
 //! format, input) space into (experiment, plan, format, input-chunk) work
 //! units:
 //!
-//! - **One deployment per worker at a time** — a worker holds a
-//!   Metastore/MiniHdfs/SparkSession/HiveQl stack that only ever served
-//!   one experiment. Shard indices are claimed in increasing order and
-//!   shards are experiment-major, so when a worker first claims a shard
-//!   of the next experiment it is done with the previous one and hands
-//!   its stack back (to the warm pool, when one is attached) before
-//!   acquiring the next.
+//! - **One deployment per worker per experiment** — a worker builds a
+//!   Metastore/MiniHdfs/SparkSession/HiveQl stack for one experiment and
+//!   no other. Shard indices are claimed in increasing order and shards
+//!   are experiment-major, so when a worker first claims a shard of the
+//!   next experiment it is done with the previous one: it drops that
+//!   stack and builds the next.
 //! - **Deterministic merge** — workers only *record* observations. The
 //!   merger walks the shards in canonical (experiment, plan, format,
 //!   input-id) order and hands each observation to the one
@@ -29,7 +28,7 @@
 //! [`DiscrepancyReport`]: csi_core::report::DiscrepancyReport
 
 use crate::classify::Classifier;
-use crate::exec::{acquire_deployment, release_deployment, run_one, CrossTestConfig, Deployment};
+use crate::exec::{run_one, CrossTestConfig, Deployment};
 use crate::generator::TestInput;
 use crate::plan::{Experiment, TestPlan};
 use csi_core::oracle::Observation;
@@ -170,8 +169,8 @@ fn build_shards(inputs_len: usize, config: &CrossTestConfig, chunk_size: usize) 
 }
 
 /// One worker's private state on the grid: the deployment it currently
-/// holds and its share of the campaign metrics. Dropping it hands the
-/// deployment back and files the worker's [`WorkerStats`].
+/// holds and its share of the campaign metrics. Dropping it drops the
+/// deployment and files the worker's [`WorkerStats`].
 struct GridWorker<'a> {
     config: &'a CrossTestConfig,
     stats: &'a Mutex<Vec<WorkerStats>>,
@@ -184,27 +183,19 @@ struct GridWorker<'a> {
 }
 
 impl GridWorker<'_> {
-    /// The deployment for `experiment_idx`, first releasing the one held
-    /// for an earlier experiment: claimed shard indices only grow, so this
-    /// worker will not see that experiment again.
+    /// The deployment for `experiment_idx`, replacing the one held for an
+    /// earlier experiment: claimed shard indices only grow, so this worker
+    /// will not see that experiment again.
     fn deployment_for(&mut self, experiment_idx: usize) -> &Deployment {
         if !matches!(self.deployment, Some((held, _)) if held == experiment_idx) {
-            self.release();
-            self.deployment = Some((experiment_idx, acquire_deployment(self.config)));
+            self.deployment = Some((experiment_idx, Deployment::armed(self.config)));
         }
-        &self.deployment.as_ref().expect("just acquired").1
-    }
-
-    fn release(&mut self) {
-        if let Some((_, deployment)) = self.deployment.take() {
-            release_deployment(self.config, deployment);
-        }
+        &self.deployment.as_ref().expect("just built").1
     }
 }
 
 impl Drop for GridWorker<'_> {
     fn drop(&mut self) {
-        self.release();
         let lifetime_micros = self.started.elapsed().as_micros().max(1) as u64;
         let mut stats = self.stats.lock();
         let worker = stats.len();

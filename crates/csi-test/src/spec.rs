@@ -33,9 +33,9 @@ pub const MAX_SHARDS: usize = 256;
 /// enumeration limit of [`csi_core::fault::fault_combinations`].
 pub const MAX_KFAULTS: usize = 3;
 
-/// Upper bound on the entries of [`CampaignSpec::spark_overrides`]: every
-/// distinct list is a shelf key of the deployment pool and a `config.set`
-/// loop per deployment, so a revived spec may not size them freely.
+/// Upper bound on the entries of [`CampaignSpec::spark_overrides`]: the
+/// list is one `config.set` loop per deployment the campaign builds, so a
+/// revived spec may not size it freely.
 pub const MAX_OVERRIDES: usize = 64;
 
 /// Upper bound, in bytes, on each override key and each override value.
@@ -194,11 +194,10 @@ impl std::error::Error for SpecError {}
 ///
 /// Field semantics are exactly those of the corresponding
 /// [`Campaign`](crate::Campaign) builder methods; the builder is now a
-/// thin mutation layer over this struct. Runtime-only attachments (the
-/// detection tap, a shared deployment pool) deliberately live on the
-/// builder, not here: a spec describes *what* to run, never *where its
-/// output goes*, so serializing and re-running a spec is always
-/// byte-deterministic.
+/// thin mutation layer over this struct. The runtime-only detection tap
+/// deliberately lives on the builder, not here: a spec describes *what*
+/// to run, never *where its output goes*, so serializing and re-running a
+/// spec is always byte-deterministic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// Inputs to run.

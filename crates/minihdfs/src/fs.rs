@@ -708,22 +708,6 @@ impl MiniHdfs {
         under
     }
 
-    /// Restores the namenode to the state of a freshly constructed
-    /// cluster with the same datanode fleet size: empty namespace, clock
-    /// at zero, safe mode off (datanodes re-registered), block-id and
-    /// token counters rewound, quotas gone — while keeping the attached
-    /// crossing context.
-    ///
-    /// A deployment pool recycling a namenode across campaigns uses this
-    /// so a pooled instance is indistinguishable — byte for byte,
-    /// including block ids appearing in diagnostics — from one built by
-    /// [`MiniHdfs::with_datanodes`].
-    pub fn reset(&mut self) {
-        let crossing = self.crossing.take();
-        *self = MiniHdfs::with_datanodes(self.datanodes.len() as u32);
-        self.crossing = crossing;
-    }
-
     /// Does nothing: the namespace is a tree of names with no layout to
     /// compact, so it is a function of the live files alone. Kept so
     /// callers that time a recycle step still compile.

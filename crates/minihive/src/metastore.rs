@@ -170,21 +170,6 @@ impl Metastore {
         &self.warehouse_root
     }
 
-    /// Restores the metastore to its just-constructed state — only the
-    /// `default` database, no tables, and the part counter back at zero —
-    /// while keeping the attached crossing context.
-    ///
-    /// This is the metastore half of deployment recycling: `next_part`
-    /// numbers leak into warehouse file paths (and from there into
-    /// engine error messages), so a pooled deployment that skipped this
-    /// reset would produce observably different diagnostics than a fresh
-    /// one.
-    pub fn reset(&mut self) {
-        let crossing = self.crossing.take();
-        *self = Metastore::new();
-        self.crossing = crossing;
-    }
-
     /// Creates a database. Idempotent.
     pub fn create_database(&mut self, name: &str) {
         self.databases.entry(name.to_ascii_lowercase()).or_default();
