@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs) and case-without-a-copy guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy and buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it) guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -100,6 +100,14 @@ stage_lint() {
   echo "==> case guard (a name's case is checked in place, never against a folded copy)"
   if grep -rnE --include='*.rs' '(==|!=) *[A-Za-z_][A-Za-z0-9_.]*\.to_ascii_(lower|upper)case\(\)' crates/; then
     echo "check the bytes instead: \`name.bytes().any(|b| b.is_ascii_uppercase())\`, or \`eq_ignore_ascii_case\`" >&2
+    exit 1
+  fi
+  # HDFS keeps the buffer a writer hands it by value and copies one it
+  # only borrows: an engine that lends its encoded file pays a copy of the
+  # whole file per write.
+  echo "==> buffer guard (an engine hands HDFS its encoded file by value)"
+  if grep -rnE --include='*.rs' '\.create(_with|_compressed)?\([^,]*, *&' crates/minispark/src crates/minihive/src crates/minihbase/src; then
+    echo "pass the encoded Vec<u8> itself: \`fs.create(&path, bytes)\`, not \`&bytes\`" >&2
     exit 1
   fi
   # The row reference codec and the batch codec agree byte for byte

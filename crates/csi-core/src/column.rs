@@ -336,6 +336,18 @@ impl ColumnValues {
     }
 }
 
+/// How two columns compare under [`ValueColumn::compare`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColumnMatch {
+    /// Same length, validity and buffer kind, with lanes equal bit for
+    /// bit: the two fingerprint equally.
+    Identical,
+    /// Canonically equal, cell by cell, without being identical.
+    Canonical,
+    /// Not canonically equal.
+    Unequal,
+}
+
 /// A typed column of [`Value`]s with a validity bitmap.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ValueColumn {
@@ -483,34 +495,51 @@ impl ValueColumn {
         self.values = ColumnValues::Mixed(cells);
     }
 
-    /// Vectorized counterpart of element-wise [`Value::canonical_eq`].
+    /// Vectorized counterpart of element-wise [`Value::canonical_eq`]:
+    /// whether [`compare`](ValueColumn::compare) finds the columns
+    /// [`Identical`](ColumnMatch::Identical) or
+    /// [`Canonical`](ColumnMatch::Canonical).
+    pub fn canonical_eq(&self, other: &ValueColumn) -> bool {
+        self.compare(other) != ColumnMatch::Unequal
+    }
+
+    /// Compares two columns in one pass.
     ///
     /// Fast path: same buffer kind + word-equal validity bitmaps + raw
-    /// buffer equality ⇒ equal, with no per-cell work. Slow path (raw
-    /// bytes differ, or either side is [`ColumnValues::Mixed`]): per-slot
-    /// canonical comparison, because float NaN payloads, signed zeros and
-    /// decimal rescalings are canonically equal without being raw-equal.
-    pub fn canonical_eq(&self, other: &ValueColumn) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        if !self.validity.same_as(&other.validity) {
-            return false;
+    /// buffer equality ⇒ [`ColumnMatch::Identical`], with no per-cell
+    /// work. Slow path (raw bytes differ, or either side is
+    /// [`ColumnValues::Mixed`]): per-slot canonical comparison, because
+    /// float NaN payloads, signed zeros and decimal rescalings are
+    /// canonically equal without being raw-equal.
+    pub fn compare(&self, other: &ValueColumn) -> ColumnMatch {
+        if self.len() != other.len() || !self.validity.same_as(&other.validity) {
+            return ColumnMatch::Unequal;
         }
         if self.values.raw_eq(&other.values) {
-            return true;
+            return ColumnMatch::Identical;
         }
-        (0..self.len()).all(|i| {
+        let equal = (0..self.len()).all(|i| {
             if !self.validity.get(i) {
                 return true; // both NULL: validity already matched
             }
             self.values.get(i).canonical_eq(&other.values.get(i))
-        })
+        });
+        if equal {
+            ColumnMatch::Canonical
+        } else {
+            ColumnMatch::Unequal
+        }
     }
 
-    /// A stable 64-bit fingerprint of the column's canonical content.
-    /// Equal columns (under [`ValueColumn::canonical_eq`]) fingerprint
-    /// equally; hashing runs over canonical lanes, not signature strings.
+    /// A stable 64-bit fingerprint of the column: its length, validity
+    /// words and lanes, hashed over canonical lanes, not signature strings.
+    ///
+    /// [`Identical`](ColumnMatch::Identical) columns fingerprint equally,
+    /// and so do typed columns that differ only in float NaN payloads,
+    /// signed zeros or decimal scale. Canonically equal columns in
+    /// general need not: a [`ColumnValues::Mixed`] column hashes its
+    /// cells' signatures, not a typed column's lanes, and a string or
+    /// binary column hashes the bytes its NULL slots hold.
     pub fn fingerprint(&self) -> u64 {
         let mut h = WordFnv::new();
         h.word(self.len() as u64);
@@ -787,6 +816,32 @@ mod tests {
         );
         assert!(f1.canonical_eq(&f2));
         assert_eq!(f1.fingerprint(), f2.fingerprint());
+    }
+
+    #[test]
+    fn canonically_equal_columns_may_fingerprint_apart() {
+        // An INT lane and a LONG column demoted to `Mixed` by the same INT
+        // cell: equal cell by cell, hashed from different representations.
+        let typed = int_col(&[Some(1)]);
+        let mixed = ValueColumn::from_values(&DataType::Long, &[Value::Int(1)]);
+        assert!(matches!(mixed.values(), ColumnValues::Mixed(_)));
+        assert_eq!(typed.compare(&mixed), ColumnMatch::Canonical);
+        assert!(typed.canonical_eq(&mixed));
+        assert_eq!(typed.fingerprint(), 0xc05f_d04f_66f5_e581);
+        assert_eq!(mixed.fingerprint(), 0xc6eb_e3b8_f2c1_c67a);
+    }
+
+    #[test]
+    fn compare_tells_identical_from_canonical_from_unequal() {
+        let a = int_col(&[Some(1), None, Some(3)]);
+        assert_eq!(a.compare(&a.clone()), ColumnMatch::Identical);
+        assert_eq!(
+            a.compare(&int_col(&[Some(1), Some(0), Some(3)])),
+            ColumnMatch::Unequal
+        );
+        assert_eq!(a.compare(&int_col(&[Some(1), None])), ColumnMatch::Unequal);
+        let zero = |z: f64| ValueColumn::from_values(&DataType::Double, &[Value::Double(z)]);
+        assert_eq!(zero(-0.0).compare(&zero(0.0)), ColumnMatch::Canonical);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! into distinct discrepancies.
 
 use crate::boundary::InteractionTrace;
-use crate::column::ValueColumn;
+use crate::column::{ColumnMatch, ValueColumn};
 use crate::detect::Detection;
 use crate::diag::{Diagnostic, Level};
 use crate::error::InteractionError;
@@ -285,8 +285,22 @@ pub fn check_write_read_columns(
     expected: &ValueColumn,
     actual: &ValueColumn,
 ) -> Option<OracleFailure> {
-    if expected.canonical_eq(actual) {
-        return None;
+    judge_write_read_columns(input_id, plan, format, expected, actual).err()
+}
+
+/// [`check_write_read_columns`], also saying how a passing column came
+/// back: [`ColumnMatch::Identical`] or [`ColumnMatch::Canonical`], from
+/// the same [`ValueColumn::compare`] pass that gives the verdict.
+pub fn judge_write_read_columns(
+    input_id: usize,
+    plan: &str,
+    format: &str,
+    expected: &ValueColumn,
+    actual: &ValueColumn,
+) -> Result<ColumnMatch, OracleFailure> {
+    let matched = expected.compare(actual);
+    if matched != ColumnMatch::Unequal {
+        return Ok(matched);
     }
     let detail = if expected.len() != actual.len() {
         format!(
@@ -304,7 +318,7 @@ pub fn check_write_read_columns(
             expected.get(first).signature()
         )
     };
-    Some(OracleFailure {
+    Err(OracleFailure {
         oracle: OracleKind::WriteRead,
         input_id,
         plans: vec![plan.to_string()],

@@ -6,7 +6,7 @@
 //! written and read through the engines' columnar entry points
 //! ([`DataFrameApi::insert_columns`] / [`HiveQl::insert_columns`]) and
 //! checked by the vectorized write–read oracle
-//! ([`check_write_read_columns`]) plus a fingerprint-based differential
+//! ([`judge_write_read_columns`]) plus a fingerprint-based differential
 //! oracle across plans.
 //!
 //! Everything is deterministic in `(rows, seed, formats)`: the generator
@@ -16,15 +16,16 @@
 //!
 //! [`DataFrameApi::insert_columns`]: minispark::dataframe::DataFrameApi::insert_columns
 //! [`HiveQl::insert_columns`]: minihive::hiveql::HiveQl::insert_columns
-//! [`check_write_read_columns`]: csi_core::oracle::check_write_read_columns
+//! [`judge_write_read_columns`]: csi_core::oracle::judge_write_read_columns
 
 use crate::exec::Deployment;
 use crate::generator::{bulk_schema, generate_bulk_columns};
 use crate::plan::Interface;
 use csi_core::boundary::CrossingContext;
-use csi_core::column::ValueColumn;
+use csi_core::column::{ColumnMatch, ValueColumn};
 use csi_core::hash::Fnv1a;
-use csi_core::oracle::{check_write_read_columns, OracleFailure};
+use csi_core::oracle::{judge_write_read_columns, OracleFailure};
+use csi_core::value::StructField;
 use csi_core::InteractionError;
 use minihive::metastore::StorageFormat;
 use serde::Serialize;
@@ -200,19 +201,65 @@ fn bulk_read(
 /// Combined digest over a table's columns: FNV-1a over the per-column
 /// fingerprints, so two reads agree iff every column fingerprints equally.
 pub fn table_digest(cols: &[ValueColumn]) -> u64 {
+    digest_of(cols.iter().map(ValueColumn::fingerprint))
+}
+
+/// FNV-1a over column fingerprints, in column order.
+fn digest_of(prints: impl Iterator<Item = u64>) -> u64 {
     let mut h = Fnv1a::new();
-    for c in cols {
-        h.bytes(&c.fingerprint().to_le_bytes());
+    for print in prints {
+        h.bytes(&print.to_le_bytes());
     }
     h.finish()
+}
+
+/// The table every cell of a campaign writes, with its column
+/// fingerprints, hashed once per campaign.
+struct ExpectedTable {
+    schema: Vec<StructField>,
+    cols: Vec<ValueColumn>,
+    prints: Vec<u64>,
+}
+
+impl ExpectedTable {
+    fn new(cols: Vec<ValueColumn>) -> ExpectedTable {
+        ExpectedTable {
+            schema: bulk_schema(),
+            prints: cols.iter().map(ValueColumn::fingerprint).collect(),
+            cols,
+        }
+    }
+
+    /// Judges one cell's read-back table: the write–read failures, one per
+    /// diverging column, and the cell's digest, [`table_digest`] of
+    /// `actual`. A column the write–read compare finds bitwise identical to
+    /// its expected column takes the expected fingerprint; every other
+    /// column, a canonically equal one included, is hashed.
+    fn judge(&self, plan: &str, format: &str, actual: &[ValueColumn]) -> (u64, Vec<String>) {
+        let mut failures = Vec::new();
+        let prints = actual.iter().enumerate().map(|(i, act)| {
+            let Some(exp) = self.cols.get(i) else {
+                return act.fingerprint();
+            };
+            match judge_write_read_columns(i, plan, format, exp, act) {
+                Ok(ColumnMatch::Identical) => self.prints[i],
+                Ok(_) => act.fingerprint(),
+                Err(OracleFailure { detail, .. }) => {
+                    failures.push(format!("column {}: {detail}", self.schema[i].name));
+                    act.fingerprint()
+                }
+            }
+        });
+        let digest = digest_of(prints);
+        (digest, failures)
+    }
 }
 
 /// Runs a bulk campaign: every bulk plan crossed with every format, each
 /// in a fresh deployment, checked by the vectorized write–read oracle and
 /// a per-format digest differential.
 pub fn run_bulk(config: &BulkConfig) -> BulkReport {
-    let schema = bulk_schema();
-    let expected = generate_bulk_columns(config.rows, config.seed);
+    let expected = ExpectedTable::new(generate_bulk_columns(config.rows, config.seed));
     let mut cells = Vec::with_capacity(BULK_PLANS.len() * config.formats.len());
     let mut differential = Vec::new();
     for format in &config.formats {
@@ -223,7 +270,7 @@ pub fn run_bulk(config: &BulkConfig) -> BulkReport {
             // per-op trace sink would dominate at millions of rows.
             let d = Deployment::new(CrossingContext::disabled());
             let table = format!("bulk_{}", format.extension());
-            let outcome = bulk_write(&d, write, &table, *format, &expected)
+            let outcome = bulk_write(&d, write, &table, *format, &expected.cols)
                 .and_then(|()| bulk_read(&d, read, &table));
             let cell = match outcome {
                 Err(e) => BulkCell {
@@ -235,15 +282,7 @@ pub fn run_bulk(config: &BulkConfig) -> BulkReport {
                     failures: Vec::new(),
                 },
                 Ok(actual) => {
-                    let mut failures: Vec<String> = Vec::new();
-                    for (i, (exp, act)) in expected.iter().zip(&actual).enumerate() {
-                        if let Some(OracleFailure { detail, .. }) =
-                            check_write_read_columns(i, &plan, format.name(), exp, act)
-                        {
-                            failures.push(format!("column {}: {detail}", schema[i].name));
-                        }
-                    }
-                    let digest = table_digest(&actual);
+                    let (digest, failures) = expected.judge(&plan, format.name(), &actual);
                     digests.push((plan.clone(), digest));
                     BulkCell {
                         plan: plan.clone(),
@@ -284,6 +323,9 @@ pub fn run_bulk(config: &BulkConfig) -> BulkReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csi_core::column::ColumnValues;
+    use csi_core::oracle::check_write_read_columns;
+    use csi_core::value::{DataType, Value};
 
     #[test]
     fn bulk_campaign_is_clean_and_deterministic() {
@@ -297,6 +339,59 @@ mod tests {
         let b = run_bulk(&config);
         assert_eq!(a, b);
         assert_eq!(a.render(), b.render());
+    }
+
+    /// A cell's failures, column by column from [`check_write_read_columns`].
+    fn failures_alone(expected: &[ValueColumn], actual: &[ValueColumn]) -> Vec<String> {
+        let schema = bulk_schema();
+        expected
+            .iter()
+            .zip(actual)
+            .enumerate()
+            .filter_map(|(i, (exp, act))| {
+                let failure = check_write_read_columns(i, "p", "orc", exp, act)?;
+                Some(format!("column {}: {}", schema[i].name, failure.detail))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cell_reuses_only_identical_fingerprints() {
+        let cols = generate_bulk_columns(64, 7);
+        let int = 1;
+        assert_eq!(bulk_schema()[int].data_type, DataType::Int);
+        let mixed = ValueColumn::from_values(&DataType::Long, &cols[int].to_values());
+        assert!(matches!(mixed.values(), ColumnValues::Mixed(_)));
+        assert!(mixed.canonical_eq(&cols[int]));
+        let mut demoted = cols.clone();
+        demoted[int] = mixed;
+        let mut changed = cols.clone();
+        let mut cells = changed[int].to_values();
+        let row = cells
+            .iter()
+            .position(|v| !v.is_null())
+            .expect("a non-NULL cell");
+        cells[row] = Value::Int(i32::MIN);
+        changed[int] = ValueColumn::from_values(&DataType::Int, &cells);
+        let mut missing = cols.clone();
+        missing.remove(int);
+
+        let expected = ExpectedTable::new(cols.clone());
+        let cases = [
+            ("expected", cols.clone(), 0),
+            ("demoted", demoted, 0),
+            ("changed", changed, 1),
+            ("missing", missing, 7),
+        ];
+        for (name, actual, failing) in cases {
+            let (digest, failures) = expected.judge("p", "orc", &actual);
+            assert_eq!(
+                (digest, &failures),
+                (table_digest(&actual), &failures_alone(&cols, &actual)),
+                "{name}"
+            );
+            assert_eq!(failures.len(), failing, "{name}: {failures:?}");
+        }
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl Region {
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         let path = Self::base_dir(&self.name).join(&format!("hfile-{:08}", self.hfiles.len()));
-        fs.create(&path, &encode_cells(&cells))?;
+        fs.create(&path, encode_cells(&cells))?;
         self.hfiles.push(path);
         for (k, v) in cells {
             match self.store.get(&k) {
@@ -280,7 +280,7 @@ impl Region {
         self.store = live.iter().cloned().collect();
         if !live.is_empty() {
             let path = Self::base_dir(&self.name).join("hfile-00000000");
-            fs.create(&path, &encode_cells(&live))?;
+            fs.create(&path, encode_cells(&live))?;
             self.hfiles.push(path);
         }
         Ok(())

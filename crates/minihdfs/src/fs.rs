@@ -14,12 +14,13 @@
 use crate::error::HdfsError;
 use crate::path::HdfsPath;
 use crate::token::{DelegationToken, TokenCheck, TokenId, TokenRegistry};
-use bytes::Bytes;
 use csi_core::boundary::{BoundaryCall, CrossingContext};
 use csi_core::fault::{Channel, FaultKind, FaultPoint};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 
 /// Identifier of a simulated datanode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -100,6 +101,42 @@ pub struct BlockInfo {
     pub replicas: Vec<DataNodeId>,
 }
 
+/// The least spare capacity of a writer's buffer that a create hands
+/// back to the allocator.
+const SPARE_PAGE: usize = 4096;
+
+/// A whole file as a read delivers it: the namenode's stored bytes, lent
+/// for as long as the filesystem is borrowed, or an owned copy when an
+/// injected fault garbled it on the wire.
+///
+/// Debug-renders as a byte string literal (`b"…"`, ASCII-escaped).
+#[derive(Clone, PartialEq, Eq)]
+pub struct FileBytes<'a>(Cow<'a, [u8]>);
+
+impl Deref for FileBytes<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl AsRef<[u8]> for FileBytes<'_> {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl fmt::Debug for FileBytes<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("b\"")?;
+        for &b in self.iter() {
+            write!(f, "{}", std::ascii::escape_default(b))?;
+        }
+        f.write_str("\"")
+    }
+}
+
 /// A directory quota: caps on the inodes and the file bytes strictly
 /// under it.
 #[derive(Debug)]
@@ -118,7 +155,8 @@ enum Node {
         mtime: u64,
     },
     File {
-        data: Bytes,
+        /// The buffer the writer handed over, or a copy of a borrowed one.
+        data: Vec<u8>,
         props: FileProperties,
         replication: u32,
         blocks: Vec<BlockInfo>,
@@ -358,13 +396,24 @@ impl MiniHdfs {
     }
 
     /// Writes a whole file with default properties, creating parents.
-    pub fn create(&mut self, path: &HdfsPath, data: &[u8]) -> Result<(), HdfsError> {
+    ///
+    /// An owned `Vec<u8>` is stored as it is; a borrowed slice is copied
+    /// once.
+    pub fn create<'d>(
+        &mut self,
+        path: &HdfsPath,
+        data: impl Into<Cow<'d, [u8]>>,
+    ) -> Result<(), HdfsError> {
         self.create_with(path, data, FileProperties::default(), "hdfs", 0o644)
     }
 
     /// Writes a compressed file: content stored as-is, but the status
     /// reports length `-1`.
-    pub fn create_compressed(&mut self, path: &HdfsPath, data: &[u8]) -> Result<(), HdfsError> {
+    pub fn create_compressed<'d>(
+        &mut self,
+        path: &HdfsPath,
+        data: impl Into<Cow<'d, [u8]>>,
+    ) -> Result<(), HdfsError> {
         self.create_with(
             path,
             data,
@@ -383,14 +432,19 @@ impl MiniHdfs {
     /// missing directories are made from where it stopped. Making them is
     /// the parent's `mkdirs`, so a create crosses `create`, then `mkdirs`
     /// of the parent, as a client's two RPCs would.
-    pub fn create_with(
+    ///
+    /// The file keeps the writer's buffer: an owned `Vec<u8>` is stored
+    /// as it is, less a spare capacity of a page or more, and a borrowed
+    /// slice is copied once.
+    pub fn create_with<'d>(
         &mut self,
         path: &HdfsPath,
-        data: &[u8],
+        data: impl Into<Cow<'d, [u8]>>,
         props: FileProperties,
         owner: &str,
         permissions: u16,
     ) -> Result<(), HdfsError> {
+        let data = data.into();
         self.cross("create", path)?;
         self.check_mutable()?;
         let Some(name) = path.name() else {
@@ -419,17 +473,25 @@ impl MiniHdfs {
         let mut walk = walk.make_dirs(path, depth, self.clock_ms)?;
         walk.check_namespace(path)?;
         walk.check_space(path, data.len() as u64)?;
+        let blocks = allocate_blocks(
+            &mut self.next_block_id,
+            &self.datanodes,
+            self.block_size,
+            self.default_replication,
+            data.len() as u64,
+        );
+        let mut data = data.into_owned();
+        // An encoder sizes its buffer by a bound: hand a page or more of
+        // spare capacity back. A smaller tail is not worth splitting the
+        // allocation for.
+        if data.capacity() - data.len() >= SPARE_PAGE {
+            data.shrink_to_fit();
+        }
         let file = Node::File {
-            data: Bytes::copy_from_slice(data),
+            data,
             props,
             replication: self.default_replication,
-            blocks: allocate_blocks(
-                &mut self.next_block_id,
-                &self.datanodes,
-                self.block_size,
-                self.default_replication,
-                data.len() as u64,
-            ),
+            blocks,
             mtime: self.clock_ms,
             owner: owner.to_string(),
             permissions,
@@ -465,9 +527,7 @@ impl MiniHdfs {
         else {
             unreachable!("the walk stopped at this file");
         };
-        let mut combined = existing.to_vec();
-        combined.extend_from_slice(data);
-        *existing = Bytes::from(combined);
+        existing.extend_from_slice(data);
         // Drop a trailing empty block left by an empty create.
         if blocks.len() == 1 && blocks[0].len == 0 && !data.is_empty() {
             blocks.clear();
@@ -510,31 +570,38 @@ impl MiniHdfs {
     /// but delivers deterministically garbled bytes — corruption on the
     /// wire is invisible to the namenode, so it is the caller's
     /// deserializer that has to notice.
-    pub fn read(&self, path: &HdfsPath) -> Result<Bytes, HdfsError> {
+    ///
+    /// A clean read lends the stored bytes; only the garbled one is a copy.
+    pub fn read(&self, path: &HdfsPath) -> Result<FileBytes<'_>, HdfsError> {
         if let Some(ctx) = &self.crossing {
             let call =
                 BoundaryCall::new(Channel::Hdfs, "read").with_payload_fmt(format_args!("{path}"));
             if let Some(fault) = ctx.intercept(call) {
                 if fault.kind == FaultKind::CorruptPayload {
                     let clean = self.read_inode(path)?;
-                    return Ok(garble(&clean));
+                    return Ok(FileBytes(Cow::Owned(garble(clean))));
                 }
                 return Err(HdfsError::materialize(&fault));
             }
         }
         self.read_inode(path)
+            .map(|data| FileBytes(Cow::Borrowed(data)))
     }
 
-    fn read_inode(&self, path: &HdfsPath) -> Result<Bytes, HdfsError> {
+    fn read_inode(&self, path: &HdfsPath) -> Result<&[u8], HdfsError> {
         match self.resolve(path) {
             None => Err(HdfsError::FileNotFound(path.clone())),
             Some(Node::Dir { .. }) => Err(HdfsError::IsADirectory(path.clone())),
-            Some(Node::File { data, .. }) => Ok(data.clone()),
+            Some(Node::File { data, .. }) => Ok(data),
         }
     }
 
     /// Reads a whole file, verifying a delegation token first.
-    pub fn read_with_token(&self, path: &HdfsPath, token: TokenId) -> Result<Bytes, HdfsError> {
+    pub fn read_with_token(
+        &self,
+        path: &HdfsPath,
+        token: TokenId,
+    ) -> Result<FileBytes<'_>, HdfsError> {
         match self.tokens.check(token, self.clock_ms) {
             TokenCheck::Valid => self.read(path),
             TokenCheck::Expired { expired_at } => Err(HdfsError::TokenInvalid {
@@ -1025,14 +1092,14 @@ fn partial(path: &HdfsPath, depth: usize) -> HdfsPath {
 }
 
 /// Deterministically corrupts a payload: truncate to half and flip bits.
-fn garble(data: &Bytes) -> Bytes {
-    let garbled: Vec<u8> = data[..data.len() / 2].iter().map(|b| b ^ 0xA5).collect();
-    Bytes::from(garbled)
+fn garble(data: &[u8]) -> Vec<u8> {
+    data[..data.len() / 2].iter().map(|b| b ^ 0xA5).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csi_core::fault::{FaultSpec, Trigger};
     use proptest::prelude::*;
 
     /// The multi-walk `mkdirs`, `create_with`, `append` and `delete` the
@@ -1195,7 +1262,7 @@ mod tests {
             fs.check_namespace_quota(path)?;
             fs.check_space_quota(path, data.len() as u64)?;
             let file = Node::File {
-                data: Bytes::copy_from_slice(data),
+                data: data.to_vec(),
                 props,
                 replication: fs.default_replication,
                 blocks: allocate_blocks(fs, data.len() as u64),
@@ -1227,9 +1294,7 @@ mod tests {
             else {
                 unreachable!("checked above");
             };
-            let mut combined = existing.to_vec();
-            combined.extend_from_slice(data);
-            *existing = Bytes::from(combined);
+            existing.extend_from_slice(data);
             if blocks.len() == 1 && blocks[0].len == 0 && !data.is_empty() {
                 blocks.clear();
             }
@@ -1355,7 +1420,7 @@ mod tests {
                 format!("{:?}", reference::mkdirs(reference, p)),
             ),
             Op::Create(p, len) => (
-                format!("{:?}", fs.create_with(p, &data(*len), props, "hive", 0o600)),
+                format!("{:?}", fs.create_with(p, data(*len), props, "hive", 0o600)),
                 format!(
                     "{:?}",
                     reference::create_with(reference, p, &data(*len), props, "hive", 0o600)
@@ -1713,6 +1778,92 @@ mod tests {
         let big = vec![1u8; 200];
         fs.append(&p("/log"), &big).unwrap();
         assert!(fs.blocks(&p("/log")).unwrap().len() >= 2);
+    }
+
+    #[test]
+    fn a_file_keeps_the_writers_buffer_and_reads_lend_it() {
+        let mut fs = MiniHdfs::with_datanodes(3);
+        let data = b"a\n\xff".to_vec();
+        fs.create(&p("/f"), data.clone()).unwrap();
+        let (one, two) = (fs.read(&p("/f")).unwrap(), fs.read(&p("/f")).unwrap());
+        assert_eq!(one.as_ref(), &data[..]);
+        assert_eq!(one.as_ptr(), two.as_ptr());
+        // Rendered as the byte string literal the substrate traces pin.
+        assert_eq!(format!("{:?}", fs.read(&p("/f"))), r#"Ok(b"a\n\xff")"#);
+        // A page or more of spare capacity is handed back, less is kept.
+        let capacity = |fs: &MiniHdfs, path| match fs.resolve(&p(path)) {
+            Some(Node::File { data, .. }) => data.capacity(),
+            _ => unreachable!("a file"),
+        };
+        for (path, spare, kept) in [("/small", 100, 104), ("/roomy", SPARE_PAGE, 4)] {
+            let mut data = Vec::with_capacity(4 + spare);
+            data.extend_from_slice(b"1234");
+            fs.create(&p(path), data).unwrap();
+            assert_eq!(capacity(&fs, path), kept, "{path}");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_read_garbles_a_copy_and_leaves_the_file() {
+        let mut fs = MiniHdfs::with_datanodes(3);
+        let ctx = CrossingContext::new();
+        ctx.arm(FaultSpec {
+            id: "hdfs-corrupt-read".into(),
+            channel: Channel::Hdfs,
+            op: "read".into(),
+            kind: FaultKind::CorruptPayload,
+            trigger: Trigger::OnCall(0),
+        });
+        fs.set_crossing(ctx);
+        fs.create(&p("/f"), vec![1u8, 2, 3, 4, 5]).unwrap();
+        assert_eq!(fs.read(&p("/f")).unwrap().as_ref(), [1 ^ 0xA5, 2 ^ 0xA5]);
+        assert_eq!(fs.read(&p("/f")).unwrap().as_ref(), [1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn append_extends_the_stored_buffer_and_blocks_in_place() {
+        let mut fs = MiniHdfs::with_datanodes(2);
+        fs.create(&p("/empty"), Vec::new()).unwrap();
+        fs.append(&p("/empty"), b"x").unwrap();
+        fs.create(&p("/log"), vec![7u8; 100]).unwrap();
+        fs.append(&p("/log"), &[8u8; 100]).unwrap();
+        fs.append(&p("/log"), b"").unwrap();
+        assert_eq!(fs.read(&p("/empty")).unwrap().as_ref(), b"x");
+        let log = fs.read(&p("/log")).unwrap().to_vec();
+        assert_eq!(log, [[7u8; 100], [8u8; 100]].concat());
+        let layout = |path| -> Vec<(u64, u64, Vec<DataNodeId>)> {
+            let blocks = fs.blocks(&p(path)).unwrap();
+            blocks
+                .into_iter()
+                .map(|b| (b.id, b.len, b.replicas))
+                .collect()
+        };
+        let (d0, d1) = (DataNodeId(0), DataNodeId(1));
+        assert_eq!(layout("/empty"), [(1, 1, vec![d0, d1])]);
+        assert_eq!(
+            layout("/log"),
+            [
+                (2, 100, vec![d0, d1]),
+                (3, 100, vec![d0, d1]),
+                (4, 0, vec![d0, d1])
+            ]
+        );
+    }
+
+    #[test]
+    fn the_space_quota_counts_length_not_capacity() {
+        let mut fs = MiniHdfs::with_datanodes(1);
+        fs.mkdirs(&p("/q")).unwrap();
+        fs.set_quota(&p("/q"), None, Some(12)).unwrap();
+        let mut roomy = Vec::with_capacity(64);
+        roomy.extend_from_slice(b"1234");
+        fs.create(&p("/q/a"), roomy).unwrap();
+        fs.append(&p("/q/a"), b"5678").unwrap();
+        fs.create(&p("/q/b"), b"9012".to_vec()).unwrap();
+        assert!(matches!(
+            fs.create(&p("/q/c"), vec![0u8]),
+            Err(HdfsError::QuotaExceeded { .. })
+        ));
     }
 
     #[test]

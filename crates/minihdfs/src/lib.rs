@@ -25,6 +25,6 @@ pub mod path;
 pub mod token;
 
 pub use error::HdfsError;
-pub use fs::{DataNodeId, FileProperties, FileStatus, Locality, MiniHdfs};
+pub use fs::{DataNodeId, FileBytes, FileProperties, FileStatus, Locality, MiniHdfs};
 pub use path::HdfsPath;
 pub use token::{DelegationToken, TokenId};

@@ -138,7 +138,7 @@ impl HiveQl {
         let bytes = serde_layer::write_columns(def.format, &def.columns, coerced, &self.diag)?;
         self.fs
             .lock()
-            .create(part, &bytes)
+            .create(part, bytes)
             .map_err(|e| HiveError::Storage(e.to_string()))
     }
 

@@ -6,10 +6,9 @@
 //! *undefined value* from Spark's perspective.
 
 use crate::error::SparkError;
-use bytes::Bytes;
 use csi_core::boundary::{BoundaryCall, CrossingContext};
 use csi_core::fault::Channel;
-use minihdfs::{HdfsPath, MiniHdfs};
+use minihdfs::{FileBytes, HdfsPath, MiniHdfs};
 
 /// Whether the connector runs the shipped (pre-fix) length check or the
 /// fixed one (Figure 4: accept `-1` as valid).
@@ -28,12 +27,12 @@ pub enum LengthCheck {
 /// record marks the task-side entry so the trace shows *Spark's* view of
 /// the interaction too. Callers without a trace pass
 /// [`CrossingContext::disabled`].
-pub fn read_file(
-    fs: &MiniHdfs,
+pub fn read_file<'a>(
+    fs: &'a MiniHdfs,
     path: &HdfsPath,
     check: LengthCheck,
     ctx: &CrossingContext,
-) -> Result<Bytes, SparkError> {
+) -> Result<FileBytes<'a>, SparkError> {
     ctx.record(
         BoundaryCall::new(Channel::Hdfs, "task_read").with_payload_fmt(format_args!("{path}")),
     );

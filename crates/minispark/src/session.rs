@@ -221,7 +221,7 @@ impl SparkSession {
         let part = self.metastore.lock().next_part_path(def);
         self.fs
             .lock()
-            .create(&part, &bytes)
+            .create(&part, bytes)
             .map_err(|e| SparkError::Connector {
                 code: "HDFS",
                 message: e.to_string(),
