@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy and buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it) guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it) and spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test) guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -116,6 +116,14 @@ stage_lint() {
   echo "==> varint guard (a hex literal holding 7f or 80 is spelled in miniformats' wire.rs only)"
   if grep -rnEi --include='*.rs' '0x[0-9a-f_]*(7f|80)' crates/miniformats/src/ | grep -v '^crates/miniformats/src/wire\.rs:'; then
     echo "a kernel calls the shared primitive (wire::tagged_varint64_word, Reader::varint64, Reader::fast_int, ...) instead of spelling a second varint" >&2
+    exit 1
+  fi
+  # A campaign is its spec: every mode reads `CampaignSpec` itself, so a
+  # per-mode config struct filled from it is a second place a field can
+  # be dropped on the way.
+  echo "==> spec guard (a mode reads the CampaignSpec; no *Config struct in csi-test)"
+  if grep -rnE --include='*.rs' 'struct [A-Za-z]*Config\b' crates/csi-test/src/; then
+    echo "read the field from the \`CampaignSpec\` the mode is handed; add a spec field (and its validation) if it is new" >&2
     exit 1
   fi
 }

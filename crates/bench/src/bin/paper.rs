@@ -12,7 +12,9 @@ use csi_core::oracle::OracleKind;
 use csi_study::incidents::{load_incidents, median_csi_duration};
 use csi_study::{analyze, render, Dataset};
 use csi_test::contracts::{check_observations, documented_contracts, naive_contracts};
-use csi_test::{active_ids, generate_inputs, Campaign, CorpusShape, CrossTestConfig, Experiment};
+use csi_test::{
+    active_ids, custom_resolving_overrides, generate_inputs, Campaign, CorpusShape, Experiment,
+};
 use miniflink::yarn_driver::{
     capacity_scheduler, check_allocation_consistency, fair_scheduler, flink_predicted_allocation,
     run_driver, DriverMode, DriverRun,
@@ -428,7 +430,7 @@ fn section8() {
 
     header("Section 8.2: custom (non-default) configuration resolves 8 discrepancies");
     let custom = Campaign::new(&inputs)
-        .spark_overrides(CrossTestConfig::custom_resolving_overrides())
+        .spark_overrides(custom_resolving_overrides())
         .run();
     let before = active_ids(&outcome.report);
     let after = active_ids(&custom.report);

@@ -11,7 +11,8 @@ use csi_serve::{
 use csi_test::inject::small_fault_catalogue;
 use csi_test::plan::Experiment;
 use csi_test::{
-    generate_inputs, Campaign, CampaignSpec, CrossTestConfig, InputSelection, SpecError, TestInput,
+    custom_resolving_overrides, generate_inputs, Campaign, CampaignSpec, InputSelection, SpecError,
+    TestInput,
 };
 use minihive::metastore::StorageFormat;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
@@ -51,7 +52,7 @@ fn tenant_spec(i: usize) -> CampaignSpec {
             InputSelection::CataloguePrefix(1 + i % 3)
         },
         spark_overrides: if i % 4 == 1 {
-            CrossTestConfig::custom_resolving_overrides()
+            custom_resolving_overrides()
         } else {
             Vec::new()
         },
@@ -279,7 +280,7 @@ fn invalid_requests_are_rejected_with_typed_reasons() {
     // The connection lives on, and the paper's own override list runs.
     let custom = CampaignSpec {
         inputs: InputSelection::CataloguePrefix(1),
-        spark_overrides: csi_test::CrossTestConfig::custom_resolving_overrides(),
+        spark_overrides: csi_test::custom_resolving_overrides(),
         ..CampaignSpec::default()
     };
     client.submit("tenant-a", &custom).expect("submit");

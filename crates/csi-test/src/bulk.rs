@@ -9,9 +9,9 @@
 //! ([`judge_write_read_columns`]) plus a fingerprint-based differential
 //! oracle across plans.
 //!
-//! Everything is deterministic in `(rows, seed, formats)`: the generator
-//! is a seeded xorshift and the oracles are pure, so two runs of the same
-//! config produce byte-identical reports — the same property the row
+//! Everything is deterministic in `rows` and the spec's `seed` and
+//! `formats`: the generator is a seeded xorshift and the oracles are pure,
+//! so two runs of the same campaign produce byte-identical reports — the same property the row
 //! campaigns pin for serial-vs-sharded execution.
 //!
 //! [`DataFrameApi::insert_columns`]: minispark::dataframe::DataFrameApi::insert_columns
@@ -21,6 +21,7 @@
 use crate::exec::Deployment;
 use crate::generator::{bulk_schema, generate_bulk_columns};
 use crate::plan::Interface;
+use crate::spec::CampaignSpec;
 use csi_core::boundary::CrossingContext;
 use csi_core::column::{ColumnMatch, ValueColumn};
 use csi_core::hash::Fnv1a;
@@ -30,27 +31,6 @@ use csi_core::InteractionError;
 use minihive::metastore::StorageFormat;
 use serde::Serialize;
 use std::fmt::Write as _;
-
-/// Configuration of a bulk campaign.
-#[derive(Debug, Clone)]
-pub struct BulkConfig {
-    /// Rows per table.
-    pub rows: usize,
-    /// Generator seed.
-    pub seed: u64,
-    /// Backend formats to exercise.
-    pub formats: Vec<StorageFormat>,
-}
-
-impl Default for BulkConfig {
-    fn default() -> BulkConfig {
-        BulkConfig {
-            rows: 4096,
-            seed: 42,
-            formats: StorageFormat::ALL.to_vec(),
-        }
-    }
-}
 
 /// The bulk interface pairs: the two engines' columnar entry points
 /// crossed both ways. SparkSQL has no bulk API (INSERT literals are
@@ -79,7 +59,7 @@ pub struct BulkCell {
     pub failures: Vec<String>,
 }
 
-/// The deterministic result of [`run_bulk`].
+/// The deterministic result of [`Campaign::run_bulk`](crate::Campaign::run_bulk).
 #[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct BulkReport {
     /// Rows per table.
@@ -255,14 +235,15 @@ impl ExpectedTable {
     }
 }
 
-/// Runs a bulk campaign: every bulk plan crossed with every format, each
-/// in a fresh deployment, checked by the vectorized write–read oracle and
-/// a per-format digest differential.
-pub fn run_bulk(config: &BulkConfig) -> BulkReport {
-    let expected = ExpectedTable::new(generate_bulk_columns(config.rows, config.seed));
-    let mut cells = Vec::with_capacity(BULK_PLANS.len() * config.formats.len());
+/// Runs a bulk campaign of `rows` rows generated from `spec.seed`: every
+/// bulk plan crossed with every one of `spec.formats`, each in a fresh
+/// deployment, checked by the vectorized write–read oracle and a
+/// per-format digest differential.
+pub(crate) fn run_bulk(spec: &CampaignSpec, rows: usize) -> BulkReport {
+    let expected = ExpectedTable::new(generate_bulk_columns(rows, spec.seed));
+    let mut cells = Vec::with_capacity(BULK_PLANS.len() * spec.formats.len());
     let mut differential = Vec::new();
-    for format in &config.formats {
+    for format in &spec.formats {
         let mut digests: Vec<(String, u64)> = Vec::new();
         for (write, read) in BULK_PLANS {
             let plan = format!("{write}->{read}");
@@ -313,8 +294,8 @@ pub fn run_bulk(config: &BulkConfig) -> BulkReport {
         }
     }
     BulkReport {
-        rows: config.rows,
-        seed: config.seed,
+        rows,
+        seed: spec.seed,
         cells,
         differential,
     }
@@ -329,14 +310,11 @@ mod tests {
 
     #[test]
     fn bulk_campaign_is_clean_and_deterministic() {
-        let config = BulkConfig {
-            rows: 128,
-            ..BulkConfig::default()
-        };
-        let a = run_bulk(&config);
+        let spec = CampaignSpec::default();
+        let a = run_bulk(&spec, 128);
         assert!(a.clean(), "unexpected bulk failures:\n{}", a.render());
         assert_eq!(a.cells.len(), 12); // 4 plans x 3 formats
-        let b = run_bulk(&config);
+        let b = run_bulk(&spec, 128);
         assert_eq!(a, b);
         assert_eq!(a.render(), b.render());
     }
@@ -398,26 +376,20 @@ mod tests {
     fn bulk_digests_agree_across_formats_on_clean_data() {
         // Clean round-trippers come back identical regardless of backend,
         // so even the *cross-format* digests agree.
-        let report = run_bulk(&BulkConfig {
-            rows: 64,
-            ..BulkConfig::default()
-        });
+        let report = run_bulk(&CampaignSpec::default(), 64);
         let digests: Vec<u64> = report.cells.iter().map(|c| c.digest).collect();
         assert!(digests.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]
     fn bulk_digest_tracks_content() {
-        let a = run_bulk(&BulkConfig {
-            rows: 32,
-            seed: 1,
+        let orc = |seed| CampaignSpec {
+            seed,
             formats: vec![StorageFormat::Orc],
-        });
-        let b = run_bulk(&BulkConfig {
-            rows: 32,
-            seed: 2,
-            formats: vec![StorageFormat::Orc],
-        });
+            ..CampaignSpec::default()
+        };
+        let a = run_bulk(&orc(1), 32);
+        let b = run_bulk(&orc(2), 32);
         assert_ne!(a.cells[0].digest, b.cells[0].digest);
     }
 }

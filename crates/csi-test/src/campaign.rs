@@ -16,9 +16,11 @@
 //! [`Campaign::from_spec`] rebuilds the campaign (validating with typed
 //! [`SpecError`]s instead of panicking), and the round trip is lossless —
 //! running a serialized-and-revived spec is byte-identical to running the
-//! builder it came from. The wire surface of the `csi-serve` daemon is
-//! exactly this spec. One attachment stays *outside* the spec because it
-//! describes the runtime, not the campaign: a [`DetectionTap`]
+//! builder it came from, because every mode runner reads the spec
+//! itself: [`Campaign::try_run`] only validates it and dispatches. The
+//! wire surface of the `csi-serve` daemon is exactly this spec. One
+//! attachment stays *outside* the spec because it describes the runtime,
+//! not the campaign: a [`DetectionTap`]
 //! ([`Campaign::detection_tap`]) for streaming detections out mid-run.
 //! A campaign builds every deployment it runs on and drops it when done,
 //! so nothing of one campaign outlives it into another.
@@ -26,28 +28,27 @@
 //! With `.detect(true)`, a cross-test campaign first replays the same
 //! (experiment × plan × format × input) space fault-free to learn the
 //! per-scenario baseline crossing profiles, freezes them, and then judges
-//! every observation of the real campaign with [`DetectorSpec::detect`] —
+//! every observation of the real campaign with
+//! [`DetectorSpec::detect`](csi_core::detect::DetectorSpec::detect) —
 //! so pattern-anomaly detection has a meaningful "normal" to compare
 //! against. Fault-matrix cells self-calibrate instead (each cell learns
 //! its own baseline from an unarmed run), so `.fault_matrix(seed)` needs
 //! no separate calibration pass.
 
 use crate::corpus::CorpusShape;
-use crate::exec::{self, CrossTestConfig};
 use crate::explore;
 use crate::generator::TestInput;
-use crate::inject::{self, FaultMatrixConfig, FaultMatrixReport};
-use crate::multi::{self, CompoundConfig};
+use crate::inject::{self, FaultMatrixReport};
+use crate::multi;
 use crate::plan::Experiment;
 use crate::shard::{self, CampaignMetrics};
 use crate::shrink::ShrunkReproducer;
 use crate::spec::{CampaignSpec, InputSelection, SpecError};
-use csi_core::detect::{DetectionTap, DetectorConfig, DetectorSpec};
+use csi_core::detect::{DetectionTap, DetectorConfig};
 use csi_core::fault::FaultPlan;
 use csi_core::oracle::Observation;
 use csi_core::report::{ClusterRow, CompoundStats, DiscrepancyReport, ExplorationStats, Render};
 use minihive::metastore::StorageFormat;
-use std::sync::Arc;
 
 /// Builder for a cross-testing or fault-matrix campaign: a serializable
 /// [`CampaignSpec`] plus the runtime-only detection tap that never
@@ -58,8 +59,9 @@ pub struct Campaign {
     tap: Option<DetectionTap>,
 }
 
-/// The result of [`Campaign::run`].
-#[derive(Debug, Clone)]
+/// The result of [`Campaign::run`]. Each mode fills the fields it
+/// produces; the rest stay empty.
+#[derive(Debug, Clone, Default)]
 pub struct CampaignOutcome {
     /// The discrepancy report (empty in fault-matrix mode except for the
     /// detection aggregates, which are copied from the matrix).
@@ -145,7 +147,9 @@ impl Campaign {
         self
     }
 
-    /// Sets Spark configuration overrides on every deployment's session.
+    /// Sets Spark configuration overrides on the session of every grid
+    /// deployment. The matrix, explore mode, the compound pass and bulk
+    /// build their deployments without them.
     pub fn spark_overrides(mut self, overrides: Vec<(String, String)>) -> Campaign {
         self.spec.spark_overrides = overrides;
         self
@@ -167,15 +171,15 @@ impl Campaign {
         self
     }
 
-    /// Maximum inputs per shard (cross-test campaigns only).
+    /// Maximum inputs per shard (grid campaigns only).
     pub fn chunk_size(mut self, chunk_size: usize) -> Campaign {
         self.spec.chunk_size = chunk_size.max(1);
         self
     }
 
-    /// Arms a fault plan: on every deployment in cross-test mode, or as
-    /// the cell catalogue in matrix mode (replacing the seed-derived
-    /// standard catalogue).
+    /// Arms a fault plan: on every deployment of the grid, or as the cell
+    /// catalogue in matrix mode (replacing the seed-derived standard
+    /// catalogue). Explore mode and the compound pass ignore it.
     pub fn faults(mut self, plan: FaultPlan) -> Campaign {
         self.spec.faults = Some(plan);
         self
@@ -185,14 +189,16 @@ impl Campaign {
     /// crossed with the scenarios of its channel, cells classified by the
     /// §9 oracle. Uses the builder's experiments/formats for probe cells
     /// and [`inject::fault_catalogue`]`(seed)` unless [`Campaign::faults`]
-    /// supplied a catalogue.
+    /// supplied a catalogue. A campaign runs one main mode: one that is
+    /// also [`Campaign::explore`]d is rejected with
+    /// [`SpecError::TwoMainModes`].
     pub fn fault_matrix(mut self, seed: u64) -> Campaign {
         self.spec.matrix_seed = Some(seed);
         self
     }
 
-    /// Runs the online CSI failure detector over every observation (or
-    /// matrix cell).
+    /// Runs the online CSI failure detector over every grid observation
+    /// or matrix cell. Explore mode and the compound pass never detect.
     pub fn detect(mut self, detect: bool) -> Campaign {
         self.spec.detect = detect;
         self
@@ -204,9 +210,11 @@ impl Campaign {
         self
     }
 
-    /// Sets the exploration/mutation seed (default 42). Only explore mode
-    /// consumes it; the standard and matrix modes are seedless (matrix
-    /// mode has its own seed via [`Campaign::fault_matrix`]).
+    /// Sets the campaign seed (default 42): explore mode's schedule,
+    /// mutants and fault overlay, the compound pass's catalogue, fault
+    /// sets and interleavings, and [`Campaign::run_bulk`]'s generated
+    /// table. The grid and the matrix do not read it (matrix mode has its
+    /// own seed via [`Campaign::fault_matrix`]).
     pub fn seed(mut self, seed: u64) -> Campaign {
         self.spec.seed = seed;
         self
@@ -220,7 +228,8 @@ impl Campaign {
     /// the standard exhaustive catalogue (the spec records it as "no
     /// explore pass", which is the same campaign). Explore mode forces the
     /// online detector off and ignores [`Campaign::faults`] (it schedules
-    /// its own overlay from [`inject::fault_catalogue`]).
+    /// its own overlay from [`inject::fault_catalogue`]). The budget also
+    /// caps the compound pass's trials ([`Campaign::kfaults`]).
     pub fn explore(mut self, budget: usize) -> Campaign {
         self.spec.explore_budget = (budget > 0).then_some(budget);
         self
@@ -248,7 +257,8 @@ impl Campaign {
     /// searched coverage-guided, with the resulting discrepancies clustered
     /// by causal-trace prefix and ddmin-shrunk ([`crate::multi`]). The
     /// default (`0`) disables the pass and leaves every existing mode
-    /// byte-identical. Clamped to
+    /// byte-identical. The pass runs 96 trials, or the
+    /// [`Campaign::explore`] budget when one is set. Clamped to
     /// [`MAX_KFAULTS`](crate::spec::MAX_KFAULTS).
     pub fn kfaults(mut self, k: usize) -> Campaign {
         self.spec.kfaults = k.min(crate::spec::MAX_KFAULTS);
@@ -256,9 +266,11 @@ impl Campaign {
     }
 
     /// Number of jobs sharing each compound trial's deployment (default 2;
-    /// only the compound pass consumes it). Clamped to at least 1.
+    /// only the compound pass consumes it). Clamped to
+    /// `1..=`[`MAX_JOBS`](crate::spec::MAX_JOBS) — only specs revived from
+    /// the wire can carry an out-of-range value.
     pub fn jobs(mut self, n: usize) -> Campaign {
-        self.spec.jobs = n.max(1);
+        self.spec.jobs = n.clamp(1, crate::spec::MAX_JOBS);
         self
     }
 
@@ -284,11 +296,7 @@ impl Campaign {
     /// campaigns' table-size ceiling (one row per observation) does not
     /// apply.
     pub fn run_bulk(self, rows: usize) -> crate::bulk::BulkReport {
-        crate::bulk::run_bulk(&crate::bulk::BulkConfig {
-            rows,
-            seed: self.spec.seed,
-            formats: self.spec.formats,
-        })
+        crate::bulk::run_bulk(&self.spec, rows)
     }
 
     /// Executes the campaign, panicking on an invalid spec. Specs built
@@ -301,135 +309,25 @@ impl Campaign {
     }
 
     /// Executes the campaign, returning a typed [`SpecError`] instead of
-    /// panicking when the spec is invalid.
+    /// panicking when the spec is invalid. The spec picks one main mode
+    /// (explore, matrix, or the grid), and the compound pass follows it
+    /// when `kfaults` is set; every mode reads the spec itself.
     pub fn try_run(self) -> Result<CampaignOutcome, SpecError> {
-        self.spec.validate()?;
-        let compound = (self.spec.kfaults > 0).then(|| {
-            let mut config = CompoundConfig::new(self.spec.seed, self.spec.kfaults);
-            config.jobs = self.spec.jobs;
-            config.shards = self.spec.shards;
-            if let Some(budget) = self.spec.explore_budget {
-                config.budget = budget;
-            }
-            config
-        });
+        let Campaign { spec, tap } = self;
+        spec.validate()?;
         // A validated spec never carries `Some(0)` (the builder records
-        // `.explore(0)` as `None`), so `Some` always means explore mode.
-        let mut outcome = match self.spec.explore_budget {
-            Some(budget) => self.run_explore(budget),
-            None if self.spec.matrix_seed.is_some() => self.run_matrix(),
-            None => self.run_cross(),
+        // `.explore(0)` as `None`), nor both main modes.
+        let mut outcome = match (spec.explore_budget, spec.matrix_seed) {
+            (Some(_), _) => explore::run_explore(&spec, &spec.inputs.resolve()),
+            (None, Some(_)) => inject::run_fault_matrix(&spec, tap),
+            (None, None) => shard::run_cross_test(&spec, &spec.inputs.resolve(), tap),
         };
-        if let Some(config) = compound {
-            let result = multi::run_compound(&config);
+        if spec.kfaults > 0 {
+            let result = multi::run_compound(&spec);
             outcome.compound = Some(result.stats);
             outcome.clusters = result.clusters;
         }
         Ok(outcome)
-    }
-
-    fn run_explore(self, budget: usize) -> CampaignOutcome {
-        let inputs = self.spec.inputs.resolve();
-        let result = explore::run_explore(
-            &inputs,
-            &self.spec.experiments,
-            &self.spec.formats,
-            self.spec.seed,
-            budget,
-            self.spec.shards,
-            self.spec.inputs.corpus_floor(),
-        );
-        CampaignOutcome {
-            report: result.report,
-            observations: result.observations,
-            metrics: None,
-            matrix: None,
-            exploration: Some(result.stats),
-            reproducers: result.reproducers,
-            compound: None,
-            clusters: Vec::new(),
-        }
-    }
-
-    fn run_matrix(self) -> CampaignOutcome {
-        let seed = self.spec.matrix_seed.expect("matrix mode");
-        let config = FaultMatrixConfig {
-            seed,
-            experiments: self.spec.experiments,
-            formats: self.spec.formats,
-            faults: self
-                .spec
-                .faults
-                .unwrap_or_else(|| inject::fault_catalogue(seed)),
-            detect: self.spec.detect.then_some(self.spec.detector_config),
-            tap: self.tap,
-        };
-        let matrix = inject::run_fault_matrix(&config, self.spec.shards);
-        // The campaign-level report carries the matrix's detection
-        // aggregates so the unified Render path shows them alongside the
-        // fault cells.
-        let report = DiscrepancyReport {
-            detector_enabled: matrix.detector_enabled,
-            detection_kinds: matrix.detection_kinds.clone(),
-            detection_totals: matrix.detection_totals.clone(),
-            detector_agreement: matrix.agreement,
-            ..DiscrepancyReport::default()
-        };
-        CampaignOutcome {
-            report,
-            observations: Vec::new(),
-            metrics: None,
-            matrix: Some(matrix),
-            exploration: None,
-            reproducers: Vec::new(),
-            compound: None,
-            clusters: Vec::new(),
-        }
-    }
-
-    fn run_cross(self) -> CampaignOutcome {
-        let inputs = self.spec.inputs.resolve();
-        let mut config = CrossTestConfig {
-            experiments: self.spec.experiments,
-            formats: self.spec.formats,
-            spark_overrides: self.spec.spark_overrides,
-            fault_plan: self.spec.faults,
-            detector: None,
-        };
-        if self.spec.detect {
-            // Fault-free calibration replay over the identical scenario
-            // space: learn what "normal" looks like per scenario, then
-            // freeze. Learning is keyed, so worker interleaving cannot
-            // change the result.
-            let calibration_config = CrossTestConfig {
-                fault_plan: None,
-                detector: None,
-                ..config.clone()
-            };
-            let calibration = shard::run_cross_test(
-                &inputs,
-                &calibration_config,
-                self.spec.shards,
-                self.spec.chunk_size,
-            );
-            let baselines = exec::learn_baselines(&calibration.observations);
-            config.detector = Some(DetectorSpec {
-                config: self.spec.detector_config,
-                baselines: Arc::new(baselines),
-                tap: self.tap,
-            });
-        }
-        let run = shard::run_cross_test(&inputs, &config, self.spec.shards, self.spec.chunk_size);
-        CampaignOutcome {
-            report: run.report,
-            observations: run.observations,
-            metrics: Some(run.metrics),
-            matrix: None,
-            exploration: None,
-            reproducers: Vec::new(),
-            compound: None,
-            clusters: Vec::new(),
-        }
     }
 }
 
@@ -437,8 +335,10 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::generator::Validity;
+    use csi_core::detect::DetectionTap;
     use csi_core::value::{DataType, Value};
     use parking_lot::Mutex;
+    use std::sync::Arc;
 
     fn byte_input() -> Vec<TestInput> {
         vec![TestInput {
@@ -455,7 +355,11 @@ mod tests {
     fn builder_runs_the_grid_executor_unchanged() {
         let inputs = byte_input();
         let campaign = Campaign::new(&inputs).run();
-        let direct = shard::run_cross_test(&inputs, &CrossTestConfig::default(), 1, 64);
+        let spec = CampaignSpec {
+            inputs: InputSelection::Inline(inputs.clone()),
+            ..CampaignSpec::default()
+        };
+        let direct = shard::run_cross_test(&spec, &inputs, None);
         assert_eq!(
             serde_json::to_string(&campaign.report).unwrap(),
             serde_json::to_string(&direct.report).unwrap()

@@ -11,10 +11,10 @@
 
 use crate::generator::TestInput;
 use crate::plan::{scenario_key, Experiment, Interface, TestPlan};
+use crate::spec::CampaignSpec;
 use csi_core::boundary::CrossingContext;
 use csi_core::detect::{BaselineSet, DetectorSpec};
 use csi_core::diag::DiagSink;
-use csi_core::fault::FaultPlan;
 use csi_core::oracle::{Observation, ReadOutcome, WriteOutcome};
 use csi_core::sql::write_quoted;
 use csi_core::value::{format_date, format_timestamp, Value};
@@ -27,57 +27,25 @@ use parking_lot::Mutex;
 use std::fmt::Write;
 use std::sync::Arc;
 
-/// Configuration of a cross-testing run.
-#[derive(Debug, Clone)]
-pub struct CrossTestConfig {
-    /// Experiments to run.
-    pub experiments: Vec<Experiment>,
-    /// Backend formats to exercise.
-    pub formats: Vec<StorageFormat>,
-    /// Spark configuration overrides set on every deployment's session
-    /// ("testing under the deployment configuration").
-    pub spark_overrides: Vec<(String, String)>,
-    /// Faults to arm on every deployment's metastore and filesystem.
-    /// `None` (and an empty plan) runs fault-free.
-    pub fault_plan: Option<FaultPlan>,
-    /// Judge every observation's trace with [`DetectorSpec::detect`]. The
-    /// spec holds only thresholds and frozen baselines, so sharding shares
-    /// no mutable detector state. `None` disables detection.
-    pub detector: Option<DetectorSpec>,
-}
-
-impl Default for CrossTestConfig {
-    fn default() -> CrossTestConfig {
-        CrossTestConfig {
-            experiments: Experiment::ALL.to_vec(),
-            formats: StorageFormat::ALL.to_vec(),
-            spark_overrides: Vec::new(),
-            fault_plan: None,
-            detector: None,
-        }
-    }
-}
-
-impl CrossTestConfig {
-    /// The custom (non-default) configuration set that Section 8.2 reports
-    /// as resolving 8 of the 15 discrepancies.
-    pub fn custom_resolving_overrides() -> Vec<(String, String)> {
-        vec![
-            (
-                minispark::config::STORE_ASSIGNMENT_POLICY.into(),
-                "LEGACY".into(),
-            ),
-            (
-                minispark::config::CHAR_VARCHAR_AS_STRING.into(),
-                "true".into(),
-            ),
-            (minispark::config::INTERVAL_AS_STRING.into(), "true".into()),
-            (
-                minispark::config::DATAFRAME_DATE_RANGE_CHECK.into(),
-                "true".into(),
-            ),
-        ]
-    }
+/// The custom (non-default) Spark configuration that Section 8.2 reports
+/// as resolving 8 of the 15 discrepancies, as
+/// [`CampaignSpec::spark_overrides`].
+pub fn custom_resolving_overrides() -> Vec<(String, String)> {
+    vec![
+        (
+            minispark::config::STORE_ASSIGNMENT_POLICY.into(),
+            "LEGACY".into(),
+        ),
+        (
+            minispark::config::CHAR_VARCHAR_AS_STRING.into(),
+            "true".into(),
+        ),
+        (minispark::config::INTERVAL_AS_STRING.into(), "true".into()),
+        (
+            minispark::config::DATAFRAME_DATE_RANGE_CHECK.into(),
+            "true".into(),
+        ),
+    ]
 }
 
 /// One full Metastore/MiniHdfs/SparkSession/HiveQl stack plus its
@@ -138,18 +106,18 @@ impl Deployment {
         }
     }
 
-    /// A fresh stack carrying `config`'s per-run state: its Spark
-    /// overrides set on the session, its fault plan armed on the crossing
-    /// context, and its detector kept to judge each observation.
-    pub(crate) fn armed(config: &CrossTestConfig) -> Deployment {
+    /// A fresh grid stack: `spec`'s Spark overrides set on the session,
+    /// its fault plan armed on the crossing context, and `detector` kept
+    /// to judge each observation.
+    pub(crate) fn armed(spec: &CampaignSpec, detector: Option<&DetectorSpec>) -> Deployment {
         let mut deployment = Deployment::new(CrossingContext::new());
-        for (k, v) in &config.spark_overrides {
+        for (k, v) in &spec.spark_overrides {
             deployment.spark.config.set(k, v);
         }
-        if let Some(plan) = &config.fault_plan {
+        if let Some(plan) = &spec.faults {
             deployment.crossing.arm_plan(plan);
         }
-        deployment.detector = config.detector.clone();
+        deployment.detector = detector.cloned();
         deployment
     }
 

@@ -17,6 +17,7 @@
 //! order. A sharded explore run is byte-identical to a one-worker one,
 //! pinned by `tests/explore.rs`.
 
+use crate::campaign::CampaignOutcome;
 use crate::classify::Classifier;
 use crate::exec::{self, Deployment};
 use crate::generator::{mutate_input, TestInput, Validity};
@@ -24,11 +25,12 @@ use crate::inject;
 use crate::plan::{Experiment, TestPlan};
 use crate::shard::run_ordered;
 use crate::shrink;
+use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext};
 use csi_core::coverage::{CoverageMap, CoverageSignature};
 use csi_core::fault::{classify_fault_outcome, Channel, FaultSpec, InjectedFault};
 use csi_core::oracle::Observation;
-use csi_core::report::{CorpusRow, DiscoveryRow, DiscrepancyReport, ExplorationStats};
+use csi_core::report::{CorpusRow, DiscoveryRow, ExplorationStats};
 use csi_core::value::DataType;
 use minihive::metastore::StorageFormat;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -43,19 +45,6 @@ const MUTANTS_PER_ENTRY: usize = 4;
 
 /// Fault-overlay trials scheduled per corpus admission.
 const FAULTS_PER_ENTRY: usize = 2;
-
-/// The result of one exploration run, consumed by `Campaign::run`.
-pub(crate) struct ExploreResult {
-    /// The classified report over every fault-free observation.
-    pub report: DiscrepancyReport,
-    /// Fault-free observations, grouped by experiment in canonical order,
-    /// execution order within.
-    pub observations: Vec<(Experiment, Observation)>,
-    /// Corpus / coverage / shrink statistics for the `Render` path.
-    pub stats: ExplorationStats,
-    /// One minimized reproducer per shrunk discrepancy.
-    pub reproducers: Vec<shrink::ShrunkReproducer>,
-}
 
 /// One scheduled execution: an input on a (experiment, plan, format) cell,
 /// optionally under an injected fault.
@@ -147,24 +136,19 @@ fn type_tag(ty: &DataType) -> &'static str {
 }
 
 impl Explorer {
-    fn new(
-        inputs: &[TestInput],
-        experiments: &[Experiment],
-        formats: &[StorageFormat],
-        seed: u64,
-        shards: usize,
-        corpus_floor: Option<usize>,
-    ) -> Explorer {
+    /// An explorer over `spec`'s experiments, formats, seed and shards,
+    /// seeded with `inputs`, the resolved `spec.inputs`.
+    fn new(spec: &CampaignSpec, inputs: &[TestInput]) -> Explorer {
         let mut combos = Vec::new();
-        for &exp in experiments {
+        for &exp in &spec.experiments {
             for plan in exp.plans() {
-                for &fmt in formats {
+                for &fmt in &spec.formats {
                     combos.push((exp, plan, fmt));
                 }
             }
         }
         let first_mutant_id = inputs.iter().map(|i| i.id + 1).max().unwrap_or(0);
-        let corpus_floor = corpus_floor.unwrap_or(first_mutant_id);
+        let corpus_floor = spec.inputs.corpus_floor().unwrap_or(first_mutant_id);
         let mut order: Vec<usize> = (0..inputs.len())
             .filter(|&i| inputs[i].id >= corpus_floor)
             .collect();
@@ -172,26 +156,26 @@ impl Explorer {
         let seed_rot = if combos.is_empty() {
             0
         } else {
-            (seed % combos.len() as u64) as usize
+            (spec.seed % combos.len() as u64) as usize
         };
         // Only metastore and filesystem faults can fire inside a
         // cross-testing deployment; the rest of the catalogue targets
         // stacks the explore trials never build.
-        let faults: Vec<FaultSpec> = inject::fault_catalogue(seed)
+        let faults: Vec<FaultSpec> = inject::fault_catalogue(spec.seed)
             .faults
             .into_iter()
             .filter(|f| matches!(f.channel, Channel::Metastore | Channel::Hdfs))
             .collect();
         Explorer {
             combos,
-            experiments: experiments.to_vec(),
+            experiments: spec.experiments.clone(),
             pool: inputs.to_vec(),
             seed_count: inputs.len(),
             first_mutant_id,
             corpus_floor,
             order,
             next_id: first_mutant_id,
-            shards,
+            shards: spec.shards,
             scheduled: BTreeSet::new(),
             pending: VecDeque::new(),
             map: CoverageMap::new(),
@@ -207,7 +191,7 @@ impl Explorer {
             faulted: 0,
             novel_from_mutation: 0,
             novel_from_corpus: 0,
-            judge: Classifier::new(experiments),
+            judge: Classifier::new(&spec.experiments),
             discovered: BTreeMap::new(),
             faults,
             fault_rotor: 0,
@@ -457,24 +441,15 @@ impl Explorer {
     }
 }
 
-/// Runs a coverage-guided exploration of `budget` observations over the
-/// given experiments and formats, then shrinks every reported discrepancy
-/// to a 1-row/1-column reproducer.
-///
-/// `corpus_floor` is the id of the first synthesized corpus seed when the
-/// input pool carries a corpus region
-/// ([`InputSelection::corpus_floor`](crate::InputSelection::corpus_floor));
-/// `None` treats every seed input as catalogue.
-pub(crate) fn run_explore(
-    inputs: &[TestInput],
-    experiments: &[Experiment],
-    formats: &[StorageFormat],
-    seed: u64,
-    budget: usize,
-    shards: usize,
-    corpus_floor: Option<usize>,
-) -> ExploreResult {
-    let mut ex = Explorer::new(inputs, experiments, formats, seed, shards, corpus_floor);
+/// Runs `spec`'s coverage-guided exploration over `inputs` (the resolved
+/// `spec.inputs`) for `spec.explore_budget` observations, then shrinks
+/// every reported discrepancy to a 1-row/1-column reproducer. A corpus
+/// selection's synthesized region
+/// ([`InputSelection::corpus_floor`](crate::InputSelection::corpus_floor))
+/// is scheduled first and attributed to the `corpus` origin.
+pub(crate) fn run_explore(spec: &CampaignSpec, inputs: &[TestInput]) -> CampaignOutcome {
+    let budget = spec.explore_budget.expect("explore mode");
+    let mut ex = Explorer::new(spec, inputs);
     while ex.executed < budget {
         let batch = ex.schedule_round(ROUND.min(budget - ex.executed));
         if batch.is_empty() {
@@ -495,7 +470,7 @@ pub(crate) fn run_explore(
     let mut discoveries: Vec<DiscoveryRow> = ex.discovered.into_values().collect();
     discoveries.sort_by(|a, b| a.executed.cmp(&b.executed).then_with(|| a.id.cmp(&b.id)));
     let stats = ExplorationStats {
-        seed,
+        seed: spec.seed,
         budget,
         grid_cells: ex.seed_count * ex.combos.len(),
         executed: ex.executed,
@@ -510,11 +485,12 @@ pub(crate) fn run_explore(
         discoveries,
         shrinks,
     };
-    ExploreResult {
+    CampaignOutcome {
         report,
         observations,
-        stats,
+        exploration: Some(stats),
         reproducers,
+        ..CampaignOutcome::default()
     }
 }
 
@@ -544,17 +520,33 @@ mod tests {
         }
     }
 
+    /// An explore spec over `inputs` on the first experiment.
+    fn explore_spec(
+        inputs: &[TestInput],
+        formats: &[StorageFormat],
+        seed: u64,
+        budget: usize,
+    ) -> CampaignSpec {
+        CampaignSpec {
+            inputs: crate::InputSelection::Inline(inputs.to_vec()),
+            experiments: vec![Experiment::ALL[0]],
+            formats: formats.to_vec(),
+            seed,
+            explore_budget: Some(budget),
+            ..CampaignSpec::default()
+        }
+    }
+
+    /// `spec`'s exploration over its own resolved inputs.
+    fn explore(spec: &CampaignSpec) -> CampaignOutcome {
+        run_explore(spec, &spec.inputs.resolve())
+    }
+
     #[test]
     fn grid_cursor_visits_every_cell_exactly_once() {
         let inputs = generate_inputs();
-        let mut ex = Explorer::new(
-            &inputs[..5],
-            &[Experiment::ALL[0]],
-            StorageFormat::ALL.as_ref(),
-            7,
-            1,
-            None,
-        );
+        let spec = explore_spec(&inputs[..5], StorageFormat::ALL.as_ref(), 7, 1);
+        let mut ex = Explorer::new(&spec, &inputs[..5]);
         let cells = ex.seed_count * ex.combos.len();
         let mut seen = BTreeSet::new();
         while let Some(t) = ex.next_grid() {
@@ -579,14 +571,8 @@ mod tests {
                 expected_back: None,
             })
             .collect();
-        let mut ex = Explorer::new(
-            &inputs,
-            &[Experiment::ALL[0]],
-            &[StorageFormat::Orc],
-            7,
-            1,
-            None,
-        );
+        let spec = explore_spec(&inputs, &[StorageFormat::Orc], 7, 1);
+        let mut ex = Explorer::new(&spec, &inputs);
         let mut pools = BTreeMap::new();
         for input_idx in 0..inputs.len() {
             let trial = Trial {
@@ -605,86 +591,62 @@ mod tests {
     #[test]
     fn exploration_is_deterministic_for_a_fixed_seed() {
         let inputs = generate_inputs();
-        let run = || {
-            run_explore(
-                &inputs[..6],
-                &[Experiment::ALL[0]],
-                &[StorageFormat::Orc, StorageFormat::Avro],
-                42,
-                40,
-                1,
-                None,
-            )
-        };
-        let a = run();
-        let b = run();
+        let spec = explore_spec(
+            &inputs[..6],
+            &[StorageFormat::Orc, StorageFormat::Avro],
+            42,
+            40,
+        );
+        let a = explore(&spec);
+        let b = explore(&spec);
         assert_eq!(
-            serde_json::to_string(&a.stats).unwrap(),
-            serde_json::to_string(&b.stats).unwrap()
+            serde_json::to_string(&a.exploration).unwrap(),
+            serde_json::to_string(&b.exploration).unwrap()
         );
         assert_eq!(
             serde_json::to_string(&a.report).unwrap(),
             serde_json::to_string(&b.report).unwrap()
         );
-        assert_eq!(a.stats.executed, 40);
+        assert_eq!(a.exploration.expect("explore mode").executed, 40);
     }
 
     #[test]
     fn corpus_grows_and_mutants_run_within_a_small_budget() {
         let inputs = generate_inputs();
-        let result = run_explore(
-            &inputs[..8],
-            &[Experiment::ALL[0]],
-            StorageFormat::ALL.as_ref(),
-            1,
-            120,
-            1,
-            None,
-        );
-        assert!(!result.stats.corpus.is_empty());
-        assert!(result.stats.mutated > 0, "no mutants executed");
-        assert!(result.stats.signatures > 1);
-        assert_eq!(
-            result.stats.fresh + result.stats.mutated + result.stats.faulted,
-            result.stats.executed
-        );
-        assert_eq!(result.stats.signatures_seen.len(), result.stats.signatures);
+        let spec = explore_spec(&inputs[..8], StorageFormat::ALL.as_ref(), 1, 120);
+        let stats = explore(&spec).exploration.expect("explore mode");
+        assert!(!stats.corpus.is_empty());
+        assert!(stats.mutated > 0, "no mutants executed");
+        assert!(stats.signatures > 1);
+        assert_eq!(stats.fresh + stats.mutated + stats.faulted, stats.executed);
+        assert_eq!(stats.signatures_seen.len(), stats.signatures);
     }
 
     #[test]
     fn corpus_region_is_scheduled_first_and_attributed_as_corpus() {
-        // Three catalogue inputs plus a small corpus region above them.
-        let mut inputs: Vec<TestInput> = generate_inputs().into_iter().take(3).collect();
-        let floor = inputs.len();
-        inputs.extend(crate::corpus::synthesize_inputs(
-            &crate::corpus::CorpusShape {
-                columns: 4,
-                ..Default::default()
+        // The catalogue plus a small corpus region above it.
+        let spec = CampaignSpec {
+            inputs: crate::InputSelection::Corpus {
+                shape: crate::corpus::CorpusShape {
+                    columns: 4,
+                    ..Default::default()
+                },
+                seed: 5,
             },
-            5,
-            floor,
-        ));
-        let result = run_explore(
-            &inputs,
-            &[Experiment::ALL[0]],
-            &[StorageFormat::Orc],
-            3,
-            24,
-            1,
-            Some(floor),
+            ..explore_spec(&[], &[StorageFormat::Orc], 3, 24)
+        };
+        let stats = explore(&spec).exploration.expect("explore mode");
+        assert!(
+            stats.novel_from_corpus >= 1,
+            "no corpus-novel signature within the budget: {stats:?}"
         );
         assert!(
-            result.stats.novel_from_corpus >= 1,
-            "no corpus-novel signature within the budget: {:?}",
-            result.stats
-        );
-        assert!(
-            result.stats.corpus.iter().any(|r| r.origin == "corpus"),
+            stats.corpus.iter().any(|r| r.origin == "corpus"),
             "no corpus-origin admission: {:?}",
-            result.stats.corpus
+            stats.corpus
         );
         // Corpus-first scheduling: the very first admissions are corpus
         // inputs, not catalogue ones.
-        assert_eq!(result.stats.corpus[0].origin, "corpus");
+        assert_eq!(stats.corpus[0].origin, "corpus");
     }
 }

@@ -17,20 +17,21 @@
 //! its own crossing context), so [`crate::Campaign::shards`] reproduces
 //! the one-worker report byte-for-byte at any worker count.
 
+use crate::campaign::CampaignOutcome;
 use crate::exec::{run_one, Deployment};
 use crate::generator::{TestInput, Validity};
 use crate::plan::{scenario_key, Experiment, TestPlan};
 use crate::shard::run_ordered;
+use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext, InteractionTrace};
 use csi_core::detect::{
-    BaselineSet, Detection, DetectionTally, DetectionTap, DetectorAgreement, DetectorConfig,
-    DetectorSpec,
+    BaselineSet, Detection, DetectionTally, DetectionTap, DetectorAgreement, DetectorSpec,
 };
 use csi_core::fault::{
     classify_fault_outcome, Channel, FaultKind, FaultOutcome, FaultPlan, FaultSpec, InjectedFault,
     Trigger,
 };
-use csi_core::report::FaultCellRow;
+use csi_core::report::{DiscrepancyReport, FaultCellRow};
 use csi_core::rng::xorshift64;
 use csi_core::value::{DataType, Value};
 use csi_core::InteractionError;
@@ -211,32 +212,6 @@ pub fn small_fault_catalogue(seed: u64) -> FaultPlan {
     }
 }
 
-/// Configuration of a fault-matrix campaign.
-#[derive(Debug, Clone)]
-pub struct FaultMatrixConfig {
-    /// Seed recorded in the report.
-    pub seed: u64,
-    /// Experiments whose (plan × format) cross probes metastore and HDFS
-    /// faults.
-    pub experiments: Vec<Experiment>,
-    /// Storage formats of the probe cross.
-    pub formats: Vec<StorageFormat>,
-    /// The faults to exercise, in catalogue order.
-    pub faults: FaultPlan,
-    /// Run the detector over every cell. Each cell self-calibrates: a
-    /// fault-free run of the same scenario first learns its baseline
-    /// crossing profile, then [`DetectorSpec::detect`] judges the armed
-    /// run's trace against that frozen baseline. `None` disables
-    /// detection (and keeps the legacy report output byte-identical).
-    pub detect: Option<DetectorConfig>,
-    /// Streaming observer handed every detection as its cell is judged,
-    /// before the report exists — how `csi-serve`
-    /// forwards matrix detections to tenants incrementally. Taps only
-    /// observe, so a tapped matrix stays byte-identical to an untapped
-    /// one. Ignored unless `detect` is set.
-    pub tap: Option<DetectionTap>,
-}
-
 /// One cell of the fault matrix: a fault crossed with a scenario.
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultCase {
@@ -328,14 +303,17 @@ enum Cell {
     },
 }
 
-fn enumerate_cells(config: &FaultMatrixConfig) -> Vec<Cell> {
+/// The matrix's cells: every fault of `faults` crossed with the
+/// scenarios of its channel, metastore and HDFS faults probing `spec`'s
+/// (experiment × plan × format) cross.
+fn enumerate_cells(spec: &CampaignSpec, faults: &FaultPlan) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for fault in &config.faults.faults {
+    for fault in &faults.faults {
         match fault.channel {
             Channel::Metastore | Channel::Hdfs => {
-                for &experiment in &config.experiments {
+                for &experiment in &spec.experiments {
                     for plan in experiment.plans() {
-                        for &format in &config.formats {
+                        for &format in &spec.formats {
                             cells.push(Cell::Probe {
                                 fault: fault.clone(),
                                 experiment,
@@ -393,41 +371,34 @@ pub(crate) fn probe_input() -> TestInput {
     }
 }
 
-/// The detection half of a [`FaultMatrixConfig`], borrowed per cell:
-/// thresholds plus the optional streaming tap.
-#[derive(Clone, Copy)]
-struct CellDetect<'a> {
-    config: &'a DetectorConfig,
-    tap: Option<&'a DetectionTap>,
-}
-
-/// Runs one hermetic cell body and, with detection on, judges it.
+/// Runs one hermetic cell body and, given the matrix's `detector`, judges
+/// it.
 ///
 /// With detection on, the cell self-calibrates: the body first runs
 /// against a fresh, unarmed context to learn the scenario's baseline
 /// crossing profile, then runs again against an armed context whose trace
-/// [`DetectorSpec::detect`] judges against that frozen baseline. Both runs
-/// build their own substrate state inside `body`, so calibration can
-/// never leak into detection — the property that keeps sharded matrices
-/// byte-identical to serial ones.
+/// [`DetectorSpec::detect`] judges against that frozen baseline, in place
+/// of the matrix detector's own (empty) baselines. Both runs build their
+/// own substrate state inside `body`, so calibration can never leak into
+/// detection — the property that keeps sharded matrices byte-identical to
+/// serial ones.
 fn run_cell_body<F>(
     fault: &FaultSpec,
     scenario: String,
-    detect: Option<CellDetect<'_>>,
+    detector: Option<&DetectorSpec>,
     body: F,
 ) -> FaultCase
 where
     F: Fn(&CrossingContext) -> (Option<InteractionError>, String),
 {
-    let detector = detect.map(|d| {
+    let detector = detector.map(|matrix| {
         let calibration = CrossingContext::new();
         let _ = body(&calibration);
         let mut baselines = BaselineSet::default();
         baselines.learn(&scenario, &calibration.trace());
         DetectorSpec {
-            config: *d.config,
             baselines: Arc::new(baselines),
-            tap: d.tap.cloned(),
+            ..matrix.clone()
         }
     });
     let ctx = CrossingContext::new();
@@ -463,10 +434,10 @@ fn run_probe_cell(
     experiment: Experiment,
     plan: TestPlan,
     format: StorageFormat,
-    detect: Option<CellDetect<'_>>,
+    detector: Option<&DetectorSpec>,
 ) -> FaultCase {
     let scenario = scenario_key(&experiment.plan_label(plan), format.name(), None);
-    run_cell_body(fault, scenario, detect, |ctx| {
+    run_cell_body(fault, scenario, detector, |ctx| {
         // The fault (when armed) already lives on `ctx`; the deployment
         // just wraps the stack around it.
         let deployment = Deployment::new(ctx.clone());
@@ -496,8 +467,8 @@ fn seeded_broker(ctx: &CrossingContext) -> MiniKafka {
     broker
 }
 
-fn run_kafka_direct_cell(fault: &FaultSpec, detect: Option<CellDetect<'_>>) -> FaultCase {
-    run_cell_body(fault, "kafka:direct".to_string(), detect, |ctx| {
+fn run_kafka_direct_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
+    run_cell_body(fault, "kafka:direct".to_string(), detector, |ctx| {
         let mut broker = seeded_broker(ctx);
         let result = (|| {
             broker.produce(KAFKA_TOPIC, P0, Some(b"k"), Some(b"v"), 5)?;
@@ -513,30 +484,35 @@ fn run_kafka_direct_cell(fault: &FaultSpec, detect: Option<CellDetect<'_>>) -> F
     })
 }
 
-fn run_kafka_connector_cell(fault: &FaultSpec, detect: Option<CellDetect<'_>>) -> FaultCase {
-    run_cell_body(fault, "kafka:spark-connector".to_string(), detect, |ctx| {
-        let broker = seeded_broker(ctx);
-        let result = plan_range(&broker, KAFKA_TOPIC, P0, 0, ctx).and_then(|range| {
-            consume_range(
-                &broker,
-                KAFKA_TOPIC,
-                P0,
-                range,
-                OffsetModel::TolerateGaps,
-                ctx,
-            )
-            .map(|records| records.len())
-        });
-        let detail = match &result {
-            Ok(n) => format!("connector consumed {n} records"),
-            Err(e) => format!("connector failed: {}", e.code()),
-        };
-        (result.err().map(InteractionError::from), detail)
-    })
+fn run_kafka_connector_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
+    run_cell_body(
+        fault,
+        "kafka:spark-connector".to_string(),
+        detector,
+        |ctx| {
+            let broker = seeded_broker(ctx);
+            let result = plan_range(&broker, KAFKA_TOPIC, P0, 0, ctx).and_then(|range| {
+                consume_range(
+                    &broker,
+                    KAFKA_TOPIC,
+                    P0,
+                    range,
+                    OffsetModel::TolerateGaps,
+                    ctx,
+                )
+                .map(|records| records.len())
+            });
+            let detail = match &result {
+                Ok(n) => format!("connector consumed {n} records"),
+                Err(e) => format!("connector failed: {}", e.code()),
+            };
+            (result.err().map(InteractionError::from), detail)
+        },
+    )
 }
 
-fn run_yarn_driver_cell(fault: &FaultSpec, detect: Option<CellDetect<'_>>) -> FaultCase {
-    run_cell_body(fault, "yarn:flink-driver".to_string(), detect, |ctx| {
+fn run_yarn_driver_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
+    run_cell_body(fault, "yarn:flink-driver".to_string(), detector, |ctx| {
         // A small job in the no-storm regime on its own parameters: any
         // storm observed below is the injected fault's doing.
         let target = 20;
@@ -561,8 +537,8 @@ fn run_yarn_driver_cell(fault: &FaultSpec, detect: Option<CellDetect<'_>>) -> Fa
     })
 }
 
-fn run_yarn_metrics_cell(fault: &FaultSpec, detect: Option<CellDetect<'_>>) -> FaultCase {
-    run_cell_body(fault, "yarn:spark-connector".to_string(), detect, |ctx| {
+fn run_yarn_metrics_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
+    run_cell_body(fault, "yarn:spark-connector".to_string(), detector, |ctx| {
         let mut rm = ResourceManager::with_nodes(4, Resource::new(8192, 8));
         rm.set_crossing(ctx.clone());
         let result = minispark::connectors::yarn::cluster_metrics(&rm, ctx);
@@ -582,14 +558,14 @@ fn run_yarn_metrics_cell(fault: &FaultSpec, detect: Option<CellDetect<'_>>) -> F
 fn run_hbase_cell(
     fault: &FaultSpec,
     policy: RetryPolicy,
-    detect: Option<CellDetect<'_>>,
+    detector: Option<&DetectorSpec>,
 ) -> FaultCase {
     let policy_name = match policy {
         RetryPolicy::TrustCache => "trust-cache",
         RetryPolicy::RefreshAndRetry => "refresh-retry",
     };
     let scenario = format!("hbase:kv-client({policy_name})");
-    run_cell_body(fault, scenario, detect, |ctx| {
+    run_cell_body(fault, scenario, detector, |ctx| {
         let mut cluster = ClusterState::new();
         cluster.assign("t,region-0", ServerId(2));
         let mut client = HBaseClient::new();
@@ -606,28 +582,23 @@ fn run_hbase_cell(
     })
 }
 
-fn run_cell(config: &FaultMatrixConfig, cell: &Cell) -> FaultCase {
-    let detect = config.detect.as_ref().map(|c| CellDetect {
-        config: c,
-        tap: config.tap.as_ref(),
-    });
+fn run_cell(cell: &Cell, detector: Option<&DetectorSpec>) -> FaultCase {
     match cell {
         Cell::Probe {
             fault,
             experiment,
             plan,
             format,
-        } => run_probe_cell(fault, *experiment, *plan, *format, detect),
-        Cell::KafkaDirect { fault } => run_kafka_direct_cell(fault, detect),
-        Cell::KafkaConnector { fault } => run_kafka_connector_cell(fault, detect),
-        Cell::YarnDriver { fault } => run_yarn_driver_cell(fault, detect),
-        Cell::YarnMetrics { fault } => run_yarn_metrics_cell(fault, detect),
-        Cell::HBaseRoute { fault, policy } => run_hbase_cell(fault, *policy, detect),
+        } => run_probe_cell(fault, *experiment, *plan, *format, detector),
+        Cell::KafkaDirect { fault } => run_kafka_direct_cell(fault, detector),
+        Cell::KafkaConnector { fault } => run_kafka_connector_cell(fault, detector),
+        Cell::YarnDriver { fault } => run_yarn_driver_cell(fault, detector),
+        Cell::YarnMetrics { fault } => run_yarn_metrics_cell(fault, detector),
+        Cell::HBaseRoute { fault, policy } => run_hbase_cell(fault, *policy, detector),
     }
 }
 
-fn build_report(config: &FaultMatrixConfig, cases: Vec<FaultCase>) -> FaultMatrixReport {
-    let detector_enabled = config.detect.is_some();
+fn build_report(seed: u64, detector_enabled: bool, cases: Vec<FaultCase>) -> FaultMatrixReport {
     let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
     let mut tally = DetectionTally::default();
     for case in &cases {
@@ -641,7 +612,7 @@ fn build_report(config: &FaultMatrixConfig, cases: Vec<FaultCase>) -> FaultMatri
         }
     }
     FaultMatrixReport {
-        seed: config.seed,
+        seed,
         detector_enabled,
         cases,
         outcomes,
@@ -652,18 +623,44 @@ fn build_report(config: &FaultMatrixConfig, cases: Vec<FaultCase>) -> FaultMatri
 }
 
 /// The matrix runner behind [`crate::Campaign::fault_matrix`]: every cell
-/// through [`run_ordered`] on `workers` workers (`0` and `1` both mean the
-/// calling thread), cases in canonical cell order. Because every cell is
-/// hermetic, the report is byte-identical at any worker count.
-pub(crate) fn run_fault_matrix(config: &FaultMatrixConfig, workers: usize) -> FaultMatrixReport {
-    let cells = enumerate_cells(config);
+/// of `spec.faults` (or, without it, of [`fault_catalogue`] at
+/// `spec.matrix_seed`) through [`run_ordered`] on `spec.shards` workers
+/// (`0` and `1` both mean the calling thread), cases in canonical cell
+/// order. Because every cell is hermetic, the report is byte-identical at
+/// any worker count. With `spec.detect`, every cell is judged and its
+/// detections handed to `tap`.
+///
+/// The outcome's report carries the matrix's detection aggregates, so the
+/// one [`Render`](csi_core::report::Render) path shows them beside the
+/// fault cells.
+pub(crate) fn run_fault_matrix(spec: &CampaignSpec, tap: Option<DetectionTap>) -> CampaignOutcome {
+    let seed = spec.matrix_seed.expect("matrix mode");
+    let faults = spec.faults.clone().unwrap_or_else(|| fault_catalogue(seed));
+    let detector = spec.detect.then(|| DetectorSpec {
+        config: spec.detector_config,
+        baselines: Arc::default(),
+        tap,
+    });
+    let cells = enumerate_cells(spec, &faults);
     let cases = run_ordered(
-        workers,
+        spec.shards,
         cells.len(),
         || (),
-        |(), i| run_cell(config, &cells[i]),
+        |(), i| run_cell(&cells[i], detector.as_ref()),
     );
-    build_report(config, cases)
+    let matrix = build_report(seed, detector.is_some(), cases);
+    let report = DiscrepancyReport {
+        detector_enabled: matrix.detector_enabled,
+        detection_kinds: matrix.detection_kinds.clone(),
+        detection_totals: matrix.detection_totals.clone(),
+        detector_agreement: matrix.agreement,
+        ..DiscrepancyReport::default()
+    };
+    CampaignOutcome {
+        report,
+        matrix: Some(matrix),
+        ..CampaignOutcome::default()
+    }
 }
 
 #[cfg(test)]
@@ -812,31 +809,24 @@ mod tests {
                 .or_default()
                 .push(obs);
         }
-        let config = FaultMatrixConfig {
-            seed: 42,
-            experiments: Experiment::ALL.to_vec(),
-            formats: StorageFormat::ALL.to_vec(),
-            faults: fault_catalogue(42),
-            detect: None,
-            tap: None,
-        };
-        let probes: Vec<Observation> = enumerate_cells(&config)
-            .into_iter()
-            .filter_map(|cell| match cell {
-                Cell::Probe {
-                    fault,
-                    experiment,
-                    plan,
-                    format,
-                } => {
-                    let ctx = CrossingContext::new();
-                    ctx.arm(fault);
-                    let d = Deployment::new(ctx);
-                    Some(run_one(&d, experiment, plan, format, &probe_input(), false))
-                }
-                _ => None,
-            })
-            .collect();
+        let probes: Vec<Observation> =
+            enumerate_cells(&CampaignSpec::default(), &fault_catalogue(42))
+                .into_iter()
+                .filter_map(|cell| match cell {
+                    Cell::Probe {
+                        fault,
+                        experiment,
+                        plan,
+                        format,
+                    } => {
+                        let ctx = CrossingContext::new();
+                        ctx.arm(fault);
+                        let d = Deployment::new(ctx);
+                        Some(run_one(&d, experiment, plan, format, &probe_input(), false))
+                    }
+                    _ => None,
+                })
+                .collect();
         groups.insert((usize::MAX, 0), probes);
         // One clean single-row observation, read back as two different
         // three-row results, as the same three rows twice, and unread.
@@ -902,18 +892,20 @@ mod tests {
     #[test]
     fn sharded_matrix_is_byte_identical_to_serial() {
         // The small catalogue against one experiment and one format.
-        let config = FaultMatrixConfig {
-            seed: 11,
-            experiments: vec![Experiment::ALL[0]],
-            formats: vec![StorageFormat::Orc],
-            faults: small_fault_catalogue(11),
-            detect: None,
-            tap: None,
+        let json = |shards| {
+            let spec = CampaignSpec {
+                matrix_seed: Some(11),
+                experiments: vec![Experiment::ALL[0]],
+                formats: vec![StorageFormat::Orc],
+                faults: Some(small_fault_catalogue(11)),
+                shards,
+                ..CampaignSpec::default()
+            };
+            serde_json::to_string(&run_fault_matrix(&spec, None).matrix).unwrap()
         };
-        let json = |r: &FaultMatrixReport| serde_json::to_string(r).unwrap();
-        let serial = json(&run_fault_matrix(&config, 1));
-        assert_eq!(serial, json(&run_fault_matrix(&config, 0)));
-        assert_eq!(serial, json(&run_fault_matrix(&config, 3)));
+        let serial = json(1);
+        assert_eq!(serial, json(0));
+        assert_eq!(serial, json(3));
     }
 
     #[test]

@@ -32,21 +32,19 @@ pub mod shrink;
 pub mod spec;
 pub mod tolerate;
 
-pub use bulk::{run_bulk, BulkConfig, BulkReport};
+pub use bulk::BulkReport;
 pub use campaign::{Campaign, CampaignOutcome};
 pub use classify::active_ids;
 pub use corpus::{infer, synthesize, synthesize_inputs, CorpusShape, CorpusTable, InferredTable};
-pub use exec::CrossTestConfig;
+pub use exec::custom_resolving_overrides;
 pub use generator::{generate_inputs, mutate_input, TestInput, Validity};
-pub use inject::{
-    fault_catalogue, small_fault_catalogue, FaultCase, FaultMatrixConfig, FaultMatrixReport,
-};
-pub use multi::{CompoundConfig, CompoundResult, InterleaveSchedule};
+pub use inject::{fault_catalogue, small_fault_catalogue, FaultCase, FaultMatrixReport};
+pub use multi::{CompoundResult, InterleaveSchedule};
 pub use plan::{Experiment, Interface, TestPlan};
 pub use shard::{CampaignMetrics, WorkerStats};
 pub use shrink::{reproducer_triggers, Reproducer, ShrunkReproducer};
 pub use spec::{
-    CampaignSpec, InputSelection, SpecError, MAX_KFAULTS, MAX_OVERRIDES, MAX_OVERRIDE_BYTES,
-    MAX_SHARDS,
+    CampaignSpec, InputSelection, SpecError, MAX_JOBS, MAX_KFAULTS, MAX_OVERRIDES,
+    MAX_OVERRIDE_BYTES, MAX_SHARDS,
 };
 pub use tolerate::{redundant_read, redundant_read_traced, ReadPath, RedundantRead};

@@ -35,6 +35,7 @@ use crate::inject;
 use crate::plan::{scenario_key, Experiment, TestPlan};
 use crate::shard::run_ordered;
 use crate::shrink::ddmin_lite;
+use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext, InteractionTrace};
 use csi_core::coverage::{prefix_fingerprint, CoverageMap, CoverageSignature};
 use csi_core::fault::{
@@ -59,6 +60,9 @@ const SCHEDULES: usize = 3;
 
 /// Seeded fault combinations drawn per arity (k = 2, 3).
 const SETS_PER_K: usize = 6;
+
+/// Trials the search executes when the spec sets no explore budget.
+const DEFAULT_BUDGET: usize = 96;
 
 /// One job of a compound trial: a cross-test cell that will be decomposed
 /// into create/insert/read turns on the shared deployment.
@@ -318,38 +322,6 @@ pub fn default_jobs(n: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Configuration of a compound (fault-set × interleaving) campaign.
-#[derive(Debug, Clone)]
-pub struct CompoundConfig {
-    /// Seed for the fault catalogue, the combination draws, and the
-    /// interleaving draws.
-    pub seed: u64,
-    /// Maximum fault-set arity (clamped to 1..=3).
-    pub kfaults: usize,
-    /// Number of jobs sharing each trial's deployment (clamped to 1..=4).
-    pub jobs: usize,
-    /// Maximum trials executed by the coverage-guided search (the shrink
-    /// pass runs outside this budget and is accounted in
-    /// [`CompoundStats::shrink_checks`]).
-    pub budget: usize,
-    /// Worker threads; `0` or `1` runs serially. Byte-identical results at
-    /// any worker count.
-    pub shards: usize,
-}
-
-impl CompoundConfig {
-    /// The standard compound campaign: two jobs, a 96-trial budget.
-    pub fn new(seed: u64, kfaults: usize) -> CompoundConfig {
-        CompoundConfig {
-            seed,
-            kfaults,
-            jobs: 2,
-            budget: 96,
-            shards: 1,
-        }
-    }
-}
-
 /// The result of [`run_compound`].
 #[derive(Debug, Clone)]
 pub struct CompoundResult {
@@ -362,27 +334,35 @@ pub struct CompoundResult {
     pub discrepancies: Vec<CompoundDiscrepancy>,
 }
 
-/// Runs the coverage-guided compound campaign: enumerate the (fault-set ×
+/// Runs `spec`'s coverage-guided compound pass: enumerate the (fault-set ×
 /// interleaving) product space, execute trials round by round (promoting
 /// every schedule of a fault set whose trial produced a novel signature
 /// *and* a discrepancy), cluster the discrepancies by causal-prefix
 /// fingerprint, and shrink each cluster to a minimal fault-set +
 /// interleaving reproducer.
-pub fn run_compound(config: &CompoundConfig) -> CompoundResult {
-    let jobs = default_jobs(config.jobs.clamp(1, 4));
-    let kfaults = config.kfaults.clamp(1, 3);
-    let catalogue: Vec<_> = inject::fault_catalogue(config.seed)
+///
+/// Reads `spec.seed` (catalogue, combination and interleaving draws),
+/// `spec.kfaults` (the set arity, at least 1), `spec.jobs` (the
+/// [`default_jobs`] roster sharing each trial's deployment), `spec.shards`
+/// (byte-identical at any worker count) and `spec.explore_budget` (the
+/// trial budget, 96 trials without it; the shrink pass runs outside it and
+/// is accounted in [`CompoundStats::shrink_checks`]). A validated spec is
+/// in range on every one.
+pub fn run_compound(spec: &CampaignSpec) -> CompoundResult {
+    let jobs = default_jobs(spec.jobs);
+    let budget = spec.explore_budget.unwrap_or(DEFAULT_BUDGET);
+    let catalogue: Vec<_> = inject::fault_catalogue(spec.seed)
         .faults
         .into_iter()
         .filter(|f| matches!(f.channel, Channel::Metastore | Channel::Hdfs))
         .collect();
-    let sets = fault_combinations(&catalogue, kfaults, config.seed, SETS_PER_K);
+    let sets = fault_combinations(&catalogue, spec.kfaults, spec.seed, SETS_PER_K);
     let mut schedules = vec![InterleaveSchedule::identity(jobs.len(), TURNS_PER_JOB)];
     for i in 0..SCHEDULES {
         schedules.push(InterleaveSchedule::seeded(
             jobs.len(),
             TURNS_PER_JOB,
-            config.seed.wrapping_add(i as u64 + 1),
+            spec.seed.wrapping_add(i as u64 + 1),
         ));
     }
     // Seeded draws can collide with identity (always, for one job); keep
@@ -397,9 +377,9 @@ pub fn run_compound(config: &CompoundConfig) -> CompoundResult {
     let mut cursor = 0usize;
     let mut executed = 0usize;
     let mut discrepancies: Vec<CompoundDiscrepancy> = Vec::new();
-    while executed < config.budget {
+    while executed < budget {
         let mut batch = Vec::new();
-        while batch.len() < ROUND.min(config.budget - executed) {
+        while batch.len() < ROUND.min(budget - executed) {
             let next = pending.pop_front().or_else(|| {
                 // Grid filler: fault-set-major, schedule-minor.
                 while cursor < space {
@@ -423,7 +403,7 @@ pub fn run_compound(config: &CompoundConfig) -> CompoundResult {
             break;
         }
         let reports = run_ordered(
-            config.shards,
+            spec.shards,
             batch.len(),
             || (),
             |(), i| {
@@ -507,8 +487,8 @@ pub fn run_compound(config: &CompoundConfig) -> CompoundResult {
     }
 
     let stats = CompoundStats {
-        seed: config.seed,
-        kfaults,
+        seed: spec.seed,
+        kfaults: spec.kfaults,
         jobs: jobs.len(),
         executed,
         space,

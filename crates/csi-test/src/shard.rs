@@ -27,16 +27,19 @@
 //!
 //! [`DiscrepancyReport`]: csi_core::report::DiscrepancyReport
 
+use crate::campaign::CampaignOutcome;
 use crate::classify::Classifier;
-use crate::exec::{run_one, CrossTestConfig, Deployment};
+use crate::exec::{learn_baselines, run_one, Deployment};
 use crate::generator::TestInput;
 use crate::plan::{Experiment, TestPlan};
+use crate::spec::CampaignSpec;
+use csi_core::detect::{DetectionTap, DetectorSpec};
 use csi_core::oracle::Observation;
-use csi_core::report::DiscrepancyReport;
 use minihive::metastore::StorageFormat;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs `job(state, i)` for every `i` in `0..n` on up to `workers`
@@ -120,16 +123,6 @@ pub struct CampaignMetrics {
     pub per_worker: Vec<WorkerStats>,
 }
 
-/// The result of [`run_cross_test`].
-pub(crate) struct CrossTestRun {
-    /// The deduplicated discrepancy report.
-    pub report: DiscrepancyReport,
-    /// Every observation, tagged with its experiment, in canonical order.
-    pub observations: Vec<(Experiment, Observation)>,
-    /// Throughput and utilization metrics.
-    pub metrics: CampaignMetrics,
-}
-
 /// One work unit: a contiguous slice of the input catalogue under a fixed
 /// (experiment, plan, format). Shards are generated in canonical executor
 /// order, so a shard's position in the vector *is* its merge position.
@@ -144,11 +137,12 @@ struct Shard {
 
 /// Enumerates shards in the canonical nesting order: experiment, then
 /// plan, then format, then input chunks.
-fn build_shards(inputs_len: usize, config: &CrossTestConfig, chunk_size: usize) -> Vec<Shard> {
+fn build_shards(inputs_len: usize, spec: &CampaignSpec) -> Vec<Shard> {
+    let chunk_size = spec.chunk_size.max(1);
     let mut shards = Vec::new();
-    for (experiment_idx, &experiment) in config.experiments.iter().enumerate() {
+    for (experiment_idx, &experiment) in spec.experiments.iter().enumerate() {
         for plan in experiment.plans() {
-            for &format in &config.formats {
+            for &format in &spec.formats {
                 let mut lo = 0;
                 while lo < inputs_len {
                     let hi = (lo + chunk_size).min(inputs_len);
@@ -172,7 +166,8 @@ fn build_shards(inputs_len: usize, config: &CrossTestConfig, chunk_size: usize) 
 /// holds and its share of the campaign metrics. Dropping it drops the
 /// deployment and files the worker's [`WorkerStats`].
 struct GridWorker<'a> {
-    config: &'a CrossTestConfig,
+    spec: &'a CampaignSpec,
+    detector: Option<&'a DetectorSpec>,
     stats: &'a Mutex<Vec<WorkerStats>>,
     started: Instant,
     /// The held deployment and the index of the experiment it serves.
@@ -188,7 +183,7 @@ impl GridWorker<'_> {
     /// will not see that experiment again.
     fn deployment_for(&mut self, experiment_idx: usize) -> &Deployment {
         if !matches!(self.deployment, Some((held, _)) if held == experiment_idx) {
-            self.deployment = Some((experiment_idx, Deployment::armed(self.config)));
+            self.deployment = Some((experiment_idx, Deployment::armed(self.spec, self.detector)));
         }
         &self.deployment.as_ref().expect("just built").1
     }
@@ -209,28 +204,46 @@ impl Drop for GridWorker<'_> {
     }
 }
 
-/// Runs the full cross-test on `workers` workers (`0` and `1` both mean
-/// one: the calling thread) with at most `chunk_size` inputs per shard,
-/// and merges the shard results in canonical order — the executor behind
-/// every cross-test [`crate::Campaign`]. Observations, failure ordering,
-/// and the classified report are the same at any worker count and chunk
-/// size; see the module docs for how the merge guarantees this.
+/// Runs `spec`'s grid over `inputs` on `spec.shards` workers (`0` and `1`
+/// both mean one: the calling thread) with at most `spec.chunk_size`
+/// inputs per shard, and merges the shard results in canonical order: the
+/// executor behind every grid [`crate::Campaign`]. Observations, failure
+/// ordering, and the classified report are the same at any worker count
+/// and chunk size; see the module docs for how the merge guarantees this.
+///
+/// With `spec.detect`, the same spec with no faults and no detector runs
+/// first, to learn each scenario's baseline crossing profile; the real run
+/// is judged against those frozen baselines, and hands every detection to
+/// `tap`. Learning is keyed, so worker interleaving cannot change it.
 pub(crate) fn run_cross_test(
+    spec: &CampaignSpec,
     inputs: &[TestInput],
-    config: &CrossTestConfig,
-    workers: usize,
-    chunk_size: usize,
-) -> CrossTestRun {
+    tap: Option<DetectionTap>,
+) -> CampaignOutcome {
+    let detector = spec.detect.then(|| {
+        let calibration = CampaignSpec {
+            faults: None,
+            detect: false,
+            ..spec.clone()
+        };
+        let calibration = run_cross_test(&calibration, inputs, None);
+        DetectorSpec {
+            config: spec.detector_config,
+            baselines: Arc::new(learn_baselines(&calibration.observations)),
+            tap,
+        }
+    });
     let campaign_started = Instant::now();
-    let shards = build_shards(inputs.len(), config, chunk_size.max(1));
-    let workers = workers.clamp(1, shards.len().max(1));
+    let shards = build_shards(inputs.len(), spec);
+    let workers = spec.shards.clamp(1, shards.len().max(1));
     let stats: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::with_capacity(workers));
 
     let batches: Vec<Vec<Observation>> = run_ordered(
         workers,
         shards.len(),
         || GridWorker {
-            config,
+            spec,
+            detector: detector.as_ref(),
             stats: &stats,
             started: Instant::now(),
             deployment: None,
@@ -269,7 +282,7 @@ pub(crate) fn run_cross_test(
     // the batches hands the classifier the grid's observation sequence —
     // each experiment sealed as the walk leaves it — and the report is the
     // same at any worker count.
-    let mut judge = Classifier::new(&config.experiments);
+    let mut judge = Classifier::new(&spec.experiments);
     for (i, (shard, batch)) in shards.iter().zip(batches).enumerate() {
         for (input, obs) in inputs[shard.lo..shard.hi].iter().zip(batch) {
             judge.absorb(shard.experiment_idx, input, obs);
@@ -279,7 +292,7 @@ pub(crate) fn run_cross_test(
             judge.seal(shard.experiment_idx);
         }
     }
-    let (report, observations) = judge.finish(inputs, config.detector.is_some());
+    let (report, observations) = judge.finish(inputs, detector.is_some());
 
     let oracle_micros = merge_started.elapsed().as_micros() as u64;
     let total_micros = campaign_started.elapsed().as_micros() as u64;
@@ -294,10 +307,11 @@ pub(crate) fn run_cross_test(
             / (execute_micros.max(1) as f64 / 1_000_000.0),
         per_worker: stats.into_inner(),
     };
-    CrossTestRun {
+    CampaignOutcome {
         report,
         observations,
-        metrics,
+        metrics: Some(metrics),
+        ..CampaignOutcome::default()
     }
 }
 
@@ -386,8 +400,11 @@ mod tests {
 
     #[test]
     fn shards_cover_the_space_in_canonical_order() {
-        let config = CrossTestConfig::default();
-        let shards = build_shards(10, &config, 3);
+        let spec = CampaignSpec {
+            chunk_size: 3,
+            ..CampaignSpec::default()
+        };
+        let shards = build_shards(10, &spec);
         // 8 plans x 3 formats x ceil(10 / 3) chunks.
         assert_eq!(shards.len(), 8 * 3 * 4);
         let mut prev = (0, 0);
@@ -404,17 +421,23 @@ mod tests {
     #[test]
     fn worker_count_and_chunk_size_do_not_change_the_outcome() {
         let inputs = small_inputs();
-        let config = CrossTestConfig::default();
-        let serial = run_cross_test(&inputs, &config, 1, 64);
-        assert_eq!(serial.metrics.workers, 1);
-        assert_eq!(serial.metrics.per_worker.len(), 1);
-        for (workers, chunk_size) in [(1, 2), (3, 2), (2, 1)] {
-            let out = run_cross_test(&inputs, &config, workers, chunk_size);
+        let serial = run_cross_test(&CampaignSpec::default(), &inputs, None);
+        let metrics = serial.metrics.as_ref().expect("grid metrics");
+        assert_eq!(metrics.workers, 1);
+        assert_eq!(metrics.per_worker.len(), 1);
+        for (shards, chunk_size) in [(1, 2), (3, 2), (2, 1)] {
+            let spec = CampaignSpec {
+                shards,
+                chunk_size,
+                ..CampaignSpec::default()
+            };
+            let out = run_cross_test(&spec, &inputs, None);
             assert_eq!(out.observations, serial.observations);
             assert_eq!(out.report, serial.report);
-            assert_eq!(out.metrics.workers, workers);
-            assert_eq!(out.metrics.observations, serial.observations.len());
-            let by_worker: usize = out.metrics.per_worker.iter().map(|w| w.observations).sum();
+            let metrics = out.metrics.expect("grid metrics");
+            assert_eq!(metrics.workers, shards);
+            assert_eq!(metrics.observations, serial.observations.len());
+            let by_worker: usize = metrics.per_worker.iter().map(|w| w.observations).sum();
             assert_eq!(by_worker, serial.observations.len());
         }
     }
@@ -422,7 +445,12 @@ mod tests {
     #[test]
     fn metrics_are_serializable_to_json() {
         let inputs = small_inputs();
-        let out = run_cross_test(&inputs, &CrossTestConfig::default(), 2, 2);
+        let spec = CampaignSpec {
+            shards: 2,
+            chunk_size: 2,
+            ..CampaignSpec::default()
+        };
+        let out = run_cross_test(&spec, &inputs, None);
         let json = serde_json::to_string(&out.metrics).expect("metrics serialize");
         assert!(json.contains("\"observations_per_sec\""));
         assert!(json.contains("\"per_worker\""));

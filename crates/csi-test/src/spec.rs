@@ -33,6 +33,10 @@ pub const MAX_SHARDS: usize = 256;
 /// enumeration limit of [`csi_core::fault::fault_combinations`].
 pub const MAX_KFAULTS: usize = 3;
 
+/// Upper bound on [`CampaignSpec::jobs`]: the compound pass's job roster
+/// shares one deployment per trial, and its interleavings grow with it.
+pub const MAX_JOBS: usize = 4;
+
 /// Upper bound on the entries of [`CampaignSpec::spark_overrides`]: the
 /// list is one `config.set` loop per deployment the campaign builds, so a
 /// revived spec may not size it freely.
@@ -131,6 +135,16 @@ pub enum SpecError {
     ZeroExploreBudget,
     /// `jobs` is zero — a compound pass needs at least one job.
     NoJobs,
+    /// `jobs` exceeds [`MAX_JOBS`].
+    TooManyJobs {
+        /// The requested job count.
+        jobs: usize,
+        /// The maximum accepted.
+        max: usize,
+    },
+    /// Both `explore_budget` and `matrix_seed` are set: each selects the
+    /// campaign's main mode, and a campaign runs one.
+    TwoMainModes,
     /// The corpus shape of an [`InputSelection::Corpus`] cannot
     /// synthesize a table (see [`CorpusShape::validate`]).
     BadCorpusShape {
@@ -176,6 +190,13 @@ impl fmt::Display for SpecError {
                 write!(f, "explore budget must be at least 1 observation")
             }
             SpecError::NoJobs => write!(f, "compound campaigns need at least one job"),
+            SpecError::TooManyJobs { jobs, max } => {
+                write!(f, "job count {jobs} exceeds the maximum of {max}")
+            }
+            SpecError::TwoMainModes => write!(
+                f,
+                "explore_budget and matrix_seed each select the main mode; set at most one"
+            ),
             SpecError::BadCorpusShape { reason } => {
                 write!(f, "corpus shape cannot synthesize: {reason}")
             }
@@ -200,35 +221,48 @@ impl std::error::Error for SpecError {}
 /// spec is always byte-deterministic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSpec {
-    /// Inputs to run.
+    /// Inputs to run. Read by the grid and explore mode; the matrix, the
+    /// compound pass and bulk bring their own.
     pub inputs: InputSelection,
-    /// Experiments to run.
+    /// Experiments to run. Read by the grid, the matrix's probe cells and
+    /// explore mode; the compound pass keeps its own job roster.
     pub experiments: Vec<Experiment>,
-    /// Storage formats to exercise.
+    /// Storage formats to exercise. Read by the grid, the matrix's probe
+    /// cells, explore mode and bulk.
     pub formats: Vec<StorageFormat>,
-    /// Spark configuration overrides set on every deployment's session.
+    /// Spark configuration overrides, set on the session of every grid
+    /// deployment. No other mode reads them.
     pub spark_overrides: Vec<(String, String)>,
-    /// Worker count; `0` or `1` runs serially.
+    /// Worker count; `0` or `1` runs serially. Read by every mode but
+    /// bulk.
     pub shards: usize,
-    /// Maximum inputs per shard (cross-test campaigns only).
+    /// Maximum inputs per shard. Read by the grid only.
     pub chunk_size: usize,
-    /// Fault plan to arm (cross-test mode) or cell catalogue (matrix
-    /// mode).
+    /// Fault plan armed on every grid deployment, or the cell catalogue
+    /// of the matrix. Explore mode and the compound pass draw from
+    /// [`fault_catalogue`](crate::inject::fault_catalogue) instead.
     pub faults: Option<FaultPlan>,
-    /// `Some(seed)` switches the campaign to fault-matrix mode.
+    /// `Some(seed)` switches the campaign to fault-matrix mode, whose
+    /// standard catalogue is derived from it.
     pub matrix_seed: Option<u64>,
-    /// Run the online CSI failure detector.
+    /// Run the online CSI failure detector. Read by the grid and the
+    /// matrix.
     pub detect: bool,
-    /// Detector thresholds.
+    /// Detector thresholds. Read by the grid and the matrix.
     pub detector_config: DetectorConfig,
-    /// Exploration/mutation seed.
+    /// Seed of explore mode's schedule, mutants and fault overlay, of the
+    /// compound pass's catalogue, fault sets and interleavings, and of
+    /// bulk's generated table. The grid and the matrix do not read it.
     pub seed: u64,
     /// `Some(budget)` switches the campaign to coverage-guided explore
-    /// mode. `Some(0)` is rejected by [`validate`](CampaignSpec::validate).
+    /// mode, and is also the compound pass's trial budget (96 without
+    /// it). `Some(0)` is rejected by [`validate`](CampaignSpec::validate),
+    /// and so is a spec that also sets `matrix_seed`.
     pub explore_budget: Option<usize>,
     /// Arity of the compound fault-set pass; `0` disables it.
     pub kfaults: usize,
-    /// Jobs sharing each compound trial's deployment.
+    /// Jobs sharing each compound trial's deployment. Read by the
+    /// compound pass only.
     pub jobs: usize,
 }
 
@@ -277,8 +311,17 @@ impl CampaignSpec {
         if self.explore_budget == Some(0) {
             return Err(SpecError::ZeroExploreBudget);
         }
+        if self.explore_budget.is_some() && self.matrix_seed.is_some() {
+            return Err(SpecError::TwoMainModes);
+        }
         if self.jobs == 0 {
             return Err(SpecError::NoJobs);
+        }
+        if self.jobs > MAX_JOBS {
+            return Err(SpecError::TooManyJobs {
+                jobs: self.jobs,
+                max: MAX_JOBS,
+            });
         }
         if let Some(reason) = first_repeat("experiments", &self.experiments)
             .or_else(|| first_repeat("formats", &self.formats))
@@ -451,10 +494,28 @@ mod tests {
             ),
             (
                 CampaignSpec {
+                    explore_budget: Some(64),
+                    matrix_seed: Some(5),
+                    ..base.clone()
+                },
+                SpecError::TwoMainModes,
+            ),
+            (
+                CampaignSpec {
                     jobs: 0,
                     ..base.clone()
                 },
                 SpecError::NoJobs,
+            ),
+            (
+                CampaignSpec {
+                    jobs: MAX_JOBS + 1,
+                    ..base.clone()
+                },
+                SpecError::TooManyJobs {
+                    jobs: MAX_JOBS + 1,
+                    max: MAX_JOBS,
+                },
             ),
             (
                 CampaignSpec {
@@ -575,7 +636,7 @@ mod tests {
         .validate()
         .expect("a shuffled catalogue is valid");
         CampaignSpec {
-            spark_overrides: crate::CrossTestConfig::custom_resolving_overrides(),
+            spark_overrides: crate::custom_resolving_overrides(),
             ..base.clone()
         }
         .validate()

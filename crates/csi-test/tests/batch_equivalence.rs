@@ -1203,10 +1203,7 @@ fn bulk_digests() -> Vec<(String, u64)> {
         }
     }
     for rows in [1usize, 63, 64, 65, 4096] {
-        let report = csi_test::run_bulk(&csi_test::BulkConfig {
-            rows,
-            ..csi_test::BulkConfig::default()
-        });
+        let report = csi_test::Campaign::new(&[]).run_bulk(rows);
         let mut h = csi_core::hash::Fnv1a::new();
         h.bytes(report.render().as_bytes());
         h.bytes(

@@ -11,7 +11,7 @@
 
 use csi_core::hash::Fnv1a;
 use csi_test::{
-    generate_inputs, small_fault_catalogue, Campaign, CampaignOutcome, CrossTestConfig,
+    custom_resolving_overrides, generate_inputs, small_fault_catalogue, Campaign, CampaignOutcome,
 };
 
 fn json<T: serde::Serialize>(value: &T) -> String {
@@ -54,7 +54,7 @@ fn grid_outcomes_hold_their_committed_digests() {
         ),
         (
             "catalogue under resolving overrides",
-            Campaign::new(&inputs).spark_overrides(CrossTestConfig::custom_resolving_overrides()),
+            Campaign::new(&inputs).spark_overrides(custom_resolving_overrides()),
             0x8cc8_d788_e526_040c,
         ),
     ];

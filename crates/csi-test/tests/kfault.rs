@@ -11,15 +11,24 @@
 
 use csi_core::fault::{fault_combinations, Channel, FaultSet};
 use csi_test::multi::{
-    default_jobs, run_compound, run_compound_trial, CompoundConfig, InterleaveSchedule,
-    TURNS_PER_JOB,
+    default_jobs, run_compound, run_compound_trial, InterleaveSchedule, TURNS_PER_JOB,
 };
-use csi_test::{fault_catalogue, generate_inputs, Campaign, Experiment};
+use csi_test::{fault_catalogue, generate_inputs, Campaign, CampaignSpec, Experiment};
 use minihive::metastore::StorageFormat;
 use proptest::prelude::*;
 
 fn json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serializable")
+}
+
+/// The standard compound pass at `seed` and arity `kfaults`: two jobs,
+/// the 96-trial budget, one worker.
+fn compound(seed: u64, kfaults: usize) -> CampaignSpec {
+    CampaignSpec {
+        seed,
+        kfaults,
+        ..CampaignSpec::default()
+    }
 }
 
 /// The metastore/HDFS slice of the catalogue — the faults that can fire
@@ -35,9 +44,10 @@ fn deployment_faults(seed: u64) -> Vec<csi_core::fault::FaultSpec> {
 #[test]
 fn compound_campaign_is_identical_serial_vs_sharded_and_across_runs() {
     let run = |shards: usize| {
-        let mut config = CompoundConfig::new(7, 3);
-        config.shards = shards;
-        run_compound(&config)
+        run_compound(&CampaignSpec {
+            shards,
+            ..compound(7, 3)
+        })
     };
     let serial = run(1);
     let again = run(1);
@@ -54,7 +64,7 @@ fn compound_campaign_is_identical_serial_vs_sharded_and_across_runs() {
 
 #[test]
 fn at_least_one_multi_fault_cross_job_cluster_is_found_and_shrinks() {
-    let result = run_compound(&CompoundConfig::new(42, 3));
+    let result = run_compound(&compound(42, 3));
     assert!(result.stats.executed <= 96, "budget overrun");
     assert!(!result.clusters.is_empty(), "no co-failure clusters found");
     // A cross-job co-failure: two jobs of one trial misbehaving together,
@@ -75,7 +85,7 @@ fn at_least_one_multi_fault_cross_job_cluster_is_found_and_shrinks() {
 
 #[test]
 fn every_shrunk_reproducer_still_triggers_in_its_own_cluster() {
-    let result = run_compound(&CompoundConfig::new(42, 2));
+    let result = run_compound(&compound(42, 2));
     let jobs = default_jobs(2);
     let faults = deployment_faults(42);
     assert!(!result.clusters.is_empty());
@@ -265,10 +275,11 @@ proptest! {
     #[test]
     fn compound_explore_replay_is_byte_identical(seed in any::<u64>()) {
         let run = |shards: usize| {
-            let mut config = CompoundConfig::new(seed, 2);
-            config.budget = 24;
-            config.shards = shards;
-            run_compound(&config)
+            run_compound(&CampaignSpec {
+                explore_budget: Some(24),
+                shards,
+                ..compound(seed, 2)
+            })
         };
         let first = run(1);
         let again = run(1);

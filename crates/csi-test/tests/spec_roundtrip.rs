@@ -55,20 +55,45 @@ proptest! {
     }
 }
 
+/// One small builder campaign per mode — the grid, the fault matrix,
+/// explore and the compound pass — revived from its wire spec runs to the
+/// same render and report JSON, so each mode reads all it needs from the
+/// spec.
 #[test]
 fn builder_spec_extraction_round_trips_through_the_wire() {
     let inputs = csi_test::generate_inputs();
-    let campaign = Campaign::new(&inputs[..3])
-        .shards(2)
-        .chunk_size(1)
-        .detect(true);
-    let spec = campaign.spec().clone();
-    let revived: CampaignSpec =
-        serde_json::from_str(&json(&spec)).expect("builder spec survives the wire");
-    assert_eq!(revived, spec);
-    let a = campaign.run();
-    let b = Campaign::from_spec(revived).expect("valid spec").run();
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    let campaigns = [
+        Campaign::new(&inputs[..3])
+            .shards(2)
+            .chunk_size(1)
+            .detect(true),
+        Campaign::new(&[])
+            .fault_matrix(5)
+            .faults(csi_test::small_fault_catalogue(5))
+            .experiments(vec![csi_test::Experiment::ALL[0]])
+            .formats(vec![StorageFormat::Orc])
+            .detect(true)
+            .shards(2),
+        Campaign::new(&inputs[..6]).seed(7).explore(64).shards(2),
+        Campaign::new(&[]).kfaults(1),
+    ];
+    for (mode, campaign) in campaigns.into_iter().enumerate() {
+        let spec = campaign.spec().clone();
+        let revived: CampaignSpec =
+            serde_json::from_str(&json(&spec)).expect("builder spec survives the wire");
+        assert_eq!(revived, spec);
+        let a = campaign.run();
+        let b = Campaign::from_spec(revived).expect("valid spec").run();
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        assert_eq!(a.render(), b.render());
+        let ran = [
+            a.metrics.is_some(),
+            a.matrix.is_some(),
+            a.exploration.is_some(),
+            a.compound.is_some(),
+        ];
+        assert!(ran[mode], "campaign {mode} did not run its mode: {ran:?}");
+    }
 }
 
 #[test]

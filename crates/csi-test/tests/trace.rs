@@ -34,7 +34,7 @@ proptest! {
 
     /// Serial and sharded runs of the same catalogue window record
     /// byte-identical crossing sequences, observation by observation —
-    /// deployment pooling and table recycling included.
+    /// table recycling included.
     #[test]
     fn serial_and_sharded_traces_are_byte_identical(
         start in 0usize..380,

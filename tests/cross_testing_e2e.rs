@@ -2,7 +2,9 @@
 //! (the C2/E2 claims of the artifact appendix).
 
 use csi::core::report::ProblemCategory;
-use csi::cross_test::{active_ids, generate_inputs, Campaign, CrossTestConfig, Validity};
+use csi::cross_test::{
+    active_ids, custom_resolving_overrides, generate_inputs, Campaign, Validity,
+};
 
 #[test]
 fn input_catalogue_matches_section_8_1() {
@@ -52,7 +54,7 @@ fn custom_configuration_resolves_exactly_the_eight_paper_discrepancies() {
     let inputs = generate_inputs();
     let default_run = Campaign::new(&inputs).run();
     let custom_run = Campaign::new(&inputs)
-        .spark_overrides(CrossTestConfig::custom_resolving_overrides())
+        .spark_overrides(custom_resolving_overrides())
         .run();
     let before = active_ids(&default_run.report);
     let after = active_ids(&custom_run.report);
