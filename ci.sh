@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it) and spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test) guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test) and outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test) guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -124,6 +124,14 @@ stage_lint() {
   echo "==> spec guard (a mode reads the CampaignSpec; no *Config struct in csi-test)"
   if grep -rnE --include='*.rs' 'struct [A-Za-z]*Config\b' crates/csi-test/src/; then
     echo "read the field from the \`CampaignSpec\` the mode is handed; add a spec field (and its validation) if it is new" >&2
+    exit 1
+  fi
+  # The spec guard's twin on the output side: every mode fills one
+  # `CampaignOutcome` and pushes its findings there, so a per-mode result
+  # struct is a second container a finding can be dropped from on the way.
+  echo "==> outcome guard (a mode fills CampaignOutcome; no *Result struct in csi-test)"
+  if grep -rnE --include='*.rs' 'struct [A-Za-z]*Result\b' crates/csi-test/src/; then
+    echo "a mode fills CampaignOutcome" >&2
     exit 1
   fi
 }

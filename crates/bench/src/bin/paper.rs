@@ -438,6 +438,11 @@ fn section8() {
     println!("  active before: {before:?}");
     println!("  active after:  {after:?}");
     println!("  resolved:      {resolved:?}");
+    println!(
+        "  unattributed:  {} (default configuration: {})",
+        custom.report.unattributed.len(),
+        outcome.report.unattributed.len()
+    );
     compare(
         "discrepancies resolved by custom configuration",
         8,

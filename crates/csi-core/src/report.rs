@@ -8,7 +8,10 @@
 //! plane — and a [`DiscrepancyReport`] is the full run summary, serializable
 //! to JSON like the artifact's `*failed.json` files.
 
-use crate::detect::DetectorAgreement;
+use crate::boundary::InteractionTrace;
+use crate::detect::{Detection, DetectorAgreement};
+use crate::error::InteractionError;
+use crate::fault::{FaultOutcome, FaultSpec, InjectedFault};
 use crate::oracle::OracleFailure;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -158,21 +161,48 @@ impl DiscrepancyReport {
     }
 }
 
-/// One fault-matrix cell, reduced to what a campaign report renders.
-/// Defined here (not in the test harness) so matrix campaigns render
-/// through the same [`Render`] path as cross-test campaigns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultCellRow {
-    /// The injected fault's spec id.
-    pub fault_id: String,
-    /// The scenario the fault was injected into.
+/// One cell of the fault matrix: a fault crossed with a scenario, defined
+/// here so that [`Render`] reads the matrix directly.
+#[derive(Debug, Clone, Serialize)]
+pub struct FaultCase {
+    /// The fault under test.
+    pub fault: FaultSpec,
+    /// The scenario the fault was exercised against (e.g.
+    /// `"sh:spark-sql->hiveql:ORC"` or `"yarn:flink-driver"`).
     pub scenario: String,
-    /// The offline oracle's §9 bucket for the cell.
-    pub outcome: String,
-    /// How many online detections the cell produced.
-    pub detections: usize,
-    /// One-line cell evidence.
+    /// The faults that actually fired during the cell, read from its trace.
+    pub fired: Vec<InjectedFault>,
+    /// The error the caller saw, if any.
+    pub surfaced: Option<InteractionError>,
+    /// Taxonomy bucket; `None` when the fault never fired in this cell.
+    pub outcome: Option<FaultOutcome>,
+    /// Deterministic human-readable cell summary.
     pub detail: String,
+    /// The boundary-crossing sequence recorded while the cell ran.
+    pub trace: InteractionTrace,
+    /// Online detections the cell produced (empty when detection is off).
+    pub detections: Vec<Detection>,
+}
+
+/// The full fault-matrix report.
+#[derive(Debug, Clone, Serialize)]
+pub struct FaultMatrixReport {
+    /// The campaign seed.
+    pub seed: u64,
+    /// Whether the online detector ran over the cells.
+    pub detector_enabled: bool,
+    /// Every cell, in canonical (catalogue × scenario) order.
+    pub cases: Vec<FaultCase>,
+    /// Cell count per taxonomy bucket (key `"unfired"` counts cells whose
+    /// fault never fired).
+    pub outcomes: BTreeMap<String, usize>,
+    /// Detection count per [`crate::detect::DetectionKind`].
+    pub detection_kinds: BTreeMap<String, usize>,
+    /// Detection count per channel involved.
+    pub detection_totals: BTreeMap<String, usize>,
+    /// Online-vs-offline agreement over fired cells; `None` when detection
+    /// is off or no cell fired.
+    pub agreement: Option<DetectorAgreement>,
 }
 
 /// One corpus entry of a coverage-guided campaign: an input whose
@@ -232,8 +262,8 @@ pub struct ClusterRow {
     pub fingerprint: String,
     /// Number of member discrepancies.
     pub members: usize,
-    /// The last step of the shared prefix — the crossing the cluster
-    /// failed through (`channel|op|plane|status`).
+    /// `channel/op` of the first faulted crossing inside the witness job's
+    /// turns — the crossing the cluster failed through (`hdfs/read`).
     pub crack: String,
     /// Depth of the shared prefix, in crossings.
     pub prefix_len: usize,
@@ -310,8 +340,9 @@ pub struct ExplorationStats {
 /// The single rendering path for campaign reports. A block renders when
 /// its data is present: the summary, discrepancies and category totals
 /// always; crossings per channel when the campaign traced; detections when
-/// the detector ran; fault cells, exploration stats and co-failure clusters
-/// when supplied; the unattributed warning when anything went unattributed.
+/// the detector ran; matrix cells, exploration stats and co-failure
+/// clusters when supplied; the unattributed warning when anything went
+/// unattributed.
 ///
 /// ```
 /// use csi_core::report::{DiscrepancyReport, Render};
@@ -322,7 +353,7 @@ pub struct ExplorationStats {
 #[derive(Debug, Clone)]
 pub struct Render<'a> {
     report: &'a DiscrepancyReport,
-    fault_cells: &'a [FaultCellRow],
+    cases: &'a [FaultCase],
     exploration: Option<&'a ExplorationStats>,
     compound: Option<(&'a CompoundStats, &'a [ClusterRow])>,
 }
@@ -332,27 +363,27 @@ impl<'a> Render<'a> {
     pub fn standard(report: &'a DiscrepancyReport) -> Render<'a> {
         Render {
             report,
-            fault_cells: &[],
+            cases: &[],
             exploration: None,
             compound: None,
         }
     }
 
-    /// Supplies fault-matrix rows.
-    pub fn fault_cells(mut self, rows: &'a [FaultCellRow]) -> Render<'a> {
-        self.fault_cells = rows;
+    /// Supplies the fault matrix, if any, rendered one line per cell.
+    pub fn matrix(mut self, matrix: Option<&'a FaultMatrixReport>) -> Self {
+        self.cases = matrix.map_or(&[], |m| &m.cases);
         self
     }
 
-    /// Supplies exploration stats.
-    pub fn exploration(mut self, stats: &'a ExplorationStats) -> Render<'a> {
-        self.exploration = Some(stats);
+    /// Supplies exploration stats, if any.
+    pub fn exploration(mut self, stats: Option<&'a ExplorationStats>) -> Self {
+        self.exploration = stats;
         self
     }
 
-    /// Supplies compound-pass stats and co-failure cluster rows.
-    pub fn clusters(mut self, stats: &'a CompoundStats, rows: &'a [ClusterRow]) -> Render<'a> {
-        self.compound = Some((stats, rows));
+    /// Supplies compound-pass stats, if any, and co-failure cluster rows.
+    pub fn clusters(mut self, stats: Option<&'a CompoundStats>, rows: &'a [ClusterRow]) -> Self {
+        self.compound = stats.map(|s| (s, rows));
         self
     }
 }
@@ -422,13 +453,17 @@ impl fmt::Display for Render<'_> {
                 )?;
             }
         }
-        if !self.fault_cells.is_empty() {
+        if !self.cases.is_empty() {
             writeln!(f, "fault matrix cells:")?;
-            for row in self.fault_cells {
+            for case in self.cases {
+                let outcome = case.outcome.map_or("unfired".into(), |o| o.to_string());
                 writeln!(
                     f,
-                    "  {} x {}: {} ({} detections) {}",
-                    row.fault_id, row.scenario, row.outcome, row.detections, row.detail
+                    "  {} x {}: {outcome} ({} detections) {}",
+                    case.fault.id,
+                    case.scenario,
+                    case.detections.len(),
+                    case.detail
                 )?;
             }
         }
@@ -605,19 +640,49 @@ mod tests {
     }
 
     #[test]
-    fn fault_cell_rows_render_through_the_same_path() {
+    fn fault_matrix_cells_render_through_the_same_path() {
+        use crate::fault::{Channel, FaultKind, Trigger};
         let r = report();
-        let rows = vec![FaultCellRow {
-            fault_id: "ms-unavail-get".into(),
+        let case = FaultCase {
+            fault: FaultSpec {
+                id: "ms-unavail-get".into(),
+                channel: Channel::Metastore,
+                op: "get_table".into(),
+                kind: FaultKind::Unavailable,
+                trigger: Trigger::Always,
+            },
             scenario: "sh:spark-sql->hiveql:orc".into(),
-            outcome: "swallowed".into(),
-            detections: 1,
+            fired: vec![],
+            surfaced: None,
+            outcome: Some(FaultOutcome::Swallowed),
             detail: "no error surfaced".into(),
-        }];
-        let text = Render::standard(&r).fault_cells(&rows).to_string();
+            trace: InteractionTrace::default(),
+            detections: vec![],
+        };
+        let unfired = FaultCase {
+            outcome: None,
+            ..case.clone()
+        };
+        let matrix = FaultMatrixReport {
+            seed: 1,
+            detector_enabled: false,
+            cases: vec![case, unfired],
+            outcomes: BTreeMap::new(),
+            detection_kinds: BTreeMap::new(),
+            detection_totals: BTreeMap::new(),
+            agreement: None,
+        };
+        let text = Render::standard(&r).matrix(Some(&matrix)).to_string();
         assert!(text.contains("fault matrix cells:"), "{text}");
         assert!(
-            text.contains("ms-unavail-get x sh:spark-sql->hiveql:orc: swallowed (1 detections)"),
+            text.contains(
+                "ms-unavail-get x sh:spark-sql->hiveql:orc: swallowed (0 detections) \
+                 no error surfaced"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("ms-unavail-get x sh:spark-sql->hiveql:orc: unfired (0 detections)"),
             "{text}"
         );
     }
@@ -658,7 +723,7 @@ mod tests {
                 checks: 9,
             }],
         };
-        let text = Render::standard(&r).exploration(&stats).to_string();
+        let text = Render::standard(&r).exploration(Some(&stats)).to_string();
         assert!(
             text.contains("exploration: seed 42, budget 600 over a 10128-cell grid"),
             "{text}"
@@ -698,14 +763,16 @@ mod tests {
         let rows = vec![ClusterRow {
             fingerprint: "00deadbeef001234".into(),
             members: 4,
-            crack: "metastore|get_table|Data|fault:unavailable".into(),
+            crack: "hdfs/read".into(),
             prefix_len: 3,
             fault_set: "ms-unavail-get+hdfs-corrupt-read".into(),
             faults: 2,
             schedule: "identity".into(),
             scenario: "ss:SparkSQL->SparkSQL:ORC".into(),
         }];
-        let text = Render::standard(&r).clusters(&stats, &rows).to_string();
+        let text = Render::standard(&r)
+            .clusters(Some(&stats), &rows)
+            .to_string();
         assert!(
             text.contains("compound pass: seed 42, k<=3 faults x 2 jobs"),
             "{text}"

@@ -34,6 +34,9 @@
 //! against. Fault-matrix cells self-calibrate instead (each cell learns
 //! its own baseline from an unarmed run), so `.fault_matrix(seed)` needs
 //! no separate calibration pass.
+//!
+//! Every mode fills one [`CampaignOutcome`], and each thing it found is a
+//! [`Finding`] there that points at its proof.
 
 use crate::corpus::CorpusShape;
 use crate::explore;
@@ -44,8 +47,9 @@ use crate::plan::Experiment;
 use crate::shard::{self, CampaignMetrics};
 use crate::shrink::ShrunkReproducer;
 use crate::spec::{CampaignSpec, InputSelection, SpecError};
+use csi_core::boundary::Crossing;
 use csi_core::detect::{DetectionTap, DetectorConfig};
-use csi_core::fault::FaultPlan;
+use csi_core::fault::{FaultOutcome, FaultPlan, InjectedFault};
 use csi_core::oracle::Observation;
 use csi_core::report::{ClusterRow, CompoundStats, DiscrepancyReport, ExplorationStats, Render};
 use minihive::metastore::StorageFormat;
@@ -60,7 +64,7 @@ pub struct Campaign {
 }
 
 /// The result of [`Campaign::run`]. Each mode fills the fields it
-/// produces; the rest stay empty.
+/// produces, findings included; the rest stay empty.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOutcome {
     /// The discrepancy report (empty in fault-matrix mode except for the
@@ -85,6 +89,51 @@ pub struct CampaignOutcome {
     /// Co-failure clusters of the compound pass, each shrunk to a minimal
     /// fault-set + interleaving reproducer.
     pub clusters: Vec<ClusterRow>,
+    /// The main mode's findings in report or cell order, then the
+    /// compound pass's in cluster order. Never rendered.
+    pub findings: Vec<Finding>,
+}
+
+/// One finding — a discrepancy, a misbehaving matrix cell or a co-failure
+/// cluster — and where in the [`CampaignOutcome`] its proof sits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// The D-id (`"D07"`), the matrix cell's `fault_id x scenario`, or
+    /// the cluster's hex fingerprint.
+    pub id: String,
+    /// Where in the outcome the proof sits.
+    pub evidence: Evidence,
+    /// `channel/op` of the first evidence's first faulted crossing.
+    pub crack: Option<String>,
+}
+
+/// Where a [`Finding`]'s proof sits in its [`CampaignOutcome`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Evidence {
+    /// Indices into [`CampaignOutcome::observations`], failure by failure,
+    /// each failure's in outcome order, none twice.
+    Observations(Vec<usize>),
+    /// An index into the matrix's [`cases`](FaultMatrixReport::cases).
+    Case(usize),
+    /// An index into [`CampaignOutcome::clusters`].
+    Cluster(usize),
+}
+
+/// Whether a §9 bucket makes a matrix cell or compound job a finding.
+pub(crate) fn is_finding(outcome: FaultOutcome) -> bool {
+    matches!(
+        outcome,
+        FaultOutcome::Swallowed | FaultOutcome::Mistranslated | FaultOutcome::Crash
+    )
+}
+
+/// `channel/op` of the first of `hits`, as read by
+/// [`faulted`](csi_core::boundary::faulted).
+pub(crate) fn crack<'a>(
+    mut hits: impl Iterator<Item = (&'a Crossing, &'a InjectedFault)>,
+) -> Option<String> {
+    let (c, _) = hits.next()?;
+    Some(format!("{}/{}", c.call.channel, c.call.op))
 }
 
 impl CampaignOutcome {
@@ -92,18 +141,11 @@ impl CampaignOutcome {
     /// standard report sections, plus the fault-matrix cells when the
     /// campaign ran in matrix mode.
     pub fn render(&self) -> String {
-        let rows = self.matrix.as_ref().map(|m| m.fault_cell_rows());
-        let mut render = Render::standard(&self.report);
-        if let Some(rows) = &rows {
-            render = render.fault_cells(rows);
-        }
-        if let Some(stats) = &self.exploration {
-            render = render.exploration(stats);
-        }
-        if let Some(stats) = &self.compound {
-            render = render.clusters(stats, &self.clusters);
-        }
-        render.to_string()
+        Render::standard(&self.report)
+            .matrix(self.matrix.as_ref())
+            .exploration(self.exploration.as_ref())
+            .clusters(self.compound.as_ref(), &self.clusters)
+            .to_string()
     }
 }
 
@@ -323,9 +365,7 @@ impl Campaign {
             (None, None) => shard::run_cross_test(&spec, &spec.inputs.resolve(), tap),
         };
         if spec.kfaults > 0 {
-            let result = multi::run_compound(&spec);
-            outcome.compound = Some(result.stats);
-            outcome.clusters = result.clusters;
+            multi::run_compound(&spec, &mut outcome);
         }
         Ok(outcome)
     }

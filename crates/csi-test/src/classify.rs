@@ -16,7 +16,9 @@
 //! The grid merge, explore's absorption and the shrinker's triggering check
 //! drive a `Classifier` incrementally; [`classify`] is the batch entry
 //! over the same attribution, for callers that ran the oracles themselves.
+//! Both end in one step that also writes each discrepancy's [`Finding`].
 
+use crate::campaign::{crack, CampaignOutcome, Evidence, Finding};
 use crate::generator::{TestInput, Validity};
 use crate::plan::Experiment;
 use csi_core::boundary::{channel_totals, faulted};
@@ -472,13 +474,13 @@ impl Classifier {
         found
     }
 
-    /// The campaign's report over `inputs`, and every observation tagged
-    /// with its experiment: grouped by experiment, absorb order within.
+    /// The campaign's outcome over `inputs`: its report and findings, and
+    /// every observation tagged with its experiment, in absorb order.
     pub(crate) fn finish(
         mut self,
         inputs: &[TestInput],
         detector_enabled: bool,
-    ) -> (DiscrepancyReport, Vec<(Experiment, Observation)>) {
+    ) -> CampaignOutcome {
         // Sealing what is still open puts each open experiment's
         // differential after every absorbed failure, in experiment order:
         // the order `discoveries` visits.
@@ -490,8 +492,13 @@ impl Classifier {
         for (experiment, of) in self.experiments.into_iter().zip(self.observations) {
             observations.extend(of.into_iter().map(|o| (experiment, o)));
         }
-        let report = classify(inputs, &observations, self.failures, detector_enabled);
-        (report, observations)
+        let (report, findings) = judge(inputs, &observations, self.failures, detector_enabled);
+        CampaignOutcome {
+            report,
+            observations,
+            findings,
+            ..CampaignOutcome::default()
+        }
     }
 }
 
@@ -508,9 +515,9 @@ fn evidenced(
     Some(match_ids(input, summary, failure))
 }
 
-/// Classifies raw failures into the discrepancy catalogue — what
-/// `Classifier::finish` ends in, and the batch entry for a caller that
-/// ran the oracles itself.
+/// Classifies raw failures into the discrepancy catalogue — the batch
+/// entry for a caller that ran the oracles itself, over the same step
+/// `Classifier::finish` ends in.
 ///
 /// `detector_enabled` marks whether the campaign ran the online detector:
 /// it gates the detection aggregates so a detection-free report and a
@@ -521,11 +528,26 @@ pub fn classify(
     failures: Vec<OracleFailure>,
     detector_enabled: bool,
 ) -> DiscrepancyReport {
-    // Per-input error summaries across all observations.
+    judge(inputs, observations, failures, detector_enabled).0
+}
+
+/// The report, and one [`Finding`] per discrepancy: its `trace` is that of
+/// the finding's first evidence observation that recorded one.
+fn judge(
+    inputs: &[TestInput],
+    observations: &[(Experiment, Observation)],
+    failures: Vec<OracleFailure>,
+    detector_enabled: bool,
+) -> (DiscrepancyReport, Vec<Finding>) {
+    // Per-input error summaries across all observations, and where each
+    // input's observations sit: (input id, position) pairs, sorted.
     let mut summaries: BTreeMap<usize, InputSummary> = BTreeMap::new();
-    for (_, obs) in observations {
+    let mut positions = Vec::with_capacity(observations.len());
+    for (at, (_, obs)) in observations.iter().enumerate() {
         summaries.entry(obs.input_id).or_default().fold(obs);
+        positions.push((obs.input_id, at));
     }
+    positions.sort_unstable();
     let mut evidence: BTreeMap<&'static str, Vec<OracleFailure>> = BTreeMap::new();
     let mut unattributed = Vec::new();
     for failure in &failures {
@@ -537,21 +559,30 @@ pub fn classify(
             evidence.entry(id).or_default().push(failure.clone());
         }
     }
-    let discrepancies: Vec<Discrepancy> = CATALOGUE
+    let (discrepancies, findings): (Vec<Discrepancy>, Vec<Finding>) = CATALOGUE
         .iter()
         .filter_map(|desc| {
             let ev = evidence.remove(desc.id)?;
-            let trace = representative_trace(&ev, observations);
-            Some(Discrepancy {
+            let named = named_observations(&ev, observations, &positions);
+            let mut traces = named.iter().map(|&at| &observations[at].1.trace);
+            let first = traces.clone().next();
+            let trace = traces.find(|t| !t.is_empty()).map(|t| t.compact());
+            let finding = Finding {
+                id: desc.id.to_string(),
+                evidence: Evidence::Observations(named),
+                crack: first.and_then(|t| crack(faulted(&t.crossings))),
+            };
+            let discrepancy = Discrepancy {
                 id: desc.id.to_string(),
                 issue_keys: desc.issue_keys.iter().map(|s| s.to_string()).collect(),
                 title: desc.title.to_string(),
                 categories: desc.categories.to_vec(),
                 evidence: ev,
-                trace,
-            })
+                trace: trace.unwrap_or_default(),
+            };
+            Some((discrepancy, finding))
         })
-        .collect();
+        .unzip();
     let trace_totals = channel_totals(observations.iter().map(|(_, obs)| &obs.trace));
     let mut tally = DetectionTally::default();
     if detector_enabled {
@@ -566,7 +597,7 @@ pub fn classify(
         .iter()
         .filter(|i| i.validity == Validity::Valid)
         .count();
-    DiscrepancyReport {
+    let report = DiscrepancyReport {
         inputs_total: inputs.len(),
         inputs_valid: valid,
         inputs_invalid: inputs.len() - valid,
@@ -579,27 +610,37 @@ pub fn classify(
         detection_totals: tally.totals,
         detection_kinds: tally.kinds,
         detector_agreement: tally.agreement,
-    }
+    };
+    (report, findings)
 }
 
-/// The compact crossing sequence of the first evidencing observation that
-/// recorded one — the causal witness rendered under each discrepancy.
-fn representative_trace(
-    evidence: &[OracleFailure],
+/// The positions of the observations `failures` name (same input, one of
+/// the failure's plans and formats): failure by failure, each failure's in
+/// outcome order, none twice. `positions` is every (input id, position)
+/// pair of `observations`, sorted.
+fn named_observations(
+    failures: &[OracleFailure],
     observations: &[(Experiment, Observation)],
-) -> Vec<String> {
-    for failure in evidence {
-        for (_, obs) in observations {
-            if obs.input_id == failure.input_id
-                && failure.plans.contains(&obs.plan)
+    positions: &[(usize, usize)],
+) -> Vec<usize> {
+    let mut seen = vec![false; observations.len()];
+    let mut named = Vec::new();
+    for failure in failures {
+        let from = positions.partition_point(|&(id, _)| id < failure.input_id);
+        let of_input = positions[from..]
+            .iter()
+            .take_while(|(id, _)| *id == failure.input_id);
+        for &(_, at) in of_input {
+            let obs = &observations[at].1;
+            if failure.plans.contains(&obs.plan)
                 && failure.formats.contains(&obs.format)
-                && !obs.trace.is_empty()
+                && !std::mem::replace(&mut seen[at], true)
             {
-                return obs.trace.compact();
+                named.push(at);
             }
         }
     }
-    Vec::new()
+    named
 }
 
 #[cfg(test)]
@@ -644,7 +685,8 @@ mod tests {
                 }
                 judge.absorb(at, &inputs[obs.input_id], obs.clone());
             }
-            let (incremental, observations) = judge.finish(inputs, detector_enabled);
+            let finished = judge.finish(inputs, detector_enabled);
+            let (incremental, observations) = (finished.report, finished.observations);
             assert_eq!(observations, outcome.observations);
             let failures = incremental.raw_failures.clone();
             let batch = classify(inputs, &observations, failures, detector_enabled);

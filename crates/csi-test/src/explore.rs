@@ -465,8 +465,8 @@ pub(crate) fn run_explore(spec: &CampaignSpec, inputs: &[TestInput]) -> Campaign
         }
         ex.update_discoveries();
     }
-    let (report, observations) = ex.judge.finish(&ex.pool, false);
-    let (shrinks, reproducers) = shrink::shrink_report(&report, &ex.pool);
+    let outcome = ex.judge.finish(&ex.pool, false);
+    let (shrinks, reproducers) = shrink::shrink_report(&outcome, &ex.pool);
     let mut discoveries: Vec<DiscoveryRow> = ex.discovered.into_values().collect();
     discoveries.sort_by(|a, b| a.executed.cmp(&b.executed).then_with(|| a.id.cmp(&b.id)));
     let stats = ExplorationStats {
@@ -486,11 +486,9 @@ pub(crate) fn run_explore(spec: &CampaignSpec, inputs: &[TestInput]) -> Campaign
         shrinks,
     };
     CampaignOutcome {
-        report,
-        observations,
         exploration: Some(stats),
         reproducers,
-        ..CampaignOutcome::default()
+        ..outcome
     }
 }
 

@@ -17,21 +17,19 @@
 //! its own crossing context), so [`crate::Campaign::shards`] reproduces
 //! the one-worker report byte-for-byte at any worker count.
 
-use crate::campaign::CampaignOutcome;
+use crate::campaign::{crack, is_finding, CampaignOutcome, Evidence, Finding};
 use crate::exec::{run_one, Deployment};
 use crate::generator::{TestInput, Validity};
 use crate::plan::{scenario_key, Experiment, TestPlan};
 use crate::shard::run_ordered;
 use crate::spec::CampaignSpec;
-use csi_core::boundary::{faulted, CrossingContext, InteractionTrace};
-use csi_core::detect::{
-    BaselineSet, Detection, DetectionTally, DetectionTap, DetectorAgreement, DetectorSpec,
-};
+use csi_core::boundary::{faulted, CrossingContext};
+use csi_core::detect::{BaselineSet, DetectionTally, DetectionTap, DetectorSpec};
 use csi_core::fault::{
-    classify_fault_outcome, Channel, FaultKind, FaultOutcome, FaultPlan, FaultSpec, InjectedFault,
-    Trigger,
+    classify_fault_outcome, Channel, FaultKind, FaultPlan, FaultSpec, InjectedFault, Trigger,
 };
-use csi_core::report::{DiscrepancyReport, FaultCellRow};
+use csi_core::report::DiscrepancyReport;
+pub use csi_core::report::{FaultCase, FaultMatrixReport};
 use csi_core::rng::xorshift64;
 use csi_core::value::{DataType, Value};
 use csi_core::InteractionError;
@@ -41,7 +39,6 @@ use minihive::metastore::StorageFormat;
 use minikafka::{KafkaError, MiniKafka, PartitionId};
 use minispark::connectors::kafka::{consume_range, plan_range, OffsetModel};
 use miniyarn::{Resource, ResourceManager};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -209,69 +206,6 @@ pub fn small_fault_catalogue(seed: u64) -> FaultPlan {
             .into_iter()
             .filter(|f| keep.contains(&f.id.as_str()))
             .collect(),
-    }
-}
-
-/// One cell of the fault matrix: a fault crossed with a scenario.
-#[derive(Debug, Clone, Serialize)]
-pub struct FaultCase {
-    /// The fault under test.
-    pub fault: FaultSpec,
-    /// The scenario the fault was exercised against (e.g.
-    /// `"sh:spark-sql->hiveql:ORC"` or `"yarn:flink-driver"`).
-    pub scenario: String,
-    /// The faults that actually fired during the cell, read from its trace.
-    pub fired: Vec<InjectedFault>,
-    /// The error the caller saw, if any.
-    pub surfaced: Option<InteractionError>,
-    /// Taxonomy bucket; `None` when the fault never fired in this cell.
-    pub outcome: Option<FaultOutcome>,
-    /// Deterministic human-readable cell summary.
-    pub detail: String,
-    /// The boundary-crossing sequence recorded while the cell ran.
-    pub trace: InteractionTrace,
-    /// Online detections the cell produced (empty when detection is off).
-    pub detections: Vec<Detection>,
-}
-
-/// The full fault-matrix report.
-#[derive(Debug, Clone, Serialize)]
-pub struct FaultMatrixReport {
-    /// The campaign seed.
-    pub seed: u64,
-    /// Whether the online detector ran over the cells.
-    pub detector_enabled: bool,
-    /// Every cell, in canonical (catalogue × scenario) order.
-    pub cases: Vec<FaultCase>,
-    /// Cell count per taxonomy bucket (key `"unfired"` counts cells whose
-    /// fault never fired).
-    pub outcomes: BTreeMap<String, usize>,
-    /// Detection count per [`csi_core::detect::DetectionKind`].
-    pub detection_kinds: BTreeMap<String, usize>,
-    /// Detection count per channel involved.
-    pub detection_totals: BTreeMap<String, usize>,
-    /// Online-vs-offline agreement over fired cells; `None` when detection
-    /// is off or no cell fired.
-    pub agreement: Option<DetectorAgreement>,
-}
-
-impl FaultMatrixReport {
-    /// The cells as [`FaultCellRow`]s, for the unified
-    /// [`csi_core::report::Render`] path.
-    pub fn fault_cell_rows(&self) -> Vec<FaultCellRow> {
-        self.cases
-            .iter()
-            .map(|case| FaultCellRow {
-                fault_id: case.fault.id.clone(),
-                scenario: case.scenario.clone(),
-                outcome: case
-                    .outcome
-                    .as_ref()
-                    .map_or_else(|| "unfired".to_string(), |o| o.to_string()),
-                detections: case.detections.len(),
-                detail: case.detail.clone(),
-            })
-            .collect()
     }
 }
 
@@ -598,30 +532,6 @@ fn run_cell(cell: &Cell, detector: Option<&DetectorSpec>) -> FaultCase {
     }
 }
 
-fn build_report(seed: u64, detector_enabled: bool, cases: Vec<FaultCase>) -> FaultMatrixReport {
-    let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
-    let mut tally = DetectionTally::default();
-    for case in &cases {
-        let key = match &case.outcome {
-            Some(o) => o.to_string(),
-            None => "unfired".to_string(),
-        };
-        *outcomes.entry(key).or_insert(0) += 1;
-        if detector_enabled {
-            tally.record(&case.detections, &case.fired, case.surfaced.as_ref());
-        }
-    }
-    FaultMatrixReport {
-        seed,
-        detector_enabled,
-        cases,
-        outcomes,
-        detection_kinds: tally.kinds,
-        detection_totals: tally.totals,
-        agreement: tally.agreement,
-    }
-}
-
 /// The matrix runner behind [`crate::Campaign::fault_matrix`]: every cell
 /// of `spec.faults` (or, without it, of [`fault_catalogue`] at
 /// `spec.matrix_seed`) through [`run_ordered`] on `spec.shards` workers
@@ -632,7 +542,8 @@ fn build_report(seed: u64, detector_enabled: bool, cases: Vec<FaultCase>) -> Fau
 ///
 /// The outcome's report carries the matrix's detection aggregates, so the
 /// one [`Render`](csi_core::report::Render) path shows them beside the
-/// fault cells.
+/// fault cells. A cell whose §9 bucket is swallowed, mistranslated or
+/// crash is a finding, in cell order.
 pub(crate) fn run_fault_matrix(spec: &CampaignSpec, tap: Option<DetectionTap>) -> CampaignOutcome {
     let seed = spec.matrix_seed.expect("matrix mode");
     let faults = spec.faults.clone().unwrap_or_else(|| fault_catalogue(seed));
@@ -648,17 +559,43 @@ pub(crate) fn run_fault_matrix(spec: &CampaignSpec, tap: Option<DetectionTap>) -
         || (),
         |(), i| run_cell(&cells[i], detector.as_ref()),
     );
-    let matrix = build_report(seed, detector.is_some(), cases);
+    let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
+    let mut tally = DetectionTally::default();
+    let mut findings = Vec::new();
+    for (at, case) in cases.iter().enumerate() {
+        let key = case.outcome.map_or("unfired".into(), |o| o.to_string());
+        *outcomes.entry(key).or_insert(0) += 1;
+        if detector.is_some() {
+            tally.record(&case.detections, &case.fired, case.surfaced.as_ref());
+        }
+        if case.outcome.is_some_and(is_finding) {
+            findings.push(Finding {
+                id: format!("{} x {}", case.fault.id, case.scenario),
+                evidence: Evidence::Case(at),
+                crack: crack(faulted(&case.trace.crossings)),
+            });
+        }
+    }
     let report = DiscrepancyReport {
-        detector_enabled: matrix.detector_enabled,
-        detection_kinds: matrix.detection_kinds.clone(),
-        detection_totals: matrix.detection_totals.clone(),
-        detector_agreement: matrix.agreement,
+        detector_enabled: detector.is_some(),
+        detection_kinds: tally.kinds.clone(),
+        detection_totals: tally.totals.clone(),
+        detector_agreement: tally.agreement,
         ..DiscrepancyReport::default()
+    };
+    let matrix = FaultMatrixReport {
+        seed,
+        detector_enabled: detector.is_some(),
+        cases,
+        outcomes,
+        detection_kinds: tally.kinds,
+        detection_totals: tally.totals,
+        agreement: tally.agreement,
     };
     CampaignOutcome {
         report,
         matrix: Some(matrix),
+        findings,
         ..CampaignOutcome::default()
     }
 }
@@ -668,6 +605,7 @@ mod tests {
     use super::*;
     use crate::campaign::Campaign;
     use csi_core::boundary::channel_totals;
+    use csi_core::fault::FaultOutcome;
 
     #[test]
     fn catalogue_covers_every_channel() {

@@ -33,13 +33,13 @@ pub mod spec;
 pub mod tolerate;
 
 pub use bulk::BulkReport;
-pub use campaign::{Campaign, CampaignOutcome};
+pub use campaign::{Campaign, CampaignOutcome, Evidence, Finding};
 pub use classify::active_ids;
 pub use corpus::{infer, synthesize, synthesize_inputs, CorpusShape, CorpusTable, InferredTable};
 pub use exec::custom_resolving_overrides;
 pub use generator::{generate_inputs, mutate_input, TestInput, Validity};
 pub use inject::{fault_catalogue, small_fault_catalogue, FaultCase, FaultMatrixReport};
-pub use multi::{CompoundResult, InterleaveSchedule};
+pub use multi::InterleaveSchedule;
 pub use plan::{Experiment, Interface, TestPlan};
 pub use shard::{CampaignMetrics, WorkerStats};
 pub use shrink::{reproducer_triggers, Reproducer, ShrunkReproducer};

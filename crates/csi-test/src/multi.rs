@@ -29,6 +29,7 @@
 //! happens in trial order — a sharded compound pass is byte-identical to
 //! a one-worker one, pinned by `tests/kfault.rs`.
 
+use crate::campaign::{crack, is_finding, CampaignOutcome, Evidence, Finding};
 use crate::exec::{self, Deployment};
 use crate::generator::TestInput;
 use crate::inject;
@@ -142,14 +143,8 @@ impl InterleaveSchedule {
 /// swallowed, mistranslated, or a crash.
 #[derive(Debug, Clone, Serialize)]
 pub struct CompoundDiscrepancy {
-    /// The armed fault combination.
-    pub fault_set: FaultSet,
-    /// The schedule the trial ran under.
-    pub schedule: InterleaveSchedule,
     /// Index of the job that misbehaved.
     pub job: usize,
-    /// The job's scenario key.
-    pub scenario: String,
     /// The §9 bucket the job's error handling landed in.
     pub outcome: FaultOutcome,
     /// `channel/op` of the first faulted crossing inside the job's turns.
@@ -181,17 +176,10 @@ struct JobRun {
 }
 
 impl JobRun {
-    fn surfaced(&self) -> Option<InteractionError> {
-        if let Some(Err(e)) = &self.create {
-            return Some(e.clone());
-        }
-        if let Some(Err(e)) = &self.insert {
-            return Some(e.clone());
-        }
-        if let Some(Err(e)) = &self.read {
-            return Some(e.clone());
-        }
-        None
+    fn surfaced(&self) -> Option<&InteractionError> {
+        let written = [&self.create, &self.insert].into_iter().flatten();
+        let read = self.read.as_ref().and_then(|r| r.as_ref().err());
+        written.filter_map(|r| r.as_ref().err()).chain(read).next()
     }
 
     fn write_ok(&self) -> bool {
@@ -257,29 +245,21 @@ pub fn run_compound_trial(
     let prefix = trace.causal_prefix();
     let fingerprint = prefix_fingerprint(&prefix);
     let mut discrepancies = Vec::new();
-    for (j, (spec, run)) in jobs.iter().zip(&runs).enumerate() {
+    for (j, run) in runs.iter().enumerate() {
         // A job's turns never overlap and run in turn order, so walking
         // its spans walks its crossings in trace order.
         let in_spans = |&(a, b): &(usize, usize)| faulted(&trace.crossings[a..b]);
         let hits: Vec<_> = run.spans.iter().flat_map(in_spans).collect();
-        let Some((cracked, _)) = hits.first() else {
+        let Some(crack) = crack(hits.iter().copied()) else {
             continue;
         };
         let fired: Vec<InjectedFault> = hits.iter().map(|(_, fault)| (*fault).clone()).collect();
-        let surfaced = run.surfaced();
-        let outcome = classify_fault_outcome(&fired, surfaced.as_ref());
-        if !matches!(
-            outcome,
-            FaultOutcome::Swallowed | FaultOutcome::Mistranslated | FaultOutcome::Crash
-        ) {
+        let outcome = classify_fault_outcome(&fired, run.surfaced());
+        if !is_finding(outcome) {
             continue;
         }
-        let crack = format!("{}/{}", cracked.call.channel, cracked.call.op);
         discrepancies.push(CompoundDiscrepancy {
-            fault_set: set.clone(),
-            schedule: schedule.clone(),
             job: j,
-            scenario: spec.scenario(),
             outcome,
             crack,
             prefix_len: prefix.len(),
@@ -322,24 +302,13 @@ pub fn default_jobs(n: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-/// The result of [`run_compound`].
-#[derive(Debug, Clone)]
-pub struct CompoundResult {
-    /// Aggregates for the `Render` path.
-    pub stats: CompoundStats,
-    /// One row per co-failure cluster, in fingerprint order, each carrying
-    /// its shrunk reproducer.
-    pub clusters: Vec<ClusterRow>,
-    /// Every discrepancy the search found, in trial order.
-    pub discrepancies: Vec<CompoundDiscrepancy>,
-}
-
 /// Runs `spec`'s coverage-guided compound pass: enumerate the (fault-set ×
 /// interleaving) product space, execute trials round by round (promoting
 /// every schedule of a fault set whose trial produced a novel signature
 /// *and* a discrepancy), cluster the discrepancies by causal-prefix
 /// fingerprint, and shrink each cluster to a minimal fault-set +
-/// interleaving reproducer.
+/// interleaving reproducer. Fills `outcome`'s `compound` stats and
+/// `clusters`, and appends one finding per cluster, in cluster order.
 ///
 /// Reads `spec.seed` (catalogue, combination and interleaving draws),
 /// `spec.kfaults` (the set arity, at least 1), `spec.jobs` (the
@@ -348,7 +317,7 @@ pub struct CompoundResult {
 /// trial budget, 96 trials without it; the shrink pass runs outside it and
 /// is accounted in [`CompoundStats::shrink_checks`]). A validated spec is
 /// in range on every one.
-pub fn run_compound(spec: &CampaignSpec) -> CompoundResult {
+pub fn run_compound(spec: &CampaignSpec, outcome: &mut CampaignOutcome) {
     let jobs = default_jobs(spec.jobs);
     let budget = spec.explore_budget.unwrap_or(DEFAULT_BUDGET);
     let catalogue: Vec<_> = inject::fault_catalogue(spec.seed)
@@ -376,28 +345,22 @@ pub fn run_compound(spec: &CampaignSpec) -> CompoundResult {
     let mut pending: VecDeque<(usize, usize)> = VecDeque::new();
     let mut cursor = 0usize;
     let mut executed = 0usize;
-    let mut discrepancies: Vec<CompoundDiscrepancy> = Vec::new();
+    // Every discrepancy found, with the (fault set, schedule) of its trial.
+    let mut discrepancies: Vec<((usize, usize), CompoundDiscrepancy)> = Vec::new();
     while executed < budget {
         let mut batch = Vec::new();
         while batch.len() < ROUND.min(budget - executed) {
+            // Promoted keys first, then the grid filler: fault-set-major,
+            // schedule-minor. A key already run is skipped either way.
             let next = pending.pop_front().or_else(|| {
-                // Grid filler: fault-set-major, schedule-minor.
-                while cursor < space {
-                    let key = (cursor / schedules.len(), cursor % schedules.len());
-                    cursor += 1;
-                    if !scheduled.contains(&key) {
-                        return Some(key);
-                    }
-                }
-                None
+                let key = (cursor / schedules.len(), cursor % schedules.len());
+                cursor += 1;
+                (key.0 < sets.len()).then_some(key)
             });
-            // Note the closure above returns un-filtered pending keys too.
             let Some(key) = next else { break };
-            if scheduled.contains(&key) {
-                continue;
+            if scheduled.insert(key) {
+                batch.push(key);
             }
-            scheduled.insert(key);
-            batch.push(key);
         }
         if batch.is_empty() {
             break;
@@ -411,7 +374,7 @@ pub fn run_compound(spec: &CampaignSpec) -> CompoundResult {
                 run_compound_trial(&jobs, &sets[si], &schedules[hi])
             },
         );
-        for (&(si, _hi), report) in batch.iter().zip(reports) {
+        for (&(si, hi), report) in batch.iter().zip(reports) {
             executed += 1;
             let mut sig = CoverageSignature::from_trace(&report.trace);
             sig.tag(format_args!("k:{}", sets[si].len()));
@@ -428,24 +391,23 @@ pub fn run_compound(spec: &CampaignSpec) -> CompoundResult {
                     }
                 }
             }
-            discrepancies.extend(report.discrepancies);
+            discrepancies.extend(report.discrepancies.into_iter().map(|d| ((si, hi), d)));
         }
     }
 
     // ---- Co-failure clustering by shared causal-prefix fingerprint. ----
-    let mut clusters: BTreeMap<u64, Vec<CompoundDiscrepancy>> = BTreeMap::new();
-    for d in &discrepancies {
-        clusters.entry(d.fingerprint).or_default().push(d.clone());
+    let mut clusters: BTreeMap<u64, Vec<_>> = BTreeMap::new();
+    for (trial, d) in discrepancies {
+        clusters.entry(d.fingerprint).or_default().push((trial, d));
     }
 
     // ---- Per-cluster ddmin shrink to a minimal reproducer. ----
     let identity = InterleaveSchedule::identity(jobs.len(), TURNS_PER_JOB);
     let mut shrink_checks = 0usize;
-    let mut rows = Vec::new();
     for (&fp, members) in &clusters {
-        let rep = &members[0];
-        let mut best_set = rep.fault_set.clone();
-        let mut best_sched = rep.schedule.clone();
+        let ((si, hi), rep) = &members[0];
+        let mut best_set = sets[*si].clone();
+        let mut best_sched = schedules[*hi].clone();
         let mut reproduces =
             |set: &FaultSet, sched: &InterleaveSchedule| -> Option<CompoundDiscrepancy> {
                 shrink_checks += 1;
@@ -466,41 +428,38 @@ pub fn run_compound(spec: &CampaignSpec) -> CompoundResult {
         if let Some(faults) = fewer_faults {
             best_set = FaultSet::new(faults);
         }
-        // The final reproducer run pins the row's scenario; fall back to
-        // the representative if the shrunk pair regressed (it cannot, but
-        // the fallback keeps the row total even if it did).
-        let witness = reproduces(&best_set, &best_sched);
-        let (scenario, crack, prefix_len) = match &witness {
-            Some(d) => (d.scenario.clone(), d.crack.clone(), d.prefix_len),
-            None => (rep.scenario.clone(), rep.crack.clone(), rep.prefix_len),
-        };
-        rows.push(ClusterRow {
-            fingerprint: format!("{fp:016x}"),
+        // The final reproducer run pins the row; fall back to the
+        // representative if the shrunk pair regressed (it cannot, but the
+        // fallback keeps the row total even if it did).
+        let witness = reproduces(&best_set, &best_sched).unwrap_or_else(|| rep.clone());
+        let fingerprint = format!("{fp:016x}");
+        outcome.findings.push(Finding {
+            id: fingerprint.clone(),
+            evidence: Evidence::Cluster(outcome.clusters.len()),
+            crack: Some(witness.crack.clone()),
+        });
+        outcome.clusters.push(ClusterRow {
+            fingerprint,
             members: members.len(),
-            crack,
-            prefix_len,
+            crack: witness.crack,
+            prefix_len: witness.prefix_len,
             fault_set: best_set.id.clone(),
             faults: best_set.len(),
             schedule: best_sched.id.clone(),
-            scenario,
+            scenario: jobs[witness.job].scenario(),
         });
     }
 
-    let stats = CompoundStats {
+    outcome.compound = Some(CompoundStats {
         seed: spec.seed,
         kfaults: spec.kfaults,
         jobs: jobs.len(),
         executed,
         space,
         signatures: map.distinct(),
-        discrepancies: discrepancies.len(),
+        discrepancies: clusters.values().map(Vec::len).sum(),
         shrink_checks,
-    };
-    CompoundResult {
-        stats,
-        clusters: rows,
-        discrepancies,
-    }
+    });
 }
 
 #[cfg(test)]

@@ -292,26 +292,24 @@ pub(crate) fn run_cross_test(
             judge.seal(shard.experiment_idx);
         }
     }
-    let (report, observations) = judge.finish(inputs, detector.is_some());
+    let outcome = judge.finish(inputs, detector.is_some());
 
     let oracle_micros = merge_started.elapsed().as_micros() as u64;
     let total_micros = campaign_started.elapsed().as_micros() as u64;
     let metrics = CampaignMetrics {
         workers,
         shards: shards.len(),
-        observations: observations.len(),
+        observations: outcome.observations.len(),
         execute_micros,
         oracle_micros,
         total_micros,
-        observations_per_sec: observations.len() as f64
+        observations_per_sec: outcome.observations.len() as f64
             / (execute_micros.max(1) as f64 / 1_000_000.0),
         per_worker: stats.into_inner(),
     };
     CampaignOutcome {
-        report,
-        observations,
         metrics: Some(metrics),
-        ..CampaignOutcome::default()
+        ..outcome
     }
 }
 

@@ -10,12 +10,13 @@
 //! through the real classifier. Fully deterministic: no randomness, fixed
 //! candidate order, bounded steps.
 
+use crate::campaign::{CampaignOutcome, Evidence};
 use crate::classify::Classifier;
 use crate::exec::{self, Deployment};
 use crate::generator::TestInput;
 use crate::plan::{Experiment, TestPlan};
 use csi_core::boundary::CrossingContext;
-use csi_core::report::{DiscrepancyReport, ShrinkRow};
+use csi_core::report::ShrinkRow;
 use csi_core::value::{DataType, Value};
 use minihive::metastore::StorageFormat;
 
@@ -59,8 +60,8 @@ pub fn reproducer_triggers(id: &str, r: &Reproducer) -> bool {
         let obs = exec::run_one(&d, r.experiment, plan, r.format, &r.input, true);
         judge.absorb(0, &r.input, obs);
     }
-    let (report, _) = judge.finish(std::slice::from_ref(&r.input), false);
-    report.discrepancies.iter().any(|d| d.id == id)
+    let outcome = judge.finish(std::slice::from_ref(&r.input), false);
+    outcome.report.discrepancies.iter().any(|d| d.id == id)
 }
 
 /// ddmin-lite, the one candidate order every shrinker in the harness
@@ -210,47 +211,32 @@ impl Shrinker {
     }
 }
 
-fn parse_experiment(plan: &str) -> Option<Experiment> {
-    let short = plan.split(':').next()?;
-    Experiment::ALL.iter().copied().find(|e| e.short() == short)
-}
-
-fn parse_format(name: &str) -> Option<StorageFormat> {
-    StorageFormat::ALL
-        .iter()
-        .copied()
-        .find(|f| f.name() == name)
-}
-
-/// Shrinks every discrepancy in `report` to a minimal reproducer. Returns
-/// the render rows and the reproducers themselves (for re-verification).
+/// Shrinks every discrepancy of `outcome` to a minimal reproducer, from its
+/// finding's first observation. Returns the render rows and the
+/// reproducers themselves (for re-verification).
 pub(crate) fn shrink_report(
-    report: &DiscrepancyReport,
+    outcome: &CampaignOutcome,
     pool: &[TestInput],
 ) -> (Vec<ShrinkRow>, Vec<ShrunkReproducer>) {
     let mut rows = Vec::new();
     let mut reproducers = Vec::new();
-    for disc in &report.discrepancies {
-        let Some(evidence) = disc.evidence.first() else {
+    for (disc, finding) in outcome.report.discrepancies.iter().zip(&outcome.findings) {
+        let (Some(evidence), Evidence::Observations(named)) =
+            (disc.evidence.first(), &finding.evidence)
+        else {
             continue;
         };
-        let Some(input) = pool.iter().find(|i| i.id == evidence.input_id) else {
+        let Some(&(experiment, ref obs)) = named.first().map(|&at| &outcome.observations[at])
+        else {
             continue;
         };
-        let Some(experiment) = evidence.plans.first().and_then(|p| parse_experiment(p)) else {
+        let Some(input) = pool.iter().find(|i| i.id == obs.input_id) else {
             continue;
         };
-        // Formats: the evidence's first, then the rest as fallback.
-        let mut formats: Vec<StorageFormat> = evidence
-            .formats
-            .iter()
-            .filter_map(|f| parse_format(f))
-            .collect();
-        for &f in StorageFormat::ALL.iter() {
-            if !formats.contains(&f) {
-                formats.push(f);
-            }
-        }
+        // Formats: the evidence's, in its order, then the rest as fallback.
+        let rank = |f: &StorageFormat| evidence.formats.iter().position(|e| e == f.name());
+        let mut formats = StorageFormat::ALL;
+        formats.sort_by_key(|f| rank(f).unwrap_or(usize::MAX));
         let mut shrinker = Shrinker {
             id: disc.id.clone(),
             checks: 0,

@@ -13,7 +13,9 @@ use csi_core::fault::{fault_combinations, Channel, FaultSet};
 use csi_test::multi::{
     default_jobs, run_compound, run_compound_trial, InterleaveSchedule, TURNS_PER_JOB,
 };
-use csi_test::{fault_catalogue, generate_inputs, Campaign, CampaignSpec, Experiment};
+use csi_test::{
+    fault_catalogue, generate_inputs, Campaign, CampaignOutcome, CampaignSpec, Experiment,
+};
 use minihive::metastore::StorageFormat;
 use proptest::prelude::*;
 
@@ -31,6 +33,13 @@ fn compound(seed: u64, kfaults: usize) -> CampaignSpec {
     }
 }
 
+/// `spec`'s compound pass on its own, into an otherwise empty outcome.
+fn compound_pass(spec: &CampaignSpec) -> CampaignOutcome {
+    let mut outcome = CampaignOutcome::default();
+    run_compound(spec, &mut outcome);
+    outcome
+}
+
 /// The metastore/HDFS slice of the catalogue — the faults that can fire
 /// inside a cross-testing deployment.
 fn deployment_faults(seed: u64) -> Vec<csi_core::fault::FaultSpec> {
@@ -44,7 +53,7 @@ fn deployment_faults(seed: u64) -> Vec<csi_core::fault::FaultSpec> {
 #[test]
 fn compound_campaign_is_identical_serial_vs_sharded_and_across_runs() {
     let run = |shards: usize| {
-        run_compound(&CampaignSpec {
+        compound_pass(&CampaignSpec {
             shards,
             ..compound(7, 3)
         })
@@ -52,20 +61,23 @@ fn compound_campaign_is_identical_serial_vs_sharded_and_across_runs() {
     let serial = run(1);
     let again = run(1);
     let sharded = run(4);
-    assert_eq!(json(&serial.stats), json(&again.stats));
+    assert_eq!(json(&serial.compound), json(&again.compound));
     assert_eq!(json(&serial.clusters), json(&again.clusters));
-    assert_eq!(json(&serial.stats), json(&sharded.stats));
+    assert_eq!(json(&serial.compound), json(&sharded.compound));
     assert_eq!(json(&serial.clusters), json(&sharded.clusters));
     assert_eq!(
-        json(&serial.discrepancies.len()),
-        json(&sharded.discrepancies.len())
+        json(&serial.compound.map(|s| s.discrepancies)),
+        json(&sharded.compound.map(|s| s.discrepancies))
     );
 }
 
 #[test]
 fn at_least_one_multi_fault_cross_job_cluster_is_found_and_shrinks() {
-    let result = run_compound(&compound(42, 3));
-    assert!(result.stats.executed <= 96, "budget overrun");
+    let result = compound_pass(&compound(42, 3));
+    assert!(
+        result.compound.as_ref().unwrap().executed <= 96,
+        "budget overrun"
+    );
     assert!(!result.clusters.is_empty(), "no co-failure clusters found");
     // A cross-job co-failure: two jobs of one trial misbehaving together,
     // grouped under one causal-prefix fingerprint.
@@ -85,7 +97,7 @@ fn at_least_one_multi_fault_cross_job_cluster_is_found_and_shrinks() {
 
 #[test]
 fn every_shrunk_reproducer_still_triggers_in_its_own_cluster() {
-    let result = run_compound(&compound(42, 2));
+    let result = compound_pass(&compound(42, 2));
     let jobs = default_jobs(2);
     let faults = deployment_faults(42);
     assert!(!result.clusters.is_empty());
@@ -275,7 +287,7 @@ proptest! {
     #[test]
     fn compound_explore_replay_is_byte_identical(seed in any::<u64>()) {
         let run = |shards: usize| {
-            run_compound(&CampaignSpec {
+            compound_pass(&CampaignSpec {
                 explore_budget: Some(24),
                 shards,
                 ..compound(seed, 2)
@@ -284,9 +296,9 @@ proptest! {
         let first = run(1);
         let again = run(1);
         let sharded = run(3);
-        prop_assert_eq!(json(&first.stats), json(&again.stats));
+        prop_assert_eq!(json(&first.compound), json(&again.compound));
         prop_assert_eq!(json(&first.clusters), json(&again.clusters));
-        prop_assert_eq!(json(&first.stats), json(&sharded.stats));
+        prop_assert_eq!(json(&first.compound), json(&sharded.compound));
         prop_assert_eq!(json(&first.clusters), json(&sharded.clusters));
     }
 
