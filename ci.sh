@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test) and outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test) guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test), outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test) and cell (plan::cells walks the cell space, no loop over an experiment's plans in csi-test outside plan.rs) guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -132,6 +132,13 @@ stage_lint() {
   echo "==> outcome guard (a mode fills CampaignOutcome; no *Result struct in csi-test)"
   if grep -rnE --include='*.rs' 'struct [A-Za-z]*Result\b' crates/csi-test/src/; then
     echo "a mode fills CampaignOutcome" >&2
+    exit 1
+  fi
+  # The cell space has one order: a mode that loops over an experiment's
+  # plans itself is a second copy of it, free to drift from the grid's.
+  echo "==> cell guard (plan::cells walks the cells; no loop over .plans() in csi-test outside plan.rs)"
+  if grep -rnE --include='*.rs' 'for .* in .*\.plans\(\)' crates/csi-test/src/ | grep -v '^crates/csi-test/src/plan\.rs:'; then
+    echo "walk the cells with \`plan::cells(&experiments, &formats)\`, which yields (experiment index, experiment, plan, format) in the canonical order" >&2
     exit 1
   fi
 }

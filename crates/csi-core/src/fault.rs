@@ -337,13 +337,14 @@ pub fn canonical_signature(channel: Channel, kind: FaultKind) -> Option<(ErrorKi
 }
 
 /// Classifies what a caller-visible error (or its absence) says about how
-/// the stack handled the fired faults.
+/// the stack handled the fired faults. `fired` is walked at most once, so
+/// a caller can hand over `boundary::faulted(..)`'s faults as they come.
 ///
 /// Rule order matters: a crash is checked before faithful propagation so a
 /// corrupt payload that detonates in a downstream deserializer lands in
 /// [`FaultOutcome::Crash`] even when some signature accidentally matches.
-pub fn classify_fault_outcome(
-    fired: &[InjectedFault],
+pub fn classify_fault_outcome<'a>(
+    fired: impl IntoIterator<Item = &'a InjectedFault>,
     surfaced: Option<&InteractionError>,
 ) -> FaultOutcome {
     match surfaced {
@@ -352,7 +353,7 @@ pub fn classify_fault_outcome(
             FaultOutcome::Crash
         }
         Some(e)
-            if fired.iter().any(|f| {
+            if fired.into_iter().any(|f| {
                 canonical_signature(f.channel, f.kind)
                     .is_some_and(|(kind, code)| e.kind == kind && e.code == code)
             }) =>

@@ -49,9 +49,9 @@ pub fn custom_resolving_overrides() -> Vec<(String, String)> {
 }
 
 /// One full Metastore/MiniHdfs/SparkSession/HiveQl stack plus its
-/// diagnostics sink. Each grid worker in [`crate::shard`] builds its own,
-/// one per experiment, and drops it when done, so no two workers, and no
-/// two campaigns, ever share engine state.
+/// diagnostics sink. Each grid or explore worker builds its own, runs every
+/// experiment on it, and drops it when done, so no two workers, and no two
+/// campaigns, ever share engine state.
 ///
 /// Lock order: the filesystem before the metastore, everywhere — both
 /// engines' statement paths and `csi-serve`'s tenant registry take the
@@ -491,6 +491,7 @@ mod tests {
     use super::*;
     use crate::campaign::Campaign;
     use crate::generator::{generate_inputs, Validity};
+    use crate::plan::cells;
     use csi_core::value::{DataType, Decimal};
 
     fn one_input(column_type: DataType, value: Value, validity: Validity) -> Vec<TestInput> {
@@ -597,17 +598,15 @@ mod tests {
         let d = Deployment::new(CrossingContext::new());
         let inputs = generate_inputs();
         let experiment = Experiment::SparkToSpark;
-        for format in StorageFormat::ALL {
-            for plan in experiment.plans() {
-                for input in &inputs[..24] {
-                    run_one(&d, experiment, plan, format, input, true);
-                    assert_eq!(
-                        namespace(&d),
-                        (vec![], vec![]),
-                        "{plan} {format:?} input {} left its table behind",
-                        input.id
-                    );
-                }
+        for (_, _, plan, format) in cells(&[experiment], &StorageFormat::ALL) {
+            for input in &inputs[..24] {
+                run_one(&d, experiment, plan, format, input, true);
+                assert_eq!(
+                    namespace(&d),
+                    (vec![], vec![]),
+                    "{plan} {format:?} input {} left its table behind",
+                    input.id
+                );
             }
         }
         // Without the drop (the fault-matrix cell path, which reads the

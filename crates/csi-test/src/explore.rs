@@ -8,12 +8,14 @@
 //! tags), inputs that produce *novel* signatures enter a corpus, and corpus
 //! entries earn a full plan×format sweep, deterministic mutants
 //! ([`crate::generator::mutate_input`]), and a fault overlay from
-//! [`crate::inject::fault_catalogue`] — all scheduled ahead of fresh draws
-//! from the grid.
+//! [`crate::inject::fault_catalogue`]'s metastore and HDFS faults — all
+//! promoted on the `shard::Frontier`, ahead of fresh draws from the grid.
 //!
 //! Determinism is load-bearing, exactly as everywhere else in the harness:
 //! scheduling is a pure function of (seed, inputs, budget); each round
-//! goes through `shard::run_ordered`, and absorption happens in trial
+//! goes through `shard::run_ordered`, each worker runs the round's
+//! fault-free trials on one recycling deployment (every observation is
+//! hermetic, whatever the experiment), and absorption happens in trial
 //! order. A sharded explore run is byte-identical to a one-worker one,
 //! pinned by `tests/explore.rs`.
 
@@ -22,18 +24,18 @@ use crate::classify::Classifier;
 use crate::exec::{self, Deployment};
 use crate::generator::{mutate_input, TestInput, Validity};
 use crate::inject;
-use crate::plan::{Experiment, TestPlan};
-use crate::shard::run_ordered;
+use crate::plan::{self, Experiment, TestPlan};
+use crate::shard::{run_ordered, Frontier};
 use crate::shrink;
 use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext};
 use csi_core::coverage::{CoverageMap, CoverageSignature};
-use csi_core::fault::{classify_fault_outcome, Channel, FaultSpec, InjectedFault};
+use csi_core::fault::{classify_fault_outcome, FaultSpec};
 use csi_core::oracle::Observation;
 use csi_core::report::{CorpusRow, DiscoveryRow, ExplorationStats};
 use csi_core::value::DataType;
 use minihive::metastore::StorageFormat;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Trials scheduled (and absorbed) per round. Rounds bound how stale the
 /// coverage feedback can get under sharding: every worker sees a schedule
@@ -46,18 +48,20 @@ const MUTANTS_PER_ENTRY: usize = 4;
 /// Fault-overlay trials scheduled per corpus admission.
 const FAULTS_PER_ENTRY: usize = 2;
 
-/// One scheduled execution: an input on a (experiment, plan, format) cell,
-/// optionally under an injected fault.
-#[derive(Debug, Clone)]
+/// One scheduled execution, and its frontier key: an input (its index
+/// into the pool) on a combo, optionally under one injected fault (its
+/// index into [`Explorer::faults`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Trial {
     input_idx: usize,
     combo: usize,
-    fault: Option<FaultSpec>,
+    fault: Option<usize>,
 }
 
 struct Explorer {
-    combos: Vec<(Experiment, TestPlan, StorageFormat)>,
-    experiments: Vec<Experiment>,
+    /// The (experiment index, experiment, plan, format) cells a trial
+    /// runs on, in `plan::cells` order.
+    combos: Vec<(usize, Experiment, TestPlan, StorageFormat)>,
     pool: Vec<TestInput>,
     seed_count: usize,
     /// Inputs with ids at or above this are mutants.
@@ -67,15 +71,15 @@ struct Explorer {
     /// above the catalogue); with no corpus region this equals
     /// `first_mutant_id` and nothing qualifies.
     corpus_floor: usize,
-    /// Seed-grid visiting order: corpus-region indices first, so a small
-    /// budget reaches realistic inputs in round one. Identity when there
-    /// is no corpus region.
-    order: Vec<usize>,
     next_id: usize,
     shards: usize,
-    /// Cells already scheduled: (input id, combo, fault id).
-    scheduled: BTreeSet<(usize, usize, Option<String>)>,
-    pending: VecDeque<Trial>,
+    /// Corpus-derived trials, ahead of the seed grid.
+    frontier: Frontier<Trial>,
+    /// The seed grid, the frontier's filler: pass-major, input-minor, the
+    /// combo rotated per pass so early passes spread inputs across plans
+    /// and formats. Within a pass the corpus region comes first, so a
+    /// small budget reaches realistic inputs in round one.
+    grid: Box<dyn Iterator<Item = Trial> + Send + Sync>,
     /// Fine-grained coverage (including `decl:` declared-type tags): the
     /// signature set reports expose and the corpus-vs-catalogue diff is
     /// computed on.
@@ -91,10 +95,6 @@ struct Explorer {
     sched_map: CoverageMap,
     corpus_ids: BTreeSet<usize>,
     corpus: Vec<CorpusRow>,
-    // Grid cursor state: pass-major, input-minor, combo rotated per pass.
-    pass: usize,
-    cursor: usize,
-    seed_rot: usize,
     // Accumulated results.
     executed: usize,
     fresh: usize,
@@ -139,52 +139,37 @@ impl Explorer {
     /// An explorer over `spec`'s experiments, formats, seed and shards,
     /// seeded with `inputs`, the resolved `spec.inputs`.
     fn new(spec: &CampaignSpec, inputs: &[TestInput]) -> Explorer {
-        let mut combos = Vec::new();
-        for &exp in &spec.experiments {
-            for plan in exp.plans() {
-                for &fmt in &spec.formats {
-                    combos.push((exp, plan, fmt));
-                }
-            }
-        }
+        let combos: Vec<_> = plan::cells(&spec.experiments, &spec.formats).collect();
         let first_mutant_id = inputs.iter().map(|i| i.id + 1).max().unwrap_or(0);
         let corpus_floor = spec.inputs.corpus_floor().unwrap_or(first_mutant_id);
         let mut order: Vec<usize> = (0..inputs.len())
             .filter(|&i| inputs[i].id >= corpus_floor)
             .collect();
         order.extend((0..inputs.len()).filter(|&i| inputs[i].id < corpus_floor));
-        let seed_rot = if combos.is_empty() {
-            0
-        } else {
-            (spec.seed % combos.len() as u64) as usize
-        };
-        // Only metastore and filesystem faults can fire inside a
-        // cross-testing deployment; the rest of the catalogue targets
-        // stacks the explore trials never build.
-        let faults: Vec<FaultSpec> = inject::fault_catalogue(spec.seed)
-            .faults
-            .into_iter()
-            .filter(|f| matches!(f.channel, Channel::Metastore | Channel::Hdfs))
-            .collect();
+        let (c, n) = (combos.len(), order.len());
+        let rot = (spec.seed % c.max(1) as u64) as usize;
+        let grid = (0..c * n).map(move |k| {
+            let input_idx = order[k % n];
+            Trial {
+                input_idx,
+                combo: (input_idx + k / n + rot) % c,
+                fault: None,
+            }
+        });
         Explorer {
+            grid: Box::new(grid),
             combos,
-            experiments: spec.experiments.clone(),
             pool: inputs.to_vec(),
             seed_count: inputs.len(),
             first_mutant_id,
             corpus_floor,
-            order,
             next_id: first_mutant_id,
             shards: spec.shards,
-            scheduled: BTreeSet::new(),
-            pending: VecDeque::new(),
+            frontier: Frontier::new(),
             map: CoverageMap::new(),
             sched_map: CoverageMap::new(),
             corpus_ids: BTreeSet::new(),
             corpus: Vec::new(),
-            pass: 0,
-            cursor: 0,
-            seed_rot,
             executed: 0,
             fresh: 0,
             mutated: 0,
@@ -193,17 +178,9 @@ impl Explorer {
             novel_from_corpus: 0,
             judge: Classifier::new(&spec.experiments),
             discovered: BTreeMap::new(),
-            faults,
+            faults: inject::deployment_faults(spec.seed),
             fault_rotor: 0,
         }
-    }
-
-    fn trial_key(&self, t: &Trial) -> (usize, usize, Option<String>) {
-        (
-            self.pool[t.input_idx].id,
-            t.combo,
-            t.fault.as_ref().map(|f| f.id.clone()),
-        )
     }
 
     /// Turns a coarse signature, once the coarse map has seen it, into its
@@ -225,16 +202,6 @@ impl Explorer {
         }
     }
 
-    /// The position of a combo's experiment in `experiments` (and so in
-    /// the classifier and a worker's deployments).
-    fn exp_idx(&self, combo: usize) -> usize {
-        let exp = self.combos[combo].0;
-        self.experiments
-            .iter()
-            .position(|e| *e == exp)
-            .expect("combo experiment is configured")
-    }
-
     /// The `"grid"` / `"corpus"` / `"mutation"` origin of an input id.
     fn origin(&self, id: usize) -> &'static str {
         if id >= self.first_mutant_id {
@@ -246,75 +213,22 @@ impl Explorer {
         }
     }
 
-    /// The next unexecuted cell of the seed grid, rotating the combo per
-    /// pass so early passes spread inputs across plans and formats. The
-    /// [`Explorer::order`] vector puts the corpus region ahead of the
-    /// catalogue within each pass.
-    fn next_grid(&mut self) -> Option<Trial> {
-        let c = self.combos.len();
-        while self.pass < c {
-            while self.cursor < self.seed_count {
-                let i = self.order[self.cursor];
-                self.cursor += 1;
-                let combo = (i + self.pass + self.seed_rot) % c;
-                let key = (self.pool[i].id, combo, None);
-                if !self.scheduled.contains(&key) {
-                    self.scheduled.insert(key);
-                    return Some(Trial {
-                        input_idx: i,
-                        combo,
-                        fault: None,
-                    });
-                }
-            }
-            self.cursor = 0;
-            self.pass += 1;
-        }
-        None
-    }
-
-    /// Schedules up to `n` trials: the corpus-derived queue first, fresh
-    /// grid draws as filler. Pure function of prior absorption order.
-    fn schedule_round(&mut self, n: usize) -> Vec<Trial> {
-        let mut batch = Vec::new();
-        while batch.len() < n {
-            if let Some(t) = self.pending.pop_front() {
-                let key = self.trial_key(&t);
-                if self.scheduled.contains(&key) {
-                    continue;
-                }
-                self.scheduled.insert(key);
-                batch.push(t);
-                continue;
-            }
-            match self.next_grid() {
-                Some(t) => batch.push(t),
-                None => break,
-            }
-        }
-        batch
-    }
-
-    fn run_trial(
-        &self,
-        trial: &Trial,
-        deployments: &mut BTreeMap<usize, Deployment>,
-    ) -> Observation {
-        let (exp, plan, fmt) = self.combos[trial.combo];
+    /// Runs `trial`, a fault-free one on the worker's `deployment` (built
+    /// on first use).
+    fn run_trial(&self, trial: Trial, deployment: &mut Option<Deployment>) -> Observation {
+        let (_, exp, plan, fmt) = self.combos[trial.combo];
         let input = &self.pool[trial.input_idx];
-        match &trial.fault {
+        match trial.fault {
             Some(fault) => {
                 // Hermetic: a fresh context pre-armed with exactly this
                 // fault, exactly like a fault-matrix probe cell.
                 let ctx = CrossingContext::new();
-                ctx.arm(fault.clone());
+                ctx.arm(self.faults[fault].clone());
                 let d = Deployment::new(ctx);
                 exec::run_one(&d, exp, plan, fmt, input, false)
             }
             None => {
-                let d = deployments
-                    .entry(self.exp_idx(trial.combo))
-                    .or_insert_with(|| Deployment::new(CrossingContext::new()));
+                let d = deployment.get_or_insert_with(|| Deployment::new(CrossingContext::new()));
                 // Recycling keeps each worker's metastore footprint at one
                 // table and makes observations independent of what the
                 // deployment ran before — the sharding byte-identity lever.
@@ -325,9 +239,9 @@ impl Explorer {
 
     /// Absorbs one observation, in trial order: coverage, corpus
     /// admission, and (for fault-free trials) the report stream.
-    fn absorb(&mut self, trial: &Trial, obs: Observation) {
+    fn absorb(&mut self, trial: Trial, obs: Observation) {
         self.executed += 1;
-        let exp_idx = self.exp_idx(trial.combo);
+        let exp_idx = self.combos[trial.combo].0;
         let input = &self.pool[trial.input_idx];
         let input_id = input.id;
         let is_mutant = input_id >= self.first_mutant_id;
@@ -337,13 +251,12 @@ impl Explorer {
             Validity::Valid => "valid",
             Validity::Invalid => "invalid",
         });
-        if let Some(fault) = &trial.fault {
+        if let Some(fault) = trial.fault {
             self.faulted += 1;
-            let fired: Vec<InjectedFault> = faulted(&obs.trace.crossings)
-                .map(|(_, fault)| fault.clone())
-                .collect();
-            let bucket = classify_fault_outcome(&fired, obs.surfaced());
-            sig.tag(format_args!("fault:{}:{bucket}", fault.channel));
+            let fired = faulted(&obs.trace.crossings).map(|(_, fault)| fault);
+            let bucket = classify_fault_outcome(fired, obs.surfaced());
+            let channel = self.faults[fault].channel;
+            sig.tag(format_args!("fault:{channel}:{bucket}"));
             // Fault observations feed coverage only; they stay out of the
             // classified report, whose oracles assume a fault-free stack.
             self.sched_map.observe(&sig, self.executed);
@@ -384,11 +297,11 @@ impl Explorer {
 
     /// A corpus admission earns: a full combo sweep, deterministic mutants
     /// on a few spread-out combos, and a fault overlay on the discovering
-    /// combo. Everything lands on the pending queue ahead of fresh draws.
+    /// combo. Everything is promoted on the frontier, ahead of fresh draws.
     fn expand_corpus_entry(&mut self, input_idx: usize, parent_combo: usize, is_mutant: bool) {
         let c = self.combos.len();
         for combo in 0..c {
-            self.pending.push_back(Trial {
+            self.frontier.promote(Trial {
                 input_idx,
                 combo,
                 fault: None,
@@ -402,7 +315,7 @@ impl Explorer {
                 self.pool.push(m);
                 let mi = self.pool.len() - 1;
                 for off in [0usize, 5, 11] {
-                    self.pending.push_back(Trial {
+                    self.frontier.promote(Trial {
                         input_idx: mi,
                         combo: (parent_combo + off + k) % c,
                         fault: None,
@@ -412,9 +325,9 @@ impl Explorer {
         }
         if !self.faults.is_empty() {
             for _ in 0..FAULTS_PER_ENTRY {
-                let fault = self.faults[self.fault_rotor % self.faults.len()].clone();
+                let fault = self.fault_rotor % self.faults.len();
                 self.fault_rotor += 1;
-                self.pending.push_back(Trial {
+                self.frontier.promote(Trial {
                     input_idx,
                     combo: parent_combo,
                     fault: Some(fault),
@@ -451,16 +364,22 @@ pub(crate) fn run_explore(spec: &CampaignSpec, inputs: &[TestInput]) -> Campaign
     let budget = spec.explore_budget.expect("explore mode");
     let mut ex = Explorer::new(spec, inputs);
     while ex.executed < budget {
-        let batch = ex.schedule_round(ROUND.min(budget - ex.executed));
+        // Corpus-derived trials first, fresh seed-grid draws as filler: a
+        // pure function of prior absorption order.
+        let n = ROUND.min(budget - ex.executed);
+        let batch = ex.frontier.round(n, || ex.grid.next());
         if batch.is_empty() {
             break;
         }
-        // Each worker keeps its own recycling deployments for the round;
+        // Each worker keeps one recycling deployment for the round;
         // observations come back in trial order.
-        let observations = run_ordered(ex.shards, batch.len(), BTreeMap::new, |deployments, i| {
-            ex.run_trial(&batch[i], deployments)
-        });
-        for (trial, obs) in batch.iter().zip(observations) {
+        let observations = run_ordered(
+            ex.shards,
+            batch.len(),
+            || None,
+            |deployment, i| ex.run_trial(batch[i], deployment),
+        );
+        for (&trial, obs) in batch.iter().zip(observations) {
             ex.absorb(trial, obs);
         }
         ex.update_discoveries();
@@ -547,7 +466,7 @@ mod tests {
         let mut ex = Explorer::new(&spec, &inputs[..5]);
         let cells = ex.seed_count * ex.combos.len();
         let mut seen = BTreeSet::new();
-        while let Some(t) = ex.next_grid() {
+        for t in ex.grid.by_ref() {
             assert!(seen.insert((ex.pool[t.input_idx].id, t.combo)), "revisit");
         }
         assert_eq!(seen.len(), cells);
@@ -571,15 +490,15 @@ mod tests {
             .collect();
         let spec = explore_spec(&inputs, &[StorageFormat::Orc], 7, 1);
         let mut ex = Explorer::new(&spec, &inputs);
-        let mut pools = BTreeMap::new();
+        let mut deployment = None;
         for input_idx in 0..inputs.len() {
             let trial = Trial {
                 input_idx,
                 combo: 0,
                 fault: None,
             };
-            let obs = ex.run_trial(&trial, &mut pools);
-            ex.absorb(&trial, obs);
+            let obs = ex.run_trial(trial, &mut deployment);
+            ex.absorb(trial, obs);
         }
         assert_eq!(ex.map.distinct(), 2, "reported coverage tells them apart");
         assert_eq!(ex.sched_map.distinct(), 1, "scheduling does not");

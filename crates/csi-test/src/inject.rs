@@ -20,7 +20,7 @@
 use crate::campaign::{crack, is_finding, CampaignOutcome, Evidence, Finding};
 use crate::exec::{run_one, Deployment};
 use crate::generator::{TestInput, Validity};
-use crate::plan::{scenario_key, Experiment, TestPlan};
+use crate::plan::{self, scenario_key, Experiment, TestPlan};
 use crate::shard::run_ordered;
 use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext};
@@ -188,6 +188,15 @@ pub fn fault_catalogue(seed: u64) -> FaultPlan {
     }
 }
 
+/// The faults of [`fault_catalogue`]`(seed)` that can fire inside a
+/// cross-testing deployment: its metastore and filesystem faults. The
+/// rest of the catalogue targets stacks a deployment never builds.
+pub(crate) fn deployment_faults(seed: u64) -> Vec<FaultSpec> {
+    let mut faults = fault_catalogue(seed).faults;
+    faults.retain(|f| matches!(f.channel, Channel::Metastore | Channel::Hdfs));
+    faults
+}
+
 /// A small smoke-test subset of [`fault_catalogue`]: one cheap fault per
 /// channel, for CI and property tests.
 pub fn small_fault_catalogue(seed: u64) -> FaultPlan {
@@ -245,18 +254,14 @@ fn enumerate_cells(spec: &CampaignSpec, faults: &FaultPlan) -> Vec<Cell> {
     for fault in &faults.faults {
         match fault.channel {
             Channel::Metastore | Channel::Hdfs => {
-                for &experiment in &spec.experiments {
-                    for plan in experiment.plans() {
-                        for &format in &spec.formats {
-                            cells.push(Cell::Probe {
-                                fault: fault.clone(),
-                                experiment,
-                                plan,
-                                format,
-                            });
-                        }
-                    }
-                }
+                cells.extend(plan::cells(&spec.experiments, &spec.formats).map(
+                    |(_, experiment, plan, format)| Cell::Probe {
+                        fault: fault.clone(),
+                        experiment,
+                        plan,
+                        format,
+                    },
+                ));
             }
             Channel::Kafka => {
                 cells.push(Cell::KafkaDirect {

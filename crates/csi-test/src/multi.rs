@@ -20,10 +20,12 @@
 //! [`csi_core::fault::fault_combinations`] (k ≤ 3, seeded, serializable).
 //!
 //! [`run_compound`] searches the (fault-set × interleaving) product space
-//! coverage-guided, clusters the resulting discrepancies by the shared
-//! trace's *causal prefix* ([`InteractionTrace::causal_prefix`] hashed by
-//! [`prefix_fingerprint`]), and ddmin-shrinks each cluster to a minimal
-//! fault-set + interleaving reproducer. Determinism is load-bearing, as
+//! coverage-guided (on the `shard::Frontier` explore also uses: promoted
+//! keys first, then the set-major grid, no key twice), clusters the
+//! resulting discrepancies by the shared trace's *causal prefix*
+//! ([`InteractionTrace::causal_prefix`] hashed by [`prefix_fingerprint`]),
+//! and ddmin-shrinks each cluster to a minimal fault-set + interleaving
+//! reproducer. Determinism is load-bearing, as
 //! everywhere else in the harness: trials are hermetic (fresh deployment
 //! per trial), each round goes through `shard::run_ordered`, and absorption
 //! happens in trial order — a sharded compound pass is byte-identical to
@@ -33,22 +35,20 @@ use crate::campaign::{crack, is_finding, CampaignOutcome, Evidence, Finding};
 use crate::exec::{self, Deployment};
 use crate::generator::TestInput;
 use crate::inject;
-use crate::plan::{scenario_key, Experiment, TestPlan};
-use crate::shard::run_ordered;
+use crate::plan::{self, scenario_key, Experiment, TestPlan};
+use crate::shard::{run_ordered, Frontier};
 use crate::shrink::ddmin_lite;
 use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext, InteractionTrace};
 use csi_core::coverage::{prefix_fingerprint, CoverageMap, CoverageSignature};
-use csi_core::fault::{
-    classify_fault_outcome, fault_combinations, Channel, FaultOutcome, FaultSet, InjectedFault,
-};
+use csi_core::fault::{classify_fault_outcome, fault_combinations, FaultOutcome, FaultSet};
 use csi_core::report::{ClusterRow, CompoundStats};
 use csi_core::rng::splitmix64;
 use csi_core::value::Value;
 use csi_core::InteractionError;
 use minihive::metastore::StorageFormat;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Turns per job: `create`, `insert`, `read`.
 pub const TURNS_PER_JOB: usize = 3;
@@ -253,8 +253,8 @@ pub fn run_compound_trial(
         let Some(crack) = crack(hits.iter().copied()) else {
             continue;
         };
-        let fired: Vec<InjectedFault> = hits.iter().map(|(_, fault)| (*fault).clone()).collect();
-        let outcome = classify_fault_outcome(&fired, run.surfaced());
+        let fired = hits.iter().map(|&(_, fault)| fault);
+        let outcome = classify_fault_outcome(fired, run.surfaced());
         if !is_finding(outcome) {
             continue;
         }
@@ -281,17 +281,10 @@ pub fn default_jobs(n: usize) -> Vec<JobSpec> {
         Experiment::HiveToSpark,
         Experiment::SparkToSpark,
     ];
-    let mut combos = Vec::new();
-    for exp in order {
-        for plan in exp.plans() {
-            for &fmt in StorageFormat::ALL.iter() {
-                combos.push((exp, plan, fmt));
-            }
-        }
-    }
+    let combos: Vec<_> = plan::cells(&order, &StorageFormat::ALL).collect();
     (0..n)
         .map(|j| {
-            let (experiment, plan, format) = combos[(j * 7) % combos.len()];
+            let (_, experiment, plan, format) = combos[(j * 7) % combos.len()];
             JobSpec {
                 experiment,
                 plan,
@@ -320,11 +313,7 @@ pub fn default_jobs(n: usize) -> Vec<JobSpec> {
 pub fn run_compound(spec: &CampaignSpec, outcome: &mut CampaignOutcome) {
     let jobs = default_jobs(spec.jobs);
     let budget = spec.explore_budget.unwrap_or(DEFAULT_BUDGET);
-    let catalogue: Vec<_> = inject::fault_catalogue(spec.seed)
-        .faults
-        .into_iter()
-        .filter(|f| matches!(f.channel, Channel::Metastore | Channel::Hdfs))
-        .collect();
+    let catalogue = inject::deployment_faults(spec.seed);
     let sets = fault_combinations(&catalogue, spec.kfaults, spec.seed, SETS_PER_K);
     let mut schedules = vec![InterleaveSchedule::identity(jobs.len(), TURNS_PER_JOB)];
     for i in 0..SCHEDULES {
@@ -341,27 +330,15 @@ pub fn run_compound(spec: &CampaignSpec, outcome: &mut CampaignOutcome) {
 
     let space = sets.len() * schedules.len();
     let mut map = CoverageMap::new();
-    let mut scheduled: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut pending: VecDeque<(usize, usize)> = VecDeque::new();
-    let mut cursor = 0usize;
+    // Trial keys are (fault set, schedule) index pairs; the frontier's
+    // filler walks them fault-set-major, schedule-minor.
+    let mut frontier = Frontier::new();
+    let mut grid = (0..sets.len()).flat_map(|si| (0..schedules.len()).map(move |hi| (si, hi)));
     let mut executed = 0usize;
     // Every discrepancy found, with the (fault set, schedule) of its trial.
     let mut discrepancies: Vec<((usize, usize), CompoundDiscrepancy)> = Vec::new();
     while executed < budget {
-        let mut batch = Vec::new();
-        while batch.len() < ROUND.min(budget - executed) {
-            // Promoted keys first, then the grid filler: fault-set-major,
-            // schedule-minor. A key already run is skipped either way.
-            let next = pending.pop_front().or_else(|| {
-                let key = (cursor / schedules.len(), cursor % schedules.len());
-                cursor += 1;
-                (key.0 < sets.len()).then_some(key)
-            });
-            let Some(key) = next else { break };
-            if scheduled.insert(key) {
-                batch.push(key);
-            }
-        }
+        let batch = frontier.round(ROUND.min(budget - executed), || grid.next());
         if batch.is_empty() {
             break;
         }
@@ -386,9 +363,7 @@ pub fn run_compound(spec: &CampaignSpec, outcome: &mut CampaignOutcome) {
                 // A fault set that just exposed new behaviour earns its
                 // remaining interleavings ahead of fresh grid draws.
                 for hi in 0..schedules.len() {
-                    if !scheduled.contains(&(si, hi)) {
-                        pending.push_back((si, hi));
-                    }
+                    frontier.promote((si, hi));
                 }
             }
             discrepancies.extend(report.discrepancies.into_iter().map(|d| ((si, hi), d)));
@@ -518,11 +493,7 @@ mod tests {
     #[test]
     fn compound_trials_are_deterministic() {
         let jobs = default_jobs(2);
-        let catalogue: Vec<_> = inject::fault_catalogue(1)
-            .faults
-            .into_iter()
-            .filter(|f| matches!(f.channel, Channel::Metastore | Channel::Hdfs))
-            .collect();
+        let catalogue = inject::deployment_faults(1);
         let set = FaultSet::new(catalogue[..2].to_vec());
         let sched = InterleaveSchedule::seeded(2, TURNS_PER_JOB, 5);
         let a = run_compound_trial(&jobs, &set, &sched);

@@ -1,5 +1,6 @@
 //! Test plans: the interface matrix of Figure 6.
 
+use minihive::metastore::StorageFormat;
 use serde::{Deserialize, Serialize};
 use std::fmt::{self, Write};
 
@@ -148,6 +149,28 @@ impl fmt::Display for Experiment {
     }
 }
 
+/// Every (experiment index, experiment, plan, format) cell of
+/// `experiments` crossed with their plans and `formats`, in the canonical
+/// nesting order: experiment, then plan, then format. The index is the
+/// experiment's position in `experiments`. This is the one walk of the
+/// cell space: the grid's shards, the matrix's probe cells, explore's
+/// combos and the compound roster are all read off it.
+pub(crate) fn cells<'a>(
+    experiments: &'a [Experiment],
+    formats: &'a [StorageFormat],
+) -> impl Iterator<Item = (usize, Experiment, TestPlan, StorageFormat)> + 'a {
+    experiments
+        .iter()
+        .enumerate()
+        .flat_map(move |(i, &experiment)| {
+            experiment.plans().into_iter().flat_map(move |plan| {
+                formats
+                    .iter()
+                    .map(move |&format| (i, experiment, plan, format))
+            })
+        })
+}
+
 /// The scenario key of one cross-test cell, from the labels its
 /// observation carries: `sh:SparkSQL->HiveQL:ORC` names a fault-matrix
 /// probe cell or a compound job; with an input (`…:ORC:17`) it is the key a
@@ -172,6 +195,21 @@ mod tests {
         assert_eq!(Experiment::SparkToSpark.plans().len(), 4);
         assert_eq!(Experiment::SparkToHive.plans().len(), 2);
         assert_eq!(Experiment::HiveToSpark.plans().len(), 2);
+    }
+
+    #[test]
+    fn cells_walk_the_nested_loop_in_order() {
+        let mut nested = Vec::new();
+        for (i, &experiment) in Experiment::ALL.iter().enumerate() {
+            for plan in experiment.plans() {
+                for format in StorageFormat::ALL {
+                    nested.push((i, experiment, plan, format));
+                }
+            }
+        }
+        let walked: Vec<_> = cells(&Experiment::ALL, &StorageFormat::ALL).collect();
+        assert_eq!(walked.len(), 24);
+        assert_eq!(walked, nested);
     }
 
     #[test]

@@ -5,18 +5,20 @@
 //! here, fault-matrix cells in [`crate::inject`], explore rounds in
 //! [`crate::explore`], compound trials in [`crate::multi`] — and gets the
 //! results back in index order, whatever worker ran them. Serial is
-//! `workers = 1`: the same closure, inline on the calling thread.
+//! `workers = 1`: the same closure, inline on the calling thread. The two
+//! searching modes pick each round's jobs off one `Frontier`: keys that
+//! feedback promoted first, then the mode's grid filler, none twice.
 //!
 //! The cross-test grid (`run_cross_test`) shards the (experiment, plan,
 //! format, input) space into (experiment, plan, format, input-chunk) work
-//! units:
+//! units, walking the cells in [`crate::plan`]'s one order:
 //!
-//! - **One deployment per worker per experiment** — a worker builds a
-//!   Metastore/MiniHdfs/SparkSession/HiveQl stack for one experiment and
-//!   no other. Shard indices are claimed in increasing order and shards
-//!   are experiment-major, so when a worker first claims a shard of the
-//!   next experiment it is done with the previous one: it drops that
-//!   stack and builds the next.
+//! - **One deployment per worker** — a worker builds one
+//!   Metastore/MiniHdfs/SparkSession/HiveQl stack and runs every shard it
+//!   claims on it, whatever the experiment. Every observation is
+//!   hermetic: `run_one` resets the crossing context and drains the
+//!   sink before it starts, and drops its table when it ends, so what a
+//!   stack ran before never reaches the next observation.
 //! - **Deterministic merge** — workers only *record* observations. The
 //!   merger walks the shards in canonical (experiment, plan, format,
 //!   input-id) order and hands each observation to the one
@@ -31,13 +33,14 @@ use crate::campaign::CampaignOutcome;
 use crate::classify::Classifier;
 use crate::exec::{learn_baselines, run_one, Deployment};
 use crate::generator::TestInput;
-use crate::plan::{Experiment, TestPlan};
+use crate::plan::{cells, Experiment, TestPlan};
 use crate::spec::CampaignSpec;
 use csi_core::detect::{DetectionTap, DetectorSpec};
 use csi_core::oracle::Observation;
 use minihive::metastore::StorageFormat;
 use parking_lot::Mutex;
 use serde::Serialize;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -84,6 +87,47 @@ pub(crate) fn run_ordered<S, T: Send>(
         .into_iter()
         .map(|slot| slot.into_inner().expect("every index was claimed"))
         .collect()
+}
+
+/// The one work list of the searching modes (explore's trials, the
+/// compound pass's (fault set, schedule) keys): keys promoted by feedback
+/// run first, in promotion order, then the filler's, and no key is ever
+/// scheduled twice.
+pub(crate) struct Frontier<K> {
+    scheduled: BTreeSet<K>,
+    promoted: VecDeque<K>,
+}
+
+impl<K: Ord + Copy> Frontier<K> {
+    pub(crate) fn new() -> Frontier<K> {
+        Frontier {
+            scheduled: BTreeSet::new(),
+            promoted: VecDeque::new(),
+        }
+    }
+
+    /// Queues `key` ahead of every filler key, unless it was already
+    /// scheduled.
+    pub(crate) fn promote(&mut self, key: K) {
+        if !self.scheduled.contains(&key) {
+            self.promoted.push_back(key);
+        }
+    }
+
+    /// The next round: up to `n` keys never scheduled before, the promoted
+    /// ones first, then `filler`'s, until both run dry.
+    pub(crate) fn round(&mut self, n: usize, mut filler: impl FnMut() -> Option<K>) -> Vec<K> {
+        let mut batch = Vec::with_capacity(n);
+        while batch.len() < n {
+            let Some(key) = self.promoted.pop_front().or_else(&mut filler) else {
+                break;
+            };
+            if self.scheduled.insert(key) {
+                batch.push(key);
+            }
+        }
+        batch
+    }
 }
 
 /// Execution statistics for one worker of the pool.
@@ -135,58 +179,34 @@ struct Shard {
     hi: usize,
 }
 
-/// Enumerates shards in the canonical nesting order: experiment, then
-/// plan, then format, then input chunks.
+/// Enumerates shards in the canonical nesting order: the cells of
+/// `plan::cells`, then input chunks.
 fn build_shards(inputs_len: usize, spec: &CampaignSpec) -> Vec<Shard> {
     let chunk_size = spec.chunk_size.max(1);
-    let mut shards = Vec::new();
-    for (experiment_idx, &experiment) in spec.experiments.iter().enumerate() {
-        for plan in experiment.plans() {
-            for &format in &spec.formats {
-                let mut lo = 0;
-                while lo < inputs_len {
-                    let hi = (lo + chunk_size).min(inputs_len);
-                    shards.push(Shard {
-                        experiment_idx,
-                        experiment,
-                        plan,
-                        format,
-                        lo,
-                        hi,
-                    });
-                    lo = hi;
-                }
-            }
-        }
-    }
-    shards
+    cells(&spec.experiments, &spec.formats)
+        .flat_map(|(experiment_idx, experiment, plan, format)| {
+            (0..inputs_len).step_by(chunk_size).map(move |lo| Shard {
+                experiment_idx,
+                experiment,
+                plan,
+                format,
+                lo,
+                hi: (lo + chunk_size).min(inputs_len),
+            })
+        })
+        .collect()
 }
 
-/// One worker's private state on the grid: the deployment it currently
-/// holds and its share of the campaign metrics. Dropping it drops the
-/// deployment and files the worker's [`WorkerStats`].
+/// One worker's private state on the grid: its deployment, built with its
+/// first shard, and its share of the campaign metrics. Dropping it drops
+/// the deployment and files the worker's [`WorkerStats`].
 struct GridWorker<'a> {
-    spec: &'a CampaignSpec,
-    detector: Option<&'a DetectorSpec>,
     stats: &'a Mutex<Vec<WorkerStats>>,
     started: Instant,
-    /// The held deployment and the index of the experiment it serves.
-    deployment: Option<(usize, Deployment)>,
+    deployment: Option<Deployment>,
     shards: usize,
     observations: usize,
     busy_micros: u64,
-}
-
-impl GridWorker<'_> {
-    /// The deployment for `experiment_idx`, replacing the one held for an
-    /// earlier experiment: claimed shard indices only grow, so this worker
-    /// will not see that experiment again.
-    fn deployment_for(&mut self, experiment_idx: usize) -> &Deployment {
-        if !matches!(self.deployment, Some((held, _)) if held == experiment_idx) {
-            self.deployment = Some((experiment_idx, Deployment::armed(self.spec, self.detector)));
-        }
-        &self.deployment.as_ref().expect("just built").1
-    }
 }
 
 impl Drop for GridWorker<'_> {
@@ -242,8 +262,6 @@ pub(crate) fn run_cross_test(
         workers,
         shards.len(),
         || GridWorker {
-            spec,
-            detector: detector.as_ref(),
             stats: &stats,
             started: Instant::now(),
             deployment: None,
@@ -254,7 +272,9 @@ pub(crate) fn run_cross_test(
         |worker, i| {
             let shard = &shards[i];
             let shard_started = Instant::now();
-            let deployment = worker.deployment_for(shard.experiment_idx);
+            let deployment = worker
+                .deployment
+                .get_or_insert_with(|| Deployment::armed(spec, detector.as_ref()));
             let batch: Vec<Observation> = inputs[shard.lo..shard.hi]
                 .iter()
                 .map(|input| {
@@ -394,6 +414,25 @@ mod tests {
             });
             assert!(caught.is_err(), "workers = {workers} swallowed the panic");
         }
+    }
+
+    #[test]
+    fn a_frontier_runs_promoted_keys_first_and_no_key_twice() {
+        let mut frontier = Frontier::new();
+        let mut filler = [1, 2, 3, 4, 5, 6].into_iter();
+        frontier.promote(9);
+        frontier.promote(4);
+        frontier.promote(9);
+        // Promoted keys in promotion order, the repeat dropped, then filler.
+        assert_eq!(frontier.round(3, || filler.next()), vec![9, 4, 1]);
+        // 1 has run: promoting it again schedules nothing, and the filler's
+        // 4 is skipped because it ran as a promoted key.
+        frontier.promote(1);
+        frontier.promote(7);
+        assert_eq!(frontier.round(3, || filler.next()), vec![7, 2, 3]);
+        // Both sources run dry: a short round, then an empty one.
+        assert_eq!(frontier.round(4, || filler.next()), vec![5, 6]);
+        assert_eq!(frontier.round(4, || filler.next()), Vec::<i32>::new());
     }
 
     #[test]
