@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test), outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test) and cell (plan::cells walks the cell space, no loop over an experiment's plans in csi-test outside plan.rs) guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test), outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test), cell (plan::cells walks the cell space, no loop over an experiment's plans in csi-test outside plan.rs) and calibration (a detecting run's baseline is its fault-free twin's trace, no learned baseline set) guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -139,6 +139,14 @@ stage_lint() {
   echo "==> cell guard (plan::cells walks the cells; no loop over .plans() in csi-test outside plan.rs)"
   if grep -rnE --include='*.rs' 'for .* in .*\.plans\(\)' crates/csi-test/src/ | grep -v '^crates/csi-test/src/plan\.rs:'; then
     echo "walk the cells with \`plan::cells(&experiments, &formats)\`, which yields (experiment index, experiment, plan, format) in the canonical order" >&2
+    exit 1
+  fi
+  # A detecting observation is judged against the trace its fault-free
+  # twin left: a learned, keyed baseline store is a second calibration
+  # design beside it, and a second campaign to feed it.
+  echo "==> calibration guard (no learned baseline set under crates/)"
+  if grep -rnE --include='*.rs' 'BaselineSet|ScenarioProfile|learn_baselines' crates/; then
+    echo "a detecting run's baseline is its fault-free twin's trace" >&2
     exit 1
   fi
 }

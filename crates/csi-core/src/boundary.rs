@@ -445,6 +445,12 @@ impl CrossingContext {
         self.state.lock().trace.clone()
     }
 
+    /// The number of crossings recorded since the last reset: the length
+    /// of [`trace`](CrossingContext::trace), without copying it.
+    pub fn trace_len(&self) -> usize {
+        self.state.lock().trace.len()
+    }
+
     /// The one path a crossing takes, under the single lock: counts the
     /// call and picks the fault (unless the caller has `given` the
     /// outcome — records and notes have no fault point), charges the
@@ -789,6 +795,7 @@ mod tests {
         assert!(results[0][0].is_ok() && results[0][1].is_err());
         assert_eq!(traced.trace().len(), 2);
         assert!(silent.trace().is_empty());
+        assert_eq!([traced.trace_len(), silent.trace_len()], [2, 0]);
     }
 
     #[test]

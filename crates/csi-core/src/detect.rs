@@ -5,8 +5,8 @@
 //! [`DetectorSpec::detect`] judges it, when it closes, from the record the
 //! observation already carries — its [`InteractionTrace`] of
 //! metastore/HDFS/Kafka/YARN/HBase crossings — together with the error
-//! the caller surfaced and a frozen per-scenario baseline, and emits typed
-//! [`Detection`]s —
+//! the caller surfaced and the trace of its fault-free twin (the same
+//! scenario run unarmed), and emits typed [`Detection`]s —
 //!
 //! - [`DetectionKind::SwallowedError`]: a fault fired at the boundary but
 //!   no error surfaced to the caller (the paper's most common §9 bucket);
@@ -17,14 +17,14 @@
 //!   absorbed injected latency over and over, the FLINK-12342 shape where
 //!   a slow dependency turns into a storm of slow control-plane calls;
 //! - [`DetectionKind::PatternAnomaly`]: the observation's crossing
-//!   sequence diverged from a learned per-scenario baseline;
+//!   sequence diverged from its fault-free twin's;
 //! - [`DetectionKind::CoOccurrence`]: faults on *different* channels fired
 //!   within one virtual-time window — the cross-system co-occurrence
 //!   cluster signal ("Systemic Flakiness") that single-crossing judgement
 //!   cannot see.
 //!
 //! Determinism contract: detections are a pure function of the trace, the
-//! surfaced error, a frozen [`BaselineSet`] and the [`DetectorConfig`] —
+//! surfaced error, the twin's trace and the [`DetectorConfig`] —
 //! never of wall-clock time or worker interleaving — so serial and sharded
 //! campaigns produce byte-identical detection sets, and a stored trace is
 //! judged again to the same detections.
@@ -45,7 +45,6 @@ use crate::fault::{
     canonical_signature, classify_fault_outcome, Channel, FaultKind, FaultOutcome, InjectedFault,
 };
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -60,7 +59,7 @@ pub enum DetectionKind {
     MistranslatedError,
     /// Repeated injected latency on one (channel, op) crossing.
     LatencyStorm,
-    /// Crossing sequence diverged from the learned per-scenario baseline.
+    /// Crossing sequence diverged from the fault-free twin's.
     PatternAnomaly,
     /// Faults on distinct channels fired within one virtual-time window.
     CoOccurrence,
@@ -136,47 +135,6 @@ impl Default for DetectorConfig {
     }
 }
 
-/// The learned crossing profile of one scenario: the (channel, op)
-/// sequence a fault-free run performs.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScenarioProfile {
-    /// (channel, op) pairs in causal order.
-    pub ops: Vec<(Channel, Cow<'static, str>)>,
-}
-
-/// Frozen per-scenario baselines, learned from fault-free calibration
-/// traces. Shared immutably (via `Arc`) across every worker's detector so
-/// sharding cannot perturb what "normal" means.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BaselineSet {
-    /// Scenario key → learned profile.
-    pub profiles: BTreeMap<String, ScenarioProfile>,
-}
-
-impl BaselineSet {
-    /// Learns (or overwrites) the baseline for `scenario` from a
-    /// calibration trace.
-    pub fn learn(&mut self, scenario: &str, trace: &InteractionTrace) {
-        let ops = trace
-            .crossings
-            .iter()
-            .map(|c| (c.call.channel, c.call.op.clone()))
-            .collect();
-        self.profiles
-            .insert(scenario.to_string(), ScenarioProfile { ops });
-    }
-
-    /// Number of learned scenarios.
-    pub fn len(&self) -> usize {
-        self.profiles.len()
-    }
-
-    /// Whether no scenario has been learned.
-    pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
-    }
-}
-
 /// A streaming observer of detections, handed each [`Detection`] as the
 /// observation it belongs to is judged — long before the campaign report
 /// exists.
@@ -208,22 +166,20 @@ impl fmt::Debug for DetectionTap {
     }
 }
 
-/// Detector configuration plus frozen baselines: everything
-/// [`detect`](DetectorSpec::detect) judges an observation against. Cheap
-/// to clone; the baselines are shared.
+/// Detector configuration plus the tap its detections stream to. Cheap
+/// to clone; the tap is shared.
 #[derive(Debug, Clone)]
 pub struct DetectorSpec {
     /// Thresholds.
     pub config: DetectorConfig,
-    /// Frozen per-scenario baselines.
-    pub baselines: Arc<BaselineSet>,
     /// Streaming observer of detections, if any.
     pub tap: Option<DetectionTap>,
 }
 
 impl DetectorSpec {
-    /// Judges one observation of `scenario` from its `trace` and the error
-    /// that `surfaced` to the caller, if any. Detections come in a fixed
+    /// Judges one observation of `scenario` from its `trace`, the
+    /// `baseline` trace its fault-free twin left, and the error that
+    /// `surfaced` to the caller, if any. Detections come in a fixed
     /// order — latency storms in stream order, then the §9 error-handling
     /// judgement, then the pattern anomaly, then the co-occurrence
     /// clusters — and each is handed to the tap, if any, in that order, so
@@ -232,6 +188,7 @@ impl DetectorSpec {
         &self,
         scenario: &str,
         trace: &InteractionTrace,
+        baseline: &InteractionTrace,
         surfaced: Option<&InteractionError>,
     ) -> Vec<Detection> {
         let crossings = &trace.crossings;
@@ -312,32 +269,29 @@ impl DetectorSpec {
         }
 
         // Crossing-pattern anomaly: the first (channel, op) that differs
-        // from the frozen baseline, or where the shorter sequence ends.
-        if let Some(profile) = self.baselines.profiles.get(scenario) {
-            let baseline = &profile.ops;
-            let divergence = crossings
-                .iter()
-                .zip(baseline)
-                .position(|(c, (channel, op))| c.call.channel != *channel || c.call.op != *op)
-                .unwrap_or_else(|| crossings.len().min(baseline.len()));
-            if divergence < crossings.len().max(baseline.len()) {
-                let channel = crossings
-                    .get(divergence)
-                    .map(|c| c.call.channel)
-                    .or_else(|| baseline.get(divergence).map(|&(channel, _)| channel));
-                detections.push(detection(
-                    DetectionKind::PatternAnomaly,
-                    channel.into_iter().collect(),
-                    divergence as u64,
-                    0,
-                    format!(
-                        "crossing sequence diverged from baseline at #{divergence} \
-                         (observed {} ops, baseline {})",
-                        crossings.len(),
-                        baseline.len()
-                    ),
-                ));
-            }
+        // from the twin's, or where the shorter sequence ends.
+        let baseline = &baseline.crossings;
+        let divergence = crossings
+            .iter()
+            .zip(baseline)
+            .position(|(c, b)| c.call.channel != b.call.channel || c.call.op != b.call.op)
+            .unwrap_or_else(|| crossings.len().min(baseline.len()));
+        if divergence < crossings.len().max(baseline.len()) {
+            let channel = crossings
+                .get(divergence)
+                .or_else(|| baseline.get(divergence));
+            detections.push(detection(
+                DetectionKind::PatternAnomaly,
+                channel.map(|c| c.call.channel).into_iter().collect(),
+                divergence as u64,
+                0,
+                format!(
+                    "crossing sequence diverged from baseline at #{divergence} \
+                     (observed {} ops, baseline {})",
+                    crossings.len(),
+                    baseline.len()
+                ),
+            ));
         }
 
         // Cross-channel co-occurrence: faulted crossings cluster while each
@@ -493,6 +447,7 @@ mod tests {
     use crate::error::ErrorKind;
     use crate::fault::{FaultSpec, Trigger};
     use proptest::prelude::*;
+    use std::borrow::Cow;
 
     fn ms_call(op: &'static str) -> BoundaryCall {
         BoundaryCall::new(Channel::Metastore, op)
@@ -508,12 +463,19 @@ mod tests {
         }
     }
 
-    fn build(config: DetectorConfig, baselines: BaselineSet) -> DetectorSpec {
-        DetectorSpec {
-            config,
-            baselines: Arc::new(baselines),
-            tap: None,
-        }
+    fn build(config: DetectorConfig) -> DetectorSpec {
+        DetectorSpec { config, tap: None }
+    }
+
+    /// Judges `ctx`'s trace against a twin that crossed exactly the same
+    /// (channel, op) sequence, so no pattern anomaly can fire.
+    fn judge(
+        detector: &DetectorSpec,
+        ctx: &CrossingContext,
+        surfaced: Option<&InteractionError>,
+    ) -> Vec<Detection> {
+        let trace = ctx.trace();
+        detector.detect("s", &trace, &trace, surfaced)
     }
 
     fn drive(ctx: &CrossingContext, calls: &[BoundaryCall]) {
@@ -531,15 +493,15 @@ mod tests {
 
     #[test]
     fn clean_stream_yields_no_detections() {
-        let detector = build(DetectorConfig::default(), BaselineSet::default());
+        let detector = build(DetectorConfig::default());
         let ctx = CrossingContext::new();
         drive(&ctx, &[ms_call("get_table"), ms_call("create_table")]);
-        assert!(detector.detect("s", &ctx.trace(), None).is_empty());
+        assert!(judge(&detector, &ctx, None).is_empty());
     }
 
     #[test]
     fn swallowed_fault_is_detected_iff_oracle_agrees() {
-        let detector = build(DetectorConfig::default(), BaselineSet::default());
+        let detector = build(DetectorConfig::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "u",
@@ -550,7 +512,7 @@ mod tests {
         drive(&ctx, &[ms_call("get_table")]);
         // No error surfaced: the oracle says swallowed, and so does the
         // detector, from the trace alone.
-        let detections = detector.detect("s", &ctx.trace(), None);
+        let detections = judge(&detector, &ctx, None);
         assert_eq!(
             classify_fault_outcome(&fired(&ctx), None),
             FaultOutcome::Swallowed
@@ -567,7 +529,7 @@ mod tests {
 
     #[test]
     fn mistranslated_error_is_detected() {
-        let detector = build(DetectorConfig::default(), BaselineSet::default());
+        let detector = build(DetectorConfig::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "u",
@@ -581,7 +543,7 @@ mod tests {
             classify_fault_outcome(&fired(&ctx), Some(&generic)),
             FaultOutcome::Mistranslated
         );
-        let detections = detector.detect("s", &ctx.trace(), Some(&generic));
+        let detections = judge(&detector, &ctx, Some(&generic));
         assert_eq!(detections.len(), 1);
         assert_eq!(detections[0].kind, DetectionKind::MistranslatedError);
         assert!(
@@ -600,7 +562,7 @@ mod tests {
 
     #[test]
     fn propagated_with_context_stays_silent() {
-        let detector = build(DetectorConfig::default(), BaselineSet::default());
+        let detector = build(DetectorConfig::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "u",
@@ -615,14 +577,12 @@ mod tests {
             "METASTORE_UNAVAILABLE",
             "down",
         );
-        assert!(detector
-            .detect("s", &ctx.trace(), Some(&canonical))
-            .is_empty());
+        assert!(judge(&detector, &ctx, Some(&canonical)).is_empty());
     }
 
     #[test]
     fn crash_bucket_is_left_to_the_offline_oracle() {
-        let detector = build(DetectorConfig::default(), BaselineSet::default());
+        let detector = build(DetectorConfig::default());
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "u",
@@ -632,18 +592,15 @@ mod tests {
         ));
         drive(&ctx, &[ms_call("get_table")]);
         let crash = InteractionError::new("spark", ErrorKind::Crash, "NPE", "null");
-        assert!(detector.detect("s", &ctx.trace(), Some(&crash)).is_empty());
+        assert!(judge(&detector, &ctx, Some(&crash)).is_empty());
     }
 
     #[test]
     fn latency_storm_fires_online_at_the_threshold_exactly_once() {
-        let detector = build(
-            DetectorConfig {
-                storm_threshold: 3,
-                ..DetectorConfig::default()
-            },
-            BaselineSet::default(),
-        );
+        let detector = build(DetectorConfig {
+            storm_threshold: 3,
+            ..DetectorConfig::default()
+        });
         let ctx = CrossingContext::new();
         ctx.arm(spec(
             "slow",
@@ -659,7 +616,7 @@ mod tests {
         // 4 delayed crossings, threshold 3: exactly one storm detection,
         // anchored at the third crossing and reported first, plus the
         // swallowed-error mirror (latency faults fired, nothing surfaced).
-        let detections = detector.detect("yarn:driver", &ctx.trace(), None);
+        let detections = judge(&detector, &ctx, None);
         let storms: Vec<_> = detections
             .iter()
             .filter(|d| d.kind == DetectionKind::LatencyStorm)
@@ -676,15 +633,14 @@ mod tests {
     }
 
     #[test]
-    fn pattern_anomaly_against_learned_baseline() {
-        // Learn the clean shape of the scenario...
-        let ctx = CrossingContext::new();
-        drive(&ctx, &[ms_call("get_table"), ms_call("create_table")]);
-        let mut baselines = BaselineSet::default();
-        baselines.learn("s", &ctx.trace());
+    fn pattern_anomaly_against_the_fault_free_twin() {
+        // The twin's clean shape of the scenario...
+        let twin = CrossingContext::new();
+        drive(&twin, &[ms_call("get_table"), ms_call("create_table")]);
+        let twin = twin.trace();
 
-        // ...then replay with an extra crossing: anomaly at index 1.
-        let detector = build(DetectorConfig::default(), baselines);
+        // ...then a run with an extra crossing: anomaly at index 1.
+        let detector = build(DetectorConfig::default());
         let ctx = CrossingContext::new();
         drive(
             &ctx,
@@ -694,18 +650,22 @@ mod tests {
                 ms_call("create_table"),
             ],
         );
-        let detections = detector.detect("s", &ctx.trace(), None);
+        let detections = detector.detect("s", &ctx.trace(), &twin, None);
         assert_eq!(detections.len(), 1);
         assert_eq!(detections[0].kind, DetectionKind::PatternAnomaly);
         assert_eq!(detections[0].seq, 1);
 
-        // A faithful replay is silent; an unknown scenario is silent too.
+        // A faithful replay is silent; a run cut short diverges where it
+        // ends, on the channel the twin crossed there.
         ctx.reset();
         drive(&ctx, &[ms_call("get_table"), ms_call("create_table")]);
-        assert!(detector.detect("s", &ctx.trace(), None).is_empty());
+        assert!(detector.detect("s", &ctx.trace(), &twin, None).is_empty());
         ctx.reset();
-        drive(&ctx, &[ms_call("drop_table")]);
-        assert!(detector.detect("unknown", &ctx.trace(), None).is_empty());
+        drive(&ctx, &[ms_call("get_table")]);
+        let detections = detector.detect("s", &ctx.trace(), &twin, None);
+        assert_eq!(detections.len(), 1);
+        assert_eq!(detections[0].seq, 1);
+        assert_eq!(detections[0].channels, vec![Channel::Metastore]);
     }
 
     #[test]
@@ -731,9 +691,8 @@ mod tests {
                 BoundaryCall::new(Channel::Hdfs, "read"),
             ],
         );
-        let trace = ctx.trace();
-        let detector = build(DetectorConfig::default(), BaselineSet::default());
-        let detections = detector.detect("s", &trace, Some(&generic));
+        let detector = build(DetectorConfig::default());
+        let detections = judge(&detector, &ctx, Some(&generic));
         let co: Vec<_> = detections
             .iter()
             .filter(|d| d.kind == DetectionKind::CoOccurrence)
@@ -743,14 +702,11 @@ mod tests {
 
         // Same two channels, but separated by more than the window: no
         // cluster.
-        let detector = build(
-            DetectorConfig {
-                co_window_ms: 50,
-                ..DetectorConfig::default()
-            },
-            BaselineSet::default(),
-        );
-        let detections = detector.detect("s", &trace, Some(&generic));
+        let detector = build(DetectorConfig {
+            co_window_ms: 50,
+            ..DetectorConfig::default()
+        });
+        let detections = judge(&detector, &ctx, Some(&generic));
         assert!(detections
             .iter()
             .all(|d| d.kind != DetectionKind::CoOccurrence));
@@ -818,7 +774,11 @@ mod tests {
             }
         }
 
-        fn finish(mut self, surfaced: Option<&InteractionError>) -> Vec<Detection> {
+        fn finish(
+            mut self,
+            baseline: &[(Channel, Cow<'static, str>)],
+            surfaced: Option<&InteractionError>,
+        ) -> Vec<Detection> {
             let scenario = self.scenario.to_string();
             if let Some(&(seq, at_ms, _)) = self.faulted.first() {
                 let judged = match (classify_fault_outcome(&self.fired, surfaced), surfaced) {
@@ -864,36 +824,34 @@ mod tests {
                 }
             }
 
-            if let Some(profile) = self.spec.baselines.profiles.get(self.scenario) {
-                if self.ops != profile.ops {
-                    let divergence = self
-                        .ops
-                        .iter()
-                        .zip(&profile.ops)
-                        .position(|(a, b)| a != b)
-                        .unwrap_or_else(|| self.ops.len().min(profile.ops.len()));
-                    let channels = match self
-                        .ops
-                        .get(divergence)
-                        .or_else(|| profile.ops.get(divergence))
-                    {
-                        Some((channel, _)) => vec![*channel],
-                        None => Vec::new(),
-                    };
-                    self.detections.push(Detection {
-                        kind: DetectionKind::PatternAnomaly,
-                        scenario: scenario.clone(),
-                        channels,
-                        seq: divergence as u64,
-                        at_ms: 0,
-                        detail: format!(
-                            "crossing sequence diverged from baseline at #{divergence} \
-                             (observed {} ops, baseline {})",
-                            self.ops.len(),
-                            profile.ops.len()
-                        ),
-                    });
-                }
+            if self.ops != baseline {
+                let divergence = self
+                    .ops
+                    .iter()
+                    .zip(baseline)
+                    .position(|(a, b)| a != b)
+                    .unwrap_or_else(|| self.ops.len().min(baseline.len()));
+                let channels = match self
+                    .ops
+                    .get(divergence)
+                    .or_else(|| baseline.get(divergence))
+                {
+                    Some((channel, _)) => vec![*channel],
+                    None => Vec::new(),
+                };
+                self.detections.push(Detection {
+                    kind: DetectionKind::PatternAnomaly,
+                    scenario: scenario.clone(),
+                    channels,
+                    seq: divergence as u64,
+                    at_ms: 0,
+                    detail: format!(
+                        "crossing sequence diverged from baseline at #{divergence} \
+                         (observed {} ops, baseline {})",
+                        self.ops.len(),
+                        baseline.len()
+                    ),
+                });
             }
 
             let window = self.spec.config.co_window_ms;
@@ -1012,37 +970,39 @@ mod tests {
 
         /// Judging a trace is feeding its crossings to the streaming
         /// detector, for every crossing class and fault kind, gaps,
-        /// thresholds 1–4, windows, a baseline learned from a prefix of
-        /// the trace plus other crossings (under the scenario, under
-        /// another one, or none), and every class of surfaced error.
+        /// thresholds 1–4, windows, a twin that crossed the same sequence
+        /// or a prefix of it plus other crossings, and every class of
+        /// surfaced error.
         #[test]
         fn detect_is_the_streaming_reference(
             draws in arb_draws(),
             others in arb_draws(),
-            (storm_threshold, co_window_ms, learned, prefix) in
-                (1u64..5, 0u64..60, 0u8..3, 0usize..32),
+            (storm_threshold, co_window_ms, diverged, prefix) in
+                (1u64..5, 0u64..60, any::<bool>(), 0usize..32),
             surfaced in 0u8..4,
         ) {
             let trace = InteractionTrace { crossings: crossings_of(draws) };
-            let mut baselines = BaselineSet::default();
-            if learned > 0 {
+            let twin = if diverged {
                 let mut crossings = trace.crossings[..prefix.min(trace.len())].to_vec();
                 crossings.extend(crossings_of(others));
-                let scenario = if learned == 1 { "s" } else { "elsewhere" };
-                baselines.learn(scenario, &InteractionTrace { crossings });
-            }
-            let detector = build(
-                DetectorConfig { storm_threshold, co_window_ms },
-                baselines,
-            );
+                InteractionTrace { crossings }
+            } else {
+                trace.clone()
+            };
+            let detector = build(DetectorConfig { storm_threshold, co_window_ms });
             let surfaced = surfaced_of(surfaced, &trace.crossings);
             let mut reference = OnlineDetector::begin(&detector, "s");
             for crossing in &trace.crossings {
                 reference.observe(crossing);
             }
+            let twin_ops: Vec<_> = twin
+                .crossings
+                .iter()
+                .map(|c| (c.call.channel, c.call.op.clone()))
+                .collect();
             prop_assert_eq!(
-                detector.detect("s", &trace, surfaced.as_ref()),
-                reference.finish(surfaced.as_ref())
+                detector.detect("s", &trace, &twin, surfaced.as_ref()),
+                reference.finish(&twin_ops, surfaced.as_ref())
             );
         }
     }

@@ -15,7 +15,7 @@
 use crate::boundary::InteractionTrace;
 use crate::column::{ColumnMatch, ValueColumn};
 use crate::detect::Detection;
-use crate::diag::{Diagnostic, Level};
+use crate::diag::Diagnostic;
 use crate::error::InteractionError;
 use crate::value::{DataType, Value};
 use serde::{Deserialize, Serialize};
@@ -209,13 +209,6 @@ impl Observation {
             (Ok(()), None) => None,
         }
     }
-
-    /// Whether any warning-or-worse diagnostic was emitted.
-    pub fn has_feedback(&self) -> bool {
-        let warned = |ds: &[Diagnostic]| ds.iter().any(|d| d.level >= Level::Warn);
-        warned(&self.write.diagnostics)
-            || self.read.as_ref().is_some_and(|r| warned(&r.diagnostics))
-    }
 }
 
 /// A single oracle failure, mirroring one entry of the artifact's
@@ -360,28 +353,6 @@ pub fn check_error_handling(raw: &Value, obs: &Observation) -> Option<OracleFail
     }
 }
 
-/// A stricter error-handling oracle (an extension beyond the artifact):
-/// corrections must come *with feedback* — a value silently coerced with no
-/// warning-level diagnostic also fails.
-pub fn check_error_handling_strict(raw: &Value, obs: &Observation) -> Option<OracleFailure> {
-    if let Some(f) = check_error_handling(raw, obs) {
-        return Some(f);
-    }
-    match (&obs.write.result, &obs.read) {
-        (Ok(()), Some(read)) => match &read.result {
-            Ok(_) if !obs.has_feedback() => Some(OracleFailure {
-                oracle: OracleKind::ErrorHandling,
-                input_id: obs.input_id,
-                plans: vec![obs.plan.clone()],
-                formats: vec![obs.format.clone()],
-                detail: "invalid value silently corrected without feedback".into(),
-            }),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 /// Differential oracle: all observations of the same input must exhibit the
 /// same behavior across interface pairs and formats.
 ///
@@ -456,7 +427,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::Diagnostic;
+    use crate::diag::Level;
 
     fn ok_obs(input_id: usize, plan: &str, format: &str, value: Value) -> Observation {
         Observation {
@@ -544,25 +515,10 @@ mod tests {
     }
 
     #[test]
-    fn error_handling_passes_on_silent_correction_but_strict_does_not() {
-        // Corrected with no feedback: the artifact-faithful oracle passes,
-        // the strict extension flags it.
+    fn error_handling_passes_on_silent_correction() {
+        // Corrected with no feedback: the artifact-faithful oracle passes.
         let obs = ok_obs(3, "A->A", "ORC", Value::Null);
         assert!(check_error_handling(&Value::Int(999), &obs).is_none());
-        let f = check_error_handling_strict(&Value::Int(999), &obs).unwrap();
-        assert!(f.detail.contains("without feedback"));
-    }
-
-    #[test]
-    fn strict_oracle_passes_with_feedback() {
-        let mut obs = ok_obs(3, "A->A", "ORC", Value::Null);
-        obs.write.diagnostics.push(Diagnostic {
-            system: "sys".into(),
-            level: Level::Warn,
-            code: "COERCED".into(),
-            message: "coerced".into(),
-        });
-        assert!(check_error_handling_strict(&Value::Int(999), &obs).is_none());
     }
 
     #[test]

@@ -25,15 +25,11 @@
 //! A campaign builds every deployment it runs on and drops it when done,
 //! so nothing of one campaign outlives it into another.
 //!
-//! With `.detect(true)`, a cross-test campaign first replays the same
-//! (experiment × plan × format × input) space fault-free to learn the
-//! per-scenario baseline crossing profiles, freezes them, and then judges
-//! every observation of the real campaign with
-//! [`DetectorSpec::detect`](csi_core::detect::DetectorSpec::detect) —
-//! so pattern-anomaly detection has a meaningful "normal" to compare
-//! against. Fault-matrix cells self-calibrate instead (each cell learns
-//! its own baseline from an unarmed run), so `.fault_matrix(seed)` needs
-//! no separate calibration pass.
+//! With `.detect(true)`, every grid observation and matrix cell is judged
+//! with [`DetectorSpec::detect`](csi_core::detect::DetectorSpec::detect)
+//! against its fault-free twin: the same scenario run just before it with
+//! nothing armed, whose trace is the "normal" pattern-anomaly detection
+//! compares the observation's crossings with.
 //!
 //! Every mode fills one [`CampaignOutcome`], and each thing it found is a
 //! [`Finding`] there that points at its proof.
@@ -240,7 +236,8 @@ impl Campaign {
     }
 
     /// Runs the online CSI failure detector over every grid observation
-    /// or matrix cell. Explore mode and the compound pass never detect.
+    /// or matrix cell, each judged against a fault-free twin run of its
+    /// own scenario. Explore mode and the compound pass never detect.
     pub fn detect(mut self, detect: bool) -> Campaign {
         self.spec.detect = detect;
         self

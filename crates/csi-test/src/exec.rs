@@ -10,11 +10,10 @@
 //! artifact's `ss/sh/hs_difft` structure.
 
 use crate::generator::TestInput;
-use crate::plan::{scenario_key, Experiment, Interface, TestPlan};
-use crate::spec::CampaignSpec;
+use crate::plan::{Experiment, Interface, TestPlan};
 use csi_core::boundary::CrossingContext;
-use csi_core::detect::{BaselineSet, DetectorSpec};
 use csi_core::diag::DiagSink;
+use csi_core::fault::FaultPlan;
 use csi_core::oracle::{Observation, ReadOutcome, WriteOutcome};
 use csi_core::sql::write_quoted;
 use csi_core::value::{format_date, format_timestamp, Value};
@@ -29,7 +28,7 @@ use std::sync::Arc;
 
 /// The custom (non-default) Spark configuration that Section 8.2 reports
 /// as resolving 8 of the 15 discrepancies, as
-/// [`CampaignSpec::spark_overrides`].
+/// [`CampaignSpec::spark_overrides`](crate::spec::CampaignSpec::spark_overrides).
 pub fn custom_resolving_overrides() -> Vec<(String, String)> {
     vec![
         (
@@ -66,9 +65,6 @@ pub(crate) struct Deployment {
     /// filesystem: the single choke point where faults are injected and
     /// boundary crossings are traced.
     pub(crate) crossing: CrossingContext,
-    /// The detector that judges each observation's trace, when the
-    /// campaign runs with detection.
-    pub(crate) detector: Option<DetectorSpec>,
     /// The deployment's filesystem, shared with `spark` and `hive` — held
     /// only so the tests can inspect the namespace an observation leaves.
     #[cfg(test)]
@@ -98,7 +94,6 @@ impl Deployment {
             spark,
             hive,
             crossing,
-            detector: None,
             #[cfg(test)]
             fs,
             #[cfg(test)]
@@ -106,18 +101,19 @@ impl Deployment {
         }
     }
 
-    /// A fresh grid stack: `spec`'s Spark overrides set on the session,
-    /// its fault plan armed on the crossing context, and `detector` kept
-    /// to judge each observation.
-    pub(crate) fn armed(spec: &CampaignSpec, detector: Option<&DetectorSpec>) -> Deployment {
+    /// A fresh grid stack: `spark_overrides` set on the session and
+    /// `faults`, if any, armed on the crossing context.
+    pub(crate) fn armed(
+        spark_overrides: &[(String, String)],
+        faults: Option<&FaultPlan>,
+    ) -> Deployment {
         let mut deployment = Deployment::new(CrossingContext::new());
-        for (k, v) in &spec.spark_overrides {
+        for (k, v) in spark_overrides {
             deployment.spark.config.set(k, v);
         }
-        if let Some(plan) = &spec.faults {
+        if let Some(plan) = faults {
             deployment.crossing.arm_plan(plan);
         }
-        deployment.detector = detector.cloned();
         deployment
     }
 
@@ -450,7 +446,7 @@ pub(crate) fn run_one(
     } else {
         None
     };
-    let mut obs = Observation {
+    let obs = Observation {
         input_id: input.id,
         plan: plan_label,
         format: format.name().to_string(),
@@ -459,31 +455,12 @@ pub(crate) fn run_one(
         trace: d.crossing.trace(),
         detections: Vec::new(),
     };
-    if let Some(detector) = &d.detector {
-        let scenario = scenario_key(&obs.plan, &obs.format, Some(input.id));
-        obs.detections = detector.detect(&scenario, &obs.trace, obs.surfaced());
-    }
     if recycle {
         // The drop crosses the boundary too, but the trace is already
-        // taken and judged: those crossings are in neither.
+        // taken: its crossings are not in it.
         d.recycle(&table);
     }
     obs
-}
-
-/// Learns per-scenario detector baselines from a finished campaign's
-/// observations: one profile per (experiment, plan, format, input) key.
-/// Learning is keyed, each key occurs once per campaign, so the result is
-/// independent of worker interleaving — the property that lets a sharded
-/// calibration run feed a sharded detection run and still produce
-/// byte-identical output to serial.
-pub(crate) fn learn_baselines(observations: &[(Experiment, Observation)]) -> BaselineSet {
-    let mut baselines = BaselineSet::default();
-    for (_, obs) in observations {
-        let key = scenario_key(&obs.plan, &obs.format, Some(obs.input_id));
-        baselines.learn(&key, &obs.trace);
-    }
-    baselines
 }
 
 #[cfg(test)]

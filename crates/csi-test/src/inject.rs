@@ -24,7 +24,7 @@ use crate::plan::{self, scenario_key, Experiment, TestPlan};
 use crate::shard::run_ordered;
 use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext};
-use csi_core::detect::{BaselineSet, DetectionTally, DetectionTap, DetectorSpec};
+use csi_core::detect::{DetectionTally, DetectionTap, DetectorSpec};
 use csi_core::fault::{
     classify_fault_outcome, Channel, FaultKind, FaultPlan, FaultSpec, InjectedFault, Trigger,
 };
@@ -40,7 +40,6 @@ use minikafka::{KafkaError, MiniKafka, PartitionId};
 use minispark::connectors::kafka::{consume_range, plan_range, OffsetModel};
 use miniyarn::{Resource, ResourceManager};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 const KAFKA_TOPIC: &str = "t";
 const P0: PartitionId = PartitionId(0);
@@ -313,14 +312,12 @@ pub(crate) fn probe_input() -> TestInput {
 /// Runs one hermetic cell body and, given the matrix's `detector`, judges
 /// it.
 ///
-/// With detection on, the cell self-calibrates: the body first runs
-/// against a fresh, unarmed context to learn the scenario's baseline
-/// crossing profile, then runs again against an armed context whose trace
-/// [`DetectorSpec::detect`] judges against that frozen baseline, in place
-/// of the matrix detector's own (empty) baselines. Both runs build their
-/// own substrate state inside `body`, so calibration can never leak into
-/// detection — the property that keeps sharded matrices byte-identical to
-/// serial ones.
+/// With detection on, the body first runs as the cell's fault-free twin,
+/// against a fresh, unarmed context, then again against an armed context
+/// whose trace [`DetectorSpec::detect`] judges against the twin's. Both
+/// runs build their own substrate state inside `body`, so the twin can
+/// never leak into the judged run — the property that keeps sharded
+/// matrices byte-identical to serial ones.
 fn run_cell_body<F>(
     fault: &FaultSpec,
     scenario: String,
@@ -330,22 +327,19 @@ fn run_cell_body<F>(
 where
     F: Fn(&CrossingContext) -> (Option<InteractionError>, String),
 {
-    let detector = detector.map(|matrix| {
+    let calibration = detector.map(|detector| {
         let calibration = CrossingContext::new();
         let _ = body(&calibration);
-        let mut baselines = BaselineSet::default();
-        baselines.learn(&scenario, &calibration.trace());
-        DetectorSpec {
-            baselines: Arc::new(baselines),
-            ..matrix.clone()
-        }
+        (detector, calibration)
     });
     let ctx = CrossingContext::new();
     ctx.arm(fault.clone());
     let (surfaced, detail) = body(&ctx);
     let trace = ctx.trace();
-    let detections = match &detector {
-        Some(detector) => detector.detect(&scenario, &trace, surfaced.as_ref()),
+    let detections = match &calibration {
+        Some((detector, calibration)) => {
+            detector.detect(&scenario, &trace, &calibration.trace(), surfaced.as_ref())
+        }
         None => Vec::new(),
     };
     let fired: Vec<InjectedFault> = faulted(&trace.crossings)
@@ -554,7 +548,6 @@ pub(crate) fn run_fault_matrix(spec: &CampaignSpec, tap: Option<DetectionTap>) -
     let faults = spec.faults.clone().unwrap_or_else(|| fault_catalogue(seed));
     let detector = spec.detect.then(|| DetectorSpec {
         config: spec.detector_config,
-        baselines: Arc::default(),
         tap,
     });
     let cells = enumerate_cells(spec, &faults);

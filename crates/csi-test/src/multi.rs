@@ -188,7 +188,7 @@ impl JobRun {
 }
 
 fn run_turn(d: &Deployment, spec: &JobSpec, run: &mut JobRun, turn: usize) {
-    let n0 = d.crossing.trace().len();
+    let n0 = d.crossing.trace_len();
     match turn {
         0 => {
             let r = exec::create_via(d, spec.plan.write, &run.table, &spec.input, spec.format);
@@ -206,7 +206,7 @@ fn run_turn(d: &Deployment, spec: &JobSpec, run: &mut JobRun, turn: usize) {
             }
         }
     }
-    run.spans.push((n0, d.crossing.trace().len()));
+    run.spans.push((n0, d.crossing.trace_len()));
 }
 
 /// Executes one compound trial: `jobs` share a single deployment, `set` is

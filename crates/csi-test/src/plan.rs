@@ -173,9 +173,8 @@ pub(crate) fn cells<'a>(
 
 /// The scenario key of one cross-test cell, from the labels its
 /// observation carries: `sh:SparkSQL->HiveQL:ORC` names a fault-matrix
-/// probe cell or a compound job; with an input (`…:ORC:17`) it is the key a
-/// detector baseline is learned under (from a finished calibration
-/// observation) and matched under (by the live one), so they cannot differ.
+/// probe cell or a compound job; with an input (`…:ORC:17`) it is the
+/// scenario of a detecting grid observation's detections.
 pub(crate) fn scenario_key(plan_label: &str, format: &str, input_id: Option<usize>) -> String {
     let mut key = format!("{plan_label}:{format}");
     if let Some(id) = input_id {

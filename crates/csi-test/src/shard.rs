@@ -18,7 +18,9 @@
 //!   claims on it, whatever the experiment. Every observation is
 //!   hermetic: `run_one` resets the crossing context and drains the
 //!   sink before it starts, and drops its table when it ends, so what a
-//!   stack ran before never reaches the next observation.
+//!   stack ran before never reaches the next observation. A detecting
+//!   worker builds a second, fault-free stack for the observations'
+//!   twins.
 //! - **Deterministic merge** — workers only *record* observations. The
 //!   merger walks the shards in canonical (experiment, plan, format,
 //!   input-id) order and hands each observation to the one
@@ -31,9 +33,9 @@
 
 use crate::campaign::CampaignOutcome;
 use crate::classify::Classifier;
-use crate::exec::{learn_baselines, run_one, Deployment};
+use crate::exec::{run_one, Deployment};
 use crate::generator::TestInput;
-use crate::plan::{cells, Experiment, TestPlan};
+use crate::plan::{cells, scenario_key, Experiment, TestPlan};
 use crate::spec::CampaignSpec;
 use csi_core::detect::{DetectionTap, DetectorSpec};
 use csi_core::oracle::Observation;
@@ -42,7 +44,6 @@ use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs `job(state, i)` for every `i` in `0..n` on up to `workers`
@@ -154,7 +155,8 @@ pub struct CampaignMetrics {
     pub shards: usize,
     /// Total observations recorded.
     pub observations: usize,
-    /// Wall time of the execute phase, in microseconds.
+    /// Wall time of the execute phase, in microseconds; a detecting
+    /// grid's fault-free twin runs are part of it.
     pub execute_micros: u64,
     /// Wall time of the merge phase (oracles + classification) — the
     /// campaign's oracle overhead, in microseconds.
@@ -197,13 +199,15 @@ fn build_shards(inputs_len: usize, spec: &CampaignSpec) -> Vec<Shard> {
         .collect()
 }
 
-/// One worker's private state on the grid: its deployment, built with its
-/// first shard, and its share of the campaign metrics. Dropping it drops
-/// the deployment and files the worker's [`WorkerStats`].
+/// One worker's private state on the grid: its deployment and, on a
+/// detecting grid, the fault-free deployment its twins run on, both built
+/// with its first shard, and its share of the campaign metrics. Dropping
+/// it drops the deployments and files the worker's [`WorkerStats`].
 struct GridWorker<'a> {
     stats: &'a Mutex<Vec<WorkerStats>>,
     started: Instant,
     deployment: Option<Deployment>,
+    twin: Option<Deployment>,
     shards: usize,
     observations: usize,
     busy_micros: u64,
@@ -231,27 +235,19 @@ impl Drop for GridWorker<'_> {
 /// ordering, and the classified report are the same at any worker count
 /// and chunk size; see the module docs for how the merge guarantees this.
 ///
-/// With `spec.detect`, the same spec with no faults and no detector runs
-/// first, to learn each scenario's baseline crossing profile; the real run
-/// is judged against those frozen baselines, and hands every detection to
-/// `tap`. Learning is keyed, so worker interleaving cannot change it.
+/// With `spec.detect`, every observation is judged against its fault-free
+/// twin: the same (experiment, plan, format, input) run just before it on
+/// the worker's second deployment, which carries `spec`'s Spark overrides
+/// and no faults. Every detection goes to `tap`. A twin is hermetic like
+/// any observation, so which worker ran it cannot change its trace.
 pub(crate) fn run_cross_test(
     spec: &CampaignSpec,
     inputs: &[TestInput],
     tap: Option<DetectionTap>,
 ) -> CampaignOutcome {
-    let detector = spec.detect.then(|| {
-        let calibration = CampaignSpec {
-            faults: None,
-            detect: false,
-            ..spec.clone()
-        };
-        let calibration = run_cross_test(&calibration, inputs, None);
-        DetectorSpec {
-            config: spec.detector_config,
-            baselines: Arc::new(learn_baselines(&calibration.observations)),
-            tap,
-        }
+    let detector = spec.detect.then(|| DetectorSpec {
+        config: spec.detector_config,
+        tap,
     });
     let campaign_started = Instant::now();
     let shards = build_shards(inputs.len(), spec);
@@ -265,6 +261,7 @@ pub(crate) fn run_cross_test(
             stats: &stats,
             started: Instant::now(),
             deployment: None,
+            twin: None,
             shards: 0,
             observations: 0,
             busy_micros: 0,
@@ -272,20 +269,30 @@ pub(crate) fn run_cross_test(
         |worker, i| {
             let shard = &shards[i];
             let shard_started = Instant::now();
-            let deployment = worker
-                .deployment
-                .get_or_insert_with(|| Deployment::armed(spec, detector.as_ref()));
+            let deployment = worker.deployment.get_or_insert_with(|| {
+                Deployment::armed(&spec.spark_overrides, spec.faults.as_ref())
+            });
+            let twin = detector.as_ref().map(|detector| {
+                let twin = worker
+                    .twin
+                    .get_or_insert_with(|| Deployment::armed(&spec.spark_overrides, None));
+                (detector, &*twin)
+            });
+            let run = |d: &Deployment, input| {
+                run_one(d, shard.experiment, shard.plan, shard.format, input, true)
+            };
             let batch: Vec<Observation> = inputs[shard.lo..shard.hi]
                 .iter()
-                .map(|input| {
-                    run_one(
-                        deployment,
-                        shard.experiment,
-                        shard.plan,
-                        shard.format,
-                        input,
-                        true,
-                    )
+                .map(|input| match twin {
+                    None => run(deployment, input),
+                    Some((detector, twin)) => {
+                        let baseline = run(twin, input).trace;
+                        let mut obs = run(deployment, input);
+                        let scenario = scenario_key(&obs.plan, &obs.format, Some(input.id));
+                        obs.detections =
+                            detector.detect(&scenario, &obs.trace, &baseline, obs.surfaced());
+                        obs
+                    }
                 })
                 .collect();
             worker.shards += 1;

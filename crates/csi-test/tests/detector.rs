@@ -80,7 +80,10 @@ fn detecting_digest(campaign: Campaign) -> u64 {
 /// became a function of the trace: the standard matrix, the same with a
 /// storm threshold low enough for the FLINK-12342 cell to storm, a sharded
 /// matrix at another seed, and the two-channel latency campaign whose
-/// observations co-occur.
+/// observations co-occur. A fifth, a sharded grid whose faults make its
+/// observations diverge from their fault-free twins (pattern anomalies),
+/// is pinned to the digest it had while a grid still learned its
+/// baselines from a separate calibration campaign.
 #[test]
 fn detections_hold_their_committed_digests() {
     let inputs = generate_inputs();
@@ -112,6 +115,14 @@ fn detections_hold_their_committed_digests() {
                 .faults(two_latency_faults())
                 .detect(true),
             0x5ab5_6c6b_8a06_9865,
+        ),
+        (
+            "24-input grid under metastore and HDFS faults on three workers",
+            Campaign::new(&inputs[..24])
+                .faults(small_fault_catalogue(42))
+                .detect(true)
+                .shards(3),
+            0xb4eb_fb00_d991_1991,
         ),
     ];
     let mut moved = Vec::new();
@@ -246,6 +257,41 @@ fn co_occurrence_flags_a_multi_channel_fault_burst() {
     );
     assert!(outcome.report.detection_totals.contains_key("metastore"));
     assert!(outcome.report.detection_totals.contains_key("hdfs"));
+}
+
+#[test]
+fn a_detecting_grid_judges_each_observation_against_its_fault_free_twin() {
+    // An observation carries a pattern anomaly exactly when its (channel,
+    // op) sequence differs from the one the same cell crosses fault-free.
+    let inputs = generate_inputs();
+    let grid = Campaign::new(&inputs[..8]).detect(true).shards(2);
+    let twins = grid.clone().run();
+    let outcome = grid.faults(small_fault_catalogue(42)).run();
+    let ops = |trace: &csi_core::boundary::InteractionTrace| -> Vec<(Channel, String)> {
+        let calls = trace.crossings.iter().map(|c| &c.call);
+        calls
+            .map(|call| (call.channel, call.op.to_string()))
+            .collect()
+    };
+    let mut anomalies = 0;
+    assert_eq!(outcome.observations.len(), twins.observations.len());
+    for ((_, obs), (_, twin)) in outcome.observations.iter().zip(&twins.observations) {
+        let anomalous = obs
+            .detections
+            .iter()
+            .any(|d| d.kind == DetectionKind::PatternAnomaly);
+        assert_eq!(
+            anomalous,
+            ops(&obs.trace) != ops(&twin.trace),
+            "{} {} input {}: {:?}",
+            obs.plan,
+            obs.format,
+            obs.input_id,
+            obs.detections
+        );
+        anomalies += usize::from(anomalous);
+    }
+    assert!(anomalies > 0, "no observation diverged from its twin");
 }
 
 proptest! {
