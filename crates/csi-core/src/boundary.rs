@@ -32,9 +32,7 @@
 //! deployment built and dropped before — the property that keeps traces
 //! byte-identical between serial and sharded runs.
 
-use crate::fault::{
-    Channel, FaultKind, FaultPlan, FaultPoint, FaultSet, FaultSpec, InjectedFault, Trigger,
-};
+use crate::fault::{Channel, FaultKind, FaultPoint, FaultSpec, InjectedFault, Trigger};
 use crate::hash::Fnv1a;
 use crate::plane::{InteractionKind, Plane, SystemId};
 use parking_lot::Mutex;
@@ -324,6 +322,16 @@ struct ContextState {
 }
 
 impl ContextState {
+    /// Clears everything one observation accumulates; the armed faults
+    /// stay.
+    fn reset(&mut self) {
+        self.calls.clear();
+        self.delay_ms = 0;
+        self.clock_ms = 0;
+        self.next_seq = 0;
+        self.trace.crossings.clear();
+    }
+
     /// Counts `call` on its `(channel, op)` against the armed faults and
     /// returns the fault that fires on it, if any: the first armed match
     /// wins. A latency fault raises the virtual delay. With nothing armed
@@ -404,17 +412,16 @@ impl CrossingContext {
         self.state.lock().armed.push(spec);
     }
 
-    /// Arms every fault of a plan.
-    pub fn arm_plan(&self, plan: &FaultPlan) {
-        self.state.lock().armed.extend(plan.faults.iter().cloned());
-    }
-
-    /// Arms every member of a k-fault combination simultaneously. Members
-    /// on distinct `(channel, op)` pairs all fire independently; on a
-    /// shared pair the first armed match wins, same as
-    /// [`arm_plan`](CrossingContext::arm_plan).
-    pub fn arm_set(&self, set: &FaultSet) {
-        self.state.lock().armed.extend(set.faults.iter().cloned());
+    /// Resets per-observation state, as [`reset`](CrossingContext::reset)
+    /// does, and arms exactly `faults`, disarming whatever was armed
+    /// before: how a run arms its own faults on a deployment that outlives
+    /// it. Members on distinct `(channel, op)` pairs all fire
+    /// independently; on a shared pair the first armed match wins.
+    pub fn rearm(&self, faults: &[FaultSpec]) {
+        let mut state = self.state.lock();
+        state.reset();
+        state.armed.clear();
+        state.armed.extend_from_slice(faults);
     }
 
     /// The current injected service latency, in virtual milliseconds — the
@@ -425,19 +432,15 @@ impl CrossingContext {
     }
 
     /// Resets per-observation state: call counters, the accumulated delay,
-    /// the virtual clock, and the trace. Armed faults stay. The campaign
-    /// executor calls this at the start of every observation so `OnCall`
+    /// the virtual clock, and the trace. Armed faults stay. A campaign run
+    /// calls [`rearm`](CrossingContext::rearm) instead, which resets the
+    /// same state and sets the run's own faults, so faults and `OnCall`
     /// triggers are scoped to one observation — the property that makes
     /// fault campaigns byte-identical across worker counts (workers reuse
     /// deployments differently, but every observation starts from counter
-    /// zero).
+    /// zero with exactly its faults armed).
     pub fn reset(&self) {
-        let mut state = self.state.lock();
-        state.calls.clear();
-        state.delay_ms = 0;
-        state.clock_ms = 0;
-        state.next_seq = 0;
-        state.trace.crossings.clear();
+        self.state.lock().reset();
     }
 
     /// A snapshot of the trace recorded since the last reset.
@@ -535,6 +538,7 @@ impl CrossingContext {
 mod tests {
     use super::*;
     use crate::error::{ErrorKind, InteractionError};
+    use crate::fault::{FaultPlan, FaultSet};
 
     impl FaultPoint for InteractionError {
         const CHANNEL: Channel = Channel::Metastore;
@@ -629,7 +633,7 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let ctx = CrossingContext::new();
-        ctx.arm_plan(&FaultPlan::empty(42));
+        ctx.rearm(&FaultPlan::empty(42).faults);
         assert!(hit(&ctx, Channel::Metastore, "get_table").is_none());
         // With nothing armed, a crossing does not even count calls.
         assert!(fired(&ctx).is_empty());
@@ -644,10 +648,20 @@ mod tests {
             spec("b", "create_table", FaultKind::Unavailable, Trigger::Always),
         ]);
         assert_eq!(set.id, "a+b");
-        ctx.arm_set(&set);
+        ctx.rearm(&set.faults);
         assert!(hit(&ctx, Channel::Metastore, "get_table").is_some());
         assert!(hit(&ctx, Channel::Metastore, "create_table").is_some());
         assert_eq!(fired(&ctx).len(), 2);
+        // Rearming resets the observation and replaces the armed set: only
+        // `b` is left, and the trace starts over.
+        ctx.rearm(&set.faults[1..]);
+        assert!(ctx.trace().is_empty());
+        assert!(hit(&ctx, Channel::Metastore, "get_table").is_none());
+        assert!(hit(&ctx, Channel::Metastore, "create_table").is_some());
+        // Rearming with nothing disarms everything.
+        ctx.rearm(&[]);
+        assert!(hit(&ctx, Channel::Metastore, "create_table").is_none());
+        assert!(fired(&ctx).is_empty());
     }
 
     #[test]

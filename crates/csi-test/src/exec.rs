@@ -3,7 +3,10 @@
 //! For an (experiment, plan, format, input) combination `run_one`
 //! creates a one-column table through the *write* interface, inserts the
 //! input, reads it back through the *read* interface, and records an
-//! [`Observation`]. [`crate::shard`] walks the whole space with it and
+//! [`Observation`]. A run arms its own faults: the deployment it runs on
+//! outlives it, serving every run of one worker, and `run_one` arms the
+//! faults it is handed when it starts and disarms them before it drops
+//! its table. [`crate::shard`] walks the whole space with it and
 //! hands the observations to [`crate::classify`], which runs the oracles:
 //! write–read and error-handling per observation, differential per
 //! experiment across all of its plans *and* formats, matching the
@@ -13,7 +16,7 @@ use crate::generator::TestInput;
 use crate::plan::{Experiment, Interface, TestPlan};
 use csi_core::boundary::CrossingContext;
 use csi_core::diag::DiagSink;
-use csi_core::fault::FaultPlan;
+use csi_core::fault::FaultSpec;
 use csi_core::oracle::{Observation, ReadOutcome, WriteOutcome};
 use csi_core::sql::write_quoted;
 use csi_core::value::{format_date, format_timestamp, Value};
@@ -48,9 +51,10 @@ pub fn custom_resolving_overrides() -> Vec<(String, String)> {
 }
 
 /// One full Metastore/MiniHdfs/SparkSession/HiveQl stack plus its
-/// diagnostics sink. Each grid or explore worker builds its own, runs every
-/// experiment on it, and drops it when done, so no two workers, and no two
-/// campaigns, ever share engine state.
+/// diagnostics sink. Each grid, explore or matrix worker builds its own
+/// and runs every observation it claims on it, fault-free or faulted,
+/// whatever the experiment, so no two workers, and no two campaigns, ever
+/// share engine state.
 ///
 /// Lock order: the filesystem before the metastore, everywhere — both
 /// engines' statement paths and `csi-serve`'s tenant registry take the
@@ -76,9 +80,9 @@ pub(crate) struct Deployment {
 }
 
 impl Deployment {
-    /// Builds the stack around `crossing` — which the caller may have
-    /// pre-armed, as the fault-matrix cells do. Nothing per-run is
-    /// attached; see [`armed`](Deployment::armed).
+    /// Builds the stack around `crossing` — which a compound trial
+    /// pre-arms with its fault set. Nothing per-run is attached: a
+    /// [`run_one`] arms its own faults.
     pub(crate) fn new(crossing: CrossingContext) -> Deployment {
         let sink = DiagSink::new();
         let mut metastore = Metastore::new();
@@ -101,18 +105,11 @@ impl Deployment {
         }
     }
 
-    /// A fresh grid stack: `spark_overrides` set on the session and
-    /// `faults`, if any, armed on the crossing context.
-    pub(crate) fn armed(
-        spark_overrides: &[(String, String)],
-        faults: Option<&FaultPlan>,
-    ) -> Deployment {
+    /// A fresh grid stack with `spark_overrides` set on the session.
+    pub(crate) fn configured(spark_overrides: &[(String, String)]) -> Deployment {
         let mut deployment = Deployment::new(CrossingContext::new());
         for (k, v) in spark_overrides {
             deployment.spark.config.set(k, v);
-        }
-        if let Some(plan) = faults {
-            deployment.crossing.arm_plan(plan);
         }
         deployment
     }
@@ -405,13 +402,15 @@ pub(crate) fn first_column(mut rows: Vec<Vec<Value>>) -> Result<Vec<Value>, Inte
         .collect()
 }
 
+/// Runs one observation on `d` with exactly `faults` armed, and leaves
+/// `d` as it found it: its table dropped, nothing armed.
 pub(crate) fn run_one(
     d: &Deployment,
     experiment: Experiment,
     plan: TestPlan,
     format: StorageFormat,
     input: &TestInput,
-    recycle: bool,
+    faults: &[FaultSpec],
 ) -> Observation {
     // `t_{exp}_{write}{read}_{ext}_{id}` is at most 52 bytes, so the name
     // costs one allocation.
@@ -425,11 +424,11 @@ pub(crate) fn run_one(
         format.extension(),
         input.id
     );
-    // Scope call-counted triggers, the virtual clock, and the trace to
-    // this observation, regardless of which worker ran the previous one —
-    // the property that keeps campaigns byte-identical across worker
-    // counts.
-    d.crossing.reset();
+    // Scope the armed faults, call-counted triggers, the virtual clock,
+    // and the trace to this observation, regardless of which worker ran
+    // the previous one — the property that keeps campaigns byte-identical
+    // across worker counts.
+    d.crossing.rearm(faults);
     d.sink.drain();
     let plan_label = experiment.plan_label(plan);
     let write_result = write_via(d, plan.write, &table, input, format);
@@ -455,11 +454,10 @@ pub(crate) fn run_one(
         trace: d.crossing.trace(),
         detections: Vec::new(),
     };
-    if recycle {
-        // The drop crosses the boundary too, but the trace is already
-        // taken: its crossings are not in it.
-        d.recycle(&table);
-    }
+    // The drop runs fault-free and crosses the boundary too, but the
+    // trace is already taken: its crossings are not in it.
+    d.crossing.rearm(&[]);
+    d.recycle(&table);
     obs
 }
 
@@ -577,7 +575,7 @@ mod tests {
         let experiment = Experiment::SparkToSpark;
         for (_, _, plan, format) in cells(&[experiment], &StorageFormat::ALL) {
             for input in &inputs[..24] {
-                run_one(&d, experiment, plan, format, input, true);
+                run_one(&d, experiment, plan, format, input, &[]);
                 assert_eq!(
                     namespace(&d),
                     (vec![], vec![]),
@@ -586,14 +584,44 @@ mod tests {
                 );
             }
         }
-        // Without the drop (the fault-matrix cell path, which reads the
-        // crossing context after `run_one` returns) the table stays.
-        let d = Deployment::new(CrossingContext::new());
-        let inputs = one_input(DataType::Int, Value::Int(7), Validity::Valid);
-        let plan = experiment.plans()[0];
-        run_one(&d, experiment, plan, StorageFormat::Orc, &inputs[0], false);
-        let name = "t_ss_sparksqlsparksql_orc_0".to_string();
-        assert_eq!(namespace(&d), (vec![name.clone()], vec![name]));
+        // Every metastore and HDFS fault, over every cell, on one
+        // deployment: a faulted run drops its table fault-free, and the
+        // fault-free run after it sees what it would see on a fresh
+        // deployment.
+        let input = crate::inject::probe_input();
+        let faults = crate::inject::deployment_faults(42);
+        let mut fired = 0;
+        for (_, experiment, plan, format) in cells(&Experiment::ALL, &StorageFormat::ALL) {
+            let fresh = run_one(
+                &Deployment::new(CrossingContext::new()),
+                experiment,
+                plan,
+                format,
+                &input,
+                &[],
+            );
+            for fault in &faults {
+                let obs = run_one(
+                    &d,
+                    experiment,
+                    plan,
+                    format,
+                    &input,
+                    std::slice::from_ref(fault),
+                );
+                fired += csi_core::boundary::faulted(&obs.trace.crossings).count();
+                assert_eq!(
+                    namespace(&d),
+                    (vec![], vec![]),
+                    "{} on {plan} {format:?} left its table behind",
+                    fault.id
+                );
+                let after = run_one(&d, experiment, plan, format, &input, &[]);
+                assert_eq!(after.behavior(), fresh.behavior(), "{} on {plan}", fault.id);
+                assert_eq!(after.trace, fresh.trace, "{} on {plan}", fault.id);
+            }
+        }
+        assert!(fired > 0, "no fault fired");
     }
 
     #[test]

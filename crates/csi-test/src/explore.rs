@@ -13,9 +13,10 @@
 //!
 //! Determinism is load-bearing, exactly as everywhere else in the harness:
 //! scheduling is a pure function of (seed, inputs, budget); each round
-//! goes through `shard::run_ordered`, each worker runs the round's
-//! fault-free trials on one recycling deployment (every observation is
-//! hermetic, whatever the experiment), and absorption happens in trial
+//! goes through `shard::run_ordered`, each worker runs every trial it
+//! claims, in every round, on its one deployment, a fault-overlay trial
+//! with its fault armed for that run only (every observation is hermetic,
+//! whatever the experiment or fault), and absorption happens in trial
 //! order. A sharded explore run is byte-identical to a one-worker one,
 //! pinned by `tests/explore.rs`.
 
@@ -25,7 +26,7 @@ use crate::exec::{self, Deployment};
 use crate::generator::{mutate_input, TestInput, Validity};
 use crate::inject;
 use crate::plan::{self, Experiment, TestPlan};
-use crate::shard::{run_ordered, Frontier};
+use crate::shard::{run_ordered, worker_states, Frontier};
 use crate::shrink;
 use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext};
@@ -72,7 +73,6 @@ struct Explorer {
     /// `first_mutant_id` and nothing qualifies.
     corpus_floor: usize,
     next_id: usize,
-    shards: usize,
     /// Corpus-derived trials, ahead of the seed grid.
     frontier: Frontier<Trial>,
     /// The seed grid, the frontier's filler: pass-major, input-minor, the
@@ -136,7 +136,7 @@ fn type_tag(ty: &DataType) -> &'static str {
 }
 
 impl Explorer {
-    /// An explorer over `spec`'s experiments, formats, seed and shards,
+    /// An explorer over `spec`'s experiments, formats and seed,
     /// seeded with `inputs`, the resolved `spec.inputs`.
     fn new(spec: &CampaignSpec, inputs: &[TestInput]) -> Explorer {
         let combos: Vec<_> = plan::cells(&spec.experiments, &spec.formats).collect();
@@ -164,7 +164,6 @@ impl Explorer {
             first_mutant_id,
             corpus_floor,
             next_id: first_mutant_id,
-            shards: spec.shards,
             frontier: Frontier::new(),
             map: CoverageMap::new(),
             sched_map: CoverageMap::new(),
@@ -213,28 +212,15 @@ impl Explorer {
         }
     }
 
-    /// Runs `trial`, a fault-free one on the worker's `deployment` (built
-    /// on first use).
+    /// Runs `trial` on the worker's `deployment` (built on first use),
+    /// with its fault, if any, armed for this run only.
     fn run_trial(&self, trial: Trial, deployment: &mut Option<Deployment>) -> Observation {
         let (_, exp, plan, fmt) = self.combos[trial.combo];
-        let input = &self.pool[trial.input_idx];
-        match trial.fault {
-            Some(fault) => {
-                // Hermetic: a fresh context pre-armed with exactly this
-                // fault, exactly like a fault-matrix probe cell.
-                let ctx = CrossingContext::new();
-                ctx.arm(self.faults[fault].clone());
-                let d = Deployment::new(ctx);
-                exec::run_one(&d, exp, plan, fmt, input, false)
-            }
-            None => {
-                let d = deployment.get_or_insert_with(|| Deployment::new(CrossingContext::new()));
-                // Recycling keeps each worker's metastore footprint at one
-                // table and makes observations independent of what the
-                // deployment ran before — the sharding byte-identity lever.
-                exec::run_one(d, exp, plan, fmt, input, true)
-            }
-        }
+        let faults = trial
+            .fault
+            .map_or(&[][..], |f| std::slice::from_ref(&self.faults[f]));
+        let d = deployment.get_or_insert_with(|| Deployment::new(CrossingContext::new()));
+        exec::run_one(d, exp, plan, fmt, &self.pool[trial.input_idx], faults)
     }
 
     /// Absorbs one observation, in trial order: coverage, corpus
@@ -363,6 +349,8 @@ impl Explorer {
 pub(crate) fn run_explore(spec: &CampaignSpec, inputs: &[TestInput]) -> CampaignOutcome {
     let budget = spec.explore_budget.expect("explore mode");
     let mut ex = Explorer::new(spec, inputs);
+    // Each worker keeps one deployment for the whole exploration.
+    let mut deployments: Vec<Option<Deployment>> = worker_states(spec.shards);
     while ex.executed < budget {
         // Corpus-derived trials first, fresh seed-grid draws as filler: a
         // pure function of prior absorption order.
@@ -371,14 +359,10 @@ pub(crate) fn run_explore(spec: &CampaignSpec, inputs: &[TestInput]) -> Campaign
         if batch.is_empty() {
             break;
         }
-        // Each worker keeps one recycling deployment for the round;
-        // observations come back in trial order.
-        let observations = run_ordered(
-            ex.shards,
-            batch.len(),
-            || None,
-            |deployment, i| ex.run_trial(batch[i], deployment),
-        );
+        // Observations come back in trial order.
+        let observations = run_ordered(&mut deployments, batch.len(), |deployment, i| {
+            ex.run_trial(batch[i], deployment)
+        });
         for (&trial, obs) in batch.iter().zip(observations) {
             ex.absorb(trial, obs);
         }

@@ -13,17 +13,20 @@
 //! [`classify_fault_outcome`] into the paper's error-handling taxonomy:
 //! swallowed, mistranslated, propagated-with-context, or crash.
 //!
-//! Cells are hermetic (each builds its own deployment, broker, or RM and
-//! its own crossing context), so [`crate::Campaign::shards`] reproduces
-//! the one-worker report byte-for-byte at any worker count.
+//! A cell's body arms its fault for its one run. Probe cells run on their
+//! worker's one deployment, which every observation leaves as it found
+//! it; Kafka, YARN and HBase cells build their broker, RM or client and a
+//! fresh crossing context per run. Cells are hermetic either way, so
+//! [`crate::Campaign::shards`] reproduces the one-worker report
+//! byte-for-byte at any worker count.
 
 use crate::campaign::{crack, is_finding, CampaignOutcome, Evidence, Finding};
 use crate::exec::{run_one, Deployment};
 use crate::generator::{TestInput, Validity};
 use crate::plan::{self, scenario_key, Experiment, TestPlan};
-use crate::shard::run_ordered;
+use crate::shard::{run_ordered, worker_states};
 use crate::spec::CampaignSpec;
-use csi_core::boundary::{faulted, CrossingContext};
+use csi_core::boundary::{faulted, CrossingContext, InteractionTrace};
 use csi_core::detect::{DetectionTally, DetectionTap, DetectorSpec};
 use csi_core::fault::{
     classify_fault_outcome, Channel, FaultKind, FaultPlan, FaultSpec, InjectedFault, Trigger,
@@ -309,15 +312,17 @@ pub(crate) fn probe_input() -> TestInput {
     }
 }
 
-/// Runs one hermetic cell body and, given the matrix's `detector`, judges
-/// it.
+/// Runs one hermetic cell body with `fault` armed and, given the matrix's
+/// `detector`, judges it.
 ///
-/// With detection on, the body first runs as the cell's fault-free twin,
-/// against a fresh, unarmed context, then again against an armed context
-/// whose trace [`DetectorSpec::detect`] judges against the twin's. Both
-/// runs build their own substrate state inside `body`, so the twin can
-/// never leak into the judged run — the property that keeps sharded
-/// matrices byte-identical to serial ones.
+/// `body` arms the faults it is handed for its one run and returns what
+/// surfaced, a detail line, and the run's trace. With detection on, the
+/// body first runs with nothing armed, as the cell's fault-free twin,
+/// then again with `fault` armed, and [`DetectorSpec::detect`] judges
+/// the second trace against the twin's. Each run is hermetic — a probe
+/// observation recycles its deployment, every other body builds its own
+/// substrate and context — so the twin can never leak into the judged run,
+/// the property that keeps sharded matrices byte-identical to serial ones.
 fn run_cell_body<F>(
     fault: &FaultSpec,
     scenario: String,
@@ -325,20 +330,13 @@ fn run_cell_body<F>(
     body: F,
 ) -> FaultCase
 where
-    F: Fn(&CrossingContext) -> (Option<InteractionError>, String),
+    F: Fn(&[FaultSpec]) -> (Option<InteractionError>, String, InteractionTrace),
 {
-    let calibration = detector.map(|detector| {
-        let calibration = CrossingContext::new();
-        let _ = body(&calibration);
-        (detector, calibration)
-    });
-    let ctx = CrossingContext::new();
-    ctx.arm(fault.clone());
-    let (surfaced, detail) = body(&ctx);
-    let trace = ctx.trace();
-    let detections = match &calibration {
-        Some((detector, calibration)) => {
-            detector.detect(&scenario, &trace, &calibration.trace(), surfaced.as_ref())
+    let baseline = detector.map(|detector| (detector, body(&[]).2));
+    let (surfaced, detail, trace) = body(std::slice::from_ref(fault));
+    let detections = match &baseline {
+        Some((detector, baseline)) => {
+            detector.detect(&scenario, &trace, baseline, surfaced.as_ref())
         }
         None => Vec::new(),
     };
@@ -362,26 +360,46 @@ where
     }
 }
 
+/// Runs a Kafka, YARN or HBase cell: `body` builds its broker, RM or
+/// client around the context it is handed, a fresh one per run, armed
+/// with that run's faults.
+fn run_substrate_cell<F>(
+    fault: &FaultSpec,
+    scenario: String,
+    detector: Option<&DetectorSpec>,
+    body: F,
+) -> FaultCase
+where
+    F: Fn(&CrossingContext) -> (Option<InteractionError>, String),
+{
+    run_cell_body(fault, scenario, detector, |faults| {
+        let ctx = CrossingContext::new();
+        ctx.rearm(faults);
+        let (surfaced, detail) = body(&ctx);
+        (surfaced, detail, ctx.trace())
+    })
+}
+
+/// A probe cell, run on the worker's `deployment` (built on first use).
 fn run_probe_cell(
     fault: &FaultSpec,
     experiment: Experiment,
     plan: TestPlan,
     format: StorageFormat,
+    deployment: &mut Option<Deployment>,
     detector: Option<&DetectorSpec>,
 ) -> FaultCase {
     let scenario = scenario_key(&experiment.plan_label(plan), format.name(), None);
-    run_cell_body(fault, scenario, detector, |ctx| {
-        // The fault (when armed) already lives on `ctx`; the deployment
-        // just wraps the stack around it.
-        let deployment = Deployment::new(ctx.clone());
-        let obs = run_one(&deployment, experiment, plan, format, &probe_input(), false);
+    let d = deployment.get_or_insert_with(|| Deployment::new(CrossingContext::new()));
+    run_cell_body(fault, scenario, detector, |faults| {
+        let obs = run_one(d, experiment, plan, format, &probe_input(), faults);
         let detail = match (&obs.write.result, obs.read.as_ref().map(|r| &r.result)) {
             (Err(e), _) => format!("write failed: {}", e.signature()),
             (Ok(()), Some(Err(e))) => format!("read failed: {}", e.signature()),
             (Ok(()), Some(Ok(rows))) => format!("write+read ok ({} rows)", rows.len()),
             (Ok(()), None) => "write ok; read skipped".to_string(),
         };
-        (obs.surfaced().cloned(), detail)
+        (obs.surfaced().cloned(), detail, obs.trace)
     })
 }
 
@@ -401,7 +419,7 @@ fn seeded_broker(ctx: &CrossingContext) -> MiniKafka {
 }
 
 fn run_kafka_direct_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
-    run_cell_body(fault, "kafka:direct".to_string(), detector, |ctx| {
+    run_substrate_cell(fault, "kafka:direct".to_string(), detector, |ctx| {
         let mut broker = seeded_broker(ctx);
         let result = (|| {
             broker.produce(KAFKA_TOPIC, P0, Some(b"k"), Some(b"v"), 5)?;
@@ -418,7 +436,7 @@ fn run_kafka_direct_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> 
 }
 
 fn run_kafka_connector_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
-    run_cell_body(
+    run_substrate_cell(
         fault,
         "kafka:spark-connector".to_string(),
         detector,
@@ -445,7 +463,7 @@ fn run_kafka_connector_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) 
 }
 
 fn run_yarn_driver_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
-    run_cell_body(fault, "yarn:flink-driver".to_string(), detector, |ctx| {
+    run_substrate_cell(fault, "yarn:flink-driver".to_string(), detector, |ctx| {
         // A small job in the no-storm regime on its own parameters: any
         // storm observed below is the injected fault's doing.
         let target = 20;
@@ -471,7 +489,7 @@ fn run_yarn_driver_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> F
 }
 
 fn run_yarn_metrics_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
-    run_cell_body(fault, "yarn:spark-connector".to_string(), detector, |ctx| {
+    run_substrate_cell(fault, "yarn:spark-connector".to_string(), detector, |ctx| {
         let mut rm = ResourceManager::with_nodes(4, Resource::new(8192, 8));
         rm.set_crossing(ctx.clone());
         let result = minispark::connectors::yarn::cluster_metrics(&rm, ctx);
@@ -498,7 +516,7 @@ fn run_hbase_cell(
         RetryPolicy::RefreshAndRetry => "refresh-retry",
     };
     let scenario = format!("hbase:kv-client({policy_name})");
-    run_cell_body(fault, scenario, detector, |ctx| {
+    run_substrate_cell(fault, scenario, detector, |ctx| {
         let mut cluster = ClusterState::new();
         cluster.assign("t,region-0", ServerId(2));
         let mut client = HBaseClient::new();
@@ -515,14 +533,19 @@ fn run_hbase_cell(
     })
 }
 
-fn run_cell(cell: &Cell, detector: Option<&DetectorSpec>) -> FaultCase {
+/// Runs `cell`; a probe cell runs on the worker's `deployment`.
+fn run_cell(
+    cell: &Cell,
+    deployment: &mut Option<Deployment>,
+    detector: Option<&DetectorSpec>,
+) -> FaultCase {
     match cell {
         Cell::Probe {
             fault,
             experiment,
             plan,
             format,
-        } => run_probe_cell(fault, *experiment, *plan, *format, detector),
+        } => run_probe_cell(fault, *experiment, *plan, *format, deployment, detector),
         Cell::KafkaDirect { fault } => run_kafka_direct_cell(fault, detector),
         Cell::KafkaConnector { fault } => run_kafka_connector_cell(fault, detector),
         Cell::YarnDriver { fault } => run_yarn_driver_cell(fault, detector),
@@ -551,12 +574,11 @@ pub(crate) fn run_fault_matrix(spec: &CampaignSpec, tap: Option<DetectionTap>) -
         tap,
     });
     let cells = enumerate_cells(spec, &faults);
-    let cases = run_ordered(
-        spec.shards,
-        cells.len(),
-        || (),
-        |(), i| run_cell(&cells[i], detector.as_ref()),
-    );
+    // Each worker runs every probe cell it claims on its one deployment.
+    let mut deployments: Vec<Option<Deployment>> = worker_states(spec.shards);
+    let cases = run_ordered(&mut deployments, cells.len(), |d, i| {
+        run_cell(&cells[i], d, detector.as_ref())
+    });
     let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
     let mut tally = DetectionTally::default();
     let mut findings = Vec::new();
@@ -745,6 +767,7 @@ mod tests {
                 .or_default()
                 .push(obs);
         }
+        let d = Deployment::new(CrossingContext::new());
         let probes: Vec<Observation> =
             enumerate_cells(&CampaignSpec::default(), &fault_catalogue(42))
                 .into_iter()
@@ -754,12 +777,14 @@ mod tests {
                         experiment,
                         plan,
                         format,
-                    } => {
-                        let ctx = CrossingContext::new();
-                        ctx.arm(fault);
-                        let d = Deployment::new(ctx);
-                        Some(run_one(&d, experiment, plan, format, &probe_input(), false))
-                    }
+                    } => Some(run_one(
+                        &d,
+                        experiment,
+                        plan,
+                        format,
+                        &probe_input(),
+                        &[fault],
+                    )),
                     _ => None,
                 })
                 .collect();

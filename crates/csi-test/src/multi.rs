@@ -36,7 +36,7 @@ use crate::exec::{self, Deployment};
 use crate::generator::TestInput;
 use crate::inject;
 use crate::plan::{self, scenario_key, Experiment, TestPlan};
-use crate::shard::{run_ordered, Frontier};
+use crate::shard::{run_ordered, worker_states, Frontier};
 use crate::shrink::ddmin_lite;
 use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext, InteractionTrace};
@@ -219,7 +219,7 @@ pub fn run_compound_trial(
     schedule: &InterleaveSchedule,
 ) -> CompoundTrialReport {
     let ctx = CrossingContext::new();
-    ctx.arm_set(set);
+    ctx.rearm(&set.faults);
     let d = Deployment::new(ctx);
     let mut runs: Vec<JobRun> = jobs
         .iter()
@@ -335,6 +335,8 @@ pub fn run_compound(spec: &CampaignSpec, outcome: &mut CampaignOutcome) {
     let mut frontier = Frontier::new();
     let mut grid = (0..sets.len()).flat_map(|si| (0..schedules.len()).map(move |hi| (si, hi)));
     let mut executed = 0usize;
+    // A compound trial builds its own deployment: the workers hold nothing.
+    let mut workers: Vec<()> = worker_states(spec.shards);
     // Every discrepancy found, with the (fault set, schedule) of its trial.
     let mut discrepancies: Vec<((usize, usize), CompoundDiscrepancy)> = Vec::new();
     while executed < budget {
@@ -342,15 +344,10 @@ pub fn run_compound(spec: &CampaignSpec, outcome: &mut CampaignOutcome) {
         if batch.is_empty() {
             break;
         }
-        let reports = run_ordered(
-            spec.shards,
-            batch.len(),
-            || (),
-            |(), i| {
-                let (si, hi) = batch[i];
-                run_compound_trial(&jobs, &sets[si], &schedules[hi])
-            },
-        );
+        let reports = run_ordered(&mut workers, batch.len(), |(), i| {
+            let (si, hi) = batch[i];
+            run_compound_trial(&jobs, &sets[si], &schedules[hi])
+        });
         for (&(si, hi), report) in batch.iter().zip(reports) {
             executed += 1;
             let mut sig = CoverageSignature::from_trace(&report.trace);

@@ -4,8 +4,11 @@
 //! [`crate::Campaign`] mode hands it `n` independent jobs — grid shards
 //! here, fault-matrix cells in [`crate::inject`], explore rounds in
 //! [`crate::explore`], compound trials in [`crate::multi`] — and gets the
-//! results back in index order, whatever worker ran them. Serial is
-//! `workers = 1`: the same closure, inline on the calling thread. The two
+//! results back in index order, whatever worker ran them. The caller owns
+//! one state per worker, so a worker's deployment serves every run it
+//! makes for the whole campaign, across rounds, and faults are armed per
+//! run, not per deployment. Serial is one worker state: the same closure,
+//! inline on the calling thread. The two
 //! searching modes pick each round's jobs off one `Frontier`: keys that
 //! feedback promoted first, then the mode's grid filler, none twice.
 //!
@@ -15,12 +18,12 @@
 //!
 //! - **One deployment per worker** — a worker builds one
 //!   Metastore/MiniHdfs/SparkSession/HiveQl stack and runs every shard it
-//!   claims on it, whatever the experiment. Every observation is
-//!   hermetic: `run_one` resets the crossing context and drains the
-//!   sink before it starts, and drops its table when it ends, so what a
-//!   stack ran before never reaches the next observation. A detecting
-//!   worker builds a second, fault-free stack for the observations'
-//!   twins.
+//!   claims on it, whatever the experiment, faulted or not. Every
+//!   observation is hermetic: `run_one` arms exactly its faults, resets
+//!   the crossing context and drains the sink before it starts, and
+//!   disarms and drops its table when it ends, so what a stack ran before
+//!   never reaches the next observation. A detecting worker runs each
+//!   observation's fault-free twin on the same stack.
 //! - **Deterministic merge** — workers only *record* observations. The
 //!   merger walks the shards in canonical (experiment, plan, format,
 //!   input-id) order and hands each observation to the one
@@ -46,41 +49,38 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Runs `job(state, i)` for every `i` in `0..n` on up to `workers`
-/// threads and returns the results in index order.
+/// Runs `job(state, i)` for every `i` in `0..n` on one thread per worker
+/// state, and returns the results in index order.
 ///
 /// Workers claim indices off a bump counter, so the indices any one
 /// worker sees are strictly increasing; each result lands in its own
-/// slot, so no worker waits on another to store one. Every worker builds
-/// its private `state` with `init_worker_state` (called at most `workers`
-/// times) and drops it when the indices run out. `workers` is clamped to
-/// `1..=n`; one worker runs the closures inline on the calling thread,
-/// with no spawn. A panicking job panics the caller either way.
-pub(crate) fn run_ordered<S, T: Send>(
-    workers: usize,
+/// slot, so no worker waits on another to store one. The caller owns the
+/// states, so a state (a deployment, a worker's statistics) outlives the
+/// call. Only the first `n` states are used; one state runs the closures
+/// inline on the calling thread, with no spawn. `workers` must not be
+/// empty while `n > 0`. A panicking job panics the caller either way.
+pub(crate) fn run_ordered<S: Send, T: Send>(
+    workers: &mut [S],
     n: usize,
-    init_worker_state: impl Fn() -> S + Sync,
     job: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
-    let workers = workers.clamp(1, n.max(1));
-    if workers == 1 {
-        let mut state = init_worker_state();
-        return (0..n).map(|i| job(&mut state, i)).collect();
+    let used = n.min(workers.len());
+    let workers = &mut workers[..used];
+    if let [state] = workers {
+        return (0..n).map(|i| job(state, i)).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init_worker_state();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = job(&mut state, i);
-                    *slots[i].lock() = Some(result);
+        for state in workers {
+            let (next, slots, job) = (&next, &slots, &job);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let result = job(state, i);
+                *slots[i].lock() = Some(result);
             });
         }
     });
@@ -88,6 +88,12 @@ pub(crate) fn run_ordered<S, T: Send>(
         .into_iter()
         .map(|slot| slot.into_inner().expect("every index was claimed"))
         .collect()
+}
+
+/// One state per worker of `spec.shards` (`0` and `1` both mean one),
+/// each `S::default()`.
+pub(crate) fn worker_states<S: Default>(shards: usize) -> Vec<S> {
+    (0..shards.max(1)).map(|_| S::default()).collect()
 }
 
 /// The one work list of the searching modes (explore's trials, the
@@ -132,9 +138,10 @@ impl<K: Ord + Copy> Frontier<K> {
 }
 
 /// Execution statistics for one worker of the pool.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct WorkerStats {
-    /// Worker index within the pool, in the order workers finished.
+    /// Worker index within the pool: the worker's state, which outlives
+    /// the pool, in the order the campaign built them.
     pub worker: usize,
     /// Shards this worker executed.
     pub shards: usize,
@@ -142,7 +149,7 @@ pub struct WorkerStats {
     pub observations: usize,
     /// Time spent executing shards, in microseconds.
     pub busy_micros: u64,
-    /// `busy` as a fraction of the worker's lifetime (0.0–1.0).
+    /// `busy` as a fraction of the execute phase's wall time (0.0–1.0).
     pub utilization: f64,
 }
 
@@ -199,33 +206,13 @@ fn build_shards(inputs_len: usize, spec: &CampaignSpec) -> Vec<Shard> {
         .collect()
 }
 
-/// One worker's private state on the grid: its deployment and, on a
-/// detecting grid, the fault-free deployment its twins run on, both built
-/// with its first shard, and its share of the campaign metrics. Dropping
-/// it drops the deployments and files the worker's [`WorkerStats`].
-struct GridWorker<'a> {
-    stats: &'a Mutex<Vec<WorkerStats>>,
-    started: Instant,
+/// One worker's private state on the grid: its deployment, built with its
+/// first shard, and its counts, which the campaign completes into its
+/// [`WorkerStats`] when the execute phase ends.
+#[derive(Default)]
+struct GridWorker {
     deployment: Option<Deployment>,
-    twin: Option<Deployment>,
-    shards: usize,
-    observations: usize,
-    busy_micros: u64,
-}
-
-impl Drop for GridWorker<'_> {
-    fn drop(&mut self) {
-        let lifetime_micros = self.started.elapsed().as_micros().max(1) as u64;
-        let mut stats = self.stats.lock();
-        let worker = stats.len();
-        stats.push(WorkerStats {
-            worker,
-            shards: self.shards,
-            observations: self.observations,
-            busy_micros: self.busy_micros,
-            utilization: self.busy_micros as f64 / lifetime_micros as f64,
-        });
-    }
+    stats: WorkerStats,
 }
 
 /// Runs `spec`'s grid over `inputs` on `spec.shards` workers (`0` and `1`
@@ -235,11 +222,13 @@ impl Drop for GridWorker<'_> {
 /// ordering, and the classified report are the same at any worker count
 /// and chunk size; see the module docs for how the merge guarantees this.
 ///
-/// With `spec.detect`, every observation is judged against its fault-free
+/// Every observation runs on its worker's one deployment, which carries
+/// `spec`'s Spark overrides, with `spec.faults` armed for that run. With
+/// `spec.detect`, every observation is judged against its fault-free
 /// twin: the same (experiment, plan, format, input) run just before it on
-/// the worker's second deployment, which carries `spec`'s Spark overrides
-/// and no faults. Every detection goes to `tap`. A twin is hermetic like
-/// any observation, so which worker ran it cannot change its trace.
+/// the same deployment with nothing armed. Every detection goes to `tap`.
+/// A twin is hermetic like any observation, so which worker ran it cannot
+/// change its trace.
 pub(crate) fn run_cross_test(
     spec: &CampaignSpec,
     inputs: &[TestInput],
@@ -249,60 +238,50 @@ pub(crate) fn run_cross_test(
         config: spec.detector_config,
         tap,
     });
+    let faults = spec.faults.as_ref().map_or(&[][..], |plan| &plan.faults);
     let campaign_started = Instant::now();
     let shards = build_shards(inputs.len(), spec);
-    let workers = spec.shards.clamp(1, shards.len().max(1));
-    let stats: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::with_capacity(workers));
+    let mut workers: Vec<GridWorker> = worker_states(spec.shards.min(shards.len()));
 
-    let batches: Vec<Vec<Observation>> = run_ordered(
-        workers,
-        shards.len(),
-        || GridWorker {
-            stats: &stats,
-            started: Instant::now(),
-            deployment: None,
-            twin: None,
-            shards: 0,
-            observations: 0,
-            busy_micros: 0,
-        },
-        |worker, i| {
-            let shard = &shards[i];
-            let shard_started = Instant::now();
-            let deployment = worker.deployment.get_or_insert_with(|| {
-                Deployment::armed(&spec.spark_overrides, spec.faults.as_ref())
-            });
-            let twin = detector.as_ref().map(|detector| {
-                let twin = worker
-                    .twin
-                    .get_or_insert_with(|| Deployment::armed(&spec.spark_overrides, None));
-                (detector, &*twin)
-            });
-            let run = |d: &Deployment, input| {
-                run_one(d, shard.experiment, shard.plan, shard.format, input, true)
-            };
-            let batch: Vec<Observation> = inputs[shard.lo..shard.hi]
-                .iter()
-                .map(|input| match twin {
-                    None => run(deployment, input),
-                    Some((detector, twin)) => {
-                        let baseline = run(twin, input).trace;
-                        let mut obs = run(deployment, input);
-                        let scenario = scenario_key(&obs.plan, &obs.format, Some(input.id));
-                        obs.detections =
-                            detector.detect(&scenario, &obs.trace, &baseline, obs.surfaced());
-                        obs
-                    }
-                })
-                .collect();
-            worker.shards += 1;
-            worker.observations += batch.len();
-            worker.busy_micros += shard_started.elapsed().as_micros() as u64;
-            batch
-        },
-    );
+    let batches: Vec<Vec<Observation>> = run_ordered(&mut workers, shards.len(), |worker, i| {
+        let shard = &shards[i];
+        let shard_started = Instant::now();
+        let d = worker
+            .deployment
+            .get_or_insert_with(|| Deployment::configured(&spec.spark_overrides));
+        let run =
+            |input, faults| run_one(d, shard.experiment, shard.plan, shard.format, input, faults);
+        let batch: Vec<Observation> = inputs[shard.lo..shard.hi]
+            .iter()
+            .map(|input| match &detector {
+                None => run(input, faults),
+                Some(detector) => {
+                    let baseline = run(input, &[]).trace;
+                    let mut obs = run(input, faults);
+                    let scenario = scenario_key(&obs.plan, &obs.format, Some(input.id));
+                    obs.detections =
+                        detector.detect(&scenario, &obs.trace, &baseline, obs.surfaced());
+                    obs
+                }
+            })
+            .collect();
+        worker.stats.shards += 1;
+        worker.stats.observations += batch.len();
+        worker.stats.busy_micros += shard_started.elapsed().as_micros() as u64;
+        batch
+    });
 
     let execute_micros = campaign_started.elapsed().as_micros() as u64;
+    // The deployments go before the merge, which never needs them.
+    let per_worker: Vec<WorkerStats> = workers
+        .into_iter()
+        .enumerate()
+        .map(|(worker, w)| WorkerStats {
+            worker,
+            utilization: w.stats.busy_micros as f64 / execute_micros.max(1) as f64,
+            ..w.stats
+        })
+        .collect();
     let merge_started = Instant::now();
 
     // Deterministic merge: batch order is canonical shard order, so walking
@@ -324,7 +303,7 @@ pub(crate) fn run_cross_test(
     let oracle_micros = merge_started.elapsed().as_micros() as u64;
     let total_micros = campaign_started.elapsed().as_micros() as u64;
     let metrics = CampaignMetrics {
-        workers,
+        workers: per_worker.len(),
         shards: shards.len(),
         observations: outcome.observations.len(),
         execute_micros,
@@ -332,7 +311,7 @@ pub(crate) fn run_cross_test(
         total_micros,
         observations_per_sec: outcome.observations.len() as f64
             / (execute_micros.max(1) as f64 / 1_000_000.0),
-        per_worker: stats.into_inner(),
+        per_worker,
     };
     CampaignOutcome {
         metrics: Some(metrics),
@@ -370,38 +349,30 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Any worker count gives the plain serial `map`, and no more
-        /// worker states are built than workers asked for.
+        /// Any worker count gives the plain serial `map`; every index is
+        /// claimed by exactly one state, and the states, which the caller
+        /// owns, keep their counts from one call to the next.
         #[test]
         fn run_ordered_equals_the_serial_map(n in 0usize..200, workers in 1usize..8) {
-            let inits = AtomicUsize::new(0);
-            let out = run_ordered(
-                workers,
-                n,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    0usize
-                },
-                |claimed, i| {
-                    // Private state persists across one worker's jobs.
+            let mut claimed = vec![0usize; workers];
+            for call in 1..=2 {
+                let out = run_ordered(&mut claimed, n, |claimed, i| {
                     *claimed += 1;
-                    assert!(*claimed <= n);
                     i * i + 1
-                },
-            );
-            prop_assert_eq!(out, (0..n).map(|i| i * i + 1).collect::<Vec<_>>());
-            let inits = inits.into_inner();
-            prop_assert!((1..=workers).contains(&inits), "{} inits", inits);
+                });
+                prop_assert_eq!(out, (0..n).map(|i| i * i + 1).collect::<Vec<_>>());
+                prop_assert_eq!(claimed.iter().sum::<usize>(), call * n);
+            }
         }
     }
 
     #[test]
     fn run_ordered_with_one_worker_stays_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let ids = run_ordered(1, 5, || (), |(), _| std::thread::current().id());
+        let ids = run_ordered(&mut [()], 5, |(), _| std::thread::current().id());
         assert!(ids.iter().all(|id| *id == caller));
         // More workers than jobs clamps: one job is one inline worker.
-        let ids = run_ordered(8, 1, || (), |(), _| std::thread::current().id());
+        let ids = run_ordered(&mut [(); 8], 1, |(), _| std::thread::current().id());
         assert_eq!(ids, vec![caller]);
     }
 
@@ -409,15 +380,10 @@ mod tests {
     fn a_panicking_job_panics_the_caller_inline_and_threaded() {
         for workers in [1, 3] {
             let caught = std::panic::catch_unwind(|| {
-                run_ordered(
-                    workers,
-                    10,
-                    || (),
-                    |(), i| {
-                        assert!(i != 6, "job 6 fails");
-                        i
-                    },
-                )
+                run_ordered(&mut vec![(); workers], 10, |(), i| {
+                    assert!(i != 6, "job 6 fails");
+                    i
+                })
             });
             assert!(caught.is_err(), "workers = {workers} swallowed the panic");
         }

@@ -57,7 +57,7 @@ pub fn reproducer_triggers(id: &str, r: &Reproducer) -> bool {
     let d = Deployment::new(CrossingContext::new());
     let mut judge = Classifier::new(&[r.experiment]);
     for &plan in &r.plans {
-        let obs = exec::run_one(&d, r.experiment, plan, r.format, &r.input, true);
+        let obs = exec::run_one(&d, r.experiment, plan, r.format, &r.input, &[]);
         judge.absorb(0, &r.input, obs);
     }
     let outcome = judge.finish(std::slice::from_ref(&r.input), false);

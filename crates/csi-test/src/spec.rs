@@ -238,8 +238,8 @@ pub struct CampaignSpec {
     pub shards: usize,
     /// Maximum inputs per shard. Read by the grid only.
     pub chunk_size: usize,
-    /// Fault plan armed on every grid deployment, or the cell catalogue
-    /// of the matrix. Explore mode and the compound pass draw from
+    /// Fault plan armed for every grid observation (never for its
+    /// fault-free twin), or the cell catalogue of the matrix. Explore mode and the compound pass draw from
     /// [`fault_catalogue`](crate::inject::fault_catalogue) instead.
     pub faults: Option<FaultPlan>,
     /// `Some(seed)` switches the campaign to fault-matrix mode, whose
