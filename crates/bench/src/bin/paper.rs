@@ -21,6 +21,7 @@ use miniflink::yarn_driver::{
 };
 use minihdfs::{HdfsPath, MiniHdfs};
 use minihive::metastore::StorageFormat;
+use minispark::config;
 use minispark::connectors::hdfs::{read_file, LengthCheck};
 use miniyarn::config::default_yarn_config;
 use miniyarn::Resource;
@@ -57,6 +58,7 @@ const COMMANDS: &[(&str, Command)] = &[
     ("incidents", |_| incidents()),
     ("dataset", |_| dataset(&Dataset::load())),
     ("section8", |_| section8()),
+    ("lattice", lattice),
     ("ablation", |_| ablation()),
     ("contracts", |_| contracts()),
     ("matrix", matrix),
@@ -447,6 +449,115 @@ fn section8() {
         "discrepancies resolved by custom configuration",
         8,
         resolved.len(),
+    );
+}
+
+/// The six data-plane keys of `minispark::config`, each with its values,
+/// the default first: the axes of `paper lattice`.
+const LATTICE: [(&str, &[&str]); 6] = [
+    (
+        config::STORE_ASSIGNMENT_POLICY,
+        &["ANSI", "LEGACY", "STRICT"],
+    ),
+    (config::CHAR_VARCHAR_AS_STRING, &["false", "true"]),
+    (config::INTERVAL_AS_STRING, &["false", "true"]),
+    (config::DATAFRAME_DATE_RANGE_CHECK, &["false", "true"]),
+    (
+        config::CASE_SENSITIVE_INFERENCE,
+        &["INFER_AND_SAVE", "INFER_ONLY", "NEVER_INFER"],
+    ),
+    (
+        config::PARQUET_REBASE_MODE,
+        &["CORRECTED", "EXCEPTION", "LEGACY"],
+    ),
+];
+
+/// `paper lattice [keys] [workers]` — the default grid under every
+/// configuration of the first `keys` (default all six) of [`LATTICE`]'s
+/// keys, the rest at their defaults: per configuration the active set and
+/// the unattributed count, then the smallest override set that resolves
+/// each discrepancy, and the §8.2 tally.
+fn lattice(args: &[String]) {
+    let keys = arg(args, 0, LATTICE.len()).min(LATTICE.len());
+    let shards = workers(args, 1);
+    let inputs = generate_inputs();
+    let run = |overrides: Vec<(String, String)>| {
+        let report = Campaign::new(&inputs)
+            .spark_overrides(overrides)
+            .shards(shards)
+            .run()
+            .report;
+        (active_ids(&report), report.unattributed.len())
+    };
+    header(&format!(
+        "Section 8.2: the default grid under {keys} data-plane keys"
+    ));
+    println!(
+        "  \"resolved\" is active_ids' rule: a discrepancy is active while its primary oracle has \
+         evidence"
+    );
+    // Each configuration as the overrides it sets, the defaults left out,
+    // in mixed-radix order with the first key slowest.
+    let axes = &LATTICE[..keys];
+    let configurations = axes
+        .iter()
+        .map(|(_, values)| values.len())
+        .product::<usize>();
+    let mut rows = Vec::with_capacity(configurations);
+    for mut n in 0..configurations {
+        let mut overrides = Vec::new();
+        for (key, values) in axes.iter().rev() {
+            let value = values[n % values.len()];
+            n /= values.len();
+            if value != values[0] {
+                overrides.push((key.to_string(), value.to_string()));
+            }
+        }
+        overrides.reverse();
+        let size = overrides.len();
+        let label: Vec<String> = overrides
+            .iter()
+            .map(|(k, v)| format!("{}={v}", k.rsplit('.').next().unwrap_or(k)))
+            .collect();
+        let label = if label.is_empty() {
+            "(default)".to_string()
+        } else {
+            label.join(" ")
+        };
+        let (active, unattributed) = run(overrides);
+        println!(
+            "  active {:>2}  unattributed {unattributed:>4}  {label}: {}",
+            active.len(),
+            active.join(" ")
+        );
+        rows.push((label, size, active));
+    }
+
+    header("the smallest override set that resolves each discrepancy");
+    let default_active = &rows[0].2;
+    let mut resolvable = 0;
+    for id in default_active {
+        let best = rows
+            .iter()
+            .filter(|(_, _, active)| !active.contains(id))
+            .min_by_key(|(_, size, _)| *size);
+        match best {
+            Some((label, _, _)) => {
+                resolvable += 1;
+                println!("  {id}: {label}");
+            }
+            None => println!("  {id}: no configuration"),
+        }
+    }
+    let (custom, _) = run(custom_resolving_overrides());
+    let by_paper = default_active
+        .iter()
+        .filter(|id| !custom.contains(id))
+        .count();
+    println!(
+        "  resolved by some configuration: {resolvable}/{}; by the paper's one: {by_paper}/{}",
+        default_active.len(),
+        default_active.len()
     );
 }
 

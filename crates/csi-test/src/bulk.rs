@@ -249,7 +249,7 @@ pub(crate) fn run_bulk(spec: &CampaignSpec, rows: usize) -> BulkReport {
             let plan = format!("{write}->{read}");
             // Tracing off: bulk campaigns measure the data plane, and the
             // per-op trace sink would dominate at millions of rows.
-            let d = Deployment::new(CrossingContext::disabled());
+            let d = Deployment::new(CrossingContext::disabled(), &spec.spark_overrides);
             let table = format!("bulk_{}", format.extension());
             let outcome = bulk_write(&d, write, &table, *format, &expected.cols)
                 .and_then(|()| bulk_read(&d, read, &table));

@@ -25,8 +25,9 @@
 //! A campaign builds every deployment it runs on and drops it when done,
 //! so nothing of one campaign outlives it into another.
 //!
-//! With `.detect(true)`, every grid observation and matrix cell is judged
-//! with [`DetectorSpec::detect`](csi_core::detect::DetectorSpec::detect)
+//! With `.detect(true)`, every grid observation, matrix cell and explore
+//! fault-overlay trial is judged with
+//! [`DetectorSpec::detect`](csi_core::detect::DetectorSpec::detect)
 //! against its fault-free twin: the same scenario run just before it with
 //! nothing armed, whose trace is the "normal" pattern-anomaly detection
 //! compares the observation's crossings with.
@@ -42,7 +43,7 @@ use crate::multi;
 use crate::plan::Experiment;
 use crate::shard::{self, CampaignMetrics};
 use crate::shrink::ShrunkReproducer;
-use crate::spec::{CampaignSpec, InputSelection, SpecError};
+use crate::spec::{CampaignSpec, InputSelection, Mode, SpecError};
 use csi_core::boundary::Crossing;
 use csi_core::detect::{DetectionTap, DetectorConfig};
 use csi_core::fault::{FaultOutcome, FaultPlan, InjectedFault};
@@ -185,9 +186,9 @@ impl Campaign {
         self
     }
 
-    /// Sets Spark configuration overrides on the session of every grid
-    /// deployment. The matrix, explore mode, the compound pass and bulk
-    /// build their deployments without them.
+    /// Sets Spark configuration overrides on the session of every
+    /// deployment the campaign builds. Which modes read it:
+    /// [`FIELD_MODES`](crate::spec::FIELD_MODES).
     pub fn spark_overrides(mut self, overrides: Vec<(String, String)>) -> Campaign {
         self.spec.spark_overrides = overrides;
         self
@@ -215,9 +216,10 @@ impl Campaign {
         self
     }
 
-    /// Arms a fault plan: on every deployment of the grid, or as the cell
+    /// Arms a fault plan for every grid observation, or supplies the cell
     /// catalogue in matrix mode (replacing the seed-derived standard
-    /// catalogue). Explore mode and the compound pass ignore it.
+    /// catalogue). Which modes read it:
+    /// [`FIELD_MODES`](crate::spec::FIELD_MODES).
     pub fn faults(mut self, plan: FaultPlan) -> Campaign {
         self.spec.faults = Some(plan);
         self
@@ -227,23 +229,24 @@ impl Campaign {
     /// crossed with the scenarios of its channel, cells classified by the
     /// §9 oracle. Uses the builder's experiments/formats for probe cells
     /// and [`inject::fault_catalogue`]`(seed)` unless [`Campaign::faults`]
-    /// supplied a catalogue. A campaign runs one main mode: one that is
-    /// also [`Campaign::explore`]d is rejected with
-    /// [`SpecError::TwoMainModes`].
+    /// supplied a catalogue. Which modes read it:
+    /// [`FIELD_MODES`](crate::spec::FIELD_MODES).
     pub fn fault_matrix(mut self, seed: u64) -> Campaign {
         self.spec.matrix_seed = Some(seed);
         self
     }
 
-    /// Runs the online CSI failure detector over every grid observation
-    /// or matrix cell, each judged against a fault-free twin run of its
-    /// own scenario. Explore mode and the compound pass never detect.
+    /// Runs the online CSI failure detector over every grid observation,
+    /// matrix cell or explore fault-overlay trial, each judged against a
+    /// fault-free twin run of its own scenario. Which modes read it:
+    /// [`FIELD_MODES`](crate::spec::FIELD_MODES).
     pub fn detect(mut self, detect: bool) -> Campaign {
         self.spec.detect = detect;
         self
     }
 
-    /// Overrides the detector thresholds.
+    /// Overrides the detector thresholds, which only a detecting
+    /// campaign reads: [`FIELD_MODES`](crate::spec::FIELD_MODES).
     pub fn detector_config(mut self, config: DetectorConfig) -> Campaign {
         self.spec.detector_config = config;
         self
@@ -252,8 +255,8 @@ impl Campaign {
     /// Sets the campaign seed (default 42): explore mode's schedule,
     /// mutants and fault overlay, the compound pass's catalogue, fault
     /// sets and interleavings, and [`Campaign::run_bulk`]'s generated
-    /// table. The grid and the matrix do not read it (matrix mode has its
-    /// own seed via [`Campaign::fault_matrix`]).
+    /// table. Which modes read it:
+    /// [`FIELD_MODES`](crate::spec::FIELD_MODES).
     pub fn seed(mut self, seed: u64) -> Campaign {
         self.spec.seed = seed;
         self
@@ -265,10 +268,9 @@ impl Campaign {
     /// ahead of fresh grid draws, and every reported discrepancy is shrunk
     /// to a 1-row/1-column reproducer. A budget of `0` degrades exactly to
     /// the standard exhaustive catalogue (the spec records it as "no
-    /// explore pass", which is the same campaign). Explore mode forces the
-    /// online detector off and ignores [`Campaign::faults`] (it schedules
-    /// its own overlay from [`inject::fault_catalogue`]). The budget also
-    /// caps the compound pass's trials ([`Campaign::kfaults`]).
+    /// explore pass", which is the same campaign). The budget also caps
+    /// the compound pass's trials ([`Campaign::kfaults`]). Which fields
+    /// explore mode reads: [`FIELD_MODES`](crate::spec::FIELD_MODES).
     pub fn explore(mut self, budget: usize) -> Campaign {
         self.spec.explore_budget = (budget > 0).then_some(budget);
         self
@@ -304,10 +306,10 @@ impl Campaign {
         self
     }
 
-    /// Number of jobs sharing each compound trial's deployment (default 2;
-    /// only the compound pass consumes it). Clamped to
-    /// `1..=`[`MAX_JOBS`](crate::spec::MAX_JOBS) — only specs revived from
-    /// the wire can carry an out-of-range value.
+    /// Number of jobs sharing each compound trial's deployment (default
+    /// 2). Clamped to `1..=`[`MAX_JOBS`](crate::spec::MAX_JOBS) — only
+    /// specs revived from the wire can carry an out-of-range value. Which
+    /// modes read it: [`FIELD_MODES`](crate::spec::FIELD_MODES).
     pub fn jobs(mut self, n: usize) -> Campaign {
         self.spec.jobs = n.clamp(1, crate::spec::MAX_JOBS);
         self
@@ -317,8 +319,8 @@ impl Campaign {
     /// campaign's detector judges is handed to `tap` as its observation
     /// closes, long before the final report exists. Taps only
     /// observe — a tapped campaign's outcome is byte-identical to an
-    /// untapped one. Only modes that build detectors (cross-test and
-    /// matrix with `.detect(true)`) ever invoke it.
+    /// untapped one. Only modes that build detectors (cross-test, matrix
+    /// and explore with `.detect(true)`) ever invoke it.
     ///
     /// [`Detection`]: csi_core::detect::Detection
     pub fn detection_tap(mut self, tap: DetectionTap) -> Campaign {
@@ -333,8 +335,13 @@ impl Campaign {
     /// formats and seed, checked by the vectorized write–read and digest
     /// differential oracles. This is the million-row path: the row
     /// campaigns' table-size ceiling (one row per observation) does not
-    /// apply.
+    /// apply. Bulk runs alone, and panics, as [`Campaign::run`] does, on a
+    /// spec that [`FIELD_MODES`](crate::spec::FIELD_MODES)' bulk column
+    /// refuses.
     pub fn run_bulk(self, rows: usize) -> crate::bulk::BulkReport {
+        self.spec
+            .validate_in(&[Mode::Bulk])
+            .unwrap_or_else(|e| panic!("invalid campaign spec: {e}"));
         crate::bulk::run_bulk(&self.spec, rows)
     }
 
@@ -354,12 +361,10 @@ impl Campaign {
     pub fn try_run(self) -> Result<CampaignOutcome, SpecError> {
         let Campaign { spec, tap } = self;
         spec.validate()?;
-        // A validated spec never carries `Some(0)` (the builder records
-        // `.explore(0)` as `None`), nor both main modes.
-        let mut outcome = match (spec.explore_budget, spec.matrix_seed) {
-            (Some(_), _) => explore::run_explore(&spec, &spec.inputs.resolve()),
-            (None, Some(_)) => inject::run_fault_matrix(&spec, tap),
-            (None, None) => shard::run_cross_test(&spec, &spec.inputs.resolve(), tap),
+        let mut outcome = match spec.main_mode() {
+            Mode::Explore => explore::run_explore(&spec, &spec.inputs.resolve(), tap),
+            Mode::Matrix => inject::run_fault_matrix(&spec, tap),
+            _ => shard::run_cross_test(&spec, &spec.inputs.resolve(), tap),
         };
         if spec.kfaults > 0 {
             multi::run_compound(&spec, &mut outcome);

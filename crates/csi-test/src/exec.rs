@@ -51,10 +51,13 @@ pub fn custom_resolving_overrides() -> Vec<(String, String)> {
 }
 
 /// One full Metastore/MiniHdfs/SparkSession/HiveQl stack plus its
-/// diagnostics sink. Each grid, explore or matrix worker builds its own
-/// and runs every observation it claims on it, fault-free or faulted,
-/// whatever the experiment, so no two workers, and no two campaigns, ever
-/// share engine state.
+/// diagnostics sink, its session configured with the campaign's
+/// [`spark_overrides`](crate::spec::CampaignSpec::spark_overrides). Each
+/// grid, explore or matrix worker builds its own and runs every
+/// observation it claims on it, fault-free or faulted, whatever the
+/// experiment; a compound trial, a shrink check and a bulk cell each
+/// build one. No two workers, and no two campaigns, ever share engine
+/// state.
 ///
 /// Lock order: the filesystem before the metastore, everywhere — both
 /// engines' statement paths and `csi-serve`'s tenant registry take the
@@ -80,10 +83,14 @@ pub(crate) struct Deployment {
 }
 
 impl Deployment {
-    /// Builds the stack around `crossing` — which a compound trial
-    /// pre-arms with its fault set. Nothing per-run is attached: a
-    /// [`run_one`] arms its own faults.
-    pub(crate) fn new(crossing: CrossingContext) -> Deployment {
+    /// Builds the stack around `crossing` with `spark_overrides` set on
+    /// the session: the one way any mode builds a stack. Nothing is
+    /// armed: a [`run_one`] arms its own faults, and a compound trial
+    /// rearms the context with its fault set.
+    pub(crate) fn new(
+        crossing: CrossingContext,
+        spark_overrides: &[(String, String)],
+    ) -> Deployment {
         let sink = DiagSink::new();
         let mut metastore = Metastore::new();
         let mut fs = MiniHdfs::with_datanodes(3);
@@ -91,8 +98,14 @@ impl Deployment {
         fs.set_crossing(crossing.clone());
         let metastore = Arc::new(Mutex::new(metastore));
         let fs = Arc::new(Mutex::new(fs));
-        let spark = SparkSession::connect(metastore.clone(), fs.clone(), sink.handle("minispark"));
+        let mut spark =
+            SparkSession::connect(metastore.clone(), fs.clone(), sink.handle("minispark"));
+        for (k, v) in spark_overrides {
+            spark.config.set(k, v);
+        }
         let hive = HiveQl::new(metastore.clone(), fs.clone(), sink.handle("minihive"));
+        #[cfg(test)]
+        BUILT.with(|built| built.borrow_mut().push(spark_overrides.to_vec()));
         Deployment {
             sink,
             spark,
@@ -105,15 +118,6 @@ impl Deployment {
         }
     }
 
-    /// A fresh grid stack with `spark_overrides` set on the session.
-    pub(crate) fn configured(spark_overrides: &[(String, String)]) -> Deployment {
-        let mut deployment = Deployment::new(CrossingContext::new());
-        for (k, v) in spark_overrides {
-            deployment.spark.config.set(k, v);
-        }
-        deployment
-    }
-
     /// Drops `table` (best effort) through the session API and discards
     /// the diagnostics the drop produced, so recycling never leaks into
     /// the next observation. The namenode needs nothing more: its
@@ -123,6 +127,21 @@ impl Deployment {
         let _ = self.spark.drop_table(table, true);
         self.sink.drain();
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The overrides of every stack built on this thread, in build order:
+    /// what a unit test reads to check which configuration a mode ran.
+    pub(crate) static BUILT: std::cell::RefCell<Vec<Vec<(String, String)>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// A traced stack in the default configuration: the one way a unit test
+/// builds a deployment of its own.
+#[cfg(test)]
+pub(crate) fn test_stack() -> Deployment {
+    Deployment::new(CrossingContext::new(), &[])
 }
 
 /// Renders a harness value as a SQL literal understood by both SQL
@@ -570,7 +589,7 @@ mod tests {
 
     #[test]
     fn a_recycled_observation_leaves_an_empty_namespace() {
-        let d = Deployment::new(CrossingContext::new());
+        let d = test_stack();
         let inputs = generate_inputs();
         let experiment = Experiment::SparkToSpark;
         for (_, _, plan, format) in cells(&[experiment], &StorageFormat::ALL) {
@@ -592,14 +611,7 @@ mod tests {
         let faults = crate::inject::deployment_faults(42);
         let mut fired = 0;
         for (_, experiment, plan, format) in cells(&Experiment::ALL, &StorageFormat::ALL) {
-            let fresh = run_one(
-                &Deployment::new(CrossingContext::new()),
-                experiment,
-                plan,
-                format,
-                &input,
-                &[],
-            );
+            let fresh = run_one(&test_stack(), experiment, plan, format, &input, &[]);
             for fault in &faults {
                 let obs = run_one(
                     &d,

@@ -14,23 +14,30 @@
 //! Determinism is load-bearing, exactly as everywhere else in the harness:
 //! scheduling is a pure function of (seed, inputs, budget); each round
 //! goes through `shard::run_ordered`, each worker runs every trial it
-//! claims, in every round, on its one deployment, a fault-overlay trial
+//! claims, in every round, on its one deployment (in the spec's Spark
+//! configuration, as the shrinker's checks are), a fault-overlay trial
 //! with its fault armed for that run only (every observation is hermetic,
 //! whatever the experiment or fault), and absorption happens in trial
 //! order. A sharded explore run is byte-identical to a one-worker one,
 //! pinned by `tests/explore.rs`.
+//!
+//! With `spec.detect`, each fault-overlay trial runs its fault-free twin
+//! first on the same deployment and is judged against it; the report
+//! carries the overlay trials' detection tally. A fault-free trial is its
+//! own twin, against which the detector cannot fire, so it runs once.
 
 use crate::campaign::CampaignOutcome;
 use crate::classify::Classifier;
 use crate::exec::{self, Deployment};
 use crate::generator::{mutate_input, TestInput, Validity};
 use crate::inject;
-use crate::plan::{self, Experiment, TestPlan};
+use crate::plan::{self, scenario_key, Experiment, TestPlan};
 use crate::shard::{run_ordered, worker_states, Frontier};
 use crate::shrink;
 use crate::spec::CampaignSpec;
 use csi_core::boundary::{faulted, CrossingContext};
 use csi_core::coverage::{CoverageMap, CoverageSignature};
+use csi_core::detect::{DetectionTally, DetectionTap, DetectorSpec};
 use csi_core::fault::{classify_fault_outcome, FaultSpec};
 use csi_core::oracle::Observation;
 use csi_core::report::{CorpusRow, DiscoveryRow, ExplorationStats};
@@ -108,6 +115,11 @@ struct Explorer {
     discovered: BTreeMap<&'static str, DiscoveryRow>,
     faults: Vec<FaultSpec>,
     fault_rotor: usize,
+    /// The online detector, when the spec sets `detect`: it judges every
+    /// fault-overlay trial against its fault-free twin.
+    detector: Option<DetectorSpec>,
+    /// The detections of the overlay trials, in trial order.
+    detections: DetectionTally,
 }
 
 /// The `ty:` coverage tag of a declared type: its kind, without width,
@@ -136,9 +148,10 @@ fn type_tag(ty: &DataType) -> &'static str {
 }
 
 impl Explorer {
-    /// An explorer over `spec`'s experiments, formats and seed,
-    /// seeded with `inputs`, the resolved `spec.inputs`.
-    fn new(spec: &CampaignSpec, inputs: &[TestInput]) -> Explorer {
+    /// An explorer over `spec`'s experiments, formats, seed and detector,
+    /// seeded with `inputs`, the resolved `spec.inputs`; its detections go
+    /// to `tap`.
+    fn new(spec: &CampaignSpec, inputs: &[TestInput], tap: Option<DetectionTap>) -> Explorer {
         let combos: Vec<_> = plan::cells(&spec.experiments, &spec.formats).collect();
         let first_mutant_id = inputs.iter().map(|i| i.id + 1).max().unwrap_or(0);
         let corpus_floor = spec.inputs.corpus_floor().unwrap_or(first_mutant_id);
@@ -179,6 +192,11 @@ impl Explorer {
             discovered: BTreeMap::new(),
             faults: inject::deployment_faults(spec.seed),
             fault_rotor: 0,
+            detector: spec.detect.then(|| DetectorSpec {
+                config: spec.detector_config,
+                tap,
+            }),
+            detections: DetectionTally::default(),
         }
     }
 
@@ -212,15 +230,32 @@ impl Explorer {
         }
     }
 
-    /// Runs `trial` on the worker's `deployment` (built on first use),
-    /// with its fault, if any, armed for this run only.
-    fn run_trial(&self, trial: Trial, deployment: &mut Option<Deployment>) -> Observation {
+    /// Runs `trial` on the worker's `deployment` (built on first use, with
+    /// `spark_overrides`), with its fault, if any, armed for this run only.
+    /// Under the detector, an overlay trial runs its fault-free twin first,
+    /// on the same deployment, and is judged against it; a fault-free
+    /// trial is its own twin, against which nothing can fire.
+    fn run_trial(
+        &self,
+        trial: Trial,
+        deployment: &mut Option<Deployment>,
+        spark_overrides: &[(String, String)],
+    ) -> Observation {
         let (_, exp, plan, fmt) = self.combos[trial.combo];
         let faults = trial
             .fault
             .map_or(&[][..], |f| std::slice::from_ref(&self.faults[f]));
-        let d = deployment.get_or_insert_with(|| Deployment::new(CrossingContext::new()));
-        exec::run_one(d, exp, plan, fmt, &self.pool[trial.input_idx], faults)
+        let d = deployment
+            .get_or_insert_with(|| Deployment::new(CrossingContext::new(), spark_overrides));
+        let input = &self.pool[trial.input_idx];
+        let detector = self.detector.as_ref().filter(|_| !faults.is_empty());
+        let twin = detector.map(|_| exec::run_one(d, exp, plan, fmt, input, &[]).trace);
+        let mut obs = exec::run_one(d, exp, plan, fmt, input, faults);
+        if let (Some(detector), Some(twin)) = (detector, twin) {
+            let scenario = scenario_key(&obs.plan, &obs.format, Some(input.id));
+            obs.detections = detector.detect(&scenario, &obs.trace, &twin, obs.surfaced());
+        }
+        obs
     }
 
     /// Absorbs one observation, in trial order: coverage, corpus
@@ -239,8 +274,14 @@ impl Explorer {
         });
         if let Some(fault) = trial.fault {
             self.faulted += 1;
-            let fired = faulted(&obs.trace.crossings).map(|(_, fault)| fault);
-            let bucket = classify_fault_outcome(fired, obs.surfaced());
+            let fired: Vec<_> = faulted(&obs.trace.crossings)
+                .map(|(_, fault)| fault.clone())
+                .collect();
+            if self.detector.is_some() {
+                self.detections
+                    .record(&obs.detections, &fired, obs.surfaced());
+            }
+            let bucket = classify_fault_outcome(&fired, obs.surfaced());
             let channel = self.faults[fault].channel;
             sig.tag(format_args!("fault:{channel}:{bucket}"));
             // Fault observations feed coverage only; they stay out of the
@@ -346,9 +387,13 @@ impl Explorer {
 /// selection's synthesized region
 /// ([`InputSelection::corpus_floor`](crate::InputSelection::corpus_floor))
 /// is scheduled first and attributed to the `corpus` origin.
-pub(crate) fn run_explore(spec: &CampaignSpec, inputs: &[TestInput]) -> CampaignOutcome {
+pub(crate) fn run_explore(
+    spec: &CampaignSpec,
+    inputs: &[TestInput],
+    tap: Option<DetectionTap>,
+) -> CampaignOutcome {
     let budget = spec.explore_budget.expect("explore mode");
-    let mut ex = Explorer::new(spec, inputs);
+    let mut ex = Explorer::new(spec, inputs, tap);
     // Each worker keeps one deployment for the whole exploration.
     let mut deployments: Vec<Option<Deployment>> = worker_states(spec.shards);
     while ex.executed < budget {
@@ -361,15 +406,22 @@ pub(crate) fn run_explore(spec: &CampaignSpec, inputs: &[TestInput]) -> Campaign
         }
         // Observations come back in trial order.
         let observations = run_ordered(&mut deployments, batch.len(), |deployment, i| {
-            ex.run_trial(batch[i], deployment)
+            ex.run_trial(batch[i], deployment, &spec.spark_overrides)
         });
         for (&trial, obs) in batch.iter().zip(observations) {
             ex.absorb(trial, obs);
         }
         ex.update_discoveries();
     }
-    let outcome = ex.judge.finish(&ex.pool, false);
-    let (shrinks, reproducers) = shrink::shrink_report(&outcome, &ex.pool);
+    let mut outcome = ex.judge.finish(&ex.pool, false);
+    if ex.detector.is_some() {
+        let report = &mut outcome.report;
+        report.detector_enabled = true;
+        report.detection_kinds = ex.detections.kinds;
+        report.detection_totals = ex.detections.totals;
+        report.detector_agreement = ex.detections.agreement;
+    }
+    let (shrinks, reproducers) = shrink::shrink_report(&outcome, &ex.pool, &spec.spark_overrides);
     let mut discoveries: Vec<DiscoveryRow> = ex.discovered.into_values().collect();
     discoveries.sort_by(|a, b| a.executed.cmp(&b.executed).then_with(|| a.id.cmp(&b.id)));
     let stats = ExplorationStats {
@@ -440,14 +492,14 @@ mod tests {
 
     /// `spec`'s exploration over its own resolved inputs.
     fn explore(spec: &CampaignSpec) -> CampaignOutcome {
-        run_explore(spec, &spec.inputs.resolve())
+        run_explore(spec, &spec.inputs.resolve(), None)
     }
 
     #[test]
     fn grid_cursor_visits_every_cell_exactly_once() {
         let inputs = generate_inputs();
         let spec = explore_spec(&inputs[..5], StorageFormat::ALL.as_ref(), 7, 1);
-        let mut ex = Explorer::new(&spec, &inputs[..5]);
+        let mut ex = Explorer::new(&spec, &inputs[..5], None);
         let cells = ex.seed_count * ex.combos.len();
         let mut seen = BTreeSet::new();
         for t in ex.grid.by_ref() {
@@ -473,7 +525,7 @@ mod tests {
             })
             .collect();
         let spec = explore_spec(&inputs, &[StorageFormat::Orc], 7, 1);
-        let mut ex = Explorer::new(&spec, &inputs);
+        let mut ex = Explorer::new(&spec, &inputs, None);
         let mut deployment = None;
         for input_idx in 0..inputs.len() {
             let trial = Trial {
@@ -481,7 +533,7 @@ mod tests {
                 combo: 0,
                 fault: None,
             };
-            let obs = ex.run_trial(trial, &mut deployment);
+            let obs = ex.run_trial(trial, &mut deployment, &[]);
             ex.absorb(trial, obs);
         }
         assert_eq!(ex.map.distinct(), 2, "reported coverage tells them apart");

@@ -14,11 +14,11 @@
 //! swallowed, mistranslated, propagated-with-context, or crash.
 //!
 //! A cell's body arms its fault for its one run. Probe cells run on their
-//! worker's one deployment, which every observation leaves as it found
-//! it; Kafka, YARN and HBase cells build their broker, RM or client and a
-//! fresh crossing context per run. Cells are hermetic either way, so
-//! [`crate::Campaign::shards`] reproduces the one-worker report
-//! byte-for-byte at any worker count.
+//! worker's one deployment, in the spec's Spark configuration, which
+//! every observation leaves as it found it; Kafka, YARN and HBase cells
+//! build their broker, RM or client and a fresh crossing context per run.
+//! Cells are hermetic either way, so [`crate::Campaign::shards`]
+//! reproduces the one-worker report byte-for-byte at any worker count.
 
 use crate::campaign::{crack, is_finding, CampaignOutcome, Evidence, Finding};
 use crate::exec::{run_one, Deployment};
@@ -380,17 +380,20 @@ where
     })
 }
 
-/// A probe cell, run on the worker's `deployment` (built on first use).
+/// A probe cell, run on the worker's `deployment` (built on first use,
+/// with `spark_overrides`).
 fn run_probe_cell(
     fault: &FaultSpec,
     experiment: Experiment,
     plan: TestPlan,
     format: StorageFormat,
     deployment: &mut Option<Deployment>,
+    spark_overrides: &[(String, String)],
     detector: Option<&DetectorSpec>,
 ) -> FaultCase {
     let scenario = scenario_key(&experiment.plan_label(plan), format.name(), None);
-    let d = deployment.get_or_insert_with(|| Deployment::new(CrossingContext::new()));
+    let d =
+        deployment.get_or_insert_with(|| Deployment::new(CrossingContext::new(), spark_overrides));
     run_cell_body(fault, scenario, detector, |faults| {
         let obs = run_one(d, experiment, plan, format, &probe_input(), faults);
         let detail = match (&obs.write.result, obs.read.as_ref().map(|r| &r.result)) {
@@ -533,10 +536,12 @@ fn run_hbase_cell(
     })
 }
 
-/// Runs `cell`; a probe cell runs on the worker's `deployment`.
+/// Runs `cell`; a probe cell runs on the worker's `deployment`, which
+/// carries `spark_overrides`.
 fn run_cell(
     cell: &Cell,
     deployment: &mut Option<Deployment>,
+    spark_overrides: &[(String, String)],
     detector: Option<&DetectorSpec>,
 ) -> FaultCase {
     match cell {
@@ -545,7 +550,15 @@ fn run_cell(
             experiment,
             plan,
             format,
-        } => run_probe_cell(fault, *experiment, *plan, *format, deployment, detector),
+        } => run_probe_cell(
+            fault,
+            *experiment,
+            *plan,
+            *format,
+            deployment,
+            spark_overrides,
+            detector,
+        ),
         Cell::KafkaDirect { fault } => run_kafka_direct_cell(fault, detector),
         Cell::KafkaConnector { fault } => run_kafka_connector_cell(fault, detector),
         Cell::YarnDriver { fault } => run_yarn_driver_cell(fault, detector),
@@ -577,7 +590,7 @@ pub(crate) fn run_fault_matrix(spec: &CampaignSpec, tap: Option<DetectionTap>) -
     // Each worker runs every probe cell it claims on its one deployment.
     let mut deployments: Vec<Option<Deployment>> = worker_states(spec.shards);
     let cases = run_ordered(&mut deployments, cells.len(), |d, i| {
-        run_cell(&cells[i], d, detector.as_ref())
+        run_cell(&cells[i], d, &spec.spark_overrides, detector.as_ref())
     });
     let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
     let mut tally = DetectionTally::default();
@@ -767,7 +780,7 @@ mod tests {
                 .or_default()
                 .push(obs);
         }
-        let d = Deployment::new(CrossingContext::new());
+        let d = crate::exec::test_stack();
         let probes: Vec<Observation> =
             enumerate_cells(&CampaignSpec::default(), &fault_catalogue(42))
                 .into_iter()

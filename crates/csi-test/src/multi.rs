@@ -209,18 +209,29 @@ fn run_turn(d: &Deployment, spec: &JobSpec, run: &mut JobRun, turn: usize) {
     run.spans.push((n0, d.crossing.trace_len()));
 }
 
-/// Executes one compound trial: `jobs` share a single deployment, `set` is
-/// armed on the shared crossing context, and the turns of `schedule` run
-/// in schedule order. Hermetic and deterministic: a fresh deployment per
-/// call, no wall clock, no randomness.
+/// Executes one compound trial in the default Spark configuration: `jobs`
+/// share a single deployment, `set` is armed on the shared crossing
+/// context, and the turns of `schedule` run in schedule order. Hermetic
+/// and deterministic: a fresh deployment per call, no wall clock, no
+/// randomness. [`run_compound`] runs its trials the same way, in the
+/// spec's configuration.
 pub fn run_compound_trial(
     jobs: &[JobSpec],
     set: &FaultSet,
     schedule: &InterleaveSchedule,
 ) -> CompoundTrialReport {
-    let ctx = CrossingContext::new();
-    ctx.rearm(&set.faults);
-    let d = Deployment::new(ctx);
+    compound_trial(jobs, set, schedule, &[])
+}
+
+/// [`run_compound_trial`] on a stack built with `spark_overrides`.
+fn compound_trial(
+    jobs: &[JobSpec],
+    set: &FaultSet,
+    schedule: &InterleaveSchedule,
+    spark_overrides: &[(String, String)],
+) -> CompoundTrialReport {
+    let d = Deployment::new(CrossingContext::new(), spark_overrides);
+    d.crossing.rearm(&set.faults);
     let mut runs: Vec<JobRun> = jobs
         .iter()
         .enumerate()
@@ -303,13 +314,10 @@ pub fn default_jobs(n: usize) -> Vec<JobSpec> {
 /// interleaving reproducer. Fills `outcome`'s `compound` stats and
 /// `clusters`, and appends one finding per cluster, in cluster order.
 ///
-/// Reads `spec.seed` (catalogue, combination and interleaving draws),
-/// `spec.kfaults` (the set arity, at least 1), `spec.jobs` (the
-/// [`default_jobs`] roster sharing each trial's deployment), `spec.shards`
-/// (byte-identical at any worker count) and `spec.explore_budget` (the
+/// Which spec fields the pass reads is its column of
+/// [`FIELD_MODES`](crate::spec::FIELD_MODES). `spec.explore_budget` is the
 /// trial budget, 96 trials without it; the shrink pass runs outside it and
-/// is accounted in [`CompoundStats::shrink_checks`]). A validated spec is
-/// in range on every one.
+/// is accounted in [`CompoundStats::shrink_checks`].
 pub fn run_compound(spec: &CampaignSpec, outcome: &mut CampaignOutcome) {
     let jobs = default_jobs(spec.jobs);
     let budget = spec.explore_budget.unwrap_or(DEFAULT_BUDGET);
@@ -346,7 +354,7 @@ pub fn run_compound(spec: &CampaignSpec, outcome: &mut CampaignOutcome) {
         }
         let reports = run_ordered(&mut workers, batch.len(), |(), i| {
             let (si, hi) = batch[i];
-            run_compound_trial(&jobs, &sets[si], &schedules[hi])
+            compound_trial(&jobs, &sets[si], &schedules[hi], &spec.spark_overrides)
         });
         for (&(si, hi), report) in batch.iter().zip(reports) {
             executed += 1;
@@ -383,7 +391,7 @@ pub fn run_compound(spec: &CampaignSpec, outcome: &mut CampaignOutcome) {
         let mut reproduces =
             |set: &FaultSet, sched: &InterleaveSchedule| -> Option<CompoundDiscrepancy> {
                 shrink_checks += 1;
-                run_compound_trial(&jobs, set, sched)
+                compound_trial(&jobs, set, sched, &spec.spark_overrides)
                     .discrepancies
                     .into_iter()
                     .find(|d| d.fingerprint == fp)

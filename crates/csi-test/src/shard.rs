@@ -23,7 +23,7 @@
 //!   the crossing context and drains the sink before it starts, and
 //!   disarms and drops its table when it ends, so what a stack ran before
 //!   never reaches the next observation. A detecting worker runs each
-//!   observation's fault-free twin on the same stack.
+//!   faulted observation's fault-free twin on the same stack.
 //! - **Deterministic merge** — workers only *record* observations. The
 //!   merger walks the shards in canonical (experiment, plan, format,
 //!   input-id) order and hands each observation to the one
@@ -40,6 +40,7 @@ use crate::exec::{run_one, Deployment};
 use crate::generator::TestInput;
 use crate::plan::{cells, scenario_key, Experiment, TestPlan};
 use crate::spec::CampaignSpec;
+use csi_core::boundary::CrossingContext;
 use csi_core::detect::{DetectionTap, DetectorSpec};
 use csi_core::oracle::Observation;
 use minihive::metastore::StorageFormat;
@@ -162,8 +163,8 @@ pub struct CampaignMetrics {
     pub shards: usize,
     /// Total observations recorded.
     pub observations: usize,
-    /// Wall time of the execute phase, in microseconds; a detecting
-    /// grid's fault-free twin runs are part of it.
+    /// Wall time of the execute phase, in microseconds; a detecting,
+    /// faulted grid's fault-free twin runs are part of it.
     pub execute_micros: u64,
     /// Wall time of the merge phase (oracles + classification) — the
     /// campaign's oracle overhead, in microseconds.
@@ -228,7 +229,8 @@ struct GridWorker {
 /// twin: the same (experiment, plan, format, input) run just before it on
 /// the same deployment with nothing armed. Every detection goes to `tap`.
 /// A twin is hermetic like any observation, so which worker ran it cannot
-/// change its trace.
+/// change its trace; with no faults the observation is that twin, and is
+/// judged against its own trace instead of running twice.
 pub(crate) fn run_cross_test(
     spec: &CampaignSpec,
     inputs: &[TestInput],
@@ -248,7 +250,7 @@ pub(crate) fn run_cross_test(
         let shard_started = Instant::now();
         let d = worker
             .deployment
-            .get_or_insert_with(|| Deployment::configured(&spec.spark_overrides));
+            .get_or_insert_with(|| Deployment::new(CrossingContext::new(), &spec.spark_overrides));
         let run =
             |input, faults| run_one(d, shard.experiment, shard.plan, shard.format, input, faults);
         let batch: Vec<Observation> = inputs[shard.lo..shard.hi]
@@ -256,11 +258,13 @@ pub(crate) fn run_cross_test(
             .map(|input| match &detector {
                 None => run(input, faults),
                 Some(detector) => {
-                    let baseline = run(input, &[]).trace;
+                    // With nothing armed, the observation is its own twin.
+                    let twin = (!faults.is_empty()).then(|| run(input, &[]).trace);
                     let mut obs = run(input, faults);
                     let scenario = scenario_key(&obs.plan, &obs.format, Some(input.id));
+                    let baseline = twin.as_ref().unwrap_or(&obs.trace);
                     obs.detections =
-                        detector.detect(&scenario, &obs.trace, &baseline, obs.surfaced());
+                        detector.detect(&scenario, &obs.trace, baseline, obs.surfaced());
                     obs
                 }
             })

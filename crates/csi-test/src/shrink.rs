@@ -28,7 +28,8 @@ const MAX_STEPS: usize = 16;
 const MAX_CHECKS: usize = 80;
 
 /// A minimized, self-contained reproducer: one input, one experiment, the
-/// surviving plan set, one format — a 1-row/1-column table per plan.
+/// surviving plan set, one format — a 1-row/1-column table per plan —
+/// and the Spark configuration it was shrunk under.
 #[derive(Debug, Clone)]
 pub struct Reproducer {
     /// The (possibly value-shrunk) input.
@@ -39,6 +40,10 @@ pub struct Reproducer {
     pub plans: Vec<TestPlan>,
     /// The storage format.
     pub format: StorageFormat,
+    /// The campaign's
+    /// [`spark_overrides`](crate::spec::CampaignSpec::spark_overrides),
+    /// set on the session of every stack the reproducer runs on.
+    pub spark_overrides: Vec<(String, String)>,
 }
 
 /// A reproducer paired with the discrepancy id it preserves.
@@ -50,11 +55,12 @@ pub struct ShrunkReproducer {
     pub reproducer: Reproducer,
 }
 
-/// Executes a reproducer on a fresh deployment and reports whether the
-/// classified result still contains discrepancy `id`. This is the
-/// shrinker's oracle, public so tests can re-verify shipped reproducers.
+/// Executes a reproducer on a fresh deployment in its own configuration
+/// and reports whether the classified result still contains discrepancy
+/// `id`. This is the shrinker's oracle, public so tests can re-verify
+/// shipped reproducers.
 pub fn reproducer_triggers(id: &str, r: &Reproducer) -> bool {
-    let d = Deployment::new(CrossingContext::new());
+    let d = Deployment::new(CrossingContext::new(), &r.spark_overrides);
     let mut judge = Classifier::new(&[r.experiment]);
     for &plan in &r.plans {
         let obs = exec::run_one(&d, r.experiment, plan, r.format, &r.input, &[]);
@@ -212,11 +218,13 @@ impl Shrinker {
 }
 
 /// Shrinks every discrepancy of `outcome` to a minimal reproducer, from its
-/// finding's first observation. Returns the render rows and the
-/// reproducers themselves (for re-verification).
+/// finding's first observation, under the `spark_overrides` the outcome
+/// ran with. Returns the render rows and the reproducers themselves (for
+/// re-verification).
 pub(crate) fn shrink_report(
     outcome: &CampaignOutcome,
     pool: &[TestInput],
+    spark_overrides: &[(String, String)],
 ) -> (Vec<ShrinkRow>, Vec<ShrunkReproducer>) {
     let mut rows = Vec::new();
     let mut reproducers = Vec::new();
@@ -248,6 +256,7 @@ pub(crate) fn shrink_report(
                 experiment,
                 plans: experiment.plans(),
                 format,
+                spark_overrides: spark_overrides.to_vec(),
             };
             if shrinker.triggers(&candidate) {
                 current = Some(candidate);
@@ -418,6 +427,7 @@ mod tests {
             experiment,
             plans: experiment.plans(),
             format: StorageFormat::Avro,
+            spark_overrides: Vec::new(),
         };
         assert!(reproducer_triggers("D01", &r));
         assert!(!reproducer_triggers("D08", &r));

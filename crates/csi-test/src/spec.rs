@@ -14,6 +14,13 @@
 //! [`CampaignSpec::validate`] replaces the builder-era panics with typed
 //! [`SpecError`]s — a wire request with a bad shard count or `k > 3` is
 //! rejected with a reason, not a worker crash.
+//!
+//! Which mode reads which field is one table, [`FIELD_MODES`]: a row per
+//! field, a column per [`Mode`], and in each cell whether the mode reads
+//! the field, ignores it harmlessly, or rejects a non-default value.
+//! `validate` enforces it, so a spec that sets a field no mode it runs
+//! reads is refused with [`SpecError::UnreadField`] instead of running
+//! something other than what it says.
 
 use crate::corpus::{self, CorpusShape};
 use crate::generator::{self, TestInput};
@@ -142,9 +149,15 @@ pub enum SpecError {
         /// The maximum accepted.
         max: usize,
     },
-    /// Both `explore_budget` and `matrix_seed` are set: each selects the
-    /// campaign's main mode, and a campaign runs one.
-    TwoMainModes,
+    /// `field` differs from its default, and no mode the spec runs reads
+    /// it: `mode` marks it [`FieldUse::Rejected`] in [`FIELD_MODES`] (and
+    /// every other mode the spec runs ignores it too).
+    UnreadField {
+        /// The field, as named in [`CampaignSpec`].
+        field: String,
+        /// The first mode the spec runs that rejects it.
+        mode: Mode,
+    },
     /// The corpus shape of an [`InputSelection::Corpus`] cannot
     /// synthesize a table (see [`CorpusShape::validate`]).
     BadCorpusShape {
@@ -193,10 +206,15 @@ impl fmt::Display for SpecError {
             SpecError::TooManyJobs { jobs, max } => {
                 write!(f, "job count {jobs} exceeds the maximum of {max}")
             }
-            SpecError::TwoMainModes => write!(
-                f,
-                "explore_budget and matrix_seed each select the main mode; set at most one"
-            ),
+            SpecError::UnreadField { field, mode } => {
+                let row = FIELD_MODES.iter().find(|row| row.field == field);
+                let reason = match row.map(|row| row.uses[*mode as usize]) {
+                    Some(FieldUse::Inert(reason) | FieldUse::Rejected(reason)) => reason,
+                    Some(FieldUse::WhenDetecting) => NOT_DETECTING,
+                    _ => "",
+                };
+                write!(f, "{field} is not read by {mode} mode: {reason}")
+            }
             SpecError::BadCorpusShape { reason } => {
                 write!(f, "corpus shape cannot synthesize: {reason}")
             }
@@ -215,56 +233,232 @@ impl std::error::Error for SpecError {}
 ///
 /// Field semantics are exactly those of the corresponding
 /// [`Campaign`](crate::Campaign) builder methods; the builder is now a
-/// thin mutation layer over this struct. The runtime-only detection tap
+/// thin mutation layer over this struct. Which mode reads which field is
+/// [`FIELD_MODES`], and [`validate`](CampaignSpec::validate) holds a spec
+/// to it. The runtime-only detection tap
 /// deliberately lives on the builder, not here: a spec describes *what*
 /// to run, never *where its output goes*, so serializing and re-running a
 /// spec is always byte-deterministic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSpec {
-    /// Inputs to run. Read by the grid and explore mode; the matrix, the
-    /// compound pass and bulk bring their own.
+    /// Inputs to run.
     pub inputs: InputSelection,
-    /// Experiments to run. Read by the grid, the matrix's probe cells and
-    /// explore mode; the compound pass keeps its own job roster.
+    /// Experiments to run.
     pub experiments: Vec<Experiment>,
-    /// Storage formats to exercise. Read by the grid, the matrix's probe
-    /// cells, explore mode and bulk.
+    /// Storage formats to exercise.
     pub formats: Vec<StorageFormat>,
-    /// Spark configuration overrides, set on the session of every grid
-    /// deployment. No other mode reads them.
+    /// Spark configuration overrides, set on the session of every
+    /// deployment the campaign builds.
     pub spark_overrides: Vec<(String, String)>,
-    /// Worker count; `0` or `1` runs serially. Read by every mode but
-    /// bulk.
+    /// Worker count; `0` or `1` runs serially.
     pub shards: usize,
-    /// Maximum inputs per shard. Read by the grid only.
+    /// Maximum inputs per grid shard.
     pub chunk_size: usize,
     /// Fault plan armed for every grid observation (never for its
-    /// fault-free twin), or the cell catalogue of the matrix. Explore mode and the compound pass draw from
-    /// [`fault_catalogue`](crate::inject::fault_catalogue) instead.
+    /// fault-free twin), or the cell catalogue of the matrix.
     pub faults: Option<FaultPlan>,
     /// `Some(seed)` switches the campaign to fault-matrix mode, whose
     /// standard catalogue is derived from it.
     pub matrix_seed: Option<u64>,
-    /// Run the online CSI failure detector. Read by the grid and the
-    /// matrix.
+    /// Run the online CSI failure detector.
     pub detect: bool,
-    /// Detector thresholds. Read by the grid and the matrix.
+    /// Detector thresholds.
     pub detector_config: DetectorConfig,
     /// Seed of explore mode's schedule, mutants and fault overlay, of the
     /// compound pass's catalogue, fault sets and interleavings, and of
-    /// bulk's generated table. The grid and the matrix do not read it.
+    /// bulk's generated table.
     pub seed: u64,
     /// `Some(budget)` switches the campaign to coverage-guided explore
     /// mode, and is also the compound pass's trial budget (96 without
-    /// it). `Some(0)` is rejected by [`validate`](CampaignSpec::validate),
-    /// and so is a spec that also sets `matrix_seed`.
+    /// it). `Some(0)` is rejected by [`validate`](CampaignSpec::validate).
     pub explore_budget: Option<usize>,
     /// Arity of the compound fault-set pass; `0` disables it.
     pub kfaults: usize,
-    /// Jobs sharing each compound trial's deployment. Read by the
-    /// compound pass only.
+    /// Jobs sharing each compound trial's deployment.
     pub jobs: usize,
 }
+
+/// A way a campaign runs: one column of [`FIELD_MODES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Mode {
+    /// The cross-test grid: the main mode when neither `matrix_seed` nor
+    /// `explore_budget` is set.
+    Grid,
+    /// The fault matrix: the main mode when `matrix_seed` is set.
+    Matrix,
+    /// Coverage-guided exploration: the main mode when `explore_budget`
+    /// is set.
+    Explore,
+    /// The compound pass, run after the main mode when `kfaults > 0`.
+    Compound,
+    /// The columnar campaign of [`Campaign::run_bulk`](crate::Campaign::run_bulk),
+    /// which runs alone.
+    Bulk,
+}
+
+impl fmt::Display for Mode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Mode::Grid => "grid",
+            Mode::Matrix => "matrix",
+            Mode::Explore => "explore",
+            Mode::Compound => "compound",
+            Mode::Bulk => "bulk",
+        })
+    }
+}
+
+/// What one mode does with one spec field: a cell of [`FIELD_MODES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldUse {
+    /// The mode reads the field: another value changes its outcome.
+    Reads,
+    /// The mode ignores the field, for the reason given, and accepts any
+    /// value: its outcome is byte-identical whatever the field holds.
+    Inert(&'static str),
+    /// The mode ignores the field, for the reason given, and a
+    /// non-default value is refused unless another mode the spec runs
+    /// reads it.
+    Rejected(&'static str),
+    /// The mode reads the field when the spec sets `detect`, and rejects
+    /// it otherwise: the detector does not run.
+    WhenDetecting,
+}
+
+/// One field's row of [`FIELD_MODES`].
+#[derive(Debug, Clone, Copy)]
+pub struct FieldRow {
+    /// The field, as named in [`CampaignSpec`].
+    pub field: &'static str,
+    /// What each mode does with it, in [`Mode`]'s declaration order.
+    pub uses: [FieldUse; 5],
+    /// Whether the field of the first spec differs from the second's.
+    differs: fn(&CampaignSpec, &CampaignSpec) -> bool,
+}
+
+impl FieldRow {
+    /// What `mode` does with this field of `spec`: the row's cell, with
+    /// [`FieldUse::WhenDetecting`] settled by `spec.detect`.
+    pub(crate) fn use_in(&self, mode: Mode, spec: &CampaignSpec) -> FieldUse {
+        match self.uses[mode as usize] {
+            FieldUse::WhenDetecting if spec.detect => FieldUse::Reads,
+            FieldUse::WhenDetecting => FieldUse::Rejected(NOT_DETECTING),
+            cell => cell,
+        }
+    }
+}
+
+// The reasons of the inert and rejected cells.
+const SPLITS: &str = "it splits the work, never what the work finds";
+const OWN_ROSTER: &str = "the pass runs its own job roster";
+const PROBE_INPUT: &str = "the matrix runs its one probe input";
+const OWN_TABLE: &str = "bulk writes its own generated table";
+const OWN_PAIRS: &str = "bulk runs its own interface pairs";
+const ONE_THREAD: &str = "bulk runs on the calling thread";
+const ALONE: &str = "run_bulk runs bulk alone";
+const OWN_OVERLAY: &str = "explore draws its fault overlay from fault_catalogue(seed)";
+const OWN_SETS: &str = "the pass draws its fault sets from fault_catalogue(seed)";
+const ARMS_NOTHING: &str = "bulk arms no fault";
+const NO_DETECT: &str = "this mode judges no run against a twin";
+const NOT_DETECTING: &str = "the detector runs only when detect is set";
+const DRAWS_NOTHING: &str = "the grid draws nothing";
+const MATRIX_SEED: &str = "the matrix's catalogue is seeded by matrix_seed";
+const ONE_MAIN: &str = "a campaign runs one main mode";
+const OTHER_MAIN: &str = "it selects another main mode";
+const PICKS_MAIN: &str = "it selects the main mode the pass runs after";
+const ADDS_PASS: &str = "it adds the compound pass after this mode";
+const NO_JOBS: &str = "only the compound pass runs jobs";
+
+/// Which mode reads which [`CampaignSpec`] field: a row per field, a
+/// column per [`Mode`] (grid, matrix, explore, compound, bulk).
+///
+/// The modes a spec runs are its main mode, plus the compound pass when
+/// `kfaults > 0` ([`CampaignSpec::validate`]), or bulk alone
+/// ([`Campaign::run_bulk`](crate::Campaign::run_bulk)). A spec is refused
+/// with [`SpecError::UnreadField`] when a field differs from its default,
+/// no mode it runs [`Reads`](FieldUse::Reads) it, and one of them marks
+/// it [`Rejected`](FieldUse::Rejected) (a
+/// [`WhenDetecting`](FieldUse::WhenDetecting) cell reads the field when
+/// `detect` is set and rejects it otherwise). A cell is
+/// [`Inert`](FieldUse::Inert) rather than rejected when the field is
+/// output-neutral, when it selects a mode, or when callers set it for a
+/// mode running beside this one; each cell says why.
+pub const FIELD_MODES: [FieldRow; 14] = {
+    use FieldUse::{Inert as I, Reads as R, Rejected as X, WhenDetecting as D};
+    // Columns: grid, matrix, explore, compound, bulk.
+    [
+        FieldRow {
+            field: "inputs",
+            uses: [R, I(PROBE_INPUT), R, I(OWN_ROSTER), I(OWN_TABLE)],
+            differs: |a, b| a.inputs != b.inputs,
+        },
+        FieldRow {
+            field: "experiments",
+            uses: [R, R, R, I(OWN_ROSTER), X(OWN_PAIRS)],
+            differs: |a, b| a.experiments != b.experiments,
+        },
+        FieldRow {
+            field: "formats",
+            uses: [R, R, R, I(OWN_ROSTER), R],
+            differs: |a, b| a.formats != b.formats,
+        },
+        FieldRow {
+            field: "spark_overrides",
+            uses: [R, R, R, R, R],
+            differs: |a, b| a.spark_overrides != b.spark_overrides,
+        },
+        FieldRow {
+            field: "shards",
+            uses: [I(SPLITS), I(SPLITS), I(SPLITS), I(SPLITS), I(ONE_THREAD)],
+            differs: |a, b| a.shards != b.shards,
+        },
+        FieldRow {
+            field: "chunk_size",
+            uses: [I(SPLITS); 5],
+            differs: |a, b| a.chunk_size != b.chunk_size,
+        },
+        FieldRow {
+            field: "faults",
+            uses: [R, R, X(OWN_OVERLAY), X(OWN_SETS), X(ARMS_NOTHING)],
+            differs: |a, b| a.faults != b.faults,
+        },
+        FieldRow {
+            field: "matrix_seed",
+            uses: [I(OTHER_MAIN), R, X(ONE_MAIN), I(PICKS_MAIN), X(ALONE)],
+            differs: |a, b| a.matrix_seed != b.matrix_seed,
+        },
+        FieldRow {
+            field: "detect",
+            uses: [R, R, R, X(NO_DETECT), X(NO_DETECT)],
+            differs: |a, b| a.detect != b.detect,
+        },
+        FieldRow {
+            field: "detector_config",
+            uses: [D, D, D, X(NO_DETECT), X(NO_DETECT)],
+            differs: |a, b| a.detector_config != b.detector_config,
+        },
+        FieldRow {
+            field: "seed",
+            uses: [I(DRAWS_NOTHING), I(MATRIX_SEED), R, R, R],
+            differs: |a, b| a.seed != b.seed,
+        },
+        FieldRow {
+            field: "explore_budget",
+            uses: [I(OTHER_MAIN), X(ONE_MAIN), R, R, X(ALONE)],
+            differs: |a, b| a.explore_budget != b.explore_budget,
+        },
+        FieldRow {
+            field: "kfaults",
+            uses: [I(ADDS_PASS), I(ADDS_PASS), I(ADDS_PASS), R, X(ALONE)],
+            differs: |a, b| a.kfaults != b.kfaults,
+        },
+        FieldRow {
+            field: "jobs",
+            uses: [X(NO_JOBS), X(NO_JOBS), X(NO_JOBS), R, X(NO_JOBS)],
+            differs: |a, b| a.jobs != b.jobs,
+        },
+    ]
+};
 
 impl Default for CampaignSpec {
     /// The default campaign over the full catalogue: every experiment and
@@ -291,8 +485,27 @@ impl Default for CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Checks every typed-rejection rule, returning the first violation.
+    /// The main mode: explore when `explore_budget` is set, else the
+    /// matrix when `matrix_seed` is, else the grid.
+    pub(crate) fn main_mode(&self) -> Mode {
+        match (self.explore_budget, self.matrix_seed) {
+            (Some(_), _) => Mode::Explore,
+            (None, Some(_)) => Mode::Matrix,
+            (None, None) => Mode::Grid,
+        }
+    }
+
+    /// Checks every typed-rejection rule for a spec that
+    /// [`Campaign::run`](crate::Campaign::run) runs: in its main mode, then
+    /// the compound pass when `kfaults > 0`. Returns the first violation.
     pub fn validate(&self) -> Result<(), SpecError> {
+        let modes = [self.main_mode(), Mode::Compound];
+        self.validate_in(&modes[..1 + usize::from(self.kfaults > 0)])
+    }
+
+    /// Checks every typed-rejection rule for a spec run in `modes`, the
+    /// table's [`FIELD_MODES`] rule last.
+    pub(crate) fn validate_in(&self, modes: &[Mode]) -> Result<(), SpecError> {
         if self.shards > MAX_SHARDS {
             return Err(SpecError::BadShards {
                 shards: self.shards,
@@ -310,9 +523,6 @@ impl CampaignSpec {
         }
         if self.explore_budget == Some(0) {
             return Err(SpecError::ZeroExploreBudget);
-        }
-        if self.explore_budget.is_some() && self.matrix_seed.is_some() {
-            return Err(SpecError::TwoMainModes);
         }
         if self.jobs == 0 {
             return Err(SpecError::NoJobs);
@@ -365,6 +575,25 @@ impl CampaignSpec {
                         ),
                     });
                 }
+            }
+        }
+        let default = CampaignSpec::default();
+        for row in &FIELD_MODES {
+            if !(row.differs)(self, &default) {
+                continue;
+            }
+            let uses = modes.iter().map(|&mode| (mode, row.use_in(mode, self)));
+            if uses.clone().any(|(_, cell)| cell == FieldUse::Reads) {
+                continue;
+            }
+            if let Some((mode, _)) = uses
+                .into_iter()
+                .find(|(_, cell)| matches!(cell, FieldUse::Rejected(_)))
+            {
+                return Err(SpecError::UnreadField {
+                    field: row.field.to_string(),
+                    mode,
+                });
             }
         }
         Ok(())
@@ -498,7 +727,10 @@ mod tests {
                     matrix_seed: Some(5),
                     ..base.clone()
                 },
-                SpecError::TwoMainModes,
+                SpecError::UnreadField {
+                    field: "matrix_seed".into(),
+                    mode: Mode::Explore,
+                },
             ),
             (
                 CampaignSpec {
@@ -651,6 +883,350 @@ mod tests {
             }
             .validate()
             .expect("a permutation of the full lists is valid");
+        }
+    }
+
+    /// A field is refused only when no mode the spec runs reads it: the
+    /// compound pass reads `jobs` and `seed` beside any main mode, the
+    /// grid reads `faults` beside the pass, and `run_bulk` runs bulk alone.
+    #[test]
+    fn a_field_is_refused_only_when_no_mode_the_spec_runs_reads_it() {
+        let unread = |field: &str, mode| {
+            Err(SpecError::UnreadField {
+                field: field.into(),
+                mode,
+            })
+        };
+        let explore = CampaignSpec {
+            explore_budget: Some(64),
+            ..CampaignSpec::default()
+        };
+        let plan = Some(crate::inject::small_fault_catalogue(5));
+        let cases = [
+            (
+                CampaignSpec {
+                    jobs: 3,
+                    ..CampaignSpec::default()
+                },
+                unread("jobs", Mode::Grid),
+            ),
+            (
+                CampaignSpec {
+                    jobs: 3,
+                    kfaults: 2,
+                    ..CampaignSpec::default()
+                },
+                Ok(()),
+            ),
+            (
+                CampaignSpec {
+                    faults: plan.clone(),
+                    ..explore.clone()
+                },
+                unread("faults", Mode::Explore),
+            ),
+            (
+                CampaignSpec {
+                    faults: plan.clone(),
+                    kfaults: 1,
+                    ..CampaignSpec::default()
+                },
+                Ok(()),
+            ),
+            (
+                CampaignSpec {
+                    detect: true,
+                    ..explore.clone()
+                },
+                Ok(()),
+            ),
+            (
+                CampaignSpec {
+                    detect: true,
+                    kfaults: 1,
+                    ..explore.clone()
+                },
+                Ok(()),
+            ),
+            (
+                CampaignSpec {
+                    detector_config: DetectorConfig {
+                        storm_threshold: 1,
+                        co_window_ms: 0,
+                    },
+                    ..CampaignSpec::default()
+                },
+                unread("detector_config", Mode::Grid),
+            ),
+            (
+                CampaignSpec {
+                    seed: 7,
+                    matrix_seed: Some(7),
+                    ..CampaignSpec::default()
+                },
+                Ok(()),
+            ),
+            (
+                CampaignSpec {
+                    inputs: InputSelection::Inline(Vec::new()),
+                    matrix_seed: Some(7),
+                    ..CampaignSpec::default()
+                },
+                Ok(()),
+            ),
+        ];
+        for (spec, expected) in cases {
+            assert_eq!(spec.validate(), expected, "{spec:?}");
+        }
+        let bulk = CampaignSpec {
+            kfaults: 1,
+            ..CampaignSpec::default()
+        };
+        assert_eq!(bulk.validate(), Ok(()));
+        assert_eq!(
+            bulk.validate_in(&[Mode::Bulk]),
+            unread("kfaults", Mode::Bulk)
+        );
+        assert_eq!(
+            unread("kfaults", Mode::Bulk).unwrap_err().to_string(),
+            "kfaults is not read by bulk mode: run_bulk runs bulk alone"
+        );
+        let refused = std::panic::catch_unwind(|| crate::Campaign::new(&[]).jobs(3).run_bulk(16));
+        assert!(refused.is_err(), "run_bulk ran a spec its column refuses");
+    }
+
+    /// [`FIELD_MODES`] has one row per [`CampaignSpec`] field, in
+    /// declaration order. The pattern names every field and has no `..`,
+    /// so a new field stops the build here until it is listed, and the
+    /// assertion then asks for its row.
+    #[test]
+    fn the_table_has_a_row_for_every_spec_field() {
+        let CampaignSpec {
+            inputs: _,
+            experiments: _,
+            formats: _,
+            spark_overrides: _,
+            shards: _,
+            chunk_size: _,
+            faults: _,
+            matrix_seed: _,
+            detect: _,
+            detector_config: _,
+            seed: _,
+            explore_budget: _,
+            kfaults: _,
+            jobs: _,
+        } = CampaignSpec::default();
+        let fields = [
+            "inputs",
+            "experiments",
+            "formats",
+            "spark_overrides",
+            "shards",
+            "chunk_size",
+            "faults",
+            "matrix_seed",
+            "detect",
+            "detector_config",
+            "seed",
+            "explore_budget",
+            "kfaults",
+            "jobs",
+        ];
+        assert_eq!(FIELD_MODES.map(|row| row.field), fields);
+    }
+
+    /// A small spec that runs `mode` and in which every
+    /// [`FieldUse::Reads`] cell of its column shows, when flipped.
+    fn witness(mode: Mode) -> CampaignSpec {
+        let catalogue = generator::catalogue();
+        let base = CampaignSpec {
+            experiments: vec![Experiment::SparkToSpark],
+            formats: vec![StorageFormat::Orc],
+            ..CampaignSpec::default()
+        };
+        match mode {
+            // A valid TINYINT and "abc" into one: the paper's custom
+            // configuration stores the second as NULL instead of failing.
+            // The timeout fault fires on every table creation, so a storm
+            // threshold of 1 shows in the detections.
+            Mode::Grid => CampaignSpec {
+                inputs: InputSelection::Inline(vec![catalogue[3].clone(), catalogue[23].clone()]),
+                detect: true,
+                faults: Some(FaultPlan {
+                    seed: 5,
+                    faults: crate::inject::fault_catalogue(5)
+                        .faults
+                        .into_iter()
+                        .filter(|f| f.id == "ms-timeout-create")
+                        .collect(),
+                }),
+                ..base
+            },
+            Mode::Matrix => CampaignSpec {
+                matrix_seed: Some(5),
+                detect: true,
+                ..base
+            },
+            Mode::Explore => CampaignSpec {
+                inputs: InputSelection::Inline(
+                    [0, 3, 16, 23].map(|i| catalogue[i].clone()).to_vec(),
+                ),
+                formats: vec![StorageFormat::Orc, StorageFormat::Avro],
+                explore_budget: Some(48),
+                detect: true,
+                ..base
+            },
+            Mode::Compound => CampaignSpec {
+                kfaults: 1,
+                explore_budget: Some(8),
+                ..CampaignSpec::default()
+            },
+            Mode::Bulk => CampaignSpec::default(),
+        }
+    }
+
+    /// What `mode` makes of `spec`, as text: its runner, run alone, and
+    /// everything in its outcome but the wall clock.
+    fn outcome_of(mode: Mode, spec: &CampaignSpec) -> String {
+        let outcome = match mode {
+            Mode::Grid => crate::shard::run_cross_test(spec, &spec.inputs.resolve(), None),
+            Mode::Matrix => crate::inject::run_fault_matrix(spec, None),
+            Mode::Explore => crate::explore::run_explore(spec, &spec.inputs.resolve(), None),
+            Mode::Compound => {
+                let mut outcome = crate::CampaignOutcome::default();
+                crate::multi::run_compound(spec, &mut outcome);
+                outcome
+            }
+            Mode::Bulk => return format!("{:?}", crate::bulk::run_bulk(spec, 16)),
+        };
+        format!(
+            "{}{:?}{:?}{:?}",
+            outcome.render(),
+            outcome.observations,
+            outcome.matrix,
+            outcome.findings
+        )
+    }
+
+    /// The paper's custom configuration, and `NEVER_INFER`, which moves
+    /// the matrix's detections.
+    fn flipped_overrides() -> Vec<(String, String)> {
+        let mut overrides = crate::custom_resolving_overrides();
+        overrides.push((
+            minispark::config::CASE_SENSITIVE_INFERENCE.into(),
+            "NEVER_INFER".into(),
+        ));
+        overrides
+    }
+
+    /// Sets `field` of `spec` to a value it does not hold; a field at its
+    /// default always leaves it.
+    fn flip(field: &str, spec: &mut CampaignSpec) {
+        match field {
+            "inputs" => spec.inputs = InputSelection::CataloguePrefix(2),
+            "experiments" => spec.experiments = vec![Experiment::HiveToSpark],
+            "formats" => spec.formats = vec![StorageFormat::Parquet],
+            "spark_overrides" => spec.spark_overrides = flipped_overrides(),
+            "shards" => spec.shards = 3,
+            "chunk_size" => spec.chunk_size = 1,
+            "faults" => {
+                spec.faults = match spec.faults {
+                    Some(_) => None,
+                    None => Some(crate::inject::small_fault_catalogue(7)),
+                }
+            }
+            "matrix_seed" => spec.matrix_seed = Some(spec.matrix_seed.map_or(7, |s| s + 1)),
+            "detect" => spec.detect = !spec.detect,
+            "detector_config" => {
+                spec.detector_config = DetectorConfig {
+                    storm_threshold: 1,
+                    co_window_ms: 0,
+                }
+            }
+            "seed" => spec.seed += 1,
+            "explore_budget" => {
+                spec.explore_budget = Some(spec.explore_budget.map_or(8, |b| b / 2))
+            }
+            "kfaults" => spec.kfaults += 1,
+            "jobs" => spec.jobs += 1,
+            other => panic!("no flip for {other}"),
+        }
+    }
+
+    /// Walks [`FIELD_MODES`]: for each mode, each field flipped on the
+    /// mode's witness changes the outcome where the mode reads it, leaves
+    /// it byte-identical where it is inert, and is refused where the mode
+    /// rejects it; a field read only when detecting is refused once the
+    /// witness stops detecting. Every mode's stacks carry the flipped
+    /// overrides. The
+    /// compound pass's override cell has no witness whose outcome moves:
+    /// its roster writes one INT, which no override touches, nor does one
+    /// touch bulk's clean table. There the carried overrides are the
+    /// check.
+    #[test]
+    fn every_cell_of_the_field_mode_table_holds() {
+        const NO_WITNESS: [(&str, Mode); 2] = [
+            ("spark_overrides", Mode::Compound),
+            ("spark_overrides", Mode::Bulk),
+        ];
+        for mode in [
+            Mode::Grid,
+            Mode::Matrix,
+            Mode::Explore,
+            Mode::Compound,
+            Mode::Bulk,
+        ] {
+            let witness = witness(mode);
+            witness.validate_in(&[mode]).expect("the witness is valid");
+            let before = outcome_of(mode, &witness);
+            for row in &FIELD_MODES {
+                let mut flipped = witness.clone();
+                flip(row.field, &mut flipped);
+                let at = format!("({}, {mode})", row.field);
+                let cell = row.use_in(mode, &flipped);
+                if row.uses[mode as usize] == FieldUse::WhenDetecting {
+                    let quiet = CampaignSpec {
+                        detect: false,
+                        ..flipped.clone()
+                    };
+                    assert_eq!(
+                        quiet.validate_in(&[mode]),
+                        Err(SpecError::UnreadField {
+                            field: row.field.into(),
+                            mode
+                        }),
+                        "{at} without detect"
+                    );
+                }
+                if let FieldUse::Rejected(_) = cell {
+                    assert_eq!(
+                        flipped.validate_in(&[mode]),
+                        Err(SpecError::UnreadField {
+                            field: row.field.into(),
+                            mode
+                        }),
+                        "{at}"
+                    );
+                    continue;
+                }
+                flipped.validate_in(&[mode]).expect(&at);
+                crate::exec::BUILT.with(|built| built.borrow_mut().clear());
+                let after = outcome_of(mode, &flipped);
+                if row.field == "spark_overrides" {
+                    let built = crate::exec::BUILT.with(|built| built.take());
+                    assert!(!built.is_empty(), "{at} built no stack");
+                    assert!(
+                        built.iter().all(|o| *o == flipped.spark_overrides),
+                        "{at} built a stack without the overrides"
+                    );
+                }
+                match cell {
+                    FieldUse::Inert(_) => assert_eq!(after, before, "{at} is inert"),
+                    _ if NO_WITNESS.contains(&(row.field, mode)) => {}
+                    _ => assert_ne!(after, before, "{at} is read"),
+                }
+            }
         }
     }
 }

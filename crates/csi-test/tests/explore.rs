@@ -4,9 +4,15 @@
 //! coverage-guided mode rediscovers every discrepancy class the exhaustive
 //! catalogue reports, in fewer executed observations.
 
+use csi_core::detect::DetectionTap;
 use csi_core::hash::{fnv1a, Fnv1a};
-use csi_test::{generate_inputs, reproducer_triggers, Campaign, CampaignOutcome, CorpusShape};
+use csi_test::{
+    custom_resolving_overrides, generate_inputs, reproducer_triggers, Campaign, CampaignOutcome,
+    CorpusShape,
+};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serializable")
@@ -190,4 +196,80 @@ fn explore_rediscovers_all_classes_in_fewer_observations() {
     }
     // Mutation earned its keep: novel signatures beyond the seed grid.
     assert!(stats.novel_from_mutation >= 1);
+}
+
+/// Explore runs the configuration its spec names. Under the paper's
+/// custom configuration a hunt stops reporting D05 and D09, as the grid
+/// does, and every reproducer it shrinks carries that configuration and
+/// replays under it.
+#[test]
+fn explore_hunts_in_the_spec_configuration() {
+    let hunt = |overrides: Vec<(String, String)>| {
+        Campaign::new(&generate_inputs())
+            .seed(42)
+            .explore(1500)
+            .shards(2)
+            .spark_overrides(overrides)
+            .run()
+    };
+    let ids = |outcome: &CampaignOutcome| -> Vec<String> {
+        let ids = outcome.report.discrepancies.iter().map(|d| d.id.clone());
+        ids.collect()
+    };
+    assert_eq!(ids(&hunt(Vec::new())), ["D01", "D02", "D03", "D05", "D09"]);
+    let custom = hunt(custom_resolving_overrides());
+    assert_eq!(ids(&custom), ["D01", "D02", "D03"]);
+    assert!(!custom.reproducers.is_empty());
+    for shrunk in &custom.reproducers {
+        assert_eq!(
+            shrunk.reproducer.spark_overrides,
+            custom_resolving_overrides()
+        );
+        assert!(
+            reproducer_triggers(&shrunk.id, &shrunk.reproducer),
+            "{}",
+            shrunk.id
+        );
+    }
+}
+
+/// With `detect`, explore judges each fault-overlay trial against its
+/// fault-free twin. The report gains the overlay trials' detection tally,
+/// scored against the §9 oracle, and nothing else changes; the tally is
+/// the same at any worker count, and the tap hears every detection in it.
+#[test]
+fn a_detecting_hunt_scores_its_overlay_trials() {
+    let inputs = generate_inputs();
+    let hunt = |detect: bool, shards: usize| {
+        Campaign::new(&inputs[..24])
+            .seed(7)
+            .explore(400)
+            .detect(detect)
+            .shards(shards)
+    };
+    let plain = hunt(false, 1).run();
+    let streamed = Arc::new(AtomicUsize::new(0));
+    let heard = streamed.clone();
+    let serial = hunt(true, 1)
+        .detection_tap(DetectionTap::new(move |_| {
+            heard.fetch_add(1, Ordering::SeqCst);
+        }))
+        .run();
+    let sharded = hunt(true, 3).run();
+    assert_eq!(fingerprint(&serial), fingerprint(&sharded));
+    let report = &serial.report;
+    assert!(report.detector_enabled);
+    assert!(
+        report.detector_agreement.is_some(),
+        "no overlay fault fired"
+    );
+    let tallied: usize = report.detection_kinds.values().sum();
+    assert!(tallied > 0, "the hunt detected nothing");
+    assert_eq!(streamed.load(Ordering::SeqCst), tallied);
+    assert_eq!(
+        json(&report.discrepancies),
+        json(&plain.report.discrepancies)
+    );
+    assert_eq!(json(&serial.exploration), json(&plain.exploration));
+    assert!(!plain.report.detector_enabled);
 }
