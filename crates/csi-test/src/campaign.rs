@@ -520,6 +520,46 @@ mod tests {
         assert!(rendered.contains("ms-unavail-get"), "{rendered}");
     }
 
+    /// `campaign` on one worker, which runs inline, and the stacks it
+    /// built: this thread's record sees every one.
+    fn stacks_built(campaign: Campaign) -> (usize, CampaignOutcome) {
+        crate::exec::BUILT.with(|built| built.borrow_mut().clear());
+        let outcome = campaign.shards(1).run();
+        (crate::exec::BUILT.with(|built| built.take().len()), outcome)
+    }
+
+    /// The grid, explore and the matrix keep one deployment per worker
+    /// for the whole campaign, twins included; the compound pass and the
+    /// shrinkers build one per trial or check.
+    #[test]
+    fn each_mode_builds_the_stacks_its_design_names() {
+        let inputs = &crate::generator::generate_inputs()[..12];
+        let faults = || inject::small_fault_catalogue(5);
+        let grid = Campaign::new(inputs).faults(faults()).detect(true);
+        assert_eq!(stacks_built(grid).0, 1, "a detecting, faulted grid");
+
+        let matrix = Campaign::new(&[])
+            .fault_matrix(5)
+            .faults(faults())
+            .experiments(vec![Experiment::ALL[0]])
+            .formats(vec![StorageFormat::Orc])
+            .detect(true);
+        assert_eq!(stacks_built(matrix).0, 1, "a detecting matrix");
+
+        // Four rounds of 64 trials; then each shrink check builds its own
+        // stack (`shrink::reproducer_triggers`).
+        let (built, outcome) = stacks_built(Campaign::new(inputs).explore(200).detect(true));
+        let stats = outcome.exploration.expect("explore mode");
+        assert!(stats.executed > 3 * 64 && stats.faulted > 0, "{stats:?}");
+        let checks: usize = stats.shrinks.iter().map(|row| row.checks).sum();
+        assert_eq!(built, 1 + checks, "an explore hunt, then its shrinks");
+
+        let (built, outcome) = stacks_built(Campaign::new(&[]).kfaults(2).jobs(2));
+        let stats = outcome.compound.expect("compound pass");
+        assert!(stats.executed > 0);
+        assert_eq!(built, stats.executed + stats.shrink_checks, "compound");
+    }
+
     #[test]
     fn detection_campaign_is_clean_on_a_fault_free_plan() {
         let inputs = byte_input();

@@ -13,11 +13,13 @@
 //! artifact's `ss/sh/hs_difft` structure.
 
 use crate::generator::TestInput;
-use crate::plan::{Experiment, Interface, TestPlan};
-use csi_core::boundary::CrossingContext;
+use crate::plan::{scenario_key, Experiment, Interface, TestPlan};
+use csi_core::boundary::{CrossingContext, InteractionTrace};
+use csi_core::detect::{Detection, DetectorSpec};
 use csi_core::diag::DiagSink;
 use csi_core::fault::FaultSpec;
 use csi_core::oracle::{Observation, ReadOutcome, WriteOutcome};
+use csi_core::report::FaultCase;
 use csi_core::sql::write_quoted;
 use csi_core::value::{format_date, format_timestamp, Value};
 use csi_core::InteractionError;
@@ -478,6 +480,76 @@ pub(crate) fn run_one(
     d.crossing.rearm(&[]);
     d.recycle(&table);
     obs
+}
+
+/// A run a detector judges: a grid or explore [`Observation`], or a
+/// fault-matrix [`FaultCase`].
+pub(crate) trait Judged {
+    /// The scenario key its detections carry.
+    fn scenario(&self) -> String;
+    fn trace(&self) -> &InteractionTrace;
+    /// The error that surfaced to the caller, if any.
+    fn surfaced(&self) -> Option<&InteractionError>;
+    fn detections(&mut self) -> &mut Vec<Detection>;
+}
+
+impl Judged for Observation {
+    fn scenario(&self) -> String {
+        scenario_key(&self.plan, &self.format, Some(self.input_id))
+    }
+    fn trace(&self) -> &InteractionTrace {
+        &self.trace
+    }
+    fn surfaced(&self) -> Option<&InteractionError> {
+        Observation::surfaced(self)
+    }
+    fn detections(&mut self) -> &mut Vec<Detection> {
+        &mut self.detections
+    }
+}
+
+impl Judged for FaultCase {
+    fn scenario(&self) -> String {
+        self.scenario.clone()
+    }
+    fn trace(&self) -> &InteractionTrace {
+        &self.trace
+    }
+    fn surfaced(&self) -> Option<&InteractionError> {
+        self.surfaced.as_ref()
+    }
+    fn detections(&mut self) -> &mut Vec<Detection> {
+        &mut self.detections
+    }
+}
+
+/// The one calibration rule: `run` with `faults` armed, judged against
+/// its fault-free twin. Given a `detector`, `run` first runs with nothing
+/// armed, as the twin, then with `faults` armed, and
+/// [`DetectorSpec::detect`] judges the armed run against the twin's
+/// trace. With no faults the run is its own twin: no crossing of it is
+/// faulted and none diverges, so nothing can fire, and it runs once,
+/// unjudged. `run` must be hermetic, so the twin never leaks into the
+/// judged run; that keeps every detecting mode byte-identical at any
+/// worker count. The scenario key is built only when a run is judged.
+pub(crate) fn judged_run<R: Judged>(
+    faults: &[FaultSpec],
+    detector: Option<&DetectorSpec>,
+    mut run: impl FnMut(&[FaultSpec]) -> R,
+) -> R {
+    let Some(detector) = detector.filter(|_| !faults.is_empty()) else {
+        return run(faults);
+    };
+    let twin = run(&[]);
+    let mut judged = run(faults);
+    let detections = detector.detect(
+        &judged.scenario(),
+        judged.trace(),
+        twin.trace(),
+        judged.surfaced(),
+    );
+    *judged.detections() = detections;
+    judged
 }
 
 #[cfg(test)]

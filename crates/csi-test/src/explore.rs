@@ -21,17 +21,17 @@
 //! order. A sharded explore run is byte-identical to a one-worker one,
 //! pinned by `tests/explore.rs`.
 //!
-//! With `spec.detect`, each fault-overlay trial runs its fault-free twin
-//! first on the same deployment and is judged against it; the report
-//! carries the overlay trials' detection tally. A fault-free trial is its
-//! own twin, against which the detector cannot fire, so it runs once.
+//! With `spec.detect`, every trial is judged against its fault-free twin
+//! on the same deployment (`exec::judged_run`, the calibration rule the
+//! grid and the matrix share), so only the fault-overlay trials run twice;
+//! the report carries their detection tally.
 
 use crate::campaign::CampaignOutcome;
 use crate::classify::Classifier;
 use crate::exec::{self, Deployment};
 use crate::generator::{mutate_input, TestInput, Validity};
 use crate::inject;
-use crate::plan::{self, scenario_key, Experiment, TestPlan};
+use crate::plan::{self, Experiment, TestPlan};
 use crate::shard::{run_ordered, worker_states, Frontier};
 use crate::shrink;
 use crate::spec::CampaignSpec;
@@ -231,10 +231,8 @@ impl Explorer {
     }
 
     /// Runs `trial` on the worker's `deployment` (built on first use, with
-    /// `spark_overrides`), with its fault, if any, armed for this run only.
-    /// Under the detector, an overlay trial runs its fault-free twin first,
-    /// on the same deployment, and is judged against it; a fault-free
-    /// trial is its own twin, against which nothing can fire.
+    /// `spark_overrides`), with its fault, if any, armed for this run only:
+    /// an [`exec::judged_run`] under the spec's detector.
     fn run_trial(
         &self,
         trial: Trial,
@@ -248,14 +246,9 @@ impl Explorer {
         let d = deployment
             .get_or_insert_with(|| Deployment::new(CrossingContext::new(), spark_overrides));
         let input = &self.pool[trial.input_idx];
-        let detector = self.detector.as_ref().filter(|_| !faults.is_empty());
-        let twin = detector.map(|_| exec::run_one(d, exp, plan, fmt, input, &[]).trace);
-        let mut obs = exec::run_one(d, exp, plan, fmt, input, faults);
-        if let (Some(detector), Some(twin)) = (detector, twin) {
-            let scenario = scenario_key(&obs.plan, &obs.format, Some(input.id));
-            obs.detections = detector.detect(&scenario, &obs.trace, &twin, obs.surfaced());
-        }
-        obs
+        exec::judged_run(faults, self.detector.as_ref(), |faults| {
+            exec::run_one(d, exp, plan, fmt, input, faults)
+        })
     }
 
     /// Absorbs one observation, in trial order: coverage, corpus

@@ -1,32 +1,34 @@
 //! The fault-matrix campaign: deterministic boundary-fault injection
 //! crossed with the cross-testing space.
 //!
-//! Every fault of a [`FaultPlan`] is exercised against the scenarios that
-//! exist for its channel — metastore and HDFS faults against the full
-//! (experiment × plan × format) probe cross of the campaign executor,
-//! Kafka faults against the broker API directly and through Spark's Kafka
-//! connector, YARN faults against the Flink driver loop (FLINK-12342's
-//! home) and Spark's cluster-metrics connector, HBase faults against the
-//! location-caching key-value client under both retry policies
-//! (HBASE-16621's home) — and the caller-visible
-//! result of each cell is classified with
+//! A matrix cell is one (fault, scenario) pair, and one table says which
+//! scenarios a fault reaches. A fault on a probe channel (metastore or
+//! HDFS) reaches the full (experiment × plan × format) probe cross of
+//! [`crate::plan`]; every other fault reaches the substrate scenarios
+//! (`SUBSTRATES`) whose channel and ops it names: Kafka's broker API,
+//! directly and through Spark's connector; YARN's Flink driver loop
+//! (FLINK-12342's home) and Spark's cluster-metrics connector; the
+//! location-caching HBase client under both retry policies (HBASE-16621's
+//! home). The caller-visible result of each cell is classified with
 //! [`classify_fault_outcome`] into the paper's error-handling taxonomy:
 //! swallowed, mistranslated, propagated-with-context, or crash.
 //!
-//! A cell's body arms its fault for its one run. Probe cells run on their
-//! worker's one deployment, in the spec's Spark configuration, which
-//! every observation leaves as it found it; Kafka, YARN and HBase cells
-//! build their broker, RM or client and a fresh crossing context per run.
-//! Cells are hermetic either way, so [`crate::Campaign::shards`]
-//! reproduces the one-worker report byte-for-byte at any worker count.
+//! A cell arms its fault for its one run, and under `detect` is judged
+//! against its fault-free twin by `exec::judged_run`, the rule the grid
+//! and explore share. Probe cells run on their worker's one deployment,
+//! in the spec's Spark configuration, which every observation leaves as
+//! it found it; a substrate cell builds its broker, RM or client and a
+//! fresh crossing context per run. Cells are hermetic either way, so
+//! [`crate::Campaign::shards`] reproduces the one-worker report
+//! byte-for-byte at any worker count.
 
 use crate::campaign::{crack, is_finding, CampaignOutcome, Evidence, Finding};
-use crate::exec::{run_one, Deployment};
+use crate::exec::{judged_run, run_one, Deployment};
 use crate::generator::{TestInput, Validity};
 use crate::plan::{self, scenario_key, Experiment, TestPlan};
 use crate::shard::{run_ordered, worker_states};
 use crate::spec::CampaignSpec;
-use csi_core::boundary::{faulted, CrossingContext, InteractionTrace};
+use csi_core::boundary::{faulted, CrossingContext};
 use csi_core::detect::{DetectionTally, DetectionTap, DetectorSpec};
 use csi_core::fault::{
     classify_fault_outcome, Channel, FaultKind, FaultPlan, FaultSpec, InjectedFault, Trigger,
@@ -190,12 +192,18 @@ pub fn fault_catalogue(seed: u64) -> FaultPlan {
     }
 }
 
+/// The channels the probe scenarios reach: the (experiment × plan ×
+/// format) cells of [`plan::cells`], run on a cross-testing deployment,
+/// cross its metastore and filesystem and nothing else. Every other
+/// channel is reached only by the rows of [`SUBSTRATES`].
+const PROBE_CHANNELS: [Channel; 2] = [Channel::Metastore, Channel::Hdfs];
+
 /// The faults of [`fault_catalogue`]`(seed)` that can fire inside a
-/// cross-testing deployment: its metastore and filesystem faults. The
+/// cross-testing deployment: those on a [`PROBE_CHANNELS`] channel. The
 /// rest of the catalogue targets stacks a deployment never builds.
 pub(crate) fn deployment_faults(seed: u64) -> Vec<FaultSpec> {
     let mut faults = fault_catalogue(seed).faults;
-    faults.retain(|f| matches!(f.channel, Channel::Metastore | Channel::Hdfs));
+    faults.retain(|f| PROBE_CHANNELS.contains(&f.channel));
     faults
 }
 
@@ -220,83 +228,95 @@ pub fn small_fault_catalogue(seed: u64) -> FaultPlan {
     }
 }
 
-/// A unit of fault-matrix work. Cells are hermetic: running one never
-/// observes state from another, which is what makes the merge-by-index
-/// byte-identical at any worker count.
-#[derive(Debug, Clone)]
-enum Cell {
-    /// One (experiment, plan, format) probe observation under a single
-    /// armed fault.
-    Probe {
-        fault: FaultSpec,
-        experiment: Experiment,
-        plan: TestPlan,
-        format: StorageFormat,
+/// One substrate scenario of the fault matrix: a body that builds its
+/// broker, RM or client around the crossing context it is handed, armed
+/// with the run's faults, and drives one interaction through it.
+struct Substrate {
+    /// The scenario key its cells and their detections carry.
+    key: &'static str,
+    channel: Channel,
+    /// Which ops of `channel` it reaches.
+    ops: fn(&str) -> bool,
+    /// What surfaced to the caller, and a detail line.
+    body: fn(&CrossingContext) -> (Option<InteractionError>, String),
+}
+
+impl Substrate {
+    /// Whether this scenario is one of `fault`'s cells.
+    fn reaches(&self, fault: &FaultSpec) -> bool {
+        fault.channel == self.channel && (self.ops)(&fault.op)
+    }
+}
+
+/// The substrate scenarios, in the order a fault's cells run them: the
+/// one list of what a Kafka, YARN or HBase fault reaches.
+static SUBSTRATES: [Substrate; 6] = [
+    Substrate {
+        key: "kafka:direct",
+        channel: Channel::Kafka,
+        ops: |_| true,
+        body: kafka_direct,
     },
-    /// Direct broker API calls (produce, log_end_offset, fetch).
-    KafkaDirect { fault: FaultSpec },
-    /// Spark's Kafka source connector (plan + consume).
-    KafkaConnector { fault: FaultSpec },
-    /// The Flink YARN driver heartbeat loop.
-    YarnDriver { fault: FaultSpec },
-    /// Spark's YARN cluster-metrics connector.
-    YarnMetrics { fault: FaultSpec },
-    /// The HBase location-caching client under one retry policy.
-    HBaseRoute {
-        fault: FaultSpec,
-        policy: RetryPolicy,
+    // A produce fault has no path through the read-side connector.
+    Substrate {
+        key: "kafka:spark-connector",
+        channel: Channel::Kafka,
+        ops: |op| op != "produce",
+        body: kafka_connector,
     },
+    Substrate {
+        key: "yarn:flink-driver",
+        channel: Channel::Yarn,
+        ops: |op| op != "get_cluster_metrics",
+        body: yarn_driver,
+    },
+    Substrate {
+        key: "yarn:spark-connector",
+        channel: Channel::Yarn,
+        ops: |op| op == "get_cluster_metrics",
+        body: yarn_metrics,
+    },
+    Substrate {
+        key: "hbase:kv-client(trust-cache)",
+        channel: Channel::HBase,
+        ops: |_| true,
+        body: |ctx| hbase_route(ctx, RetryPolicy::TrustCache),
+    },
+    Substrate {
+        key: "hbase:kv-client(refresh-retry)",
+        channel: Channel::HBase,
+        ops: |_| true,
+        body: |ctx| hbase_route(ctx, RetryPolicy::RefreshAndRetry),
+    },
+];
+
+/// Where a matrix cell runs its fault.
+#[derive(Clone, Copy)]
+enum Scenario {
+    /// One (experiment, plan, format) probe observation.
+    Probe(Experiment, TestPlan, StorageFormat),
+    Substrate(&'static Substrate),
 }
 
 /// The matrix's cells: every fault of `faults` crossed with the
-/// scenarios of its channel, metastore and HDFS faults probing `spec`'s
-/// (experiment × plan × format) cross.
-fn enumerate_cells(spec: &CampaignSpec, faults: &FaultPlan) -> Vec<Cell> {
+/// scenarios that reach it, the probe cells of `spec`'s (experiment ×
+/// plan × format) cross first, then [`SUBSTRATES`] in order. Cells are
+/// hermetic: running one never observes state from another, which is
+/// what makes the merge-by-index byte-identical at any worker count.
+fn enumerate_cells<'a>(
+    spec: &CampaignSpec,
+    faults: &'a FaultPlan,
+) -> Vec<(&'a FaultSpec, Scenario)> {
     let mut cells = Vec::new();
     for fault in &faults.faults {
-        match fault.channel {
-            Channel::Metastore | Channel::Hdfs => {
-                cells.extend(plan::cells(&spec.experiments, &spec.formats).map(
-                    |(_, experiment, plan, format)| Cell::Probe {
-                        fault: fault.clone(),
-                        experiment,
-                        plan,
-                        format,
-                    },
-                ));
-            }
-            Channel::Kafka => {
-                cells.push(Cell::KafkaDirect {
-                    fault: fault.clone(),
-                });
-                // Produce faults have no path through the (read-side)
-                // Spark connector.
-                if fault.op != "produce" {
-                    cells.push(Cell::KafkaConnector {
-                        fault: fault.clone(),
-                    });
-                }
-            }
-            Channel::Yarn => {
-                if fault.op == "get_cluster_metrics" {
-                    cells.push(Cell::YarnMetrics {
-                        fault: fault.clone(),
-                    });
-                } else {
-                    cells.push(Cell::YarnDriver {
-                        fault: fault.clone(),
-                    });
-                }
-            }
-            Channel::HBase => {
-                for policy in [RetryPolicy::TrustCache, RetryPolicy::RefreshAndRetry] {
-                    cells.push(Cell::HBaseRoute {
-                        fault: fault.clone(),
-                        policy,
-                    });
-                }
-            }
+        if PROBE_CHANNELS.contains(&fault.channel) {
+            cells.extend(
+                plan::cells(&spec.experiments, &spec.formats)
+                    .map(|(_, e, plan, format)| (fault, Scenario::Probe(e, plan, format))),
+            );
         }
+        let rows = SUBSTRATES.iter().filter(|row| row.reaches(fault));
+        cells.extend(rows.map(|row| (fault, Scenario::Substrate(row))));
     }
     cells
 }
@@ -312,97 +332,61 @@ pub(crate) fn probe_input() -> TestInput {
     }
 }
 
-/// Runs one hermetic cell body with `fault` armed and, given the matrix's
-/// `detector`, judges it.
-///
-/// `body` arms the faults it is handed for its one run and returns what
-/// surfaced, a detail line, and the run's trace. With detection on, the
-/// body first runs with nothing armed, as the cell's fault-free twin,
-/// then again with `fault` armed, and [`DetectorSpec::detect`] judges
-/// the second trace against the twin's. Each run is hermetic — a probe
-/// observation recycles its deployment, every other body builds its own
-/// substrate and context — so the twin can never leak into the judged run,
-/// the property that keeps sharded matrices byte-identical to serial ones.
-fn run_cell_body<F>(
+/// Runs the cell of `fault` in `scenario`, a [`judged_run`] under the
+/// matrix's `detector`. A probe runs on the worker's `deployment` (built
+/// on first use, with `spark_overrides`), which every observation leaves
+/// as it found it; a substrate row builds its stack around a fresh
+/// crossing context per run.
+fn run_cell(
     fault: &FaultSpec,
-    scenario: String,
-    detector: Option<&DetectorSpec>,
-    body: F,
-) -> FaultCase
-where
-    F: Fn(&[FaultSpec]) -> (Option<InteractionError>, String, InteractionTrace),
-{
-    let baseline = detector.map(|detector| (detector, body(&[]).2));
-    let (surfaced, detail, trace) = body(std::slice::from_ref(fault));
-    let detections = match &baseline {
-        Some((detector, baseline)) => {
-            detector.detect(&scenario, &trace, baseline, surfaced.as_ref())
-        }
-        None => Vec::new(),
-    };
-    let fired: Vec<InjectedFault> = faulted(&trace.crossings)
-        .map(|(_, fault)| fault.clone())
-        .collect();
-    let outcome = if fired.is_empty() {
-        None
-    } else {
-        Some(classify_fault_outcome(&fired, surfaced.as_ref()))
-    };
-    FaultCase {
-        fault: fault.clone(),
-        scenario,
-        fired,
-        surfaced,
-        outcome,
-        detail,
-        trace,
-        detections,
-    }
-}
-
-/// Runs a Kafka, YARN or HBase cell: `body` builds its broker, RM or
-/// client around the context it is handed, a fresh one per run, armed
-/// with that run's faults.
-fn run_substrate_cell<F>(
-    fault: &FaultSpec,
-    scenario: String,
-    detector: Option<&DetectorSpec>,
-    body: F,
-) -> FaultCase
-where
-    F: Fn(&CrossingContext) -> (Option<InteractionError>, String),
-{
-    run_cell_body(fault, scenario, detector, |faults| {
-        let ctx = CrossingContext::new();
-        ctx.rearm(faults);
-        let (surfaced, detail) = body(&ctx);
-        (surfaced, detail, ctx.trace())
-    })
-}
-
-/// A probe cell, run on the worker's `deployment` (built on first use,
-/// with `spark_overrides`).
-fn run_probe_cell(
-    fault: &FaultSpec,
-    experiment: Experiment,
-    plan: TestPlan,
-    format: StorageFormat,
+    scenario: Scenario,
     deployment: &mut Option<Deployment>,
     spark_overrides: &[(String, String)],
     detector: Option<&DetectorSpec>,
 ) -> FaultCase {
-    let scenario = scenario_key(&experiment.plan_label(plan), format.name(), None);
-    let d =
-        deployment.get_or_insert_with(|| Deployment::new(CrossingContext::new(), spark_overrides));
-    run_cell_body(fault, scenario, detector, |faults| {
-        let obs = run_one(d, experiment, plan, format, &probe_input(), faults);
-        let detail = match (&obs.write.result, obs.read.as_ref().map(|r| &r.result)) {
-            (Err(e), _) => format!("write failed: {}", e.signature()),
-            (Ok(()), Some(Err(e))) => format!("read failed: {}", e.signature()),
-            (Ok(()), Some(Ok(rows))) => format!("write+read ok ({} rows)", rows.len()),
-            (Ok(()), None) => "write ok; read skipped".to_string(),
+    let key = match scenario {
+        Scenario::Probe(experiment, plan, format) => {
+            scenario_key(&experiment.plan_label(plan), format.name(), None)
+        }
+        Scenario::Substrate(row) => row.key.to_string(),
+    };
+    judged_run(std::slice::from_ref(fault), detector, |faults| {
+        let (surfaced, detail, trace) = match scenario {
+            Scenario::Probe(experiment, plan, format) => {
+                let d = deployment.get_or_insert_with(|| {
+                    Deployment::new(CrossingContext::new(), spark_overrides)
+                });
+                let obs = run_one(d, experiment, plan, format, &probe_input(), faults);
+                let detail = match (&obs.write.result, obs.read.as_ref().map(|r| &r.result)) {
+                    (Err(e), _) => format!("write failed: {}", e.signature()),
+                    (Ok(()), Some(Err(e))) => format!("read failed: {}", e.signature()),
+                    (Ok(()), Some(Ok(rows))) => format!("write+read ok ({} rows)", rows.len()),
+                    (Ok(()), None) => "write ok; read skipped".to_string(),
+                };
+                (obs.surfaced().cloned(), detail, obs.trace)
+            }
+            Scenario::Substrate(row) => {
+                let ctx = CrossingContext::new();
+                ctx.rearm(faults);
+                let (surfaced, detail) = (row.body)(&ctx);
+                (surfaced, detail, ctx.trace())
+            }
         };
-        (obs.surfaced().cloned(), detail, obs.trace)
+        let fired: Vec<InjectedFault> = faulted(&trace.crossings)
+            .map(|(_, fault)| fault.clone())
+            .collect();
+        let outcome =
+            (!fired.is_empty()).then(|| classify_fault_outcome(&fired, surfaced.as_ref()));
+        FaultCase {
+            fault: fault.clone(),
+            scenario: key.clone(),
+            fired,
+            surfaced,
+            outcome,
+            detail,
+            trace,
+            detections: Vec::new(),
+        }
     })
 }
 
@@ -421,150 +405,98 @@ fn seeded_broker(ctx: &CrossingContext) -> MiniKafka {
     broker
 }
 
-fn run_kafka_direct_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
-    run_substrate_cell(fault, "kafka:direct".to_string(), detector, |ctx| {
-        let mut broker = seeded_broker(ctx);
-        let result = (|| {
-            broker.produce(KAFKA_TOPIC, P0, Some(b"k"), Some(b"v"), 5)?;
-            broker.log_end_offset(KAFKA_TOPIC, P0)?;
-            broker.fetch(KAFKA_TOPIC, P0, 0, usize::MAX)?;
-            Ok::<(), KafkaError>(())
-        })();
-        let detail = match &result {
-            Ok(()) => "produce+ends+fetch ok".to_string(),
-            Err(e) => format!("broker call failed: {}", e.code()),
-        };
-        (result.err().map(InteractionError::from), detail)
-    })
-}
-
-fn run_kafka_connector_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
-    run_substrate_cell(
-        fault,
-        "kafka:spark-connector".to_string(),
-        detector,
-        |ctx| {
-            let broker = seeded_broker(ctx);
-            let result = plan_range(&broker, KAFKA_TOPIC, P0, 0, ctx).and_then(|range| {
-                consume_range(
-                    &broker,
-                    KAFKA_TOPIC,
-                    P0,
-                    range,
-                    OffsetModel::TolerateGaps,
-                    ctx,
-                )
-                .map(|records| records.len())
-            });
-            let detail = match &result {
-                Ok(n) => format!("connector consumed {n} records"),
-                Err(e) => format!("connector failed: {}", e.code()),
-            };
-            (result.err().map(InteractionError::from), detail)
-        },
-    )
-}
-
-fn run_yarn_driver_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
-    run_substrate_cell(fault, "yarn:flink-driver".to_string(), detector, |ctx| {
-        // A small job in the no-storm regime on its own parameters: any
-        // storm observed below is the injected fault's doing.
-        let target = 20;
-        let stats = run_driver_traced(
-            DriverRun {
-                mode: DriverMode::BuggySync,
-                target,
-                interval_ms: 500,
-                alloc_service_ms: 1,
-                start_latency_ms: 5,
-                deadline_ms: 15_000,
-            },
-            Some(ctx.clone()),
-        );
-        let detail = format!(
-            "driver: {} asks for target {target}, started {}, completed={}",
-            stats.total_requested,
-            stats.started,
-            stats.completed_at.is_some()
-        );
-        (stats.error.map(InteractionError::from), detail)
-    })
-}
-
-fn run_yarn_metrics_cell(fault: &FaultSpec, detector: Option<&DetectorSpec>) -> FaultCase {
-    run_substrate_cell(fault, "yarn:spark-connector".to_string(), detector, |ctx| {
-        let mut rm = ResourceManager::with_nodes(4, Resource::new(8192, 8));
-        rm.set_crossing(ctx.clone());
-        let result = minispark::connectors::yarn::cluster_metrics(&rm, ctx);
-        let detail = match &result {
-            Ok(m) => format!("metrics ok ({} node managers)", m.num_node_managers),
-            Err(e) => format!("connector failed: {}", e.code()),
-        };
-        (result.err().map(InteractionError::from), detail)
-    })
-}
-
-/// The HBASE-16621 scenario cell: a location-caching client routes one
-/// request for a region under an armed fault, with the given retry
-/// policy. A poisoned `locate` surfaces as `NotServingRegionException`
-/// under [`RetryPolicy::TrustCache`] but is silently healed by
-/// [`RetryPolicy::RefreshAndRetry`]'s clean re-lookup.
-fn run_hbase_cell(
-    fault: &FaultSpec,
-    policy: RetryPolicy,
-    detector: Option<&DetectorSpec>,
-) -> FaultCase {
-    let policy_name = match policy {
-        RetryPolicy::TrustCache => "trust-cache",
-        RetryPolicy::RefreshAndRetry => "refresh-retry",
+/// Direct broker API calls: produce, log_end_offset, fetch.
+fn kafka_direct(ctx: &CrossingContext) -> (Option<InteractionError>, String) {
+    let mut broker = seeded_broker(ctx);
+    let result = (|| {
+        broker.produce(KAFKA_TOPIC, P0, Some(b"k"), Some(b"v"), 5)?;
+        broker.log_end_offset(KAFKA_TOPIC, P0)?;
+        broker.fetch(KAFKA_TOPIC, P0, 0, usize::MAX)?;
+        Ok::<(), KafkaError>(())
+    })();
+    let detail = match &result {
+        Ok(()) => "produce+ends+fetch ok".to_string(),
+        Err(e) => format!("broker call failed: {}", e.code()),
     };
-    let scenario = format!("hbase:kv-client({policy_name})");
-    run_substrate_cell(fault, scenario, detector, |ctx| {
-        let mut cluster = ClusterState::new();
-        cluster.assign("t,region-0", ServerId(2));
-        let mut client = HBaseClient::new();
-        let result = client.route_with(&cluster, "t,region-0", policy, Some(ctx));
-        let detail = match &result {
-            Ok(s) => format!(
-                "routed to server {} after {} master lookups",
-                s.0,
-                client.master_lookups()
-            ),
-            Err(e) => format!("route failed: {}", e.code()),
-        };
-        (result.err().map(InteractionError::from), detail)
-    })
+    (result.err().map(InteractionError::from), detail)
 }
 
-/// Runs `cell`; a probe cell runs on the worker's `deployment`, which
-/// carries `spark_overrides`.
-fn run_cell(
-    cell: &Cell,
-    deployment: &mut Option<Deployment>,
-    spark_overrides: &[(String, String)],
-    detector: Option<&DetectorSpec>,
-) -> FaultCase {
-    match cell {
-        Cell::Probe {
-            fault,
-            experiment,
-            plan,
-            format,
-        } => run_probe_cell(
-            fault,
-            *experiment,
-            *plan,
-            *format,
-            deployment,
-            spark_overrides,
-            detector,
+/// Spark's Kafka source connector: plan a range, then consume it.
+fn kafka_connector(ctx: &CrossingContext) -> (Option<InteractionError>, String) {
+    let broker = seeded_broker(ctx);
+    let result = plan_range(&broker, KAFKA_TOPIC, P0, 0, ctx).and_then(|range| {
+        consume_range(
+            &broker,
+            KAFKA_TOPIC,
+            P0,
+            range,
+            OffsetModel::TolerateGaps,
+            ctx,
+        )
+        .map(|records| records.len())
+    });
+    let detail = match &result {
+        Ok(n) => format!("connector consumed {n} records"),
+        Err(e) => format!("connector failed: {}", e.code()),
+    };
+    (result.err().map(InteractionError::from), detail)
+}
+
+/// The Flink YARN driver's heartbeat loop, FLINK-12342's home.
+fn yarn_driver(ctx: &CrossingContext) -> (Option<InteractionError>, String) {
+    // A small job in the no-storm regime on its own parameters: any
+    // storm observed below is the injected fault's doing.
+    let target = 20;
+    let stats = run_driver_traced(
+        DriverRun {
+            mode: DriverMode::BuggySync,
+            target,
+            interval_ms: 500,
+            alloc_service_ms: 1,
+            start_latency_ms: 5,
+            deadline_ms: 15_000,
+        },
+        Some(ctx.clone()),
+    );
+    let detail = format!(
+        "driver: {} asks for target {target}, started {}, completed={}",
+        stats.total_requested,
+        stats.started,
+        stats.completed_at.is_some()
+    );
+    (stats.error.map(InteractionError::from), detail)
+}
+
+/// Spark's YARN cluster-metrics connector.
+fn yarn_metrics(ctx: &CrossingContext) -> (Option<InteractionError>, String) {
+    let mut rm = ResourceManager::with_nodes(4, Resource::new(8192, 8));
+    rm.set_crossing(ctx.clone());
+    let result = minispark::connectors::yarn::cluster_metrics(&rm, ctx);
+    let detail = match &result {
+        Ok(m) => format!("metrics ok ({} node managers)", m.num_node_managers),
+        Err(e) => format!("connector failed: {}", e.code()),
+    };
+    (result.err().map(InteractionError::from), detail)
+}
+
+/// HBASE-16621's home: a location-caching client routes one request for
+/// a region under `policy`. A poisoned `locate` surfaces as
+/// `NotServingRegionException` under [`RetryPolicy::TrustCache`] but is
+/// silently healed by [`RetryPolicy::RefreshAndRetry`]'s clean re-lookup.
+fn hbase_route(ctx: &CrossingContext, policy: RetryPolicy) -> (Option<InteractionError>, String) {
+    let mut cluster = ClusterState::new();
+    cluster.assign("t,region-0", ServerId(2));
+    let mut client = HBaseClient::new();
+    let result = client.route_with(&cluster, "t,region-0", policy, Some(ctx));
+    let detail = match &result {
+        Ok(s) => format!(
+            "routed to server {} after {} master lookups",
+            s.0,
+            client.master_lookups()
         ),
-        Cell::KafkaDirect { fault } => run_kafka_direct_cell(fault, detector),
-        Cell::KafkaConnector { fault } => run_kafka_connector_cell(fault, detector),
-        Cell::YarnDriver { fault } => run_yarn_driver_cell(fault, detector),
-        Cell::YarnMetrics { fault } => run_yarn_metrics_cell(fault, detector),
-        Cell::HBaseRoute { fault, policy } => run_hbase_cell(fault, *policy, detector),
-    }
+        Err(e) => format!("route failed: {}", e.code()),
+    };
+    (result.err().map(InteractionError::from), detail)
 }
 
 /// The matrix runner behind [`crate::Campaign::fault_matrix`]: every cell
@@ -590,7 +522,8 @@ pub(crate) fn run_fault_matrix(spec: &CampaignSpec, tap: Option<DetectionTap>) -
     // Each worker runs every probe cell it claims on its one deployment.
     let mut deployments: Vec<Option<Deployment>> = worker_states(spec.shards);
     let cases = run_ordered(&mut deployments, cells.len(), |d, i| {
-        run_cell(&cells[i], d, &spec.spark_overrides, detector.as_ref())
+        let (fault, scenario) = cells[i];
+        run_cell(fault, scenario, d, &spec.spark_overrides, detector.as_ref())
     });
     let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
     let mut tally = DetectionTally::default();
@@ -639,6 +572,7 @@ mod tests {
     use crate::campaign::Campaign;
     use csi_core::boundary::channel_totals;
     use csi_core::fault::FaultOutcome;
+    use std::collections::BTreeSet;
 
     #[test]
     fn catalogue_covers_every_channel() {
@@ -699,29 +633,27 @@ mod tests {
         assert!(outcomes.contains(&&FaultOutcome::Mistranslated));
     }
 
+    /// The cell of catalogue fault `id` in the substrate scenario `key`,
+    /// through the `run_cell` path the matrix takes.
+    fn substrate_cell(id: &str, key: &str) -> FaultCase {
+        let plan = fault_catalogue(1);
+        let fault = plan.faults.iter().find(|f| f.id == id).unwrap();
+        let row = SUBSTRATES.iter().find(|row| row.key == key).unwrap();
+        assert!(row.reaches(fault), "{id} x {key} is no matrix cell");
+        run_cell(fault, Scenario::Substrate(row), &mut None, &[], None)
+    }
+
     #[test]
     fn kafka_corruption_is_rejected_directly_but_mistranslated_by_spark() {
-        let plan = fault_catalogue(1);
-        let fault = plan
-            .faults
-            .iter()
-            .find(|f| f.id == "kafka-corrupt-fetch")
-            .unwrap();
-        let direct = run_kafka_direct_cell(fault, None);
+        let direct = substrate_cell("kafka-corrupt-fetch", "kafka:direct");
         assert_eq!(direct.outcome, Some(FaultOutcome::PropagatedWithContext));
-        let connector = run_kafka_connector_cell(fault, None);
+        let connector = substrate_cell("kafka-corrupt-fetch", "kafka:spark-connector");
         assert_eq!(connector.outcome, Some(FaultOutcome::Mistranslated));
     }
 
     #[test]
     fn yarn_latency_is_swallowed_as_a_silent_storm() {
-        let plan = fault_catalogue(1);
-        let fault = plan
-            .faults
-            .iter()
-            .find(|f| f.id == "yarn-latency-alloc")
-            .unwrap();
-        let case = run_yarn_driver_cell(fault, None);
+        let case = substrate_cell("yarn-latency-alloc", "yarn:flink-driver");
         assert_eq!(case.outcome, Some(FaultOutcome::Swallowed));
         // The FLINK-12342 signature: far more asks than containers needed,
         // and no error anywhere.
@@ -742,24 +674,56 @@ mod tests {
 
     #[test]
     fn poisoned_hbase_locate_splits_on_retry_policy() {
-        let plan = fault_catalogue(1);
-        let fault = plan
-            .faults
-            .iter()
-            .find(|f| f.id == "hbase-stale-locate")
-            .unwrap();
         // Shipped policy: the poisoned location surfaces as a generic
         // NotServingRegionException — the corruption's identity is lost.
-        let shipped = run_hbase_cell(fault, RetryPolicy::TrustCache, None);
+        let shipped = substrate_cell("hbase-stale-locate", "hbase:kv-client(trust-cache)");
         assert_eq!(shipped.outcome, Some(FaultOutcome::Mistranslated));
         // Fixed policy: the clean retry heals the request and nothing
         // surfaces at all.
-        let fixed = run_hbase_cell(fault, RetryPolicy::RefreshAndRetry, None);
+        let fixed = substrate_cell("hbase-stale-locate", "hbase:kv-client(refresh-retry)");
         assert_eq!(fixed.outcome, Some(FaultOutcome::Swallowed));
         assert!(fixed.surfaced.is_none());
         // Both cells carry their crossing sequence.
         assert!(!shipped.trace.is_empty());
         assert_eq!(channel_totals([&fixed.trace])["hbase"], 3);
+    }
+
+    #[test]
+    fn hbase_region_server_down_propagates_with_context() {
+        for key in [
+            "hbase:kv-client(trust-cache)",
+            "hbase:kv-client(refresh-retry)",
+        ] {
+            let case = substrate_cell("hbase-unavail-route", key);
+            assert_eq!(case.outcome, Some(FaultOutcome::PropagatedWithContext));
+        }
+    }
+
+    /// The table's reach rules are what the bodies do: a row reaches a
+    /// catalogue fault exactly when its fault-free run crosses the
+    /// fault's (channel, op).
+    #[test]
+    fn a_substrate_row_reaches_exactly_the_ops_its_fault_free_run_crosses() {
+        let catalogue = fault_catalogue(1);
+        for row in &SUBSTRATES {
+            let ctx = CrossingContext::new();
+            (row.body)(&ctx);
+            let trace = ctx.trace();
+            let crossed: BTreeSet<(Channel, &str)> = trace
+                .crossings
+                .iter()
+                .map(|c| (c.call.channel, &*c.call.op))
+                .collect();
+            for fault in &catalogue.faults {
+                assert_eq!(
+                    row.reaches(fault),
+                    crossed.contains(&(fault.channel, fault.op.as_str())),
+                    "{} x {}: the run crosses {crossed:?}",
+                    fault.id,
+                    row.key
+                );
+            }
+        }
     }
 
     /// Matching an observation's behavior by streaming it is `Behavior`
@@ -781,26 +745,21 @@ mod tests {
                 .push(obs);
         }
         let d = crate::exec::test_stack();
-        let probes: Vec<Observation> =
-            enumerate_cells(&CampaignSpec::default(), &fault_catalogue(42))
-                .into_iter()
-                .filter_map(|cell| match cell {
-                    Cell::Probe {
-                        fault,
-                        experiment,
-                        plan,
-                        format,
-                    } => Some(run_one(
-                        &d,
-                        experiment,
-                        plan,
-                        format,
-                        &probe_input(),
-                        &[fault],
-                    )),
-                    _ => None,
-                })
-                .collect();
+        let catalogue = fault_catalogue(42);
+        let probes: Vec<Observation> = enumerate_cells(&CampaignSpec::default(), &catalogue)
+            .into_iter()
+            .filter_map(|(fault, scenario)| match scenario {
+                Scenario::Probe(experiment, plan, format) => Some(run_one(
+                    &d,
+                    experiment,
+                    plan,
+                    format,
+                    &probe_input(),
+                    std::slice::from_ref(fault),
+                )),
+                Scenario::Substrate(_) => None,
+            })
+            .collect();
         groups.insert((usize::MAX, 0), probes);
         // One clean single-row observation, read back as two different
         // three-row results, as the same three rows twice, and unread.
@@ -880,19 +839,5 @@ mod tests {
         let serial = json(1);
         assert_eq!(serial, json(0));
         assert_eq!(serial, json(3));
-    }
-
-    #[test]
-    fn hbase_region_server_down_propagates_with_context() {
-        let plan = fault_catalogue(1);
-        let fault = plan
-            .faults
-            .iter()
-            .find(|f| f.id == "hbase-unavail-route")
-            .unwrap();
-        for policy in [RetryPolicy::TrustCache, RetryPolicy::RefreshAndRetry] {
-            let case = run_hbase_cell(fault, policy, None);
-            assert_eq!(case.outcome, Some(FaultOutcome::PropagatedWithContext));
-        }
     }
 }

@@ -22,8 +22,9 @@
 //!   observation is hermetic: `run_one` arms exactly its faults, resets
 //!   the crossing context and drains the sink before it starts, and
 //!   disarms and drops its table when it ends, so what a stack ran before
-//!   never reaches the next observation. A detecting worker runs each
-//!   faulted observation's fault-free twin on the same stack.
+//!   never reaches the next observation. A detecting worker judges each
+//!   observation with `exec::judged_run`, whose fault-free twin runs on
+//!   the same stack.
 //! - **Deterministic merge** — workers only *record* observations. The
 //!   merger walks the shards in canonical (experiment, plan, format,
 //!   input-id) order and hands each observation to the one
@@ -36,9 +37,9 @@
 
 use crate::campaign::CampaignOutcome;
 use crate::classify::Classifier;
-use crate::exec::{run_one, Deployment};
+use crate::exec::{judged_run, run_one, Deployment};
 use crate::generator::TestInput;
-use crate::plan::{cells, scenario_key, Experiment, TestPlan};
+use crate::plan::{cells, Experiment, TestPlan};
 use crate::spec::CampaignSpec;
 use csi_core::boundary::CrossingContext;
 use csi_core::detect::{DetectionTap, DetectorSpec};
@@ -225,12 +226,8 @@ struct GridWorker {
 ///
 /// Every observation runs on its worker's one deployment, which carries
 /// `spec`'s Spark overrides, with `spec.faults` armed for that run. With
-/// `spec.detect`, every observation is judged against its fault-free
-/// twin: the same (experiment, plan, format, input) run just before it on
-/// the same deployment with nothing armed. Every detection goes to `tap`.
-/// A twin is hermetic like any observation, so which worker ran it cannot
-/// change its trace; with no faults the observation is that twin, and is
-/// judged against its own trace instead of running twice.
+/// `spec.detect`, every observation is a [`judged_run`] on that
+/// deployment, and every detection goes to `tap`.
 pub(crate) fn run_cross_test(
     spec: &CampaignSpec,
     inputs: &[TestInput],
@@ -251,22 +248,12 @@ pub(crate) fn run_cross_test(
         let d = worker
             .deployment
             .get_or_insert_with(|| Deployment::new(CrossingContext::new(), &spec.spark_overrides));
-        let run =
-            |input, faults| run_one(d, shard.experiment, shard.plan, shard.format, input, faults);
         let batch: Vec<Observation> = inputs[shard.lo..shard.hi]
             .iter()
-            .map(|input| match &detector {
-                None => run(input, faults),
-                Some(detector) => {
-                    // With nothing armed, the observation is its own twin.
-                    let twin = (!faults.is_empty()).then(|| run(input, &[]).trace);
-                    let mut obs = run(input, faults);
-                    let scenario = scenario_key(&obs.plan, &obs.format, Some(input.id));
-                    let baseline = twin.as_ref().unwrap_or(&obs.trace);
-                    obs.detections =
-                        detector.detect(&scenario, &obs.trace, baseline, obs.surfaced());
-                    obs
-                }
+            .map(|input| {
+                judged_run(faults, detector.as_ref(), |faults| {
+                    run_one(d, shard.experiment, shard.plan, shard.format, input, faults)
+                })
             })
             .collect();
         worker.stats.shards += 1;
