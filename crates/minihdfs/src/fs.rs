@@ -1898,6 +1898,39 @@ mod tests {
     }
 
     #[test]
+    fn a_ten_megabyte_file_places_every_block_by_its_period() {
+        const LEN: usize = 10_000_000;
+        // (datanodes, under-replicated after killing node 1, block 0's
+        // replicas after re-replication).
+        for (nodes, under, healed) in [(3u32, 0, vec![0, 2]), (5, 46_875, vec![0, 2, 3])] {
+            let mut fs = MiniHdfs::with_datanodes(nodes);
+            fs.create(&p("/bulk"), vec![5u8; LEN]).unwrap();
+            let blocks = fs.blocks(&p("/bulk")).unwrap();
+            assert_eq!(blocks.len(), 78_125, "{nodes} nodes");
+            let (first, last) = (&blocks[0], &blocks[blocks.len() - 1]);
+            assert_eq!((first.id, first.len), (0, 128));
+            assert_eq!((last.id, last.len), (78_124, 128));
+            for (i, b) in blocks.iter().enumerate() {
+                let want: Vec<DataNodeId> =
+                    (0..3).map(|k| DataNodeId((i as u32 + k) % nodes)).collect();
+                assert_eq!(b.replicas, want, "block {i} on {nodes} nodes");
+            }
+            assert_eq!(fs.under_replicated_blocks(), 0);
+            fs.kill_datanode(DataNodeId(1));
+            assert_eq!(fs.under_replicated_blocks(), under, "{nodes} nodes");
+            assert_eq!(fs.replicate_under_replicated(), under);
+            assert_eq!(fs.under_replicated_blocks(), 0);
+            let blocks = fs.blocks(&p("/bulk")).unwrap();
+            let healed: Vec<DataNodeId> = healed.into_iter().map(DataNodeId).collect();
+            assert_eq!(blocks[0].replicas, healed, "{nodes} nodes");
+            assert!(blocks
+                .iter()
+                .all(|b| b.replicas.len() == 3.min(nodes as usize - 1)
+                    && !b.replicas.contains(&DataNodeId(1))));
+        }
+    }
+
+    #[test]
     fn token_gated_read_honors_expiry() {
         let mut fs = MiniHdfs::with_datanodes(1);
         fs.create(&p("/secure"), b"secret").unwrap();
