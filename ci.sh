@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test), outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test), cell (plan::cells walks the cell space, no loop over an experiment's plans in csi-test outside plan.rs) calibration (a detecting run's baseline is its fault-free twin's trace, no learned baseline set), arming (a run arms its own faults with CrossingContext::rearm; no arm_plan or arm_set under crates/) deployment (every stack is built by Deployment::new, which takes the spec's spark_overrides: no Deployment::configured) and scenario (a fault's scenarios are read off inject.rs's scenario table: no match arm or matches! pattern naming a Channel:: variant in csi-test) guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test), outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test), cell (plan::cells walks the cell space, no loop over an experiment's plans in csi-test outside plan.rs) calibration (a detecting run's baseline is its fault-free twin's trace, no learned baseline set), arming (a run arms its own faults with CrossingContext::rearm; no arm_plan or arm_set under crates/) deployment (every stack is built by Deployment::new, which takes the spec's spark_overrides: no Deployment::configured), scenario (a fault's scenarios are read off inject.rs's scenario table: no match arm or matches! pattern naming a Channel:: variant in csi-test) and block (a stored block owns no heap: minihdfs has one replicas: Vec<, the public BlockInfo's) guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -171,6 +171,17 @@ stage_lint() {
   echo "==> scenario guard (no match arm or matches! pattern naming a Channel:: variant in csi-test)"
   if grep -rnE --include='*.rs' 'Channel::[A-Za-z]+[^;]*=>|matches!\(.*Channel::' crates/csi-test/src/; then
     echo "a fault's scenarios are read off the scenario table" >&2
+    exit 1
+  fi
+  # A stored block owns no heap: its replicas are an inline set as large
+  # as the replication factor. A Vec per block is an allocation per 128
+  # bytes of file, 78,125 for a 10 MB one; only the public BlockInfo that
+  # `blocks()` builds on request carries one.
+  echo "==> block guard (one replicas: Vec< in minihdfs, the public BlockInfo's)"
+  hits=$(grep -rnF --include='*.rs' 'replicas: Vec<' crates/minihdfs/src/ || true)
+  if [ "$(grep -c . <<<"$hits")" -ne 1 ] || ! grep -qF 'pub replicas: Vec<DataNodeId>' <<<"$hits"; then
+    printf '%s\n' "$hits"
+    echo "a stored block keeps its replicas inline (fs.rs's Replicas); only the public BlockInfo carries a Vec" >&2
     exit 1
   fi
 }

@@ -57,9 +57,9 @@ pub fn custom_resolving_overrides() -> Vec<(String, String)> {
 /// [`spark_overrides`](crate::spec::CampaignSpec::spark_overrides). Each
 /// grid, explore or matrix worker builds its own and runs every
 /// observation it claims on it, fault-free or faulted, whatever the
-/// experiment; a compound trial, a shrink check and a bulk cell each
-/// build one. No two workers, and no two campaigns, ever share engine
-/// state.
+/// experiment; a shrink report runs all its checks on one, and a
+/// compound trial, a compound shrink check and a bulk cell each build
+/// one. No two workers, and no two campaigns, ever share engine state.
 ///
 /// Lock order: the filesystem before the metastore, everywhere — both
 /// engines' statement paths and `csi-serve`'s tenant registry take the

@@ -57,13 +57,20 @@ pub struct ShrunkReproducer {
 
 /// Executes a reproducer on a fresh deployment in its own configuration
 /// and reports whether the classified result still contains discrepancy
-/// `id`. This is the shrinker's oracle, public so tests can re-verify
-/// shipped reproducers.
+/// `id`: the shrinker's oracle on a stack of its own, public so a shipped
+/// reproducer can be replayed alone.
 pub fn reproducer_triggers(id: &str, r: &Reproducer) -> bool {
     let d = Deployment::new(CrossingContext::new(), &r.spark_overrides);
+    triggers_on(&d, id, r)
+}
+
+/// [`reproducer_triggers`] on `d`, a stack built with `r`'s overrides.
+/// Each observation scopes its own faults, clock and trace, so a check
+/// reads the same on a stack that has run others.
+fn triggers_on(d: &Deployment, id: &str, r: &Reproducer) -> bool {
     let mut judge = Classifier::new(&[r.experiment]);
     for &plan in &r.plans {
-        let obs = exec::run_one(&d, r.experiment, plan, r.format, &r.input, &[]);
+        let obs = exec::run_one(d, r.experiment, plan, r.format, &r.input, &[]);
         judge.absorb(0, &r.input, obs);
     }
     let outcome = judge.finish(std::slice::from_ref(&r.input), false);
@@ -205,27 +212,30 @@ fn drop_struct_field(input: &TestInput) -> Option<TestInput> {
     Some(out)
 }
 
-struct Shrinker {
+struct Shrinker<'d> {
     id: String,
     checks: usize,
+    stack: &'d Deployment,
 }
 
-impl Shrinker {
+impl Shrinker<'_> {
     fn triggers(&mut self, r: &Reproducer) -> bool {
         self.checks += 1;
-        reproducer_triggers(&self.id, r)
+        triggers_on(self.stack, &self.id, r)
     }
 }
 
 /// Shrinks every discrepancy of `outcome` to a minimal reproducer, from its
 /// finding's first observation, under the `spark_overrides` the outcome
-/// ran with. Returns the render rows and the reproducers themselves (for
+/// ran with. Every check runs on one stack, built here with those
+/// overrides. Returns the render rows and the reproducers themselves (for
 /// re-verification).
 pub(crate) fn shrink_report(
     outcome: &CampaignOutcome,
     pool: &[TestInput],
     spark_overrides: &[(String, String)],
 ) -> (Vec<ShrinkRow>, Vec<ShrunkReproducer>) {
+    let stack = Deployment::new(CrossingContext::new(), spark_overrides);
     let mut rows = Vec::new();
     let mut reproducers = Vec::new();
     for (disc, finding) in outcome.report.discrepancies.iter().zip(&outcome.findings) {
@@ -248,6 +258,7 @@ pub(crate) fn shrink_report(
         let mut shrinker = Shrinker {
             id: disc.id.clone(),
             checks: 0,
+            stack: &stack,
         };
         let mut current: Option<Reproducer> = None;
         for format in formats {

@@ -105,6 +105,77 @@ pub struct BlockInfo {
 /// back to the allocator.
 const SPARE_PAGE: usize = 4096;
 
+/// How many datanodes every file's blocks are placed on: the replication
+/// factor, and so the most replicas a block ever holds.
+const REPLICATION: usize = 3;
+
+/// The datanodes holding one block's replicas, in placement order: at most
+/// [`REPLICATION`] of them, stored inline.
+#[derive(Debug, Clone, Copy)]
+struct Replicas {
+    nodes: [DataNodeId; REPLICATION],
+    count: u8,
+}
+
+impl Deref for Replicas {
+    type Target = [DataNodeId];
+
+    fn deref(&self) -> &[DataNodeId] {
+        &self.nodes[..usize::from(self.count)]
+    }
+}
+
+impl Replicas {
+    const NONE: Replicas = Replicas {
+        nodes: [DataNodeId(0); REPLICATION],
+        count: 0,
+    };
+
+    /// Adds `id` last. Every caller stops at the replication factor, so
+    /// the set is never full here.
+    fn push(&mut self, id: DataNodeId) {
+        self.nodes[usize::from(self.count)] = id;
+        self.count += 1;
+    }
+
+    /// Removes `id`, keeping the others in order.
+    fn remove(&mut self, id: DataNodeId) {
+        let mut kept = Replicas::NONE;
+        for &node in self.iter() {
+            if node != id {
+                kept.push(node);
+            }
+        }
+        *self = kept;
+    }
+}
+
+/// One block of a file as the namenode stores it. It owns no heap memory,
+/// so a file's block list is one allocation; [`MiniHdfs::blocks`] renders
+/// it as [`BlockInfo`]s.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    id: u64,
+    len: u64,
+    replicas: Replicas,
+}
+
+// A block record stays `Copy`, so it can never own heap memory.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Block>()
+};
+
+impl Block {
+    fn info(&self) -> BlockInfo {
+        BlockInfo {
+            id: self.id,
+            len: self.len,
+            replicas: self.replicas.to_vec(),
+        }
+    }
+}
+
 /// A whole file as a read delivers it: the namenode's stored bytes, lent
 /// for as long as the filesystem is borrowed, or an owned copy when an
 /// injected fault garbled it on the wire.
@@ -158,8 +229,7 @@ enum Node {
         /// The buffer the writer handed over, or a copy of a borrowed one.
         data: Vec<u8>,
         props: FileProperties,
-        replication: u32,
-        blocks: Vec<BlockInfo>,
+        blocks: Vec<Block>,
         mtime: u64,
         owner: String,
         permissions: u16,
@@ -201,29 +271,21 @@ impl Node {
         }
     }
 
-    /// Calls `visit` with every file's replication factor and block list.
-    fn visit_files(&self, visit: &mut impl FnMut(u32, &[BlockInfo])) {
+    /// Calls `visit` with every file's block list.
+    fn visit_files(&self, visit: &mut impl FnMut(&[Block])) {
         match self {
             Node::Dir { children, .. } => children.values().for_each(|c| c.visit_files(visit)),
-            Node::File {
-                replication,
-                blocks,
-                ..
-            } => visit(*replication, blocks),
+            Node::File { blocks, .. } => visit(blocks),
         }
     }
 
-    /// [`visit_files`](Node::visit_files), with the block lists mutable.
-    fn visit_files_mut(&mut self, visit: &mut impl FnMut(u32, &mut Vec<BlockInfo>)) {
+    /// [`visit_files`](Node::visit_files), with the blocks mutable.
+    fn visit_files_mut(&mut self, visit: &mut impl FnMut(&mut [Block])) {
         match self {
             Node::Dir { children, .. } => {
                 children.values_mut().for_each(|c| c.visit_files_mut(visit))
             }
-            Node::File {
-                replication,
-                blocks,
-                ..
-            } => visit(*replication, blocks),
+            Node::File { blocks, .. } => visit(blocks),
         }
     }
 }
@@ -246,7 +308,6 @@ pub struct MiniHdfs {
     safe_mode: bool,
     min_live_datanodes: usize,
     block_size: u64,
-    default_replication: u32,
     next_block_id: u64,
     crossing: Option<CrossingContext>,
 }
@@ -269,7 +330,6 @@ impl MiniHdfs {
             safe_mode: true,
             min_live_datanodes: 1,
             block_size: 128,
-            default_replication: 3,
             next_block_id: 0,
             crossing: None,
         }
@@ -318,9 +378,9 @@ impl MiniHdfs {
         if let Some(live) = self.datanodes.get_mut(&id) {
             *live = false;
         }
-        self.root.visit_files_mut(&mut |_, blocks| {
+        self.root.visit_files_mut(&mut |blocks| {
             for b in blocks {
-                b.replicas.retain(|r| *r != id);
+                b.replicas.remove(id);
             }
         });
     }
@@ -462,7 +522,7 @@ impl MiniHdfs {
         }
         if live == 0 {
             return Err(HdfsError::InsufficientReplication {
-                wanted: self.default_replication,
+                wanted: REPLICATION as u32,
                 live: 0,
             });
         }
@@ -473,11 +533,12 @@ impl MiniHdfs {
         let mut walk = walk.make_dirs(path, depth, self.clock_ms)?;
         walk.check_namespace(path)?;
         walk.check_space(path, data.len() as u64)?;
-        let blocks = allocate_blocks(
+        let mut blocks = Vec::new();
+        allocate_blocks(
+            &mut blocks,
             &mut self.next_block_id,
             &self.datanodes,
             self.block_size,
-            self.default_replication,
             data.len() as u64,
         );
         let mut data = data.into_owned();
@@ -490,7 +551,6 @@ impl MiniHdfs {
         let file = Node::File {
             data,
             props,
-            replication: self.default_replication,
             blocks,
             mtime: self.clock_ms,
             owner: owner.to_string(),
@@ -511,13 +571,6 @@ impl MiniHdfs {
             _ => return Err(HdfsError::FileNotFound(path.clone())),
         };
         walk.check_space(path, data.len() as u64)?;
-        let new_blocks = allocate_blocks(
-            &mut self.next_block_id,
-            &self.datanodes,
-            self.block_size,
-            self.default_replication,
-            data.len() as u64,
-        );
         let Some(Node::File {
             data: existing,
             blocks,
@@ -532,7 +585,13 @@ impl MiniHdfs {
         if blocks.len() == 1 && blocks[0].len == 0 && !data.is_empty() {
             blocks.clear();
         }
-        blocks.extend(new_blocks);
+        allocate_blocks(
+            blocks,
+            &mut self.next_block_id,
+            &self.datanodes,
+            self.block_size,
+            data.len() as u64,
+        );
         *mtime = self.clock_ms;
         Ok(())
     }
@@ -547,8 +606,8 @@ impl MiniHdfs {
             .map(|(id, _)| *id)
             .collect();
         let mut placed = 0;
-        self.root.visit_files_mut(&mut |replication, blocks| {
-            let target = (replication as usize).min(live.len());
+        let target = REPLICATION.min(live.len());
+        self.root.visit_files_mut(&mut |blocks| {
             for b in blocks {
                 for candidate in &live {
                     if b.replicas.len() >= target {
@@ -756,21 +815,17 @@ impl MiniHdfs {
         match self.resolve(path) {
             None => Err(HdfsError::FileNotFound(path.clone())),
             Some(Node::Dir { .. }) => Err(HdfsError::IsADirectory(path.clone())),
-            Some(Node::File { blocks, .. }) => Ok(blocks.clone()),
+            Some(Node::File { blocks, .. }) => Ok(blocks.iter().map(Block::info).collect()),
         }
     }
 
     /// Number of blocks whose live replica count is below the achievable
     /// target (the replication factor, capped by live datanodes).
     pub fn under_replicated_blocks(&self) -> usize {
-        let live = self.live_datanodes() as u32;
+        let target = REPLICATION.min(self.live_datanodes());
         let mut under = 0;
-        self.root.visit_files(&mut |replication, blocks| {
-            let target = replication.min(live);
-            under += blocks
-                .iter()
-                .filter(|b| (b.replicas.len() as u32) < target)
-                .count();
+        self.root.visit_files(&mut |blocks| {
+            under += blocks.iter().filter(|b| b.replicas.len() < target).count();
         });
         under
     }
@@ -818,7 +873,6 @@ fn status_of(node: &Node, path: HdfsPath) -> FileStatus {
         Node::File {
             data,
             props,
-            replication,
             mtime,
             owner,
             permissions,
@@ -832,7 +886,7 @@ fn status_of(node: &Node, path: HdfsPath) -> FileStatus {
             } else {
                 data.len() as i64
             },
-            replication: *replication,
+            replication: REPLICATION as u32,
             modification_time: *mtime,
             owner: owner.clone(),
             permissions: *permissions,
@@ -1043,41 +1097,45 @@ impl<'t, 'p> Slot<'t, 'p> {
 }
 
 /// Splits `len` bytes into blocks of `block_size` numbered from
-/// `next_id`, placing each round-robin on up to `replication` of the live
-/// datanodes, in id order.
+/// `next_id`, and appends them to `blocks` in one allocation, placing
+/// each round-robin on up to [`REPLICATION`] of the live datanodes, in id
+/// order.
 fn allocate_blocks(
+    blocks: &mut Vec<Block>,
     next_id: &mut u64,
     datanodes: &BTreeMap<DataNodeId, bool>,
     block_size: u64,
-    replication: u32,
     len: u64,
-) -> Vec<BlockInfo> {
+) {
     let live = datanodes.iter().filter(|(_, l)| **l).map(|(id, _)| *id);
     let nodes = live.clone().count();
-    let copies = (replication as usize).min(nodes);
-    let mut blocks: Vec<BlockInfo> = Vec::with_capacity(len.div_ceil(block_size).max(1) as usize);
+    let copies = REPLICATION.min(nodes);
+    let start = blocks.len();
+    blocks.reserve_exact(len.div_ceil(block_size).max(1) as usize);
     let mut remaining = len;
     loop {
-        let cursor = blocks.len();
+        let cursor = blocks.len() - start;
         // Placement repeats every `nodes` blocks: copy the block that far
         // back, and walk the datanodes only for the first round.
-        let replicas = match blocks.get(cursor.wrapping_sub(nodes)) {
-            Some(earlier) => earlier.replicas.clone(),
-            None => live
-                .clone()
+        let replicas = if nodes > 0 && cursor >= nodes {
+            blocks[start + cursor - nodes].replicas
+        } else {
+            let mut replicas = Replicas::NONE;
+            live.clone()
                 .cycle()
                 .skip(cursor % nodes.max(1))
                 .take(copies)
-                .collect(),
+                .for_each(|id| replicas.push(id));
+            replicas
         };
-        blocks.push(BlockInfo {
+        blocks.push(Block {
             id: *next_id,
             len: remaining.min(block_size),
             replicas,
         });
         *next_id += 1;
         if remaining <= block_size {
-            return blocks;
+            return;
         }
         remaining -= block_size;
     }
@@ -1178,7 +1236,7 @@ mod tests {
             }
         }
 
-        fn allocate_blocks(fs: &mut MiniHdfs, len: u64) -> Vec<BlockInfo> {
+        fn allocate_blocks(fs: &mut MiniHdfs, len: u64) -> Vec<Block> {
             let live: Vec<DataNodeId> = fs
                 .datanodes
                 .iter()
@@ -1192,12 +1250,12 @@ mod tests {
                 let this_len = remaining.min(fs.block_size);
                 let id = fs.next_block_id;
                 fs.next_block_id += 1;
-                let mut replicas = Vec::new();
-                for k in 0..(fs.default_replication as usize).min(live.len()) {
+                let mut replicas = Replicas::NONE;
+                for k in 0..REPLICATION.min(live.len()) {
                     replicas.push(live[(cursor + k) % live.len()]);
                 }
                 cursor += 1;
-                blocks.push(BlockInfo {
+                blocks.push(Block {
                     id,
                     len: this_len,
                     replicas,
@@ -1254,7 +1312,7 @@ mod tests {
             }
             if fs.live_datanodes() == 0 {
                 return Err(HdfsError::InsufficientReplication {
-                    wanted: fs.default_replication,
+                    wanted: REPLICATION as u32,
                     live: 0,
                 });
             }
@@ -1264,7 +1322,6 @@ mod tests {
             let file = Node::File {
                 data: data.to_vec(),
                 props,
-                replication: fs.default_replication,
                 blocks: allocate_blocks(fs, data.len() as u64),
                 mtime: fs.clock_ms,
                 owner: owner.to_string(),
