@@ -1257,3 +1257,85 @@ const BULK_DIGESTS: [(&str, u64); 19] = [
     ("run_bulk rows 65", 0x667299e140607a0c),
     ("run_bulk rows 4096", 0x38a59bd8b82ac0f6),
 ];
+
+/// A bulk table of 65,536 rows, twice the rows from which the codec splits
+/// a file between two threads: every file both engines' `write_columns`
+/// make of it in each format, with the `table_digest` of that file read
+/// back by each engine, as `(what, FNV-1a)` pairs.
+fn split_file_digests() -> Vec<(String, u64)> {
+    let schema = bulk_schema();
+    let defs: Vec<ColumnDef> = schema
+        .iter()
+        .map(|f| ColumnDef {
+            name: f.name.clone(),
+            hive_type: HiveType::from_data_type(&f.data_type).expect("bulk types exist in Hive"),
+        })
+        .collect();
+    let config = SparkConfig::default();
+    let sink = DiagSink::new();
+    let diag = sink.handle("minihive");
+    let cols = generate_bulk_columns(65_536, 42);
+    let mut out = Vec::new();
+    for format in formats() {
+        let spark = minispark::serde_layer::write_columns(format, &schema, &cols, &config)
+            .expect("spark bulk write");
+        let hive = minihive::serde_layer::write_columns(format, &defs, &cols, &diag)
+            .expect("hive bulk write");
+        for (writer, bytes) in [("spark", spark), ("hive", hive)] {
+            out.push((
+                format!("{writer} {} bytes", format.name()),
+                csi_core::hash::fnv1a(&bytes),
+            ));
+            let spark = minispark::serde_layer::read_columns(format, &schema, &bytes, &config)
+                .expect("spark bulk read");
+            let hive = minihive::serde_layer::read_columns(format, &defs, &bytes, &diag)
+                .expect("hive bulk read");
+            for (reader, table) in [("spark", spark), ("hive", hive)] {
+                out.push((
+                    format!("{writer} {} read by {reader}", format.name()),
+                    csi_test::bulk::table_digest(&table),
+                ));
+            }
+        }
+    }
+    assert!(sink.drain().is_empty(), "clean bulk data draws no warning");
+    out
+}
+
+/// Files long enough for the codec to encode and decode them on two
+/// threads hold the bytes and the read-back tables of the one-thread codec.
+#[test]
+fn files_above_the_split_threshold_hold_their_committed_digests() {
+    let actual = split_file_digests();
+    let now: String = actual
+        .iter()
+        .map(|(what, d)| format!("    ({what:?}, {d:#018x}),\n"))
+        .collect();
+    let want: Vec<(String, u64)> = SPLIT_FILE_DIGESTS
+        .iter()
+        .map(|(what, d)| (what.to_string(), *d))
+        .collect();
+    assert!(actual == want, "the digests now:\n{now}");
+}
+
+/// Computed by the one-thread codec.
+const SPLIT_FILE_DIGESTS: [(&str, u64); 18] = [
+    ("spark ORC bytes", 0x40eef6ade3617f89),
+    ("spark ORC read by spark", 0x84d8858c3310d62f),
+    ("spark ORC read by hive", 0x84d8858c3310d62f),
+    ("hive ORC bytes", 0x20f23da7f0eb9298),
+    ("hive ORC read by spark", 0x84d8858c3310d62f),
+    ("hive ORC read by hive", 0x84d8858c3310d62f),
+    ("spark PARQUET bytes", 0xbd04f67a84a3c5ef),
+    ("spark PARQUET read by spark", 0x84d8858c3310d62f),
+    ("spark PARQUET read by hive", 0x84d8858c3310d62f),
+    ("hive PARQUET bytes", 0x59d546b0fde1b5ef),
+    ("hive PARQUET read by spark", 0x84d8858c3310d62f),
+    ("hive PARQUET read by hive", 0x84d8858c3310d62f),
+    ("spark AVRO bytes", 0x0d3e4ee1153256d1),
+    ("spark AVRO read by spark", 0x84d8858c3310d62f),
+    ("spark AVRO read by hive", 0x84d8858c3310d62f),
+    ("hive AVRO bytes", 0xcd91eaacd5d6bff4),
+    ("hive AVRO read by spark", 0x84d8858c3310d62f),
+    ("hive AVRO read by hive", 0x84d8858c3310d62f),
+];
