@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test), outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test), cell (plan::cells walks the cell space, no loop over an experiment's plans in csi-test outside plan.rs) calibration (a detecting run's baseline is its fault-free twin's trace, no learned baseline set), arming (a run arms its own faults with CrossingContext::rearm; no arm_plan or arm_set under crates/) deployment (every stack is built by Deployment::new, which takes the spec's spark_overrides: no Deployment::configured), scenario (a fault's scenarios are read off inject.rs's scenario table: no match arm or matches! pattern naming a Channel:: variant in csi-test) and block (a stored block owns no heap: minihdfs has one replicas: Vec<, the public BlockInfo's) guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test), outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test), cell (plan::cells walks the cell space, no loop over an experiment's plans in csi-test outside plan.rs) calibration (a detecting run's baseline is its fault-free twin's trace, no learned baseline set), arming (a run arms its own faults with CrossingContext::rearm; no arm_plan or arm_set under crates/) deployment (every stack is built by Deployment::new, which takes the spec's spark_overrides: no Deployment::configured), scenario (a fault's scenarios are read off inject.rs's scenario table: no match arm or matches! pattern naming a Channel:: variant in csi-test) block (a stored block owns no heap: minihdfs has one replicas: Vec<, the public BlockInfo's) and codec thread (a codec's helper thread is scoped to the call: no thread::spawn or thread::Builder in miniformats) guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -182,6 +182,14 @@ stage_lint() {
   if [ "$(grep -c . <<<"$hits")" -ne 1 ] || ! grep -qF 'pub replicas: Vec<DataNodeId>' <<<"$hits"; then
     printf '%s\n' "$hits"
     echo "a stored block keeps its replicas inline (fs.rs's Replicas); only the public BlockInfo carries a Vec" >&2
+    exit 1
+  fi
+  # The codec's helper thread reads or writes half of one file's rows and
+  # borrows the caller's lanes: scoped to the call, it cannot outlive an
+  # encode or decode, and a detached one could.
+  echo "==> codec thread guard (no thread::spawn or thread::Builder in miniformats)"
+  if grep -rnE --include='*.rs' 'thread::(spawn|Builder)' crates/miniformats/src/; then
+    echo "a codec's helper thread is scoped to the call" >&2
     exit 1
   fi
 }

@@ -20,13 +20,31 @@
 //! byte — is decoded again cell by cell through the row decoder's reader,
 //! so values, demotions and errors are the row path's.
 //!
+//! A file of 32,768 rows or more, on a host with two cores, is encoded and
+//! decoded by two threads, one per half of its rows; the second is scoped
+//! to the call. The encoder's helper writes the second half of the rows
+//! into a buffer of its own, appended to the first: a row's bytes do not
+//! depend on where the row sits. The decoder's helper reads from a row
+//! start it finds past the byte midpoint — the first byte from which a few
+//! hundred rows read through the one row reader — into the same lanes,
+//! from a guessed row on, while the calling thread reads from the first
+//! row. The helper's rows are taken, and moved down behind the caller's,
+//! only when the caller ends exactly on the helper's first byte and the
+//! helper read at least the rows left. Both have then read the bytes one
+//! thread reads, from the same offsets, so the batch (or the fall to the
+//! careful path) is one thread's by construction; otherwise the calling
+//! thread goes on alone.
+//!
 //! Nested types (list/map/struct) keep per-cell [`PhysicalValue`] storage
 //! inside [`ColumnData::Nested`]; only the flat types get monomorphized
 //! fast paths. That is where all the studied hot loops live.
 
 use crate::physical::{value_matches, FileSchema, PhysicalType, PhysicalValue};
-use crate::wire::{self, FormatRules, Window, Writer};
+use crate::wire::{self, FormatRules, Reader, Window, Writer};
 use crate::FormatError;
+use std::ops::Range;
+use std::panic;
+use std::sync::OnceLock;
 
 /// A validity bitmap: bit set ⇒ the slot holds a value, clear ⇒ NULL.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -147,29 +165,13 @@ impl VarBuffer {
         self.offsets.push(self.bytes.len());
     }
 
-    /// `cells` cells for [`VarBuffer::set_within`] (or, for an empty one,
-    /// an end offset written directly) to fill in row order.
+    /// `cells` cells for the fast decoder to fill in row order (or, for an
+    /// empty one, an end offset written directly).
     fn zeroed(cells: usize) -> VarBuffer {
         VarBuffer {
             offsets: vec![0; cells + 1],
             bytes: Vec::new(),
         }
-    }
-
-    /// Appends `src[start..start + len]` as cell `i` of a
-    /// [`VarBuffer::zeroed`] buffer. Short cells copy through a
-    /// constant-size window when one fits in `src`: a fixed-length copy
-    /// compiles to two register moves, while variable short lengths bounce
-    /// through the memcpy dispatcher and mispredict on every size change.
-    fn set_within(&mut self, i: usize, src: &[u8], start: usize, len: usize) {
-        if len <= 32 && start + 32 <= src.len() {
-            let keep = self.bytes.len() + len;
-            self.bytes.extend_from_slice(&src[start..start + 32]);
-            self.bytes.truncate(keep);
-        } else {
-            self.bytes.extend_from_slice(&src[start..start + len]);
-        }
-        self.offsets[i + 1] = self.bytes.len();
     }
 
     /// The bytes of cell `i`.
@@ -692,6 +694,22 @@ impl RecordBatch {
     }
 }
 
+/// Rows from which a file is encoded and decoded by two threads, one per
+/// half of its rows. Starting and joining a scoped thread costs about
+/// 30 µs, and a row of the narrowest flat file (one boolean column) about
+/// 6 ns each way: at this many rows the helper takes about 90 µs of work
+/// off the caller, and the split wins on one-column and nine-column files
+/// alike, where at half as many a one-column file reads as fast or
+/// faster on one thread (EXPERIMENTS.md, "Two threads per large file").
+const SPLIT_ROWS: usize = 32_768;
+
+/// Whether the host runs two threads at once; asked once per process
+/// (the answer reads the scheduler's affinity and cgroup limits).
+fn two_cores() -> bool {
+    static TWO: OnceLock<bool> = OnceLock::new();
+    *TWO.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2))
+}
+
 /// Encodes a batch under the given format rules, emitting bytes identical
 /// to [`crate::wire::encode`] on the equivalent rows.
 pub fn encode(rules: &FormatRules, batch: &RecordBatch) -> Result<Vec<u8>, FormatError> {
@@ -717,16 +735,26 @@ fn encode_views<C>(
     view: impl for<'a> Fn(&'a C) -> ColumnRef<'a>,
 ) -> Result<Vec<u8>, FormatError> {
     match columns {
-        [one] => encode_lanes(rules, schema, &[view(one)]),
-        many => encode_lanes(rules, schema, &many.iter().map(view).collect::<Vec<_>>()),
+        [one] => encode_lanes(rules, schema, &[view(one)], SPLIT_ROWS),
+        many => encode_lanes(
+            rules,
+            schema,
+            &many.iter().map(view).collect::<Vec<_>>(),
+            SPLIT_ROWS,
+        ),
     }
 }
 
-/// The one encoder.
+/// The one encoder. A file of `split_rows` rows or more, on a host with
+/// two cores, has its second half of rows encoded by a scoped helper
+/// thread into a buffer of its own, sized here, and appended: a row's
+/// bytes do not depend on where the row sits, so the file is the one a
+/// single thread writes.
 fn encode_lanes(
     rules: &FormatRules,
     schema: &FileSchema,
     columns: &[ColumnRef<'_>],
+    split_rows: usize,
 ) -> Result<Vec<u8>, FormatError> {
     rules.check_schema(schema)?;
     if columns.len() != schema.columns.len() {
@@ -768,37 +796,66 @@ fn encode_lanes(
         room = room.max(cells + col.cell_bound().max(16));
         cells += col.cell_bound();
     }
-    // Size the output once: a fixed-width cell at its bound, a
-    // variable-width one at tag, length and payload, and the last row's
-    // room. This is a hint, not a bound — a wide decimal, a nested cell,
-    // a length past three bytes or a long header still grows the buffer.
-    let mut cap = 64 + room;
-    for col in columns {
-        cap += match col.data {
-            LaneRef::Utf8 { bytes, .. } | LaneRef::Bytes { bytes, .. } => n * 4 + bytes.len(),
-            _ => n * col.cell_bound(),
-        };
-    }
     let mut w = Writer {
-        buf: Vec::with_capacity(cap),
+        buf: Vec::with_capacity(64 + room + rows_cap(columns, 0..n)),
     };
     wire::write_header(&mut w, rules, schema);
     w.len(n);
+    let mut w = if n >= split_rows && two_cores() {
+        let mid = n / 2;
+        let tail = Writer {
+            buf: Vec::with_capacity(room + rows_cap(columns, mid..n)),
+        };
+        let (mut w, tail) = std::thread::scope(|s| {
+            let tail = s.spawn(|| write_rows(tail, room, columns, mid..n));
+            let head = write_rows(w, room, columns, 0..mid);
+            (
+                head,
+                tail.join().unwrap_or_else(|p| panic::resume_unwind(p)),
+            )
+        });
+        w.buf.extend_from_slice(&tail.buf);
+        w
+    } else {
+        write_rows(w, room, columns, 0..n)
+    };
+    w.buf.extend_from_slice(rules.magic);
+    Ok(w.buf)
+}
+
+/// The bytes rows `rows` take, sized once: a fixed-width cell at its
+/// bound, a variable-width one at tag, length and payload. This is a
+/// hint, not a bound — a wide decimal, a nested cell or a length past
+/// three bytes still grows the buffer.
+fn rows_cap(columns: &[ColumnRef<'_>], rows: Range<usize>) -> usize {
+    let n = rows.len();
+    columns
+        .iter()
+        .map(|col| match col.data {
+            LaneRef::Utf8 { offsets, .. } | LaneRef::Bytes { offsets, .. } => {
+                n * 4 + offsets[rows.end] - offsets[rows.start]
+            }
+            _ => n * col.cell_bound(),
+        })
+        .sum()
+}
+
+/// Writes rows `rows` of the lanes after what `w` holds, each row's
+/// stores within `room`.
+fn write_rows(w: Writer, room: usize, columns: &[ColumnRef<'_>], rows: Range<usize>) -> Writer {
     let mut w = Window::new(w, room);
-    for i in 0..n {
+    for i in rows {
         w.row();
         for col in columns {
             col.write_cell(&mut w, i);
         }
     }
-    let mut w = w.finish();
-    w.buf.extend_from_slice(rules.magic);
-    Ok(w.buf)
+    w.finish()
 }
 
 /// Writes tag byte + length prefix + payload for cell `i` of a var-width
 /// lane. A payload of up to 32 bytes copies through a constant-size
-/// window when one fits in `bytes` (see [`VarBuffer::set_within`] for
+/// window when one fits in `bytes` (see [`push_within`] for
 /// why), and exactly when it ends the lane; a longer one is appended.
 #[inline(always)]
 fn write_var_cell(w: &mut Window, tag: u8, offsets: &[usize], bytes: &[u8], i: usize) {
@@ -826,6 +883,16 @@ fn write_var_cell(w: &mut Window, tag: u8, offsets: &[usize], bytes: &[u8], i: u
 /// type-skewed file means. Corrupt bytes produce the same errors as
 /// [`crate::wire::decode`] because both use the same primitive readers.
 pub fn decode(rules: &FormatRules, data: &[u8]) -> Result<RecordBatch, FormatError> {
+    decode_split(rules, data, SPLIT_ROWS)
+}
+
+/// [`decode`], reading a file of `split_rows` rows or more on two threads
+/// when the host has two cores.
+fn decode_split(
+    rules: &FormatRules,
+    data: &[u8],
+    split_rows: usize,
+) -> Result<RecordBatch, FormatError> {
     let mut r = wire::open_reader(rules, data)?;
     let schema = wire::read_header(&mut r)?;
     let ncols = schema.columns.len();
@@ -836,7 +903,8 @@ pub fn decode(rules: &FormatRules, data: &[u8]) -> Result<RecordBatch, FormatErr
     let fits = (r.data.len() - r.pos) / ncols.max(1);
     let body = r.pos;
     if nrows <= fits {
-        if let Some(columns) = decode_typed(&mut r, &schema, nrows) {
+        let split = nrows >= split_rows && two_cores();
+        if let Some(columns) = decode_typed(&mut r, &schema, nrows, split) {
             return Ok(RecordBatch { schema, columns });
         }
         r.pos = body;
@@ -875,52 +943,484 @@ fn typed_column(ty: &PhysicalType, rows: usize) -> Option<Column> {
 /// reader's `Option`-typed fast primitives, so no error is built for a
 /// file that has none. `None` says nothing about the file except that
 /// [`decode_careful`] must read it.
-fn decode_typed(r: &mut wire::Reader, schema: &FileSchema, nrows: usize) -> Option<Vec<Column>> {
+fn decode_typed(
+    r: &mut Reader,
+    schema: &FileSchema,
+    nrows: usize,
+    split: bool,
+) -> Option<Vec<Column>> {
+    let halves = split.then(|| Halves::guess(nrows, r.pos, r.data.len()));
+    let slots = halves.as_ref().map_or(nrows, |h| h.slots);
     let mut columns: Vec<Column> = schema
         .columns
         .iter()
-        .map(|c| typed_column(&c.ty, nrows))
+        .map(|c| typed_column(&c.ty, slots))
         .collect::<Option<_>>()?;
-    let file = r.data;
-    for row in 0..nrows {
-        for col in &mut columns {
-            // Each lane takes its own tag and NULL; any other tag ends
-            // the fast path.
-            match (r.fast_u8()?, &mut col.data) {
-                (0, ColumnData::Utf8(buf) | ColumnData::Bytes(buf)) => {
-                    buf.offsets[row + 1] = buf.bytes.len();
-                    continue;
-                }
-                (0, _) => continue,
-                (1, ColumnData::Bool(v)) => v[row] = r.fast_u8()? != 0,
-                (2, ColumnData::Int8(v)) => v[row] = r.fast_int()?,
-                (3, ColumnData::Int16(v)) => v[row] = r.fast_int()?,
-                (4, ColumnData::Int32(v)) => v[row] = r.fast_int()?,
-                (5, ColumnData::Int64(v)) => v[row] = r.fast_int()?,
-                (6, ColumnData::Float32(v)) => {
-                    v[row] = f32::from_bits(u32::from_le_bytes(r.fast_array()?));
-                }
-                (7, ColumnData::Float64(v)) => {
-                    v[row] = f64::from_bits(u64::from_le_bytes(r.fast_array()?));
-                }
-                (8, ColumnData::Decimal { unscaled, scale }) => {
-                    unscaled[row] = r.fast_decimal()?;
-                    scale[row] = r.fast_u8()?;
-                }
-                (9, ColumnData::Utf8(buf)) => {
-                    let len = r.fast_str()?.len();
-                    buf.set_within(row, file, r.pos - len, len);
-                }
-                (10, ColumnData::Bytes(buf)) => {
-                    let len = r.fast_run()?.len();
-                    buf.set_within(row, file, r.pos - len, len);
-                }
-                _ => return None,
-            }
-            col.validity.words[row / 64] |= 1u64 << (row % 64);
-        }
+    match halves {
+        Some(halves) => halves.read(r, &mut columns, nrows)?,
+        None => _ = read_all(r, &mut columns, 0..nrows).ok()?,
     }
     Some(columns)
+}
+
+/// One column's slots from some row on, lent to [`read_rows`]: its
+/// validity words and typed slots, and for a var-width lane each cell's
+/// end offset and the buffer its payload is appended to.
+struct Lanes<'a> {
+    validity: &'a mut [u64],
+    slots: Slots<'a>,
+}
+
+/// The typed slots of [`Lanes`].
+enum Slots<'a> {
+    Bool(&'a mut [bool]),
+    Int8(&'a mut [i8]),
+    Int16(&'a mut [i16]),
+    Int32(&'a mut [i32]),
+    Int64(&'a mut [i64]),
+    Float32(&'a mut [f32]),
+    Float64(&'a mut [f64]),
+    Decimal(&'a mut [i128], &'a mut [u8]),
+    Utf8(&'a mut [usize], &'a mut Vec<u8>),
+    Bytes(&'a mut [usize], &'a mut Vec<u8>),
+}
+
+impl<'a> Lanes<'a> {
+    /// The rows before row `at` (a multiple of 64), whose payloads go where
+    /// they went, and the rows from it on, whose payloads go to `tail`.
+    fn split_at(self, at: usize, tail: &'a mut Vec<u8>) -> (Lanes<'a>, Lanes<'a>) {
+        fn halves<'a, T>(
+            v: &'a mut [T],
+            at: usize,
+            slots: fn(&'a mut [T]) -> Slots<'a>,
+        ) -> (Slots<'a>, Slots<'a>) {
+            let (head, tail) = v.split_at_mut(at);
+            (slots(head), slots(tail))
+        }
+        let (head, rest) = match self.slots {
+            Slots::Bool(v) => halves(v, at, Slots::Bool),
+            Slots::Int8(v) => halves(v, at, Slots::Int8),
+            Slots::Int16(v) => halves(v, at, Slots::Int16),
+            Slots::Int32(v) => halves(v, at, Slots::Int32),
+            Slots::Int64(v) => halves(v, at, Slots::Int64),
+            Slots::Float32(v) => halves(v, at, Slots::Float32),
+            Slots::Float64(v) => halves(v, at, Slots::Float64),
+            Slots::Decimal(unscaled, scale) => {
+                let ((u0, u1), (s0, s1)) = (unscaled.split_at_mut(at), scale.split_at_mut(at));
+                (Slots::Decimal(u0, s0), Slots::Decimal(u1, s1))
+            }
+            Slots::Utf8(ends, bytes) => {
+                let (e0, e1) = ends.split_at_mut(at);
+                (Slots::Utf8(e0, bytes), Slots::Utf8(e1, tail))
+            }
+            Slots::Bytes(ends, bytes) => {
+                let (e0, e1) = ends.split_at_mut(at);
+                (Slots::Bytes(e0, bytes), Slots::Bytes(e1, tail))
+            }
+        };
+        let (v0, v1) = self.validity.split_at_mut(at / 64);
+        (
+            Lanes {
+                validity: v0,
+                slots: head,
+            },
+            Lanes {
+                validity: v1,
+                slots: rest,
+            },
+        )
+    }
+
+    /// The buffer a var-width lane's payloads go to.
+    fn payload(&mut self) -> Option<&mut Vec<u8>> {
+        match &mut self.slots {
+            Slots::Utf8(_, bytes) | Slots::Bytes(_, bytes) => Some(bytes),
+            _ => None,
+        }
+    }
+}
+
+/// `$fixed` once per fixed-width lane of a flat [`ColumnData`] (a
+/// decimal's two lanes each), with `$v` the lane's `Vec`, and `$var` with
+/// `$b` a var-width column's [`VarBuffer`].
+macro_rules! each_lane {
+    ($data:expr, $v:ident => $fixed:expr, $b:ident => $var:expr) => {
+        match $data {
+            ColumnData::Bool($v) => $fixed,
+            ColumnData::Int8($v) => $fixed,
+            ColumnData::Int16($v) => $fixed,
+            ColumnData::Int32($v) => $fixed,
+            ColumnData::Int64($v) => $fixed,
+            ColumnData::Float32($v) => $fixed,
+            ColumnData::Float64($v) => $fixed,
+            ColumnData::Decimal { unscaled, scale } => {
+                let $v = unscaled;
+                $fixed;
+                let $v = scale;
+                $fixed
+            }
+            ColumnData::Utf8($b) | ColumnData::Bytes($b) => $var,
+            ColumnData::Nested(_) => unreachable!("the fast path holds flat columns only"),
+        }
+    };
+}
+
+impl Column {
+    /// The column's slots, lent to [`read_rows`]. A flat column only.
+    fn lanes(&mut self) -> Lanes<'_> {
+        let slots = match &mut self.data {
+            ColumnData::Bool(v) => Slots::Bool(v),
+            ColumnData::Int8(v) => Slots::Int8(v),
+            ColumnData::Int16(v) => Slots::Int16(v),
+            ColumnData::Int32(v) => Slots::Int32(v),
+            ColumnData::Int64(v) => Slots::Int64(v),
+            ColumnData::Float32(v) => Slots::Float32(v),
+            ColumnData::Float64(v) => Slots::Float64(v),
+            ColumnData::Decimal { unscaled, scale } => Slots::Decimal(unscaled, scale),
+            ColumnData::Utf8(buf) => Slots::Utf8(&mut buf.offsets[1..], &mut buf.bytes),
+            ColumnData::Bytes(buf) => Slots::Bytes(&mut buf.offsets[1..], &mut buf.bytes),
+            ColumnData::Nested(_) => unreachable!("the fast path holds flat columns only"),
+        };
+        Lanes {
+            validity: &mut self.validity.words,
+            slots,
+        }
+    }
+
+    /// Zeroes rows `rows` (the first a multiple of 64): placeholders and
+    /// validity bits, so a row left NULL there reads as one the fast path
+    /// never touched.
+    fn clear_rows(&mut self, rows: Range<usize>) {
+        self.validity.words[rows.start / 64..rows.end.div_ceil(64)].fill(0);
+        each_lane!(&mut self.data, v => v[rows.clone()].fill(Default::default()), _b => {});
+    }
+
+    /// Moves the `moved` rows from row `from` — read by the helper, their
+    /// payloads in `tail` — down to follow the first `nrows - moved`, and
+    /// drops every slot past `nrows`.
+    fn settle(&mut self, from: usize, moved: usize, nrows: usize, tail: &[u8]) {
+        let to = nrows - moved;
+        self.validity.settle(from, to, moved);
+        each_lane!(&mut self.data, v => {
+            if from != to {
+                v.copy_within(from..from + moved, to);
+            }
+            v.truncate(nrows);
+        }, b => {
+            let (head, end) = (b.offsets[to], if moved > 0 { b.offsets[from + moved] } else { 0 });
+            for i in 1..=moved {
+                b.offsets[to + i] = b.offsets[from + i] + head;
+            }
+            b.offsets.truncate(nrows + 1);
+            b.bytes.extend_from_slice(&tail[..end]);
+        });
+    }
+}
+
+impl Bitmap {
+    /// Moves the `moved` bits from bit `from` (a multiple of 64) down to
+    /// bit `to`, below which only bits `..to` may be set, and drops every
+    /// bit past `to + moved`.
+    fn settle(&mut self, from: usize, to: usize, moved: usize) {
+        let (words, shift) = (&mut self.words, to % 64);
+        if from != to {
+            for w in 0..moved.div_ceil(64) {
+                // The word taken is never a later word's destination: a
+                // destination is at most the source just taken.
+                let bits = std::mem::take(&mut words[from / 64 + w]);
+                words[to / 64 + w] |= bits << shift;
+                if shift > 0 {
+                    words[to / 64 + w + 1] |= bits >> (64 - shift);
+                }
+            }
+        }
+        self.len = to + moved;
+        words.truncate(self.len.div_ceil(64));
+        if let (Some(last), tail @ 1..) = (words.last_mut(), self.len % 64) {
+            *last &= (1u64 << tail) - 1;
+        }
+    }
+}
+
+/// [`read_rows`] over the whole of `columns`, to the last row asked for.
+fn read_all(r: &mut Reader, columns: &mut [Column], rows: Range<usize>) -> Result<usize, usize> {
+    match columns {
+        [one] => read_rows(r, &mut [one.lanes()], rows, usize::MAX),
+        many => read_rows(
+            r,
+            &mut many.iter_mut().map(Column::lanes).collect::<Vec<_>>(),
+            rows,
+            usize::MAX,
+        ),
+    }
+}
+
+/// The one row reader: reads rows `rows` into `lanes` while the reader
+/// is short of byte `stop`. `Ok` is the row it stopped before — the end
+/// of `rows`, or the first row at `stop` — and `Err` the row holding a
+/// cell the fast path does not read.
+fn read_rows(
+    r: &mut Reader,
+    lanes: &mut [Lanes],
+    rows: Range<usize>,
+    stop: usize,
+) -> Result<usize, usize> {
+    let file = r.data;
+    let read = 'rows: {
+        for row in rows.clone() {
+            if r.pos >= stop {
+                break 'rows Ok(row);
+            }
+            if read_row(r, file, lanes, row).is_none() {
+                break 'rows Err(row);
+            }
+        }
+        Ok(rows.end)
+    };
+    #[cfg(test)]
+    tally(read.unwrap_or_else(|row| row + 1) - rows.start);
+    read
+}
+
+/// One row's cells, each into its own lane at slot `row`.
+#[inline(always)]
+fn read_row(r: &mut Reader, file: &[u8], lanes: &mut [Lanes], row: usize) -> Option<()> {
+    for lane in lanes {
+        // Each lane takes its own tag and NULL; any other tag ends the
+        // fast path.
+        match (r.fast_u8()?, &mut lane.slots) {
+            (0, Slots::Utf8(ends, bytes) | Slots::Bytes(ends, bytes)) => {
+                ends[row] = bytes.len();
+                continue;
+            }
+            (0, _) => continue,
+            (1, Slots::Bool(v)) => v[row] = r.fast_u8()? != 0,
+            (2, Slots::Int8(v)) => v[row] = r.fast_int()?,
+            (3, Slots::Int16(v)) => v[row] = r.fast_int()?,
+            (4, Slots::Int32(v)) => v[row] = r.fast_int()?,
+            (5, Slots::Int64(v)) => v[row] = r.fast_int()?,
+            (6, Slots::Float32(v)) => {
+                v[row] = f32::from_bits(u32::from_le_bytes(r.fast_array()?));
+            }
+            (7, Slots::Float64(v)) => {
+                v[row] = f64::from_bits(u64::from_le_bytes(r.fast_array()?));
+            }
+            (8, Slots::Decimal(unscaled, scale)) => {
+                unscaled[row] = r.fast_decimal()?;
+                scale[row] = r.fast_u8()?;
+            }
+            (9, Slots::Utf8(ends, bytes)) => {
+                let len = r.fast_str()?.len();
+                ends[row] = push_within(bytes, file, r.pos - len, len);
+            }
+            (10, Slots::Bytes(ends, bytes)) => {
+                let len = r.fast_run()?.len();
+                ends[row] = push_within(bytes, file, r.pos - len, len);
+            }
+            _ => return None,
+        }
+        lane.validity[row / 64] |= 1u64 << (row % 64);
+    }
+    Some(())
+}
+
+/// Appends `src[start..start + len]` to `bytes` and returns the new end.
+/// Short cells copy through a constant-size window when one fits in
+/// `src`: a fixed-length copy compiles to two register moves, while
+/// variable short lengths bounce through the memcpy dispatcher and
+/// mispredict on every size change.
+#[inline(always)]
+fn push_within(bytes: &mut Vec<u8>, src: &[u8], start: usize, len: usize) -> usize {
+    if len <= 32 && start + 32 <= src.len() {
+        let keep = bytes.len() + len;
+        bytes.extend_from_slice(&src[start..start + 32]);
+        bytes.truncate(keep);
+    } else {
+        bytes.extend_from_slice(&src[start..start + len]);
+    }
+    bytes.len()
+}
+
+/// Rows a candidate row start must read before the resync probe takes
+/// it (or every row to the end of the file).
+const PROBE_ROWS: usize = 256;
+
+/// The most rows the resync probe reads, over every candidate.
+const PROBE_BUDGET: usize = 1024;
+
+/// A decode split between the calling thread, which reads rows from the
+/// first on (the head), and a scoped helper, which reads rows from a row
+/// start past the byte midpoint (the tail). The tail's rows land at a
+/// guessed row past the head's last and move down once the head's count
+/// is known; they are taken only when the head ends exactly on the
+/// tail's first byte and the tail read at least the rows left, so the
+/// batch is the one [`read_rows`] makes on one thread.
+struct Halves {
+    /// Where the rows begin.
+    body: usize,
+    /// Where the probe starts looking for the tail's first row.
+    from: usize,
+    /// The slot the tail's first row lands in: a multiple of 64, so the
+    /// two threads share no validity word.
+    at: usize,
+    /// Slots per lane: the tail's room runs from `at` to here.
+    slots: usize,
+}
+
+impl Halves {
+    /// The split of a file whose `nrows` rows lie in bytes `body..end`.
+    /// The head's row count is guessed from the bytes before the midpoint,
+    /// with a margin of a 128th of the rows plus 64 on both sides.
+    fn guess(nrows: usize, body: usize, end: usize) -> Halves {
+        let from = body + (end - body) / 2;
+        let est = (nrows as u128 * (from - body) as u128 / (end - body).max(1) as u128) as usize;
+        let margin = nrows / 128 + 64;
+        let at = (est + margin).next_multiple_of(64);
+        Halves {
+            body,
+            from,
+            at,
+            slots: at + nrows + margin - est,
+        }
+    }
+
+    /// Reads the file's rows into `columns` (of `self.slots` slots each)
+    /// and leaves them `nrows` long, as [`read_all`] would have; `None`
+    /// when the careful path must decode the file.
+    fn read(self, r: &mut Reader, columns: &mut [Column], nrows: usize) -> Option<()> {
+        let Halves { at, slots, .. } = self;
+        let (file, end) = (r.data, r.data.len());
+        let mut tails: Vec<Vec<u8>> = columns.iter().map(|_| Vec::new()).collect();
+        let Some((start, span, touched)) = self.probe(file, columns, &mut tails) else {
+            #[cfg(test)]
+            record(Split::NoStart);
+            return self.alone(r, columns, 0, nrows);
+        };
+        for (col, tail) in columns.iter_mut().zip(&mut tails) {
+            col.clear_rows(at..at + touched);
+            if let ColumnData::Utf8(own) | ColumnData::Bytes(own) = &mut col.data {
+                // Payload bytes per file byte, as the probe read them,
+                // with an eighth to spare: sized here, so no buffer grows
+                // on the helper and the tail's bytes append without one.
+                let need = |bytes: usize| {
+                    let rate = tail.len() as f64 / span as f64;
+                    ((rate * bytes as f64 * 1.125) as usize).min(bytes) + 64
+                };
+                let (head, rest) = (need(start - self.body), need(end - start));
+                tail.clear();
+                tail.reserve_exact(rest);
+                own.bytes.reserve_exact(head + rest);
+            }
+        }
+        let (head, tail) = std::thread::scope(|s| {
+            let (mut head, mut tail): (Vec<Lanes>, Vec<Lanes>) = columns
+                .iter_mut()
+                .zip(&mut tails)
+                .map(|(c, t)| c.lanes().split_at(at, t))
+                .unzip();
+            let helper = s.spawn(move || {
+                let mut r = Reader {
+                    data: file,
+                    pos: start,
+                };
+                read_rows(&mut r, &mut tail, 0..slots - at, end)
+            });
+            let head = read_rows(r, &mut head, 0..at.min(nrows), start);
+            (
+                head,
+                helper.join().unwrap_or_else(|p| panic::resume_unwind(p)),
+            )
+        });
+        let landed = r.pos == start;
+        let moved = match (head, tail) {
+            // A row the one-thread reader fails on too.
+            (Err(_), _) => return None,
+            (Ok(rows), _) if rows == nrows => 0,
+            (Ok(rows), Ok(read) | Err(read)) if landed && read >= nrows - rows => nrows - rows,
+            // The one-thread reader fails at the row the tail failed on,
+            // or at the end of the file.
+            (Ok(_), Err(_)) if landed => return None,
+            (Ok(_), Ok(read)) if landed && read < slots - at => return None,
+            // A failed guess: the head goes on alone.
+            (Ok(rows), _) => {
+                #[cfg(test)]
+                record(Split::Continued);
+                return self.alone(r, columns, rows, nrows);
+            }
+        };
+        #[cfg(test)]
+        record(Split::Verified);
+        for (col, tail) in columns.iter_mut().zip(&tails) {
+            col.settle(at, moved, nrows, tail);
+        }
+        Some(())
+    }
+
+    /// The rows from `row` on, read on the calling thread after whatever
+    /// the helper or the probe left in the tail's slots is cleared.
+    fn alone(
+        &self,
+        r: &mut Reader,
+        columns: &mut [Column],
+        row: usize,
+        nrows: usize,
+    ) -> Option<()> {
+        for col in columns.iter_mut() {
+            col.clear_rows(self.at..self.slots);
+        }
+        read_all(r, columns, row..nrows).ok()?;
+        for col in columns.iter_mut() {
+            col.settle(self.at, 0, nrows, &[]);
+        }
+        Some(())
+    }
+
+    /// Finds the tail's first row: the first byte from `self.from` on
+    /// from which [`PROBE_ROWS`] rows (or every row to the end of the
+    /// file) read, through the tail's lanes, within [`PROBE_BUDGET`] rows
+    /// read in all. Returns that byte, the bytes its rows took (their
+    /// payloads are left in `tails`), and the tail slots it touched.
+    fn probe(
+        &self,
+        file: &[u8],
+        columns: &mut [Column],
+        tails: &mut [Vec<u8>],
+    ) -> Option<(usize, usize, usize)> {
+        let mut lanes: Vec<Lanes> = columns
+            .iter_mut()
+            .zip(tails)
+            .map(|(c, t)| c.lanes().split_at(self.at, t).1)
+            .collect();
+        let (mut spent, mut touched) = (0, 0);
+        let mut r = Reader {
+            data: file,
+            pos: self.from,
+        };
+        for start in self.from..file.len() {
+            if spent + PROBE_ROWS > PROBE_BUDGET {
+                return None;
+            }
+            r.pos = start;
+            for lane in &mut lanes {
+                if let Some(payload) = lane.payload() {
+                    payload.clear();
+                }
+            }
+            match read_rows(
+                &mut r,
+                &mut lanes,
+                0..PROBE_ROWS.min(self.slots - self.at),
+                file.len(),
+            ) {
+                Ok(rows) => return Some((start, r.pos - start, touched.max(rows))),
+                Err(row) => {
+                    spent += row + 1;
+                    touched = touched.max(row + 1);
+                }
+            }
+        }
+        None
+    }
 }
 
 /// The reference path of [`decode`]: the row decoder's own cell reader,
@@ -950,9 +1450,39 @@ fn decode_careful(
     Ok(batch)
 }
 
+/// What the last split decode on this thread did with the helper's rows.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Split {
+    /// The probe found no row start: the calling thread read every row.
+    NoStart,
+    /// The guess failed: the head went on alone.
+    Continued,
+    /// The tail's rows were taken.
+    Verified,
+}
+
+#[cfg(test)]
+thread_local! {
+    static SPLIT: std::cell::Cell<Option<Split>> = const { std::cell::Cell::new(None) };
+    static ROWS_READ: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn record(split: Split) {
+    SPLIT.with(|s| s.set(Some(split)));
+}
+
+/// Counts the rows [`read_rows`] reads on this thread.
+#[cfg(test)]
+fn tally(rows: usize) {
+    ROWS_READ.with(|c| c.set(c.get() + rows));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const RULES: FormatRules = FormatRules {
         name: "test",
@@ -1092,5 +1622,299 @@ mod tests {
         assert!(b.same_validity(&c));
         c.push(true);
         assert!(!b.same_validity(&c));
+    }
+
+    /// A little xorshift generator, so a case is its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    const FLAT: [PhysicalType; 10] = [
+        PhysicalType::Bool,
+        PhysicalType::Int8,
+        PhysicalType::Int16,
+        PhysicalType::Int32,
+        PhysicalType::Int64,
+        PhysicalType::Float32,
+        PhysicalType::Float64,
+        PhysicalType::Decimal,
+        PhysicalType::Utf8,
+        PhysicalType::Bytes,
+    ];
+
+    /// A cell of `ty`: NULL one time in five, integers of every varint
+    /// length, floats of any bits, decimals past `i64` one time in eight,
+    /// and payloads either side of the 32-byte window and past it.
+    fn cell(rng: &mut Rng, ty: &PhysicalType) -> PhysicalValue {
+        if rng.below(5) == 0 {
+            return PhysicalValue::Null;
+        }
+        let wide = rng.next() >> rng.below(64);
+        let payload = |rng: &mut Rng| -> Vec<u8> {
+            let len = [rng.below(8), 30 + rng.below(5), 40 + rng.below(80)][rng.below(3) as usize];
+            (0..len).map(|_| b'a' + rng.below(26) as u8).collect()
+        };
+        match ty {
+            PhysicalType::Bool => PhysicalValue::Bool(rng.below(2) == 0),
+            PhysicalType::Int8 => PhysicalValue::Int8(wide as i8),
+            PhysicalType::Int16 => PhysicalValue::Int16(wide as i16),
+            PhysicalType::Int32 => PhysicalValue::Int32(wide as i32),
+            PhysicalType::Int64 => PhysicalValue::Int64(wide as i64),
+            PhysicalType::Float32 => PhysicalValue::Float32(f32::from_bits(rng.next() as u32)),
+            PhysicalType::Float64 => PhysicalValue::Float64(f64::from_bits(rng.next())),
+            PhysicalType::Decimal => PhysicalValue::Decimal {
+                unscaled: match rng.below(8) {
+                    0 => i128::from(wide as i64) << 70,
+                    _ => i128::from(wide as i64),
+                },
+                scale: rng.below(39) as u8,
+            },
+            PhysicalType::Utf8 => {
+                PhysicalValue::Utf8(String::from_utf8(payload(rng)).expect("ASCII"))
+            }
+            _ => PhysicalValue::Bytes(payload(rng)),
+        }
+    }
+
+    /// A random flat table of `rows` rows and one to six columns.
+    fn flat_table(rng: &mut Rng, rows: usize) -> RecordBatch {
+        let width = 1 + rng.below(6) as usize;
+        let types: Vec<PhysicalType> = (0..width)
+            .map(|_| FLAT[rng.below(FLAT.len() as u64) as usize].clone())
+            .collect();
+        let schema = FileSchema::of(
+            types
+                .iter()
+                .enumerate()
+                .map(|(i, ty)| (["a", "b", "c", "d", "e", "f"][i], ty.clone()))
+                .collect(),
+        );
+        let rows: Vec<Vec<PhysicalValue>> = (0..rows)
+            .map(|_| types.iter().map(|ty| cell(rng, ty)).collect())
+            .collect();
+        RecordBatch::from_rows(&schema, &rows).expect("cells of their columns' types")
+    }
+
+    /// The encoder with every file of two rows or more split.
+    fn split_encode(batch: &RecordBatch) -> Vec<u8> {
+        let views: Vec<ColumnRef> = batch.columns.iter().map(Column::view).collect();
+        encode_lanes(&RULES, &batch.schema, &views, 2).expect("a valid batch")
+    }
+
+    /// What the one-thread and the split decoder make of `bytes`, which
+    /// must be the same; `Debug` so NaNs compare (every float is printed
+    /// from its bits' value, and every lane and validity word is printed).
+    fn decode_both(bytes: &[u8]) -> String {
+        let serial = format!("{:?}", decode_split(&RULES, bytes, usize::MAX));
+        let split = format!("{:?}", decode_split(&RULES, bytes, 2));
+        assert_eq!(serial, split, "{bytes:?}");
+        serial
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Split encode writes the one-thread file, and split decode reads
+        /// back what the one-thread decoder does — of the honest file, of
+        /// the file with bytes before its footer, and of the file with a
+        /// row in its second half holding a cell of another column's tag.
+        #[test]
+        fn a_split_file_is_the_one_thread_file(seed in any::<u64>(), rows in 2usize..1500) {
+            let mut rng = Rng(seed | 1);
+            let batch = flat_table(&mut rng, rows);
+            let bytes = encode(&RULES, &batch).expect("a valid batch");
+            prop_assert_eq!(&split_encode(&batch), &bytes);
+            let honest = decode_both(&bytes);
+            prop_assert_eq!(honest, format!("{:?}", Ok::<_, FormatError>(&batch)));
+
+            let footer = bytes.len() - 4;
+            let mut trailing = bytes[..footer].to_vec();
+            for _ in 0..1 + rng.below(100) {
+                trailing.push(rng.next() as u8);
+            }
+            trailing.extend_from_slice(RULES.magic);
+            decode_both(&trailing);
+
+            // A row of the second half rewritten with its first column's
+            // cell of another type: the careful path demotes that column.
+            let row = rows / 2 + rng.below((rows - rows / 2) as u64) as usize;
+            let mut skewed = batch.to_rows();
+            let other = &FLAT[(FLAT.iter().position(|t| *t == batch.schema.columns[0].ty).unwrap() + 1) % FLAT.len()];
+            skewed[row][0] = loop {
+                let v = cell(&mut rng, other);
+                if v != PhysicalValue::Null {
+                    break v;
+                }
+            };
+            let mut w = Writer { buf: Vec::new() };
+            wire::write_header(&mut w, &RULES, &batch.schema);
+            w.len(rows);
+            for cells in &skewed {
+                for v in cells {
+                    wire::write_value(&mut w, v);
+                }
+            }
+            w.buf.extend_from_slice(RULES.magic);
+            let read = decode_both(&w.buf);
+            prop_assert!(read.contains("Nested"), "{}", read);
+        }
+    }
+
+    /// Every value of every byte in the second half of a small file's
+    /// rows: the split decoder returns the one-thread decoder's batch or
+    /// error, whatever the edit does to the row starts the probe finds.
+    #[test]
+    fn every_single_byte_edit_in_the_tail_half_decodes_as_on_one_thread() {
+        let schema = FileSchema::of(vec![
+            ("i", PhysicalType::Int32),
+            ("s", PhysicalType::Utf8),
+            ("dec", PhysicalType::Decimal),
+            ("b", PhysicalType::Bool),
+        ]);
+        let rows: Vec<Vec<PhysicalValue>> = (0..12)
+            .map(|i| {
+                vec![
+                    match i % 5 {
+                        3 => PhysicalValue::Null,
+                        _ => PhysicalValue::Int32(i * 1_000 - 5_000),
+                    },
+                    PhysicalValue::Utf8("ab".repeat(i as usize % 4)),
+                    PhysicalValue::Decimal {
+                        unscaled: i128::from(i) << (i * 6),
+                        scale: 2,
+                    },
+                    PhysicalValue::Bool(i % 2 == 0),
+                ]
+            })
+            .collect();
+        let bytes = wire::encode(&RULES, &schema, &rows).unwrap();
+        let mut r = wire::open_reader(&RULES, &bytes).unwrap();
+        wire::read_header(&mut r).unwrap();
+        wire::read_row_count(&mut r, schema.columns.len()).unwrap();
+        let (body, footer) = (r.pos, bytes.len() - 4);
+        let mut edited = bytes.clone();
+        for at in body + (footer - body) / 2..footer {
+            for value in 0..=255u8 {
+                edited[at] = value;
+                decode_both(&edited);
+            }
+            edited[at] = bytes[at];
+        }
+    }
+
+    /// Nine columns of `bulk`'s physical types, `rows` rows.
+    fn bulk_like(rows: usize) -> RecordBatch {
+        let types = [
+            PhysicalType::Bool,
+            PhysicalType::Int32,
+            PhysicalType::Int64,
+            PhysicalType::Float64,
+            PhysicalType::Decimal,
+            PhysicalType::Utf8,
+            PhysicalType::Bytes,
+            PhysicalType::Int32,
+            PhysicalType::Int64,
+        ];
+        let schema = FileSchema::of(
+            types
+                .iter()
+                .enumerate()
+                .map(|(i, ty)| {
+                    (
+                        ["b", "i", "l", "d", "dec", "s", "bin", "dt", "ts"][i],
+                        ty.clone(),
+                    )
+                })
+                .collect(),
+        );
+        let mut rng = Rng(42);
+        let rows: Vec<Vec<PhysicalValue>> = (0..rows)
+            .map(|_| {
+                types
+                    .iter()
+                    .map(|ty| match ty {
+                        _ if rng.below(20) == 0 => PhysicalValue::Null,
+                        PhysicalType::Utf8 => PhysicalValue::Utf8("é".repeat(5) + &"x".repeat(15)),
+                        PhysicalType::Bytes => {
+                            PhysicalValue::Bytes(vec![7; 1 + rng.below(8) as usize])
+                        }
+                        PhysicalType::Decimal => PhysicalValue::Decimal {
+                            unscaled: i128::from(rng.next() >> 10),
+                            scale: 2,
+                        },
+                        ty => cell(&mut rng, ty),
+                    })
+                    .collect()
+            })
+            .collect();
+        RecordBatch::from_rows(&schema, &rows).expect("cells of their columns' types")
+    }
+
+    /// An honest 131,072-row file is read by both threads: the helper's
+    /// rows are taken, not read again, and the calling thread reads about
+    /// half the rows.
+    #[test]
+    fn an_honest_bulk_file_is_read_by_two_threads() {
+        let batch = bulk_like(131_072);
+        let bytes = encode(&RULES, &batch).expect("a valid batch");
+        assert_eq!(split_encode(&batch), bytes);
+        ROWS_READ.with(|c| c.set(0));
+        SPLIT.with(|s| s.set(None));
+        let read = format!("{:?}", decode(&RULES, &bytes));
+        assert!(
+            read == format!("{:?}", Ok::<_, FormatError>(&batch)),
+            "the batch written"
+        );
+        if two_cores() {
+            assert_eq!(SPLIT.with(|s| s.get()), Some(Split::Verified));
+            let rows = ROWS_READ.with(|c| c.get());
+            assert!(rows < 131_072 / 2 + 1_024 + PROBE_BUDGET, "{rows}");
+        }
+    }
+
+    /// A file whose first half of rows is far shorter than its second
+    /// misleads the guess: the head runs out of slots before the tail's
+    /// first byte and goes on alone, reading every row once, plus the
+    /// probe's rows.
+    #[test]
+    fn a_failed_guess_costs_the_calling_thread_one_read_of_each_row() {
+        let nrows = 4_096;
+        let schema = FileSchema::of(vec![("s", PhysicalType::Utf8)]);
+        let rows: Vec<Vec<PhysicalValue>> = (0..nrows)
+            .map(|i| {
+                vec![PhysicalValue::Utf8(if i < nrows / 2 {
+                    String::new()
+                } else {
+                    "y".repeat(31)
+                })]
+            })
+            .collect();
+        let bytes = wire::encode(&RULES, &schema, &rows).unwrap();
+        ROWS_READ.with(|c| c.set(0));
+        SPLIT.with(|s| s.set(None));
+        let split = decode_split(&RULES, &bytes, 2).unwrap();
+        assert_eq!(split.to_rows(), rows);
+        if two_cores() {
+            assert_eq!(SPLIT.with(|s| s.get()), Some(Split::Continued));
+        }
+        let read = ROWS_READ.with(|c| c.get());
+        assert!(read <= nrows + PROBE_BUDGET, "{read}");
+        assert_eq!(
+            format!("{split:?}"),
+            decode_both(&bytes)
+                .trim_start_matches("Ok(")
+                .trim_end_matches(')')
+        );
     }
 }

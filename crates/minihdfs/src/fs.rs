@@ -560,9 +560,12 @@ impl MiniHdfs {
         Ok(())
     }
 
-    /// Appends bytes to an existing file, extending its block layout.
+    /// Appends bytes to an existing file, extending its block layout. Like
+    /// [`MiniHdfs::create`], it refuses when no datanode is live, and the
+    /// file is left as it was.
     pub fn append(&mut self, path: &HdfsPath, data: &[u8]) -> Result<(), HdfsError> {
         self.check_mutable()?;
+        let live = self.live_datanodes();
         let depth = path.components().count();
         let mut walk = Walk::descend(&mut self.root, path, depth, self.any_quota);
         let name = match (walk.blocked, path.name()) {
@@ -570,6 +573,12 @@ impl MiniHdfs {
             _ if walk.reached == depth => return Err(HdfsError::IsADirectory(path.clone())),
             _ => return Err(HdfsError::FileNotFound(path.clone())),
         };
+        if live == 0 {
+            return Err(HdfsError::InsufficientReplication {
+                wanted: REPLICATION as u32,
+                live: 0,
+            });
+        }
         walk.check_space(path, data.len() as u64)?;
         let Some(Node::File {
             data: existing,
@@ -1339,6 +1348,12 @@ mod tests {
                 Some(Node::Dir { .. }) => return Err(HdfsError::IsADirectory(path.clone())),
                 Some(Node::File { .. }) => {}
             }
+            if fs.live_datanodes() == 0 {
+                return Err(HdfsError::InsufficientReplication {
+                    wanted: REPLICATION as u32,
+                    live: 0,
+                });
+            }
             fs.check_space_quota(path, data.len() as u64)?;
             let new_blocks = allocate_blocks(fs, data.len() as u64);
             let now = fs.clock_ms;
@@ -1835,6 +1850,26 @@ mod tests {
         let big = vec![1u8; 200];
         fs.append(&p("/log"), &big).unwrap();
         assert!(fs.blocks(&p("/log")).unwrap().len() >= 2);
+    }
+
+    #[test]
+    fn append_with_no_live_datanode_is_refused_and_leaves_the_file() {
+        let mut fs = MiniHdfs::with_datanodes(1);
+        fs.create(&p("/f"), vec![5u8; 200]).unwrap();
+        fs.kill_datanode(DataNodeId(0));
+        let (blocks, status) = (fs.blocks(&p("/f")), fs.get_file_status(&p("/f")));
+        assert_eq!(
+            fs.append(&p("/f"), &[6u8; 300]),
+            Err(HdfsError::InsufficientReplication { wanted: 3, live: 0 })
+        );
+        assert_eq!(fs.blocks(&p("/f")), blocks);
+        assert_eq!(fs.get_file_status(&p("/f")), status);
+        assert_eq!(status.unwrap().len, 200);
+        // The path checks come first, as in `create`.
+        assert!(matches!(
+            fs.append(&p("/nope"), b"x"),
+            Err(HdfsError::FileNotFound(_))
+        ));
     }
 
     #[test]
