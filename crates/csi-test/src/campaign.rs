@@ -201,8 +201,9 @@ impl Campaign {
         self
     }
 
-    /// Runs the campaign on `n` workers; `0` and `1` both run it on the
-    /// calling thread. Clamped to
+    /// Runs the campaign on `n` workers; `0` and `1` both run it on one,
+    /// the calling thread, except a large grid's, which runs on a helper
+    /// thread while the calling thread classifies. Clamped to
     /// [`MAX_SHARDS`](crate::spec::MAX_SHARDS) — only specs revived from
     /// the wire can carry an out-of-range value.
     pub fn shards(mut self, n: usize) -> Campaign {

@@ -489,10 +489,21 @@ impl Classifier {
         }
         let total = self.observations.iter().map(Vec::len).sum();
         let mut observations: Vec<(Experiment, Observation)> = Vec::with_capacity(total);
+        let mut positions = Vec::with_capacity(total);
         for (experiment, of) in self.experiments.into_iter().zip(self.observations) {
-            observations.extend(of.into_iter().map(|o| (experiment, o)));
+            for obs in of {
+                positions.push((obs.input_id, observations.len()));
+                observations.push((experiment, obs));
+            }
         }
-        let (report, findings) = judge(inputs, &observations, self.failures, detector_enabled);
+        let (report, findings) = judge(
+            inputs,
+            &observations,
+            &self.summaries,
+            positions,
+            self.failures,
+            detector_enabled,
+        );
         CampaignOutcome {
             report,
             observations,
@@ -528,30 +539,41 @@ pub fn classify(
     failures: Vec<OracleFailure>,
     detector_enabled: bool,
 ) -> DiscrepancyReport {
-    judge(inputs, observations, failures, detector_enabled).0
-}
-
-/// The report, and one [`Finding`] per discrepancy: its `trace` is that of
-/// the finding's first evidence observation that recorded one.
-fn judge(
-    inputs: &[TestInput],
-    observations: &[(Experiment, Observation)],
-    failures: Vec<OracleFailure>,
-    detector_enabled: bool,
-) -> (DiscrepancyReport, Vec<Finding>) {
-    // Per-input error summaries across all observations, and where each
-    // input's observations sit: (input id, position) pairs, sorted.
     let mut summaries: BTreeMap<usize, InputSummary> = BTreeMap::new();
     let mut positions = Vec::with_capacity(observations.len());
     for (at, (_, obs)) in observations.iter().enumerate() {
         summaries.entry(obs.input_id).or_default().fold(obs);
         positions.push((obs.input_id, at));
     }
+    let (report, _) = judge(
+        inputs,
+        observations,
+        &summaries,
+        positions,
+        failures,
+        detector_enabled,
+    );
+    report
+}
+
+/// The report, and one [`Finding`] per discrepancy: its `trace` is that of
+/// the finding's first evidence observation that recorded one.
+/// `summaries` folds every one of `observations` per input, and
+/// `positions` holds each one's (input id, position) pair, so that the
+/// caller's one walk over them serves both.
+fn judge(
+    inputs: &[TestInput],
+    observations: &[(Experiment, Observation)],
+    summaries: &BTreeMap<usize, InputSummary>,
+    mut positions: Vec<(usize, usize)>,
+    failures: Vec<OracleFailure>,
+    detector_enabled: bool,
+) -> (DiscrepancyReport, Vec<Finding>) {
     positions.sort_unstable();
     let mut evidence: BTreeMap<&'static str, Vec<OracleFailure>> = BTreeMap::new();
     let mut unattributed = Vec::new();
     for failure in &failures {
-        let ids = evidenced(inputs, &summaries, failure).unwrap_or_default();
+        let ids = evidenced(inputs, summaries, failure).unwrap_or_default();
         if ids.is_empty() {
             unattributed.push(failure.clone());
         }

@@ -1,14 +1,17 @@
 //! The one executor: an ordered worker pool, and the cross-test grid on it.
 //!
-//! `run_ordered` is the only place the harness spawns threads. Every
-//! [`crate::Campaign`] mode hands it `n` independent jobs — grid shards
-//! here, fault-matrix cells in [`crate::inject`], explore rounds in
-//! [`crate::explore`], compound trials in [`crate::multi`] — and gets the
-//! results back in index order, whatever worker ran them. The caller owns
-//! one state per worker, so a worker's deployment serves every run it
-//! makes for the whole campaign, across rounds, and faults are armed per
-//! run, not per deployment. Serial is one worker state: the same closure,
-//! inline on the calling thread. The two
+//! `run_merging` (and `run_ordered`, its collecting form) is the only
+//! place the harness spawns threads. Every [`crate::Campaign`] mode hands
+//! it `n` independent jobs — grid shards here, fault-matrix cells in
+//! [`crate::inject`], explore rounds in [`crate::explore`], compound
+//! trials in [`crate::multi`] — and the calling thread gets the results
+//! in index order, whatever worker ran them, each as soon as every one
+//! before it has landed. The caller owns one state per worker, so a
+//! worker's deployment serves every run it makes for the whole campaign,
+//! across rounds, and faults are armed per run, not per deployment.
+//! Serial is one worker state: the same closure, inline on the calling
+//! thread, or on one scoped helper thread when the caller asks, so that
+//! the calling thread merges while it runs. The two
 //! searching modes pick each round's jobs off one `Frontier`: keys that
 //! feedback promoted first, then the mode's grid filler, none twice.
 //!
@@ -26,10 +29,17 @@
 //!   observation with `exec::judged_run`, whose fault-free twin runs on
 //!   the same stack.
 //! - **Deterministic merge** — workers only *record* observations. The
-//!   merger walks the shards in canonical (experiment, plan, format,
-//!   input-id) order and hands each observation to the one
-//!   `classify::Classifier`, so failures are produced in the same order
-//!   and the [`DiscrepancyReport`] is byte-identical at any worker count.
+//!   calling thread takes the shards in canonical (experiment, plan,
+//!   format, input-id) order as they land and hands each observation to
+//!   the one `classify::Classifier`, sealing each experiment as the walk
+//!   leaves it, so failures are produced in the same order and the
+//!   [`DiscrepancyReport`] is byte-identical at any worker count. The
+//!   merge runs while the workers run: beside them when there are two or
+//!   more, and beside a lone worker on a scoped helper thread when the
+//!   grid is large enough to pay for the thread (`OVERLAP_OBSERVATIONS`)
+//!   and the host has two cores. A smaller one-worker grid runs inline,
+//!   each shard merged before the next runs. Only the judge's tail,
+//!   `Classifier::finish`, runs after the last shard.
 //! - **Campaign metrics** — observations/sec, per-phase wall time, and
 //!   per-worker utilization are surfaced in [`CampaignMetrics`].
 //!
@@ -45,51 +55,88 @@ use csi_core::boundary::CrossingContext;
 use csi_core::detect::{DetectionTap, DetectorSpec};
 use csi_core::oracle::Observation;
 use minihive::metastore::StorageFormat;
-use parking_lot::Mutex;
 use serde::Serialize;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, OnceLock};
 use std::time::Instant;
 
 /// Runs `job(state, i)` for every `i` in `0..n` on one thread per worker
-/// state, and returns the results in index order.
-///
-/// Workers claim indices off a bump counter, so the indices any one
-/// worker sees are strictly increasing; each result lands in its own
-/// slot, so no worker waits on another to store one. The caller owns the
-/// states, so a state (a deployment, a worker's statistics) outlives the
-/// call. Only the first `n` states are used; one state runs the closures
-/// inline on the calling thread, with no spawn. `workers` must not be
-/// empty while `n > 0`. A panicking job panics the caller either way.
+/// state, and returns the results in index order: [`run_merging`],
+/// collecting. One state runs the jobs inline on the calling thread.
 pub(crate) fn run_ordered<S: Send, T: Send>(
     workers: &mut [S],
     n: usize,
     job: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
+    let mut results = Vec::with_capacity(n);
+    run_merging(workers, n, false, job, |_, result| results.push(result));
+    results
+}
+
+/// The one executor: runs `job(state, i)` for every `i` in `0..n` on one
+/// thread per worker state, and hands each result to `merge(i, result)`
+/// on the calling thread, in index order, as soon as it and every result
+/// before it have landed.
+///
+/// Workers claim indices off a bump counter, so the indices any one
+/// worker sees are strictly increasing; a result that lands ahead of its
+/// turn waits on the calling thread until the ones before it have been
+/// merged. The caller owns the states, so a state (a deployment, a
+/// worker's statistics) outlives the call. Only the first `n` states are
+/// used. One state runs inline on the calling thread, each job followed
+/// by its merge, with no spawn — unless `helper`, when it runs on one
+/// scoped thread while the calling thread merges. `workers` must not be
+/// empty while `n > 0`. A panicking job panics the caller either way,
+/// with the job's own payload.
+pub(crate) fn run_merging<S: Send, T: Send>(
+    workers: &mut [S],
+    n: usize,
+    helper: bool,
+    job: impl Fn(&mut S, usize) -> T + Sync,
+    mut merge: impl FnMut(usize, T),
+) {
     let used = n.min(workers.len());
     let workers = &mut workers[..used];
-    if let [state] = workers {
-        return (0..n).map(|i| job(state, i)).collect();
+    if let ([state], false) = (&mut *workers, helper) {
+        for i in 0..n {
+            merge(i, job(state, i));
+        }
+        return;
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let (landed, results) = mpsc::channel();
     std::thread::scope(|scope| {
-        for state in workers {
-            let (next, slots, job) = (&next, &slots, &job);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = job(state, i);
-                *slots[i].lock() = Some(result);
-            });
+        let threads: Vec<_> = workers
+            .iter_mut()
+            .map(|state| {
+                let (next, job, landed) = (&next, &job, landed.clone());
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    // A caller that stopped merging (it panicked) stops
+                    // the workers at their next job.
+                    if i >= n || landed.send((i, job(state, i))).is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        drop(landed);
+        let mut early = BTreeMap::new();
+        let mut due = 0;
+        for (i, result) in results {
+            early.insert(i, result);
+            while let Some(result) = early.remove(&due) {
+                merge(due, result);
+                due += 1;
+            }
         }
+        for thread in threads {
+            thread.join().unwrap_or_else(|p| panic::resume_unwind(p));
+        }
+        assert_eq!(due, n, "every index was claimed");
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every index was claimed"))
-        .collect()
 }
 
 /// One state per worker of `spec.shards` (`0` and `1` both mean one),
@@ -152,6 +199,8 @@ pub struct WorkerStats {
     /// Time spent executing shards, in microseconds.
     pub busy_micros: u64,
     /// `busy` as a fraction of the execute phase's wall time (0.0–1.0).
+    /// The merge is not `busy`: a worker inline on the calling thread
+    /// merges between its shards, and reads below one by that much.
     pub utilization: f64,
 }
 
@@ -164,11 +213,14 @@ pub struct CampaignMetrics {
     pub shards: usize,
     /// Total observations recorded.
     pub observations: usize,
-    /// Wall time of the execute phase, in microseconds; a detecting,
-    /// faulted grid's fault-free twin runs are part of it.
+    /// Wall time of the execute phase, in microseconds: until the last
+    /// shard has run and been merged. The merge's per-observation oracles
+    /// and each experiment's differential run in it, beside the workers
+    /// or between an inline worker's shards; a detecting, faulted grid's
+    /// fault-free twin runs are part of it.
     pub execute_micros: u64,
-    /// Wall time of the merge phase (oracles + classification) — the
-    /// campaign's oracle overhead, in microseconds.
+    /// Wall time of the judge's tail after the execute phase
+    /// (attribution, the report and its findings), in microseconds.
     pub oracle_micros: u64,
     /// End-to-end wall time, in microseconds.
     pub total_micros: u64,
@@ -217,12 +269,38 @@ struct GridWorker {
     stats: WorkerStats,
 }
 
+/// Grid observations from which a one-worker grid, on a host with two
+/// cores, runs its shards on a scoped helper thread while the calling
+/// thread classifies. The helper costs a fixed amount (its start and
+/// join, a hand-off per shard); the merge it overlaps, about a
+/// microsecond per observation. One-worker grids alone on a two-core host
+/// read slower overlapped below about 1,000 observations, and below about
+/// 6,000 in a slower, busier spell of the same host. `serve` runs grids
+/// of 64 and 1,024 observations on two daemon workers that already keep
+/// both cores busy, where a helper only contends with the other worker:
+/// both stay inline here, and the §8 campaign's 10,128 overlap
+/// (EXPERIMENTS.md, "The grid classifies while it runs").
+const OVERLAP_OBSERVATIONS: usize = 4_096;
+
+/// Whether the host runs two threads at once; asked once per process
+/// (the answer reads the scheduler's affinity and cgroup limits).
+fn two_cores() -> bool {
+    static TWO: OnceLock<bool> = OnceLock::new();
+    *TWO.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2))
+}
+
 /// Runs `spec`'s grid over `inputs` on `spec.shards` workers (`0` and `1`
-/// both mean one: the calling thread) with at most `spec.chunk_size`
-/// inputs per shard, and merges the shard results in canonical order: the
-/// executor behind every grid [`crate::Campaign`]. Observations, failure
-/// ordering, and the classified report are the same at any worker count
-/// and chunk size; see the module docs for how the merge guarantees this.
+/// both mean one) with at most `spec.chunk_size` inputs per shard, and
+/// merges the shard results in canonical order on the calling thread as
+/// they land: the executor behind every grid [`crate::Campaign`].
+/// Observations, failure ordering, and the classified report are the
+/// same at any worker count and chunk size; see the module docs for how
+/// the merge guarantees this.
+///
+/// One worker runs on the calling thread, between merges, unless the
+/// grid has [`OVERLAP_OBSERVATIONS`] or more observations and the host
+/// two cores: then it runs on a scoped helper thread while the calling
+/// thread merges. More workers always run beside the merging caller.
 ///
 /// Every observation runs on its worker's one deployment, which carries
 /// `spec`'s Spark overrides, with `spec.faults` armed for that run. With
@@ -233,6 +311,17 @@ pub(crate) fn run_cross_test(
     inputs: &[TestInput],
     tap: Option<DetectionTap>,
 ) -> CampaignOutcome {
+    run_grid(spec, inputs, tap, OVERLAP_OBSERVATIONS)
+}
+
+/// [`run_cross_test`], with the one-worker grid overlapped from
+/// `overlap_from` observations on.
+fn run_grid(
+    spec: &CampaignSpec,
+    inputs: &[TestInput],
+    tap: Option<DetectionTap>,
+    overlap_from: usize,
+) -> CampaignOutcome {
     let detector = spec.detect.then(|| DetectorSpec {
         config: spec.detector_config,
         tap,
@@ -241,8 +330,17 @@ pub(crate) fn run_cross_test(
     let campaign_started = Instant::now();
     let shards = build_shards(inputs.len(), spec);
     let mut workers: Vec<GridWorker> = worker_states(spec.shards.min(shards.len()));
+    let observations: usize = shards.iter().map(|shard| shard.hi - shard.lo).sum();
+    let helper = observations >= overlap_from && two_cores();
+    #[cfg(test)]
+    OVERLAPPED.with(|o| o.set(Some(helper || workers.len() > 1)));
 
-    let batches: Vec<Vec<Observation>> = run_ordered(&mut workers, shards.len(), |worker, i| {
+    // Deterministic merge: results reach the merge in canonical shard
+    // order, so it hands the classifier the grid's observation sequence —
+    // each experiment sealed as the walk leaves it — and the report is the
+    // same at any worker count.
+    let mut judge = Classifier::new(&spec.experiments);
+    let job = |worker: &mut GridWorker, i: usize| {
         let shard = &shards[i];
         let shard_started = Instant::now();
         let d = worker
@@ -260,10 +358,20 @@ pub(crate) fn run_cross_test(
         worker.stats.observations += batch.len();
         worker.stats.busy_micros += shard_started.elapsed().as_micros() as u64;
         batch
+    };
+    run_merging(&mut workers, shards.len(), helper, job, |i, batch| {
+        let shard = &shards[i];
+        for (input, obs) in inputs[shard.lo..shard.hi].iter().zip(batch) {
+            judge.absorb(shard.experiment_idx, input, obs);
+        }
+        let next = shards.get(i + 1).map(|next| next.experiment_idx);
+        if next != Some(shard.experiment_idx) {
+            judge.seal(shard.experiment_idx);
+        }
     });
 
     let execute_micros = campaign_started.elapsed().as_micros() as u64;
-    // The deployments go before the merge, which never needs them.
+    // The deployments go before the judge's tail, which never needs them.
     let per_worker: Vec<WorkerStats> = workers
         .into_iter()
         .enumerate()
@@ -273,25 +381,10 @@ pub(crate) fn run_cross_test(
             ..w.stats
         })
         .collect();
-    let merge_started = Instant::now();
-
-    // Deterministic merge: batch order is canonical shard order, so walking
-    // the batches hands the classifier the grid's observation sequence —
-    // each experiment sealed as the walk leaves it — and the report is the
-    // same at any worker count.
-    let mut judge = Classifier::new(&spec.experiments);
-    for (i, (shard, batch)) in shards.iter().zip(batches).enumerate() {
-        for (input, obs) in inputs[shard.lo..shard.hi].iter().zip(batch) {
-            judge.absorb(shard.experiment_idx, input, obs);
-        }
-        let next = shards.get(i + 1).map(|next| next.experiment_idx);
-        if next != Some(shard.experiment_idx) {
-            judge.seal(shard.experiment_idx);
-        }
-    }
+    let finish_started = Instant::now();
     let outcome = judge.finish(inputs, detector.is_some());
 
-    let oracle_micros = merge_started.elapsed().as_micros() as u64;
+    let oracle_micros = finish_started.elapsed().as_micros() as u64;
     let total_micros = campaign_started.elapsed().as_micros() as u64;
     let metrics = CampaignMetrics {
         workers: per_worker.len(),
@@ -311,9 +404,17 @@ pub(crate) fn run_cross_test(
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Whether the last grid this thread ran merged while its shards ran,
+    /// rather than between them.
+    static OVERLAPPED: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::Validity;
+    use crate::Campaign;
     use csi_core::value::{DataType, Value};
     use proptest::prelude::*;
 
@@ -367,16 +468,49 @@ mod tests {
         assert_eq!(ids, vec![caller]);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The merge sees `0..n` in order, each index once, whichever
+        /// worker ran it and wherever a lone worker runs.
+        #[test]
+        fn run_merging_hands_the_caller_every_index_in_order(
+            n in 0usize..200,
+            workers in 1usize..=8,
+            helper in any::<bool>(),
+        ) {
+            let mut seen = Vec::new();
+            run_merging(&mut vec![(); workers], n, helper, |(), i| i * 3, |i, result| {
+                seen.push(i);
+                assert_eq!(result, i * 3, "the result of job {i}");
+            });
+            prop_assert_eq!(seen, (0..n).collect::<Vec<_>>());
+        }
+    }
+
     #[test]
     fn a_panicking_job_panics_the_caller_inline_and_threaded() {
-        for workers in [1, 3] {
+        for (workers, helper) in [(1, false), (1, true), (3, false)] {
             let caught = std::panic::catch_unwind(|| {
-                run_ordered(&mut vec![(); workers], 10, |(), i| {
-                    assert!(i != 6, "job 6 fails");
-                    i
-                })
+                run_merging(
+                    &mut vec![(); workers],
+                    10,
+                    helper,
+                    |(), i| {
+                        assert!(i != 6, "job 6 fails");
+                        i
+                    },
+                    |_, _| {},
+                )
             });
-            assert!(caught.is_err(), "workers = {workers} swallowed the panic");
+            let payload = caught.expect_err("the caller swallowed the panic");
+            // The job's own message, not the scope's.
+            let message = payload.downcast_ref::<&str>().copied();
+            assert_eq!(
+                message,
+                Some("job 6 fails"),
+                "workers = {workers}, helper = {helper}"
+            );
         }
     }
 
@@ -440,6 +574,57 @@ mod tests {
             assert_eq!(metrics.observations, serial.observations.len());
             let by_worker: usize = metrics.per_worker.iter().map(|w| w.observations).sum();
             assert_eq!(by_worker, serial.observations.len());
+        }
+    }
+
+    fn overlapped() -> Option<bool> {
+        OVERLAPPED.with(|o| o.take())
+    }
+
+    /// A grid forced onto the overlapped path writes the inline run's
+    /// observations, report and rendering, plain and faulted under the
+    /// detector.
+    #[test]
+    fn the_overlapped_grid_is_the_inline_grid() {
+        let inputs = small_inputs();
+        let faulted = CampaignSpec {
+            faults: Some(crate::inject::small_fault_catalogue(7)),
+            detect: true,
+            ..CampaignSpec::default()
+        };
+        for spec in [CampaignSpec::default(), faulted] {
+            let inline = run_grid(&spec, &inputs, None, usize::MAX);
+            assert_eq!(overlapped(), Some(false));
+            let overlapped_run = run_grid(&spec, &inputs, None, 0);
+            assert_eq!(overlapped(), Some(two_cores()));
+            assert_eq!(overlapped_run.observations, inline.observations);
+            assert_eq!(overlapped_run.report, inline.report);
+            assert_eq!(overlapped_run.render(), inline.render());
+            let metrics = overlapped_run.metrics.expect("grid metrics");
+            assert_eq!(metrics.workers, 1);
+            assert_eq!(
+                metrics.per_worker[0].observations,
+                inline.observations.len()
+            );
+        }
+    }
+
+    /// The full catalogue merges while its one worker runs; `serve`'s two
+    /// grid shapes, 64 and 4 inputs over two formats, stay inline.
+    #[test]
+    fn only_a_large_grid_overlaps() {
+        let full = Campaign::new(&crate::generate_inputs()).run();
+        assert_eq!(full.observations.len(), 10_128);
+        assert_eq!(overlapped(), Some(two_cores()));
+        for prefix in [64, 4] {
+            let spec = CampaignSpec {
+                inputs: crate::spec::InputSelection::CataloguePrefix(prefix),
+                formats: vec![StorageFormat::Orc, StorageFormat::Parquet],
+                ..CampaignSpec::default()
+            };
+            let outcome = Campaign::from_spec(spec).expect("a valid spec").run();
+            assert_eq!(outcome.observations.len(), prefix * 16);
+            assert_eq!(overlapped(), Some(false), "{prefix} inputs");
         }
     }
 
