@@ -1,7 +1,7 @@
 //! Property: for any valid spec, the report a tenant receives from the
 //! daemon is byte-identical to a batch [`Campaign`] run of the same
-//! spec — the served path adds transport, scheduling, pooling, and
-//! tapping, none of which may perturb a single byte of output. Nor does
+//! spec — the served path adds transport, scheduling and the detection
+//! tap, none of which may perturb a single byte of output. Nor does
 //! journaling: the spec revived from the daemon's journal replays to the
 //! journaled report, the same bytes again.
 

@@ -311,9 +311,10 @@ proptest! {
 
 /// `kfaults(2).jobs(3)`: the compound fault-set × interleaving pass plus
 /// the cross campaign, serial vs sharded, must agree byte for byte. This
-/// is the check that no substrate leaked iteration order or recycled
-/// state — the sharded executor recycles pooled deployments, while the
-/// serial one builds fresh stacks.
+/// is the check that no substrate leaked iteration order or state from
+/// one observation into the next: each worker reuses one deployment
+/// across its shards, so the serial run and the three sharded workers
+/// drive their stacks through different sequences of tables.
 #[test]
 fn compound_campaign_kfaults2_jobs3_serial_matches_sharded() {
     // A catalogue slice keeps the doubled run affordable; the full-set

@@ -22,7 +22,7 @@ impl MemoryModel {
     pub const JVM_OVERHEAD_FLOOR_MB: u64 = 192;
 
     /// Total physical memory the process tree actually uses.
-    pub fn process_size_mb(&self) -> u64 {
+    pub(crate) fn process_size_mb(&self) -> u64 {
         let overhead = Self::JVM_OVERHEAD_FLOOR_MB.max((self.heap_mb + self.off_heap_mb) / 10);
         self.heap_mb + self.off_heap_mb + overhead
     }

@@ -60,7 +60,7 @@ impl fmt::Display for DiscoveryError {
 impl std::error::Error for DiscoveryError {}
 
 /// Discovers the partitions of a topic from a given execution context.
-pub fn discover_partitions(
+pub(crate) fn discover_partitions(
     broker: &MiniKafka,
     topic: &str,
     context: ExecutionContext,

@@ -15,12 +15,10 @@
 //!   context (FLINK-4155) and a **Hive catalog connector** that drops the
 //!   PROCTIME marker on TIMESTAMP round-trips (FLINK-17189).
 
-pub mod checkpoints;
 pub mod hive_catalog;
 pub mod jobmanager;
 pub mod kafka_source;
 pub mod yarn_driver;
 
-pub use checkpoints::{CheckpointCoordinator, CheckpointId, CheckpointOutcome};
 pub use jobmanager::{JobManagerSpec, LaunchOutcome, MemoryModel, SizingPolicy};
 pub use yarn_driver::{run_driver, DriverMode, DriverRun, DriverStats};

@@ -95,11 +95,6 @@ impl Bitmap {
         self.len == 0
     }
 
-    /// Number of valid (non-NULL) slots.
-    pub fn count_valid(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// The raw words, for word-at-a-time (XOR/compare) scans.
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -116,13 +111,6 @@ impl Bitmap {
     /// The raw words, moved out (the inverse of [`Bitmap::from_raw`]).
     pub fn into_words(self) -> Vec<u64> {
         self.words
-    }
-
-    /// Whether two bitmaps of equal length mark the same slots valid.
-    /// Word-wise comparison; trailing unused bits are always zero because
-    /// [`Bitmap::push`] never sets them.
-    pub fn same_validity(&self, other: &Bitmap) -> bool {
-        self.len == other.len && self.words == other.words
     }
 }
 
@@ -638,7 +626,7 @@ impl RecordBatch {
 
     /// Appends one row, validating arity and per-cell types like
     /// [`crate::wire::encode`].
-    pub fn push_row(&mut self, row: &[PhysicalValue]) -> Result<(), FormatError> {
+    pub(crate) fn push_row(&mut self, row: &[PhysicalValue]) -> Result<(), FormatError> {
         if row.len() != self.schema.columns.len() {
             return Err(FormatError::Corrupt(format!(
                 "row has {} values for {} columns",
@@ -1614,14 +1602,6 @@ mod tests {
         }
         assert_eq!(b.len(), 130);
         assert!(b.get(0) && !b.get(1) && b.get(129));
-        assert_eq!(b.count_valid(), (0..130).filter(|i| i % 3 == 0).count());
-        let mut c = Bitmap::new();
-        for i in 0..130 {
-            c.push(i % 3 == 0);
-        }
-        assert!(b.same_validity(&c));
-        c.push(true);
-        assert!(!b.same_validity(&c));
     }
 
     /// A little xorshift generator, so a case is its seed.

@@ -162,11 +162,6 @@ impl FileSchema {
         }
     }
 
-    /// Looks up a column index by exact name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Looks up a column index case-insensitively.
     pub fn index_of_ci(&self, name: &str) -> Option<usize> {
         self.columns
@@ -177,7 +172,7 @@ impl FileSchema {
 
 /// Checks that a value is null or inhabits the declared type (shallow for
 /// nested types: containers are checked recursively by element).
-pub fn value_matches(ty: &PhysicalType, value: &PhysicalValue) -> bool {
+pub(crate) fn value_matches(ty: &PhysicalType, value: &PhysicalValue) -> bool {
     match (ty, value) {
         (_, PhysicalValue::Null) => true,
         (PhysicalType::Bool, PhysicalValue::Bool(_)) => true,
@@ -240,9 +235,9 @@ mod tests {
     #[test]
     fn schema_lookup_case_sensitivity() {
         let schema = FileSchema::of(vec![("Camel", PhysicalType::Int32)]);
-        assert_eq!(schema.index_of("Camel"), Some(0));
-        assert_eq!(schema.index_of("camel"), None);
         assert_eq!(schema.index_of_ci("CAMEL"), Some(0));
+        assert_eq!(schema.index_of_ci("camel"), Some(0));
+        assert_eq!(schema.index_of_ci("kamel"), None);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct FormatRules {
 impl FormatRules {
     /// Validates a physical type against the format's rules. `context`
     /// names the column in an error and is rendered only for one.
-    pub fn check_type(
+    pub(crate) fn check_type(
         &self,
         ty: &PhysicalType,
         context: &dyn fmt::Display,

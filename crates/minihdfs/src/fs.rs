@@ -679,7 +679,7 @@ impl MiniHdfs {
                 ),
             }),
             TokenCheck::Unknown => Err(HdfsError::TokenInvalid {
-                reason: "unknown or cancelled token".to_string(),
+                reason: "unknown token".to_string(),
             }),
         }
     }
@@ -858,11 +858,6 @@ impl MiniHdfs {
     /// Renews a delegation token; returns the new expiry.
     pub fn renew_token(&mut self, id: TokenId, renew_interval_ms: u64) -> Option<u64> {
         self.tokens.renew(id, self.clock_ms, renew_interval_ms)
-    }
-
-    /// Cancels a delegation token.
-    pub fn cancel_token(&mut self, id: TokenId) -> bool {
-        self.tokens.cancel(id)
     }
 }
 
@@ -2036,8 +2031,8 @@ mod tests {
         // Renewal restores access (YARN-2790's intended flow).
         fs.renew_token(token.id, 1000).unwrap();
         assert!(fs.read_with_token(&p("/secure"), token.id).is_ok());
-        fs.cancel_token(token.id);
-        assert!(fs.read_with_token(&p("/secure"), token.id).is_err());
+        // A token the namenode never issued is refused outright.
+        assert!(fs.read_with_token(&p("/secure"), TokenId(999)).is_err());
     }
 
     #[test]

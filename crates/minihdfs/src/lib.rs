@@ -22,7 +22,7 @@
 pub mod error;
 pub mod fs;
 pub mod path;
-pub mod token;
+mod token;
 
 pub use error::HdfsError;
 pub use fs::{DataNodeId, FileBytes, FileProperties, FileStatus, Locality, MiniHdfs};

@@ -3,9 +3,9 @@
 //! YARN-2790 (discussed under Finding 12) is a CSI failure in which YARN
 //! renews an HDFS delegation token far from the point of use, so the token
 //! expires before the downstream operation consumes it. This module gives
-//! the namenode real token lifecycle semantics — issue, renew (bounded by a
-//! max lifetime), cancel, verify — so that upstreams exhibit exactly that
-//! failure when they schedule renewal poorly.
+//! the namenode the token lifecycle that failure needs — issue, renew
+//! (bounded by a max lifetime), verify — so that upstreams exhibit exactly
+//! that failure when they schedule renewal poorly.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -27,27 +27,16 @@ pub struct DelegationToken {
     pub max_lifetime_at: u64,
 }
 
-impl DelegationToken {
-    /// Whether the token is expired at `now`.
-    pub fn is_expired(&self, now: u64) -> bool {
-        now >= self.expires_at
-    }
-}
-
-/// Server-side token registry.
-///
-/// Tokens live in an ordered map keyed by raw id, so the map iterates in
-/// issue order; [`TokenRegistry::expired`] re-sorts by
-/// `(expires_at, id)`, clock order first.
+/// Server-side token registry, keyed by raw id.
 #[derive(Debug, Default, Clone)]
-pub struct TokenRegistry {
+pub(crate) struct TokenRegistry {
     next_id: u64,
     tokens: BTreeMap<u64, DelegationToken>,
 }
 
 /// Outcome of a token verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenCheck {
+pub(crate) enum TokenCheck {
     /// The token is valid.
     Valid,
     /// The token has expired.
@@ -55,7 +44,7 @@ pub enum TokenCheck {
         /// When it expired.
         expired_at: u64,
     },
-    /// The token was cancelled or never issued.
+    /// The token was never issued.
     Unknown,
 }
 
@@ -92,49 +81,15 @@ impl TokenRegistry {
         Some(token.expires_at)
     }
 
-    /// Cancels a token.
-    pub fn cancel(&mut self, id: TokenId) -> bool {
-        self.tokens.remove(&id.0).is_some()
-    }
-
     /// Verifies a token at `now`.
     pub fn check(&self, id: TokenId, now: u64) -> TokenCheck {
         match self.tokens.get(&id.0) {
             None => TokenCheck::Unknown,
-            Some(t) if t.is_expired(now) => TokenCheck::Expired {
+            Some(t) if now >= t.expires_at => TokenCheck::Expired {
                 expired_at: t.expires_at,
             },
             Some(_) => TokenCheck::Valid,
         }
-    }
-
-    /// A snapshot of a token's current server-side state.
-    pub fn get(&self, id: TokenId) -> Option<&DelegationToken> {
-        self.tokens.get(&id.0)
-    }
-
-    /// Number of live (issued, uncancelled) tokens.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Whether no tokens are outstanding.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-
-    /// All tokens expired at `now`, in clock order: sorted by
-    /// `(expires_at, id)` so ties on the expiry instant break by issue
-    /// order.
-    pub fn expired(&self, now: u64) -> Vec<DelegationToken> {
-        let mut out: Vec<DelegationToken> = self
-            .tokens
-            .values()
-            .filter(|t| t.is_expired(now))
-            .cloned()
-            .collect();
-        out.sort_by_key(|t| (t.expires_at, t.id.0));
-        out
     }
 }
 
@@ -181,50 +136,9 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_token() {
-        let mut reg = TokenRegistry::default();
-        let t = reg.issue("hive", 0, 100, 100);
-        assert!(reg.cancel(t.id));
-        assert!(!reg.cancel(t.id));
-        assert_eq!(reg.check(t.id, 10), TokenCheck::Unknown);
-    }
-
-    #[test]
     fn issue_clamps_first_expiry_to_max_lifetime() {
         let mut reg = TokenRegistry::default();
         let t = reg.issue("x", 0, 1000, 300);
         assert_eq!(t.expires_at, 300);
-    }
-
-    #[test]
-    fn expiry_order_is_deterministic_clock_order() {
-        // Tokens expire in clock order, with ties broken by issue order.
-        let build = || {
-            let mut reg = TokenRegistry::default();
-            for (now, interval) in [(0, 300), (0, 100), (50, 50), (0, 100), (10, 500)] {
-                reg.issue("owner", now, interval, 10_000);
-            }
-            reg
-        };
-        let reg = build();
-        assert_eq!(reg.len(), 5);
-        let order: Vec<(u64, u64)> = reg
-            .expired(1_000)
-            .iter()
-            .map(|t| (t.expires_at, t.id.0))
-            .collect();
-        // expires_at: id1=300, id2=100, id3=100, id4=100, id5=510.
-        assert_eq!(
-            order,
-            vec![(100, 2), (100, 3), (100, 4), (300, 1), (510, 5)]
-        );
-        // Identical across independently built registries and clones.
-        assert_eq!(build().expired(1_000), reg.expired(1_000));
-        assert_eq!(reg.clone().expired(1_000), reg.expired(1_000));
-        // A mid-list clock only reveals the prefix, in the same order.
-        let partial: Vec<u64> = reg.expired(200).iter().map(|t| t.id.0).collect();
-        assert_eq!(partial, vec![2, 3, 4]);
-        // Unexpired registries report nothing.
-        assert!(reg.expired(0).is_empty());
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Provides the downstream half of the Section 8 cross-testing case study:
 //!
-//! - a **metastore** with databases, tables, and case-insensitive schemas
-//!   (Hive lower-cases column names — one half of the case-sensitivity
-//!   discrepancies HIVE-26533 / SPARK-40409);
+//! - a **metastore** holding the `default` database's tables, with
+//!   case-insensitive schemas (Hive lower-cases column names — one half of
+//!   the case-sensitivity discrepancies HIVE-26533 / SPARK-40409);
 //! - a **HiveQL interface** interpreting the shared SQL grammar under Hive's
 //!   lenient coercion rules (invalid values become NULL with a log line,
 //!   rather than raising — one half of the inconsistent-error

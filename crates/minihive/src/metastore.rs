@@ -1,4 +1,5 @@
-//! The Hive metastore: databases, table definitions, and warehouse layout.
+//! The Hive metastore: the `default` database's table definitions and
+//! warehouse layout.
 //!
 //! Hive identifiers are **case-insensitive**: the metastore stores table,
 //! column, and struct-field names in lowercase. That is correct per Hive's
@@ -102,7 +103,7 @@ pub struct TableDef {
 
 impl TableDef {
     /// Case-insensitive column lookup; returns the column index.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         let lower = name.to_ascii_lowercase();
         self.columns.iter().position(|c| c.name == lower)
     }
@@ -118,12 +119,23 @@ fn fold(name: &str) -> Cow<'_, str> {
     }
 }
 
+/// Refuses every database but `default`, the one the metastore holds,
+/// named in any case.
+fn check_database(db: &str) -> Result<(), HiveError> {
+    if db.eq_ignore_ascii_case("default") {
+        Ok(())
+    } else {
+        Err(HiveError::UnknownDatabase(db.to_string()))
+    }
+}
+
 /// The metastore. Definitions are shared out as [`Arc`]s: a statement
 /// holds the one it looked up without copying it, and an `ALTER` copies
 /// on write only while some statement still does.
 #[derive(Debug)]
 pub struct Metastore {
-    databases: BTreeMap<String, BTreeMap<String, Arc<TableDef>>>,
+    /// The `default` database's tables, by lowercase name.
+    tables: BTreeMap<String, Arc<TableDef>>,
     warehouse_root: HdfsPath,
     next_part: u64,
     crossing: Option<CrossingContext>,
@@ -139,10 +151,8 @@ impl Metastore {
     /// Creates a metastore with a `default` database rooted at
     /// `/user/hive/warehouse`.
     pub fn new() -> Metastore {
-        let mut databases = BTreeMap::new();
-        databases.insert("default".to_string(), BTreeMap::new());
         Metastore {
-            databases,
+            tables: BTreeMap::new(),
             warehouse_root: HdfsPath::parse("/user/hive/warehouse").expect("static path"),
             next_part: 0,
             crossing: None,
@@ -170,11 +180,6 @@ impl Metastore {
         &self.warehouse_root
     }
 
-    /// Creates a database. Idempotent.
-    pub fn create_database(&mut self, name: &str) {
-        self.databases.entry(name.to_ascii_lowercase()).or_default();
-    }
-
     /// Creates a table in a database.
     ///
     /// Table and column names are lower-cased (silently — Hive's documented
@@ -188,11 +193,8 @@ impl Metastore {
         if_not_exists: bool,
     ) -> Result<&Arc<TableDef>, HiveError> {
         self.cross("create_table", format_args!("{db}.{name}"))?;
-        let tables = self
-            .databases
-            .get_mut(&*fold(db))
-            .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?;
-        match tables.entry(fold(name).into_owned()) {
+        check_database(db)?;
+        match self.tables.entry(fold(name).into_owned()) {
             Entry::Occupied(existing) if if_not_exists => Ok(existing.into_mut()),
             Entry::Occupied(existing) => Err(HiveError::TableExists(existing.key().clone())),
             Entry::Vacant(slot) => {
@@ -217,18 +219,16 @@ impl Metastore {
     /// Looks a table up, case-insensitively.
     pub fn get_table(&self, db: &str, name: &str) -> Result<&Arc<TableDef>, HiveError> {
         self.cross("get_table", format_args!("{db}.{name}"))?;
-        self.databases
-            .get(&*fold(db))
-            .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?
+        check_database(db)?;
+        self.tables
             .get(&*fold(name))
             .ok_or_else(|| HiveError::UnknownTable(name.to_string()))
     }
 
     /// The definition of an existing table, for an `ALTER` to edit.
     fn table_mut(&mut self, db: &str, name: &str) -> Result<&mut TableDef, HiveError> {
-        self.databases
-            .get_mut(&*fold(db))
-            .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?
+        check_database(db)?;
+        self.tables
             .get_mut(&*fold(name))
             .map(Arc::make_mut)
             .ok_or_else(|| HiveError::UnknownTable(name.to_string()))
@@ -284,11 +284,8 @@ impl Metastore {
         fs: &mut MiniHdfs,
     ) -> Result<(), HiveError> {
         self.cross("drop_table", format_args!("{db}.{name}"))?;
-        let tables = self
-            .databases
-            .get_mut(&*fold(db))
-            .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?;
-        match tables.remove(&*fold(name)) {
+        check_database(db)?;
+        match self.tables.remove(&*fold(name)) {
             Some(def) => fs
                 .delete_if_exists(&def.location, true)
                 .map(drop)
@@ -301,13 +298,8 @@ impl Metastore {
     /// Lists table names in a database.
     pub fn list_tables(&self, db: &str) -> Result<Vec<&str>, HiveError> {
         self.cross("list_tables", format_args!("{db}"))?;
-        Ok(self
-            .databases
-            .get(&*fold(db))
-            .ok_or_else(|| HiveError::UnknownDatabase(db.to_string()))?
-            .keys()
-            .map(String::as_str)
-            .collect())
+        check_database(db)?;
+        Ok(self.tables.keys().map(String::as_str).collect())
     }
 
     /// Allocates the path of the next data file for a table.
@@ -455,7 +447,7 @@ mod tests {
         ));
         assert!(ms.get_table("nope", "t").is_err());
         assert!(ms.list_tables("nope").is_err());
-        ms.create_database("Analytics");
-        assert!(ms.list_tables("analytics").unwrap().is_empty());
+        // `default` is the one database, named in any case.
+        assert!(ms.list_tables("DEFAULT").unwrap().is_empty());
     }
 }

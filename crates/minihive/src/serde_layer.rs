@@ -81,7 +81,7 @@ pub fn physical_type_for(format: StorageFormat, ty: &HiveType) -> PhysicalType {
 }
 
 /// The logical annotation Hive records for a column type, if any.
-pub fn logical_annotation(ty: &HiveType) -> Option<String> {
+pub(crate) fn logical_annotation(ty: &HiveType) -> Option<String> {
     match ty {
         HiveType::TinyInt => Some("tinyint".into()),
         HiveType::SmallInt => Some("smallint".into()),
@@ -907,6 +907,22 @@ mod tests {
         let now = parse_timestamp("2020-06-01 12:00:00").unwrap();
         let rows = vec![vec![Value::Timestamp(now)]];
         assert_eq!(roundtrip(StorageFormat::Orc, &columns, rows.clone()), rows);
+        // The bound is strict: the last microsecond of 1899 is NULL and
+        // 1900-01-01 itself survives, row by row and column by column. The
+        // pre-1900 row makes the columnar path take its per-cell branch.
+        let last = parse_timestamp("1899-12-31 23:59:59.999999").unwrap();
+        let bound = parse_timestamp("1900-01-01 00:00:00").unwrap();
+        let rows = vec![vec![Value::Timestamp(last)], vec![Value::Timestamp(bound)]];
+        let expected = vec![vec![Value::Null], vec![Value::Timestamp(bound)]];
+        assert_eq!(
+            roundtrip(StorageFormat::Orc, &columns, rows.clone()),
+            expected
+        );
+        let bytes = write_file_rows(StorageFormat::Orc, &columns, &rows, &h).unwrap();
+        assert_eq!(
+            read_file_rows(StorageFormat::Orc, &columns, &bytes, &h).unwrap(),
+            expected
+        );
     }
 
     #[test]

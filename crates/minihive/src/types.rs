@@ -126,7 +126,7 @@ impl HiveType {
     }
 
     /// Hive DDL rendering.
-    pub fn ddl(&self) -> String {
+    pub(crate) fn ddl(&self) -> String {
         match self {
             HiveType::Boolean => "boolean".into(),
             HiveType::TinyInt => "tinyint".into(),

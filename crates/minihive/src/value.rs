@@ -292,7 +292,7 @@ fn floating(value: &Value, diag: &DiagHandle) -> Result<Option<f64>, HiveError> 
 
 /// Rescales a decimal to `(p, s)` with HALF_UP rounding of excess fractional
 /// digits; returns `None` on integral overflow.
-pub fn rescale_half_up(d: &Decimal, p: u8, s: u8) -> Option<Decimal> {
+pub(crate) fn rescale_half_up(d: &Decimal, p: u8, s: u8) -> Option<Decimal> {
     if s >= d.scale {
         return d.rescale(p, s).ok();
     }
@@ -401,6 +401,13 @@ mod tests {
         let v = Value::Decimal(Decimal::parse("123.456").unwrap());
         let out = coerce(&v, &HiveType::Decimal(10, 2), &h).unwrap();
         assert_eq!(out, Value::Decimal(Decimal::new(12346, 10, 2).unwrap()));
+        // An exact tie rounds away from zero, on either sign.
+        for (text, unscaled) in [("123.455", 12346), ("-123.455", -12346)] {
+            let v = Value::Decimal(Decimal::parse(text).unwrap());
+            let out = coerce(&v, &HiveType::Decimal(10, 2), &h).unwrap();
+            let want = Decimal::new(unscaled, 10, 2).unwrap();
+            assert_eq!(out, Value::Decimal(want), "{text}");
+        }
         assert!(sink.is_empty());
         // Too many integral digits -> NULL + warning.
         let big = Value::Decimal(Decimal::parse("123456789012.3").unwrap());

@@ -1,10 +1,10 @@
-//! The minikafka broker: topics, partitioned logs, compaction, transactions,
-//! and consumer-group offsets.
+//! The minikafka broker: topics, partitioned logs, compaction, and
+//! committed transactions.
 //!
 //! Storage is plain ordered structures: a name-keyed map of topics, each a
-//! `Vec` of partitions indexed by partition id; a partition holds its log
-//! and the offsets consumer groups committed against it. Nothing here
-//! hashes, so nothing observable can depend on a hash iteration order.
+//! `Vec` of partitions indexed by partition id; a partition holds its log.
+//! Nothing here hashes, so nothing observable can depend on a hash
+//! iteration order.
 
 use crate::error::KafkaError;
 use bytes::Bytes;
@@ -21,9 +21,7 @@ pub struct PartitionId(pub u32);
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum StoredKind {
-    Data {
-        aborted: bool,
-    },
+    Data,
     /// A transaction control marker: occupies an offset, never delivered.
     TxnMarker,
 }
@@ -65,9 +63,6 @@ pub struct RecordBatch {
 struct Partition {
     log: Vec<StoredRecord>,
     next_offset: Offset,
-    log_start: Offset,
-    /// Consumer-group name → the offset it committed on this partition.
-    committed: BTreeMap<String, Offset>,
 }
 
 #[derive(Debug)]
@@ -120,11 +115,6 @@ impl MiniKafka {
             let parts = (0..partitions).map(|_| Partition::default()).collect();
             self.topics.insert(topic.to_string(), parts);
         }
-    }
-
-    /// Topic names, sorted.
-    pub fn topics(&self) -> Vec<&str> {
-        self.topics.keys().map(String::as_str).collect()
     }
 
     fn topic(&self, topic: &str) -> Result<&Vec<Partition>, KafkaError> {
@@ -180,7 +170,7 @@ impl MiniKafka {
             key: key.map(Bytes::copy_from_slice),
             value: value.map(Bytes::copy_from_slice),
             timestamp,
-            kind: StoredKind::Data { aborted: false },
+            kind: StoredKind::Data,
         });
         Ok(offset)
     }
@@ -224,16 +214,6 @@ impl MiniKafka {
     /// Commits a transaction: staged records become visible, and a control
     /// marker consumes one offset per touched partition.
     pub fn commit_transaction(&mut self, txn: u64) -> Result<(), KafkaError> {
-        self.finish_transaction(txn, false)
-    }
-
-    /// Aborts a transaction: staged records occupy offsets but are never
-    /// delivered, and a control marker consumes one more offset.
-    pub fn abort_transaction(&mut self, txn: u64) -> Result<(), KafkaError> {
-        self.finish_transaction(txn, true)
-    }
-
-    fn finish_transaction(&mut self, txn: u64, abort: bool) -> Result<(), KafkaError> {
         let t = self
             .transactions
             .remove(&txn)
@@ -248,7 +228,7 @@ impl MiniKafka {
                 key,
                 value,
                 timestamp,
-                kind: StoredKind::Data { aborted: abort },
+                kind: StoredKind::Data,
             });
             if !touched.contains(&partition) {
                 touched.push(partition);
@@ -271,8 +251,8 @@ impl MiniKafka {
 
     /// Fetches up to `max_records` delivered records starting at `offset`.
     ///
-    /// Control markers and aborted transactional records are skipped, so
-    /// **delivered offsets may have gaps**.
+    /// Control markers are skipped, so **delivered offsets may have
+    /// gaps**.
     pub fn fetch(
         &self,
         topic: &str,
@@ -282,10 +262,9 @@ impl MiniKafka {
     ) -> Result<RecordBatch, KafkaError> {
         self.cross("fetch", topic, partition)?;
         let p = self.partition(topic, partition)?;
-        if offset < p.log_start || offset > p.next_offset {
+        if offset < 0 || offset > p.next_offset {
             return Err(KafkaError::OffsetOutOfRange {
                 requested: offset,
-                log_start: p.log_start,
                 log_end: p.next_offset,
             });
         }
@@ -293,7 +272,7 @@ impl MiniKafka {
             .log
             .iter()
             .filter(|r| r.offset >= offset)
-            .filter(|r| matches!(r.kind, StoredKind::Data { aborted: false }))
+            .filter(|r| r.kind == StoredKind::Data)
             .take(max_records)
             .map(|r| ConsumerRecord {
                 offset: r.offset,
@@ -306,15 +285,6 @@ impl MiniKafka {
             records,
             log_end: p.next_offset,
         })
-    }
-
-    /// First valid offset of a partition.
-    pub fn log_start_offset(
-        &self,
-        topic: &str,
-        partition: PartitionId,
-    ) -> Result<Offset, KafkaError> {
-        Ok(self.partition(topic, partition)?.log_start)
     }
 
     /// One past the last assigned offset.
@@ -337,7 +307,7 @@ impl MiniKafka {
         // cloned for the pass.
         let mut latest_by_key: BTreeMap<&[u8], Offset> = BTreeMap::new();
         for r in &p.log {
-            if let (Some(k), StoredKind::Data { aborted: false }) = (&r.key, &r.kind) {
+            if let (Some(k), StoredKind::Data) = (&r.key, &r.kind) {
                 latest_by_key.insert(k.as_ref(), r.offset);
             }
         }
@@ -346,9 +316,7 @@ impl MiniKafka {
             .log
             .iter()
             .map(|r| match (&r.key, &r.kind) {
-                (Some(k), StoredKind::Data { aborted: false }) => {
-                    latest_by_key.get(k.as_ref()) == Some(&r.offset)
-                }
+                (Some(k), StoredKind::Data) => latest_by_key.get(k.as_ref()) == Some(&r.offset),
                 (_, StoredKind::TxnMarker) => false, // Markers are garbage-collected.
                 _ => true,
             })
@@ -361,53 +329,7 @@ impl MiniKafka {
             idx += 1;
             k
         });
-        if let Some(first) = p.log.first() {
-            p.log_start = p.log_start.max(0).min(first.offset);
-        }
         Ok(before - p.log.len())
-    }
-
-    /// Applies time-based retention: removes all records with an offset
-    /// below `before` and advances the log-start offset. Consumers holding
-    /// positions below the new start get `OffsetOutOfRange` on their next
-    /// fetch — the other mechanism (besides compaction) by which the
-    /// "offsets start at zero" assumption breaks.
-    pub fn expire_before(
-        &mut self,
-        topic: &str,
-        partition: PartitionId,
-        before: Offset,
-    ) -> Result<usize, KafkaError> {
-        let p = self.partition_mut(topic, partition)?;
-        let len_before = p.log.len();
-        p.log.retain(|r| r.offset >= before);
-        p.log_start = p.log_start.max(before.min(p.next_offset));
-        Ok(len_before - p.log.len())
-    }
-
-    /// Commits a consumer-group offset.
-    pub fn commit_group_offset(
-        &mut self,
-        group: &str,
-        topic: &str,
-        partition: PartitionId,
-        offset: Offset,
-    ) -> Result<(), KafkaError> {
-        self.partition_mut(topic, partition)?
-            .committed
-            .insert(group.to_string(), offset);
-        Ok(())
-    }
-
-    /// Reads a committed consumer-group offset.
-    pub fn committed_offset(
-        &self,
-        group: &str,
-        topic: &str,
-        partition: PartitionId,
-    ) -> Option<Offset> {
-        let p = self.partition(topic, partition).ok()?;
-        p.committed.get(group).copied()
     }
 }
 
@@ -452,10 +374,9 @@ mod tests {
     fn fetch_out_of_range_errors() {
         let mut k = broker();
         k.produce("t", P0, None, Some(b"x"), 0).unwrap();
-        assert!(matches!(
-            k.fetch("t", P0, 99, 10),
-            Err(KafkaError::OffsetOutOfRange { .. })
-        ));
+        let err = k.fetch("t", P0, 99, 10).unwrap_err();
+        assert!(matches!(err, KafkaError::OffsetOutOfRange { .. }));
+        assert_eq!(err.to_string(), "offset 99 out of range [0, 1)");
         assert!(matches!(
             k.fetch("t", P0, -1, 10),
             Err(KafkaError::OffsetOutOfRange { .. })
@@ -497,20 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn aborted_transaction_records_are_never_delivered() {
-        let mut k = broker();
-        let txn = k.begin_transaction("t").unwrap();
-        k.send_transactional(txn, P0, None, Some(b"ghost"), 0)
-            .unwrap();
-        k.abort_transaction(txn).unwrap();
-        k.produce("t", P0, None, Some(b"real"), 0).unwrap();
-        let batch = k.fetch("t", P0, 0, 100).unwrap();
-        assert_eq!(batch.records.len(), 1);
-        assert_eq!(batch.records[0].offset, 2); // 0 aborted, 1 marker.
-        assert_eq!(batch.records[0].value.as_deref(), Some(b"real".as_ref()));
-    }
-
-    #[test]
     fn transactions_require_open_handle() {
         let mut k = broker();
         assert!(matches!(
@@ -520,38 +427,6 @@ mod tests {
         let txn = k.begin_transaction("t").unwrap();
         k.commit_transaction(txn).unwrap();
         assert!(k.commit_transaction(txn).is_err());
-    }
-
-    #[test]
-    fn retention_advances_the_log_start() {
-        let mut k = broker();
-        for i in 0..10u8 {
-            k.produce("t", P0, None, Some(&[i]), 0).unwrap();
-        }
-        let removed = k.expire_before("t", P0, 6).unwrap();
-        assert_eq!(removed, 6);
-        assert_eq!(k.log_start_offset("t", P0).unwrap(), 6);
-        // A consumer resuming from its old position is now out of range.
-        assert!(matches!(
-            k.fetch("t", P0, 3, 10),
-            Err(KafkaError::OffsetOutOfRange { log_start: 6, .. })
-        ));
-        let batch = k.fetch("t", P0, 6, 10).unwrap();
-        assert_eq!(batch.records.len(), 4);
-        // Expiring past the end empties the log but keeps offsets sane.
-        k.expire_before("t", P0, 100).unwrap();
-        assert_eq!(k.log_start_offset("t", P0).unwrap(), 10);
-        assert!(k.fetch("t", P0, 10, 10).unwrap().records.is_empty());
-    }
-
-    #[test]
-    fn group_offsets_round_trip() {
-        let mut k = broker();
-        k.produce("t", P0, None, Some(b"x"), 0).unwrap();
-        assert_eq!(k.committed_offset("g", "t", P0), None);
-        k.commit_group_offset("g", "t", P0, 1).unwrap();
-        assert_eq!(k.committed_offset("g", "t", P0), Some(1));
-        assert!(k.commit_group_offset("g", "nope", P0, 0).is_err());
     }
 
     #[test]

@@ -16,13 +16,11 @@ pub enum KafkaError {
         /// Requested partition.
         partition: u32,
     },
-    /// A fetch named an offset below the log start (e.g. deleted by
-    /// retention) or beyond the end.
+    /// A fetch named a negative offset or one beyond the end. A log is
+    /// never truncated from the front, so its first valid offset is 0.
     OffsetOutOfRange {
         /// Requested offset.
         requested: i64,
-        /// First valid offset.
-        log_start: i64,
         /// One past the last record.
         log_end: i64,
     },
@@ -30,14 +28,6 @@ pub enum KafkaError {
     UnknownGroup(String),
     /// A transactional operation was used without an open transaction.
     NoOpenTransaction,
-    /// A group commit carried a stale generation (the member missed a
-    /// rebalance).
-    IllegalGeneration {
-        /// Generation the member presented.
-        presented: u64,
-        /// The group's current generation.
-        current: u64,
-    },
     /// No broker is reachable for the request.
     BrokerUnavailable,
     /// The request exceeded its deadline without a broker response.
@@ -59,20 +49,11 @@ impl fmt::Display for KafkaError {
             KafkaError::UnknownPartition { topic, partition } => {
                 write!(f, "unknown partition {topic}-{partition}")
             }
-            KafkaError::OffsetOutOfRange {
-                requested,
-                log_start,
-                log_end,
-            } => write!(
-                f,
-                "offset {requested} out of range [{log_start}, {log_end})"
-            ),
+            KafkaError::OffsetOutOfRange { requested, log_end } => {
+                write!(f, "offset {requested} out of range [0, {log_end})")
+            }
             KafkaError::UnknownGroup(g) => write!(f, "unknown consumer group {g:?}"),
             KafkaError::NoOpenTransaction => write!(f, "no open transaction"),
-            KafkaError::IllegalGeneration { presented, current } => write!(
-                f,
-                "ILLEGAL_GENERATION: presented generation {presented}, group is at {current}"
-            ),
             KafkaError::BrokerUnavailable => {
                 write!(f, "BROKER_NOT_AVAILABLE: no broker reachable")
             }
@@ -97,7 +78,6 @@ impl KafkaError {
             KafkaError::OffsetOutOfRange { .. } => "OFFSET_OUT_OF_RANGE",
             KafkaError::UnknownGroup(_) => "UNKNOWN_GROUP",
             KafkaError::NoOpenTransaction => "NO_OPEN_TRANSACTION",
-            KafkaError::IllegalGeneration { .. } => "ILLEGAL_GENERATION",
             KafkaError::BrokerUnavailable => "BROKER_UNAVAILABLE",
             KafkaError::RequestTimedOut { .. } => "REQUEST_TIMED_OUT",
             KafkaError::CorruptRecord { .. } => "CORRUPT_RECORD",

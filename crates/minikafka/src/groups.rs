@@ -1,10 +1,8 @@
-//! Consumer-group membership, rebalancing, and generation fencing.
+//! Consumer-group membership and rebalancing.
 //!
-//! Kafka fences group commits with a *generation* number: every rebalance
-//! bumps it, and a member that missed the rebalance (a paused Spark
-//! micro-batch, a checkpointing Flink task) gets `ILLEGAL_GENERATION` on
-//! its next commit. Upstream connectors that treat the commit as
-//! infallible exhibit exactly the wrong-API-assumption pattern of Table 6.
+//! Every join or leave rebalances the group: its *generation* number bumps
+//! and the topic's partitions are dealt round-robin over the sorted member
+//! list, so a member's assignment is a function of the membership alone.
 
 use crate::broker::{MiniKafka, PartitionId};
 use crate::error::KafkaError;
@@ -21,7 +19,7 @@ pub struct Membership {
 
 /// One consumer group, bound to a topic.
 #[derive(Debug, Default)]
-pub struct ConsumerGroup {
+pub(crate) struct ConsumerGroup {
     topic: String,
     /// Member names, sorted: rebalance order is observable through
     /// assignments, and a member's slot is a `binary_search` away.
@@ -106,33 +104,6 @@ impl GroupCoordinator {
             g.assignment[p as usize % g.members.len()].push(PartitionId(p));
         }
     }
-
-    /// The group's current generation.
-    pub fn generation(&self, group: &str) -> Option<u64> {
-        self.groups.get(group).map(|g| g.generation)
-    }
-
-    /// Commits an offset on behalf of a member, fencing on the generation.
-    pub fn commit_fenced(
-        &self,
-        broker: &mut MiniKafka,
-        group: &str,
-        generation: u64,
-        partition: PartitionId,
-        offset: i64,
-    ) -> Result<(), KafkaError> {
-        let g = self
-            .groups
-            .get(group)
-            .ok_or_else(|| KafkaError::UnknownGroup(group.to_string()))?;
-        if generation != g.generation {
-            return Err(KafkaError::IllegalGeneration {
-                presented: generation,
-                current: g.generation,
-            });
-        }
-        broker.commit_group_offset(group, &g.topic, partition, offset)
-    }
 }
 
 #[cfg(test)]
@@ -175,33 +146,6 @@ mod tests {
         all.extend(b2.partitions.iter().map(|p| p.0));
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn stale_generation_commits_are_fenced() {
-        let mut k = broker();
-        k.produce("t", PartitionId(0), None, Some(b"x"), 0).unwrap();
-        let mut gc = GroupCoordinator::new();
-        let a = gc.join(&k, "g", "t", "a").unwrap();
-        gc.commit_fenced(&mut k, "g", a.generation, PartitionId(0), 1)
-            .unwrap();
-        // A second member joins; A's generation is now stale.
-        gc.join(&k, "g", "t", "b").unwrap();
-        let err = gc
-            .commit_fenced(&mut k, "g", a.generation, PartitionId(0), 1)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            KafkaError::IllegalGeneration {
-                presented: 1,
-                current: 2
-            }
-        ));
-        // After rejoining, commits work again.
-        let a2 = gc.join(&k, "g", "t", "a").unwrap();
-        gc.commit_fenced(&mut k, "g", a2.generation, PartitionId(0), 1)
-            .unwrap();
-        assert_eq!(k.committed_offset("g", "t", PartitionId(0)), Some(1));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! SparkSQL alone exposes hundreds of parameters (Section 8.2 notes 350+);
 //! this module implements the ones that govern the studied discrepancies,
-//! plus the merge behaviors of the management-plane failures: Spark builds
-//! its effective configuration by layering `spark-defaults.conf`, the
-//! Hadoop configuration, and `hive-site.xml` — and the layering can
-//! silently override or drop values (SPARK-16901, SPARK-10181).
+//! plus the `hive-site.xml` overlay of the management-plane failures:
+//! Spark layers its own values onto Hive's, and the layering can silently
+//! override them (SPARK-16901). The Hive connector's SPARK-10181 drops
+//! them instead (`connectors::hive`).
 
 use csi_core::config::{ConfigMap, MergePolicy, MergeReport};
 
@@ -105,7 +105,7 @@ impl SparkConfig {
 
     /// The effective store-assignment policy; unknown values fall back to
     /// ANSI.
-    pub fn store_assignment_policy(&self) -> StoreAssignmentPolicy {
+    pub(crate) fn store_assignment_policy(&self) -> StoreAssignmentPolicy {
         match self.map.get(STORE_ASSIGNMENT_POLICY) {
             Some(v) if v.eq_ignore_ascii_case("LEGACY") => StoreAssignmentPolicy::Legacy,
             Some(v) if v.eq_ignore_ascii_case("STRICT") => StoreAssignmentPolicy::Strict,
@@ -123,17 +123,17 @@ impl SparkConfig {
     }
 
     /// Whether INTERVAL columns are stored as STRING in Hive tables.
-    pub fn interval_as_string(&self) -> bool {
+    pub(crate) fn interval_as_string(&self) -> bool {
         self.flag(INTERVAL_AS_STRING)
     }
 
     /// Whether the DataFrame writer validates date ranges.
-    pub fn dataframe_date_range_check(&self) -> bool {
+    pub(crate) fn dataframe_date_range_check(&self) -> bool {
         self.flag(DATAFRAME_DATE_RANGE_CHECK)
     }
 
     /// Whether Parquet reads honor Julian-calendar markers.
-    pub fn parquet_rebase_legacy(&self) -> bool {
+    pub(crate) fn parquet_rebase_legacy(&self) -> bool {
         self.map
             .get(PARQUET_REBASE_MODE)
             .is_some_and(|mode| mode.eq_ignore_ascii_case("LEGACY"))
@@ -144,20 +144,13 @@ impl SparkConfig {
     /// Per the configuration's documentation, inference "only works with
     /// ORC and Parquet, but not Avro" — the internal-configuration-exposure
     /// problem of Section 8.2.
-    pub fn case_preserving_schema_for(&self, format: &str) -> bool {
+    pub(crate) fn case_preserving_schema_for(&self, format: &str) -> bool {
         let never_infer = self
             .map
             .get(CASE_SENSITIVE_INFERENCE)
             .is_some_and(|mode| mode.eq_ignore_ascii_case("NEVER_INFER"));
         !never_infer
             && (format.eq_ignore_ascii_case("ORC") || format.eq_ignore_ascii_case("PARQUET"))
-    }
-
-    /// Merges a Hadoop configuration into Spark's: Spark-side values win
-    /// and the incoming values are recorded as ignored.
-    pub fn merge_hadoop(&mut self, hadoop: &ConfigMap) -> MergeReport {
-        self.map
-            .merge(hadoop, MergePolicy::OursWin, "merge hadoop-conf")
     }
 
     /// Merges `hive-site.xml` the way SPARK-16901 did: **Spark's values
@@ -222,17 +215,5 @@ mod tests {
         assert!(hive_site
             .trace("spark.sql.session.timeZone")
             .contains("OVERRIDDEN"));
-    }
-
-    #[test]
-    fn hadoop_merge_keeps_spark_values() {
-        let mut spark = SparkConfig::new();
-        let mut hadoop = ConfigMap::new("hadoop");
-        hadoop.set("spark.executor.memory", "4096", "core-site.xml");
-        hadoop.set("fs.defaultFS", "hdfs://nn:9000", "core-site.xml");
-        let report = spark.merge_hadoop(&hadoop);
-        assert_eq!(spark.get(EXECUTOR_MEMORY_MB), Some("1024"));
-        assert_eq!(report.ignored, vec!["spark.executor.memory"]);
-        assert_eq!(spark.get("fs.defaultFS"), Some("hdfs://nn:9000"));
     }
 }

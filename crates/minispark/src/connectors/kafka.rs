@@ -32,7 +32,7 @@ pub struct OffsetRange {
 impl OffsetRange {
     /// The record count Spark's planner *expects* from this range — valid
     /// only under the contiguity assumption.
-    pub fn expected_count(&self) -> i64 {
+    pub(crate) fn expected_count(&self) -> i64 {
         self.until - self.from
     }
 }

@@ -21,7 +21,7 @@ use miniyarn::{Resource, ResourceManager};
 pub const MIN_OVERHEAD_MB: u64 = 384;
 
 /// The memory overhead Spark adds to each executor container.
-pub fn executor_overhead_mb(config: &SparkConfig) -> u64 {
+pub(crate) fn executor_overhead_mb(config: &SparkConfig) -> u64 {
     if let Some(Ok(v)) = config.map().get_i64(EXECUTOR_MEMORY_OVERHEAD_MB) {
         return v.max(0) as u64;
     }
@@ -30,7 +30,7 @@ pub fn executor_overhead_mb(config: &SparkConfig) -> u64 {
 }
 
 /// `spark.executor.memory`, MB.
-pub fn executor_memory_mb(config: &SparkConfig) -> u64 {
+pub(crate) fn executor_memory_mb(config: &SparkConfig) -> u64 {
     match config.map().get_i64(EXECUTOR_MEMORY_MB) {
         Some(Ok(v)) if v > 0 => v as u64,
         _ => 1024,

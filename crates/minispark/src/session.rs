@@ -26,7 +26,7 @@ pub const SPARK_SCHEMA_PROPERTY: &str = "spark.sql.sources.schema";
 
 /// Which interface created a table (their DDL conversions differ).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DdlPath {
+pub(crate) enum DdlPath {
     /// `CREATE TABLE` through SparkSQL's Hive DDL layer.
     SparkSql,
     /// `DataFrame.saveAsTable`.
@@ -87,7 +87,7 @@ impl SparkSession {
     }
 
     /// Looks up a table definition, shared with the metastore.
-    pub fn table_def(&self, name: &str) -> Result<Arc<TableDef>, SparkError> {
+    pub(crate) fn table_def(&self, name: &str) -> Result<Arc<TableDef>, SparkError> {
         Ok(self.metastore.lock().get_table("default", name)?.clone())
     }
 
@@ -97,7 +97,7 @@ impl SparkSession {
     /// and stores no case-preserving property (HIVE-26533 / SPARK-40409 /
     /// D03); the DataFrame path maps types faithfully and saves the
     /// property where the inference mode supports the format.
-    pub fn create_hive_table(
+    pub(crate) fn create_hive_table(
         &self,
         name: &str,
         schema: &[StructField],
@@ -189,7 +189,7 @@ impl SparkSession {
     /// Resolves the schema Spark uses for a table: the case-preserving
     /// property when present, otherwise the Hive schema (with the
     /// documented warning).
-    pub fn resolve_schema(&self, def: &TableDef) -> Vec<StructField> {
+    pub(crate) fn resolve_schema(&self, def: &TableDef) -> Vec<StructField> {
         if let Some(raw) = def.properties.get(SPARK_SCHEMA_PROPERTY) {
             if let Some(fields) = schema_from_property(raw) {
                 return fields;

@@ -502,7 +502,7 @@ fn legacy_cast(value: &Value, target: &DataType, opts: CastOptions) -> Value {
 /// The `spark.sql.dataframe.dateRangeCheck` path logs a warning before
 /// coercing such values to NULL, which is what makes the fix visible to
 /// the error-handling oracle (closing D15).
-pub fn has_out_of_range_datetime(value: &Value) -> bool {
+pub(crate) fn has_out_of_range_datetime(value: &Value) -> bool {
     match value {
         Value::Date(d) => !(MIN_DATE_DAYS..=MAX_DATE_DAYS).contains(d),
         Value::Timestamp(us) => {
@@ -521,12 +521,12 @@ pub fn has_out_of_range_datetime(value: &Value) -> bool {
 
 /// Serializes a case-preserved schema into the `spark.sql.sources.schema`
 /// table property.
-pub fn schema_to_property(fields: &[StructField]) -> String {
+pub(crate) fn schema_to_property(fields: &[StructField]) -> String {
     serde_json::to_string(fields).expect("schema serializes")
 }
 
 /// Parses the `spark.sql.sources.schema` property back into a schema.
-pub fn schema_from_property(raw: &str) -> Option<Vec<StructField>> {
+pub(crate) fn schema_from_property(raw: &str) -> Option<Vec<StructField>> {
     serde_json::from_str(raw).ok()
 }
 

@@ -72,7 +72,7 @@ pub fn max_allocation(config: &ConfigMap) -> Resource {
 }
 
 /// Reads the increment-allocation resource from a config (FairScheduler).
-pub fn increment_allocation(config: &ConfigMap) -> Resource {
+pub(crate) fn increment_allocation(config: &ConfigMap) -> Resource {
     Resource::new(
         get_u64(config, INC_ALLOC_MB, 512),
         get_u64(config, INC_ALLOC_VCORES, 1) as u32,

@@ -54,11 +54,6 @@ impl Resource {
             vcores: self.vcores.max(other.vcores),
         }
     }
-
-    /// Whether either dimension is zero.
-    pub fn is_degenerate(&self) -> bool {
-        self.memory_mb == 0 || self.vcores == 0
-    }
 }
 
 impl Add for Resource {
@@ -134,7 +129,6 @@ mod tests {
         let mut c = b;
         c -= a;
         assert_eq!(c, Resource::new(200, 0));
-        assert!(c.is_degenerate());
     }
 
     #[test]

@@ -252,7 +252,7 @@ impl ResourceManager {
     }
 
     /// Registers a NodeManager.
-    pub fn add_node(&mut self, id: NodeId, capacity: Resource) {
+    pub(crate) fn add_node(&mut self, id: NodeId, capacity: Resource) {
         self.nodes.insert(
             id,
             Node {
@@ -439,7 +439,7 @@ impl ResourceManager {
     }
 
     /// Releases a container back to the cluster.
-    pub fn release_container(&mut self, id: ContainerId) -> Result<(), YarnError> {
+    pub(crate) fn release_container(&mut self, id: ContainerId) -> Result<(), YarnError> {
         let c = self.container_mut(id)?;
         if matches!(
             c.state,

@@ -81,7 +81,7 @@ impl Scheduler for FairScheduler {
 /// Instantiates the scheduler configured under
 /// [`crate::config::SCHEDULER_CLASS`]; unknown classes fall back to the
 /// CapacityScheduler, matching YARN's default.
-pub fn scheduler_from_config(config: &ConfigMap) -> Box<dyn Scheduler + Send> {
+pub(crate) fn scheduler_from_config(config: &ConfigMap) -> Box<dyn Scheduler + Send> {
     match config.get(crate::config::SCHEDULER_CLASS) {
         Some(class) if class.contains("FairScheduler") => Box::new(FairScheduler),
         _ => Box::new(CapacityScheduler),
