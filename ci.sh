@@ -2,7 +2,7 @@
 # Staged CI gate. Each stage is individually invocable so failures
 # attribute to a stage instead of one monolithic log:
 #
-#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test), outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test), cell (plan::cells walks the cell space, no loop over an experiment's plans in csi-test outside plan.rs) calibration (a detecting run's baseline is its fault-free twin's trace, no learned baseline set), arming (a run arms its own faults with CrossingContext::rearm; no arm_plan or arm_set under crates/) deployment (every stack is built by Deployment::new, which takes the spec's spark_overrides: no Deployment::configured), scenario (a fault's scenarios are read off inject.rs's scenario table: no match arm or matches! pattern naming a Channel:: variant in csi-test) block (a stored block owns no heap: minihdfs has one replicas: Vec<, the public BlockInfo's), codec thread (a codec's helper thread is scoped to the call: no thread::spawn or thread::Builder in miniformats) and executor thread (the harness spawns threads in shard::run_ordered only: no thread::spawn, thread::scope or thread::Builder in csi-test outside shard.rs) guards
+#   ./ci.sh lint          # cargo fmt --check + clippy -D warnings + rustdoc -D warnings + the one-write-per-frame, digest-from-parts, tag-from-parts, one-judge (the trace is the one record of what fired), trace (every campaign observation is traced), hash, glue, one-varint (any 7f/80 mask outside wire.rs), case-without-a-copy, buffer-by-value (an engine hands HDFS its encoded file, never a borrow of it), spec (a mode reads the CampaignSpec, no per-mode config struct in csi-test), outcome (a mode fills CampaignOutcome, no per-mode result struct in csi-test), cell (plan::cells walks the cell space, no loop over an experiment's plans in csi-test outside plan.rs) calibration (a detecting run's baseline is its fault-free twin's trace, no learned baseline set), arming (a run arms its own faults with CrossingContext::rearm; no arm_plan or arm_set under crates/) deployment (every stack is built by Deployment::new, which takes the spec's spark_overrides: no Deployment::configured), scenario (a fault's scenarios are read off inject.rs's scenario table: no match arm or matches! pattern naming a Channel:: variant in csi-test) block (a stored block owns no heap: minihdfs has one replicas: Vec<, the public BlockInfo's), codec thread (a codec's helper thread is scoped to the call: no thread::spawn or thread::Builder in miniformats), executor thread (the harness spawns threads in shard::run_ordered only: no thread::spawn, thread::scope or thread::Builder in csi-test outside shard.rs) and design-history (DESIGN.md describes the design as it stands: no "PR <n>" reference) guards
 #   ./ci.sh build         # release build of the whole workspace + `cargo check --locked` of benchmark/
 #   ./ci.sh test          # full test suite, once: every assertion about a campaign lives here
 #   ./ci.sh bench-smoke   # the benchmark's own --smoke (all four workloads, every output check on)
@@ -198,6 +198,14 @@ stage_lint() {
   echo "==> executor thread guard (no thread::spawn, thread::scope or thread::Builder in csi-test outside shard.rs)"
   if grep -rnE --include='*.rs' 'thread::(spawn|scope|Builder)' crates/csi-test/src/ | grep -v '^crates/csi-test/src/shard\.rs:'; then
     echo "the harness spawns threads in shard::run_ordered only" >&2
+    exit 1
+  fi
+  # DESIGN.md says how the system works now; which change made it so is
+  # CHANGES.md's and git's record, and a design that cites its history
+  # goes stale with every change after it.
+  echo "==> design-history guard (no \"PR <n>\" reference in DESIGN.md)"
+  if grep -nE '\bPRs? #?[0-9]' DESIGN.md; then
+    echo "describe the design as it stands; the history is in CHANGES.md and git log" >&2
     exit 1
   fi
 }

@@ -170,13 +170,13 @@ pub enum CrossingOutcome {
     /// the call still proceeds, only slower).
     Faulted {
         /// The fault that fired.
-        fault: InjectedFault,
+        fault: Box<InjectedFault>,
     },
     /// An annotated decision point (e.g. which replica served a
     /// redundant read).
     Noted {
         /// The annotation.
-        info: String,
+        info: Box<String>,
     },
 }
 
@@ -223,7 +223,7 @@ impl Crossing {
 /// per-job attribution share.
 pub fn faulted(crossings: &[Crossing]) -> impl Iterator<Item = (&Crossing, &InjectedFault)> {
     crossings.iter().filter_map(|c| match &c.outcome {
-        CrossingOutcome::Faulted { fault } => Some((c, fault)),
+        CrossingOutcome::Faulted { fault } => Some((c, &**fault)),
         _ => None,
     })
 }
@@ -476,7 +476,9 @@ impl CrossingContext {
             },
         };
         let outcome = match fired {
-            Some(fault) => CrossingOutcome::Faulted { fault },
+            Some(fault) => CrossingOutcome::Faulted {
+                fault: Box::new(fault),
+            },
             None => given.unwrap_or(CrossingOutcome::Clean),
         };
         let at_ms = state.clock_ms;
@@ -528,7 +530,7 @@ impl CrossingContext {
         self.push(
             call,
             Some(CrossingOutcome::Noted {
-                info: info.to_string(),
+                info: Box::new(info.to_string()),
             }),
         );
     }
@@ -842,6 +844,15 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("[Management]"), "{}", lines[0]);
         assert!(lines[1].ends_with("note:served-by=primary"), "{}", lines[1]);
+    }
+
+    /// A trace keeps every crossing of every retained observation, nearly
+    /// all of them `Clean`: the rare variants' payloads sit behind a box,
+    /// so a crossing is not sized for an `InjectedFault`.
+    #[test]
+    fn a_crossing_is_not_sized_for_its_rare_outcomes() {
+        assert!(std::mem::size_of::<CrossingOutcome>() <= 16);
+        assert!(std::mem::size_of::<Crossing>() <= 72);
     }
 
     /// A clean, a faulted and a noted crossing. The JSON is pinned: served

@@ -744,7 +744,7 @@ mod tests {
             self.ops
                 .push((crossing.call.channel, crossing.call.op.clone()));
             if let CrossingOutcome::Faulted { fault } = &crossing.outcome {
-                self.fired.push(fault.clone());
+                self.fired.push((**fault).clone());
                 self.faulted
                     .push((crossing.seq, crossing.at_ms, crossing.call.channel));
                 if matches!(
@@ -916,16 +916,16 @@ mod tests {
                 };
                 let outcome = match kind {
                     Some(kind) => CrossingOutcome::Faulted {
-                        fault: InjectedFault {
+                        fault: Box::new(InjectedFault {
                             spec_id: format!("f{i}"),
                             channel,
                             op: op.to_string(),
                             kind,
                             call: i as u64,
-                        },
+                        }),
                     },
                     None if class == 5 => CrossingOutcome::Noted {
-                        info: "served-by=primary".into(),
+                        info: Box::new("served-by=primary".into()),
                     },
                     None => CrossingOutcome::Clean,
                 };

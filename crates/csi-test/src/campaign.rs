@@ -202,8 +202,8 @@ impl Campaign {
     }
 
     /// Runs the campaign on `n` workers; `0` and `1` both run it on one,
-    /// the calling thread, except a large grid's, which runs on a helper
-    /// thread while the calling thread classifies. Clamped to
+    /// the calling thread, except a large grid on a two-core host, which
+    /// runs on two workers while the calling thread classifies. Clamped to
     /// [`MAX_SHARDS`](crate::spec::MAX_SHARDS) — only specs revived from
     /// the wire can carry an out-of-range value.
     pub fn shards(mut self, n: usize) -> Campaign {
@@ -537,8 +537,22 @@ mod tests {
     fn each_mode_builds_the_stacks_its_design_names() {
         let inputs = &crate::generator::generate_inputs()[..12];
         let faults = || inject::small_fault_catalogue(5);
-        let grid = Campaign::new(inputs).faults(faults()).detect(true);
-        assert_eq!(stacks_built(grid).0, 1, "a detecting, faulted grid");
+        let grid = || Campaign::new(inputs).faults(faults()).detect(true);
+        assert_eq!(stacks_built(grid()).0, 1, "a detecting, faulted grid");
+        // The same grid from the size at which one worker becomes two: a
+        // worker builds its stack with the first shard it claims, and the
+        // calling thread's record holds the stacks its workers built.
+        crate::exec::BUILT.with(|built| built.borrow_mut().clear());
+        let metrics = shard::run_grid(&grid().spec, inputs, None, 0)
+            .metrics
+            .expect("grid metrics");
+        assert_eq!(metrics.workers, 1 + usize::from(shard::two_cores()));
+        let ran = metrics.per_worker.iter().filter(|w| w.shards > 0).count();
+        assert_eq!(
+            crate::exec::BUILT.with(|built| built.take().len()),
+            ran,
+            "a detecting, faulted grid on two workers"
+        );
 
         let matrix = Campaign::new(&[])
             .fault_matrix(5)

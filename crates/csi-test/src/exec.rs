@@ -133,8 +133,10 @@ impl Deployment {
 
 #[cfg(test)]
 thread_local! {
-    /// The overrides of every stack built on this thread, in build order:
-    /// what a unit test reads to check which configuration a mode ran.
+    /// The overrides of every stack built on this thread, or by the
+    /// executor's worker threads for a call made on it (`run_merging`
+    /// hands their stacks back when they join): what a unit test reads to
+    /// check which configuration a mode ran, and how many stacks.
     pub(crate) static BUILT: std::cell::RefCell<Vec<Vec<(String, String)>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }

@@ -10,8 +10,7 @@
 //! worker's deployment serves every run it makes for the whole campaign,
 //! across rounds, and faults are armed per run, not per deployment.
 //! Serial is one worker state: the same closure, inline on the calling
-//! thread, or on one scoped helper thread when the caller asks, so that
-//! the calling thread merges while it runs. The two
+//! thread, each job merged before the next runs. The two
 //! searching modes pick each round's jobs off one `Frontier`: keys that
 //! feedback promoted first, then the mode's grid filler, none twice.
 //!
@@ -33,12 +32,12 @@
 //!   format, input-id) order as they land and hands each observation to
 //!   the one `classify::Classifier`, sealing each experiment as the walk
 //!   leaves it, so failures are produced in the same order and the
-//!   [`DiscrepancyReport`] is byte-identical at any worker count. The
-//!   merge runs while the workers run: beside them when there are two or
-//!   more, and beside a lone worker on a scoped helper thread when the
-//!   grid is large enough to pay for the thread (`OVERLAP_OBSERVATIONS`)
-//!   and the host has two cores. A smaller one-worker grid runs inline,
-//!   each shard merged before the next runs. Only the judge's tail,
+//!   [`DiscrepancyReport`] is byte-identical at any worker count. With
+//!   two or more workers the merge runs while they run. A one-worker grid
+//!   large enough to pay for the threads (`OVERLAP_OBSERVATIONS`), on a
+//!   host with two cores, runs on two workers, so both cores execute
+//!   while the calling thread merges; a smaller one runs inline, each
+//!   shard merged before the next runs. Only the judge's tail,
 //!   `Classifier::finish`, runs after the last shard.
 //! - **Campaign metrics** — observations/sec, per-phase wall time, and
 //!   per-worker utilization are surfaced in [`CampaignMetrics`].
@@ -71,7 +70,7 @@ pub(crate) fn run_ordered<S: Send, T: Send>(
     job: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
     let mut results = Vec::with_capacity(n);
-    run_merging(workers, n, false, job, |_, result| results.push(result));
+    run_merging(workers, n, job, |_, result| results.push(result));
     results
 }
 
@@ -86,20 +85,18 @@ pub(crate) fn run_ordered<S: Send, T: Send>(
 /// merged. The caller owns the states, so a state (a deployment, a
 /// worker's statistics) outlives the call. Only the first `n` states are
 /// used. One state runs inline on the calling thread, each job followed
-/// by its merge, with no spawn — unless `helper`, when it runs on one
-/// scoped thread while the calling thread merges. `workers` must not be
-/// empty while `n > 0`. A panicking job panics the caller either way,
-/// with the job's own payload.
+/// by its merge, with no spawn. `workers` must not be empty while
+/// `n > 0`. A panicking job panics the caller either way, with the job's
+/// own payload.
 pub(crate) fn run_merging<S: Send, T: Send>(
     workers: &mut [S],
     n: usize,
-    helper: bool,
     job: impl Fn(&mut S, usize) -> T + Sync,
     mut merge: impl FnMut(usize, T),
 ) {
     let used = n.min(workers.len());
     let workers = &mut workers[..used];
-    if let ([state], false) = (&mut *workers, helper) {
+    if let [state] = workers {
         for i in 0..n {
             merge(i, job(state, i));
         }
@@ -107,18 +104,27 @@ pub(crate) fn run_merging<S: Send, T: Send>(
     }
     let next = AtomicUsize::new(0);
     let (landed, results) = mpsc::channel();
+    // The stacks the workers build, handed to the calling thread's record.
+    #[cfg(test)]
+    let built = std::sync::Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         let threads: Vec<_> = workers
             .iter_mut()
             .map(|state| {
                 let (next, job, landed) = (&next, &job, landed.clone());
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    // A caller that stopped merging (it panicked) stops
-                    // the workers at their next job.
-                    if i >= n || landed.send((i, job(state, i))).is_err() {
-                        break;
+                #[cfg(test)]
+                let built = &built;
+                scope.spawn(move || {
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        // A caller that stopped merging (it panicked) stops
+                        // the workers at their next job.
+                        if i >= n || landed.send((i, job(state, i))).is_err() {
+                            break;
+                        }
                     }
+                    #[cfg(test)]
+                    crate::exec::BUILT.with(|mine| built.lock().unwrap().extend(mine.take()));
                 })
             })
             .collect();
@@ -137,6 +143,8 @@ pub(crate) fn run_merging<S: Send, T: Send>(
         }
         assert_eq!(due, n, "every index was claimed");
     });
+    #[cfg(test)]
+    crate::exec::BUILT.with(|mine| mine.borrow_mut().extend(built.into_inner().unwrap()));
 }
 
 /// One state per worker of `spec.shards` (`0` and `1` both mean one),
@@ -200,14 +208,18 @@ pub struct WorkerStats {
     pub busy_micros: u64,
     /// `busy` as a fraction of the execute phase's wall time (0.0–1.0).
     /// The merge is not `busy`: a worker inline on the calling thread
-    /// merges between its shards, and reads below one by that much.
+    /// merges between its shards, and reads below one by that much; a
+    /// worker on a thread of its own reads below one by its start, its
+    /// hand-offs, and the merge that runs on after its last shard.
     pub utilization: f64,
 }
 
 /// Wall-time and throughput metrics for one cross-test campaign.
 #[derive(Debug, Clone, Serialize)]
 pub struct CampaignMetrics {
-    /// Workers in the pool.
+    /// Workers in the pool: the campaign's `shards`, or two for a
+    /// one-worker grid of 4,096 or more observations on a two-core host;
+    /// never more than there are shards.
     pub workers: usize,
     /// Work units the campaign was sharded into.
     pub shards: usize,
@@ -215,9 +227,9 @@ pub struct CampaignMetrics {
     pub observations: usize,
     /// Wall time of the execute phase, in microseconds: until the last
     /// shard has run and been merged. The merge's per-observation oracles
-    /// and each experiment's differential run in it, beside the workers
-    /// or between an inline worker's shards; a detecting, faulted grid's
-    /// fault-free twin runs are part of it.
+    /// and each experiment's differential run in it, on the calling
+    /// thread beside the workers or between an inline worker's shards; a
+    /// detecting, faulted grid's fault-free twin runs are part of it.
     pub execute_micros: u64,
     /// Wall time of the judge's tail after the execute phase
     /// (attribution, the report and its findings), in microseconds.
@@ -270,21 +282,19 @@ struct GridWorker {
 }
 
 /// Grid observations from which a one-worker grid, on a host with two
-/// cores, runs its shards on a scoped helper thread while the calling
-/// thread classifies. The helper costs a fixed amount (its start and
-/// join, a hand-off per shard); the merge it overlaps, about a
-/// microsecond per observation. One-worker grids alone on a two-core host
-/// read slower overlapped below about 1,000 observations, and below about
-/// 6,000 in a slower, busier spell of the same host. `serve` runs grids
-/// of 64 and 1,024 observations on two daemon workers that already keep
-/// both cores busy, where a helper only contends with the other worker:
-/// both stay inline here, and the §8 campaign's 10,128 overlap
-/// (EXPERIMENTS.md, "The grid classifies while it runs").
+/// cores, runs on two workers while the calling thread classifies. The
+/// second worker costs a fixed amount (a second deployment, two starts
+/// and joins, a hand-off per shard), and a small grid alone on a two-core
+/// host reads slower for it. `serve` runs grids of 64 and 1,024
+/// observations on two daemon workers that already keep both cores busy,
+/// where more threads only contend: both stay inline here, and the §8
+/// campaign's 10,128 run on two workers (EXPERIMENTS.md, "The §8 grid
+/// executes on both cores").
 const OVERLAP_OBSERVATIONS: usize = 4_096;
 
 /// Whether the host runs two threads at once; asked once per process
 /// (the answer reads the scheduler's affinity and cgroup limits).
-fn two_cores() -> bool {
+pub(crate) fn two_cores() -> bool {
     static TWO: OnceLock<bool> = OnceLock::new();
     *TWO.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2))
 }
@@ -299,8 +309,9 @@ fn two_cores() -> bool {
 ///
 /// One worker runs on the calling thread, between merges, unless the
 /// grid has [`OVERLAP_OBSERVATIONS`] or more observations and the host
-/// two cores: then it runs on a scoped helper thread while the calling
-/// thread merges. More workers always run beside the merging caller.
+/// two cores: then the grid runs on two workers while the calling
+/// thread merges. Two or more workers always run beside the merging
+/// caller.
 ///
 /// Every observation runs on its worker's one deployment, which carries
 /// `spec`'s Spark overrides, with `spec.faults` armed for that run. With
@@ -314,9 +325,9 @@ pub(crate) fn run_cross_test(
     run_grid(spec, inputs, tap, OVERLAP_OBSERVATIONS)
 }
 
-/// [`run_cross_test`], with the one-worker grid overlapped from
+/// [`run_cross_test`], with a one-worker grid run on two workers from
 /// `overlap_from` observations on.
-fn run_grid(
+pub(crate) fn run_grid(
     spec: &CampaignSpec,
     inputs: &[TestInput],
     tap: Option<DetectionTap>,
@@ -329,11 +340,12 @@ fn run_grid(
     let faults = spec.faults.as_ref().map_or(&[][..], |plan| &plan.faults);
     let campaign_started = Instant::now();
     let shards = build_shards(inputs.len(), spec);
-    let mut workers: Vec<GridWorker> = worker_states(spec.shards.min(shards.len()));
     let observations: usize = shards.iter().map(|shard| shard.hi - shard.lo).sum();
-    let helper = observations >= overlap_from && two_cores();
-    #[cfg(test)]
-    OVERLAPPED.with(|o| o.set(Some(helper || workers.len() > 1)));
+    let pool = match spec.shards.max(1) {
+        1 if observations >= overlap_from && two_cores() => 2,
+        asked => asked,
+    };
+    let mut workers: Vec<GridWorker> = worker_states(pool.min(shards.len()));
 
     // Deterministic merge: results reach the merge in canonical shard
     // order, so it hands the classifier the grid's observation sequence —
@@ -359,7 +371,7 @@ fn run_grid(
         worker.stats.busy_micros += shard_started.elapsed().as_micros() as u64;
         batch
     };
-    run_merging(&mut workers, shards.len(), helper, job, |i, batch| {
+    run_merging(&mut workers, shards.len(), job, |i, batch| {
         let shard = &shards[i];
         for (input, obs) in inputs[shard.lo..shard.hi].iter().zip(batch) {
             judge.absorb(shard.experiment_idx, input, obs);
@@ -401,13 +413,6 @@ fn run_grid(
         metrics: Some(metrics),
         ..outcome
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Whether the last grid this thread ran merged while its shards ran,
-    /// rather than between them.
-    static OVERLAPPED: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
 }
 
 #[cfg(test)]
@@ -472,15 +477,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The merge sees `0..n` in order, each index once, whichever
-        /// worker ran it and wherever a lone worker runs.
+        /// worker ran it.
         #[test]
         fn run_merging_hands_the_caller_every_index_in_order(
             n in 0usize..200,
             workers in 1usize..=8,
-            helper in any::<bool>(),
         ) {
             let mut seen = Vec::new();
-            run_merging(&mut vec![(); workers], n, helper, |(), i| i * 3, |i, result| {
+            run_merging(&mut vec![(); workers], n, |(), i| i * 3, |i, result| {
                 seen.push(i);
                 assert_eq!(result, i * 3, "the result of job {i}");
             });
@@ -490,12 +494,11 @@ mod tests {
 
     #[test]
     fn a_panicking_job_panics_the_caller_inline_and_threaded() {
-        for (workers, helper) in [(1, false), (1, true), (3, false)] {
+        for workers in [1, 3] {
             let caught = std::panic::catch_unwind(|| {
                 run_merging(
                     &mut vec![(); workers],
                     10,
-                    helper,
                     |(), i| {
                         assert!(i != 6, "job 6 fails");
                         i
@@ -506,11 +509,7 @@ mod tests {
             let payload = caught.expect_err("the caller swallowed the panic");
             // The job's own message, not the scope's.
             let message = payload.downcast_ref::<&str>().copied();
-            assert_eq!(
-                message,
-                Some("job 6 fails"),
-                "workers = {workers}, helper = {helper}"
-            );
+            assert_eq!(message, Some("job 6 fails"), "workers = {workers}");
         }
     }
 
@@ -577,15 +576,11 @@ mod tests {
         }
     }
 
-    fn overlapped() -> Option<bool> {
-        OVERLAPPED.with(|o| o.take())
-    }
-
-    /// A grid forced onto the overlapped path writes the inline run's
+    /// A one-worker grid forced onto two workers writes the inline run's
     /// observations, report and rendering, plain and faulted under the
     /// detector.
     #[test]
-    fn the_overlapped_grid_is_the_inline_grid() {
+    fn the_two_worker_grid_is_the_inline_grid() {
         let inputs = small_inputs();
         let faulted = CampaignSpec {
             faults: Some(crate::inject::small_fault_catalogue(7)),
@@ -594,28 +589,27 @@ mod tests {
         };
         for spec in [CampaignSpec::default(), faulted] {
             let inline = run_grid(&spec, &inputs, None, usize::MAX);
-            assert_eq!(overlapped(), Some(false));
-            let overlapped_run = run_grid(&spec, &inputs, None, 0);
-            assert_eq!(overlapped(), Some(two_cores()));
-            assert_eq!(overlapped_run.observations, inline.observations);
-            assert_eq!(overlapped_run.report, inline.report);
-            assert_eq!(overlapped_run.render(), inline.render());
-            let metrics = overlapped_run.metrics.expect("grid metrics");
-            assert_eq!(metrics.workers, 1);
-            assert_eq!(
-                metrics.per_worker[0].observations,
-                inline.observations.len()
-            );
+            assert_eq!(inline.metrics.as_ref().expect("grid metrics").workers, 1);
+            let two = run_grid(&spec, &inputs, None, 0);
+            assert_eq!(two.observations, inline.observations);
+            assert_eq!(two.report, inline.report);
+            assert_eq!(two.render(), inline.render());
+            let metrics = two.metrics.expect("grid metrics");
+            assert_eq!(metrics.workers, 1 + usize::from(two_cores()));
+            let by_worker: usize = metrics.per_worker.iter().map(|w| w.observations).sum();
+            assert_eq!(by_worker, inline.observations.len());
         }
     }
 
-    /// The full catalogue merges while its one worker runs; `serve`'s two
-    /// grid shapes, 64 and 4 inputs over two formats, stay inline.
+    /// The full catalogue runs on two workers; `serve`'s two grid shapes,
+    /// 64 and 4 inputs over two formats, stay inline on one.
     #[test]
     fn only_a_large_grid_overlaps() {
         let full = Campaign::new(&crate::generate_inputs()).run();
         assert_eq!(full.observations.len(), 10_128);
-        assert_eq!(overlapped(), Some(two_cores()));
+        let workers =
+            |outcome: &CampaignOutcome| outcome.metrics.as_ref().expect("grid metrics").workers;
+        assert_eq!(workers(&full), 1 + usize::from(two_cores()));
         for prefix in [64, 4] {
             let spec = CampaignSpec {
                 inputs: crate::spec::InputSelection::CataloguePrefix(prefix),
@@ -624,7 +618,7 @@ mod tests {
             };
             let outcome = Campaign::from_spec(spec).expect("a valid spec").run();
             assert_eq!(outcome.observations.len(), prefix * 16);
-            assert_eq!(overlapped(), Some(false), "{prefix} inputs");
+            assert_eq!(workers(&outcome), 1, "{prefix} inputs");
         }
     }
 

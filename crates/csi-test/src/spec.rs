@@ -250,9 +250,9 @@ pub struct CampaignSpec {
     /// Spark configuration overrides, set on the session of every
     /// deployment the campaign builds.
     pub spark_overrides: Vec<(String, String)>,
-    /// Worker count; `0` or `1` runs one worker, serially. A grid's one
-    /// worker runs on a helper thread while the calling thread classifies
-    /// once the grid is large and the host has two cores: the same report.
+    /// Worker count; `0` or `1` runs one worker, serially. A one-worker
+    /// grid runs on two workers while the calling thread classifies once
+    /// the grid is large and the host has two cores: the same report.
     pub shards: usize,
     /// Maximum inputs per grid shard.
     pub chunk_size: usize,

@@ -79,48 +79,6 @@ pub enum PhysicalValue {
     Struct(Vec<(String, PhysicalValue)>),
 }
 
-impl PhysicalValue {
-    /// The physical type this value inhabits, if it is not null.
-    pub fn physical_type(&self) -> Option<PhysicalType> {
-        Some(match self {
-            PhysicalValue::Null => return None,
-            PhysicalValue::Bool(_) => PhysicalType::Bool,
-            PhysicalValue::Int8(_) => PhysicalType::Int8,
-            PhysicalValue::Int16(_) => PhysicalType::Int16,
-            PhysicalValue::Int32(_) => PhysicalType::Int32,
-            PhysicalValue::Int64(_) => PhysicalType::Int64,
-            PhysicalValue::Float32(_) => PhysicalType::Float32,
-            PhysicalValue::Float64(_) => PhysicalType::Float64,
-            PhysicalValue::Decimal { .. } => PhysicalType::Decimal,
-            PhysicalValue::Utf8(_) => PhysicalType::Utf8,
-            PhysicalValue::Bytes(_) => PhysicalType::Bytes,
-            PhysicalValue::List(items) => PhysicalType::List(Box::new(
-                items
-                    .iter()
-                    .find_map(PhysicalValue::physical_type)
-                    .unwrap_or(PhysicalType::Utf8),
-            )),
-            PhysicalValue::Map(pairs) => {
-                let k = pairs
-                    .iter()
-                    .find_map(|(k, _)| k.physical_type())
-                    .unwrap_or(PhysicalType::Utf8);
-                let v = pairs
-                    .iter()
-                    .find_map(|(_, v)| v.physical_type())
-                    .unwrap_or(PhysicalType::Utf8);
-                PhysicalType::Map(Box::new(k), Box::new(v))
-            }
-            PhysicalValue::Struct(fields) => PhysicalType::Struct(
-                fields
-                    .iter()
-                    .map(|(n, v)| (n.clone(), v.physical_type().unwrap_or(PhysicalType::Utf8)))
-                    .collect(),
-            ),
-        })
-    }
-}
-
 /// One column of a file schema.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhysicalColumn {
@@ -238,20 +196,5 @@ mod tests {
         assert_eq!(schema.index_of_ci("CAMEL"), Some(0));
         assert_eq!(schema.index_of_ci("camel"), Some(0));
         assert_eq!(schema.index_of_ci("kamel"), None);
-    }
-
-    #[test]
-    fn physical_type_of_nested_value() {
-        let v = PhysicalValue::Map(vec![(
-            PhysicalValue::Utf8("k".into()),
-            PhysicalValue::Int64(1),
-        )]);
-        assert_eq!(
-            v.physical_type(),
-            Some(PhysicalType::Map(
-                Box::new(PhysicalType::Utf8),
-                Box::new(PhysicalType::Int64)
-            ))
-        );
     }
 }
